@@ -11,7 +11,7 @@
 // cost lands in the compile_ns/compile_allocs columns) and every timed
 // op replays the compiled program on a pooled arena — the
 // compile-once/replay-many fast path the ledger's headline numbers
-// track; -uncompiled times the legacy validate-every-run path instead.
+// track.
 // A progcache footer reports the sweep's hit/miss/coalesced counters,
 // and -shapes N replays the whole grid from N concurrent tenants to
 // exercise the cache the way a multi-tenant server would.
@@ -20,8 +20,7 @@
 //
 //	aapebench                                  # default grid, BENCH_exec.json
 //	aapebench -dims 8x8,16x16,4x4x4 -algs proposed,direct
-//	aapebench -serial                          # time the serial reference
-//	aapebench -uncompiled                      # time the uncompiled executor
+//	aapebench -serial                          # time the serial replay
 //	aapebench -quick -out -                    # one run per cell, stdout only
 //	aapebench -samples 10                      # spread columns from 10 repeats
 //	aapebench -shapes 16                       # warm-cache sweep from 16 tenants
@@ -82,20 +81,19 @@ func run(args []string, w io.Writer) error {
 		dimsFlag     = fs.String("dims", "8x8,16x16,4x4x4", "comma-separated fabric shapes to sweep")
 		algsFlag     = fs.String("algs", "", "comma-separated algorithms (default: every registered algorithm: "+strings.Join(algorithm.Names(), ", ")+")")
 		outFlag      = fs.String("out", "BENCH_exec.json", "ledger path ('-' = stdout only)")
-		serialFlag   = fs.Bool("serial", false, "time the serial reference executor instead of the parallel one")
+		serialFlag   = fs.Bool("serial", false, "time the serial replay instead of the parallel one")
 		parallelFlag = fs.Bool("parallel", true, "run the executor's parallel fan-out path (overridden by -serial)")
 		workersFlag  = fs.Int("workers", 0, "parallel executor worker count (0 = GOMAXPROCS)")
 		quickFlag    = fs.Bool("quick", false, "single timed run per cell instead of a full benchmark (for tests and smoke runs)")
 		samplesFlag  = fs.Int("samples", 5, "repeat timings per cell behind the ns_min/ns_max/ns_stddev ledger columns (<2 disables)")
 		pprofFlag    = fs.String("pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060) for the sweep's duration")
 
-		shapesFlag     = fs.Int("shapes", 0, "after the sweep, replay the whole grid from this many concurrent tenants through the program cache and report hit-rate and warm latency (0 disables)")
-		uncompiledFlag = fs.Bool("uncompiled", false, "time the uncompiled executor (schedule re-validated every op) instead of the compiled replay fast path")
-		baselineFlag   = fs.String("baseline", "", "compare the sweep against this committed ledger: print per-cell ns/op and allocs/op deltas and exit nonzero when allocs/op regress beyond -tolerance percent")
-		toleranceFlag  = fs.Float64("tolerance", 25, "allocs/op regression tolerance for -baseline, in percent")
-		smokeFlag      = fs.Bool("smoke", false, "registry smoke: compile and replay every supported (fabric, algorithm) pair once, report, and exit — no timings, no ledger")
-		trafficFlag    = fs.String("traffic", "", "sweep sparse traffic instead of the dense all-to-all: a spec (see internal/traffic), or 'all' for one canned matrix per generator; with -smoke, compile+replay every (generator, sparse algorithm) pair plus the planner pick")
-		prewarmFlag    = fs.Bool("prewarm", false, "compile every (shape, algorithm) cell of the sweep grid into the -progcache-dir disk tier and exit — a shape pack later processes load in sub-millisecond instead of compiling")
+		shapesFlag    = fs.Int("shapes", 0, "after the sweep, replay the whole grid from this many concurrent tenants through the program cache and report hit-rate and warm latency (0 disables)")
+		baselineFlag  = fs.String("baseline", "", "compare the sweep against this committed ledger: print per-cell ns/op and allocs/op deltas and exit nonzero when allocs/op regress beyond -tolerance percent")
+		toleranceFlag = fs.Float64("tolerance", 25, "allocs/op regression tolerance for -baseline, in percent")
+		smokeFlag     = fs.Bool("smoke", false, "registry smoke: compile and replay every supported (fabric, algorithm) pair once, report, and exit — no timings, no ledger")
+		trafficFlag   = fs.String("traffic", "", "sweep sparse traffic instead of the dense all-to-all: a spec (see internal/traffic), or 'all' for one canned matrix per generator; with -smoke, compile+replay every (generator, sparse algorithm) pair plus the planner pick")
+		prewarmFlag   = fs.Bool("prewarm", false, "compile every (shape, algorithm) cell of the sweep grid into the -progcache-dir disk tier and exit — a shape pack later processes load in sub-millisecond instead of compiling")
 	)
 	tel := cli.RegisterTelemetry(fs)
 	cacheDirFlag := cli.RegisterCacheDir(fs)
@@ -163,7 +161,7 @@ func run(args []string, w io.Writer) error {
 		GoOS:   runtime.GOOS, GoArch: runtime.GOARCH,
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 	}
-	fmt.Fprintf(w, "%-14s %-10s %14s %12s %12s %12s %5s %8s %8s\n", "alg", "dims", "ns/op", "allocs/op", "compile ns", "bytes/op", "rw%", "steps", "blocks")
+	fmt.Fprintf(w, "%-14s %-10s %14s %12s %12s %12s %8s %8s\n", "alg", "dims", "ns/op", "allocs/op", "compile ns", "bytes/op", "steps", "blocks")
 	var firstLabel string
 	var firstFab topology.Fabric
 	for _, dims := range shapes {
@@ -176,65 +174,47 @@ func run(args []string, w io.Writer) error {
 			if err != nil {
 				return err
 			}
-			// The timed op: by default the compiled replay (the compile —
-			// schedule build, lowering, checks — happens once, here,
-			// through the program cache, outside every timed region and
-			// timed separately into the compile_ns column), or a full
-			// uncompiled run with -uncompiled.
-			var runOnce func(topt exec.Options) (*exec.Result, error)
+			// The timed op is the compiled replay: the compile — schedule
+			// build, lowering, checks — happens once, here, through the
+			// program cache, outside every timed region and timed
+			// separately into the compile_ns column. One wall-clock
+			// request per cell: cache-lookup/plan/compile record during
+			// the one-shot build, arena-acquire and a single replay during
+			// the untimed observability run below — never inside a timed
+			// region, so the timings stay exactly what the ledger always
+			// measured.
+			req := tel.StartRequest(b.Name() + "@" + shapeString(dims))
+			bopt := opt
+			bopt.Request = req
 			var pg *exec.Program
-			var compileNs float64
-			var compileAllocs int64
-			var compileParallelNs, tier2LoadNs float64
-			// One wall-clock request per cell (compiled path only):
-			// cache-lookup/plan/compile record during the one-shot build,
-			// arena-acquire and a single replay during the untimed
-			// observability run below — never inside a timed region, so
-			// the timings stay exactly what the ledger always measured.
-			var req *obs.Request
-			if *uncompiledFlag {
-				sc, err := b.BuildSchedule(fab)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "aapebench: skip %s on %s: %v\n", b.Name(), shapeString(dims), err)
-					continue
-				}
-				runOnce = func(topt exec.Options) (*exec.Result, error) { return exec.Run(sc, topt) }
-			} else {
-				req = tel.StartRequest(b.Name() + "@" + shapeString(dims))
-				bopt := opt
-				bopt.Request = req
-				var buildErr error
-				compileNs, compileAllocs = timeIt(func() {
-					pg, buildErr = algorithm.BuildProgram(b, fab, bopt)
-				})
-				if buildErr != nil {
-					fmt.Fprintf(os.Stderr, "aapebench: skip %s on %s: %v\n", b.Name(), shapeString(dims), buildErr)
-					continue
-				}
-				asp := req.Stage("arena-acquire")
-				arena := pg.AcquireArena()
-				asp.End()
-				defer pg.ReleaseArena(arena)
-				runOnce = func(topt exec.Options) (*exec.Result, error) { return pg.RunArena(arena, topt) }
-				compileParallelNs, tier2LoadNs = coldStartTimings(b, fab, pg, bopt)
+			var buildErr error
+			compileNs, compileAllocs := timeIt(func() {
+				pg, buildErr = algorithm.BuildProgram(b, fab, bopt)
+			})
+			if buildErr != nil {
+				fmt.Fprintf(os.Stderr, "aapebench: skip %s on %s: %v\n", b.Name(), shapeString(dims), buildErr)
+				continue
 			}
+			asp := req.Stage("arena-acquire")
+			arena := pg.AcquireArena()
+			asp.End()
+			defer pg.ReleaseArena(arena)
+			runOnce := func(topt exec.Options) (*exec.Result, error) { return pg.RunArena(arena, topt) }
+			compileParallelNs, tier2LoadNs := coldStartTimings(b, fab, pg, bopt)
 			res, err := runOnce(opt)
 			if err != nil {
 				return fmt.Errorf("%s on %s: %v", b.Name(), shapeString(dims), err)
 			}
 			entry := benchfmt.Entry{
-				Alg: b.Name(), Dims: dims, Parallel: !serial, Compiled: !*uncompiledFlag,
+				Alg: b.Name(), Dims: dims, Parallel: !serial, Compiled: true,
 				CompileNs: compileNs, CompileAllocs: compileAllocs,
 				CompileParallelNs: compileParallelNs, Tier2LoadNs: tier2LoadNs,
 				Steps: res.Measure.Steps, Blocks: res.Measure.Blocks,
 				Hops: res.Measure.Hops, Rearranged: res.Measure.RearrangedBlocks,
 				MaxSharing: res.MaxSharing,
-			}
-			if pg != nil {
-				// Deterministic plan measures, not the run's: the ledger's
+				// A deterministic plan measure, not the run's: the ledger's
 				// bytes column must be identical on every host.
-				entry.BytesMoved = pg.BytesMoved()
-				entry.RewriteRatio = pg.RewriteRatio()
+				BytesMoved: pg.BytesMoved(),
 			}
 			if *quickFlag {
 				entry.NsPerOp, entry.AllocsPerOp, entry.BytesPerOp = timeOnce(runOnce, opt)
@@ -305,23 +285,20 @@ func run(args []string, w io.Writer) error {
 			}
 			benchCells.Add(1)
 			ledger.Entries = append(ledger.Entries, entry)
-			fmt.Fprintf(w, "%-14s %-10s %14.0f %12d %12.0f %12d %4.0f%% %8d %8d\n",
+			fmt.Fprintf(w, "%-14s %-10s %14.0f %12d %12.0f %12d %8d %8d\n",
 				entry.Alg, shapeString(dims), entry.NsPerOp, entry.AllocsPerOp, entry.CompileNs,
-				entry.BytesMoved, entry.RewriteRatio*100, entry.Steps, entry.Blocks)
+				entry.BytesMoved, entry.Steps, entry.Blocks)
 		}
 	}
 
-	if *shapesFlag > 0 && !*uncompiledFlag {
+	if *shapesFlag > 0 {
 		if err := tenantSweep(w, *fabricFlag, shapes, algs, opt, *shapesFlag); err != nil {
 			return err
 		}
 	}
-	if !*uncompiledFlag {
-		// The footer is the registry's view of the sweep — the same
-		// counters /debug/vars and -metrics-out export, replacing the
-		// old one-line progcache snapshot.
-		obs.Default().WriteText(w, "progcache.", "exec.")
-	}
+	// The footer is the registry's view of the sweep — the same counters
+	// /debug/vars and -metrics-out export.
+	obs.Default().WriteText(w, "progcache.", "exec.")
 	// Finish after the footer so a -metrics-out dump includes the tenant
 	// sweep's cache traffic; tolerates a fabric-less sweep (every cell
 	// skipped).
@@ -514,25 +491,18 @@ func registrySmoke(w io.Writer, opt exec.Options) error {
 	return nil
 }
 
-// replayShape renders a program's replay-table shape for the smoke
-// report: whether the span backing stayed payload-dense or was
-// rebase-compacted (the two span fast paths behave differently enough
-// that a registration silently flipping between them should be
-// visible), and the descriptor plan's size and rewrite/copy split.
+// replayShape renders a program's replay-plan shape for the smoke
+// report: its descriptor count, and whether every payload transfer
+// delivers directly (a registration silently losing that property
+// would show here before it shows in ReplayInto's allocations).
 func replayShape(pg *exec.Program) string {
 	st := pg.Stats()
 	if !st.Replayable {
 		return "structural"
 	}
-	mode := "spans=rebased"
-	if st.SpansDense {
-		mode = "spans=dense"
-	}
-	if st.Descriptors {
-		mode += fmt.Sprintf(" desc=%d rw=%d/%d", st.DescCount, st.Rewrites, st.Rewrites+st.Copies)
-		if st.RewriteOnly {
-			mode += " rewrite-only"
-		}
+	mode := fmt.Sprintf("desc=%d", st.DescCount)
+	if st.LastHopOnly {
+		mode += " last-hop-only"
 	}
 	return mode
 }
@@ -609,7 +579,7 @@ func sparseSweep(w io.Writer, fabric, out string, shapes [][]int, algs []string,
 					Steps: res.Measure.Steps, Blocks: res.Measure.Blocks,
 					Hops: res.Measure.Hops, Rearranged: res.Measure.RearrangedBlocks,
 					MaxSharing: res.MaxSharing,
-					BytesMoved: pg.BytesMoved(), RewriteRatio: pg.RewriteRatio(),
+					BytesMoved: pg.BytesMoved(),
 				}
 				if quick {
 					entry.NsPerOp, entry.AllocsPerOp, entry.BytesPerOp = timeOnce(runOnce, opt)

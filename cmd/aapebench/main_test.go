@@ -173,8 +173,8 @@ func TestBenchRejectsBadShape(t *testing.T) {
 
 // TestBenchBaseline exercises the -baseline regression gate: comparing
 // a fresh quick sweep against itself must pass and print the delta
-// table, while timing the allocation-heavy uncompiled path against a
-// compiled baseline must make run() fail with the regression error.
+// table, while comparing it against a baseline that claims far fewer
+// bytes moved must make run() fail with the regression error.
 func TestBenchBaseline(t *testing.T) {
 	dir := t.TempDir()
 	base := filepath.Join(dir, "base.json")
@@ -195,15 +195,37 @@ func TestBenchBaseline(t *testing.T) {
 		t.Fatalf("missing delta table header:\n%s", buf.String())
 	}
 
-	// Time the uncompiled path against the compiled baseline: its
-	// thousands of allocs/op dwarf the compiled single digits, exceeding
-	// any sane tolerance + slack, so the gate must trip.
+	// A baseline whose direct cell moved a single byte: today's bytes
+	// exceed it beyond any tolerance, so the gate must trip.
+	f, err := os.Open(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ledger, err := benchfmt.Decode(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range ledger.Entries {
+		if ledger.Entries[i].Alg == "direct" {
+			ledger.Entries[i].BytesMoved = 1
+		}
+	}
+	doctored := filepath.Join(dir, "doctored.json")
+	df, err := os.Create(doctored)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ledger.Write(df); err != nil {
+		t.Fatal(err)
+	}
+	df.Close()
 	buf.Reset()
-	args = []string{"-dims", "8x8", "-algs", "proposed,direct", "-quick", "-uncompiled",
-		"-out", filepath.Join(dir, "cur2.json"), "-baseline", base}
-	err := run(args, &buf)
+	args = []string{"-dims", "8x8", "-algs", "proposed,direct", "-quick",
+		"-out", filepath.Join(dir, "cur2.json"), "-baseline", doctored}
+	err = run(args, &buf)
 	if err == nil || !strings.Contains(err.Error(), "regressed") {
-		t.Fatalf("uncompiled-vs-compiled not flagged: err=%v\n%s", err, buf.String())
+		t.Fatalf("bytes regression not flagged: err=%v\n%s", err, buf.String())
 	}
 	if !strings.Contains(buf.String(), "REGRESSED") {
 		t.Fatalf("delta table missing REGRESSED mark:\n%s", buf.String())

@@ -103,11 +103,6 @@ type Entry struct {
 	// fails the bench-regression job. Zero in uncompiled sweeps and
 	// pre-descriptor ledgers, which decode unchanged.
 	BytesMoved int64 `json:"bytes_moved,omitempty"`
-	// RewriteRatio is the fraction of payload transfers the descriptor
-	// planner elided to a pure descriptor rewrite instead of a bulk
-	// copy (Program.RewriteRatio), in [0, 1]. Zero when the cell ran
-	// without a descriptor plan.
-	RewriteRatio float64 `json:"rewrite_ratio,omitempty"`
 }
 
 // Key identifies an entry's cell: algorithm plus shape, plus the
@@ -189,9 +184,6 @@ func (f *File) Validate() error {
 		}
 		if e.BytesMoved < 0 {
 			return fmt.Errorf("benchfmt: entry %d (%s) bytes_moved %d < 0", i, e.Key(), e.BytesMoved)
-		}
-		if e.RewriteRatio < 0 || e.RewriteRatio > 1 {
-			return fmt.Errorf("benchfmt: entry %d (%s) rewrite_ratio %v outside [0, 1]", i, e.Key(), e.RewriteRatio)
 		}
 		if seen[e.Key()] {
 			return fmt.Errorf("benchfmt: duplicate entry %s", e.Key())

@@ -16,14 +16,14 @@ import (
 // split along the executor's own hot/cold boundary:
 //
 //   - The hot sections hold exactly what a replay touches — the
-//     lowered step and transfer tables, the extraction spans, the
-//     per-node delivery and capacity bounds, and the traffic ids —
-//     as flat little-endian arrays laid out field-for-field like the
-//     in-memory form, so decoding on a little-endian host is a
-//     handful of bounds-checked slice views over the file buffer
-//     (zero copies; big-endian hosts take an element-wise fallback).
-//     A decoded program replays through both executor paths without
-//     ever rebuilding the schedule it was compiled from.
+//     lowered step and transfer tables, the per-node delivery counts,
+//     the traffic ids and the descriptor replay plan — as flat
+//     little-endian arrays laid out field-for-field like the in-memory
+//     form, so decoding on a little-endian host is a handful of
+//     bounds-checked slice views over the file buffer (zero copies;
+//     big-endian hosts take an element-wise fallback). A decoded
+//     program replays, serially or in parallel, without ever
+//     rebuilding the schedule it was compiled from.
 //   - The cold section holds what only telemetry, re-encoding and
 //     Program.Schedule need — phase names, declared block counts,
 //     route legs and the payload ids — and is not parsed at decode
@@ -39,26 +39,22 @@ import (
 // every index a replay would follow, so a file that decodes cannot
 // make the executor read out of bounds.
 //
-// Format v1, all integers little-endian, sections 4-byte aligned:
+// Format v3, all integers little-endian, sections 4-byte aligned:
 //
 //	magic "TXPG" | u16 version | u8 flags | u8 reserved | u64 optFP
 //	u32 len + fabric fingerprint string, padded to 4
-//	u32 x9: n, numSteps, numTransfers, numSpans, numPhases,
-//	        maxStepPayload, maxSharing, numDomains, numTraffic
+//	u32 x7: n, numSteps, numTransfers, numPhases, maxSharing,
+//	        numDomains, numTraffic
 //	u64 x4: measure steps, blocks, hops, rearranged
 //	u32 coldLen
 //	steps     numSteps x 5 u32 (phaseIndex stepIndex sharing maxBlocks maxHops)
 //	stepT     (numSteps+1) x u32 (per-step transfer offsets)
-//	transfers numTransfers x 9 i32 (src dst payOff payLen linkOff
-//	          linkLen spanOff spanLen moveOff)
-//	spans     numSpans x 2 i32 (start end)
-//	perDest   n x i32            | only when flagReplay
-//	capacity  n x i32            | only when flagReplay
-//	traffic   numTraffic x i32   | only when flagReplay and not flagFullTraffic
+//	transfers numTransfers x 6 i32 (src dst payOff payLen linkOff linkLen)
 //	parallelErr u32 len + bytes, padded   | only when flagParallelErr
-//	descriptor section            | v2, only when flagDescriptors:
+//	replay section                         | only when flagReplay:
+//	  perDest    n x i32
+//	  traffic    numTraffic x i32          | only when not flagFullTraffic
 //	  u32 x4: numDesc, numTailFull, numTailResid, logSize
-//	  u64 x2: descBytes, spanBytes
 //	  dtransfers numTransfers x 4 i32 (descOff descLen insPos finalPos)
 //	  descBase   (n+1) x i32 (per-node log-region prefix)
 //	  descs      numDesc x 4 i32 (start count blocklen stride)
@@ -66,8 +62,6 @@ import (
 //	  tailFull     numTailFull x 3 i32 (dstPos descOff descLen)
 //	  tailResidOff (n+1) x i32
 //	  tailResid    numTailResid x 3 i32
-//	  phaseRewrites numPhases x i32
-//	  phaseCopies   numPhases x i32
 //	cold section (coldLen bytes):
 //	  u32 numPayload + payload ids (numPayload x i32)
 //	  blocks    numTransfers x u32 (declared Blocks per transfer)
@@ -77,31 +71,24 @@ import (
 //	            stream padded to 4
 //	u32 CRC32 (IEEE) over all preceding bytes
 //
-// Format v2 is v1 plus the descriptor section above (the zero-copy
-// strided replay plan, see descriptor.go) and the flagDescriptors bit
-// that announces it. This build writes v2 and decodes both: a v1 file
-// (e.g. a warm disk cache written by an older build) decodes to a
-// span-only program — fully replayable, just without the descriptor
-// fast path. Derived state (per-step transfer bases, the delivery
-// layout prefix, the rewrite-only verdict) is recomputed at decode and
-// never serialized.
+// This build reads and writes v3 only. A file of any other version
+// (e.g. a warm disk cache written by an older build) is a decode error,
+// which the disk tier turns into a miss and a delete. Derived state
+// (per-step transfer bases, the delivery layout prefix, the bytes-moved
+// measure, the last-hop-only verdict) is recomputed at decode and never
+// serialized.
 
-// CodecVersion is the program file format version this build writes.
-// Decoding also accepts codecVersionV1 for backward compatibility.
-const CodecVersion = 2
-
-const codecVersionV1 = 1
+// CodecVersion is the program file format version this build reads and
+// writes.
+const CodecVersion = 3
 
 const codecMagic = "TXPG"
 
 const (
 	flagReplay      = 1 << 0
-	flagSpansDense  = 1 << 1
-	flagFullTraffic = 1 << 2
-	flagParallelErr = 1 << 3
-	flagDescriptors = 1 << 4 // v2 only; requires flagReplay
-	flagKnownV1     = flagReplay | flagSpansDense | flagFullTraffic | flagParallelErr
-	flagKnown       = flagKnownV1 | flagDescriptors
+	flagFullTraffic = 1 << 1
+	flagParallelErr = 1 << 2
+	flagKnown       = flagReplay | flagFullTraffic | flagParallelErr
 )
 
 // maxDecodeBlocks bounds the dense block-id space (n*n) a decoder will
@@ -122,24 +109,17 @@ var hostLittle = func() bool {
 }()
 
 // ptLayoutMatches reports that the in-memory ptransfer layout equals
-// the file's 36-byte transfer record, making bulk unsafe views exact.
-// It holds on every supported Go platform (nine consecutive int32s);
+// the file's 24-byte transfer record, making bulk unsafe views exact.
+// It holds on every supported Go platform (six consecutive int32s);
 // if a future field breaks it, both codec paths fall back to the
 // element-wise loops and the format stays unchanged.
-var ptLayoutMatches = unsafe.Sizeof(ptransfer{}) == 36 &&
+var ptLayoutMatches = unsafe.Sizeof(ptransfer{}) == 24 &&
 	unsafe.Offsetof(ptransfer{}.src) == 0 &&
 	unsafe.Offsetof(ptransfer{}.dst) == 4 &&
 	unsafe.Offsetof(ptransfer{}.payOff) == 8 &&
 	unsafe.Offsetof(ptransfer{}.payLen) == 12 &&
 	unsafe.Offsetof(ptransfer{}.linkOff) == 16 &&
-	unsafe.Offsetof(ptransfer{}.linkLen) == 20 &&
-	unsafe.Offsetof(ptransfer{}.spanOff) == 24 &&
-	unsafe.Offsetof(ptransfer{}.spanLen) == 28 &&
-	unsafe.Offsetof(ptransfer{}.moveOff) == 32
-
-var spanLayoutMatches = unsafe.Sizeof(idxSpan{}) == 8 &&
-	unsafe.Offsetof(idxSpan{}.start) == 0 &&
-	unsafe.Offsetof(idxSpan{}.end) == 4
+	unsafe.Offsetof(ptransfer{}.linkLen) == 20
 
 var dtLayoutMatches = unsafe.Sizeof(dtransfer{}) == 16 &&
 	unsafe.Offsetof(dtransfer{}.descOff) == 0 &&
@@ -235,17 +215,11 @@ func EncodeProgram(p *Program, optFP uint64) ([]byte, error) {
 	if p.replay {
 		flags |= flagReplay
 	}
-	if p.spansDense {
-		flags |= flagSpansDense
-	}
 	if p.fullTraffic {
 		flags |= flagFullTraffic
 	}
 	if p.parallelErr != nil {
 		flags |= flagParallelErr
-	}
-	if p.descBase != nil {
-		flags |= flagDescriptors
 	}
 	numTraffic := 0
 	if p.replay && !p.fullTraffic {
@@ -306,7 +280,7 @@ func EncodeProgram(p *Program, optFP uint64) ([]byte, error) {
 	cold = pad4(cold)
 
 	fp := p.fab.Fingerprint()
-	b := make([]byte, 0, 256+len(cold)+numSteps*24+numTransfers*40+len(p.spanBacking)*8+3*n*4)
+	b := make([]byte, 0, 256+len(cold)+numSteps*24+numTransfers*40+len(p.descBacking)*16+5*n*4)
 	b = append(b, codecMagic...)
 	b = binary.LittleEndian.AppendUint16(b, CodecVersion)
 	b = append(b, flags, 0)
@@ -314,8 +288,8 @@ func EncodeProgram(p *Program, optFP uint64) ([]byte, error) {
 	b = appendU32(b, uint32(len(fp)))
 	b = append(b, fp...)
 	b = pad4(b)
-	for _, v := range []int{n, numSteps, numTransfers, len(p.spanBacking),
-		len(sc.Phases), p.maxStepPayload, p.maxSharing, p.numDomains, numTraffic} {
+	for _, v := range []int{n, numSteps, numTransfers,
+		len(sc.Phases), p.maxSharing, p.numDomains, numTraffic} {
 		if v < 0 || int64(v) > math.MaxUint32 {
 			return nil, fmt.Errorf("exec: encode: scalar %d out of range", v)
 		}
@@ -345,33 +319,17 @@ func EncodeProgram(p *Program, optFP uint64) ([]byte, error) {
 		for si := range p.steps {
 			ts := p.steps[si].transfers
 			if len(ts) > 0 {
-				b = append(b, unsafe.Slice((*byte)(unsafe.Pointer(&ts[0])), len(ts)*36)...)
+				b = append(b, unsafe.Slice((*byte)(unsafe.Pointer(&ts[0])), len(ts)*24)...)
 			}
 		}
 	} else {
 		for si := range p.steps {
 			for ti := range p.steps[si].transfers {
 				pt := &p.steps[si].transfers[ti]
-				for _, v := range [9]int32{pt.src, pt.dst, pt.payOff, pt.payLen,
-					pt.linkOff, pt.linkLen, pt.spanOff, pt.spanLen, pt.moveOff} {
+				for _, v := range [6]int32{pt.src, pt.dst, pt.payOff, pt.payLen, pt.linkOff, pt.linkLen} {
 					b = appendU32(b, uint32(v))
 				}
 			}
-		}
-	}
-	if hostLittle && spanLayoutMatches && len(p.spanBacking) > 0 {
-		b = append(b, unsafe.Slice((*byte)(unsafe.Pointer(&p.spanBacking[0])), len(p.spanBacking)*8)...)
-	} else {
-		for _, sp := range p.spanBacking {
-			b = appendU32(b, uint32(sp.start))
-			b = appendU32(b, uint32(sp.end))
-		}
-	}
-	if p.replay {
-		b = appendI32s(b, p.perDest)
-		b = appendI32s(b, p.capacity)
-		if !p.fullTraffic {
-			b = appendI32s(b, p.trafficIDs)
 		}
 	}
 	if p.parallelErr != nil {
@@ -380,13 +338,15 @@ func EncodeProgram(p *Program, optFP uint64) ([]byte, error) {
 		b = append(b, msg...)
 		b = pad4(b)
 	}
-	if p.descBase != nil {
+	if p.replay {
+		b = appendI32s(b, p.perDest)
+		if !p.fullTraffic {
+			b = appendI32s(b, p.trafficIDs)
+		}
 		b = appendU32(b, uint32(len(p.descBacking)))
 		b = appendU32(b, uint32(len(p.tailFull)))
 		b = appendU32(b, uint32(len(p.tailResid)))
 		b = appendU32(b, uint32(p.descBase[n]))
-		b = appendU64(b, uint64(p.descBytes))
-		b = appendU64(b, uint64(p.spanBytes))
 		if hostLittle && dtLayoutMatches && len(p.dtransfers) > 0 {
 			b = append(b, unsafe.Slice((*byte)(unsafe.Pointer(&p.dtransfers[0])), len(p.dtransfers)*16)...)
 		} else {
@@ -412,8 +372,6 @@ func EncodeProgram(p *Program, optFP uint64) ([]byte, error) {
 		b = appendTailSegs(b, p.tailFull)
 		b = appendI32s(b, p.tailResidOff)
 		b = appendTailSegs(b, p.tailResid)
-		b = appendI32s(b, p.phaseRewrites)
-		b = appendI32s(b, p.phaseCopies)
 	}
 	b = append(b, cold...)
 	b = appendU32(b, crc32.ChecksumIEEE(b))
@@ -504,11 +462,11 @@ func (r *creader) count(elem int) int {
 // compiled on and optFP the compile-options fingerprint used at
 // encode time; both are checked against the embedded header so a
 // stale or misfiled cache artifact is rejected, not replayed. The
-// decoded program replays through both executor paths immediately;
-// its schedule (needed only for telemetry and re-encoding)
-// materializes lazily on first Schedule() call.
+// decoded program replays immediately; its schedule (needed only for
+// telemetry and re-encoding) materializes lazily on first Schedule()
+// call.
 //
-// On little-endian hosts the transfer, span and id tables are views
+// On little-endian hosts the transfer, id and plan tables are views
 // over data — decode cost is the header walk, the CRC check and the
 // per-transfer index validation. The caller must not mutate data
 // afterwards.
@@ -519,24 +477,16 @@ func DecodeProgram(data []byte, f topology.Fabric, optFP uint64) (*Program, erro
 	if len(data) < 24 || string(data[:4]) != codecMagic {
 		return nil, fmt.Errorf("exec: decode: not a program file (bad magic)")
 	}
-	version := binary.LittleEndian.Uint16(data[4:])
-	if version != CodecVersion && version != codecVersionV1 {
-		return nil, fmt.Errorf("exec: decode: program file version %d, this build reads %d and %d", version, codecVersionV1, CodecVersion)
+	if version := binary.LittleEndian.Uint16(data[4:]); version != CodecVersion {
+		return nil, fmt.Errorf("exec: decode: program file version %d, this build reads %d", version, CodecVersion)
 	}
 	body, crcField := data[:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
 	if got := crc32.ChecksumIEEE(body); got != crcField {
 		return nil, fmt.Errorf("exec: decode: checksum mismatch (file %08x, computed %08x): file corrupted or truncated", crcField, got)
 	}
 	flags := data[6]
-	known := byte(flagKnown)
-	if version == codecVersionV1 {
-		known = flagKnownV1
-	}
-	if flags&^known != 0 {
-		return nil, fmt.Errorf("exec: decode: unknown flags %#x", flags&^known)
-	}
-	if flags&flagDescriptors != 0 && flags&flagReplay == 0 {
-		return nil, fmt.Errorf("exec: decode: descriptor plan on a measure-only program")
+	if flags&^flagKnown != 0 {
+		return nil, fmt.Errorf("exec: decode: unknown flags %#x", flags&^flagKnown)
 	}
 	r := &creader{b: body, off: 8}
 	if gotFP := r.u64(); gotFP != optFP {
@@ -551,9 +501,7 @@ func DecodeProgram(data []byte, f topology.Fabric, optFP uint64) (*Program, erro
 	n := int(r.u32())
 	numSteps := int(r.u32())
 	numTransfers := int(r.u32())
-	numSpans := int(r.u32())
 	numPhases := int(r.u32())
-	maxStepPayload := int(r.u32())
 	maxSharing := int(r.u32())
 	numDomains := int(r.u32())
 	numTraffic := int(r.u32())
@@ -574,12 +522,10 @@ func DecodeProgram(data []byte, f topology.Fabric, optFP uint64) (*Program, erro
 
 	p := &Program{
 		fab: f, n: n, numBlocks: n * n,
-		replay:         replay,
-		spansDense:     flags&flagSpansDense != 0,
-		fullTraffic:    fullTraffic,
-		maxSharing:     maxSharing,
-		maxStepPayload: maxStepPayload,
-		numDomains:     numDomains,
+		replay:      replay,
+		fullTraffic: fullTraffic,
+		maxSharing:  maxSharing,
+		numDomains:  numDomains,
 	}
 	p.measure.Steps = int(mSteps)
 	p.measure.Blocks = int(mBlocks)
@@ -588,16 +534,7 @@ func DecodeProgram(data []byte, f topology.Fabric, optFP uint64) (*Program, erro
 
 	stepHdr := asInt32s(r.take(numSteps * 20))
 	stepT := asInt32s(r.take((numSteps + 1) * 4))
-	tBytes := r.take(numTransfers * 36)
-	spBytes := r.take(numSpans * 8)
-	var perDest, capacity, trafficIDs []int32
-	if replay {
-		perDest = asInt32s(r.take(n * 4))
-		capacity = asInt32s(r.take(n * 4))
-		if !fullTraffic {
-			trafficIDs = asInt32s(r.take(numTraffic * 4))
-		}
-	}
+	tBytes := r.take(numTransfers * 24)
 	if flags&flagParallelErr != 0 {
 		msg := r.take(r.count(1))
 		r.pad4()
@@ -606,28 +543,27 @@ func DecodeProgram(data []byte, f topology.Fabric, optFP uint64) (*Program, erro
 		}
 	}
 	var (
+		perDest, trafficIDs                         []int32
 		numDesc, numTailFull, numTailResid, logSize int
-		dtBytes, descBytesRaw                       []byte
-		tailFullRaw, tailResidRaw                   []byte
+		dtBytes, descRaw, tailFullRaw, tailResidRaw []byte
 		descBase, tailFullOff, tailResidOff         []int32
-		phaseRewrites, phaseCopies                  []int32
 	)
-	if flags&flagDescriptors != 0 {
+	if replay {
+		perDest = asInt32s(r.take(n * 4))
+		if !fullTraffic {
+			trafficIDs = asInt32s(r.take(numTraffic * 4))
+		}
 		numDesc = int(r.u32())
 		numTailFull = int(r.u32())
 		numTailResid = int(r.u32())
 		logSize = int(r.u32())
-		p.descBytes = int64(r.u64())
-		p.spanBytes = int64(r.u64())
 		dtBytes = r.take(numTransfers * 16)
 		descBase = asInt32s(r.take((n + 1) * 4))
-		descBytesRaw = r.take(numDesc * 16)
+		descRaw = r.take(numDesc * 16)
 		tailFullOff = asInt32s(r.take((n + 1) * 4))
 		tailFullRaw = r.take(numTailFull * 12)
 		tailResidOff = asInt32s(r.take((n + 1) * 4))
 		tailResidRaw = r.take(numTailResid * 12)
-		phaseRewrites = asInt32s(r.take(numPhases * 4))
-		phaseCopies = asInt32s(r.take(numPhases * 4))
 	}
 	cold := r.take(coldLen)
 	if r.err != nil {
@@ -637,8 +573,8 @@ func DecodeProgram(data []byte, f topology.Fabric, optFP uint64) (*Program, erro
 		return nil, fmt.Errorf("exec: decode: %d trailing bytes after cold section", len(body)-r.off)
 	}
 
-	// Transfer and span tables: bulk views when the in-memory layout
-	// is the file layout, element-wise otherwise.
+	// Transfer table: a bulk view when the in-memory layout is the file
+	// layout, element-wise otherwise.
 	var transfers []ptransfer
 	if hostLittle && ptLayoutMatches && aligned4(tBytes) {
 		if numTransfers > 0 {
@@ -647,7 +583,7 @@ func DecodeProgram(data []byte, f topology.Fabric, optFP uint64) (*Program, erro
 	} else {
 		transfers = make([]ptransfer, numTransfers)
 		for i := range transfers {
-			rec := tBytes[i*36:]
+			rec := tBytes[i*24:]
 			pt := &transfers[i]
 			pt.src = int32(binary.LittleEndian.Uint32(rec[0:]))
 			pt.dst = int32(binary.LittleEndian.Uint32(rec[4:]))
@@ -655,20 +591,6 @@ func DecodeProgram(data []byte, f topology.Fabric, optFP uint64) (*Program, erro
 			pt.payLen = int32(binary.LittleEndian.Uint32(rec[12:]))
 			pt.linkOff = int32(binary.LittleEndian.Uint32(rec[16:]))
 			pt.linkLen = int32(binary.LittleEndian.Uint32(rec[20:]))
-			pt.spanOff = int32(binary.LittleEndian.Uint32(rec[24:]))
-			pt.spanLen = int32(binary.LittleEndian.Uint32(rec[28:]))
-			pt.moveOff = int32(binary.LittleEndian.Uint32(rec[32:]))
-		}
-	}
-	if hostLittle && spanLayoutMatches && aligned4(spBytes) {
-		if numSpans > 0 {
-			p.spanBacking = unsafe.Slice((*idxSpan)(unsafe.Pointer(&spBytes[0])), numSpans)
-		}
-	} else {
-		p.spanBacking = make([]idxSpan, numSpans)
-		for i := range p.spanBacking {
-			p.spanBacking[i].start = int32(binary.LittleEndian.Uint32(spBytes[i*8:]))
-			p.spanBacking[i].end = int32(binary.LittleEndian.Uint32(spBytes[i*8+4:]))
 		}
 	}
 
@@ -703,21 +625,8 @@ func DecodeProgram(data []byte, f topology.Fabric, optFP uint64) (*Program, erro
 		if pt.payLen < 0 || pt.payOff < 0 || pt.linkLen < 0 || pt.linkOff < 0 {
 			return nil, fmt.Errorf("exec: decode: transfer %d negative window", i)
 		}
-		if pt.payLen > 0 {
-			if !replay {
-				return nil, fmt.Errorf("exec: decode: transfer %d carries payload in a measure-only program", i)
-			}
-			if p.spansDense {
-				if int64(pt.payOff)+int64(pt.payLen) > int64(numSpans) {
-					return nil, fmt.Errorf("exec: decode: transfer %d span window out of range", i)
-				}
-			} else if pt.spanOff < 0 || pt.spanLen < 1 || int64(pt.spanOff)+int64(pt.spanLen) > int64(numSpans) {
-				// spanLen >= 1: extraction reads spans[0] unconditionally.
-				return nil, fmt.Errorf("exec: decode: transfer %d span window out of range", i)
-			}
-			if pt.moveOff < 0 || int64(pt.moveOff)+int64(pt.payLen) > int64(maxStepPayload) {
-				return nil, fmt.Errorf("exec: decode: transfer %d extraction window out of range", i)
-			}
+		if pt.payLen > 0 && !replay {
+			return nil, fmt.Errorf("exec: decode: transfer %d carries payload in a measure-only program", i)
 		}
 		// numPayload (for the materialize cross-checks) is the largest
 		// payload window end, tracked inline to avoid a second pass.
@@ -725,23 +634,13 @@ func DecodeProgram(data []byte, f topology.Fabric, optFP uint64) (*Program, erro
 			numPayload = end
 		}
 	}
-	maxCap := int32(0)
 	if replay {
 		for v := 0; v < n; v++ {
-			if perDest[v] < 0 || capacity[v] < 0 {
-				return nil, fmt.Errorf("exec: decode: node %d delivery/capacity bound negative", v)
-			}
-			if capacity[v] > maxCap {
-				maxCap = capacity[v]
-			}
-		}
-		for _, sp := range p.spanBacking {
-			if sp.start < 0 || sp.end < sp.start || sp.end > maxCap {
-				return nil, fmt.Errorf("exec: decode: span [%d,%d) outside any node buffer", sp.start, sp.end)
+			if perDest[v] < 0 {
+				return nil, fmt.Errorf("exec: decode: node %d delivery count negative", v)
 			}
 		}
 		p.perDest = perDest
-		p.capacity = capacity
 		if fullTraffic {
 			ids := make([]int32, p.numBlocks)
 			for i := range ids {
@@ -756,18 +655,14 @@ func DecodeProgram(data []byte, f topology.Fabric, optFP uint64) (*Program, erro
 			}
 			p.trafficIDs = trafficIDs
 		}
-		// Delivery layout prefix — derived, for every replayable program
-		// (ReplayInto's span fallback needs it on v1 files too).
+		// Delivery layout prefix — derived, never serialized.
 		finalBase := make([]int32, n+1)
 		for v := 0; v < n; v++ {
 			finalBase[v+1] = finalBase[v] + perDest[v]
 		}
 		p.finalBase = finalBase
-	}
-	if flags&flagDescriptors != 0 {
-		if err := p.decodeDescPlan(dtBytes, descBase, descBytesRaw, tailFullOff, tailFullRaw,
-			tailResidOff, tailResidRaw, phaseRewrites, phaseCopies,
-			numDesc, numTailFull, numTailResid, logSize, numTransfers, numPayload); err != nil {
+		if err := p.decodeDescPlan(dtBytes, descBase, descRaw, tailFullOff, tailFullRaw,
+			tailResidOff, tailResidRaw, numDesc, numTailFull, numTailResid, logSize, numTransfers, numPayload); err != nil {
 			return nil, err
 		}
 	}
@@ -843,12 +738,8 @@ func viewTailSegs(b []byte, n int) []tailSeg {
 // write out of bounds no matter how the file was corrupted.
 func (p *Program) decodeDescPlan(dtBytes []byte, descBase []int32, descRaw []byte,
 	tailFullOff []int32, tailFullRaw []byte, tailResidOff []int32, tailResidRaw []byte,
-	phaseRewrites, phaseCopies []int32,
 	numDesc, numTailFull, numTailResid, logSize, numTransfers, numPayload int) error {
 	n := p.n
-	if p.descBytes < 0 || p.spanBytes < 0 {
-		return fmt.Errorf("exec: decode: negative bytes-moved measure")
-	}
 	if logSize < 0 || logSize > p.numBlocks+numPayload {
 		return fmt.Errorf("exec: decode: implausible log size %d", logSize)
 	}
@@ -891,15 +782,16 @@ func (p *Program) decodeDescPlan(dtBytes []byte, descBase []int32, descRaw []byt
 	}
 	totalDeliver := int64(p.finalBase[n])
 	dts := viewDtransfers(dtBytes, numTransfers)
-	rewriteOnly := true
+	lastHopOnly := true
+	var descBytes int64
 	g := 0
 	for si := range p.steps {
 		ts := p.steps[si].transfers
 		for ti := range ts {
 			pt, dt := &ts[ti], &dts[g]
 			g++
-			if pt.payLen == 0 || dt.insPos < 0 {
-				// Empty or elided: nothing may execute.
+			if pt.payLen == 0 {
+				// Empty: nothing may execute.
 				if dt.descLen != 0 || dt.insPos >= 0 {
 					return fmt.Errorf("exec: decode: transfer %d descriptor plan inconsistent", g-1)
 				}
@@ -911,9 +803,10 @@ func (p *Program) decodeDescPlan(dtBytes []byte, descBase []int32, descRaw []byt
 			if expansion(dt.descOff, dt.descLen) != int64(pt.payLen) {
 				return fmt.Errorf("exec: decode: transfer %d descriptors expand to the wrong payload size", g-1)
 			}
-			if int64(dt.insPos)+int64(pt.payLen) > int64(logSize) {
+			if dt.insPos < 0 || int64(dt.insPos)+int64(pt.payLen) > int64(logSize) {
 				return fmt.Errorf("exec: decode: transfer %d insert window outside the log", g-1)
 			}
+			descBytes += int64(pt.payLen) * 4
 			if dt.finalPos >= 0 {
 				if int64(dt.finalPos)+int64(pt.payLen) > totalDeliver {
 					return fmt.Errorf("exec: decode: transfer %d delivery window out of range", g-1)
@@ -922,7 +815,7 @@ func (p *Program) decodeDescPlan(dtBytes []byte, descBase []int32, descRaw []byt
 				if dt.finalPos != -1 {
 					return fmt.Errorf("exec: decode: transfer %d delivery position invalid", g-1)
 				}
-				rewriteOnly = false
+				lastHopOnly = false
 			}
 		}
 	}
@@ -960,11 +853,6 @@ func (p *Program) decodeDescPlan(dtBytes []byte, descBase []int32, descRaw []byt
 	if err := checkTail(tailResidOff, tailResid, false); err != nil {
 		return err
 	}
-	for i := range phaseRewrites {
-		if phaseRewrites[i] < 0 || phaseCopies[i] < 0 {
-			return fmt.Errorf("exec: decode: negative phase rewrite/copy count")
-		}
-	}
 	p.dtransfers = dts
 	p.descBacking = descs
 	p.descBase = descBase
@@ -972,8 +860,7 @@ func (p *Program) decodeDescPlan(dtBytes []byte, descBase []int32, descRaw []byt
 	p.tailFullOff = tailFullOff
 	p.tailResid = tailResid
 	p.tailResidOff = tailResidOff
-	p.phaseRewrites = phaseRewrites
-	p.phaseCopies = phaseCopies
-	p.rewriteOnly = rewriteOnly
+	p.descBytes = descBytes
+	p.lastHopOnly = lastHopOnly
 	return nil
 }

@@ -7,50 +7,53 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"reflect"
+	"strings"
 	"testing"
 
 	"torusx/internal/algorithm"
-	"torusx/internal/costmodel"
 	"torusx/internal/exec"
 	"torusx/internal/schedule"
-	"torusx/internal/telemetry"
 	"torusx/internal/topology"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite codec golden files")
 
-// codecPrograms yields the (fabric, schedule) pairs the codec tests
-// cover: the replay-heavy direct exchange and the proposed algorithm
-// on the differential shapes, a measure-only structural schedule, and
-// a dragonfly exchange — every flag combination the format has.
+// codecCell is one (algorithm, fabric) pair the codec tests cover.
+type codecCell struct {
+	name string
+	alg  string
+	fab  topology.Fabric
+}
+
+// codecCells are the replay-heavy direct exchange and the proposed
+// algorithm on the differential shapes, plus a dragonfly exchange —
+// every flag combination the format has once the differential wall
+// adds its measure-only and sparse rows.
+func codecCells() []codecCell {
+	var cells []codecCell
+	for _, alg := range []string{"direct", "proposed-sim"} {
+		for _, dims := range differentialShapes {
+			cells = append(cells, codecCell{shapeName(alg, dims), alg, topology.MustNew(dims...)})
+		}
+	}
+	return append(cells, codecCell{"dimexchange/d4x4", "dimexchange", topology.MustNewDragonfly(4, 4)})
+}
+
+// codecPrograms builds every codec cell's schedule, keyed by name.
 func codecPrograms(t *testing.T) map[string]*schedule.Schedule {
 	t.Helper()
 	out := map[string]*schedule.Schedule{}
-	for _, alg := range []string{"direct", "proposed-sim"} {
-		for _, dims := range [][]int{{8, 8}, {4, 4, 4}, {12, 8}} {
-			b, err := algorithm.For(alg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tor := topology.MustNew(dims...)
-			sc, err := b.BuildSchedule(tor)
-			if err != nil {
-				t.Skipf("builder %s on %v: %v", alg, dims, err)
-			}
-			out[shapeName(alg, dims)] = sc
+	for _, c := range codecCells() {
+		b, err := algorithm.For(c.alg)
+		if err != nil {
+			t.Fatal(err)
 		}
+		sc, err := b.BuildSchedule(c.fab)
+		if err != nil {
+			t.Fatalf("builder %s: %v", c.name, err)
+		}
+		out[c.name] = sc
 	}
-	b, err := algorithm.For("dimexchange")
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := topology.MustNewDragonfly(4, 4)
-	sc, err := b.BuildSchedule(d)
-	if err != nil {
-		t.Fatalf("dimexchange on dragonfly: %v", err)
-	}
-	out["dimexchange/d4x4"] = sc
 	return out
 }
 
@@ -110,77 +113,11 @@ func TestProgramCodecRoundTripStable(t *testing.T) {
 	}
 }
 
-// TestDecodedProgramDifferentialReplay: a program decoded from its
-// binary form must replay exactly like the freshly compiled one — and
-// like the uncompiled serial reference — on the serial path, the
-// parallel path and a reused arena, with identical delivery matrices
-// and identical canonical telemetry streams.
-func TestDecodedProgramDifferentialReplay(t *testing.T) {
-	for name, sc := range codecPrograms(t) {
-		t.Run(name, func(t *testing.T) {
-			ref, err := exec.Run(sc, exec.Options{Serial: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			pg, err := exec.Compile(sc, exec.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			enc, err := exec.EncodeProgram(pg, 7)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dec, err := exec.DecodeProgram(enc, sc.Fabric, 7)
-			if err != nil {
-				t.Fatal(err)
-			}
-			arena := dec.NewArena()
-			runs := []struct {
-				label string
-				run   func() (*exec.Result, error)
-			}{
-				{"serial", func() (*exec.Result, error) { return dec.Run(exec.Options{Serial: true}) }},
-				{"parallel", func() (*exec.Result, error) { return dec.Run(exec.Options{}) }},
-				{"arena-serial", func() (*exec.Result, error) { return dec.RunArena(arena, exec.Options{Serial: true}) }},
-				{"arena-parallel", func() (*exec.Result, error) { return dec.RunArena(arena, exec.Options{Workers: 3}) }},
-			}
-			for _, r := range runs {
-				got, err := r.run()
-				if err != nil {
-					t.Fatalf("%s: %v", r.label, err)
-				}
-				if got.Measure != ref.Measure || got.MaxSharing != ref.MaxSharing || got.Replayed != ref.Replayed {
-					t.Errorf("%s: Measure %+v sharing %d replayed %v, want %+v %d %v", r.label,
-						got.Measure, got.MaxSharing, got.Replayed, ref.Measure, ref.MaxSharing, ref.Replayed)
-				}
-				sameBuffers(t, ref.Buffers, got.Buffers)
-			}
-			// Telemetry differential: the decoded program's stream (which
-			// forces the lazy schedule materialization) against the fresh
-			// compile's.
-			want := recordProgram(t, pg)
-			gotEv := recordProgram(t, dec)
-			if !reflect.DeepEqual(telemetry.Canonical(want), telemetry.Canonical(gotEv)) {
-				t.Fatalf("decoded telemetry stream diverges from compiled stream (%d vs %d events)", len(gotEv), len(want))
-			}
-		})
-	}
-}
-
-func recordProgram(t *testing.T, pg *exec.Program) []telemetry.Event {
-	t.Helper()
-	sink := &telemetry.MemorySink{}
-	rec := telemetry.New(sink, costmodel.T3D(64))
-	if _, err := pg.Run(exec.Options{Serial: true, Telemetry: rec}); err != nil {
-		t.Fatal(err)
-	}
-	return sink.Events()
-}
-
 // TestProgramDecodeRejects: the decoder must reject — with an error,
 // never a panic — every truncation prefix, flipped content bytes,
-// wrong magic/version, unknown flags, and fabric or options
-// fingerprints that do not match the decode context.
+// wrong magic/version, unknown flags, fabric or options fingerprints
+// that do not match the decode context, and files of any other codec
+// version.
 func TestProgramDecodeRejects(t *testing.T) {
 	tor := topology.MustNew(4, 4)
 	b, err := algorithm.For("direct")
@@ -246,16 +183,30 @@ func TestProgramDecodeRejects(t *testing.T) {
 			t.Fatal("unknown flag accepted")
 		}
 	})
+	// A file an older build wrote (v1: span tables only; v2: spans plus
+	// the descriptor plan) must be a clean, descriptive error, which the
+	// disk tier turns into a miss and a delete.
+	t.Run("stale-versions", func(t *testing.T) {
+		for _, v := range []uint16{1, 2} {
+			stale := append([]byte(nil), enc...)
+			binary.LittleEndian.PutUint16(stale[4:], v)
+			binary.LittleEndian.PutUint32(stale[len(stale)-4:], crc32.ChecksumIEEE(stale[:len(stale)-4]))
+			_, err := exec.DecodeProgram(stale, tor, 1)
+			if err == nil || !strings.Contains(err.Error(), "version") {
+				t.Fatalf("v%d file: err = %v, want a version error", v, err)
+			}
+		}
+	})
 }
 
-// TestProgramCodecGolden pins the v2 byte format: the committed
+// TestProgramCodecGolden pins the v3 byte format: the committed
 // golden files must decode, and re-encoding the 4x4 programs must
 // reproduce them bit-for-bit. A diff here means the format changed —
 // bump CodecVersion rather than silently breaking every cached
 // program on disk. Regenerate with -update after a deliberate version
 // bump. Two shapes are pinned: the direct exchange, and the factored
 // algorithm whose multi-phase program exercises the descriptor
-// section (rewrites, tail segments) most heavily.
+// section (strided gathers, tail segments) most heavily.
 func TestProgramCodecGolden(t *testing.T) {
 	tor := topology.MustNew(4, 4)
 	for _, alg := range []string{"direct", "factored"} {
@@ -276,7 +227,7 @@ func TestProgramCodecGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join("testdata", "program_v2_"+alg+"4x4.bin")
+			path := filepath.Join("testdata", "program_v3_"+alg+"4x4.bin")
 			if *updateGolden {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {
 					t.Fatal(err)
@@ -290,7 +241,7 @@ func TestProgramCodecGolden(t *testing.T) {
 				t.Fatalf("read golden (regenerate with -update): %v", err)
 			}
 			if !bytes.Equal(enc, want) {
-				t.Fatalf("encoding diverges from committed v2 golden (%d vs %d bytes); if the format changed deliberately, bump CodecVersion and -update", len(enc), len(want))
+				t.Fatalf("encoding diverges from committed v3 golden (%d vs %d bytes); if the format changed deliberately, bump CodecVersion and -update", len(enc), len(want))
 			}
 			dec, err := exec.DecodeProgram(want, tor, 0)
 			if err != nil {
@@ -326,53 +277,5 @@ func TestProgramCodecGolden(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestProgramCodecV1DecodeCompat: the committed v1 golden — written
-// before the descriptor section existed — must keep decoding, so a
-// warm -progcache-dir full of v1 programs still serves after an
-// upgrade. A v1 program carries no descriptor plan: it replays on the
-// span path only, and must still deliver the same matrix as a fresh
-// compile of the same schedule (which replays through descriptors).
-func TestProgramCodecV1DecodeCompat(t *testing.T) {
-	path := filepath.Join("testdata", "program_v1_direct4x4.bin")
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read committed v1 golden (must never be regenerated): %v", err)
-	}
-	tor := topology.MustNew(4, 4)
-	dec, err := exec.DecodeProgram(raw, tor, 0)
-	if err != nil {
-		t.Fatalf("v1 decode: %v", err)
-	}
-	if st := dec.Stats(); st.Descriptors {
-		t.Fatal("v1 program decoded with a descriptor plan")
-	}
-	b, err := algorithm.For("direct")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc, err := b.BuildSchedule(tor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pg, err := exec.Compile(sc, exec.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.Measure() != pg.Measure() {
-		t.Fatalf("v1 Measure %+v, want %+v", dec.Measure(), pg.Measure())
-	}
-	want, err := pg.Run(exec.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, serial := range []bool{true, false} {
-		got, err := dec.Run(exec.Options{Serial: serial})
-		if err != nil {
-			t.Fatalf("v1 replay (serial=%v): %v", serial, err)
-		}
-		sameBuffers(t, want.Buffers, got.Buffers)
 	}
 }

@@ -2,87 +2,68 @@ package exec
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"torusx/internal/block"
-	"torusx/internal/par"
 	"torusx/internal/topology"
 )
 
-// Compile-time reference replay, split so span discovery fans out over
-// internal/par.
+// Compile-time reference replay. One serial walk over the transfers in
+// schedule order does everything order-sensitive: payload/Blocks
+// coherence, dense-id conversion, the sender-holds chain via a holder
+// table, and a per-node arrival stamp for every block. A node's holdings
+// are always ordered by arrival stamp (kept blocks keep their order,
+// new arrivals get fresh larger stamps), so each transfer's extraction
+// order — the order its blocks arrive at the destination — is its
+// payload sorted by stamp, with no buffers materialized at all. The
+// same walk
 //
-// The former implementation replayed the whole schedule serially,
-// scanning the full source buffer of every transfer to find its
-// payload's positions — O(sum over transfers of buffer length), the
-// dominant term of cold compile on large tori (a 16x16 direct compile
-// walks ~17M buffer slots). The split below keeps the serial semantics
-// bit-for-bit while making the expensive part per-node:
+//   - emits each transfer's insert/extract events straight into
+//     per-node event runs (the per-node counts were taken during
+//     Compile's counting pass), which the descriptor planner replays
+//     per node in parallel (descriptor.go);
+//   - flags the first transfer that forwards a block within the step
+//     that delivered it: a block whose stamp at the sender is at least
+//     the sender's arrival count when the step began arrived during
+//     that step, which the parallel replay cannot execute.
 //
-//   - Pass 1 (serial, cheap) walks transfers in schedule order doing
-//     everything order-sensitive: payload/Blocks coherence, dense-id
-//     conversion, the sender-holds chain via a holder table, and a
-//     per-node arrival stamp for every block. A buffer is always
-//     sorted by arrival stamp (kept elements keep their order, new
-//     arrivals get fresh larger stamps), so the stamp order *is* the
-//     buffer order: each transfer's extraction order — the order its
-//     blocks sit in the source buffer, which is also the order they
-//     arrive at the destination — is just its payload sorted by stamp,
-//     with no buffers materialized at all. The same walk emits each
-//     transfer's insert/extract events straight into per-node event
-//     runs (the per-node counts were taken during Compile's counting
-//     pass), so no second walk over the schedule is needed.
-//   - Pass 2 (parallel over nodes) simulates each node's buffer
-//     independently: with every transfer's arrival order fixed by pass
-//     1, a node's evolution depends only on its own insert/extract
-//     events in global order. Physical positions come from a live-slot
-//     bitset with a Fenwick tree over per-word popcounts, so one
-//     extracted block costs O(log(buffer/64)) plus a popcount instead
-//     of O(buffer); the ascending positions coalesce into the same
-//     [start,end) spans the serial scan produced, and the same pass
-//     yields capacity peaks, the intra-step forwarding verdict and
-//     delivery checks.
+// Delivery is then read off the final holder table.
 //
-// Error parity: pass 1 reports coherence errors at exactly the point
-// the serial walk would (first transfer in schedule order, first block
-// in payload order); pass 2's delivery errors reduce to the lowest
-// node index and the forwarding verdict to the lowest global transfer
-// ordinal, both matching a serial left-to-right walk.
+// Error parity: coherence errors surface at exactly the point a serial
+// walk would hit them (first transfer in schedule order, first block in
+// payload order); delivery errors name the lowest node, and within it
+// the earliest-arrived misdelivered block; the forwarding verdict names
+// the lowest transfer ordinal and, within it, the earliest-arrived
+// block.
 
-// opRec is one insert/extract event in a node's pass-2 simulation: a
-// flat copy of the transfer fields the simulation reads, with the
-// global transfer ordinal and four event flags packed into gr (a
-// self-transfer extracts and inserts in one event; opNewStep marks the
-// node's first event of a new schedule step; opHasOrd marks the rare
+// opRec is one insert/extract event in a node's event run: a flat copy
+// of the transfer fields the planner reads, with the global transfer
+// ordinal and three event flags packed into gr (a self-transfer
+// extracts and inserts in one event; opHasOrd marks the rare
 // stamp-resorted payloads, resolved through the ordOff side table).
 // The records live in per-node runs of one backing array, so each
 // node's event replay is a sequential scan.
 type opRec struct {
-	gr             int32 // ordinal<<4 | flags
+	gr             int32 // ordinal<<opFlagBits | flags
 	payOff, payLen int32
 }
 
 const (
 	opExtract = int32(1) << iota
 	opInsert
-	opNewStep
 	opHasOrd
-	opFlagBits = 4
+	opFlagBits = 3
 )
 
 // compileScratch pools compileReplay's large transient tables across
 // compiles. None of the slices carry any cross-use invariant: every
 // region a compile reads is fully written by that same compile first
-// (hs is refilled, the event backing is written densely, the span
-// backing is sentinel-terminated per transfer, initIDs and ordOff are
-// fully overwritten before use), so reuse needs no zeroing.
+// (hs is refilled, the event backing is written densely, initIDs and
+// ordOff are fully overwritten before use), so reuse needs no zeroing.
 type compileScratch struct {
 	hs        []uint64
 	opBacking []opRec
-	spanWC    []idxSpan
 	ordOff    []int32
 	initIDs   []int32
 	firstArr  []int32
@@ -90,9 +71,9 @@ type compileScratch struct {
 
 var compileScratchPool = sync.Pool{New: func() any { return new(compileScratch) }}
 
-// idSlotPool pools the per-worker block-id -> slot tables of pass 2.
-// Pooled tables hold the all-(-1) invariant: every worker resets the
-// slots it touched before releasing its table.
+// idSlotPool pools the descriptor planner's per-worker block-id -> log
+// slot tables. Pooled tables hold the all-(-1) invariant: every worker
+// resets the slots it touched before releasing its table.
 var idSlotPool sync.Pool
 
 func acquireIDSlot(numBlocks int) []int32 {
@@ -109,19 +90,16 @@ func acquireIDSlot(numBlocks int) []int32 {
 // compileReplay resolves the traffic matrix to dense ids, validates the
 // full replay chain once with the serial reference semantics (each
 // transfer's extraction interleaved with the previous transfer's
-// insertion), records each transfer's extraction spans and each node's
-// peak buffer occupancy, and verifies final delivery. After this pass a
-// run is a pure, check-free id shuffle. opOff holds the per-node
-// prefix offsets of insert/extract event counts (from Compile's
-// counting pass); numT is the total transfer count.
+// insertion), verifies final delivery and builds the descriptor plan.
+// After this pass a run is a pure, check-free id shuffle. opOff holds
+// the per-node prefix offsets of insert/extract event counts (from
+// Compile's counting pass); numT is the total transfer count.
 func (p *Program) compileReplay(opt Options, payloadBacking []int32, opOff []int32, numT int) error {
 	n := p.n
 	traffic := opt.Traffic
 	cs := compileScratchPool.Get().(*compileScratch)
 	defer compileScratchPool.Put(cs)
 
-	// ---- Pass 1: serial coherence walk in schedule order.
-	//
 	// hs packs each block's holder (high 32 bits: node, -1 absent, -2
 	// in flight) and arrival stamp (low 32) into one word, so the
 	// random-access walk below pays one cache miss per block where two
@@ -216,11 +194,22 @@ func (p *Program) compileReplay(opt Options, payloadBacking []int32, opOff []int
 	opBacking := cs.opBacking[:opOff[n]]
 	curOp := make([]int32, n)
 	copy(curOp, opOff[:n])
-	nodeStep := make([]int32, n) // last step ordinal seen per node, +1 (0 = none)
+	// nodeStep is the last step ordinal (+1, 0 = none) that touched each
+	// node and stepArr the node's arrival count when that step began:
+	// a block held at stamp >= stepArr arrived during the current step.
+	nodeStep := make([]int32, n)
+	stepArr := make([]int32, n)
+	enterStep := func(v int, sv int32) {
+		if nodeStep[v] != sv {
+			nodeStep[v] = sv
+			stepArr[v] = arrivals[v]
+		}
+	}
 
 	g := 0
 	for si := range p.steps {
 		ps := &p.steps[si]
+		sv := int32(si) + 1
 		for ti := range ps.transfers {
 			pt := &ps.transfers[ti]
 			if pt.payLen == 0 {
@@ -229,15 +218,24 @@ func (p *Program) compileReplay(opt Options, payloadBacking []int32, opOff []int
 			}
 			pay := payloadBacking[pt.payOff : pt.payOff+pt.payLen]
 			src, dst := int(pt.src), int(pt.dst)
+			enterStep(src, sv)
+			enterStep(dst, sv)
+			// fwd is the earliest-arrived block of this transfer that
+			// arrived at src within the current step, -1 when none.
+			fwd, fwdStamp := int32(-1), uint32(0)
 			flags := opExtract
 			if len(pay) == 1 {
 				// Single-block transfer (the whole of a direct exchange):
 				// trivially in buffer order, no intra-payload duplicate
 				// possible, one holder-table touch.
 				id := pay[0]
-				if int32(hs[id]>>32) != int32(src) {
+				h := hs[id]
+				if int32(h>>32) != int32(src) {
 					return fmt.Errorf("exec: phase %q step %d: node %d transmits %v it does not hold",
 						ps.phase.Name, ps.stepIndex, src, block.Block{Origin: topology.NodeID(int(id) / n), Dest: topology.NodeID(int(id) % n)})
+				}
+				if int32(uint32(h)) >= stepArr[src] {
+					fwd = id
 				}
 				firstArr[g] = id
 				hs[id] = uint64(uint32(dst))<<32 | uint64(uint32(arrivals[dst]))
@@ -256,10 +254,14 @@ func (p *Program) compileReplay(opt Options, payloadBacking []int32, opOff []int
 						return fmt.Errorf("exec: phase %q step %d: node %d transmits %v it does not hold",
 							ps.phase.Name, ps.stepIndex, src, block.Block{Origin: topology.NodeID(int(id) / n), Dest: topology.NodeID(int(id) % n)})
 					}
-					if st := int32(uint32(h)); st < prev {
+					st := int32(uint32(h))
+					if st < prev {
 						inOrder = false
 					} else {
 						prev = st
+					}
+					if st >= stepArr[src] && (fwd < 0 || uint32(st) < fwdStamp) {
+						fwd, fwdStamp = id, uint32(st)
 					}
 					hs[id] = h&0xFFFFFFFF | hsInFlight
 				}
@@ -278,13 +280,12 @@ func (p *Program) compileReplay(opt Options, payloadBacking []int32, opOff []int
 					arrivals[dst]++
 				}
 			}
+			if fwd >= 0 && p.parallelErr == nil {
+				p.parallelErr = fmt.Errorf("exec: phase %q step %d: node %d forwards %v within the step that delivered it; the one-barrier parallel replay cannot execute this schedule (run with Options.Serial)",
+					ps.phase.Name, ps.stepIndex, src, block.Block{Origin: topology.NodeID(int(fwd) / n), Dest: topology.NodeID(int(fwd) % n)})
+			}
 			// Emit the transfer's event records into the per-node runs,
 			// right here while its fields are at hand.
-			sv := int32(si) + 1
-			if nodeStep[src] != sv {
-				nodeStep[src] = sv
-				flags |= opNewStep
-			}
 			gr := int32(g) << opFlagBits
 			if dst == src {
 				opBacking[curOp[src]] = opRec{gr: gr | flags | opInsert, payOff: pt.payOff, payLen: pt.payLen}
@@ -295,10 +296,6 @@ func (p *Program) compileReplay(opt Options, payloadBacking []int32, opOff []int
 			opBacking[curOp[src]] = opRec{gr: gr | flags, payOff: pt.payOff, payLen: pt.payLen}
 			curOp[src]++
 			flags = opInsert | flags&opHasOrd
-			if nodeStep[dst] != sv {
-				nodeStep[dst] = sv
-				flags |= opNewStep
-			}
 			opBacking[curOp[dst]] = opRec{gr: gr | flags, payOff: pt.payOff, payLen: pt.payLen}
 			curOp[dst]++
 			g++
@@ -307,300 +304,39 @@ func (p *Program) compileReplay(opt Options, payloadBacking []int32, opOff []int
 
 	p.payloadBacking = payloadBacking
 
-	// ---- Pass 2: independent per-node simulations.
-	p.capacity = make([]int32, n)
-	// Workers write each transfer's spans into a worst-case shared
-	// backing at the transfer's payload-prefix offset — a transfer never
-	// has more spans than payload blocks and payload offsets are
-	// disjoint, so span discovery needs no shared cursor. When a
-	// transfer coalesces (fewer spans than blocks), a negative-start
-	// sentinel terminates its run, so the compaction pass below needs no
-	// per-transfer length written back anywhere. The backing then
-	// compacts serially into the program's exact-size form.
-	if cap(cs.spanWC) < len(payloadBacking) {
-		cs.spanWC = make([]idxSpan, len(payloadBacking))
+	// Delivery: every node must end up holding exactly its share of the
+	// matrix, every block addressed to it. hs holds each block's final
+	// holder and arrival stamp; mis keeps each node's earliest-arrived
+	// misdelivered block as stamp<<32|id.
+	held := make([]int32, n)
+	mis := make([]int64, n)
+	for v := range mis {
+		mis[v] = -1
 	}
-	spanWC := cs.spanWC[:len(payloadBacking)]
-	// fwd holds the lowest-ordinal intra-step forward as g<<32|id, -1
-	// when none; workers fold their local minimum in with a CAS loop.
-	// spanTotal accumulates the exact span count across workers so the
-	// compaction pass sizes the program backing without a counting scan.
-	var fwd atomic.Int64
-	fwd.Store(-1)
-	var spanTotal atomic.Int64
-	// spanBytes accumulates the elements a span replay physically moves:
-	// per extraction, the span copies into the flat scratch (payLen), the
-	// compaction shift of everything above the first hole, and the insert
-	// append at the destination (payLen again) — live - start0 + payLen
-	// elements with live the pre-extraction occupancy. The descriptor
-	// planner's bulk-copy pricing and the bytes-moved telemetry both read
-	// the total.
-	var spanBytes atomic.Int64
-	var derr par.FirstError
-	par.ForEach(0, n, func(lo, hi int) {
-		idSlot := acquireIDSlot(p.numBlocks) // block id -> logical slot at the node in progress
-		maxS := 0
-		for v := lo; v < hi; v++ {
-			if s := int(arrivals[v]); s > maxS {
-				maxS = s
-			}
-		}
-		// Live-slot tracking: one bit per logical slot, with a Fenwick
-		// tree over per-word popcounts. A position query is a word-level
-		// prefix sum plus one in-word popcount; insert/extract toggle a
-		// bit and update O(log words) counters.
-		nwMax := (maxS + 63) >> 6
-		words := make([]uint64, nwMax)
-		wfen := make([]int32, nwMax+1)
-		slotIDs := make([]int32, maxS)  // logical slot -> block id
-		physBuf := make([]int32, 0, 64) // extraction positions, ascending
-		localFwd := int64(-1)
-		localSpans := int64(0)
-		localBytes := int64(0)
-		for v := lo; v < hi; v++ {
-			S := int(arrivals[v])
-			nw := (S + 63) >> 6
-			nextSlot, live := 0, 0
-			for _, id := range initIDs[initOff[v]:initOff[v+1]] {
-				idSlot[id] = int32(nextSlot)
-				slotIDs[nextSlot] = id
-				nextSlot++
-				live++
-			}
-			// The initial contents occupy slots [0, live) contiguously:
-			// the bitset is a ones-prefix and the word Fenwick tree has
-			// the closed form "live bits in the words index i covers" —
-			// no per-slot adds.
-			fullW := live >> 6
-			for i := 0; i < fullW; i++ {
-				words[i] = ^uint64(0)
-			}
-			if fullW < nw {
-				words[fullW] = 1<<uint(live&63) - 1
-				for i := fullW + 1; i < nw; i++ {
-					words[i] = 0
-				}
-			}
-			for i := 1; i <= nw; i++ {
-				hc := i << 6
-				if hc > live {
-					hc = live
-				}
-				lc := (i - i&(-i)) << 6
-				if lc > live {
-					lc = live
-				}
-				wfen[i] = int32(hc - lc)
-			}
-			capv := int32(live)
-			stepBase := 0
-			for oi := opOff[v]; oi < opOff[v+1]; oi++ {
-				op := &opBacking[oi]
-				gr := op.gr
-				if gr&opNewStep != 0 {
-					stepBase = live
-				}
-				if op.payLen == 1 {
-					// Single-block event: one span, no resort, no
-					// coalescing bookkeeping.
-					id := payloadBacking[op.payOff]
-					if gr&opExtract != 0 {
-						s := int(idSlot[id])
-						w := s >> 6
-						pos := fenPrefix(wfen, w) + int32(bits.OnesCount64(words[w]&(1<<uint(s&63)-1)))
-						spanWC[op.payOff] = idxSpan{start: pos, end: pos + 1}
-						localSpans++
-						localBytes += int64(live) - int64(pos) + 1
-						if int(pos) >= stepBase && (localFwd < 0 || int64(gr>>opFlagBits) < localFwd>>32) {
-							localFwd = int64(gr>>opFlagBits)<<32 | int64(uint32(id))
-						}
-						words[w] &^= 1 << uint(s&63)
-						fenSub(wfen, w, nw)
-						idSlot[id] = -1
-						live--
-					}
-					if gr&opInsert != 0 {
-						idSlot[id] = int32(nextSlot)
-						slotIDs[nextSlot] = id
-						words[nextSlot>>6] |= 1 << uint(nextSlot&63)
-						fenAdd(wfen, nextSlot>>6, nw)
-						nextSlot++
-						live++
-						if int32(live) > capv {
-							capv = int32(live)
-						}
-					}
-					continue
-				}
-				ord := payloadBacking[op.payOff : op.payOff+op.payLen]
-				if gr&opHasOrd != 0 {
-					o := ordOff[gr>>opFlagBits]
-					ord = ordSpill[o : o+op.payLen]
-				}
-				if gr&opExtract != 0 {
-					// Positions are pre-extraction: compute them all
-					// before removing anything, exactly like the former
-					// single buffer scan.
-					physBuf = physBuf[:0]
-					for _, id := range ord {
-						s := int(idSlot[id])
-						w := s >> 6
-						pos := fenPrefix(wfen, w) + int32(bits.OnesCount64(words[w]&(1<<uint(s&63)-1)))
-						physBuf = append(physBuf, pos)
-					}
-					wc := spanWC[op.payOff:op.payOff]
-					lastEnd := int32(-1)
-					for i, ph := range physBuf {
-						if int(ph) >= stepBase && (localFwd < 0 || int64(gr>>opFlagBits) < localFwd>>32) {
-							localFwd = int64(gr>>opFlagBits)<<32 | int64(uint32(ord[i]))
-						}
-						if m := len(wc); m > 0 && ph == lastEnd {
-							wc[m-1].end++
-						} else {
-							wc = append(wc, idxSpan{start: ph, end: ph + 1})
-						}
-						lastEnd = ph + 1
-					}
-					if len(wc) < len(ord) {
-						spanWC[int(op.payOff)+len(wc)] = idxSpan{start: -1}
-					}
-					localSpans += int64(len(wc))
-					localBytes += int64(live) - int64(physBuf[0]) + int64(len(ord))
-					for _, id := range ord {
-						s := int(idSlot[id])
-						words[s>>6] &^= 1 << uint(s&63)
-						fenSub(wfen, s>>6, nw)
-						idSlot[id] = -1
-					}
-					live -= len(ord)
-				}
-				if gr&opInsert != 0 {
-					for _, id := range ord {
-						idSlot[id] = int32(nextSlot)
-						slotIDs[nextSlot] = id
-						words[nextSlot>>6] |= 1 << uint(nextSlot&63)
-						fenAdd(wfen, nextSlot>>6, nw)
-						nextSlot++
-					}
-					live += len(ord)
-					if int32(live) > capv {
-						capv = int32(live)
-					}
-				}
-			}
-			p.capacity[v] = capv
-			// Delivery: the node must hold exactly its share of the
-			// matrix, every block addressed to it.
-			if live != int(p.perDest[v]) {
-				derr.Report(v, fmt.Errorf("exec: node %d holds %d blocks after replay, want %d", v, live, p.perDest[v]))
-			} else {
-				for s := 0; s < nextSlot; s++ {
-					id := slotIDs[s]
-					if idSlot[id] == int32(s) && int(id)%n != v {
-						derr.Report(v, fmt.Errorf("exec: node %d holds misdelivered block %v", v,
-							block.Block{Origin: topology.NodeID(int(id) / n), Dest: topology.NodeID(int(id) % n)}))
-						break
-					}
-				}
-			}
-			for s := 0; s < nextSlot; s++ {
-				idSlot[slotIDs[s]] = -1
-			}
-		}
-		idSlotPool.Put(idSlot)
-		spanTotal.Add(localSpans)
-		spanBytes.Add(localBytes)
-		if localFwd >= 0 {
-			for {
-				cur := fwd.Load()
-				if cur >= 0 && cur>>32 <= localFwd>>32 {
-					break
-				}
-				if fwd.CompareAndSwap(cur, localFwd) {
-					break
-				}
-			}
-		}
-	})
-	if err := derr.Err(); err != nil {
-		return err
-	}
-	// Span backing. When no transfer coalesced (exactly one span per
-	// payload block — the whole of a direct exchange), the worst-case
-	// backing already *is* the exact program backing with every window
-	// at its payload offset: steal it from the scratch (the pool
-	// refills on the next compile) and skip the rebase walk entirely.
-	// Otherwise compact into the exact-size form, rebasing every
-	// transfer's span window in global order; a transfer's span count
-	// is its sentinel-terminated run length in the worst-case backing.
-	if spanTotal.Load() == int64(len(payloadBacking)) {
-		p.spanBacking = spanWC
-		p.spansDense = true
-		cs.spanWC = nil
-	} else {
-		countSpans := func(off, payLen int32) int32 {
-			region := spanWC[off : off+payLen]
-			for i := range region {
-				if region[i].start < 0 {
-					return int32(i)
-				}
-			}
-			return payLen
-		}
-		p.spanBacking = make([]idxSpan, 0, spanTotal.Load())
-		for si := range p.steps {
-			ts := p.steps[si].transfers
-			for ti := range ts {
-				pt := &ts[ti]
-				pt.spanOff = int32(len(p.spanBacking))
-				if pt.payLen == 0 {
-					continue
-				}
-				pt.spanLen = countSpans(pt.payOff, pt.payLen)
-				p.spanBacking = append(p.spanBacking, spanWC[pt.payOff:pt.payOff+pt.spanLen]...)
+	for _, id := range p.trafficIDs {
+		h := hs[id]
+		v := int(h >> 32)
+		held[v]++
+		if int(id)%n != v {
+			if k := int64(uint32(h))<<32 | int64(id); mis[v] < 0 || k < mis[v] {
+				mis[v] = k
 			}
 		}
 	}
-	if c := fwd.Load(); c >= 0 {
-		gg, id := int(c>>32), int32(uint32(c))
-		si, base := 0, 0
-		for base+len(p.steps[si].transfers) <= gg {
-			base += len(p.steps[si].transfers)
-			si++
+	for v := 0; v < n; v++ {
+		if held[v] != p.perDest[v] {
+			return fmt.Errorf("exec: node %d holds %d blocks after replay, want %d", v, held[v], p.perDest[v])
 		}
-		ps := &p.steps[si]
-		p.parallelErr = fmt.Errorf("exec: phase %q step %d: node %d forwards %v within the step that delivered it; the two-barrier parallel replay cannot execute this schedule (run with Options.Serial)",
-			ps.phase.Name, ps.stepIndex, int(ps.transfers[gg-base].src), block.Block{Origin: topology.NodeID(int(id) / n), Dest: topology.NodeID(int(id) % n)})
+		if mis[v] >= 0 {
+			id := int(uint32(mis[v]))
+			return fmt.Errorf("exec: node %d holds misdelivered block %v", v,
+				block.Block{Origin: topology.NodeID(id / n), Dest: topology.NodeID(id % n)})
+		}
 	}
-	p.spanBytes = spanBytes.Load() * 4
 
-	// ---- Pass 3: the descriptor-mode replay plan (the append-only log
-	// layout, strided gather descriptors, ρ elision and last-hop direct
-	// delivery), built from this pass's artifacts. See descriptor.go.
+	// The descriptor replay plan (the append-only log layout, strided
+	// gather descriptors and last-hop direct delivery), built from this
+	// walk's artifacts. See descriptor.go.
 	p.planDescriptors(opOff, opBacking, ordOff, ordSpill, initIDs, initOff, hs, arrivals, firstArr, numT)
 	return nil
-}
-
-// Fenwick (binary indexed) tree over the live-bitset's words, one-based
-// internally; nw is the tree's logical size (word count).
-
-func fenAdd(fen []int32, w, nw int) {
-	for i := w + 1; i <= nw; i += i & (-i) {
-		fen[i]++
-	}
-}
-
-func fenSub(fen []int32, w, nw int) {
-	for i := w + 1; i <= nw; i += i & (-i) {
-		fen[i]--
-	}
-}
-
-// fenPrefix returns the number of live bits in words strictly before w.
-func fenPrefix(fen []int32, w int) int32 {
-	var s int32
-	for i := w; i > 0; i -= i & (-i) {
-		s += fen[i]
-	}
-	return s
 }

@@ -4,53 +4,35 @@ import (
 	"sort"
 	"sync"
 
-	"torusx/internal/costmodel"
 	"torusx/internal/par"
 )
 
 // Zero-copy strided-datatype replay: the descriptor plan.
 //
-// The span replay models every node's buffer as a compacted array —
-// each extraction copies its payload out and shifts the survivors down
-// over the holes, so short scattered payloads (the ρ phases of
-// factored and logtime) degenerate into many small copies plus a full
-// compaction pass per transfer. The descriptor plan replaces the
-// compacted buffer with an append-only block log: every block's
+// Every node's holdings live in an append-only block log: a block's
 // physical position is the log slot its arrival was assigned, fixed
-// forever, and fully computable at compile time from pass 1's arrival
-// stamps. Nothing ever compacts; a transfer is one strided gather from
-// the source node's log region into a precomputed contiguous window of
-// the destination's region.
+// forever and fully computable at compile time from the reference
+// replay's arrival stamps (compile_sim.go). Nothing ever compacts; a
+// transfer is one strided gather from the source node's log region into
+// a precomputed contiguous window of the destination's region, and a
+// self-transfer (a rearrangement copy within one node) is the same
+// gather with source and destination in one region.
 //
-// On top of the fixed positions, two compile-time rewrites remove
-// copies entirely:
+// Last-hop direct delivery: a transfer that is the final mover of every
+// block it carries gets a precomputed window in the final delivery
+// layout, so ReplayInto gathers it straight into the caller's buffer
+// and skips the log append. A program whose every payload transfer is
+// last-hop is last-hop-only: ReplayInto touches no arena scratch at
+// all.
 //
-//   - ρ elision: a self-transfer (a rearrangement copy within one
-//     node) can be elided — its blocks keep their old log positions
-//     and the next hop's gather descriptors absorb the permutation —
-//     whenever costmodel.RewriteWins prices the descriptor dispatches
-//     below the bulk copy. Payloads too scattered to express cheaply
-//     execute the copy and re-coalesce, exactly like the span path.
-//   - last-hop direct delivery: a transfer that is the final mover of
-//     every block it carries gets a precomputed window in the final
-//     delivery layout, so ReplayInto gathers it straight into the
-//     caller's buffer and skips the log append. A program whose every
-//     payload transfer is elided or last-hop is rewrite-only:
-//     ReplayInto touches no arena scratch at all.
-//
-// The plan is built by a third compile pass (parallel over nodes, like
-// pass 2) reusing pass 1's per-node event runs, priced per transfer,
-// and the winner recorded in the per-phase rewrite/copy counters. The
-// span tables stay fully intact: the two modes replay the same program
-// byte-identically (differentially tested), Options.SpanReplay forces
-// the old path, and programs decoded from v1 files (which carry no
-// plan) replay through spans unchanged.
+// The plan is built by a compile pass parallel over nodes that replays
+// the reference replay's per-node event runs.
 
 // xdesc is one strided datatype descriptor: count windows of blocklen
 // consecutive log slots, window starts stride apart. count == 1 is a
 // plain [start, start+blocklen) run. stride may be negative or smaller
-// than blocklen: after a ρ elision the positions of a later gather are
-// an arbitrary permutation of earlier log slots.
+// than blocklen: a gather's positions can be any permutation of the
+// source region's log slots.
 type xdesc struct {
 	start, count, blocklen, stride int32
 }
@@ -61,11 +43,10 @@ type dtransfer struct {
 	// descOff/descLen window into Program.descBacking: the gather
 	// descriptors covering the transfer's payload positions in the
 	// source node's log region, in arrival-stamp order. Zero-length for
-	// elided and empty transfers.
+	// empty transfers.
 	descOff, descLen int32
 	// insPos is the absolute log position of the transfer's insert
-	// window [insPos, insPos+payLen); -1 when the transfer was elided
-	// (ρ rewrite: the blocks keep their old positions).
+	// window [insPos, insPos+payLen); -1 for empty transfers.
 	insPos int32
 	// finalPos, when >= 0, marks a last-hop transfer: this transfer is
 	// the final mover of every block it carries, and its payload's
@@ -107,8 +88,7 @@ func gather(dst, log []int32, descs []xdesc) int {
 // coalesceDescs folds pos — a payload's source log positions in
 // arrival-stamp order — into strided descriptors: maximal +1 runs
 // become blocks, and consecutive blocks of equal length with a
-// constant start-to-start delta merge into one descriptor. This is the
-// run-length/stride recognizer the tentpole names; the common ρ-phase
+// constant start-to-start delta merge into one descriptor, so common
 // permutations (interleaves, transposes of contiguous groups) collapse
 // to a handful of descriptors.
 func coalesceDescs(dst []xdesc, pos []int32) []xdesc {
@@ -153,7 +133,7 @@ type descScratch struct {
 	isLast    []uint8 // ordinal -> final mover of its whole payload
 	survAll   []int32 // deliveries bucketed by node (finalBase offsets)
 	descWC    []xdesc // worst-case transfer descriptors at payload offsets
-	dInsLocal []int32 // ordinal -> node-local insert position, -1 elided
+	dInsLocal []int32 // ordinal -> node-local insert position
 	dDescCnt  []int32 // ordinal -> descriptor count in descWC
 	tailFWC   []xdesc // worst-case tailFull descriptors at finalBase offsets
 	tailRWC   []xdesc // worst-case tailResid descriptors at finalBase offsets
@@ -183,13 +163,13 @@ func growDesc(s []xdesc, n int) []xdesc {
 	return s[:n]
 }
 
-// planDescriptors is compile pass 3: it lowers the replay to the
-// descriptor plan. Inputs are pass 1's artifacts: the per-node event
-// runs (opOff/opBacking, with ordOff/ordSpill resolving the rare
+// planDescriptors lowers the replay to the descriptor plan. Inputs are
+// the reference replay's artifacts: the per-node event runs
+// (opOff/opBacking, with ordOff/ordSpill resolving the rare
 // stamp-resorted payloads), the per-node initial contents
 // (initIDs/initOff), the final holder/stamp table hs, the per-node
 // arrival totals, and each transfer's first-arriving block id
-// (firstArr). Must run after pass 2 verified delivery.
+// (firstArr). Must run after delivery was verified.
 func (p *Program) planDescriptors(opOff []int32, opBacking []opRec, ordOff, ordSpill, initIDs, initOff []int32,
 	hs []uint64, arrivals, firstArr []int32, numT int) {
 	n := p.n
@@ -288,10 +268,9 @@ func (p *Program) planDescriptors(opOff []int32, opBacking []opRec, ordOff, ordS
 		}
 	}
 
-	// Parallel pass over nodes: replay each node's event run once more,
-	// this time assigning append-only log positions, recognizing each
-	// extraction's positions as strided descriptors, pricing ρ elision,
-	// and building the node's tail gather plans. All cross-node state
+	// Parallel pass over nodes: replay each node's event run, assigning
+	// append-only log positions, recognizing each extraction's positions
+	// as strided descriptors, and building the node's tail gather plans. All cross-node state
 	// is read-only or indexed by ids the node owns, so the walks are
 	// data-race free.
 	nodeLog := make([]int32, n)
@@ -331,21 +310,6 @@ func (p *Program) planDescriptors(opOff []int32, opBacking []opRec, ordOff, ordS
 						physBuf = append(physBuf, idPos[id])
 					}
 					runs = coalesceDescs(runs[:0], physBuf)
-					if gr&opInsert != 0 && costmodel.RewriteWins(len(ord), len(runs)) {
-						// ρ rewrite: elide the copy. The blocks keep their
-						// positions; later gathers (and the tail plans below)
-						// read them where they sit. A last-hop verdict from
-						// the pre-pass no longer applies — nothing gathers
-						// these blocks into the delivery buffer directly.
-						dInsLocal[tg] = -1
-						dDescCnt[tg] = 0
-						if isLast[tg] != 0 {
-							for _, id := range ord {
-								direct[id] = 0
-							}
-						}
-						continue
-					}
 					copy(descWC[op.payOff:], runs)
 					dDescCnt[tg] = int32(len(runs))
 				}
@@ -361,8 +325,7 @@ func (p *Program) planDescriptors(opOff []int32, opBacking []opRec, ordOff, ordS
 			nodeLog[v] = int32(cursor)
 
 			// Tail plans over the node's final deliveries, in final
-			// arrival order (== the span path's buffer order, so both
-			// modes deliver identically ordered buffers).
+			// arrival order.
 			seg := survAll[finalBase[v]:finalBase[v+1]]
 			sort.Slice(seg, func(a, b int) bool { return uint32(hs[seg[a]]) < uint32(hs[seg[b]]) })
 			for rank, id := range seg {
@@ -408,29 +371,18 @@ func (p *Program) planDescriptors(opOff []int32, opBacking []opRec, ordOff, ordS
 
 	// Serial compaction into the program's exact-size form: per-node
 	// log regions via the descBase prefix, descriptor windows rebased
-	// to absolute log positions, the per-phase rewrite/copy ledger, and
-	// the bytes a descriptor replay physically moves.
+	// to absolute log positions, and the bytes a replay physically
+	// moves.
 	descBase := make([]int32, n+1)
 	for v := 0; v < n; v++ {
 		descBase[v+1] = descBase[v] + nodeLog[v]
 	}
-	numPhases := 0
-	for si := range p.steps {
-		if pi := p.steps[si].phaseIndex + 1; pi > numPhases {
-			numPhases = pi
-		}
-	}
-	if p.sc != nil {
-		numPhases = len(p.sc.Phases)
-	}
-	p.phaseRewrites = make([]int32, numPhases)
-	p.phaseCopies = make([]int32, numPhases)
 	total := 0
 	g = 0
 	for si := range p.steps {
 		ts := p.steps[si].transfers
 		for ti := range ts {
-			if ts[ti].payLen > 0 && dInsLocal[g] >= 0 {
+			if ts[ti].payLen > 0 {
 				total += int(dDescCnt[g])
 			}
 			g++
@@ -441,7 +393,7 @@ func (p *Program) planDescriptors(opOff []int32, opBacking []opRec, ordOff, ordS
 	}
 	p.descBacking = make([]xdesc, 0, total)
 	p.dtransfers = make([]dtransfer, numT)
-	p.rewriteOnly = true
+	p.lastHopOnly = true
 	g = 0
 	for si := range p.steps {
 		ps := &p.steps[si]
@@ -454,13 +406,6 @@ func (p *Program) planDescriptors(opOff []int32, opBacking []opRec, ordOff, ordS
 				g++
 				continue
 			}
-			if dInsLocal[g] < 0 {
-				*dt = dtransfer{insPos: -1, finalPos: -1}
-				p.phaseRewrites[ps.phaseIndex]++
-				g++
-				continue
-			}
-			p.phaseCopies[ps.phaseIndex]++
 			off := int32(len(p.descBacking))
 			for _, d := range descWC[pt.payOff : pt.payOff+dDescCnt[g]] {
 				d.start += descBase[pt.src]
@@ -472,7 +417,7 @@ func (p *Program) planDescriptors(opOff []int32, opBacking []opRec, ordOff, ordS
 			if isLast[g] != 0 {
 				dt.finalPos = finalBase[pt.dst] + finalRank[firstArr[g]]
 			} else {
-				p.rewriteOnly = false
+				p.lastHopOnly = false
 			}
 			p.descBytes += int64(pt.payLen) * 4
 			g++

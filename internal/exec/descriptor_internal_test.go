@@ -50,7 +50,7 @@ func TestCoalesceDescsLossless(t *testing.T) {
 		cases = append(cases, pos)
 	}
 	// Structured random: strided runs with random parameters, the shapes
-	// the ρ-rewrite actually produces.
+	// permutation gathers actually produce.
 	for i := 0; i < 50; i++ {
 		var pos []int32
 		base := int32(rng.Intn(32))

@@ -1,14 +1,37 @@
-// The differential test layer: the parallel executor must be
-// indistinguishable from the serial reference on every registered
-// algorithm — identical Measure counters, identical MaxSharing,
-// identical delivery matrices (same blocks, same buffer order) —
-// regardless of worker count. This is the contract that lets the
-// parallel path be the default everywhere.
+// The differential wall: every way to run a compiled program is held
+// to one naive serial oracle (oracleRun, oracle_test.go).
+//
+// A wall row is a schedule plus a traffic matrix. checkRow crosses the
+// row over program source (a fresh Compile, or that program encoded and
+// decoded through the codec) × replay mode (serial, or parallel at each
+// requested width) × entry point (RunArena, ReplayInto), reusing one
+// arena per program across all of them, and requires every outcome to
+// match the oracle's Measure, MaxSharing and delivery matrix — same
+// blocks, same per-node order. Schedules the parallel replay cannot
+// execute (intra-step forwarding) must be accepted serially and refused
+// in parallel; schedules the oracle rejects must fail Compile with the
+// same error.
+//
+// The test functions only choose rows. They keep the names of the
+// suites the wall replaced and split the rows between them, so no row
+// is checked twice:
+//
+//	TestDescriptorDifferentialReplay        registry pairs, wide fabric set, dense traffic; hand-built ρ+ring
+//	TestDifferentialRegistryAlgorithms      registry pairs, explicit all-to-all matrix
+//	TestCompiledDifferentialRegistryAlgorithms  registry pairs, uniform sparse matrix
+//	TestDecodedProgramDifferentialReplay    codec programs, permutation matrix
+//	TestDifferentialSparseTraffic           proposed-sim@8x8, ring and hotspot matrices
+//	TestCompiledSparseTraffic               sparse-capable pairs on a dragonfly
+//	TestDifferentialWorkerCounts            dense rows at many parallel widths
+//	TestCompiledDifferentialWorkerCounts    hotspot rows at many parallel widths
+//	TestIntraStepForwardingVerdicts         serial-accept, parallel-reject
+//	TestCompiledDifferentialRejects, TestDifferentialRejectsSameSchedules  reject parity
 package exec_test
 
 import (
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 
 	"torusx/internal/algorithm"
@@ -16,174 +39,532 @@ import (
 	"torusx/internal/exec"
 	"torusx/internal/schedule"
 	"torusx/internal/topology"
+	"torusx/internal/traffic"
 )
 
-// differentialShapes are the shapes of the headline differential
-// sweep: square, cubic, and rectangular.
+// differentialShapes are the tori of the registry rows: square, cubic
+// and rectangular.
 var differentialShapes = [][]int{{8, 8}, {4, 4, 4}, {12, 8}}
 
-// runBoth executes sc serially and in parallel with the given worker
-// count and reports both outcomes.
-func runBoth(t *testing.T, sc *schedule.Schedule, workers int) (serial, parallel *exec.Result) {
+// descriptorFabrics widens the registry rows to asymmetric and
+// virtual-node (size-1 dimension) tori and dragonflies.
+func descriptorFabrics() []topology.Fabric {
+	return []topology.Fabric{
+		topology.MustNew(8, 8),
+		topology.MustNew(4, 4, 4),
+		topology.MustNew(12, 8),
+		topology.MustNew(5, 3),
+		topology.MustNew(2, 1, 4),
+		topology.MustNewDragonfly(2, 3),
+		topology.MustNewDragonfly(3, 4),
+	}
+}
+
+// defaultWidths are the parallel worker counts every row replays at:
+// the default pool and a width that divides no transfer count.
+var defaultWidths = []int{0, 3}
+
+// wallRow is one schedule and the traffic matrix it must deliver.
+type wallRow struct {
+	name    string
+	sc      *schedule.Schedule
+	traffic []block.Block // nil: the full all-to-all matrix
+	// serialOnly marks a schedule that forwards a block within the step
+	// that delivered it: the parallel modes must refuse it.
+	serialOnly bool
+}
+
+// registryRow builds alg on fab and specializes it to the traffic
+// generator gen: "" keeps the implicit all-to-all matrix, "full" passes
+// the same matrix explicitly, and any other traffic spec prunes the
+// schedule to that matrix. Structural (payload-free) schedules ignore
+// gen. ok is false when the builder rejects the shape.
+func registryRow(t *testing.T, name, alg string, fab topology.Fabric, gen string) (wallRow, bool) {
 	t.Helper()
-	ser, serErr := exec.Run(sc, exec.Options{Serial: true})
-	par, parErr := exec.Run(sc, exec.Options{Workers: workers})
-	if (serErr == nil) != (parErr == nil) {
-		t.Fatalf("serial err = %v, parallel err = %v", serErr, parErr)
+	b, err := algorithm.For(alg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if serErr != nil {
-		return nil, nil
+	sc, err := b.BuildSchedule(fab)
+	if err != nil {
+		return wallRow{}, false // shape precondition, e.g. logtime on 12x8
 	}
-	return ser, par
+	row := wallRow{name: name, sc: sc}
+	if gen == "" || !sc.HasPayload() {
+		return row, true
+	}
+	if gen == "full" {
+		row.traffic = exec.FullTraffic(fab)
+		return row, true
+	}
+	m, err := traffic.ParseSpec(gen, fab.Nodes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row.sc, err = traffic.Prune(sc, m); err != nil {
+		t.Fatalf("%s: prune to %s: %v", name, gen, err)
+	}
+	row.traffic = m.Blocks()
+	return row, true
 }
 
-// sameBuffers asserts the two delivery matrices are identical: same
-// nodes, same blocks, same order.
-func sameBuffers(t *testing.T, ser, par []*block.Buffer) {
+// registryRows is registryRow over every algorithm the registry
+// supports on each fabric, named by name(alg, fab).
+func registryRows(t *testing.T, fabs []topology.Fabric, gen string, name func(alg string, fab topology.Fabric) string) []wallRow {
 	t.Helper()
-	if (ser == nil) != (par == nil) {
-		t.Fatalf("serial buffers nil=%v, parallel nil=%v", ser == nil, par == nil)
-	}
-	if ser == nil {
-		return
-	}
-	if len(ser) != len(par) {
-		t.Fatalf("buffer count %d vs %d", len(ser), len(par))
-	}
-	for i := range ser {
-		if !reflect.DeepEqual(ser[i].View(), par[i].View()) {
-			t.Fatalf("node %d delivery differs:\nserial:   %v\nparallel: %v", i, ser[i].View(), par[i].View())
+	var rows []wallRow
+	for _, fab := range fabs {
+		for _, alg := range algorithm.Supporting(fab) {
+			if row, ok := registryRow(t, name(alg, fab), alg, fab, gen); ok {
+				rows = append(rows, row)
+			}
 		}
+	}
+	return rows
+}
+
+func tori(shapes [][]int) []topology.Fabric {
+	fabs := make([]topology.Fabric, len(shapes))
+	for i, dims := range shapes {
+		fabs[i] = topology.MustNew(dims...)
+	}
+	return fabs
+}
+
+func slashName(alg string, fab topology.Fabric) string { return alg + "/" + fab.String() }
+func atName(alg string, fab topology.Fabric) string    { return alg + "@" + fab.String() }
+
+// runWall checks every row as its own subtest.
+func runWall(t *testing.T, rows []wallRow, widths []int) {
+	t.Helper()
+	if len(rows) == 0 {
+		t.Fatal("no wall rows")
+	}
+	for _, r := range rows {
+		r := r
+		t.Run(r.name, func(t *testing.T) { checkRow(t, r, widths) })
 	}
 }
 
-// TestDifferentialRegistryAlgorithms is the headline differential
-// test: every Builder in the registry, on 8x8, 4x4x4 and 12x8, must
-// produce identical Measure counters and identical delivery matrices
-// under serial and parallel execution.
-func TestDifferentialRegistryAlgorithms(t *testing.T) {
-	for _, name := range algorithm.Names() {
-		for _, dims := range differentialShapes {
-			t.Run(shapeName(name, dims), func(t *testing.T) {
-				b, err := algorithm.For(name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				tor := topology.MustNew(dims...)
-				sc, err := b.BuildSchedule(tor)
-				if err != nil {
-					// Precondition miss (e.g. logtime needs powers of
-					// two): nothing to compare, and both paths see the
-					// same builder error.
-					t.Skipf("builder: %v", err)
-				}
-				ser, par := runBoth(t, sc, 0)
-				if ser == nil {
-					return
-				}
-				if ser.Measure != par.Measure {
-					t.Errorf("Measure differs: serial %+v, parallel %+v", ser.Measure, par.Measure)
-				}
-				if ser.MaxSharing != par.MaxSharing {
-					t.Errorf("MaxSharing differs: %d vs %d", ser.MaxSharing, par.MaxSharing)
-				}
-				if ser.Replayed != par.Replayed {
-					t.Errorf("Replayed differs: %v vs %v", ser.Replayed, par.Replayed)
-				}
-				sameBuffers(t, ser.Buffers, par.Buffers)
-			})
-		}
+// checkRow holds one row's every (source × mode × entry point) outcome
+// to the oracle.
+func checkRow(t *testing.T, r wallRow, widths []int) {
+	t.Helper()
+	want, err := oracleRun(r.sc, r.traffic, false)
+	if err != nil {
+		t.Fatalf("oracle: %v", err)
 	}
-}
+	pg, err := exec.Compile(r.sc, exec.Options{Traffic: r.traffic})
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	if err := exec.CheckDescriptorPlan(pg); err != nil {
+		t.Fatalf("descriptor plan: %v", err)
+	}
+	const fp = 7
+	enc, err := exec.EncodeProgram(pg, fp)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	dec, err := exec.DecodeProgram(enc, r.sc.Fabric, fp)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if pg.Replayable() != want.Replayed || dec.Replayable() != want.Replayed {
+		t.Fatalf("Replayable fresh=%v decoded=%v, oracle replayed %v", pg.Replayable(), dec.Replayable(), want.Replayed)
+	}
+	if dec.BytesMoved() != pg.BytesMoved() {
+		t.Fatalf("decoded BytesMoved %d, fresh %d", dec.BytesMoved(), pg.BytesMoved())
+	}
+	wantIDs := flatIDs(want.Buffers)
 
-// TestDifferentialWorkerCounts shakes the partitioning: the parallel
-// result must be invariant under the worker count, including widths
-// that do not divide the transfer counts.
-func TestDifferentialWorkerCounts(t *testing.T) {
-	tor := topology.MustNew(8, 8)
-	for _, name := range []string{"proposed-sim", "direct", "factored"} {
-		b, err := algorithm.For(name)
-		if err != nil {
-			t.Fatal(err)
+	type mode struct {
+		label string
+		opt   exec.Options
+	}
+	modes := []mode{{"serial", exec.Options{Serial: true}}}
+	for _, w := range widths {
+		modes = append(modes, mode{"parallel-" + strconv.Itoa(w), exec.Options{Workers: w}})
+	}
+	for _, src := range []struct {
+		label string
+		pg    *exec.Program
+	}{{"fresh", pg}, {"decoded", dec}} {
+		arena := src.pg.NewArena()
+		var dst []int32
+		if want.Replayed {
+			dst = make([]int32, src.pg.DeliverySize())
 		}
-		sc, err := b.BuildSchedule(tor)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref, err := exec.Run(sc, exec.Options{Serial: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 2, 3, 5, 8, 64} {
-			got, err := exec.Run(sc, exec.Options{Workers: workers})
+		for _, m := range modes {
+			label := src.label + "/" + m.label
+			refuse := r.serialOnly && !m.opt.Serial
+			res, err := src.pg.RunArena(arena, m.opt)
+			if refuse {
+				wantForwardRefusal(t, label+"/RunArena", err)
+			} else {
+				if err != nil {
+					t.Fatalf("%s/RunArena: %v", label, err)
+				}
+				if res.Measure != want.Measure || res.MaxSharing != want.MaxSharing || res.Replayed != want.Replayed {
+					t.Fatalf("%s/RunArena: Measure %+v sharing %d replayed %v, oracle %+v %d %v", label,
+						res.Measure, res.MaxSharing, res.Replayed, want.Measure, want.MaxSharing, want.Replayed)
+				}
+				if res.BytesMoved != src.pg.BytesMoved() {
+					t.Fatalf("%s/RunArena: BytesMoved %d, program reports %d", label, res.BytesMoved, src.pg.BytesMoved())
+				}
+				sameBuffers(t, want.Buffers, res.Buffers)
+			}
+			if !want.Replayed {
+				continue
+			}
+			for i := range dst {
+				dst[i] = -1
+			}
+			err = src.pg.ReplayInto(arena, dst, m.opt)
+			if refuse {
+				wantForwardRefusal(t, label+"/ReplayInto", err)
+				continue
+			}
 			if err != nil {
-				t.Fatalf("%s workers=%d: %v", name, workers, err)
+				t.Fatalf("%s/ReplayInto: %v", label, err)
 			}
-			if got.Measure != ref.Measure || got.MaxSharing != ref.MaxSharing {
-				t.Errorf("%s workers=%d: Measure %+v sharing %d, want %+v sharing %d",
-					name, workers, got.Measure, got.MaxSharing, ref.Measure, ref.MaxSharing)
-			}
-			sameBuffers(t, ref.Buffers, got.Buffers)
+			sameIDs(t, label+"/ReplayInto", wantIDs, dst)
 		}
 	}
 }
 
-// TestDifferentialSparseTraffic covers the declared-traffic replay
-// path: a sparse matrix routed through the proposed schedule must
-// deliver identically under both executors.
-func TestDifferentialSparseTraffic(t *testing.T) {
-	tor := topology.MustNew(8, 8)
-	b, err := algorithm.For("proposed-sim")
-	if err != nil {
-		t.Fatal(err)
+func wantForwardRefusal(t *testing.T, label string, err error) {
+	t.Helper()
+	if err == nil {
+		t.Fatalf("%s: parallel replay accepted an intra-step forward", label)
 	}
-	sc, err := b.BuildSchedule(tor)
-	if err != nil {
-		t.Fatal(err)
+	if !strings.Contains(err.Error(), "forwards") || !strings.Contains(err.Error(), "Options.Serial") {
+		t.Fatalf("%s: error %q should name the forward and the serial remedy", label, err)
 	}
-	// Full traffic is implied by nil; this exercises the explicit
-	// Traffic branch with the same matrix.
-	traffic := exec.FullTraffic(tor)
-	ser, err := exec.Run(sc, exec.Options{Serial: true, Traffic: traffic})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := exec.Run(sc, exec.Options{Traffic: traffic, Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ser.Measure != par.Measure {
-		t.Errorf("Measure differs: %+v vs %+v", ser.Measure, par.Measure)
-	}
-	sameBuffers(t, ser.Buffers, par.Buffers)
 }
 
-// TestDifferentialRejectsSameSchedules: invalid schedules must be
-// rejected by both paths (the specific error may name a different
-// step, but acceptance must agree).
-func TestDifferentialRejectsSameSchedules(t *testing.T) {
-	tor := topology.MustNew(4, 4)
-	bad := &schedule.Schedule{Fabric: tor, Phases: []schedule.Phase{{
-		Name: "bad",
-		Steps: []schedule.Step{{Transfers: []schedule.Transfer{
-			{Src: 0, Dst: 1, Dim: 0, Dir: topology.Pos, Hops: 1, Blocks: 1},
-			{Src: 0, Dst: 2, Dim: 1, Dir: topology.Pos, Hops: 1, Blocks: 1}, // one-port: node 0 sends twice
-		}}},
-	}}}
-	_, serErr := exec.Run(bad, exec.Options{Serial: true})
-	_, parErr := exec.Run(bad, exec.Options{})
-	if serErr == nil || parErr == nil {
-		t.Fatalf("one-port violation accepted: serial=%v parallel=%v", serErr, parErr)
+// sameBuffers asserts two delivery matrices are identical: same nodes,
+// same blocks, same order.
+func sameBuffers(t *testing.T, want, got []*block.Buffer) {
+	t.Helper()
+	if (want == nil) != (got == nil) {
+		t.Fatalf("want buffers nil=%v, got nil=%v", want == nil, got == nil)
+	}
+	if len(want) != len(got) {
+		t.Fatalf("buffer count %d, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(want[i].View(), got[i].View()) {
+			t.Fatalf("node %d delivery differs:\nwant: %v\ngot:  %v", i, want[i].View(), got[i].View())
+		}
+	}
+}
+
+// flatIDs renders a delivery matrix as the dense-id layout ReplayInto
+// writes: node v's blocks at [DeliveryOffset(v), DeliveryOffset(v+1)).
+func flatIDs(bufs []*block.Buffer) []int32 {
+	n := len(bufs)
+	var out []int32
+	for _, b := range bufs {
+		for _, blk := range b.View() {
+			out = append(out, int32(int(blk.Origin)*n+int(blk.Dest)))
+		}
+	}
+	return out
+}
+
+func sameIDs(t *testing.T, label string, want, got []int32) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("%s: %d ids, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if want[i] != got[i] {
+			t.Fatalf("%s: id[%d] = %d, want %d", label, i, got[i], want[i])
+		}
 	}
 }
 
 func shapeName(alg string, dims []int) string {
-	s := alg + "/"
-	for i, d := range dims {
-		if i > 0 {
-			s += "x"
+	return slashName(alg, topology.MustNew(dims...))
+}
+
+// TestDescriptorDifferentialReplay: every registry (fabric, algorithm)
+// pair on the wide fabric set with the implicit all-to-all matrix, plus
+// the hand-built ρ+ring schedule whose self-transfers exercise the copy
+// path no registry builder emits. Runs under -race in CI.
+func TestDescriptorDifferentialReplay(t *testing.T) {
+	rows := registryRows(t, descriptorFabrics(), "", atName)
+	rows = append(rows, wallRow{name: "rho-ring@8", sc: rhoRingSchedule(t)})
+	runWall(t, rows, defaultWidths)
+}
+
+// TestDifferentialRegistryAlgorithms: every registry algorithm on the
+// differential shapes, compiled against the all-to-all matrix passed
+// explicitly — Compile's declared-traffic path and the codec's
+// traffic-id table instead of their full-traffic shortcuts.
+func TestDifferentialRegistryAlgorithms(t *testing.T) {
+	runWall(t, registryRows(t, tori(differentialShapes), "full", slashName), defaultWidths)
+}
+
+// TestCompiledDifferentialRegistryAlgorithms: every registry algorithm
+// on the differential shapes, pruned to a uniform sparse matrix.
+func TestCompiledDifferentialRegistryAlgorithms(t *testing.T) {
+	runWall(t, registryRows(t, tori(differentialShapes), "uniform:p=0.25,seed=1", slashName), defaultWidths)
+}
+
+// TestDecodedProgramDifferentialReplay: the codec tests' program set
+// (codecPrograms) pruned to a permutation matrix.
+func TestDecodedProgramDifferentialReplay(t *testing.T) {
+	var rows []wallRow
+	for _, c := range codecCells() {
+		row, ok := registryRow(t, c.name, c.alg, c.fab, "perm:seed=1")
+		if !ok {
+			t.Fatalf("%s: builder rejected the shape", c.name)
 		}
-		s += strconv.Itoa(d)
+		rows = append(rows, row)
 	}
-	return s
+	runWall(t, rows, defaultWidths)
+}
+
+// TestDifferentialSparseTraffic: the paper's algorithm pruned to the
+// ring and hotspot generators' matrices.
+func TestDifferentialSparseTraffic(t *testing.T) {
+	fab := topology.MustNew(8, 8)
+	for _, gen := range []string{"ring:radius=1", "hotspot:k=2,seed=1"} {
+		row, ok := registryRow(t, "proposed-sim+"+gen, "proposed-sim", fab, gen)
+		if !ok {
+			t.Fatal("proposed-sim rejected 8x8")
+		}
+		checkRow(t, row, defaultWidths)
+	}
+}
+
+// TestCompiledSparseTraffic: every sparse-capable algorithm on a
+// dragonfly, pruned to a uniform sparse matrix.
+func TestCompiledSparseTraffic(t *testing.T) {
+	fab := topology.MustNewDragonfly(2, 4)
+	for _, alg := range algorithm.SparseSupporting(fab) {
+		row, ok := registryRow(t, alg, alg, fab, "uniform:p=0.25,seed=1")
+		if !ok {
+			t.Fatalf("%s rejected %s", alg, fab)
+		}
+		checkRow(t, row, defaultWidths)
+	}
+}
+
+// workerWidths shake the parallel partitioning: widths that do not
+// divide the transfer counts, and changes on one reused arena (which
+// rebuild its cached sender buckets).
+var workerWidths = []int{1, 2, 3, 5, 8, 64}
+
+// TestDifferentialWorkerCounts: dense rows at every worker width.
+func TestDifferentialWorkerCounts(t *testing.T) {
+	fab := topology.MustNew(8, 8)
+	for _, alg := range []string{"proposed-sim", "direct", "factored"} {
+		row, _ := registryRow(t, alg, alg, fab, "")
+		checkRow(t, row, workerWidths)
+	}
+}
+
+// TestCompiledDifferentialWorkerCounts: hotspot rows, whose skewed
+// senders load the buckets unevenly, at every worker width.
+func TestCompiledDifferentialWorkerCounts(t *testing.T) {
+	fab := topology.MustNew(8, 8)
+	for _, alg := range []string{"proposed-sim", "direct", "factored"} {
+		row, _ := registryRow(t, alg, alg, fab, "hotspot:k=2,seed=1")
+		checkRow(t, row, workerWidths)
+	}
+}
+
+// TestIntraStepForwardingVerdicts pins the verdicts on a schedule where
+// a transfer forwards a block delivered earlier in the same step: node
+// 0 sends B[0,2] to node 1, and node 1 forwards it to node 2 within one
+// step. Serial interleaved semantics (and the oracle) accept it; the
+// one-barrier parallel replay cannot express it, so its parallel modes
+// must refuse — from a verdict precomputed by Compile and carried
+// through the codec — without poisoning later serial replays.
+func TestIntraStepForwardingVerdicts(t *testing.T) {
+	b02 := block.Block{Origin: 0, Dest: 2}
+	sc := &schedule.Schedule{
+		Fabric: topology.MustNew(4),
+		Phases: []schedule.Phase{{
+			Name: "p",
+			Steps: []schedule.Step{{
+				Transfers: []schedule.Transfer{
+					{Src: 0, Dst: 1, Blocks: 1, Payload: []block.Block{b02}},
+					{Src: 1, Dst: 2, Blocks: 1, Payload: []block.Block{b02}},
+				},
+			}},
+		}},
+	}
+	checkRow(t, wallRow{name: "forward", sc: sc, traffic: []block.Block{b02}, serialOnly: true}, defaultWidths)
+}
+
+// structuralRejects are schedules that break the one-port model or
+// wormhole contention-freedom.
+func structuralRejects() []struct {
+	name string
+	sc   *schedule.Schedule
+} {
+	tor := topology.MustNew(4, 4)
+	return []struct {
+		name string
+		sc   *schedule.Schedule
+	}{
+		{"one-port", &schedule.Schedule{Fabric: tor, Phases: []schedule.Phase{{
+			Name: "bad",
+			Steps: []schedule.Step{{Transfers: []schedule.Transfer{
+				{Src: 0, Dst: 1, Dim: 0, Dir: topology.Pos, Hops: 1, Blocks: 1},
+				{Src: 0, Dst: 2, Dim: 1, Dir: topology.Pos, Hops: 1, Blocks: 1},
+			}}},
+		}}}},
+		// Nodes 0, 4, 8, 12 form a dim-0 row of the 4x4 torus; the two
+		// overlapping 2-hop sends share the link out of node 4.
+		{"contention", &schedule.Schedule{Fabric: tor, Phases: []schedule.Phase{{
+			Name: "bad",
+			Steps: []schedule.Step{{Transfers: []schedule.Transfer{
+				{Src: 0, Dst: 8, Dim: 0, Dir: topology.Pos, Hops: 2, Blocks: 1},
+				{Src: 4, Dst: 12, Dim: 0, Dir: topology.Pos, Hops: 2, Blocks: 1},
+			}}},
+		}}}},
+	}
+}
+
+// TestCompiledDifferentialRejects: one-port and contention violations
+// are rejected by the oracle and by Compile with the same error (both
+// reuse the schedule package's error types and check order), and
+// SkipChecks lets the same structural schedules through on both.
+func TestCompiledDifferentialRejects(t *testing.T) {
+	for _, tc := range structuralRejects() {
+		t.Run(tc.name, func(t *testing.T) {
+			_, refErr := oracleRun(tc.sc, nil, false)
+			_, cErr := exec.Compile(tc.sc, exec.Options{})
+			if refErr == nil || cErr == nil {
+				t.Fatalf("accepted: oracle=%v compiled=%v", refErr, cErr)
+			}
+			if refErr.Error() != cErr.Error() {
+				t.Errorf("error mismatch:\noracle:   %v\ncompiled: %v", refErr, cErr)
+			}
+			if _, err := oracleRun(tc.sc, nil, true); err != nil {
+				t.Errorf("SkipChecks oracle: %v", err)
+			}
+			if _, err := exec.Compile(tc.sc, exec.Options{SkipChecks: true}); err != nil {
+				t.Errorf("SkipChecks compile: %v", err)
+			}
+		})
+	}
+}
+
+// TestDifferentialRejectsSameSchedules: replay-level violations — a
+// payload that contradicts its declared block count, a transmitted
+// block the sender does not hold, malformed or undelivered traffic —
+// are rejected by both the oracle and Compile, with the same message
+// wherever both run the same check.
+func TestDifferentialRejectsSameSchedules(t *testing.T) {
+	tor := topology.MustNew(4, 4)
+	dst := tor.MoveID(0, 0, 1)
+	hop := func(declared int, pay ...block.Block) *schedule.Schedule {
+		return &schedule.Schedule{Fabric: tor, Phases: []schedule.Phase{{
+			Name: "hop",
+			Steps: []schedule.Step{{Transfers: []schedule.Transfer{{
+				Src: 0, Dst: dst, Dim: 0, Dir: topology.Pos, Hops: 1,
+				Blocks: declared, Payload: pay,
+			}}}},
+		}}}
+	}
+	b0 := block.Block{Origin: 0, Dest: dst}
+	// Node 0 keeps B[0,dst] through a self-transfer while B[dst,0] stays
+	// put: every node holds its share's count, but not its blocks.
+	kept := &schedule.Schedule{Fabric: tor, Phases: []schedule.Phase{{
+		Name: "keep",
+		Steps: []schedule.Step{{Transfers: []schedule.Transfer{{
+			Src: 0, Dst: 0, Dim: 0, Dir: topology.Pos, Blocks: 1, Payload: []block.Block{b0},
+		}}}},
+	}}}
+	for _, tc := range []struct {
+		name     string
+		sc       *schedule.Schedule
+		traffic  []block.Block
+		sameText bool
+	}{
+		{"blocks-mismatch", hop(2, b0), []block.Block{b0}, true},
+		{"not-held", hop(1, block.Block{Origin: 3, Dest: dst}), []block.Block{b0}, true},
+		{"undelivered", hop(1, b0), []block.Block{b0, {Origin: 0, Dest: tor.MoveID(0, 0, 2)}}, false},
+		{"misdelivered", kept, []block.Block{b0, {Origin: dst, Dest: 0}}, false},
+		{"out-of-range", hop(1, b0), []block.Block{{Origin: 99, Dest: 0}}, true},
+		{"duplicate", hop(1, b0), []block.Block{b0, b0}, true},
+	} {
+		_, refErr := oracleRun(tc.sc, tc.traffic, false)
+		_, cErr := exec.Compile(tc.sc, exec.Options{Traffic: tc.traffic})
+		if refErr == nil || cErr == nil {
+			t.Fatalf("%s accepted: oracle=%v compiled=%v", tc.name, refErr, cErr)
+		}
+		if tc.sameText && refErr.Error() != cErr.Error() {
+			t.Errorf("%s error mismatch:\noracle:   %v\ncompiled: %v", tc.name, refErr, cErr)
+		}
+	}
+}
+
+// rhoRingSchedule hand-builds the schedule shape the registry's
+// builders only annotate: an explicit ρ phase of multi-block
+// self-transfers (every node reverses its buffer — a pure intra-node
+// permutation, one negative-stride descriptor) followed by a ring
+// exchange that forwards the permuted blocks to their destinations.
+func rhoRingSchedule(t *testing.T) *schedule.Schedule {
+	t.Helper()
+	tor := topology.MustNew(8)
+	n := tor.Nodes()
+	bufs := block.Initial(tor)
+	sc := &schedule.Schedule{Fabric: tor}
+
+	rho := schedule.Phase{Name: "rho"}
+	st := schedule.Step{}
+	for i := 0; i < n; i++ {
+		taken, _ := bufs[i].TakeIf(func(block.Block) bool { return true })
+		rev := make([]block.Block, len(taken))
+		for j, b := range taken {
+			rev[len(taken)-1-j] = b
+		}
+		bufs[i].Add(rev...)
+		st.Transfers = append(st.Transfers, schedule.Transfer{
+			Src: topology.NodeID(i), Dst: topology.NodeID(i),
+			Dim: 0, Dir: topology.Pos, Hops: 0,
+			Blocks: len(rev), Payload: rev,
+		})
+	}
+	rho.Steps = append(rho.Steps, st)
+	sc.Phases = append(sc.Phases, rho)
+
+	ring := schedule.Phase{Name: "ring"}
+	for k := 0; k < n-1; k++ {
+		st := schedule.Step{}
+		moved := make([][]block.Block, n)
+		for i := 0; i < n; i++ {
+			taken, _ := bufs[i].TakeIf(func(b block.Block) bool { return int(b.Dest) != i })
+			if len(taken) == 0 {
+				continue
+			}
+			dst := topology.NodeID((i + 1) % n)
+			moved[dst] = taken
+			st.Transfers = append(st.Transfers, schedule.Transfer{
+				Src: topology.NodeID(i), Dst: dst,
+				Dim: 0, Dir: topology.Pos, Hops: 1,
+				Blocks: len(taken), Payload: taken,
+			})
+		}
+		for j, bs := range moved {
+			if bs != nil {
+				bufs[j].Add(bs...)
+			}
+		}
+		if len(st.Transfers) > 0 {
+			ring.Steps = append(ring.Steps, st)
+		}
+	}
+	sc.Phases = append(sc.Phases, ring)
+	if err := sc.Check(); err != nil {
+		t.Fatalf("rho-ring schedule invalid: %v", err)
+	}
+	return sc
 }

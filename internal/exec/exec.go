@@ -7,8 +7,7 @@
 //     declared Shared, wormhole contention-freedom (link-disjointness,
 //     expanding every transfer's route hop by hop);
 //   - replays the block movement of payload-annotated schedules and
-//     verifies delivery against the declared traffic matrix via
-//     internal/verify;
+//     verifies delivery against the declared traffic matrix;
 //   - derives a costmodel.Measure uniformly: startups from the step
 //     count, transmission from the per-step maximum message size
 //     multiplied by the step's link-sharing serialization factor
@@ -23,14 +22,11 @@
 package exec
 
 import (
-	"fmt"
-
 	"torusx/internal/block"
 	"torusx/internal/costmodel"
 	"torusx/internal/obs"
 	"torusx/internal/schedule"
 	"torusx/internal/telemetry"
-	"torusx/internal/verify"
 )
 
 // Options configures a run.
@@ -43,13 +39,14 @@ type Options struct {
 	// SkipChecks disables the per-step one-port and contention
 	// validation (for schedules already checked by their builder).
 	SkipChecks bool
-	// Serial forces the reference single-goroutine path. The default
-	// (false) fans structural checks out across steps and payload
-	// replay across senders/receivers on a par.Workers()-wide pool; the
-	// two paths are differentially tested to produce bit-identical
-	// Measure counters and delivery matrices.
+	// Serial replays a compiled program's transfers in schedule order on
+	// the calling goroutine. The default (false) shards each step's
+	// gathers by sender over a par.Workers()-wide pool, one barrier per
+	// step; it rejects schedules that forward a block within the step
+	// that delivered it. Both modes are differentially tested to deliver
+	// identical matrices. Replay only: Compile ignores it.
 	Serial bool
-	// Workers overrides the fan-out width of the parallel path
+	// Workers overrides the fan-out width of the parallel replay
 	// (0 = runtime.GOMAXPROCS). Ignored when Serial is set.
 	Workers int
 	// Telemetry receives the run's span events, counters and per-link
@@ -63,12 +60,6 @@ type Options struct {
 	// Nil is the disabled state and costs the replay path nothing,
 	// same contract as Telemetry.
 	Request *obs.Request
-	// SpanReplay forces a compiled program's span-coalesced replay path
-	// even when the program carries a descriptor plan. The differential
-	// suite uses it to compare the two modes; it is also the implicit
-	// (and only) path for programs decoded from v1 files, which carry no
-	// plan. Ignored by the uncompiled executor and by Compile.
-	SpanReplay bool
 }
 
 // Result is the outcome of executing a schedule.
@@ -85,171 +76,19 @@ type Result struct {
 	// MaxSharing is the largest link-sharing serialization factor of
 	// any step (1 for fully contention-free schedules).
 	MaxSharing int
-	// BytesMoved is the bytes the replay physically copied through the
-	// arena on the mode that ran — descriptor (gathers only) or span
-	// (extraction copies, compaction shifts, insert appends). Zero for
-	// uncompiled and structural-only runs, which don't measure it.
+	// BytesMoved is the bytes the replay's gathers physically copied
+	// (Program.BytesMoved). Zero for structural-only runs.
 	BytesMoved int64
 }
 
-// Run executes sc: validates every step, replays block movement when
-// the schedule carries payloads, verifies delivery, and derives the
-// cost measure. It is the one execution path behind torusx.Compare and
-// the -alg modes of the command-line tools. By default the structural
-// checks fan out across steps and the payload replay across
-// senders/receivers (see runParallel); Options.Serial selects the
-// single-goroutine reference path. Both paths produce bit-identical
-// results on valid schedules.
+// Run executes sc once: Compile followed by a replay on a one-shot
+// arena, for one-shot callers such as the baselines' closed-form checks
+// and the collectives; replay-many callers compile once (usually
+// through the program cache) and reuse arenas instead.
 func Run(sc *schedule.Schedule, opt Options) (*Result, error) {
-	if sc == nil || sc.Fabric == nil {
-		return nil, fmt.Errorf("exec: nil schedule")
+	pg, err := Compile(sc, opt)
+	if err != nil {
+		return nil, err
 	}
-	if opt.Serial {
-		return runSerial(sc, opt)
-	}
-	return runParallel(sc, opt)
-}
-
-// runSerial is the reference implementation: one goroutine, steps
-// walked strictly in order. The parallel path is differentially tested
-// against it.
-func runSerial(sc *schedule.Schedule, opt Options) (*Result, error) {
-	f := sc.Fabric
-	res := &Result{Schedule: sc, MaxSharing: 1}
-	// Replay whenever any transfer carries payload: a partially
-	// annotated schedule is a builder bug, and the per-transfer
-	// payload/Blocks check below reports it rather than silently
-	// degrading to a structural run.
-	replay := false
-	sc.EachStep(func(_ *schedule.Phase, _ int, s *schedule.Step) {
-		for i := range s.Transfers {
-			if len(s.Transfers[i].Payload) > 0 {
-				replay = true
-			}
-		}
-	})
-
-	// The buffers are the single source of truth for which node holds
-	// which block: membership is tested against the buffers themselves
-	// (TakeIf extraction counts), not a shadow index. The old held-map
-	// bookkeeping duplicated every insert and delete only to answer
-	// questions the buffers already answer — and could only ever drift
-	// from them through a bug of its own.
-	var bufs []*block.Buffer
-	if replay {
-		traffic := opt.Traffic
-		if traffic == nil {
-			traffic = fullTrafficCached(f)
-		}
-		n := f.Nodes()
-		perOrigin := make([]int, n)
-		seen := make(map[block.Block]bool, len(traffic))
-		for _, b := range traffic {
-			if int(b.Origin) < 0 || int(b.Origin) >= n || int(b.Dest) < 0 || int(b.Dest) >= n {
-				return nil, fmt.Errorf("exec: traffic block %v out of range", b)
-			}
-			if seen[b] {
-				return nil, fmt.Errorf("exec: duplicate traffic block %v", b)
-			}
-			seen[b] = true
-			perOrigin[b.Origin]++
-		}
-		bufs = make([]*block.Buffer, n)
-		for i := range bufs {
-			bufs[i] = block.NewBuffer(perOrigin[i])
-		}
-		for _, b := range traffic {
-			bufs[b.Origin].Add(b)
-		}
-		// Keep the declared matrix for the final verification.
-		opt.Traffic = traffic
-	}
-
-	var firstErr error
-	sc.EachStep(func(p *schedule.Phase, si int, s *schedule.Step) {
-		if firstErr != nil {
-			return
-		}
-		// (1) Validity: one-port always; link-disjointness unless the
-		// step declares link time-sharing.
-		if !opt.SkipChecks {
-			var err error
-			if s.Shared {
-				err = schedule.CheckStepOnePort(p.Name, si, s)
-			} else {
-				err = schedule.CheckStep(f, p.Name, si, s)
-			}
-			if err != nil {
-				firstErr = err
-				return
-			}
-		}
-		// (2) Cost: a step lasts as long as its largest message,
-		// serialized by the worst per-link sharing when links are
-		// time-shared.
-		sharing := 1
-		if s.Shared {
-			sharing = s.SharingFactor(f)
-			if sharing > res.MaxSharing {
-				res.MaxSharing = sharing
-			}
-		}
-		res.Measure.Steps++
-		res.Measure.Blocks += s.MaxBlocks() * sharing
-		res.Measure.Hops += s.MaxHops()
-		// (3) Replay: move each transfer's payload from its source
-		// buffer to its destination buffer, insisting the sender
-		// actually holds every block it claims to transmit.
-		if !replay {
-			return
-		}
-		for _, tr := range s.Transfers {
-			if len(tr.Payload) != tr.Blocks {
-				firstErr = fmt.Errorf("exec: phase %q step %d transfer %v carries %d payload blocks, declares %d",
-					p.Name, si, tr, len(tr.Payload), tr.Blocks)
-				return
-			}
-			src, dst := tr.Src, tr.Dst
-			want := make(map[block.Block]int, len(tr.Payload))
-			for _, b := range tr.Payload {
-				want[b]++
-			}
-			moved, _ := bufs[src].TakeIf(func(b block.Block) bool { return want[b] > 0 })
-			if len(moved) != len(tr.Payload) {
-				// The extraction came up short, so some payload block was
-				// not in the source buffer; name the first one in payload
-				// order. (A duplicated payload entry lands here too: the
-				// buffer holds each block at most once.)
-				for _, b := range moved {
-					want[b]--
-				}
-				for _, b := range tr.Payload {
-					if want[b] > 0 {
-						firstErr = fmt.Errorf("exec: phase %q step %d: node %d transmits %v it does not hold",
-							p.Name, si, src, b)
-						return
-					}
-				}
-				firstErr = fmt.Errorf("exec: phase %q step %d: node %d extracted %d blocks, want %d",
-					p.Name, si, src, len(moved), len(tr.Payload))
-				return
-			}
-			bufs[dst].Add(moved...)
-		}
-	})
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	res.Measure.RearrangedBlocks = sc.RearrangedBlocks()
-	if replay {
-		if err := verify.DeliveredMatrix(f, bufs, opt.Traffic); err != nil {
-			return nil, err
-		}
-		res.Replayed = true
-		res.Buffers = bufs
-	}
-	if opt.Telemetry.Enabled() {
-		emitRun(opt.Telemetry, sc, res, nil, nil)
-	}
-	return res, nil
+	return pg.Run(opt)
 }

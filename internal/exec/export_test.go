@@ -7,12 +7,10 @@ import "fmt"
 // hook for the external registry sweeps (the algorithm registry cannot
 // be imported from package exec's own tests without a cycle). Checked:
 // every replayable program carries a plan; each step's tBase indexes
-// the flat dtransfer table contiguously; an executed transfer's
+// the flat dtransfer table contiguously; a payload transfer's
 // descriptor window expands to exactly payLen in-bounds log positions
-// and its insert/delivery windows stay in range; an elided or empty
-// transfer carries no window at all; the span backing agrees on every
-// payload size; and the per-phase rewrite/copy ledger accounts for
-// every payload transfer.
+// and its insert/delivery windows stay in range; an empty transfer
+// carries no window at all; and BytesMoved is the executed payload.
 func CheckDescriptorPlan(p *Program) error {
 	if !p.replay {
 		return nil
@@ -21,7 +19,7 @@ func CheckDescriptorPlan(p *Program) error {
 		return fmt.Errorf("replayable program without a descriptor plan")
 	}
 	logSize := int(p.descBase[p.n])
-	var rewrites, copies int
+	var bytes int64
 	g := 0
 	for si := range p.steps {
 		ps := &p.steps[si]
@@ -37,14 +35,6 @@ func CheckDescriptorPlan(p *Program) error {
 				}
 				continue
 			}
-			if dt.insPos < 0 {
-				rewrites++
-				if dt.descLen != 0 || dt.finalPos >= 0 {
-					return fmt.Errorf("elided transfer %d inconsistent %+v", g-1, *dt)
-				}
-				continue
-			}
-			copies++
 			pos := expandDescs(p.descBacking[dt.descOff : dt.descOff+dt.descLen])
 			if len(pos) != int(pt.payLen) {
 				return fmt.Errorf("transfer %d descriptors expand to %d positions, payLen %d", g-1, len(pos), pt.payLen)
@@ -54,30 +44,17 @@ func CheckDescriptorPlan(p *Program) error {
 					return fmt.Errorf("transfer %d reads log position %d outside [0,%d)", g-1, q, logSize)
 				}
 			}
-			if int(dt.insPos)+int(pt.payLen) > logSize {
+			if dt.insPos < 0 || int(dt.insPos)+int(pt.payLen) > logSize {
 				return fmt.Errorf("transfer %d insert window escapes the log", g-1)
 			}
 			if dt.finalPos >= 0 && int(dt.finalPos)+int(pt.payLen) > p.DeliverySize() {
 				return fmt.Errorf("transfer %d delivery window escapes", g-1)
 			}
-			// The span backing must agree on the payload size — the two
-			// encodings describe the same transfer.
-			spanLen := 0
-			for _, s := range p.spansOf(pt) {
-				spanLen += int(s.end - s.start)
-			}
-			if spanLen != int(pt.payLen) {
-				return fmt.Errorf("transfer %d spans cover %d, payLen %d", g-1, spanLen, pt.payLen)
-			}
+			bytes += int64(pt.payLen) * 4
 		}
 	}
-	var rw, cp int
-	for pi := range p.phaseRewrites {
-		rw += int(p.phaseRewrites[pi])
-		cp += int(p.phaseCopies[pi])
-	}
-	if rw != rewrites || cp != copies {
-		return fmt.Errorf("phase ledger %d/%d, observed %d/%d rewrites/copies", rw, cp, rewrites, copies)
+	if bytes != p.BytesMoved() {
+		return fmt.Errorf("BytesMoved %d, executed payload %d bytes", p.BytesMoved(), bytes)
 	}
 	return nil
 }

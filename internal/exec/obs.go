@@ -19,60 +19,23 @@ import (
 // pooled.
 var arenaAcquires, arenaReleases atomic.Int64
 
-// Replay-mode counters, bumped once per successful compiled replay
+// Replay counters, bumped once per successful compiled replay
 // (noteReplay — plain atomic adds, so the guarded replay paths stay
-// allocation-free): which mode ran, the bytes it physically moved, and
-// the descriptor plan's rewrite/copy decisions it executed under.
+// allocation-free): replays run and the bytes their gathers moved.
 var (
 	replayDescRuns   atomic.Int64
-	replaySpanRuns   atomic.Int64
 	replayBytesMoved atomic.Int64
-	replayRewrites   atomic.Int64
-	replayCopies     atomic.Int64
 )
 
-// compileDescPrograms / compileSpanDense / compileSpanRebased count
-// compiled programs by replay-table shape (noteCompile): descriptor
-// plans built, and whether the span backing stayed payload-dense or
-// was rebase-compacted — the footer reporting distinguishes the two.
-var (
-	compileDescPrograms atomic.Int64
-	compileSpanDense    atomic.Int64
-	compileSpanRebased  atomic.Int64
-)
+// compileDescPrograms counts compiled replayable programs, each
+// carrying a descriptor plan.
+var compileDescPrograms atomic.Int64
 
 // noteReplay records one successful compiled replay on the process
 // counters.
-func noteReplay(p *Program, desc bool) {
-	if desc {
-		replayDescRuns.Add(1)
-		replayBytesMoved.Add(p.descBytes)
-		var rw, cp int64
-		for _, c := range p.phaseRewrites {
-			rw += int64(c)
-		}
-		for _, c := range p.phaseCopies {
-			cp += int64(c)
-		}
-		replayRewrites.Add(rw)
-		replayCopies.Add(cp)
-		return
-	}
-	replaySpanRuns.Add(1)
-	replayBytesMoved.Add(p.spanBytes)
-}
-
-// noteCompile records one compiled (or decoded) replayable program's
-// table shape on the process counters.
-func noteCompile(p *Program) {
-	if p.descBase != nil {
-		compileDescPrograms.Add(1)
-	}
-	if p.spansDense {
-		compileSpanDense.Add(1)
-	} else {
-		compileSpanRebased.Add(1)
-	}
+func noteReplay(p *Program) {
+	replayDescRuns.Add(1)
+	replayBytesMoved.Add(p.descBytes)
 }
 
 func init() {
@@ -80,13 +43,8 @@ func init() {
 	reg.CounterFunc("exec.arena.acquires", arenaAcquires.Load)
 	reg.CounterFunc("exec.arena.releases", arenaReleases.Load)
 	reg.CounterFunc("exec.replay.desc_runs", replayDescRuns.Load)
-	reg.CounterFunc("exec.replay.span_runs", replaySpanRuns.Load)
 	reg.CounterFunc("exec.replay.bytes_moved", replayBytesMoved.Load)
-	reg.CounterFunc("exec.replay.rewrites", replayRewrites.Load)
-	reg.CounterFunc("exec.replay.copies", replayCopies.Load)
 	reg.CounterFunc("exec.compile.desc_programs", compileDescPrograms.Load)
-	reg.CounterFunc("exec.compile.spans_dense", compileSpanDense.Load)
-	reg.CounterFunc("exec.compile.spans_rebased", compileSpanRebased.Load)
 	reg.CounterFunc("exec.fulltraffic.hits", func() int64 { return FullTrafficCacheStats().Hits })
 	reg.CounterFunc("exec.fulltraffic.misses", func() int64 { return FullTrafficCacheStats().Misses })
 	reg.CounterFunc("exec.fulltraffic.evictions", func() int64 { return FullTrafficCacheStats().Evictions })

@@ -16,25 +16,13 @@ import (
 // executor: Compile validates a schedule exactly once and lowers it to
 // a Program — dense integer ids for every traffic block (origin*n +
 // dest), every transfer's multi-leg route pre-expanded to flat link-id
-// slices, per-step cost terms and sharing factors precomputed, and a
-// per-node buffer-capacity bound extracted from a reference replay —
-// so that replaying the same schedule again costs no re-validation, no
-// route walking, no hashing and (with a reused Arena) no allocation.
-// Run-once callers get the same behaviour as the uncompiled paths;
-// replay-many callers (benchmark sweeps, bandwidth-model parameter
-// scans) stop paying the compile cost per run.
-//
-// Replay is span-coalesced: the compiled executor's replay is fully
-// deterministic, so the reference replay inside Compile knows the exact
-// positions every transfer's payload occupies in its source buffer at
-// extraction time. Those positions are coalesced into [start,end) spans
-// once, at compile time, and a replay is then pure bulk copies — no
-// mark tables, no per-index membership loops. The structural checks of
-// independent steps fan out over internal/par, so first-touch (compile)
-// latency on large tori drops with core count.
-
-// idxSpan is a [start,end) run of positions in a source buffer.
-type idxSpan struct{ start, end int32 }
+// slices, per-step cost terms and sharing factors precomputed, and the
+// descriptor replay plan derived from a compile-time reference replay
+// (descriptor.go) — so that replaying the same schedule again costs no
+// re-validation, no route walking, no hashing and (with a reused Arena)
+// no allocation. The structural checks of independent steps fan out
+// over internal/par, so first-touch (compile) latency on large tori
+// drops with core count.
 
 // ptransfer is one transfer lowered to dense ids. It is deliberately
 // pointer-free — all variable-length data lives in the Program's flat
@@ -47,22 +35,13 @@ type ptransfer struct {
 	// payOff/payLen window into Program.payloadBacking: the transfer's
 	// blocks as dense ids (origin*n+dest), in schedule payload order;
 	// empty for structural transfers. Replay itself only needs payLen
-	// and the spans; the ids are kept for telemetry and debugging.
+	// and the descriptor plan; the ids are kept for telemetry and
+	// re-encoding.
 	payOff, payLen int32
 	// linkOff/linkLen window into Program.linkBacking: the transfer's
 	// full dimension-ordered route expanded to dense link ids, in path
 	// order.
 	linkOff, linkLen int32
-	// spanOff/spanLen window into Program.spanBacking: the coalesced
-	// [start,end) positions this transfer's payload occupies in the
-	// source buffer at extraction time, computed by the compile-time
-	// reference replay. Extraction is a bulk copy of each span into the
-	// flat scratch followed by one compaction pass.
-	spanOff, spanLen int32
-	// moveOff is this transfer's offset into the arena's step-flat
-	// extraction scratch: the replay writes the (exactly payLen)
-	// extracted ids there, so parallel workers never share a cursor.
-	moveOff int32
 }
 
 // pstep is one step lowered to precomputed form.
@@ -83,7 +62,7 @@ type pstep struct {
 }
 
 // Program is a compiled schedule: the validated, densely indexed form
-// both executor paths replay. A Program is immutable after Compile and
+// the executor replays. A Program is immutable after Compile and
 // safe for concurrent use; per-run mutable state lives in an Arena.
 type Program struct {
 	sc  *schedule.Schedule
@@ -106,30 +85,16 @@ type Program struct {
 	// Replay-only fields.
 	trafficIDs []int32 // declared traffic as dense ids, in matrix order
 	perDest    []int32 // blocks each node must finally hold
-	// capacity bounds each node's peak buffer occupancy during replay
-	// (measured on the compile-time reference replay; the serial
-	// interleaved order dominates the parallel two-barrier order), so
-	// arena buffers and result Buffers preallocate once and Add never
-	// grows a backing slice mid-replay.
-	capacity []int32
-	// maxStepPayload is the largest per-step payload total: the size of
-	// the arena's flat extraction scratch.
-	maxStepPayload int
 
 	// Flat backings every ptransfer's [off, off+len) windows point
-	// into. Three arrays instead of three slices per transfer: the
-	// lowered form carries no pointers for the collector to chase and
+	// into. Two arrays instead of two slices per transfer: the lowered
+	// form carries no pointers for the collector to chase and
 	// round-trips through the binary codec as bulk copies.
 	payloadBacking []int32
 	linkBacking    []int32
-	spanBacking    []idxSpan
-	// spansDense records that no transfer coalesced, so the span
-	// backing is payload-parallel: every transfer's span window sits at
-	// its payload offset (spanOff/spanLen were never rebased).
-	spansDense bool
 	// parallelErr, when non-nil, records that the schedule forwards a
 	// block within the step that delivered it (serial semantics accept
-	// this; the two-barrier parallel replay cannot execute it). The
+	// this; the one-barrier parallel replay cannot execute it). The
 	// parallel replay path returns it verbatim.
 	parallelErr error
 
@@ -138,18 +103,14 @@ type Program struct {
 	// omits the id table and the decoder rebuilds it arithmetically.
 	fullTraffic bool
 
-	// Descriptor-mode replay plan (see descriptor.go). descBase nil
-	// means the program carries no plan — measure-only programs and
-	// programs decoded from v1 files — and replays through spans only.
-	// The span tables stay fully populated either way: the two modes are
-	// differentially interchangeable and Options.SpanReplay forces the
-	// span path at run time.
+	// Descriptor replay plan (see descriptor.go); all nil on
+	// measure-only programs.
 	dtransfers  []dtransfer
 	descBacking []xdesc
 	descBase    []int32 // per-node log regions, n+1 prefix
 	// tailFull expands each node's complete final deliveries from the
-	// log (checkDelivery/materialize in descriptor mode); tailResid only
-	// the deliveries no last-hop transfer gathers directly (ReplayInto's
+	// log (checkDeliveryDesc/materializeDesc); tailResid only the
+	// deliveries no last-hop transfer gathers directly (ReplayInto's
 	// cleanup). Both index descBacking; per-node windows via the n+1
 	// offset prefixes.
 	tailFull     []tailSeg
@@ -160,17 +121,11 @@ type Program struct {
 	// [finalBase[v], finalBase[v+1]) of a ReplayInto destination.
 	// Derived from perDest at compile and decode, never serialized.
 	finalBase []int32
-	// descBytes/spanBytes: bytes one replay physically copies in each
-	// mode (measured at compile; descriptor elision is what drops
-	// descBytes below spanBytes). phaseRewrites/phaseCopies: per-phase ρ
-	// decision ledger — transfers elided to a descriptor rewrite vs.
-	// executed as bulk copies. rewriteOnly: every executed payload
+	// descBytes: bytes one replay's gathers physically copy, derived
+	// from the plan at compile and decode. lastHopOnly: every payload
 	// transfer is last-hop, so ReplayInto never writes arena scratch.
-	descBytes     int64
-	spanBytes     int64
-	phaseRewrites []int32
-	phaseCopies   []int32
-	rewriteOnly   bool
+	descBytes   int64
+	lastHopOnly bool
 
 	// Decoded-program state: cold holds the unparsed cold section of
 	// the program file (phase names, block counts, routes, payload
@@ -224,8 +179,8 @@ func (p *Program) Measure() costmodel.Measure { return p.measure }
 func (p *Program) MaxSharing() int { return p.maxSharing }
 
 // SizeBytes estimates the heap bytes owned by the compiled form — the
-// lowered steps with their dense payload, link and span slices plus the
-// replay tables — excluding the source schedule the program references.
+// lowered steps with their dense payload and link slices plus the
+// replay plan — excluding the source schedule the program references.
 // Program caches use it as the eviction weight.
 func (p *Program) SizeBytes() int64 {
 	size := int64(unsafe.Sizeof(*p))
@@ -234,95 +189,44 @@ func (p *Program) SizeBytes() int64 {
 		size += int64(len(p.steps[si].transfers)) * int64(unsafe.Sizeof(ptransfer{}))
 	}
 	size += int64(len(p.payloadBacking))*4 + int64(len(p.linkBacking))*4
-	size += int64(len(p.spanBacking)) * int64(unsafe.Sizeof(idxSpan{}))
-	size += int64(len(p.trafficIDs))*4 + int64(len(p.perDest))*4 + int64(len(p.capacity))*4
+	size += int64(len(p.trafficIDs))*4 + int64(len(p.perDest))*4
 	size += int64(len(p.dtransfers)) * int64(unsafe.Sizeof(dtransfer{}))
 	size += int64(len(p.descBacking)) * int64(unsafe.Sizeof(xdesc{}))
 	size += int64(len(p.tailFull)+len(p.tailResid)) * int64(unsafe.Sizeof(tailSeg{}))
 	size += int64(len(p.descBase)+len(p.tailFullOff)+len(p.tailResidOff)+len(p.finalBase)) * 4
-	size += int64(len(p.phaseRewrites)+len(p.phaseCopies)) * 4
 	return size
 }
 
-// BytesMoved returns the bytes one replay of the program physically
-// copies on its active replay mode: the descriptor path when the
-// program carries a plan, the span path otherwise. Measured on the
-// compile-time reference replay; every RunArena reports the same value
-// in Result.BytesMoved and the exec.bytes_moved telemetry counter.
-func (p *Program) BytesMoved() int64 {
-	if p.descBase != nil {
-		return p.descBytes
-	}
-	return p.spanBytes
-}
+// BytesMoved returns the bytes one replay's gathers physically copy.
+// Derived from the plan; every RunArena reports the same value in
+// Result.BytesMoved and the exec.bytes_moved telemetry counter.
+func (p *Program) BytesMoved() int64 { return p.descBytes }
 
-// SpanBytesMoved returns the bytes one span-mode replay physically
-// copies (extraction copies, compaction shifts and insert appends) —
-// the baseline the descriptor plan's BytesMoved is measured against.
-func (p *Program) SpanBytesMoved() int64 { return p.spanBytes }
-
-// RewriteRatio returns the fraction of the program's payload transfers
-// the descriptor planner elided to a pure descriptor rewrite (0 when
-// the program carries no plan or no payload transfers).
-func (p *Program) RewriteRatio() float64 {
-	var rw, cp int64
-	for _, c := range p.phaseRewrites {
-		rw += int64(c)
-	}
-	for _, c := range p.phaseCopies {
-		cp += int64(c)
-	}
-	if rw+cp == 0 {
-		return 0
-	}
-	return float64(rw) / float64(rw+cp)
-}
-
-// ReplayStats summarizes the compiled replay tables for reporting
-// (aapebench's registry footer, debugging).
+// ReplayStats summarizes the compiled replay plan for reporting
+// (aapebench's registry smoke, debugging).
 type ReplayStats struct {
 	Replayable  bool
-	Descriptors bool // the program carries a descriptor plan
-	SpansDense  bool // span backing is payload-parallel (no coalescing)
-	Spans       int  // span count (== payload blocks when dense)
 	DescCount   int  // strided descriptors across transfers and tails
-	Rewrites    int  // payload transfers elided to descriptor rewrites
-	Copies      int  // payload transfers executed as bulk copies
-	RewriteOnly bool // every executed transfer delivers directly
-	BytesMoved  int64
-	SpanBytes   int64
+	LastHopOnly bool // every payload transfer delivers directly
 }
 
-// Stats reports the program's replay-table shape and the descriptor
-// planner's decisions.
+// Stats reports the shape of the program's replay plan.
 func (p *Program) Stats() ReplayStats {
-	st := ReplayStats{
+	return ReplayStats{
 		Replayable:  p.replay,
-		Descriptors: p.descBase != nil,
-		SpansDense:  p.spansDense,
-		Spans:       len(p.spanBacking),
 		DescCount:   len(p.descBacking),
-		RewriteOnly: p.descBase != nil && p.rewriteOnly,
-		BytesMoved:  p.BytesMoved(),
-		SpanBytes:   p.spanBytes,
+		LastHopOnly: p.replay && p.lastHopOnly,
 	}
-	for _, c := range p.phaseRewrites {
-		st.Rewrites += int(c)
-	}
-	for _, c := range p.phaseCopies {
-		st.Copies += int(c)
-	}
-	return st
 }
 
 // DeliverySize returns the element count of the flat delivery layout —
 // the required length of a ReplayInto destination: every node's final
 // blocks, nodes in id order.
 func (p *Program) DeliverySize() int {
-	if p.finalBase != nil {
-		return int(p.finalBase[p.n])
+	if p.finalBase == nil {
+		return 0
 	}
-	return len(p.trafficIDs)
+	return int(p.finalBase[p.n])
 }
 
 // DeliveryOffset returns node v's offset within the flat delivery
@@ -330,17 +234,13 @@ func (p *Program) DeliverySize() int {
 // dst[DeliveryOffset(v):DeliveryOffset(v+1)], in arrival order —
 // element-for-element the ids of Result.Buffers[v] from a RunArena.
 func (p *Program) DeliveryOffset(v int) int {
-	if p.finalBase != nil {
-		return int(p.finalBase[v])
+	if p.finalBase == nil {
+		return 0
 	}
-	off := 0
-	for i := 0; i < v; i++ {
-		off += int(p.perDest[i])
-	}
-	return off
+	return int(p.finalBase[v])
 }
 
-// payloadOf, linksOf and spansOf resolve a transfer's backing windows.
+// payloadOf and linksOf resolve a transfer's backing windows.
 func (p *Program) payloadOf(pt *ptransfer) []int32 {
 	return p.payloadBacking[pt.payOff : pt.payOff+pt.payLen]
 }
@@ -349,21 +249,15 @@ func (p *Program) linksOf(pt *ptransfer) []int32 {
 	return p.linkBacking[pt.linkOff : pt.linkOff+pt.linkLen]
 }
 
-func (p *Program) spansOf(pt *ptransfer) []idxSpan {
-	if p.spansDense {
-		return p.spanBacking[pt.payOff : pt.payOff+pt.payLen]
-	}
-	return p.spanBacking[pt.spanOff : pt.spanOff+pt.spanLen]
-}
-
 // Compile validates sc once — one-port and contention checks (honoring
 // opt.SkipChecks), payload/Blocks coherence, the full sender-holds
 // replay chain and final delivery against the declared traffic matrix
 // (opt.Traffic, nil meaning all-to-all) — and lowers it to a Program.
-// A schedule the uncompiled executor would reject fails here, at
-// compile time; a compiled program's runs cannot fail on a schedule
-// left unmodified. Options.Serial, Workers and Telemetry are run-time
-// choices and are ignored by Compile.
+// A rejected schedule fails here, at compile time; a compiled
+// program's runs cannot fail on a schedule left unmodified, except that
+// the parallel replay refuses intra-step forwarding. Options.Serial,
+// Workers and Telemetry are run-time choices and are ignored by
+// Compile.
 func Compile(sc *schedule.Schedule, opt Options) (*Program, error) {
 	if sc == nil || sc.Fabric == nil {
 		return nil, fmt.Errorf("exec: nil schedule")
@@ -434,9 +328,6 @@ func Compile(sc *schedule.Schedule, opt Options) (*Program, error) {
 						markDimDir(seg.Dim, seg.Dir)
 					}
 				}
-			}
-			if sp := numPayload - int(stepPBase[k]); sp > p.maxStepPayload {
-				p.maxStepPayload = sp
 			}
 			k++
 		}
@@ -524,14 +415,11 @@ func Compile(sc *schedule.Schedule, opt Options) (*Program, error) {
 			}
 			tBase := int(stepTBase[si])
 			w := int(stepLBase[si])
-			moveOff := 0
 			sharing := int32(ps.sharing)
 			for i := range s.Transfers {
 				tr := &s.Transfers[i]
 				pt := &transferBacking[tBase+i]
 				pt.src, pt.dst = int32(tr.Src), int32(tr.Dst)
-				pt.moveOff = int32(moveOff)
-				moveOff += len(tr.Payload)
 				linkBase := w
 				var one [1]schedule.Seg
 				segs := tr.Segs
@@ -649,8 +537,7 @@ func Compile(sc *schedule.Schedule, opt Options) (*Program, error) {
 	}
 	p.linkBacking = linkBacking
 
-	// Measure accumulation (serial: order-dependent sums). The flat
-	// extraction-scratch bound came out of the counting pass.
+	// Measure accumulation (serial: order-dependent sums).
 	for si := range p.steps {
 		ps := &p.steps[si]
 		if ps.sharing > p.maxSharing {
@@ -669,7 +556,7 @@ func Compile(sc *schedule.Schedule, opt Options) (*Program, error) {
 		if err := p.compileReplay(opt, payloadBacking, opOff, numTransfers); err != nil {
 			return nil, err
 		}
-		noteCompile(p)
+		compileDescPrograms.Add(1)
 	}
 	return p, nil
 }
@@ -739,84 +626,47 @@ func checkStep(f topology.Fabric, domainTab, links []int32, ps *pstep, skipCheck
 	return nil
 }
 
-// Arena is the reusable per-run scratch of a compiled program: block
-// buffers and the extraction scratch, all preallocated to the
-// program's compile-time bounds so steady-state replays allocate
-// (nearly) nothing. An Arena is not safe for concurrent use; create
-// one per goroutine with NewArena, or borrow one from the program's
-// pool with AcquireArena. Result.Buffers returned by RunArena alias
-// arena memory and are valid until the next RunArena call on the same
-// arena (or its release back to the pool). An arena whose run returned
-// an error must be discarded; ReleaseArena drops such arenas on the
-// floor.
+// Arena is the reusable per-run scratch of a compiled program: the
+// descriptor replay's block log and the delivery buffers, allocated
+// once per arena so steady-state replays allocate (nearly) nothing. An
+// Arena is not safe for concurrent use; create one per goroutine with
+// NewArena, or borrow one from the program's pool with AcquireArena.
+// Result.Buffers returned by RunArena alias arena memory and are valid
+// until the next RunArena call on the same arena (or its release back
+// to the pool). An arena whose run returned an error must be
+// discarded; ReleaseArena drops such arenas on the floor.
 type Arena struct {
 	prog *Program
 
-	bufs [][]int32 // per-node block-id arrays, capacity-bounded (span mode)
-	flat []int32   // per-step extraction scratch, indexed by moveOff (span mode)
-	// log is the descriptor mode's append-only block log: per-node
-	// regions at the program's descBase offsets, each node's initial
-	// blocks written once at allocation and never overwritten (a block's
-	// physical position is fixed at compile time, so repeat replays
-	// rewrite every window with identical values — no per-run reset).
+	// log is the append-only block log: per-node regions at the
+	// program's descBase offsets, each node's initial blocks written
+	// once at allocation and never overwritten (a block's physical
+	// position is fixed at compile time, so repeat replays rewrite every
+	// window with identical values — no per-run reset).
 	log []int32
 	out []*block.Buffer
 	bad bool // a replay errored; the arena must not be pooled
 
-	// Cached replay partitions for the parallel path, keyed by the
+	// Cached sender partitions for the parallel path, keyed by the
 	// worker count they were built for.
 	bucketWorkers int
 	srcBuckets    [][][]int
-	dstBuckets    [][][]int
 }
 
-// NewArena returns a fresh scratch arena for p, sized for the
-// program's default replay mode; the other mode's state is allocated
-// lazily on first use (Options.SpanReplay on a descriptor program, or
-// a v1-decoded program's span-only replay).
+// NewArena returns a fresh scratch arena for p.
 func (p *Program) NewArena() *Arena {
 	a := &Arena{prog: p}
 	if p.replay {
-		if p.descBase != nil {
-			a.ensureDescLog()
-		} else {
-			a.ensureSpanState()
+		a.log = make([]int32, p.descBase[p.n])
+		cur := make([]int32, p.n)
+		copy(cur, p.descBase[:p.n])
+		for _, id := range p.trafficIDs {
+			o := int(id) / p.n
+			a.log[cur[o]] = id
+			cur[o]++
 		}
 	}
 	return a
-}
-
-// ensureSpanState allocates the span replay's buffers and extraction
-// scratch if the arena does not have them yet.
-func (a *Arena) ensureSpanState() {
-	p := a.prog
-	if a.bufs == nil {
-		a.bufs = make([][]int32, p.n)
-		for i := range a.bufs {
-			a.bufs[i] = make([]int32, 0, p.capacity[i])
-		}
-	}
-	if a.flat == nil {
-		a.flat = make([]int32, p.maxStepPayload)
-	}
-}
-
-// ensureDescLog allocates the descriptor replay's block log and writes
-// each node's initial blocks into the head of its region — the one and
-// only time the init slots are written for the arena's lifetime.
-func (a *Arena) ensureDescLog() {
-	p := a.prog
-	if a.log != nil {
-		return
-	}
-	a.log = make([]int32, p.descBase[p.n])
-	cur := make([]int32, p.n)
-	copy(cur, p.descBase[:p.n])
-	for _, id := range p.trafficIDs {
-		o := int(id) / p.n
-		a.log[cur[o]] = id
-		cur[o]++
-	}
 }
 
 // AcquireArena returns an arena for p from its free list, falling back
@@ -852,10 +702,10 @@ func (p *Program) Run(opt Options) (*Result, error) {
 }
 
 // RunArena executes the program using a's scratch. Options.Serial and
-// Options.Workers choose the replay path exactly as in Run;
-// Options.Traffic and Options.SkipChecks were compiled in and are
-// ignored here. The fast path allocates only the Result (plus, on the
-// arena's first run, the reusable delivery buffers).
+// Options.Workers choose the replay path; Options.Traffic and
+// Options.SkipChecks were compiled in and are ignored here. The fast
+// path allocates only the Result (plus, on the arena's first run, the
+// reusable delivery buffers).
 func (p *Program) RunArena(a *Arena, opt Options) (*Result, error) {
 	if a == nil || a.prog != p {
 		return nil, fmt.Errorf("exec: arena does not belong to this program")
@@ -863,29 +713,9 @@ func (p *Program) RunArena(a *Arena, opt Options) (*Result, error) {
 	res := &Result{Schedule: p.sc, Measure: p.measure, MaxSharing: p.maxSharing}
 	if p.replay {
 		sp := opt.Request.Stage("replay")
-		desc := p.descBase != nil && !opt.SpanReplay
-		var err error
-		if desc {
-			a.ensureDescLog()
-			if opt.Serial {
-				a.replayDescSerial()
-			} else {
-				err = a.replayDescParallel(opt.Workers)
-			}
-			if err == nil {
-				err = a.checkDeliveryDesc()
-			}
-		} else {
-			a.ensureSpanState()
-			a.reset()
-			if opt.Serial {
-				a.replaySerial()
-			} else {
-				err = a.replayParallel(opt.Workers)
-			}
-			if err == nil {
-				err = a.checkDelivery()
-			}
+		err := a.replay(opt, nil)
+		if err == nil {
+			err = a.checkDeliveryDesc()
 		}
 		if err != nil {
 			sp.End()
@@ -893,14 +723,9 @@ func (p *Program) RunArena(a *Arena, opt Options) (*Result, error) {
 			return nil, err
 		}
 		res.Replayed = true
-		if desc {
-			res.Buffers = a.materializeDesc()
-			res.BytesMoved = p.descBytes
-		} else {
-			res.Buffers = a.materialize()
-			res.BytesMoved = p.spanBytes
-		}
-		noteReplay(p, desc)
+		res.Buffers = a.materializeDesc()
+		res.BytesMoved = p.descBytes
+		noteReplay(p)
 		sp.End()
 	}
 	if opt.Telemetry.Enabled() {
@@ -912,155 +737,96 @@ func (p *Program) RunArena(a *Arena, opt Options) (*Result, error) {
 			return nil, fmt.Errorf("exec: telemetry on decoded program: %w", p.schedErr)
 		}
 		res.Schedule = sc
-		emitRun(opt.Telemetry, sc, res, nil, p)
+		emitRun(opt.Telemetry, sc, res, p)
 	}
 	return res, nil
 }
 
-// reset restores the arena's buffers to the initial traffic placement.
-func (a *Arena) reset() {
+// replay executes every executed transfer's strided gather from the
+// log: in schedule order on the calling goroutine under Options.Serial,
+// otherwise sharded by sender per step — a transfer's gather reads its
+// source node's region (conflict-free by the sender shard) and writes a
+// compile-time-fixed window no other transfer of the step touches, so
+// one barrier per step suffices. Intra-step forwarders were flagged at
+// compile time and are rejected on the parallel path. A non-nil into
+// receives the last-hop transfers' payloads at their delivery slots
+// instead of the log (ReplayInto). No compaction, no per-run reset —
+// every window's contents are identical run over run.
+func (a *Arena) replay(opt Options, into []int32) error {
 	p := a.prog
-	for i := range a.bufs {
-		a.bufs[i] = a.bufs[i][:0]
-	}
-	for _, id := range p.trafficIDs {
-		o := int(id) / p.n
-		a.bufs[o] = append(a.bufs[o], id)
-	}
-}
-
-// extract moves pt's payload out of the source buffer into the flat
-// scratch at pt.moveOff via the precomputed spans: one bulk copy per
-// span into the scratch, then one compaction pass shifting the
-// surviving runs (and, on the serial path, any blocks appended to the
-// buffer earlier in the step) down over the extracted holes. Buffer
-// order is preserved on both sides, exactly like the former per-index
-// mark walk, at memmove speed.
-func (a *Arena) extract(pt *ptransfer) {
-	buf := a.bufs[int(pt.src)]
-	spans := a.prog.spansOf(pt)
-	w := int(pt.moveOff)
-	for _, sp := range spans {
-		w += copy(a.flat[w:], buf[sp.start:sp.end])
-	}
-	w = int(spans[0].start)
-	for i := range spans {
-		gapStart := int(spans[i].end)
-		gapEnd := len(buf)
-		if i+1 < len(spans) {
-			gapEnd = int(spans[i+1].start)
-		}
-		w += copy(buf[w:], buf[gapStart:gapEnd])
-	}
-	a.bufs[int(pt.src)] = buf[:w]
-}
-
-// replaySerial is the compiled twin of the uncompiled serial reference:
-// transfers strictly in schedule order, each extraction seeing every
-// earlier insertion of the same step. The compile-time reference replay
-// proved the whole chain, so the replay is pure data movement; the
-// rematerialization guard in checkDelivery catches corruption.
-func (a *Arena) replaySerial() {
-	for si := range a.prog.steps {
-		ps := &a.prog.steps[si]
-		for ti := range ps.transfers {
-			pt := &ps.transfers[ti]
-			if pt.payLen == 0 {
-				continue
+	if opt.Serial {
+		for si := range p.steps {
+			ps := &p.steps[si]
+			for ti := range ps.transfers {
+				a.move(ps, ti, into)
 			}
-			a.extract(pt)
-			a.bufs[pt.dst] = append(a.bufs[pt.dst], a.flat[pt.moveOff:pt.moveOff+pt.payLen]...)
 		}
+		return nil
 	}
-}
-
-// replayParallel is the compiled twin of the uncompiled fan-out path:
-// per step, extraction sharded by sender and insertion by receiver
-// (the one-port model makes those partitions conflict-free), with a
-// barrier between them enforcing synchronous-step semantics. Every
-// transfer writes its extraction into its own pre-assigned
-// flat-scratch segment, so workers share no cursor. Schedules that
-// forward a block within the step that delivered it were flagged at
-// compile time and are rejected here, matching the uncompiled parallel
-// path's refusal.
-func (a *Arena) replayParallel(workers int) error {
-	if err := a.prog.parallelErr; err != nil {
+	if err := p.parallelErr; err != nil {
 		return err
 	}
-	a.ensureBuckets(workers)
-	// The two stage closures are hoisted out of the step loop (reading
-	// the current step through ps) so a replay allocates two closures
-	// total, not per step.
+	a.ensureBuckets(opt.Workers)
+	// The stage closure is hoisted out of the step loop (reading the
+	// current step through ps) so a replay allocates one closure total,
+	// not one per step.
 	var ps *pstep
-	extract := func(_, ti int) {
-		pt := &ps.transfers[ti]
-		if pt.payLen > 0 {
-			a.extract(pt)
+	move := func(_, ti int) { a.move(ps, ti, into) }
+	for si := range p.steps {
+		ps = &p.steps[si]
+		if len(ps.transfers) > 0 {
+			par.RunBucketsWorker(a.srcBuckets[si], move)
 		}
-	}
-	insert := func(_, ti int) {
-		pt := &ps.transfers[ti]
-		a.bufs[pt.dst] = append(a.bufs[pt.dst], a.flat[pt.moveOff:pt.moveOff+pt.payLen]...)
-	}
-	for si := range a.prog.steps {
-		ps = &a.prog.steps[si]
-		if len(ps.transfers) == 0 {
-			continue
-		}
-		par.RunBucketsWorker(a.srcBuckets[si], extract)
-		par.RunBucketsWorker(a.dstBuckets[si], insert)
 	}
 	return nil
 }
 
-// ensureBuckets (re)builds the cached per-step sender/receiver
-// partitions when the worker count changes. Rebuilding is the only
-// allocating path of a reused arena; repeat runs with the same worker
-// count reuse everything.
+// move executes transfer ti of step ps: one strided gather into its
+// insert window, or into its delivery slots in into when the transfer
+// is last-hop and into is non-nil. Empty transfers move nothing.
+func (a *Arena) move(ps *pstep, ti int, into []int32) {
+	p := a.prog
+	dt := &p.dtransfers[int(ps.tBase)+ti]
+	if dt.insPos < 0 {
+		return
+	}
+	n := ps.transfers[ti].payLen
+	descs := p.descBacking[dt.descOff : dt.descOff+dt.descLen]
+	if into != nil && dt.finalPos >= 0 {
+		gather(into[dt.finalPos:dt.finalPos+n], a.log, descs)
+		return
+	}
+	gather(a.log[dt.insPos:dt.insPos+n], a.log, descs)
+}
+
+// ensureBuckets (re)builds the cached per-step sender partitions when
+// the worker count changes. Rebuilding is the only allocating path of a
+// reused arena; repeat runs with the same worker count reuse
+// everything.
 func (a *Arena) ensureBuckets(workers int) {
 	p := a.prog
 	if a.bucketWorkers != workers || a.srcBuckets == nil {
 		a.srcBuckets = make([][][]int, len(p.steps))
-		a.dstBuckets = make([][][]int, len(p.steps))
 		for si := range p.steps {
 			trs := p.steps[si].transfers
 			if len(trs) == 0 {
 				continue
 			}
 			a.srcBuckets[si] = par.Buckets(workers, len(trs), func(i int) int { return int(trs[i].src) })
-			a.dstBuckets[si] = par.Buckets(workers, len(trs), func(i int) int { return int(trs[i].dst) })
 		}
 		a.bucketWorkers = workers
 	}
 }
 
-// checkDelivery is the run-time rematerialization guard: the compiled
-// replay is deterministic, so this only fires if program or arena
-// state was corrupted.
-func (a *Arena) checkDelivery() error {
-	p := a.prog
-	for v := range a.bufs {
-		if len(a.bufs[v]) != int(p.perDest[v]) {
-			return fmt.Errorf("exec: node %d holds %d blocks after replay, want %d", v, len(a.bufs[v]), p.perDest[v])
-		}
-		for _, id := range a.bufs[v] {
-			if int(id)%p.n != v {
-				return fmt.Errorf("exec: node %d holds misdelivered block id %d", v, id)
-			}
-		}
-	}
-	return nil
-}
-
 // outBuffers returns the arena's reusable output buffers, reset and
-// ready to fill (preallocated to the program's per-node capacity bound
-// so repeat runs allocate nothing here).
+// ready to fill (preallocated to each node's delivery count so repeat
+// runs allocate nothing here).
 func (a *Arena) outBuffers() []*block.Buffer {
 	p := a.prog
 	if a.out == nil {
 		a.out = make([]*block.Buffer, p.n)
 		for i := range a.out {
-			a.out[i] = block.NewBuffer(int(p.capacity[i]))
+			a.out[i] = block.NewBuffer(int(p.perDest[i]))
 		}
 	} else {
 		for _, b := range a.out {
@@ -1070,74 +836,11 @@ func (a *Arena) outBuffers() []*block.Buffer {
 	return a.out
 }
 
-// materialize converts the dense id buffers back to block.Buffers.
-func (a *Arena) materialize() []*block.Buffer {
-	p := a.prog
-	out := a.outBuffers()
-	for v, ids := range a.bufs {
-		for _, id := range ids {
-			out[v].Add(block.Block{Origin: topology.NodeID(int(id) / p.n), Dest: topology.NodeID(int(id) % p.n)})
-		}
-	}
-	return out
-}
-
-// replayDescSerial replays the descriptor plan in schedule order: each
-// executed transfer is one strided gather from the log into its
-// precomputed insert window; elided (ρ-rewritten) and empty transfers
-// cost nothing. No compaction, no per-run reset — every window's
-// contents are identical run over run.
-func (a *Arena) replayDescSerial() {
-	p := a.prog
-	for si := range p.steps {
-		ps := &p.steps[si]
-		for ti := range ps.transfers {
-			dt := &p.dtransfers[int(ps.tBase)+ti]
-			if dt.insPos < 0 {
-				continue
-			}
-			pt := &ps.transfers[ti]
-			gather(a.log[dt.insPos:int(dt.insPos)+int(pt.payLen)], a.log, p.descBacking[dt.descOff:dt.descOff+dt.descLen])
-		}
-	}
-}
-
-// replayDescParallel is the descriptor plan's parallel path: one
-// sender-sharded sweep per step — a transfer's gather reads its source
-// node's region (conflict-free by the sender shard) and writes a
-// compile-time-fixed window no other transfer of the step touches, so
-// extract and insert fuse into a single stage with one barrier per
-// step, half the span path's. Intra-step forwarders were flagged at
-// compile time and are rejected exactly as in replayParallel.
-func (a *Arena) replayDescParallel(workers int) error {
-	p := a.prog
-	if err := p.parallelErr; err != nil {
-		return err
-	}
-	a.ensureBuckets(workers)
-	var ps *pstep
-	move := func(_, ti int) {
-		dt := &p.dtransfers[int(ps.tBase)+ti]
-		if dt.insPos < 0 {
-			return
-		}
-		pt := &ps.transfers[ti]
-		gather(a.log[dt.insPos:int(dt.insPos)+int(pt.payLen)], a.log, p.descBacking[dt.descOff:dt.descOff+dt.descLen])
-	}
-	for si := range p.steps {
-		ps = &p.steps[si]
-		if len(ps.transfers) == 0 {
-			continue
-		}
-		par.RunBucketsWorker(a.srcBuckets[si], move)
-	}
-	return nil
-}
-
-// checkDeliveryDesc is the descriptor mode's rematerialization guard:
-// expand each node's full-tail descriptors against the log and verify
-// the count and addressing, exactly what checkDelivery asserts on the
-// span buffers.
+// checkDeliveryDesc is the run-time rematerialization guard: expand
+// each node's full-tail descriptors against the log and verify the
+// count and addressing. The replay is deterministic and Compile proved
+// delivery, so this only fires if program or arena state was
+// corrupted.
 func (a *Arena) checkDeliveryDesc() error {
 	p := a.prog
 	for v := 0; v < p.n; v++ {
@@ -1164,8 +867,7 @@ func (a *Arena) checkDeliveryDesc() error {
 }
 
 // materializeDesc converts the log's final deliveries to block.Buffers
-// through each node's full-tail descriptors, in the same arrival order
-// the span path's buffers hold.
+// through each node's full-tail descriptors, in arrival order.
 func (a *Arena) materializeDesc() []*block.Buffer {
 	p := a.prog
 	out := a.outBuffers()
@@ -1190,13 +892,10 @@ func (a *Arena) materializeDesc() []*block.Buffer {
 // directly into caller-owned memory: dst must have exactly
 // DeliverySize() elements and receives every node's blocks as dense
 // ids at the DeliveryOffset layout, element-for-element the buffers a
-// RunArena would return. On a descriptor program, last-hop transfers
-// gather straight into dst (skipping the arena log) and elided
-// transfers move nothing, so a rewrite-only program writes no arena
+// RunArena would return. Last-hop transfers gather straight into dst
+// (skipping the arena log), so a last-hop-only program writes no arena
 // scratch at all — the serial path then performs zero allocations.
-// Options.Serial/Workers choose the path as in RunArena;
-// Options.SpanReplay (and any program without a descriptor plan)
-// replays through spans and bulk-copies the buffers out. ReplayInto
+// Options.Serial/Workers choose the path as in RunArena. ReplayInto
 // reports no Result and emits no telemetry; callers that need either
 // use RunArena.
 func (p *Program) ReplayInto(a *Arena, dst []int32, opt Options) error {
@@ -1209,72 +908,12 @@ func (p *Program) ReplayInto(a *Arena, dst []int32, opt Options) error {
 	if len(dst) != p.DeliverySize() {
 		return fmt.Errorf("exec: ReplayInto destination holds %d elements, want %d", len(dst), p.DeliverySize())
 	}
-	if p.descBase == nil || opt.SpanReplay {
-		a.ensureSpanState()
-		a.reset()
-		if opt.Serial {
-			a.replaySerial()
-		} else if err := a.replayParallel(opt.Workers); err != nil {
-			return err
-		}
-		if err := a.checkDelivery(); err != nil {
-			a.bad = true
-			return err
-		}
-		w := 0
-		for v := range a.bufs {
-			w += copy(dst[w:], a.bufs[v])
-		}
-		return nil
-	}
-	a.ensureDescLog()
-	if opt.Serial {
-		for si := range p.steps {
-			ps := &p.steps[si]
-			for ti := range ps.transfers {
-				dt := &p.dtransfers[int(ps.tBase)+ti]
-				if dt.insPos < 0 {
-					continue
-				}
-				pt := &ps.transfers[ti]
-				descs := p.descBacking[dt.descOff : dt.descOff+dt.descLen]
-				if dt.finalPos >= 0 {
-					gather(dst[dt.finalPos:int(dt.finalPos)+int(pt.payLen)], a.log, descs)
-				} else {
-					gather(a.log[dt.insPos:int(dt.insPos)+int(pt.payLen)], a.log, descs)
-				}
-			}
-		}
-	} else {
-		if err := p.parallelErr; err != nil {
-			return err
-		}
-		a.ensureBuckets(opt.Workers)
-		var ps *pstep
-		move := func(_, ti int) {
-			dt := &p.dtransfers[int(ps.tBase)+ti]
-			if dt.insPos < 0 {
-				return
-			}
-			pt := &ps.transfers[ti]
-			descs := p.descBacking[dt.descOff : dt.descOff+dt.descLen]
-			if dt.finalPos >= 0 {
-				gather(dst[dt.finalPos:int(dt.finalPos)+int(pt.payLen)], a.log, descs)
-			} else {
-				gather(a.log[dt.insPos:int(dt.insPos)+int(pt.payLen)], a.log, descs)
-			}
-		}
-		for si := range p.steps {
-			ps = &p.steps[si]
-			if len(ps.transfers) == 0 {
-				continue
-			}
-			par.RunBucketsWorker(a.srcBuckets[si], move)
-		}
+	if err := a.replay(opt, dst); err != nil {
+		return err
 	}
 	// Residual deliveries — blocks no last-hop transfer wrote (never
-	// moved, or last moved by an elided rewrite) — gather from the log
-	// into their precomputed slots.
+	// moved, or last moved by a transfer that also carried blocks moving
+	// on) — gather from the log into their precomputed slots.
 	for v := 0; v < p.n; v++ {
 		base := int(p.finalBase[v])
 		for _, sg := range p.tailResid[p.tailResidOff[v]:p.tailResidOff[v+1]] {

@@ -11,10 +11,9 @@ import (
 // TestCompiledReplayAllocs is the allocation regression gate of the
 // compile-once/replay-many design: a steady-state replay on a reused
 // arena must allocate (nearly) nothing — one Result header, and zero
-// per-block, per-transfer or per-link garbage. The uncompiled paths
-// allocate tens of thousands of objects per run on these schedules
-// (see EXPERIMENTS.md); a regression here silently re-introduces that
-// cost into every benchmark sweep, so the bound is pinned hard.
+// per-block, per-transfer or per-link garbage. A regression here
+// silently adds that cost to every benchmark sweep, so the bound is
+// pinned hard.
 func TestCompiledReplayAllocs(t *testing.T) {
 	tor := topology.MustNew(8, 8)
 	for _, alg := range []string{"proposed", "direct", "ring"} {
@@ -45,7 +44,7 @@ func TestCompiledReplayAllocs(t *testing.T) {
 			}{
 				// One worker runs the parallel path inline (no
 				// goroutines); its handful of extra allocations are the
-				// hoisted stage closures and the error collector.
+				// hoisted stage closure and the bucket runner's state.
 				{"serial", exec.Options{Serial: true}, 4},
 				{"parallel-1", exec.Options{Workers: 1}, 8},
 			} {
@@ -60,5 +59,42 @@ func TestCompiledReplayAllocs(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestReplayIntoZeroAlloc pins the acceptance bar for user-owned
+// destination buffers: on a last-hop-only program (every payload
+// transfer delivers directly — the single-phase direct exchange) a
+// warm serial ReplayInto performs zero allocations and touches no
+// arena scratch.
+func TestReplayIntoZeroAlloc(t *testing.T) {
+	tor := topology.MustNew(8, 8)
+	b, err := algorithm.For("direct")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := b.BuildSchedule(tor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg, err := exec.Compile(sc, exec.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := pg.Stats(); !st.LastHopOnly {
+		t.Fatalf("direct@8x8 is not last-hop-only: %+v", st)
+	}
+	arena := pg.NewArena()
+	dst := make([]int32, pg.DeliverySize())
+	if err := pg.ReplayInto(arena, dst, exec.Options{Serial: true}); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := pg.ReplayInto(arena, dst, exec.Options{Serial: true}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm last-hop-only ReplayInto allocates %.0f objects/op, want 0", allocs)
 	}
 }

@@ -5,22 +5,19 @@ import (
 	"torusx/internal/telemetry"
 )
 
-// Telemetry emission. All executor paths — serial, parallel and
-// compiled — emit from this single serial post-pass, which walks the
-// schedule in phase/step/transfer order after the run has validated:
-// every path therefore produces identical streams by construction (the
-// only divergence is the diagnostic Worker field, which records which
-// pool worker checked each step and which telemetry.Canonical clears).
-// Emission runs only when the run asked for it — the hot path pays one
+// Telemetry emission. Serial and parallel replays emit from this
+// single serial post-pass, which walks the schedule in
+// phase/step/transfer order after the run has validated: both modes
+// therefore produce identical streams by construction. Emission runs
+// only when the run asked for it — the hot path pays one
 // Recorder.Enabled branch and nothing else, enforced by the overhead
 // guard in telemetry_guard_test.go.
 //
-// When the run came from a compiled Program, pg is non-nil and the
-// post-pass reads the precomputed per-step sharing factors and dense
-// per-transfer link ids instead of re-walking routes and rehashing
-// links; either way the per-link accumulators are dense arrays indexed
-// by topology.LinkID, emitted in AllLinks' canonical order (which is
-// ascending in dense id).
+// The post-pass reads the program's precomputed per-step sharing
+// factors and dense per-transfer link ids instead of re-walking routes
+// and rehashing links; the per-link accumulators are dense arrays
+// indexed by topology.LinkID, emitted in AllLinks' canonical order
+// (which is ascending in dense id).
 //
 // The timeline follows the paper's synchronous model: each step lasts
 // ts + tc·maxBlocks·sharing·m + tl·maxHops, phases with a Rearrange
@@ -28,7 +25,7 @@ import (
 // transfer's slice spans its own ts + tc·blocks·m + tl·hops inside its
 // step (unserialized — per-transfer attribution reports the message's
 // own cost; the step span carries the sharing-serialized total).
-func emitRun(rec *telemetry.Recorder, sc *schedule.Schedule, res *Result, stepWorkers []int, pg *Program) {
+func emitRun(rec *telemetry.Recorder, sc *schedule.Schedule, res *Result, pg *Program) {
 	p := rec.Params
 	f := sc.Fabric
 	m := float64(p.M)
@@ -41,7 +38,6 @@ func emitRun(rec *telemetry.Recorder, sc *schedule.Schedule, res *Result, stepWo
 	maxShare := make([]int32, numLinks)
 	perLink := make([]int32, numLinks)
 	var touched []int32
-	var idScratch []int32 // uncompiled route expansion scratch
 
 	rec.Emit(telemetry.Event{Kind: telemetry.SpanBegin, Scope: telemetry.ScopeRun,
 		Name: "run", Phase: -1, Step: -1, Transfer: -1})
@@ -65,29 +61,12 @@ func emitRun(rec *telemetry.Recorder, sc *schedule.Schedule, res *Result, stepWo
 		}
 		for si := range ph.Steps {
 			st := &ph.Steps[si]
-			var ps *pstep
-			if pg != nil {
-				ps = &pg.steps[global]
-			}
-			sharing := 1
-			maxBlocks, maxHops := 0, 0
-			if ps != nil {
-				sharing, maxBlocks, maxHops = ps.sharing, ps.maxBlocks, ps.maxHops
-			} else {
-				if st.Shared {
-					sharing = st.SharingFactor(f)
-				}
-				maxBlocks, maxHops = st.MaxBlocks(), st.MaxHops()
-			}
+			ps := &pg.steps[global]
 			startup := p.Ts
-			trans := p.Tc * float64(maxBlocks*sharing) * m
-			prop := p.Tl * float64(maxHops)
-			worker := 0
-			if stepWorkers != nil {
-				worker = stepWorkers[global]
-			}
+			trans := p.Tc * float64(ps.maxBlocks*ps.sharing) * m
+			prop := p.Tl * float64(ps.maxHops)
 			rec.Emit(telemetry.Event{Kind: telemetry.SpanBegin, Scope: telemetry.ScopeStep,
-				Name: "step", Phase: pi, Step: global, Transfer: -1, Time: now, Worker: worker})
+				Name: "step", Phase: pi, Step: global, Transfer: -1, Time: now})
 			for ti := range st.Transfers {
 				tr := &st.Transfers[ti]
 				tStartup := p.Ts
@@ -95,7 +74,7 @@ func emitRun(rec *telemetry.Recorder, sc *schedule.Schedule, res *Result, stepWo
 				tProp := p.Tl * float64(tr.TotalHops())
 				ev := telemetry.Event{Scope: telemetry.ScopeTransfer,
 					Name: tr.String(), Phase: pi, Step: global, Transfer: ti,
-					Worker: worker, Src: int(tr.Src), Dst: int(tr.Dst),
+					Src: int(tr.Src), Dst: int(tr.Dst),
 					Blocks: tr.Blocks, Hops: tr.TotalHops(),
 					Dim: tr.Dim, Dir: int(tr.Dir)}
 				ev.Kind, ev.Time = telemetry.SpanBegin, now
@@ -103,19 +82,7 @@ func emitRun(rec *telemetry.Recorder, sc *schedule.Schedule, res *Result, stepWo
 				ev.Kind, ev.Time = telemetry.SpanEnd, now+tStartup+tTrans+tProp
 				ev.Startup, ev.Transmit, ev.Propagate = tStartup, tTrans, tProp
 				rec.Emit(ev)
-				var ids []int32
-				if ps != nil {
-					ids = pg.linksOf(&ps.transfers[ti])
-				} else {
-					idScratch = idScratch[:0]
-					cur := tr.Src
-					for _, seg := range tr.Segments() {
-						idScratch = f.AppendPathLinkIDs(idScratch, cur, seg.Dim, seg.Dir, seg.Hops)
-						cur = f.Advance(cur, seg.Dim, seg.Dir, seg.Hops)
-					}
-					ids = idScratch
-				}
-				for _, id := range ids {
+				for _, id := range pg.linksOf(&ps.transfers[ti]) {
 					if perLink[id] == 0 {
 						touched = append(touched, id)
 					}
@@ -132,26 +99,11 @@ func emitRun(rec *telemetry.Recorder, sc *schedule.Schedule, res *Result, stepWo
 			touched = touched[:0]
 			end := now + startup + trans + prop
 			rec.Emit(telemetry.Event{Kind: telemetry.SpanEnd, Scope: telemetry.ScopeStep,
-				Name: "step", Phase: pi, Step: global, Transfer: -1,
-				Time: end, Worker: worker,
+				Name: "step", Phase: pi, Step: global, Transfer: -1, Time: end,
 				Startup: startup, Transmit: trans, Propagate: prop,
-				Value: float64(sharing)})
+				Value: float64(ps.sharing)})
 			now = end
 			global++
-		}
-		// Descriptor-plan decision ledger: how many of the phase's payload
-		// transfers were elided to a descriptor rewrite vs. executed as
-		// bulk copies. Compiled programs only (rec.Emit directly — the
-		// Counter helper can't carry a phase scope); the differential
-		// telemetry test filters these before comparing against the
-		// uncompiled stream.
-		if pg != nil && pg.descBase != nil && pi < len(pg.phaseRewrites) {
-			rec.Emit(telemetry.Event{Kind: telemetry.CounterKind, Scope: telemetry.ScopePhase,
-				Name: "phase.rewrites", Phase: pi, Step: -1, Transfer: -1, Time: now,
-				Value: float64(pg.phaseRewrites[pi])})
-			rec.Emit(telemetry.Event{Kind: telemetry.CounterKind, Scope: telemetry.ScopePhase,
-				Name: "phase.copies", Phase: pi, Step: -1, Transfer: -1, Time: now,
-				Value: float64(pg.phaseCopies[pi])})
 		}
 		rec.Emit(telemetry.Event{Kind: telemetry.SpanEnd, Scope: telemetry.ScopePhase,
 			Name: ph.Name, Phase: pi, Step: -1, Transfer: -1, Time: now, Rearrange: rearr})
@@ -165,10 +117,8 @@ func emitRun(rec *telemetry.Recorder, sc *schedule.Schedule, res *Result, stepWo
 	rec.Counter("exec.rearranged_blocks", now, float64(res.Measure.RearrangedBlocks))
 	rec.Counter("exec.max_sharing", now, float64(res.MaxSharing))
 	rec.Counter("exec.completion_us", now, p.Completion(res.Measure))
-	if pg != nil && pg.Replayable() {
-		// Bytes the replay physically moved on the mode that ran —
-		// compiled programs only (the uncompiled paths don't measure it;
-		// the differential telemetry test filters this too).
+	if pg.Replayable() {
+		// Bytes the replay's gathers physically moved.
 		rec.Counter("exec.bytes_moved", now, float64(res.BytesMoved))
 	}
 
@@ -183,16 +133,4 @@ func emitRun(rec *telemetry.Recorder, sc *schedule.Schedule, res *Result, stepWo
 		rec.LinkGauge("link.util", f, l, float64(busySteps[id])/steps)
 		rec.LinkGauge("link.contention", f, l, float64(maxShare[id]))
 	}
-}
-
-// workersOf flattens a bucket partition into a per-item worker index
-// (the bucket that processed each item).
-func workersOf(buckets [][]int, n int) []int {
-	w := make([]int, n)
-	for b, idx := range buckets {
-		for _, i := range idx {
-			w[i] = b
-		}
-	}
-	return w
 }

@@ -1,9 +1,8 @@
-// Differential coverage for the telemetry layer: a parallel run must
-// emit exactly the serial reference's event stream. Both paths emit
-// from the same serial post-pass, so the only tolerated divergence is
-// the diagnostic Worker field (which pool worker checked each step) and
-// arrival interleaving — telemetry.Canonical normalizes both, and these
-// tests require the canonical streams to be deep-equal.
+// Differential coverage for the telemetry layer: a parallel replay must
+// emit exactly the serial replay's event stream, and a decoded program
+// exactly the fresh compile's. Every run emits from the same serial
+// post-pass, so these tests require the canonical streams
+// (telemetry.Canonical) to be deep-equal, and the raw streams too.
 package exec_test
 
 import (
@@ -75,9 +74,9 @@ func TestTelemetryDifferentialSerialVsParallel(t *testing.T) {
 }
 
 // TestTelemetryDifferentialRawOrder pins the stronger property the
-// post-pass design buys: even the RAW streams agree once Worker is
-// cleared — emission is a serial walk in schedule order on both paths,
-// not a per-worker race that Canonical has to repair.
+// post-pass design buys: even the RAW streams agree — emission is a
+// serial walk in schedule order on both paths, not a per-worker race
+// that Canonical has to repair.
 func TestTelemetryDifferentialRawOrder(t *testing.T) {
 	for _, dims := range telemetryShapes {
 		serial := recordRun(t, "proposed", dims, true, 0)
@@ -86,12 +85,133 @@ func TestTelemetryDifferentialRawOrder(t *testing.T) {
 			t.Fatalf("%v: length mismatch %d vs %d", dims, len(serial), len(parallel))
 		}
 		for i := range parallel {
-			ev := parallel[i]
-			ev.Worker = serial[i].Worker
-			if !reflect.DeepEqual(serial[i], ev) {
+			if !reflect.DeepEqual(serial[i], parallel[i]) {
 				t.Fatalf("%v: raw stream diverges at event %d:\n serial   %+v\n parallel %+v",
 					dims, i, serial[i], parallel[i])
 			}
+		}
+	}
+}
+
+// recordProgram runs pg once with a fresh memory sink attached and
+// returns the raw stream.
+func recordProgram(t *testing.T, pg *exec.Program, opt exec.Options) []telemetry.Event {
+	t.Helper()
+	sink := &telemetry.MemorySink{}
+	opt.Telemetry = telemetry.New(sink, costmodel.T3D(64))
+	if _, err := pg.Run(opt); err != nil {
+		t.Fatal(err)
+	}
+	return sink.Events()
+}
+
+// TestCompiledDifferentialTelemetry: a decoded program's stream — which
+// forces the lazy schedule materialization and re-walks every route
+// into the link table — must equal the fresh compile's on both replay
+// modes, and the stream's run counters must agree with the oracle's
+// independently derived measure.
+func TestCompiledDifferentialTelemetry(t *testing.T) {
+	for _, alg := range []string{"proposed", "direct", "ring"} {
+		for _, dims := range telemetryShapes {
+			tor := topology.MustNew(dims...)
+			b, err := algorithm.For(alg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc, err := b.BuildSchedule(tor)
+			if err != nil {
+				continue // shape precondition
+			}
+			t.Run(alg+"/"+tor.String(), func(t *testing.T) {
+				ref, err := oracleRun(sc, nil, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pg, err := exec.Compile(sc, exec.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				enc, err := exec.EncodeProgram(pg, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dec, err := exec.DecodeProgram(enc, tor, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := recordProgram(t, pg, exec.Options{Serial: true})
+				counters := map[string]float64{
+					"exec.steps":       float64(ref.Measure.Steps),
+					"exec.blocks":      float64(ref.Measure.Blocks),
+					"exec.hops":        float64(ref.Measure.Hops),
+					"exec.max_sharing": float64(ref.MaxSharing),
+				}
+				for _, ev := range want {
+					if v, ok := counters[ev.Name]; ok && ev.Kind == telemetry.CounterKind {
+						if ev.Value != v {
+							t.Errorf("%s = %v, oracle %v", ev.Name, ev.Value, v)
+						}
+						delete(counters, ev.Name)
+					}
+				}
+				if len(counters) != 0 {
+					t.Errorf("stream lacks run counters %v", counters)
+				}
+				for _, serial := range []bool{true, false} {
+					got := recordProgram(t, dec, exec.Options{Serial: serial})
+					a, b := telemetry.Canonical(want), telemetry.Canonical(got)
+					if !reflect.DeepEqual(a, b) {
+						t.Fatalf("decoded serial=%v: canonical stream diverges from the fresh compile's (%d vs %d events)",
+							serial, len(got), len(want))
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestBytesMovedMatchesTelemetry: the Program.BytesMoved accessor, the
+// run Result, and the telemetry stream's exec.bytes_moved counter must
+// agree — one number, reported identically through every surface.
+func TestBytesMovedMatchesTelemetry(t *testing.T) {
+	tor := topology.MustNew(8, 8)
+	for _, name := range []string{"direct", "factored", "proposed-sim"} {
+		b, err := algorithm.For(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc, err := b.BuildSchedule(tor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pg, err := exec.Compile(sc, exec.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := pg.BytesMoved()
+		if want <= 0 {
+			t.Fatalf("%s: BytesMoved %d on a payload program", name, want)
+		}
+		sink := &telemetry.MemorySink{}
+		rec := telemetry.New(sink, costmodel.T3D(64))
+		res, err := pg.Run(exec.Options{Serial: true, Telemetry: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.BytesMoved != want {
+			t.Fatalf("%s: Result.BytesMoved %d, accessor %d", name, res.BytesMoved, want)
+		}
+		found := false
+		for _, ev := range sink.Events() {
+			if ev.Kind == telemetry.CounterKind && ev.Name == "exec.bytes_moved" {
+				found = true
+				if ev.Value != float64(want) {
+					t.Fatalf("%s: telemetry bytes_moved %v, accessor %d", name, ev.Value, want)
+				}
+			}
+		}
+		if !found {
+			t.Fatalf("%s: no exec.bytes_moved counter in the stream", name)
 		}
 	}
 }

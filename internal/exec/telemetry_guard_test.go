@@ -23,6 +23,24 @@ import (
 	"torusx/internal/topology"
 )
 
+// benchmarkExec times one exec.Run (compile and replay) per op of the
+// structural proposed schedule on dims.
+func benchmarkExec(b *testing.B, dims []int, opt exec.Options) {
+	b.Helper()
+	tor := topology.MustNew(dims...)
+	sc, err := exchange.GenerateStructural(tor)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := exec.Run(sc, opt); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkExecTelemetryDisabled(b *testing.B) {
 	benchmarkExec(b, []int{16, 16}, exec.Options{})
 }

@@ -1,6 +1,9 @@
 package progcache_test
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -53,49 +56,85 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDiskStoreCorruptFileRemoved: a file that fails to decode is
-// deleted on first touch and reported as a miss.
+// TestDiskStoreCorruptFileRemoved: a file that fails to decode — a
+// flipped byte, or a program an older build wrote in the stale v2
+// format — is a tier-2 miss, is deleted on first touch, and the
+// recompiled program is stored back in the current format.
 func TestDiskStoreCorruptFileRemoved(t *testing.T) {
-	dir := t.TempDir()
-	store, err := progcache.NewDiskStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	tor := topology.MustNew(4, 4)
 	pg, err := compileDirect(tor)
 	if err != nil {
 		t.Fatal(err)
 	}
 	key := progcache.Key("direct", tor, 0)
-	if err := store.Store(key, pg, 0); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name  string
+		spoil func(program []byte)
+	}{
+		{"corrupt", func(program []byte) { program[len(program)/2] ^= 0xff }},
+		{"stale-v2", func(program []byte) {
+			binary.LittleEndian.PutUint16(program[4:], 2)
+			binary.LittleEndian.PutUint32(program[len(program)-4:], crc32.ChecksumIEEE(program[:len(program)-4]))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			store, err := progcache.NewDiskStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := store.Store(key, pg, 0); err != nil {
+				t.Fatal(err)
+			}
+			files, err := filepath.Glob(filepath.Join(dir, "*.txpg"))
+			if err != nil || len(files) != 1 {
+				t.Fatalf("want 1 stored file, got %v (%v)", files, err)
+			}
+			data, program := readProgramFile(t, files[0])
+			tc.spoil(program)
+			if err := os.WriteFile(files[0], data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			// A tiered request misses tier 2 — which deletes the file
+			// before the recompile starts — and stores the fresh program
+			// back.
+			c := progcache.New(0)
+			c.SetTier2(store)
+			if _, err := c.GetOrCompileTiered(key, tor, 0, nil, func() (*exec.Program, error) {
+				if _, err := os.Stat(files[0]); !os.IsNotExist(err) {
+					t.Errorf("spoiled file not removed before the recompile: %v", err)
+				}
+				return compileDirect(tor)
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if st := c.Stats(); st.Tier2Hits != 0 || st.Tier2Misses != 1 || st.Compiles != 1 || st.Tier2Stores != 1 {
+				t.Fatalf("spoiled file: %v, want a tier-2 miss, one compile and one store", st)
+			}
+			if _, program := readProgramFile(t, files[0]); binary.LittleEndian.Uint16(program[4:]) != exec.CodecVersion {
+				t.Fatalf("recompiled program stored as v%d, want v%d", binary.LittleEndian.Uint16(program[4:]), exec.CodecVersion)
+			}
+			if _, ok := store.Load(key, tor, 0); !ok {
+				t.Fatal("miss after re-store")
+			}
+		})
 	}
-	files, err := filepath.Glob(filepath.Join(dir, "*.txpg"))
-	if err != nil || len(files) != 1 {
-		t.Fatalf("want 1 stored file, got %v (%v)", files, err)
-	}
-	data, err := os.ReadFile(files[0])
+}
+
+// readProgramFile reads a disk-tier file and returns it with the
+// program bytes that follow its key header (which start at the codec
+// magic).
+func readProgramFile(t *testing.T, path string) (data, program []byte) {
+	t.Helper()
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[len(data)/2] ^= 0xff
-	if err := os.WriteFile(files[0], data, 0o644); err != nil {
-		t.Fatal(err)
+	i := bytes.Index(data, []byte("TXPG"))
+	if i < 0 {
+		t.Fatalf("%s: no program magic", path)
 	}
-	if _, ok := store.Load(key, tor, 0); ok {
-		t.Fatal("corrupt file served")
-	}
-	if _, err := os.Stat(files[0]); !os.IsNotExist(err) {
-		t.Fatalf("corrupt file not removed: %v", err)
-	}
-	// The tier self-heals: the next tiered request recompiles and
-	// re-stores.
-	if err := store.Store(key, pg, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := store.Load(key, tor, 0); !ok {
-		t.Fatal("miss after re-store")
-	}
+	return data, data[i:]
 }
 
 // TestTier2CrossProcessWarmth is the headline scenario: a second

@@ -190,8 +190,9 @@ func blockHash(b block.Block) uint64 {
 // produce it. Concurrent callers with the same key share one compile:
 // exactly one runs, the rest wait and receive its result. Errors are
 // returned to every waiter and never cached, so a transient failure
-// does not poison the key. Programs larger than a shard's byte budget
-// are returned uncached.
+// does not poison the key; a compile that panics is reported the same
+// way, as an error. Programs larger than a shard's byte budget are
+// returned uncached.
 func (c *Cache) GetOrCompile(key string, compile func() (*exec.Program, error)) (*exec.Program, error) {
 	return c.GetOrCompileTraced(key, nil, compile)
 }
@@ -231,7 +232,7 @@ func (c *Cache) GetOrCompileTiered(key string, f topology.Fabric, optFP uint64, 
 	return c.getOrCompile(key, f, optFP, req, compile)
 }
 
-func (c *Cache) getOrCompile(key string, f topology.Fabric, optFP uint64, req *obs.Request, compile func() (*exec.Program, error)) (*exec.Program, error) {
+func (c *Cache) getOrCompile(key string, f topology.Fabric, optFP uint64, req *obs.Request, compile func() (*exec.Program, error)) (prog *exec.Program, err error) {
 	sp := req.Stage("cache-lookup")
 	s := &c.shards[c.shardOf(key)]
 	s.mu.Lock()
@@ -258,9 +259,24 @@ func (c *Cache) getOrCompile(key string, f topology.Fabric, optFP uint64, req *o
 	sp.End()
 	c.misses.Add(1)
 
+	// The in-flight call completes however this request ends: a panic in
+	// compile (or in the disk tier) becomes this request's error and
+	// every waiter's, and — like any error — is never cached, so the key
+	// recompiles on its next request instead of wedging its waiters.
 	onDisk := false
-	var prog *exec.Program
-	var err error
+	defer func() {
+		if r := recover(); r != nil {
+			prog, err = nil, fmt.Errorf("progcache: compile of %s panicked: %v", key, r)
+		}
+		cl.prog, cl.err = prog, err
+		s.mu.Lock()
+		delete(s.inflight, key)
+		if err == nil {
+			c.insertLocked(s, key, prog, onDisk)
+		}
+		s.mu.Unlock()
+		cl.wg.Done()
+	}()
 	if c.tier2 != nil && f != nil {
 		lsp := req.Stage("tier2-load")
 		start := time.Now()
@@ -292,15 +308,6 @@ func (c *Cache) getOrCompile(key string, f topology.Fabric, optFP uint64, req *o
 			ssp.End()
 		}
 	}
-	cl.prog, cl.err = prog, err
-
-	s.mu.Lock()
-	delete(s.inflight, key)
-	if err == nil {
-		c.insertLocked(s, key, prog, onDisk)
-	}
-	s.mu.Unlock()
-	cl.wg.Done()
 	return prog, err
 }
 

@@ -3,6 +3,7 @@ package progcache_test
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,7 +17,7 @@ import (
 )
 
 // compileDirect compiles the direct-exchange schedule on tor — a real
-// program with payload spans, so SizeBytes is meaningful.
+// program with a replay plan, so SizeBytes is meaningful.
 func compileDirect(tor *topology.Torus) (*exec.Program, error) {
 	return exec.Compile(baseline.DirectSchedule(tor), exec.Options{})
 }
@@ -249,6 +250,71 @@ func TestErrorNotCached(t *testing.T) {
 	}
 	if st := c.Stats(); st.Entries != 1 || st.Misses != 2 {
 		t.Errorf("stats: %+v", st)
+	}
+}
+
+// TestCompilePanicDoesNotWedgeKey: a compile that panics returns an
+// error to its caller and to a request coalesced onto it, caches
+// nothing, and the key's next request compiles afresh instead of
+// blocking forever on the abandoned in-flight call.
+func TestCompilePanicDoesNotWedgeKey(t *testing.T) {
+	c := progcache.New(0)
+	tor := topology.MustNew(4, 4)
+	key := progcache.Key("direct", tor, 0)
+	entered, release := make(chan struct{}), make(chan struct{})
+	errs := make(chan error, 2)
+	go func() {
+		_, err := c.GetOrCompile(key, func() (*exec.Program, error) {
+			close(entered)
+			<-release
+			panic("builder bug")
+		})
+		errs <- err
+	}()
+	<-entered
+	go func() {
+		_, err := c.GetOrCompile(key, func() (*exec.Program, error) {
+			t.Error("coalesced request ran its own compile")
+			return nil, errors.New("unexpected compile")
+		})
+		errs <- err
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for c.Stats().Coalesced == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("second request never coalesced onto the in-flight compile")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-errs:
+			if err == nil || !strings.Contains(err.Error(), "panicked") {
+				t.Fatalf("request %d: err = %v, want the compile panic as an error", i, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("request wedged behind the panicked compile")
+		}
+	}
+	if st := c.Stats(); st.Entries != 0 || st.Compiles != 1 {
+		t.Fatalf("after the panic: %+v, want nothing cached and one compile", st)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.GetOrCompile(key, func() (*exec.Program, error) { return compileDirect(tor) })
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("retry after the panic: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("retry wedged on the panicked key")
+	}
+	if st := c.Stats(); st.Entries != 1 || st.Compiles != 2 {
+		t.Fatalf("after the retry: %+v, want one entry and two compiles", st)
 	}
 }
 

@@ -1,9 +1,9 @@
 package topology
 
 // Fabric is the topology seam of the repository: the capability set the
-// schedule IR, the executor (uncompiled and compiled), the program
-// cache, the telemetry post-pass and the simulators need from a
-// network, with no torus-specific vocabulary. A fabric names its nodes
+// schedule IR, the executor, the program cache, the telemetry post-pass
+// and the simulators need from a network, with no torus-specific
+// vocabulary. A fabric names its nodes
 // densely, enumerates its unidirectional links with a dense id space,
 // expands single-"dimension" route legs into link-id paths, and maps
 // links to contention domains.
