@@ -71,15 +71,19 @@ func NewBuffer(n int) *Buffer {
 // Len returns the number of blocks held.
 func (buf *Buffer) Len() int { return len(buf.blocks) }
 
-// Reset empties the buffer and clears its rearrangement counters while
-// keeping the backing array, so a reused buffer refilled with Add up to
-// its original capacity allocates nothing. The compiled executor's
-// replay arenas lean on this to keep steady-state replays
-// allocation-free.
-func (buf *Buffer) Reset() {
-	buf.blocks = buf.blocks[:0]
+// Refill empties the buffer, clears its rearrangement counters and
+// returns n blocks that become its contents, for the caller to write
+// in place. The backing array is reused when its capacity allows, so
+// the compiled executor's replay arenas refill their delivery buffers
+// in one pass with no allocation and no per-block Add.
+func (buf *Buffer) Refill(n int) []Block {
+	if cap(buf.blocks) < n {
+		buf.blocks = make([]Block, n)
+	}
+	buf.blocks = buf.blocks[:n]
 	buf.Rearrangements = 0
 	buf.RearrangedBlocks = 0
+	return buf.blocks
 }
 
 // Add appends blocks to the end of the array (the paper's model of a

@@ -57,6 +57,29 @@ func TestBufferAddLenAll(t *testing.T) {
 	}
 }
 
+// TestBufferRefill: Refill hands back exactly n writable blocks that
+// become the contents, clears the rearrangement counters, and reuses
+// the backing array whenever it is large enough.
+func TestBufferRefill(t *testing.T) {
+	buf := NewBuffer(4)
+	buf.Add(Block{0, 1}, Block{0, 2}, Block{0, 3})
+	buf.ChargeRearrangement(3)
+	blks := buf.Refill(2)
+	if len(blks) != 2 || buf.Len() != 2 || buf.Rearrangements != 0 || buf.RearrangedBlocks != 0 {
+		t.Fatalf("Refill(2): %d blocks, Len %d, counters %d/%d", len(blks), buf.Len(), buf.Rearrangements, buf.RearrangedBlocks)
+	}
+	blks[0], blks[1] = Block{5, 6}, Block{7, 8}
+	if v := buf.View(); v[0] != (Block{5, 6}) || v[1] != (Block{7, 8}) {
+		t.Fatalf("writes through Refill's slice not visible: %v", v)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { buf.Refill(4) }); allocs != 0 {
+		t.Fatalf("Refill within capacity allocates %v", allocs)
+	}
+	if blks := buf.Refill(9); len(blks) != 9 || buf.Len() != 9 {
+		t.Fatalf("Refill(9) past capacity: %d blocks, Len %d", len(blks), buf.Len())
+	}
+}
+
 func TestTakeIfContiguousSuffix(t *testing.T) {
 	buf := NewBuffer(6)
 	for d := 0; d < 6; d++ {

@@ -39,7 +39,7 @@ import (
 // every index a replay would follow, so a file that decodes cannot
 // make the executor read out of bounds.
 //
-// Format v3, all integers little-endian, sections 4-byte aligned:
+// Format v4, all integers little-endian, sections 4-byte aligned:
 //
 //	magic "TXPG" | u16 version | u8 flags | u8 reserved | u64 optFP
 //	u32 len + fabric fingerprint string, padded to 4
@@ -54,14 +54,12 @@ import (
 //	replay section                         | only when flagReplay:
 //	  perDest    n x i32
 //	  traffic    numTraffic x i32          | only when not flagFullTraffic
-//	  u32 x4: numDesc, numTailFull, numTailResid, logSize
+//	  u32 x3: numDesc, numTailResid, logSize
 //	  dtransfers numTransfers x 4 i32 (descOff descLen insPos finalPos)
 //	  descBase   (n+1) x i32 (per-node log-region prefix)
 //	  descs      numDesc x 4 i32 (start count blocklen stride)
-//	  tailFullOff  (n+1) x i32
-//	  tailFull     numTailFull x 3 i32 (dstPos descOff descLen)
 //	  tailResidOff (n+1) x i32
-//	  tailResid    numTailResid x 3 i32
+//	  tailResid    numTailResid x 3 i32 (dstPos descOff descLen)
 //	cold section (coldLen bytes):
 //	  u32 numPayload + payload ids (numPayload x i32)
 //	  blocks    numTransfers x u32 (declared Blocks per transfer)
@@ -71,16 +69,16 @@ import (
 //	            stream padded to 4
 //	u32 CRC32 (IEEE) over all preceding bytes
 //
-// This build reads and writes v3 only. A file of any other version
+// This build reads and writes v4 only. A file of any other version
 // (e.g. a warm disk cache written by an older build) is a decode error,
 // which the disk tier turns into a miss and a delete. Derived state
-// (per-step transfer bases, the delivery layout prefix, the bytes-moved
-// measure, the last-hop-only verdict) is recomputed at decode and never
-// serialized.
+// (per-step transfer bases and element counts, the delivery layout
+// prefix and reciprocal, the bytes-moved measure, the last-hop-only
+// verdict) is recomputed at decode and never serialized.
 
 // CodecVersion is the program file format version this build reads and
 // writes.
-const CodecVersion = 3
+const CodecVersion = 4
 
 const codecMagic = "TXPG"
 
@@ -344,7 +342,6 @@ func EncodeProgram(p *Program, optFP uint64) ([]byte, error) {
 			b = appendI32s(b, p.trafficIDs)
 		}
 		b = appendU32(b, uint32(len(p.descBacking)))
-		b = appendU32(b, uint32(len(p.tailFull)))
 		b = appendU32(b, uint32(len(p.tailResid)))
 		b = appendU32(b, uint32(p.descBase[n]))
 		if hostLittle && dtLayoutMatches && len(p.dtransfers) > 0 {
@@ -368,8 +365,6 @@ func EncodeProgram(p *Program, optFP uint64) ([]byte, error) {
 				}
 			}
 		}
-		b = appendI32s(b, p.tailFullOff)
-		b = appendTailSegs(b, p.tailFull)
 		b = appendI32s(b, p.tailResidOff)
 		b = appendTailSegs(b, p.tailResid)
 	}
@@ -543,10 +538,9 @@ func DecodeProgram(data []byte, f topology.Fabric, optFP uint64) (*Program, erro
 		}
 	}
 	var (
-		perDest, trafficIDs                         []int32
-		numDesc, numTailFull, numTailResid, logSize int
-		dtBytes, descRaw, tailFullRaw, tailResidRaw []byte
-		descBase, tailFullOff, tailResidOff         []int32
+		perDest, trafficIDs, descBase, tailResidOff []int32
+		numDesc, numTailResid, logSize              int
+		dtBytes, descRaw, tailResidRaw              []byte
 	)
 	if replay {
 		perDest = asInt32s(r.take(n * 4))
@@ -554,14 +548,11 @@ func DecodeProgram(data []byte, f topology.Fabric, optFP uint64) (*Program, erro
 			trafficIDs = asInt32s(r.take(numTraffic * 4))
 		}
 		numDesc = int(r.u32())
-		numTailFull = int(r.u32())
 		numTailResid = int(r.u32())
 		logSize = int(r.u32())
 		dtBytes = r.take(numTransfers * 16)
 		descBase = asInt32s(r.take((n + 1) * 4))
 		descRaw = r.take(numDesc * 16)
-		tailFullOff = asInt32s(r.take((n + 1) * 4))
-		tailFullRaw = r.take(numTailFull * 12)
 		tailResidOff = asInt32s(r.take((n + 1) * 4))
 		tailResidRaw = r.take(numTailResid * 12)
 	}
@@ -613,7 +604,7 @@ func DecodeProgram(data []byte, f topology.Fabric, optFP uint64) (*Program, erro
 			tBase:     lo,
 		}
 	}
-	if numSteps > 0 && int(stepT[numSteps]) != numTransfers || numSteps == 0 && numTransfers != 0 {
+	if numSteps > 0 && (stepT[0] != 0 || int(stepT[numSteps]) != numTransfers) || numSteps == 0 && numTransfers != 0 {
 		return nil, fmt.Errorf("exec: decode: transfer table does not cover all transfers")
 	}
 	numPayload := 0
@@ -635,34 +626,38 @@ func DecodeProgram(data []byte, f topology.Fabric, optFP uint64) (*Program, erro
 		}
 	}
 	if replay {
-		for v := 0; v < n; v++ {
-			if perDest[v] < 0 {
-				return nil, fmt.Errorf("exec: decode: node %d delivery count negative", v)
-			}
-		}
-		p.perDest = perDest
+		// Every node's delivery count must be its share of the traffic
+		// matrix: the delivery layout is sized from these counts.
+		addressed := make([]int32, n)
 		if fullTraffic {
 			ids := make([]int32, p.numBlocks)
 			for i := range ids {
 				ids[i] = int32(i)
 			}
 			p.trafficIDs = ids
+			for v := range addressed {
+				addressed[v] = int32(n)
+			}
 		} else {
 			for _, id := range trafficIDs {
 				if id < 0 || int(id) >= p.numBlocks {
 					return nil, fmt.Errorf("exec: decode: traffic id %d out of range", id)
 				}
+				addressed[int(id)%n]++
 			}
 			p.trafficIDs = trafficIDs
 		}
-		// Delivery layout prefix — derived, never serialized.
-		finalBase := make([]int32, n+1)
 		for v := 0; v < n; v++ {
-			finalBase[v+1] = finalBase[v] + perDest[v]
+			if perDest[v] != addressed[v] {
+				return nil, fmt.Errorf("exec: decode: node %d delivery count %d, traffic addresses %d blocks to it", v, perDest[v], addressed[v])
+			}
 		}
-		p.finalBase = finalBase
-		if err := p.decodeDescPlan(dtBytes, descBase, descRaw, tailFullOff, tailFullRaw,
-			tailResidOff, tailResidRaw, numDesc, numTailFull, numTailResid, logSize, numTransfers, numPayload); err != nil {
+		p.perDest = perDest
+		// Delivery layout prefix and reciprocal — derived, never
+		// serialized.
+		p.deriveDelivery()
+		if err := p.decodeDescPlan(dtBytes, descBase, descRaw, tailResidOff, tailResidRaw,
+			numDesc, numTailResid, logSize, numTransfers, numPayload); err != nil {
 			return nil, err
 		}
 	}
@@ -734,11 +729,12 @@ func viewTailSegs(b []byte, n int) []tailSeg {
 // decodeDescPlan validates the descriptor section against the already
 // validated replay tables and attaches it. Every index a descriptor
 // replay follows — log windows, delivery windows, descriptor windows —
-// is range-checked here, so a decoded plan cannot make gather read or
-// write out of bounds no matter how the file was corrupted.
+// is range-checked here, and the delivery windows are proven to tile
+// the delivery layout, so a decoded plan cannot make gather read or
+// write out of bounds, nor leave a delivery slot unwritten, no matter
+// how the file was corrupted.
 func (p *Program) decodeDescPlan(dtBytes []byte, descBase []int32, descRaw []byte,
-	tailFullOff []int32, tailFullRaw []byte, tailResidOff []int32, tailResidRaw []byte,
-	numDesc, numTailFull, numTailResid, logSize, numTransfers, numPayload int) error {
+	tailResidOff []int32, tailResidRaw []byte, numDesc, numTailResid, logSize, numTransfers, numPayload int) error {
 	n := p.n
 	if logSize < 0 || logSize > p.numBlocks+numPayload {
 		return fmt.Errorf("exec: decode: implausible log size %d", logSize)
@@ -771,22 +767,13 @@ func (p *Program) decodeDescPlan(dtBytes []byte, descBase []int32, descRaw []byt
 			return fmt.Errorf("exec: decode: descriptor %d reads outside the log", i)
 		}
 	}
-	// expansion sums a descriptor window's element count (bounded: every
-	// window start is a distinct log slot, so the int64 sum can't wrap).
-	expansion := func(off, cnt int32) int64 {
-		var total int64
-		for _, d := range descs[off : off+cnt] {
-			total += int64(d.count) * int64(d.blocklen)
-		}
-		return total
-	}
-	totalDeliver := int64(p.finalBase[n])
 	dts := viewDtransfers(dtBytes, numTransfers)
 	lastHopOnly := true
 	var descBytes int64
 	g := 0
 	for si := range p.steps {
-		ts := p.steps[si].transfers
+		ps := &p.steps[si]
+		ts := ps.transfers
 		for ti := range ts {
 			pt, dt := &ts[ti], &dts[g]
 			g++
@@ -800,18 +787,17 @@ func (p *Program) decodeDescPlan(dtBytes []byte, descBase []int32, descRaw []byt
 			if dt.descOff < 0 || dt.descLen < 1 || int64(dt.descOff)+int64(dt.descLen) > int64(numDesc) {
 				return fmt.Errorf("exec: decode: transfer %d descriptor window out of range", g-1)
 			}
-			if expansion(dt.descOff, dt.descLen) != int64(pt.payLen) {
+			if expandedLen(descs[dt.descOff:dt.descOff+dt.descLen]) != int64(pt.payLen) {
 				return fmt.Errorf("exec: decode: transfer %d descriptors expand to the wrong payload size", g-1)
 			}
 			if dt.insPos < 0 || int64(dt.insPos)+int64(pt.payLen) > int64(logSize) {
 				return fmt.Errorf("exec: decode: transfer %d insert window outside the log", g-1)
 			}
 			descBytes += int64(pt.payLen) * 4
-			if dt.finalPos >= 0 {
-				if int64(dt.finalPos)+int64(pt.payLen) > totalDeliver {
-					return fmt.Errorf("exec: decode: transfer %d delivery window out of range", g-1)
-				}
-			} else {
+			ps.moved += int(pt.payLen)
+			// A last-hop window (finalPos >= 0) is placed by
+			// checkDeliveryTiling below.
+			if dt.finalPos < 0 {
 				if dt.finalPos != -1 {
 					return fmt.Errorf("exec: decode: transfer %d delivery position invalid", g-1)
 				}
@@ -819,48 +805,109 @@ func (p *Program) decodeDescPlan(dtBytes []byte, descBase []int32, descRaw []byt
 			}
 		}
 	}
-	tailFull := viewTailSegs(tailFullRaw, numTailFull)
 	tailResid := viewTailSegs(tailResidRaw, numTailResid)
-	checkTail := func(off []int32, segs []tailSeg, full bool) error {
-		if off[0] != 0 || int(off[n]) != len(segs) {
-			return fmt.Errorf("exec: decode: tail offsets do not cover the segments")
+	if tailResidOff[0] != 0 || int(tailResidOff[n]) != len(tailResid) {
+		return fmt.Errorf("exec: decode: tail offsets do not cover the segments")
+	}
+	for v := 0; v < n; v++ {
+		if tailResidOff[v+1] < tailResidOff[v] {
+			return fmt.Errorf("exec: decode: tail offsets not monotone at node %d", v)
 		}
-		for v := 0; v < n; v++ {
-			if off[v+1] < off[v] {
-				return fmt.Errorf("exec: decode: tail offsets not monotone at node %d", v)
-			}
-			var covered int64
-			for _, sg := range segs[off[v]:off[v+1]] {
-				if sg.dstPos < 0 || sg.descOff < 0 || sg.descLen < 0 ||
-					int64(sg.descOff)+int64(sg.descLen) > int64(numDesc) {
-					return fmt.Errorf("exec: decode: node %d tail segment out of range", v)
-				}
-				e := expansion(sg.descOff, sg.descLen)
-				if int64(sg.dstPos)+e > int64(p.perDest[v]) {
-					return fmt.Errorf("exec: decode: node %d tail segment writes past its deliveries", v)
-				}
-				covered += e
-			}
-			if full && covered != int64(p.perDest[v]) {
-				return fmt.Errorf("exec: decode: node %d full tail covers %d deliveries, want %d", v, covered, p.perDest[v])
+		for _, sg := range tailResid[tailResidOff[v]:tailResidOff[v+1]] {
+			if sg.dstPos < 0 || sg.descOff < 0 || sg.descLen < 1 ||
+				int64(sg.descOff)+int64(sg.descLen) > int64(numDesc) {
+				return fmt.Errorf("exec: decode: node %d tail segment out of range", v)
 			}
 		}
-		return nil
-	}
-	if err := checkTail(tailFullOff, tailFull, true); err != nil {
-		return err
-	}
-	if err := checkTail(tailResidOff, tailResid, false); err != nil {
-		return err
 	}
 	p.dtransfers = dts
 	p.descBacking = descs
 	p.descBase = descBase
-	p.tailFull = tailFull
-	p.tailFullOff = tailFullOff
 	p.tailResid = tailResid
 	p.tailResidOff = tailResidOff
 	p.descBytes = descBytes
 	p.lastHopOnly = lastHopOnly
+	return p.checkDeliveryTiling()
+}
+
+// checkDeliveryTiling proves that a replay writes every slot of the
+// dense delivery layout exactly once: each last-hop window lies inside
+// its destination node's range, each residual segment inside its own
+// node's, and together they cover the whole layout with no slot
+// written twice. A replay then leaves no slot unwritten and every
+// node's count holds by construction, so the run-time delivery pass
+// checks addressing only. Residual descriptor windows must already lie
+// inside the descriptor table.
+func (p *Program) checkDeliveryTiling() error {
+	total := int64(p.finalBase[p.n])
+	covered := make([]uint64, (total+63)/64)
+	var filled int64
+	for si := range p.steps {
+		ps := &p.steps[si]
+		for ti := range ps.transfers {
+			pt, dt := &ps.transfers[ti], &p.dtransfers[int(ps.tBase)+ti]
+			if pt.payLen == 0 || dt.finalPos < 0 {
+				continue
+			}
+			lo, hi := int64(dt.finalPos), int64(dt.finalPos)+int64(pt.payLen)
+			if lo < int64(p.finalBase[pt.dst]) || hi > int64(p.finalBase[pt.dst+1]) {
+				return fmt.Errorf("exec: transfer %d delivers to [%d,%d), outside node %d's delivery range", int(ps.tBase)+ti, lo, hi, pt.dst)
+			}
+			if !markRange(covered, int(lo), int(hi)) {
+				return fmt.Errorf("exec: transfer %d delivers to slots of [%d,%d) another delivery already writes", int(ps.tBase)+ti, lo, hi)
+			}
+			filled += hi - lo
+		}
+	}
+	for v := 0; v < p.n; v++ {
+		for _, sg := range p.tailResid[p.tailResidOff[v]:p.tailResidOff[v+1]] {
+			lo := int64(p.finalBase[v]) + int64(sg.dstPos)
+			e := expandedLen(p.descBacking[sg.descOff : sg.descOff+sg.descLen])
+			hi := lo + e
+			if e < 0 || hi > int64(p.finalBase[v+1]) {
+				return fmt.Errorf("exec: node %d residual segment [%d,%d) runs past its delivery range", v, lo, hi)
+			}
+			if !markRange(covered, int(lo), int(hi)) {
+				return fmt.Errorf("exec: node %d residual segment [%d,%d) overlaps another delivery", v, lo, hi)
+			}
+			filled += hi - lo
+		}
+	}
+	if filled != total {
+		return fmt.Errorf("exec: delivery plan writes %d of %d delivery slots, leaving the rest uncovered", filled, total)
+	}
 	return nil
+}
+
+// expandedLen returns the element count descs expand to, or -1 once it
+// passes MaxInt32 (no window a decoder accepts is that long), so a
+// corrupt table's sum can never wrap.
+func expandedLen(descs []xdesc) int64 {
+	var total int64
+	for i := range descs {
+		total += int64(descs[i].count) * int64(descs[i].blocklen)
+		if total > math.MaxInt32 {
+			return -1
+		}
+	}
+	return total
+}
+
+// markRange sets bits [lo, hi) of bm, reporting false, with bm partly
+// updated, if any of them was already set.
+func markRange(bm []uint64, lo, hi int) bool {
+	for lo < hi {
+		end := (lo | 63) + 1
+		if end > hi {
+			end = hi
+		}
+		mask := ^uint64(0) >> uint(64-(end-lo)) << uint(lo&63)
+		w := &bm[lo>>6]
+		if *w&mask != 0 {
+			return false
+		}
+		*w |= mask
+		lo = end
+	}
+	return true
 }

@@ -116,8 +116,9 @@ func TestProgramCodecRoundTripStable(t *testing.T) {
 // TestProgramDecodeRejects: the decoder must reject — with an error,
 // never a panic — every truncation prefix, flipped content bytes,
 // wrong magic/version, unknown flags, fabric or options fingerprints
-// that do not match the decode context, and files of any other codec
-// version.
+// that do not match the decode context, files of any other codec
+// version, and correctly sealed files whose delivery plan does not
+// tile the delivery layout.
 func TestProgramDecodeRejects(t *testing.T) {
 	tor := topology.MustNew(4, 4)
 	b, err := algorithm.For("direct")
@@ -184,10 +185,11 @@ func TestProgramDecodeRejects(t *testing.T) {
 		}
 	})
 	// A file an older build wrote (v1: span tables only; v2: spans plus
-	// the descriptor plan) must be a clean, descriptive error, which the
-	// disk tier turns into a miss and a delete.
+	// the descriptor plan; v3: the descriptor plan with a full delivery
+	// tail) must be a clean, descriptive error, which the disk tier
+	// turns into a miss and a delete.
 	t.Run("stale-versions", func(t *testing.T) {
-		for _, v := range []uint16{1, 2} {
+		for _, v := range []uint16{1, 2, 3} {
 			stale := append([]byte(nil), enc...)
 			binary.LittleEndian.PutUint16(stale[4:], v)
 			binary.LittleEndian.PutUint32(stale[len(stale)-4:], crc32.ChecksumIEEE(stale[:len(stale)-4]))
@@ -197,16 +199,59 @@ func TestProgramDecodeRejects(t *testing.T) {
 			}
 		}
 	})
+	// Files sealed by the encoder itself, so only the delivery-tiling
+	// proof stands between them and a replay. Direct delivers every
+	// block through a last-hop window except each node's own block,
+	// which never moves and is a residual segment.
+	t.Run("delivery-tiling", func(t *testing.T) {
+		for _, tc := range []struct {
+			name, want string
+			edit       func(finalPos, residPos []int32, residNode []int)
+		}{
+			{"residual-overlaps-last-hop", "overlaps", func(finalPos, residPos []int32, residNode []int) {
+				v := residNode[0]
+				lo, hi := int32(pg.DeliveryOffset(v)), int32(pg.DeliveryOffset(v+1))
+				for _, fp := range finalPos {
+					if fp >= lo && fp < hi && fp-lo != residPos[0] {
+						residPos[0] = fp - lo
+						return
+					}
+				}
+				t.Fatalf("node %d has no last-hop window", v)
+			}},
+			{"slot-uncovered", "uncovered", func(finalPos, _ []int32, _ []int) {
+				for i, fp := range finalPos {
+					if fp >= 0 {
+						finalPos[i] = -1
+						return
+					}
+				}
+				t.Fatal("no last-hop window")
+			}},
+		} {
+			bad, err := exec.EncodeWithDeliveryEdit(pg, 1, tc.edit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = exec.DecodeProgram(bad, tor, 1)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("%s: err = %v, want a tiling error mentioning %q", tc.name, err, tc.want)
+			}
+		}
+		if _, err := exec.DecodeProgram(enc, tor, 1); err != nil {
+			t.Fatalf("unedited file no longer decodes: %v", err)
+		}
+	})
 }
 
-// TestProgramCodecGolden pins the v3 byte format: the committed
+// TestProgramCodecGolden pins the v4 byte format: the committed
 // golden files must decode, and re-encoding the 4x4 programs must
 // reproduce them bit-for-bit. A diff here means the format changed —
 // bump CodecVersion rather than silently breaking every cached
 // program on disk. Regenerate with -update after a deliberate version
 // bump. Two shapes are pinned: the direct exchange, and the factored
 // algorithm whose multi-phase program exercises the descriptor
-// section (strided gathers, tail segments) most heavily.
+// section (strided gathers, residual tail segments) most heavily.
 func TestProgramCodecGolden(t *testing.T) {
 	tor := topology.MustNew(4, 4)
 	for _, alg := range []string{"direct", "factored"} {
@@ -227,7 +272,7 @@ func TestProgramCodecGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join("testdata", "program_v3_"+alg+"4x4.bin")
+			path := filepath.Join("testdata", "program_v4_"+alg+"4x4.bin")
 			if *updateGolden {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {
 					t.Fatal(err)
@@ -241,7 +286,7 @@ func TestProgramCodecGolden(t *testing.T) {
 				t.Fatalf("read golden (regenerate with -update): %v", err)
 			}
 			if !bytes.Equal(enc, want) {
-				t.Fatalf("encoding diverges from committed v3 golden (%d vs %d bytes); if the format changed deliberately, bump CodecVersion and -update", len(enc), len(want))
+				t.Fatalf("encoding diverges from committed v4 golden (%d vs %d bytes); if the format changed deliberately, bump CodecVersion and -update", len(enc), len(want))
 			}
 			dec, err := exec.DecodeProgram(want, tor, 0)
 			if err != nil {

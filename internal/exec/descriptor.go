@@ -19,11 +19,16 @@ import (
 // gather with source and destination in one region.
 //
 // Last-hop direct delivery: a transfer that is the final mover of every
-// block it carries gets a precomputed window in the final delivery
-// layout, so ReplayInto gathers it straight into the caller's buffer
-// and skips the log append. A program whose every payload transfer is
-// last-hop is last-hop-only: ReplayInto touches no arena scratch at
-// all.
+// block it carries gets a precomputed window in the dense delivery
+// layout, so a replay gathers it straight into the delivery buffer (the
+// caller's under ReplayInto, the arena's under RunArena) and skips the
+// log append. The residual tail segments gather every other delivery —
+// blocks never moved, or last moved by a transfer that also carried
+// blocks moving on — from the log. Last-hop windows and residual
+// segments tile each node's delivery range exactly once, which Compile
+// builds and DecodeProgram proves (checkDeliveryTiling). A program
+// whose every payload transfer is last-hop is last-hop-only:
+// ReplayInto touches no arena scratch at all.
 //
 // The plan is built by a compile pass parallel over nodes that replays
 // the reference replay's per-node event runs.
@@ -56,8 +61,8 @@ type dtransfer struct {
 	finalPos int32
 }
 
-// tailSeg is one contiguous run of a node's final deliveries gathered
-// from the log: descriptors [descOff, descOff+descLen) of
+// tailSeg is one contiguous run of a node's residual deliveries
+// gathered from the log: descriptors [descOff, descOff+descLen) of
 // Program.descBacking expand to the block ids delivered at
 // node-relative positions [dstPos, dstPos+len).
 type tailSeg struct {
@@ -65,21 +70,32 @@ type tailSeg struct {
 }
 
 // gather expands descs against the log into dst, returning the element
-// count written. It is the descriptor replay's whole inner loop: one
-// memmove per (count × blocklen) window.
+// count written. It is the descriptor replay's whole inner loop: a
+// scalar loop for blocklen-1 descriptors (single blocks, transposes and
+// interleaves, where a copy per element would cost a memmove call
+// each), one copy per run, and one copy per window otherwise.
 func gather(dst, log []int32, descs []xdesc) int {
 	w := 0
 	for i := range descs {
 		d := &descs[i]
-		s, bl := int(d.start), int(d.blocklen)
-		if d.count == 1 {
+		s, bl, c := int(d.start), int(d.blocklen), int(d.count)
+		switch {
+		case bl == 1:
+			st := int(d.stride)
+			out := dst[w : w+c]
+			for k := range out {
+				out[k] = log[s]
+				s += st
+			}
+			w += c
+		case c == 1:
 			w += copy(dst[w:], log[s:s+bl])
-			continue
-		}
-		st := int(d.stride)
-		for c := int32(0); c < d.count; c++ {
-			w += copy(dst[w:], log[s:s+bl])
-			s += st
+		default:
+			st := int(d.stride)
+			for ; c > 0; c-- {
+				w += copy(dst[w:], log[s:s+bl])
+				s += st
+			}
 		}
 	}
 	return w
@@ -135,7 +151,6 @@ type descScratch struct {
 	descWC    []xdesc // worst-case transfer descriptors at payload offsets
 	dInsLocal []int32 // ordinal -> node-local insert position
 	dDescCnt  []int32 // ordinal -> descriptor count in descWC
-	tailFWC   []xdesc // worst-case tailFull descriptors at finalBase offsets
 	tailRWC   []xdesc // worst-case tailResid descriptors at finalBase offsets
 	tailSegWC []tailSeg
 }
@@ -193,8 +208,6 @@ func (p *Program) planDescriptors(opOff []int32, opBacking []opRec, ordOff, ordS
 	ds.survAll = survAll
 	descWC := growDesc(ds.descWC, len(p.payloadBacking))
 	ds.descWC = descWC
-	tailFWC := growDesc(ds.tailFWC, numDeliver)
-	ds.tailFWC = tailFWC
 	tailRWC := growDesc(ds.tailRWC, numDeliver)
 	ds.tailRWC = tailRWC
 	if cap(ds.tailSegWC) < numDeliver {
@@ -204,11 +217,8 @@ func (p *Program) planDescriptors(opOff []int32, opBacking []opRec, ordOff, ordS
 
 	// Final delivery layout: node v's blocks occupy
 	// [finalBase[v], finalBase[v+1]) of the flat delivery buffer.
-	finalBase := make([]int32, n+1)
-	for v := 0; v < n; v++ {
-		finalBase[v+1] = finalBase[v] + p.perDest[v]
-	}
-	p.finalBase = finalBase
+	p.deriveDelivery()
+	finalBase := p.finalBase
 
 	// Serial pre-pass: each block's last moving transfer, the last-hop
 	// transfers (final mover of their whole payload), and the blocks
@@ -270,11 +280,10 @@ func (p *Program) planDescriptors(opOff []int32, opBacking []opRec, ordOff, ordS
 
 	// Parallel pass over nodes: replay each node's event run, assigning
 	// append-only log positions, recognizing each extraction's positions
-	// as strided descriptors, and building the node's tail gather plans. All cross-node state
-	// is read-only or indexed by ids the node owns, so the walks are
-	// data-race free.
+	// as strided descriptors, and building the node's residual tail
+	// plan. All cross-node state is read-only or indexed by ids the node
+	// owns, so the walks are data-race free.
 	nodeLog := make([]int32, n)
-	tailFullCnt := make([]int32, n)
 	tailResidSegCnt := make([]int32, n)
 	tailResidDescCnt := make([]int32, n)
 	par.ForEach(0, n, func(lo, hi int) {
@@ -324,22 +333,15 @@ func (p *Program) planDescriptors(opOff []int32, opBacking []opRec, ordOff, ordS
 			}
 			nodeLog[v] = int32(cursor)
 
-			// Tail plans over the node's final deliveries, in final
-			// arrival order.
+			// The node's final deliveries in final arrival order, their
+			// ranks anchoring the last-hop windows; tailResid: those not
+			// written by a last-hop gather, as maximal rank-contiguous
+			// runs.
 			seg := survAll[finalBase[v]:finalBase[v+1]]
 			sort.Slice(seg, func(a, b int) bool { return uint32(hs[seg[a]]) < uint32(hs[seg[b]]) })
 			for rank, id := range seg {
 				finalRank[id] = int32(rank)
 			}
-			physBuf = physBuf[:0]
-			for _, id := range seg {
-				physBuf = append(physBuf, idPos[id])
-			}
-			runs = coalesceDescs(runs[:0], physBuf)
-			copy(tailFWC[finalBase[v]:], runs)
-			tailFullCnt[v] = int32(len(runs))
-			// tailResid: the deliveries not written by a last-hop gather,
-			// as maximal rank-contiguous runs (ReplayInto's cleanup).
 			segW, descW := int32(0), int32(0)
 			for i := 0; i < len(seg); {
 				if direct[seg[i]] != 0 {
@@ -389,7 +391,7 @@ func (p *Program) planDescriptors(opOff []int32, opBacking []opRec, ordOff, ordS
 		}
 	}
 	for v := 0; v < n; v++ {
-		total += int(tailFullCnt[v]) + int(tailResidDescCnt[v])
+		total += int(tailResidDescCnt[v])
 	}
 	p.descBacking = make([]xdesc, 0, total)
 	p.dtransfers = make([]dtransfer, numT)
@@ -420,23 +422,10 @@ func (p *Program) planDescriptors(opOff []int32, opBacking []opRec, ordOff, ordS
 				p.lastHopOnly = false
 			}
 			p.descBytes += int64(pt.payLen) * 4
+			ps.moved += int(pt.payLen)
 			g++
 		}
 	}
-	p.tailFullOff = make([]int32, n+1)
-	p.tailFull = make([]tailSeg, 0, n)
-	for v := 0; v < n; v++ {
-		p.tailFullOff[v] = int32(len(p.tailFull))
-		if cnt := tailFullCnt[v]; cnt > 0 {
-			off := int32(len(p.descBacking))
-			for _, d := range tailFWC[finalBase[v] : finalBase[v]+cnt] {
-				d.start += descBase[v]
-				p.descBacking = append(p.descBacking, d)
-			}
-			p.tailFull = append(p.tailFull, tailSeg{dstPos: 0, descOff: off, descLen: cnt})
-		}
-	}
-	p.tailFullOff[n] = int32(len(p.tailFull))
 	p.tailResidOff = make([]int32, n+1)
 	totalSegs := 0
 	for v := 0; v < n; v++ {

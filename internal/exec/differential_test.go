@@ -4,13 +4,16 @@
 // A wall row is a schedule plus a traffic matrix. checkRow crosses the
 // row over program source (a fresh Compile, or that program encoded and
 // decoded through the codec) × replay mode (serial, or parallel at each
-// requested width) × entry point (RunArena, ReplayInto), reusing one
-// arena per program across all of them, and requires every outcome to
-// match the oracle's Measure, MaxSharing and delivery matrix — same
-// blocks, same per-node order. Schedules the parallel replay cannot
-// execute (intra-step forwarding) must be accepted serially and refused
-// in parallel; schedules the oracle rejects must fail Compile with the
-// same error.
+// requested width, once with the production fan-out threshold and once
+// with every step fanned out) × entry point (RunArena, ReplayInto),
+// reusing one arena per program across all of them, and requires every
+// outcome to match the oracle's Measure, MaxSharing and delivery matrix
+// — same blocks, same per-node order. The rows are small enough that no
+// step reaches the production threshold, so the fanned-out modes are
+// what puts the sender buckets and barriers under the race detector.
+// Schedules the parallel replay cannot execute (intra-step forwarding)
+// must be accepted serially and refused in parallel; schedules the
+// oracle rejects must fail Compile with the same error.
 //
 // The test functions only choose rows. They keep the names of the
 // suites the wall replaced and split the rows between them, so no row
@@ -179,12 +182,16 @@ func checkRow(t *testing.T, r wallRow, widths []int) {
 	wantIDs := flatIDs(want.Buffers)
 
 	type mode struct {
-		label string
-		opt   exec.Options
+		label  string
+		opt    exec.Options
+		fanAll bool // lower the fan-out threshold to 0 for this mode
 	}
-	modes := []mode{{"serial", exec.Options{Serial: true}}}
+	modes := []mode{{label: "serial", opt: exec.Options{Serial: true}}}
 	for _, w := range widths {
-		modes = append(modes, mode{"parallel-" + strconv.Itoa(w), exec.Options{Workers: w}})
+		opt := exec.Options{Workers: w}
+		modes = append(modes,
+			mode{label: "parallel-" + strconv.Itoa(w), opt: opt},
+			mode{label: "parallel-" + strconv.Itoa(w) + "-fanout", opt: opt, fanAll: true})
 	}
 	for _, src := range []struct {
 		label string
@@ -196,39 +203,45 @@ func checkRow(t *testing.T, r wallRow, widths []int) {
 			dst = make([]int32, src.pg.DeliverySize())
 		}
 		for _, m := range modes {
-			label := src.label + "/" + m.label
-			refuse := r.serialOnly && !m.opt.Serial
-			res, err := src.pg.RunArena(arena, m.opt)
-			if refuse {
-				wantForwardRefusal(t, label+"/RunArena", err)
-			} else {
+			func() {
+				label := src.label + "/" + m.label
+				refuse := r.serialOnly && !m.opt.Serial
+				if m.fanAll {
+					prev := exec.SetFanOutElems(0)
+					defer exec.SetFanOutElems(prev)
+				}
+				res, err := src.pg.RunArena(arena, m.opt)
+				if refuse {
+					wantForwardRefusal(t, label+"/RunArena", err)
+				} else {
+					if err != nil {
+						t.Fatalf("%s/RunArena: %v", label, err)
+					}
+					if res.Measure != want.Measure || res.MaxSharing != want.MaxSharing || res.Replayed != want.Replayed {
+						t.Fatalf("%s/RunArena: Measure %+v sharing %d replayed %v, oracle %+v %d %v", label,
+							res.Measure, res.MaxSharing, res.Replayed, want.Measure, want.MaxSharing, want.Replayed)
+					}
+					if res.BytesMoved != src.pg.BytesMoved() {
+						t.Fatalf("%s/RunArena: BytesMoved %d, program reports %d", label, res.BytesMoved, src.pg.BytesMoved())
+					}
+					sameBuffers(t, want.Buffers, res.Buffers)
+				}
+				if !want.Replayed {
+					return
+				}
+				for i := range dst {
+					dst[i] = -1
+				}
+				err = src.pg.ReplayInto(arena, dst, m.opt)
+				if refuse {
+					wantForwardRefusal(t, label+"/ReplayInto", err)
+					return
+				}
 				if err != nil {
-					t.Fatalf("%s/RunArena: %v", label, err)
+					t.Fatalf("%s/ReplayInto: %v", label, err)
 				}
-				if res.Measure != want.Measure || res.MaxSharing != want.MaxSharing || res.Replayed != want.Replayed {
-					t.Fatalf("%s/RunArena: Measure %+v sharing %d replayed %v, oracle %+v %d %v", label,
-						res.Measure, res.MaxSharing, res.Replayed, want.Measure, want.MaxSharing, want.Replayed)
-				}
-				if res.BytesMoved != src.pg.BytesMoved() {
-					t.Fatalf("%s/RunArena: BytesMoved %d, program reports %d", label, res.BytesMoved, src.pg.BytesMoved())
-				}
-				sameBuffers(t, want.Buffers, res.Buffers)
-			}
-			if !want.Replayed {
-				continue
-			}
-			for i := range dst {
-				dst[i] = -1
-			}
-			err = src.pg.ReplayInto(arena, dst, m.opt)
-			if refuse {
-				wantForwardRefusal(t, label+"/ReplayInto", err)
-				continue
-			}
-			if err != nil {
-				t.Fatalf("%s/ReplayInto: %v", label, err)
-			}
-			sameIDs(t, label+"/ReplayInto", wantIDs, dst)
+				sameIDs(t, label+"/ReplayInto", wantIDs, dst)
+			}()
 		}
 	}
 }

@@ -55,10 +55,13 @@ type pstep struct {
 	maxHops    int
 	transfers  []ptransfer
 	// tBase is the step's first global transfer ordinal: the dtransfer
-	// of transfers[ti] is Program.dtransfers[tBase+ti]. Derived (set by
-	// the descriptor planner at compile and recomputed at decode), never
-	// serialized.
+	// of transfers[ti] is Program.dtransfers[tBase+ti]; moved is the
+	// element count the step's gathers copy, which decides whether the
+	// parallel replay fans the step out (fanOutElems). Both derived (set
+	// by the descriptor planner at compile and recomputed at decode),
+	// never serialized.
 	tBase int32
+	moved int
 }
 
 // Program is a compiled schedule: the validated, densely indexed form
@@ -108,19 +111,17 @@ type Program struct {
 	dtransfers  []dtransfer
 	descBacking []xdesc
 	descBase    []int32 // per-node log regions, n+1 prefix
-	// tailFull expands each node's complete final deliveries from the
-	// log (checkDeliveryDesc/materializeDesc); tailResid only the
-	// deliveries no last-hop transfer gathers directly (ReplayInto's
-	// cleanup). Both index descBacking; per-node windows via the n+1
-	// offset prefixes.
-	tailFull     []tailSeg
-	tailFullOff  []int32
+	// tailResid holds the residual tail segments: the deliveries no
+	// last-hop transfer gathers directly, indexing descBacking, with
+	// per-node windows via the n+1 offset prefix.
 	tailResid    []tailSeg
 	tailResidOff []int32
-	// finalBase is the flat delivery layout: node v's blocks occupy
-	// [finalBase[v], finalBase[v+1]) of a ReplayInto destination.
-	// Derived from perDest at compile and decode, never serialized.
+	// finalBase is the dense delivery layout: node v's blocks occupy
+	// [finalBase[v], finalBase[v+1]) of a delivery buffer. recip is the
+	// delivery pass's reciprocal of n (see divShift). Both derived from
+	// perDest and n at compile and decode, never serialized.
 	finalBase []int32
+	recip     uint64
 	// descBytes: bytes one replay's gathers physically copy, derived
 	// from the plan at compile and decode. lastHopOnly: every payload
 	// transfer is last-hop, so ReplayInto never writes arena scratch.
@@ -192,8 +193,8 @@ func (p *Program) SizeBytes() int64 {
 	size += int64(len(p.trafficIDs))*4 + int64(len(p.perDest))*4
 	size += int64(len(p.dtransfers)) * int64(unsafe.Sizeof(dtransfer{}))
 	size += int64(len(p.descBacking)) * int64(unsafe.Sizeof(xdesc{}))
-	size += int64(len(p.tailFull)+len(p.tailResid)) * int64(unsafe.Sizeof(tailSeg{}))
-	size += int64(len(p.descBase)+len(p.tailFullOff)+len(p.tailResidOff)+len(p.finalBase)) * 4
+	size += int64(len(p.tailResid)) * int64(unsafe.Sizeof(tailSeg{}))
+	size += int64(len(p.descBase)+len(p.tailResidOff)+len(p.finalBase)) * 4
 	return size
 }
 
@@ -627,14 +628,15 @@ func checkStep(f topology.Fabric, domainTab, links []int32, ps *pstep, skipCheck
 }
 
 // Arena is the reusable per-run scratch of a compiled program: the
-// descriptor replay's block log and the delivery buffers, allocated
-// once per arena so steady-state replays allocate (nearly) nothing. An
-// Arena is not safe for concurrent use; create one per goroutine with
-// NewArena, or borrow one from the program's pool with AcquireArena.
-// Result.Buffers returned by RunArena alias arena memory and are valid
-// until the next RunArena call on the same arena (or its release back
-// to the pool). An arena whose run returned an error must be
-// discarded; ReleaseArena drops such arenas on the floor.
+// descriptor replay's block log, and RunArena's dense delivery buffer
+// and delivery buffers, allocated once per arena so steady-state
+// replays allocate (nearly) nothing. An Arena is not safe for
+// concurrent use; create one per goroutine with NewArena, or borrow one
+// from the program's pool with AcquireArena. Result.Buffers returned by
+// RunArena alias arena memory and are valid until the next RunArena
+// call on the same arena (or its release back to the pool). An arena
+// whose run returned an error must be discarded; ReleaseArena drops
+// such arenas on the floor.
 type Arena struct {
 	prog *Program
 
@@ -644,12 +646,19 @@ type Arena struct {
 	// position is fixed at compile time, so repeat replays rewrite every
 	// window with identical values — no per-run reset).
 	log []int32
-	out []*block.Buffer
-	bad bool // a replay errored; the arena must not be pooled
+	// dense is RunArena's delivery buffer in the DeliverySize layout
+	// and out the Result.Buffers it materializes into; both are built
+	// on the arena's first RunArena.
+	dense []int32
+	out   []*block.Buffer
+	bad   bool // a replay errored; the arena must not be pooled
 
-	// Cached sender partitions for the parallel path, keyed by the
-	// worker count they were built for.
+	// Cached per-step sender partitions for the parallel path (nil for
+	// steps that run inline), keyed by the worker count and fan-out
+	// threshold they were built for.
+	bucketsBuilt  bool
 	bucketWorkers int
+	bucketMin     int
 	srcBuckets    [][][]int
 }
 
@@ -701,11 +710,14 @@ func (p *Program) Run(opt Options) (*Result, error) {
 	return p.RunArena(p.NewArena(), opt)
 }
 
-// RunArena executes the program using a's scratch. Options.Serial and
-// Options.Workers choose the replay path; Options.Traffic and
-// Options.SkipChecks were compiled in and are ignored here. The fast
-// path allocates only the Result (plus, on the arena's first run, the
-// reusable delivery buffers).
+// RunArena executes the program using a's scratch. It replays exactly
+// as ReplayInto does, into the arena's dense delivery buffer, then one
+// sequential pass checks that every delivered id is addressed to its
+// node and writes the blocks into the arena's reused Result.Buffers.
+// Options.Serial and Options.Workers choose the replay path;
+// Options.Traffic and Options.SkipChecks were compiled in and are
+// ignored here. A warm arena allocates only the Result; the arena's
+// first run also builds the delivery buffers.
 func (p *Program) RunArena(a *Arena, opt Options) (*Result, error) {
 	if a == nil || a.prog != p {
 		return nil, fmt.Errorf("exec: arena does not belong to this program")
@@ -713,9 +725,16 @@ func (p *Program) RunArena(a *Arena, opt Options) (*Result, error) {
 	res := &Result{Schedule: p.sc, Measure: p.measure, MaxSharing: p.maxSharing}
 	if p.replay {
 		sp := opt.Request.Stage("replay")
-		err := a.replay(opt, nil)
+		if a.dense == nil {
+			a.dense = make([]int32, p.DeliverySize())
+			a.out = make([]*block.Buffer, p.n)
+			for v := range a.out {
+				a.out[v] = block.NewBuffer(int(p.perDest[v]))
+			}
+		}
+		err := a.replay(opt, a.dense)
 		if err == nil {
-			err = a.checkDeliveryDesc()
+			err = p.deliver(a.dense, a.out)
 		}
 		if err != nil {
 			sp.End()
@@ -723,7 +742,7 @@ func (p *Program) RunArena(a *Arena, opt Options) (*Result, error) {
 			return nil, err
 		}
 		res.Replayed = true
-		res.Buffers = a.materializeDesc()
+		res.Buffers = a.out
 		res.BytesMoved = p.descBytes
 		noteReplay(p)
 		sp.End()
@@ -742,49 +761,67 @@ func (p *Program) RunArena(a *Arena, opt Options) (*Result, error) {
 	return res, nil
 }
 
-// replay executes every executed transfer's strided gather from the
-// log: in schedule order on the calling goroutine under Options.Serial,
-// otherwise sharded by sender per step — a transfer's gather reads its
-// source node's region (conflict-free by the sender shard) and writes a
-// compile-time-fixed window no other transfer of the step touches, so
-// one barrier per step suffices. Intra-step forwarders were flagged at
-// compile time and are rejected on the parallel path. A non-nil into
-// receives the last-hop transfers' payloads at their delivery slots
-// instead of the log (ReplayInto). No compaction, no per-run reset —
-// every window's contents are identical run over run.
-func (a *Arena) replay(opt Options, into []int32) error {
+// fanOutElems is the step size, in elements gathered, from which the
+// parallel replay shards a step by sender over the worker pool with a
+// barrier after it; smaller steps run inline on the caller, where
+// spawning goroutines and waiting costs more than the gathers it would
+// split. Set from the crossover sweep in EXPERIMENTS.md ("Warm replay
+// through the dense delivery layout"). A variable only so tests can
+// lower it and push every step through the fan-out.
+var fanOutElems = 1 << 18
+
+// replay executes every transfer's strided gather in schedule order,
+// then fills the residual tail: dst is a DeliverySize() dense delivery
+// buffer that last-hop transfers gather straight into, and the
+// residual segments complete from the log. Under Options.Serial every
+// step runs on the caller. Otherwise a step moving at least
+// fanOutElems elements is sharded by sender — a transfer's gather
+// reads its source node's region (conflict-free by the sender shard)
+// and writes a compile-time-fixed window no other transfer of the step
+// touches, so one barrier per step suffices — and smaller steps run
+// inline. Intra-step forwarders were flagged at compile time and are
+// refused whenever Serial is false, fanned-out step or not. No
+// compaction, no per-run reset: every window's contents are identical
+// run over run.
+func (a *Arena) replay(opt Options, dst []int32) error {
 	p := a.prog
-	if opt.Serial {
-		for si := range p.steps {
-			ps := &p.steps[si]
-			for ti := range ps.transfers {
-				a.move(ps, ti, into)
-			}
+	var buckets [][][]int
+	if !opt.Serial {
+		if err := p.parallelErr; err != nil {
+			return err
 		}
-		return nil
+		buckets = a.stepBuckets(opt.Workers)
 	}
-	if err := p.parallelErr; err != nil {
-		return err
-	}
-	a.ensureBuckets(opt.Workers)
-	// The stage closure is hoisted out of the step loop (reading the
-	// current step through ps) so a replay allocates one closure total,
-	// not one per step.
-	var ps *pstep
-	move := func(_, ti int) { a.move(ps, ti, into) }
 	for si := range p.steps {
-		ps = &p.steps[si]
-		if len(ps.transfers) > 0 {
-			par.RunBucketsWorker(a.srcBuckets[si], move)
+		ps := &p.steps[si]
+		if buckets != nil && buckets[si] != nil {
+			a.fanOut(buckets[si], ps, dst)
+			continue
+		}
+		for ti := range ps.transfers {
+			a.move(ps, ti, dst)
+		}
+	}
+	for v := 0; v < p.n; v++ {
+		base := int(p.finalBase[v])
+		for _, sg := range p.tailResid[p.tailResidOff[v]:p.tailResidOff[v+1]] {
+			gather(dst[base+int(sg.dstPos):], a.log, p.descBacking[sg.descOff:sg.descOff+sg.descLen])
 		}
 	}
 	return nil
 }
 
+// fanOut runs step ps's transfers over its sender buckets and waits for
+// them. Kept out of replay so that only a fanned-out step builds the
+// bucket callback.
+func (a *Arena) fanOut(buckets [][]int, ps *pstep, dst []int32) {
+	par.RunBucketsWorker(buckets, func(_, ti int) { a.move(ps, ti, dst) })
+}
+
 // move executes transfer ti of step ps: one strided gather into its
-// insert window, or into its delivery slots in into when the transfer
-// is last-hop and into is non-nil. Empty transfers move nothing.
-func (a *Arena) move(ps *pstep, ti int, into []int32) {
+// delivery slots in dst when the transfer is last-hop, into its log
+// insert window otherwise. Empty transfers move nothing.
+func (a *Arena) move(ps *pstep, ti int, dst []int32) {
 	p := a.prog
 	dt := &p.dtransfers[int(ps.tBase)+ti]
 	if dt.insPos < 0 {
@@ -792,112 +829,100 @@ func (a *Arena) move(ps *pstep, ti int, into []int32) {
 	}
 	n := ps.transfers[ti].payLen
 	descs := p.descBacking[dt.descOff : dt.descOff+dt.descLen]
-	if into != nil && dt.finalPos >= 0 {
-		gather(into[dt.finalPos:dt.finalPos+n], a.log, descs)
+	if dt.finalPos >= 0 {
+		gather(dst[dt.finalPos:dt.finalPos+n], a.log, descs)
 		return
 	}
 	gather(a.log[dt.insPos:dt.insPos+n], a.log, descs)
 }
 
-// ensureBuckets (re)builds the cached per-step sender partitions when
-// the worker count changes. Rebuilding is the only allocating path of a
-// reused arena; repeat runs with the same worker count reuse
-// everything.
-func (a *Arena) ensureBuckets(workers int) {
-	p := a.prog
-	if a.bucketWorkers != workers || a.srcBuckets == nil {
-		a.srcBuckets = make([][][]int, len(p.steps))
-		for si := range p.steps {
-			trs := p.steps[si].transfers
-			if len(trs) == 0 {
-				continue
-			}
-			a.srcBuckets[si] = par.Buckets(workers, len(trs), func(i int) int { return int(trs[i].src) })
-		}
-		a.bucketWorkers = workers
+// stepBuckets returns the parallel path's per-step sender partitions,
+// rebuilding them when the worker count or fanOutElems changed. Steps
+// below fanOutElems get none, so a program without a big step builds
+// nothing and its parallel replay allocates no more than a serial one.
+func (a *Arena) stepBuckets(workers int) [][][]int {
+	if a.bucketsBuilt && a.bucketWorkers == workers && a.bucketMin == fanOutElems {
+		return a.srcBuckets
 	}
+	p := a.prog
+	a.srcBuckets = nil
+	for si := range p.steps {
+		if p.steps[si].moved < fanOutElems {
+			continue
+		}
+		trs := p.steps[si].transfers
+		if a.srcBuckets == nil {
+			a.srcBuckets = make([][][]int, len(p.steps))
+		}
+		a.srcBuckets[si] = par.Buckets(workers, len(trs), func(i int) int { return int(trs[i].src) })
+	}
+	a.bucketsBuilt, a.bucketWorkers, a.bucketMin = true, workers, fanOutElems
+	return a.srcBuckets
 }
 
-// outBuffers returns the arena's reusable output buffers, reset and
-// ready to fill (preallocated to each node's delivery count so repeat
-// runs allocate nothing here).
-func (a *Arena) outBuffers() []*block.Buffer {
-	p := a.prog
-	if a.out == nil {
-		a.out = make([]*block.Buffer, p.n)
-		for i := range a.out {
-			a.out[i] = block.NewBuffer(int(p.perDest[i]))
-		}
-	} else {
-		for _, b := range a.out {
-			b.Reset()
-		}
-	}
-	return a.out
-}
+// divShift sets the delivery pass's division by a reciprocal:
+// recip = ceil(2^divShift / n) gives x*recip >> divShift == x / n for
+// every dense id x in [0, n²). With recip*n = 2^divShift + e, 0 <= e < n,
+// x*recip / 2^divShift = x/n + x*e / (n * 2^divShift), and x*e < n³ stays
+// below 2^divShift for every n whose n² ids fit an int32 (n < 46341), so
+// the excess never reaches the next multiple of 1/n; x*recip stays below
+// n*2^divShift + n² < 2^64 for the same n. n = 1 needs no special case.
+const divShift = 48
 
-// checkDeliveryDesc is the run-time rematerialization guard: expand
-// each node's full-tail descriptors against the log and verify the
-// count and addressing. The replay is deterministic and Compile proved
-// delivery, so this only fires if program or arena state was
-// corrupted.
-func (a *Arena) checkDeliveryDesc() error {
-	p := a.prog
+func reciprocal(n int) uint64 { return (1<<divShift + uint64(n) - 1) / uint64(n) }
+
+// divRecip returns x / n for x in [0, n²), given recip = reciprocal(n).
+func divRecip(x uint32, recip uint64) uint32 { return uint32(uint64(x) * recip >> divShift) }
+
+// deriveDelivery derives the dense delivery layout and the reciprocal
+// of n from perDest and n, at compile and at decode.
+func (p *Program) deriveDelivery() {
+	p.finalBase = make([]int32, p.n+1)
 	for v := 0; v < p.n; v++ {
-		got := 0
-		for _, sg := range p.tailFull[p.tailFullOff[v]:p.tailFullOff[v+1]] {
-			for _, d := range p.descBacking[sg.descOff : sg.descOff+sg.descLen] {
-				s := int(d.start)
-				for c := int32(0); c < d.count; c++ {
-					for b := 0; b < int(d.blocklen); b++ {
-						if id := a.log[s+b]; int(id)%p.n != v {
-							return fmt.Errorf("exec: node %d holds misdelivered block id %d", v, id)
-						}
-					}
-					got += int(d.blocklen)
-					s += int(d.stride)
-				}
-			}
+		p.finalBase[v+1] = p.finalBase[v] + p.perDest[v]
+	}
+	p.recip = reciprocal(p.n)
+}
+
+// deliver is the single pass over a replayed dense delivery buffer: it
+// checks that every id is a valid block id addressed to the node whose
+// range holds it and, when out is non-nil, writes each node's blocks
+// into out[v] in place. Compile built, and the decoder proved, last-hop
+// windows and residual segments that tile every node's range exactly
+// once, so the counts hold by construction; a misaddressed id means
+// program or arena state was corrupted.
+func (p *Program) deliver(dst []int32, out []*block.Buffer) error {
+	n, nb, recip := uint32(p.n), uint32(p.numBlocks), p.recip
+	for v := 0; v < p.n; v++ {
+		ids := dst[p.finalBase[v]:p.finalBase[v+1]]
+		var blks []block.Block
+		if out != nil {
+			blks = out[v].Refill(len(ids))
 		}
-		if got != int(p.perDest[v]) {
-			return fmt.Errorf("exec: node %d holds %d blocks after replay, want %d", v, got, p.perDest[v])
+		for i, id := range ids {
+			x := uint32(id)
+			o := divRecip(x, recip)
+			if x >= nb || x-o*n != uint32(v) {
+				return fmt.Errorf("exec: node %d holds misdelivered block id %d", v, id)
+			}
+			if blks != nil {
+				blks[i] = block.Block{Origin: topology.NodeID(o), Dest: topology.NodeID(v)}
+			}
 		}
 	}
 	return nil
-}
-
-// materializeDesc converts the log's final deliveries to block.Buffers
-// through each node's full-tail descriptors, in arrival order.
-func (a *Arena) materializeDesc() []*block.Buffer {
-	p := a.prog
-	out := a.outBuffers()
-	for v := 0; v < p.n; v++ {
-		for _, sg := range p.tailFull[p.tailFullOff[v]:p.tailFullOff[v+1]] {
-			for _, d := range p.descBacking[sg.descOff : sg.descOff+sg.descLen] {
-				s := int(d.start)
-				for c := int32(0); c < d.count; c++ {
-					for b := 0; b < int(d.blocklen); b++ {
-						id := a.log[s+b]
-						out[v].Add(block.Block{Origin: topology.NodeID(int(id) / p.n), Dest: topology.NodeID(int(id) % p.n)})
-					}
-					s += int(d.stride)
-				}
-			}
-		}
-	}
-	return out
 }
 
 // ReplayInto replays the program and extracts the final deliveries
 // directly into caller-owned memory: dst must have exactly
 // DeliverySize() elements and receives every node's blocks as dense
 // ids at the DeliveryOffset layout, element-for-element the buffers a
-// RunArena would return. Last-hop transfers gather straight into dst
-// (skipping the arena log), so a last-hop-only program writes no arena
-// scratch at all — the serial path then performs zero allocations.
-// Options.Serial/Workers choose the path as in RunArena. ReplayInto
-// reports no Result and emits no telemetry; callers that need either
-// use RunArena.
+// RunArena would return, after the same addressing check of every id.
+// Last-hop transfers gather straight into dst (skipping the arena log),
+// so a last-hop-only program writes no arena scratch at all — the
+// serial path then performs zero allocations. Options.Serial/Workers
+// choose the path as in RunArena. ReplayInto reports no Result and
+// emits no telemetry; callers that need either use RunArena.
 func (p *Program) ReplayInto(a *Arena, dst []int32, opt Options) error {
 	if a == nil || a.prog != p {
 		return fmt.Errorf("exec: arena does not belong to this program")
@@ -911,22 +936,9 @@ func (p *Program) ReplayInto(a *Arena, dst []int32, opt Options) error {
 	if err := a.replay(opt, dst); err != nil {
 		return err
 	}
-	// Residual deliveries — blocks no last-hop transfer wrote (never
-	// moved, or last moved by a transfer that also carried blocks moving
-	// on) — gather from the log into their precomputed slots.
-	for v := 0; v < p.n; v++ {
-		base := int(p.finalBase[v])
-		for _, sg := range p.tailResid[p.tailResidOff[v]:p.tailResidOff[v+1]] {
-			gather(dst[base+int(sg.dstPos):], a.log, p.descBacking[sg.descOff:sg.descOff+sg.descLen])
-		}
-	}
-	for v := 0; v < p.n; v++ {
-		for _, id := range dst[p.finalBase[v]:p.finalBase[v+1]] {
-			if int(id)%p.n != v {
-				a.bad = true
-				return fmt.Errorf("exec: node %d holds misdelivered block id %d", v, id)
-			}
-		}
+	if err := p.deliver(dst, nil); err != nil {
+		a.bad = true
+		return err
 	}
 	return nil
 }

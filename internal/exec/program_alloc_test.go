@@ -31,9 +31,9 @@ func TestCompiledReplayAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			arena := pg.NewArena()
-			// Warm once: the first run materializes the reusable delivery
-			// buffers; AllocsPerRun's own warm-up run covers the
-			// single-worker bucket build.
+			// Warm once: the first run builds the reusable delivery
+			// buffers; AllocsPerRun's own warm-up run covers the parallel
+			// path's per-arena step partition.
 			if _, err := pg.RunArena(arena, exec.Options{Serial: true}); err != nil {
 				t.Fatal(err)
 			}
@@ -42,11 +42,12 @@ func TestCompiledReplayAllocs(t *testing.T) {
 				opt  exec.Options
 				max  float64
 			}{
-				// One worker runs the parallel path inline (no
-				// goroutines); its handful of extra allocations are the
-				// hoisted stage closure and the bucket runner's state.
+				// No 8x8 step reaches the fan-out threshold, so the
+				// parallel rows run every step inline and must build no
+				// goroutine, bucket or closure: the serial budget holds.
 				{"serial", exec.Options{Serial: true}, 4},
-				{"parallel-1", exec.Options{Workers: 1}, 8},
+				{"parallel-1", exec.Options{Workers: 1}, 4},
+				{"parallel-default", exec.Options{}, 4},
 			} {
 				opt := mode.opt
 				allocs := testing.AllocsPerRun(10, func() {

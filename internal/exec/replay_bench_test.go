@@ -1,0 +1,70 @@
+package exec_test
+
+import (
+	"strconv"
+	"testing"
+
+	"torusx/internal/algorithm"
+	"torusx/internal/exec"
+	"torusx/internal/topology"
+)
+
+// fanOutSweep are the fan-out thresholds BenchmarkReplayFanOut tries,
+// in elements: 0 fans every step out, 1<<30 runs every step inline.
+var fanOutSweep = []int{0, 1 << 14, 1 << 15, 1 << 16, 1 << 17, 1 << 18, 1 << 19, 1 << 20, 1 << 30}
+
+// BenchmarkReplayFanOut is the crossover sweep behind the parallel
+// replay's fan-out threshold: a warm RunArena of each payload algorithm
+// at 16x16 and 32x32 on the default parallel path, once per threshold
+// in fanOutSweep, plus a serial row. Each cell reports its largest
+// step in elements (max-step-elems), the size the threshold is held
+// against. A 32x32 compile holds up to about 2 GB, so sweep those cells
+// one per process:
+//
+//	go test -run '^$' -bench 'ReplayFanOut/ring@32x32' -benchtime 20x ./internal/exec
+func BenchmarkReplayFanOut(b *testing.B) {
+	for _, dims := range [][]int{{16, 16}, {32, 32}} {
+		fab := topology.MustNew(dims...)
+		for _, alg := range []string{"direct", "factored", "logtime", "proposed-sim", "ring"} {
+			b.Run(alg+"@"+fab.String(), func(b *testing.B) {
+				bld, err := algorithm.For(alg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sc, err := bld.BuildSchedule(fab)
+				if err != nil {
+					b.Fatal(err)
+				}
+				pg, err := exec.Compile(sc, exec.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				arena := pg.NewArena()
+				maxStep := 0
+				for _, e := range exec.StepElems(pg) {
+					maxStep = max(maxStep, e)
+				}
+				run := func(b *testing.B, opt exec.Options) {
+					if _, err := pg.RunArena(arena, opt); err != nil {
+						b.Fatal(err)
+					}
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if _, err := pg.RunArena(arena, opt); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportMetric(float64(maxStep), "max-step-elems")
+				}
+				b.Run("serial", func(b *testing.B) { run(b, exec.Options{Serial: true}) })
+				for _, min := range fanOutSweep {
+					b.Run("min="+strconv.Itoa(min), func(b *testing.B) {
+						prev := exec.SetFanOutElems(min)
+						defer exec.SetFanOutElems(prev)
+						run(b, exec.Options{})
+					})
+				}
+			})
+		}
+	}
+}

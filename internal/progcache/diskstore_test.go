@@ -57,7 +57,7 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 }
 
 // TestDiskStoreCorruptFileRemoved: a file that fails to decode — a
-// flipped byte, or a program an older build wrote in the stale v2
+// flipped byte, or a program an older build wrote in the stale v2 or v3
 // format — is a tier-2 miss, is deleted on first touch, and the
 // recompiled program is stored back in the current format.
 func TestDiskStoreCorruptFileRemoved(t *testing.T) {
@@ -72,10 +72,8 @@ func TestDiskStoreCorruptFileRemoved(t *testing.T) {
 		spoil func(program []byte)
 	}{
 		{"corrupt", func(program []byte) { program[len(program)/2] ^= 0xff }},
-		{"stale-v2", func(program []byte) {
-			binary.LittleEndian.PutUint16(program[4:], 2)
-			binary.LittleEndian.PutUint32(program[len(program)-4:], crc32.ChecksumIEEE(program[:len(program)-4]))
-		}},
+		{"stale-v2", restamp(2)},
+		{"stale-v3", restamp(3)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -118,6 +116,16 @@ func TestDiskStoreCorruptFileRemoved(t *testing.T) {
 				t.Fatal("miss after re-store")
 			}
 		})
+	}
+}
+
+// restamp returns a spoiler that relabels a program file as codec
+// version v and reseals its checksum, as an older build's file would
+// read to this one.
+func restamp(v uint16) func(program []byte) {
+	return func(program []byte) {
+		binary.LittleEndian.PutUint16(program[4:], v)
+		binary.LittleEndian.PutUint32(program[len(program)-4:], crc32.ChecksumIEEE(program[:len(program)-4]))
 	}
 }
 
