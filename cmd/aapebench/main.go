@@ -492,9 +492,10 @@ func registrySmoke(w io.Writer, opt exec.Options) error {
 }
 
 // replayShape renders a program's replay-plan shape for the smoke
-// report: its descriptor count, and whether every payload transfer
-// delivers directly (a registration silently losing that property
-// would show here before it shows in ReplayInto's allocations).
+// report: its descriptor count, and whether it has no log moves — its
+// whole replay is the delivery pass (a registration silently losing
+// that property would show here before it shows in ReplayInto's
+// allocations).
 func replayShape(pg *exec.Program) string {
 	st := pg.Stats()
 	if !st.Replayable {
@@ -502,7 +503,7 @@ func replayShape(pg *exec.Program) string {
 	}
 	mode := fmt.Sprintf("desc=%d", st.DescCount)
 	if st.LastHopOnly {
-		mode += " last-hop-only"
+		mode += " no-log-moves"
 	}
 	return mode
 }

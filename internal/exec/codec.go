@@ -39,7 +39,7 @@ import (
 // every index a replay would follow, so a file that decodes cannot
 // make the executor read out of bounds.
 //
-// Format v4, all integers little-endian, sections 4-byte aligned:
+// Format v5, all integers little-endian, sections 4-byte aligned:
 //
 //	magic "TXPG" | u16 version | u8 flags | u8 reserved | u64 optFP
 //	u32 len + fabric fingerprint string, padded to 4
@@ -54,12 +54,12 @@ import (
 //	replay section                         | only when flagReplay:
 //	  perDest    n x i32
 //	  traffic    numTraffic x i32          | only when not flagFullTraffic
-//	  u32 x3: numDesc, numTailResid, logSize
-//	  dtransfers numTransfers x 4 i32 (descOff descLen insPos finalPos)
+//	  u32 x3: numDesc, numMoves, logSize
+//	  moveOff    (numSteps+1) x i32 (per-step log-move offsets)
+//	  moves      numMoves x 5 i32 (src payLen descOff descLen insPos)
 //	  descBase   (n+1) x i32 (per-node log-region prefix)
 //	  descs      numDesc x 4 i32 (start count blocklen stride)
-//	  tailResidOff (n+1) x i32
-//	  tailResid    numTailResid x 3 i32 (dstPos descOff descLen)
+//	  deliverOff (n+1) x i32 (per-node delivery descriptor windows)
 //	cold section (coldLen bytes):
 //	  u32 numPayload + payload ids (numPayload x i32)
 //	  blocks    numTransfers x u32 (declared Blocks per transfer)
@@ -69,16 +69,20 @@ import (
 //	            stream padded to 4
 //	u32 CRC32 (IEEE) over all preceding bytes
 //
-// This build reads and writes v4 only. A file of any other version
+// Only transfers some later transfer forwards from have a log move;
+// last-hop transfers appear only through the per-node delivery
+// descriptors (see descriptor.go).
+//
+// This build reads and writes v5 only. A file of any other version
 // (e.g. a warm disk cache written by an older build) is a decode error,
 // which the disk tier turns into a miss and a delete. Derived state
-// (per-step transfer bases and element counts, the delivery layout
-// prefix and reciprocal, the bytes-moved measure, the last-hop-only
-// verdict) is recomputed at decode and never serialized.
+// (per-step log-move element counts, the delivery layout prefix and
+// reciprocal, the bytes-moved measure) is recomputed at decode and
+// never serialized.
 
 // CodecVersion is the program file format version this build reads and
 // writes.
-const CodecVersion = 4
+const CodecVersion = 5
 
 const codecMagic = "TXPG"
 
@@ -119,22 +123,18 @@ var ptLayoutMatches = unsafe.Sizeof(ptransfer{}) == 24 &&
 	unsafe.Offsetof(ptransfer{}.linkOff) == 16 &&
 	unsafe.Offsetof(ptransfer{}.linkLen) == 20
 
-var dtLayoutMatches = unsafe.Sizeof(dtransfer{}) == 16 &&
-	unsafe.Offsetof(dtransfer{}.descOff) == 0 &&
-	unsafe.Offsetof(dtransfer{}.descLen) == 4 &&
-	unsafe.Offsetof(dtransfer{}.insPos) == 8 &&
-	unsafe.Offsetof(dtransfer{}.finalPos) == 12
+var moveLayoutMatches = unsafe.Sizeof(logMove{}) == 20 &&
+	unsafe.Offsetof(logMove{}.src) == 0 &&
+	unsafe.Offsetof(logMove{}.payLen) == 4 &&
+	unsafe.Offsetof(logMove{}.descOff) == 8 &&
+	unsafe.Offsetof(logMove{}.descLen) == 12 &&
+	unsafe.Offsetof(logMove{}.insPos) == 16
 
 var xdescLayoutMatches = unsafe.Sizeof(xdesc{}) == 16 &&
 	unsafe.Offsetof(xdesc{}.start) == 0 &&
 	unsafe.Offsetof(xdesc{}.count) == 4 &&
 	unsafe.Offsetof(xdesc{}.blocklen) == 8 &&
 	unsafe.Offsetof(xdesc{}.stride) == 12
-
-var tailSegLayoutMatches = unsafe.Sizeof(tailSeg{}) == 12 &&
-	unsafe.Offsetof(tailSeg{}.dstPos) == 0 &&
-	unsafe.Offsetof(tailSeg{}.descOff) == 4 &&
-	unsafe.Offsetof(tailSeg{}.descLen) == 8
 
 func aligned4(b []byte) bool {
 	return len(b) == 0 || uintptr(unsafe.Pointer(&b[0]))&3 == 0
@@ -342,14 +342,15 @@ func EncodeProgram(p *Program, optFP uint64) ([]byte, error) {
 			b = appendI32s(b, p.trafficIDs)
 		}
 		b = appendU32(b, uint32(len(p.descBacking)))
-		b = appendU32(b, uint32(len(p.tailResid)))
+		b = appendU32(b, uint32(len(p.moves)))
 		b = appendU32(b, uint32(p.descBase[n]))
-		if hostLittle && dtLayoutMatches && len(p.dtransfers) > 0 {
-			b = append(b, unsafe.Slice((*byte)(unsafe.Pointer(&p.dtransfers[0])), len(p.dtransfers)*16)...)
+		b = appendI32s(b, p.moveOff)
+		if hostLittle && moveLayoutMatches && len(p.moves) > 0 {
+			b = append(b, unsafe.Slice((*byte)(unsafe.Pointer(&p.moves[0])), len(p.moves)*20)...)
 		} else {
-			for i := range p.dtransfers {
-				dt := &p.dtransfers[i]
-				for _, v := range [4]int32{dt.descOff, dt.descLen, dt.insPos, dt.finalPos} {
+			for i := range p.moves {
+				m := &p.moves[i]
+				for _, v := range [5]int32{m.src, m.payLen, m.descOff, m.descLen, m.insPos} {
 					b = appendU32(b, uint32(v))
 				}
 			}
@@ -365,25 +366,11 @@ func EncodeProgram(p *Program, optFP uint64) ([]byte, error) {
 				}
 			}
 		}
-		b = appendI32s(b, p.tailResidOff)
-		b = appendTailSegs(b, p.tailResid)
+		b = appendI32s(b, p.deliverOff)
 	}
 	b = append(b, cold...)
 	b = appendU32(b, crc32.ChecksumIEEE(b))
 	return b, nil
-}
-
-func appendTailSegs(b []byte, segs []tailSeg) []byte {
-	if hostLittle && tailSegLayoutMatches && len(segs) > 0 {
-		return append(b, unsafe.Slice((*byte)(unsafe.Pointer(&segs[0])), len(segs)*12)...)
-	}
-	for i := range segs {
-		sg := &segs[i]
-		for _, v := range [3]int32{sg.dstPos, sg.descOff, sg.descLen} {
-			b = appendU32(b, uint32(v))
-		}
-	}
-	return b
 }
 
 // ---- Decoding.
@@ -463,8 +450,8 @@ func (r *creader) count(elem int) int {
 //
 // On little-endian hosts the transfer, id and plan tables are views
 // over data — decode cost is the header walk, the CRC check and the
-// per-transfer index validation. The caller must not mutate data
-// afterwards.
+// index validation of the transfer table and replay plan (checkPlan).
+// The caller must not mutate data afterwards.
 func DecodeProgram(data []byte, f topology.Fabric, optFP uint64) (*Program, error) {
 	if f == nil {
 		return nil, fmt.Errorf("exec: decode: nil fabric")
@@ -538,9 +525,9 @@ func DecodeProgram(data []byte, f topology.Fabric, optFP uint64) (*Program, erro
 		}
 	}
 	var (
-		perDest, trafficIDs, descBase, tailResidOff []int32
-		numDesc, numTailResid, logSize              int
-		dtBytes, descRaw, tailResidRaw              []byte
+		perDest, trafficIDs, moveOff, descBase, deliverOff []int32
+		numDesc, numMoves, logSize                         int
+		movesRaw, descRaw                                  []byte
 	)
 	if replay {
 		perDest = asInt32s(r.take(n * 4))
@@ -548,13 +535,13 @@ func DecodeProgram(data []byte, f topology.Fabric, optFP uint64) (*Program, erro
 			trafficIDs = asInt32s(r.take(numTraffic * 4))
 		}
 		numDesc = int(r.u32())
-		numTailResid = int(r.u32())
+		numMoves = int(r.u32())
 		logSize = int(r.u32())
-		dtBytes = r.take(numTransfers * 16)
+		moveOff = asInt32s(r.take((numSteps + 1) * 4))
+		movesRaw = r.take(numMoves * 20)
 		descBase = asInt32s(r.take((n + 1) * 4))
 		descRaw = r.take(numDesc * 16)
-		tailResidOff = asInt32s(r.take((n + 1) * 4))
-		tailResidRaw = r.take(numTailResid * 12)
+		deliverOff = asInt32s(r.take((n + 1) * 4))
 	}
 	cold := r.take(coldLen)
 	if r.err != nil {
@@ -601,7 +588,6 @@ func DecodeProgram(data []byte, f topology.Fabric, optFP uint64) (*Program, erro
 			phaseIndex: int(h[0]), stepIndex: int(h[1]),
 			sharing: int(h[2]), maxBlocks: int(h[3]), maxHops: int(h[4]),
 			transfers: transfers[lo:hi:hi],
-			tBase:     lo,
 		}
 	}
 	if numSteps > 0 && (stepT[0] != 0 || int(stepT[numSteps]) != numTransfers) || numSteps == 0 && numTransfers != 0 {
@@ -656,10 +642,21 @@ func DecodeProgram(data []byte, f topology.Fabric, optFP uint64) (*Program, erro
 		// Delivery layout prefix and reciprocal — derived, never
 		// serialized.
 		p.deriveDelivery()
-		if err := p.decodeDescPlan(dtBytes, descBase, descRaw, tailResidOff, tailResidRaw,
-			numDesc, numTailResid, logSize, numTransfers, numPayload); err != nil {
-			return nil, err
+		if logSize < 0 || logSize > p.numBlocks+numPayload {
+			return nil, fmt.Errorf("exec: decode: implausible log size %d", logSize)
 		}
+		if int(descBase[n]) != logSize {
+			return nil, fmt.Errorf("exec: decode: log region prefix does not cover the log")
+		}
+		p.moves = viewLogMoves(movesRaw, numMoves)
+		p.moveOff = moveOff
+		p.descBacking = viewXdescs(descRaw, numDesc)
+		p.descBase = descBase
+		p.deliverOff = deliverOff
+		if err := p.checkPlan(); err != nil {
+			return nil, fmt.Errorf("exec: decode: %w", err)
+		}
+		p.deriveReplayStats()
 	}
 	p.cold = cold
 	p.coldPhases = numPhases
@@ -667,21 +664,22 @@ func DecodeProgram(data []byte, f topology.Fabric, optFP uint64) (*Program, erro
 	return p, nil
 }
 
-func viewDtransfers(b []byte, n int) []dtransfer {
+func viewLogMoves(b []byte, n int) []logMove {
 	if n == 0 {
 		return nil
 	}
-	if hostLittle && dtLayoutMatches && aligned4(b) {
-		return unsafe.Slice((*dtransfer)(unsafe.Pointer(&b[0])), n)
+	if hostLittle && moveLayoutMatches && aligned4(b) {
+		return unsafe.Slice((*logMove)(unsafe.Pointer(&b[0])), n)
 	}
-	out := make([]dtransfer, n)
+	out := make([]logMove, n)
 	for i := range out {
-		rec := b[i*16:]
-		out[i] = dtransfer{
-			descOff:  int32(binary.LittleEndian.Uint32(rec[0:])),
-			descLen:  int32(binary.LittleEndian.Uint32(rec[4:])),
-			insPos:   int32(binary.LittleEndian.Uint32(rec[8:])),
-			finalPos: int32(binary.LittleEndian.Uint32(rec[12:])),
+		rec := b[i*20:]
+		out[i] = logMove{
+			src:     int32(binary.LittleEndian.Uint32(rec[0:])),
+			payLen:  int32(binary.LittleEndian.Uint32(rec[4:])),
+			descOff: int32(binary.LittleEndian.Uint32(rec[8:])),
+			descLen: int32(binary.LittleEndian.Uint32(rec[12:])),
+			insPos:  int32(binary.LittleEndian.Uint32(rec[16:])),
 		}
 	}
 	return out
@@ -707,174 +705,127 @@ func viewXdescs(b []byte, n int) []xdesc {
 	return out
 }
 
-func viewTailSegs(b []byte, n int) []tailSeg {
-	if n == 0 {
-		return nil
-	}
-	if hostLittle && tailSegLayoutMatches && aligned4(b) {
-		return unsafe.Slice((*tailSeg)(unsafe.Pointer(&b[0])), n)
-	}
-	out := make([]tailSeg, n)
-	for i := range out {
-		rec := b[i*12:]
-		out[i] = tailSeg{
-			dstPos:  int32(binary.LittleEndian.Uint32(rec[0:])),
-			descOff: int32(binary.LittleEndian.Uint32(rec[4:])),
-			descLen: int32(binary.LittleEndian.Uint32(rec[8:])),
+// checkPlan proves a replay plan safe to execute with unchecked
+// gathers, whatever its tables hold, so a decoded plan cannot make a
+// replay read or write out of bounds however the file was corrupted:
+//
+//   - every descriptor reads inside the log;
+//   - every log move's descriptors expand to its payload size and read
+//     only its sender's log region — the sender shard the parallel
+//     replay's race-freedom rests on;
+//   - every insert window lies inside one node's log region, after that
+//     node's initial contents and after every earlier window there, so
+//     insert windows are pairwise disjoint and every log slot is written
+//     at most once per replay — the invariant that lets the delivery
+//     pass read last-hop blocks after the last step;
+//   - node v's delivery descriptors expand to exactly its delivery
+//     count, so the delivery pass writes every slot of the layout once.
+//
+// perDest, the traffic ids and the delivery layout must already be
+// valid, and descBase[n] must be the log size.
+func (p *Program) checkPlan() error {
+	n := p.n
+	descBase, descs := p.descBase, p.descBacking
+	logSize := int64(descBase[n])
+	// initEnd[v] ends node v's initial contents (n blocks each under
+	// the full matrix); cur[v] ends its last insert window so far.
+	initEnd := make([]int32, n)
+	if p.fullTraffic {
+		for v := range initEnd {
+			initEnd[v] = int32(n)
+		}
+	} else {
+		for _, id := range p.trafficIDs {
+			initEnd[divRecip(uint32(id), p.recip)]++
 		}
 	}
-	return out
-}
-
-// decodeDescPlan validates the descriptor section against the already
-// validated replay tables and attaches it. Every index a descriptor
-// replay follows — log windows, delivery windows, descriptor windows —
-// is range-checked here, and the delivery windows are proven to tile
-// the delivery layout, so a decoded plan cannot make gather read or
-// write out of bounds, nor leave a delivery slot unwritten, no matter
-// how the file was corrupted.
-func (p *Program) decodeDescPlan(dtBytes []byte, descBase []int32, descRaw []byte,
-	tailResidOff []int32, tailResidRaw []byte, numDesc, numTailResid, logSize, numTransfers, numPayload int) error {
-	n := p.n
-	if logSize < 0 || logSize > p.numBlocks+numPayload {
-		return fmt.Errorf("exec: decode: implausible log size %d", logSize)
-	}
-	if descBase[0] != 0 || int(descBase[n]) != logSize {
-		return fmt.Errorf("exec: decode: log region prefix does not cover the log")
-	}
-	perOrigin := make([]int32, n)
-	for _, id := range p.trafficIDs {
-		perOrigin[int(id)/n]++
+	if descBase[0] != 0 {
+		return fmt.Errorf("log region prefix does not start at 0")
 	}
 	for v := 0; v < n; v++ {
 		if descBase[v+1] < descBase[v] {
-			return fmt.Errorf("exec: decode: log region prefix not monotone at node %d", v)
+			return fmt.Errorf("log region prefix not monotone at node %d", v)
 		}
-		if descBase[v+1]-descBase[v] < perOrigin[v] {
-			return fmt.Errorf("exec: decode: node %d log region smaller than its initial contents", v)
+		if descBase[v+1]-descBase[v] < initEnd[v] {
+			return fmt.Errorf("node %d log region smaller than its initial contents", v)
 		}
+		initEnd[v] += descBase[v]
 	}
-	descs := viewXdescs(descRaw, numDesc)
+	cur := append([]int32(nil), initEnd...)
 	for i := range descs {
 		d := &descs[i]
 		if d.count < 1 || d.blocklen < 1 || d.count > 1 && d.stride == 0 {
-			return fmt.Errorf("exec: decode: descriptor %d malformed", i)
+			return fmt.Errorf("descriptor %d malformed", i)
 		}
 		first := int64(d.start)
 		last := first + int64(d.count-1)*int64(d.stride)
-		if first < 0 || last < 0 ||
-			first+int64(d.blocklen) > int64(logSize) || last+int64(d.blocklen) > int64(logSize) {
-			return fmt.Errorf("exec: decode: descriptor %d reads outside the log", i)
+		if min(first, last) < 0 || max(first, last)+int64(d.blocklen) > logSize {
+			return fmt.Errorf("descriptor %d reads outside the log", i)
 		}
 	}
-	dts := viewDtransfers(dtBytes, numTransfers)
-	lastHopOnly := true
-	var descBytes int64
-	g := 0
-	for si := range p.steps {
-		ps := &p.steps[si]
-		ts := ps.transfers
-		for ti := range ts {
-			pt, dt := &ts[ti], &dts[g]
-			g++
-			if pt.payLen == 0 {
-				// Empty: nothing may execute.
-				if dt.descLen != 0 || dt.insPos >= 0 {
-					return fmt.Errorf("exec: decode: transfer %d descriptor plan inconsistent", g-1)
-				}
-				continue
-			}
-			if dt.descOff < 0 || dt.descLen < 1 || int64(dt.descOff)+int64(dt.descLen) > int64(numDesc) {
-				return fmt.Errorf("exec: decode: transfer %d descriptor window out of range", g-1)
-			}
-			if expandedLen(descs[dt.descOff:dt.descOff+dt.descLen]) != int64(pt.payLen) {
-				return fmt.Errorf("exec: decode: transfer %d descriptors expand to the wrong payload size", g-1)
-			}
-			if dt.insPos < 0 || int64(dt.insPos)+int64(pt.payLen) > int64(logSize) {
-				return fmt.Errorf("exec: decode: transfer %d insert window outside the log", g-1)
-			}
-			descBytes += int64(pt.payLen) * 4
-			ps.moved += int(pt.payLen)
-			// A last-hop window (finalPos >= 0) is placed by
-			// checkDeliveryTiling below.
-			if dt.finalPos < 0 {
-				if dt.finalPos != -1 {
-					return fmt.Errorf("exec: decode: transfer %d delivery position invalid", g-1)
-				}
-				lastHopOnly = false
-			}
+
+	numSteps := len(p.steps)
+	if p.moveOff[0] != 0 || int(p.moveOff[numSteps]) != len(p.moves) {
+		return fmt.Errorf("step move offsets do not cover the log moves")
+	}
+	for si := 0; si < numSteps; si++ {
+		if p.moveOff[si+1] < p.moveOff[si] {
+			return fmt.Errorf("step move offsets not monotone at step %d", si)
 		}
 	}
-	tailResid := viewTailSegs(tailResidRaw, numTailResid)
-	if tailResidOff[0] != 0 || int(tailResidOff[n]) != len(tailResid) {
-		return fmt.Errorf("exec: decode: tail offsets do not cover the segments")
+	v := -1 // the previous move's insert node
+	for i := range p.moves {
+		m := &p.moves[i]
+		if m.src < 0 || int(m.src) >= n || m.payLen < 1 || m.descOff < 0 || m.descLen < 1 ||
+			int64(m.descOff)+int64(m.descLen) > int64(len(descs)) {
+			return fmt.Errorf("log move %d malformed", i)
+		}
+		md := descs[m.descOff : m.descOff+m.descLen]
+		if expandedLen(md) != int64(m.payLen) {
+			return fmt.Errorf("log move %d descriptors expand to the wrong payload size", i)
+		}
+		lo, hi := int64(descBase[m.src]), int64(descBase[m.src+1])
+		for _, d := range md {
+			first := int64(d.start)
+			last := first + int64(d.count-1)*int64(d.stride)
+			if min(first, last) < lo || max(first, last)+int64(d.blocklen) > hi {
+				return fmt.Errorf("log move %d reads outside its sender node %d's log region", i, m.src)
+			}
+		}
+		// The window's node owns the non-empty region holding insPos.
+		// Moves mostly insert at the node after the previous move's, so
+		// that one is tried before a binary search over the prefix.
+		ins, end := int64(m.insPos), int64(m.insPos)+int64(m.payLen)
+		if v++; v >= n || int64(descBase[v]) > ins || ins >= int64(descBase[v+1]) {
+			v = 0
+			for size := n; size > 1; size -= size / 2 {
+				if int64(descBase[v+size/2]) <= ins {
+					v += size / 2
+				}
+			}
+		}
+		switch {
+		case ins < 0 || end > int64(descBase[v+1]):
+			return fmt.Errorf("log move %d inserts at [%d,%d), outside any node's log region", i, ins, end)
+		case ins < int64(initEnd[v]):
+			return fmt.Errorf("log move %d inserts at [%d,%d), over node %d's initial contents", i, ins, end, v)
+		case ins < int64(cur[v]):
+			return fmt.Errorf("log move %d inserts at [%d,%d), overlapping an earlier insert window of node %d", i, ins, end, v)
+		}
+		cur[v] = int32(end)
+	}
+
+	off := p.deliverOff
+	if off[0] < 0 || int(off[n]) > len(descs) {
+		return fmt.Errorf("delivery descriptor windows outside the descriptor table")
 	}
 	for v := 0; v < n; v++ {
-		if tailResidOff[v+1] < tailResidOff[v] {
-			return fmt.Errorf("exec: decode: tail offsets not monotone at node %d", v)
+		if off[v+1] < off[v] {
+			return fmt.Errorf("delivery descriptor windows not monotone at node %d", v)
 		}
-		for _, sg := range tailResid[tailResidOff[v]:tailResidOff[v+1]] {
-			if sg.dstPos < 0 || sg.descOff < 0 || sg.descLen < 1 ||
-				int64(sg.descOff)+int64(sg.descLen) > int64(numDesc) {
-				return fmt.Errorf("exec: decode: node %d tail segment out of range", v)
-			}
+		if e := expandedLen(descs[off[v]:off[v+1]]); e != int64(p.perDest[v]) {
+			return fmt.Errorf("node %d delivery descriptors expand to %d blocks, it receives %d", v, e, p.perDest[v])
 		}
-	}
-	p.dtransfers = dts
-	p.descBacking = descs
-	p.descBase = descBase
-	p.tailResid = tailResid
-	p.tailResidOff = tailResidOff
-	p.descBytes = descBytes
-	p.lastHopOnly = lastHopOnly
-	return p.checkDeliveryTiling()
-}
-
-// checkDeliveryTiling proves that a replay writes every slot of the
-// dense delivery layout exactly once: each last-hop window lies inside
-// its destination node's range, each residual segment inside its own
-// node's, and together they cover the whole layout with no slot
-// written twice. A replay then leaves no slot unwritten and every
-// node's count holds by construction, so the run-time delivery pass
-// checks addressing only. Residual descriptor windows must already lie
-// inside the descriptor table.
-func (p *Program) checkDeliveryTiling() error {
-	total := int64(p.finalBase[p.n])
-	covered := make([]uint64, (total+63)/64)
-	var filled int64
-	for si := range p.steps {
-		ps := &p.steps[si]
-		for ti := range ps.transfers {
-			pt, dt := &ps.transfers[ti], &p.dtransfers[int(ps.tBase)+ti]
-			if pt.payLen == 0 || dt.finalPos < 0 {
-				continue
-			}
-			lo, hi := int64(dt.finalPos), int64(dt.finalPos)+int64(pt.payLen)
-			if lo < int64(p.finalBase[pt.dst]) || hi > int64(p.finalBase[pt.dst+1]) {
-				return fmt.Errorf("exec: transfer %d delivers to [%d,%d), outside node %d's delivery range", int(ps.tBase)+ti, lo, hi, pt.dst)
-			}
-			if !markRange(covered, int(lo), int(hi)) {
-				return fmt.Errorf("exec: transfer %d delivers to slots of [%d,%d) another delivery already writes", int(ps.tBase)+ti, lo, hi)
-			}
-			filled += hi - lo
-		}
-	}
-	for v := 0; v < p.n; v++ {
-		for _, sg := range p.tailResid[p.tailResidOff[v]:p.tailResidOff[v+1]] {
-			lo := int64(p.finalBase[v]) + int64(sg.dstPos)
-			e := expandedLen(p.descBacking[sg.descOff : sg.descOff+sg.descLen])
-			hi := lo + e
-			if e < 0 || hi > int64(p.finalBase[v+1]) {
-				return fmt.Errorf("exec: node %d residual segment [%d,%d) runs past its delivery range", v, lo, hi)
-			}
-			if !markRange(covered, int(lo), int(hi)) {
-				return fmt.Errorf("exec: node %d residual segment [%d,%d) overlaps another delivery", v, lo, hi)
-			}
-			filled += hi - lo
-		}
-	}
-	if filled != total {
-		return fmt.Errorf("exec: delivery plan writes %d of %d delivery slots, leaving the rest uncovered", filled, total)
 	}
 	return nil
 }
@@ -891,23 +842,4 @@ func expandedLen(descs []xdesc) int64 {
 		}
 	}
 	return total
-}
-
-// markRange sets bits [lo, hi) of bm, reporting false, with bm partly
-// updated, if any of them was already set.
-func markRange(bm []uint64, lo, hi int) bool {
-	for lo < hi {
-		end := (lo | 63) + 1
-		if end > hi {
-			end = hi
-		}
-		mask := ^uint64(0) >> uint(64-(end-lo)) << uint(lo&63)
-		w := &bm[lo>>6]
-		if *w&mask != 0 {
-			return false
-		}
-		*w |= mask
-		lo = end
-	}
-	return true
 }

@@ -117,8 +117,8 @@ func TestProgramCodecRoundTripStable(t *testing.T) {
 // never a panic — every truncation prefix, flipped content bytes,
 // wrong magic/version, unknown flags, fabric or options fingerprints
 // that do not match the decode context, files of any other codec
-// version, and correctly sealed files whose delivery plan does not
-// tile the delivery layout.
+// version, and correctly sealed files whose replay plan breaks one of
+// the decoder's proofs.
 func TestProgramDecodeRejects(t *testing.T) {
 	tor := topology.MustNew(4, 4)
 	b, err := algorithm.For("direct")
@@ -186,10 +186,11 @@ func TestProgramDecodeRejects(t *testing.T) {
 	})
 	// A file an older build wrote (v1: span tables only; v2: spans plus
 	// the descriptor plan; v3: the descriptor plan with a full delivery
-	// tail) must be a clean, descriptive error, which the disk tier
-	// turns into a miss and a delete.
+	// tail; v4: last-hop windows and residual tail segments) must be a
+	// clean, descriptive error, which the disk tier turns into a miss
+	// and a delete.
 	t.Run("stale-versions", func(t *testing.T) {
-		for _, v := range []uint16{1, 2, 3} {
+		for _, v := range []uint16{1, 2, 3, 4} {
 			stale := append([]byte(nil), enc...)
 			binary.LittleEndian.PutUint16(stale[4:], v)
 			binary.LittleEndian.PutUint32(stale[len(stale)-4:], crc32.ChecksumIEEE(stale[:len(stale)-4]))
@@ -199,59 +200,110 @@ func TestProgramDecodeRejects(t *testing.T) {
 			}
 		}
 	})
-	// Files sealed by the encoder itself, so only the delivery-tiling
-	// proof stands between them and a replay. Direct delivers every
-	// block through a last-hop window except each node's own block,
-	// which never moves and is a residual segment.
+	// Files sealed by the encoder itself, so only the decoder's plan
+	// proofs stand between them and a replay. Direct has no log moves:
+	// its whole replay is the delivery pass, and each node's delivery
+	// descriptors must expand to exactly its count.
 	t.Run("delivery-tiling", func(t *testing.T) {
 		for _, tc := range []struct {
-			name, want string
-			edit       func(finalPos, residPos []int32, residNode []int)
+			name string
+			edit func(deliverOff []int32)
 		}{
-			{"residual-overlaps-last-hop", "overlaps", func(finalPos, residPos []int32, residNode []int) {
-				v := residNode[0]
-				lo, hi := int32(pg.DeliveryOffset(v)), int32(pg.DeliveryOffset(v+1))
-				for _, fp := range finalPos {
-					if fp >= lo && fp < hi && fp-lo != residPos[0] {
-						residPos[0] = fp - lo
-						return
-					}
-				}
-				t.Fatalf("node %d has no last-hop window", v)
-			}},
-			{"slot-uncovered", "uncovered", func(finalPos, _ []int32, _ []int) {
-				for i, fp := range finalPos {
-					if fp >= 0 {
-						finalPos[i] = -1
-						return
-					}
-				}
-				t.Fatal("no last-hop window")
-			}},
+			// Node 0 loses its last descriptor to node 1.
+			{"short-and-long", func(off []int32) { off[1]-- }},
+			// Node 0 reads node 1's descriptors too; node 1 reads none.
+			{"not-monotone", func(off []int32) { off[1] = off[2] + 1 }},
 		} {
-			bad, err := exec.EncodeWithDeliveryEdit(pg, 1, tc.edit)
+			bad, err := exec.EncodeWithPlanEdit(pg, 1, func(_ []exec.MoveRec, off, _ []int32) { tc.edit(off) })
 			if err != nil {
 				t.Fatal(err)
 			}
 			_, err = exec.DecodeProgram(bad, tor, 1)
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("%s: err = %v, want a tiling error mentioning %q", tc.name, err, tc.want)
+			if err == nil || !strings.Contains(err.Error(), "delivery descriptor") {
+				t.Fatalf("%s: err = %v, want a delivery descriptor error", tc.name, err)
 			}
 		}
 		if _, err := exec.DecodeProgram(enc, tor, 1); err != nil {
 			t.Fatalf("unedited file no longer decodes: %v", err)
 		}
 	})
+	// The proofs the delivery pass's deferral and the parallel replay's
+	// sender shards rest on, on a program with log moves: insert windows
+	// clear of the initial contents and of each other, so every log slot
+	// is written at most once, and every move reading only its sender's
+	// region.
+	t.Run("log-moves", func(t *testing.T) {
+		fb, err := algorithm.For("factored")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fsc, err := fb.BuildSchedule(tor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fpg, err := exec.Compile(fsc, exec.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			name, want string
+			edit       func(moves []exec.MoveRec, descBase []int32)
+		}{
+			{"insert-over-initial-contents", "initial contents", func(moves []exec.MoveRec, descBase []int32) {
+				m := &moves[0]
+				for v := range descBase[:len(descBase)-1] {
+					if m.InsPos >= descBase[v] && m.InsPos < descBase[v+1] {
+						m.InsPos = descBase[v]
+						return
+					}
+				}
+			}},
+			{"insert-windows-overlap", "overlapping an earlier insert window", func(moves []exec.MoveRec, _ []int32) {
+				for j := 1; j < len(moves); j++ {
+					if moves[j].Len <= moves[0].Len {
+						moves[j].InsPos = moves[0].InsPos
+						return
+					}
+				}
+				t.Fatal("no log move fits over the first one's window")
+			}},
+			{"read-outside-sender", "outside its sender", func(moves []exec.MoveRec, _ []int32) {
+				moves[0].Src = (moves[0].Src + 1) % int32(tor.Nodes())
+			}},
+		} {
+			bad, err := exec.EncodeWithPlanEdit(fpg, 1, func(moves []exec.MoveRec, _, descBase []int32) {
+				if len(moves) < 2 {
+					t.Fatalf("factored@%s has %d log moves", tor, len(moves))
+				}
+				tc.edit(moves, descBase)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = exec.DecodeProgram(bad, tor, 1)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("%s: err = %v, want a log-move error mentioning %q", tc.name, err, tc.want)
+			}
+		}
+		good, err := exec.EncodeProgram(fpg, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := exec.DecodeProgram(good, tor, 1); err != nil {
+			t.Fatalf("unedited file no longer decodes: %v", err)
+		}
+	})
 }
 
-// TestProgramCodecGolden pins the v4 byte format: the committed
+// TestProgramCodecGolden pins the v5 byte format: the committed
 // golden files must decode, and re-encoding the 4x4 programs must
 // reproduce them bit-for-bit. A diff here means the format changed —
 // bump CodecVersion rather than silently breaking every cached
 // program on disk. Regenerate with -update after a deliberate version
 // bump. Two shapes are pinned: the direct exchange, and the factored
 // algorithm whose multi-phase program exercises the descriptor
-// section (strided gathers, residual tail segments) most heavily.
+// section (log moves, delivery descriptors over several regions) most
+// heavily.
 func TestProgramCodecGolden(t *testing.T) {
 	tor := topology.MustNew(4, 4)
 	for _, alg := range []string{"direct", "factored"} {
@@ -272,7 +324,7 @@ func TestProgramCodecGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join("testdata", "program_v4_"+alg+"4x4.bin")
+			path := filepath.Join("testdata", "program_v5_"+alg+"4x4.bin")
 			if *updateGolden {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {
 					t.Fatal(err)
@@ -286,7 +338,7 @@ func TestProgramCodecGolden(t *testing.T) {
 				t.Fatalf("read golden (regenerate with -update): %v", err)
 			}
 			if !bytes.Equal(enc, want) {
-				t.Fatalf("encoding diverges from committed v4 golden (%d vs %d bytes); if the format changed deliberately, bump CodecVersion and -update", len(enc), len(want))
+				t.Fatalf("encoding diverges from committed v5 golden (%d vs %d bytes); if the format changed deliberately, bump CodecVersion and -update", len(enc), len(want))
 			}
 			dec, err := exec.DecodeProgram(want, tor, 0)
 			if err != nil {

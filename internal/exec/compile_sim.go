@@ -66,7 +66,6 @@ type compileScratch struct {
 	opBacking []opRec
 	ordOff    []int32
 	initIDs   []int32
-	firstArr  []int32
 }
 
 var compileScratchPool = sync.Pool{New: func() any { return new(compileScratch) }}
@@ -180,13 +179,7 @@ func (p *Program) compileReplay(opt Options, payloadBacking []int32, opOff []int
 		cs.ordOff = make([]int32, numT)
 	}
 	ordOff := cs.ordOff[:numT] // ordinal -> ordSpill offset, read only under opHasOrd
-	if cap(cs.firstArr) < numT {
-		cs.firstArr = make([]int32, numT)
-	}
-	// firstArr records each payload transfer's first-arriving block (its
-	// payload in arrival-stamp order); the descriptor planner anchors a
-	// last-hop transfer's delivery window on it.
-	firstArr := cs.firstArr[:numT]
+
 	var ordSpill []int32 // stamp-sorted payload copies for the rare unsorted transfers
 	if cap(cs.opBacking) < int(opOff[n]) {
 		cs.opBacking = make([]opRec, opOff[n])
@@ -237,7 +230,6 @@ func (p *Program) compileReplay(opt Options, payloadBacking []int32, opOff []int
 				if int32(uint32(h)) >= stepArr[src] {
 					fwd = id
 				}
-				firstArr[g] = id
 				hs[id] = uint64(uint32(dst))<<32 | uint64(uint32(arrivals[dst]))
 				arrivals[dst]++
 			} else {
@@ -274,7 +266,6 @@ func (p *Program) compileReplay(opt Options, payloadBacking []int32, opOff []int
 					ordOff[g] = int32(off)
 					flags |= opHasOrd
 				}
-				firstArr[g] = ord[0]
 				for _, id := range ord {
 					hs[id] = uint64(uint32(dst))<<32 | uint64(uint32(arrivals[dst]))
 					arrivals[dst]++
@@ -334,9 +325,9 @@ func (p *Program) compileReplay(opt Options, payloadBacking []int32, opOff []int
 		}
 	}
 
-	// The descriptor replay plan (the append-only log layout, strided
-	// gather descriptors and last-hop direct delivery), built from this
-	// walk's artifacts. See descriptor.go.
-	p.planDescriptors(opOff, opBacking, ordOff, ordSpill, initIDs, initOff, hs, arrivals, firstArr, numT)
+	// The descriptor replay plan (the append-only log layout, the log
+	// moves' strided gathers and the per-node delivery descriptors),
+	// built from this walk's artifacts. See descriptor.go.
+	p.planDescriptors(opOff, opBacking, ordOff, ordSpill, initIDs, initOff, hs, arrivals, numT)
 	return nil
 }

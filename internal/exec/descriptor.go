@@ -12,26 +12,32 @@ import (
 // Every node's holdings live in an append-only block log: a block's
 // physical position is the log slot its arrival was assigned, fixed
 // forever and fully computable at compile time from the reference
-// replay's arrival stamps (compile_sim.go). Nothing ever compacts; a
-// transfer is one strided gather from the source node's log region into
-// a precomputed contiguous window of the destination's region, and a
-// self-transfer (a rearrangement copy within one node) is the same
-// gather with source and destination in one region.
+// replay's arrival stamps (compile_sim.go). Nothing ever compacts and
+// every slot is written once per replay, so a slot read at the end of
+// the replay holds what it held at any step after it was written.
 //
-// Last-hop direct delivery: a transfer that is the final mover of every
-// block it carries gets a precomputed window in the dense delivery
-// layout, so a replay gathers it straight into the delivery buffer (the
-// caller's under ReplayInto, the arena's under RunArena) and skips the
-// log append. The residual tail segments gather every other delivery —
-// blocks never moved, or last moved by a transfer that also carried
-// blocks moving on — from the log. Last-hop windows and residual
-// segments tile each node's delivery range exactly once, which Compile
-// builds and DecodeProgram proves (checkDeliveryTiling). A program
-// whose every payload transfer is last-hop is last-hop-only:
-// ReplayInto touches no arena scratch at all.
+// A replay therefore has two parts:
 //
-// The plan is built by a compile pass parallel over nodes that replays
-// the reference replay's per-node event runs.
+//   - Log moves. Only a transfer that carries at least one block some
+//     later transfer moves again writes the log: at its own step, one
+//     strided gather from the sender's log region into a precomputed
+//     insert window of the receiver's region (a self-transfer, a
+//     rearrangement copy within one node, is the same gather with both
+//     in one region).
+//   - One delivery pass. A last-hop transfer — the final mover of every
+//     block it carries — writes nothing during the steps. Each node's
+//     whole delivery range is gathered once, after the last step, by
+//     per-node descriptors in final rank order: a block a last-hop
+//     transfer delivers is read from the slot its sender held it in,
+//     and every other delivery (never moved, or last moved by a log
+//     move) from the node's own region. Compile builds these
+//     descriptors to expand to exactly the node's delivery count, which
+//     DecodeProgram proves. A program without log moves replays
+//     without writing arena scratch at all.
+//
+// The plan is built by two compile passes parallel over nodes: one
+// replays the reference replay's per-node event runs, the other lays
+// out each node's deliveries once every log region is placed.
 
 // xdesc is one strided datatype descriptor: count windows of blocklen
 // consecutive log slots, window starts stride apart. count == 1 is a
@@ -42,31 +48,11 @@ type xdesc struct {
 	start, count, blocklen, stride int32
 }
 
-// dtransfer is one transfer's descriptor-mode plan, parallel to the
-// ptransfer table (indexed by global transfer ordinal).
-type dtransfer struct {
-	// descOff/descLen window into Program.descBacking: the gather
-	// descriptors covering the transfer's payload positions in the
-	// source node's log region, in arrival-stamp order. Zero-length for
-	// empty transfers.
-	descOff, descLen int32
-	// insPos is the absolute log position of the transfer's insert
-	// window [insPos, insPos+payLen); -1 for empty transfers.
-	insPos int32
-	// finalPos, when >= 0, marks a last-hop transfer: this transfer is
-	// the final mover of every block it carries, and its payload's
-	// final delivery slots are exactly [finalPos, finalPos+payLen) in
-	// the flat delivery layout. ReplayInto gathers such transfers
-	// straight into the caller's buffer.
-	finalPos int32
-}
-
-// tailSeg is one contiguous run of a node's residual deliveries
-// gathered from the log: descriptors [descOff, descOff+descLen) of
-// Program.descBacking expand to the block ids delivered at
-// node-relative positions [dstPos, dstPos+len).
-type tailSeg struct {
-	dstPos, descOff, descLen int32
+// logMove is one log move: descriptors [descOff, descOff+descLen) of
+// Program.descBacking read payLen slots of node src's log region, in
+// arrival-stamp order, into the insert window [insPos, insPos+payLen).
+type logMove struct {
+	src, payLen, descOff, descLen, insPos int32
 }
 
 // gather expands descs against the log into dst, returning the element
@@ -138,21 +124,20 @@ func coalesceDescs(dst []xdesc, pos []int32) []xdesc {
 
 // descScratch pools the descriptor planner's transient tables across
 // compiles, compileScratch-style: every region a compile reads is
-// fully written by that same compile first (lastMove and direct are
+// fully written by that same compile first (lastMove and readNode are
 // re-initialized over the traffic ids, the worst-case backings are
 // written before the compaction reads them through the recorded
 // counts), so reuse needs no zeroing.
 type descScratch struct {
 	lastMove  []int32 // block id -> last moving transfer ordinal
-	finalRank []int32 // block id -> rank within its node's deliveries
-	direct    []uint8 // block id -> delivered by a last-hop gather
+	readNode  []int32 // block id -> node whose log region delivery reads it from
+	readPos   []int32 // block id -> node-local log slot delivery reads it from
 	isLast    []uint8 // ordinal -> final mover of its whole payload
 	survAll   []int32 // deliveries bucketed by node (finalBase offsets)
-	descWC    []xdesc // worst-case transfer descriptors at payload offsets
+	descWC    []xdesc // worst-case log-move descriptors at payload offsets
 	dInsLocal []int32 // ordinal -> node-local insert position
 	dDescCnt  []int32 // ordinal -> descriptor count in descWC
-	tailRWC   []xdesc // worst-case tailResid descriptors at finalBase offsets
-	tailSegWC []tailSeg
+	deliverWC []xdesc // worst-case delivery descriptors at finalBase offsets
 }
 
 var descScratchPool = sync.Pool{New: func() any { return new(descScratch) }}
@@ -182,11 +167,10 @@ func growDesc(s []xdesc, n int) []xdesc {
 // the reference replay's artifacts: the per-node event runs
 // (opOff/opBacking, with ordOff/ordSpill resolving the rare
 // stamp-resorted payloads), the per-node initial contents
-// (initIDs/initOff), the final holder/stamp table hs, the per-node
-// arrival totals, and each transfer's first-arriving block id
-// (firstArr). Must run after delivery was verified.
+// (initIDs/initOff), the final holder/stamp table hs and the per-node
+// arrival totals. Must run after delivery was verified.
 func (p *Program) planDescriptors(opOff []int32, opBacking []opRec, ordOff, ordSpill, initIDs, initOff []int32,
-	hs []uint64, arrivals, firstArr []int32, numT int) {
+	hs []uint64, arrivals []int32, numT int) {
 	n := p.n
 	ds := descScratchPool.Get().(*descScratch)
 	defer descScratchPool.Put(ds)
@@ -194,10 +178,10 @@ func (p *Program) planDescriptors(opOff []int32, opBacking []opRec, ordOff, ordS
 	numDeliver := len(p.trafficIDs)
 	lastMove := growI32(ds.lastMove, p.numBlocks)
 	ds.lastMove = lastMove
-	finalRank := growI32(ds.finalRank, p.numBlocks)
-	ds.finalRank = finalRank
-	direct := growU8(ds.direct, p.numBlocks)
-	ds.direct = direct
+	readNode := growI32(ds.readNode, p.numBlocks)
+	ds.readNode = readNode
+	readPos := growI32(ds.readPos, p.numBlocks)
+	ds.readPos = readPos
 	isLast := growU8(ds.isLast, numT)
 	ds.isLast = isLast
 	dInsLocal := growI32(ds.dInsLocal, numT)
@@ -208,12 +192,8 @@ func (p *Program) planDescriptors(opOff []int32, opBacking []opRec, ordOff, ordS
 	ds.survAll = survAll
 	descWC := growDesc(ds.descWC, len(p.payloadBacking))
 	ds.descWC = descWC
-	tailRWC := growDesc(ds.tailRWC, numDeliver)
-	ds.tailRWC = tailRWC
-	if cap(ds.tailSegWC) < numDeliver {
-		ds.tailSegWC = make([]tailSeg, numDeliver)
-	}
-	tailSegWC := ds.tailSegWC[:numDeliver]
+	deliverWC := growDesc(ds.deliverWC, numDeliver)
+	ds.deliverWC = deliverWC
 
 	// Final delivery layout: node v's blocks occupy
 	// [finalBase[v], finalBase[v+1]) of the flat delivery buffer.
@@ -221,14 +201,15 @@ func (p *Program) planDescriptors(opOff []int32, opBacking []opRec, ordOff, ordS
 	finalBase := p.finalBase
 
 	// Serial pre-pass: each block's last moving transfer, the last-hop
-	// transfers (final mover of their whole payload), and the blocks
-	// they deliver directly. Done serially because a transfer's payload
-	// spans the src node while the delivery verdict lands on the dst —
-	// the parallel per-node walks below only read these tables for ids
-	// their own node owns.
+	// transfers (final mover of their whole payload), and the node each
+	// delivery is read from — the last-hop sender, else the final
+	// holder. Done serially because a transfer's payload spans the src
+	// node while the delivery verdict lands on the dst — the parallel
+	// per-node walks below only read these tables, or write them for
+	// ids their own node extracts or holds.
 	for _, id := range p.trafficIDs {
 		lastMove[id] = -1
-		direct[id] = 0
+		readNode[id] = id % int32(n)
 	}
 	g := 0
 	for si := range p.steps {
@@ -258,7 +239,7 @@ func (p *Program) planDescriptors(opOff []int32, opBacking []opRec, ordOff, ordS
 				isLast[g] = all
 				if all != 0 {
 					for _, id := range p.payloadBacking[pt.payOff : pt.payOff+pt.payLen] {
-						direct[id] = 1
+						readNode[id] = pt.src
 					}
 				}
 			}
@@ -278,14 +259,15 @@ func (p *Program) planDescriptors(opOff []int32, opBacking []opRec, ordOff, ordS
 		}
 	}
 
-	// Parallel pass over nodes: replay each node's event run, assigning
-	// append-only log positions, recognizing each extraction's positions
-	// as strided descriptors, and building the node's residual tail
-	// plan. All cross-node state is read-only or indexed by ids the node
-	// owns, so the walks are data-race free.
+	// First parallel pass over nodes: replay each node's event run,
+	// assigning append-only log positions to the initial contents and
+	// to log-move arrivals only, recognizing each log move's extraction
+	// positions as strided descriptors, and recording the slot every
+	// delivery is read from: a last-hop transfer's blocks where its
+	// sender held them, every other delivery where its node holds it at
+	// the end. All cross-node state is read-only or indexed by ids the
+	// node owns, so the walks are data-race free.
 	nodeLog := make([]int32, n)
-	tailResidSegCnt := make([]int32, n)
-	tailResidDescCnt := make([]int32, n)
 	par.ForEach(0, n, func(lo, hi int) {
 		idPos := acquireIDSlot(p.numBlocks) // block id -> log slot at the node in progress
 		maxS := 0
@@ -313,6 +295,14 @@ func (p *Program) planDescriptors(opOff []int32, opBacking []opRec, ordOff, ordS
 					o := ordOff[tg]
 					ord = ordSpill[o : o+op.payLen]
 				}
+				if isLast[tg] != 0 {
+					if gr&opExtract != 0 {
+						for _, id := range ord {
+							readPos[id] = idPos[id]
+						}
+					}
+					continue
+				}
 				if gr&opExtract != 0 {
 					physBuf = physBuf[:0]
 					for _, id := range ord {
@@ -333,35 +323,17 @@ func (p *Program) planDescriptors(opOff []int32, opBacking []opRec, ordOff, ordS
 			}
 			nodeLog[v] = int32(cursor)
 
-			// The node's final deliveries in final arrival order, their
-			// ranks anchoring the last-hop windows; tailResid: those not
-			// written by a last-hop gather, as maximal rank-contiguous
-			// runs.
+			// The node's deliveries in final arrival order; those it
+			// reads from its own region sit where it holds them now (a
+			// last-hop self-transfer inserted nothing, so its blocks
+			// still sit where it extracted them).
 			seg := survAll[finalBase[v]:finalBase[v+1]]
 			sort.Slice(seg, func(a, b int) bool { return uint32(hs[seg[a]]) < uint32(hs[seg[b]]) })
-			for rank, id := range seg {
-				finalRank[id] = int32(rank)
-			}
-			segW, descW := int32(0), int32(0)
-			for i := 0; i < len(seg); {
-				if direct[seg[i]] != 0 {
-					i++
-					continue
+			for _, id := range seg {
+				if readNode[id] == int32(v) {
+					readPos[id] = idPos[id]
 				}
-				start := i
-				physBuf = physBuf[:0]
-				for i < len(seg) && direct[seg[i]] == 0 {
-					physBuf = append(physBuf, idPos[seg[i]])
-					i++
-				}
-				runs = coalesceDescs(runs[:0], physBuf)
-				copy(tailRWC[finalBase[v]+descW:], runs)
-				tailSegWC[finalBase[v]+segW] = tailSeg{dstPos: int32(start), descOff: descW, descLen: int32(len(runs))}
-				segW++
-				descW += int32(len(runs))
 			}
-			tailResidSegCnt[v] = segW
-			tailResidDescCnt[v] = descW
 
 			// Restore the pooled table's all-(-1) invariant.
 			for s := 0; s < cursor; s++ {
@@ -371,40 +343,57 @@ func (p *Program) planDescriptors(opOff []int32, opBacking []opRec, ordOff, ordS
 		idSlotPool.Put(idPos)
 	})
 
-	// Serial compaction into the program's exact-size form: per-node
-	// log regions via the descBase prefix, descriptor windows rebased
-	// to absolute log positions, and the bytes a replay physically
-	// moves.
+	// Per-node log regions via the descBase prefix.
 	descBase := make([]int32, n+1)
 	for v := 0; v < n; v++ {
 		descBase[v+1] = descBase[v] + nodeLog[v]
 	}
-	total := 0
+
+	// Second parallel pass over nodes: each node's delivery descriptors
+	// over absolute log positions, in rank order.
+	deliverCnt := make([]int32, n)
+	par.ForEach(0, n, func(lo, hi int) {
+		var physBuf []int32
+		var runs []xdesc
+		for v := lo; v < hi; v++ {
+			physBuf = physBuf[:0]
+			for _, id := range survAll[finalBase[v]:finalBase[v+1]] {
+				physBuf = append(physBuf, descBase[readNode[id]]+readPos[id])
+			}
+			runs = coalesceDescs(runs[:0], physBuf)
+			copy(deliverWC[finalBase[v]:], runs)
+			deliverCnt[v] = int32(len(runs))
+		}
+	})
+
+	// Serial compaction into the program's exact-size form: the log
+	// moves in step order with descriptors rebased to absolute log
+	// positions, then every node's delivery descriptors.
+	total, numMoves := 0, 0
 	g = 0
 	for si := range p.steps {
 		ts := p.steps[si].transfers
 		for ti := range ts {
-			if ts[ti].payLen > 0 {
+			if ts[ti].payLen > 0 && isLast[g] == 0 {
 				total += int(dDescCnt[g])
+				numMoves++
 			}
 			g++
 		}
 	}
 	for v := 0; v < n; v++ {
-		total += int(tailResidDescCnt[v])
+		total += int(deliverCnt[v])
 	}
 	p.descBacking = make([]xdesc, 0, total)
-	p.dtransfers = make([]dtransfer, numT)
-	p.lastHopOnly = true
+	p.moves = make([]logMove, 0, numMoves)
+	p.moveOff = make([]int32, len(p.steps)+1)
 	g = 0
 	for si := range p.steps {
 		ps := &p.steps[si]
-		ps.tBase = int32(g)
+		p.moveOff[si] = int32(len(p.moves))
 		for ti := range ps.transfers {
 			pt := &ps.transfers[ti]
-			dt := &p.dtransfers[g]
-			if pt.payLen == 0 {
-				*dt = dtransfer{insPos: -1, finalPos: -1}
+			if pt.payLen == 0 || isLast[g] != 0 {
 				g++
 				continue
 			}
@@ -413,37 +402,37 @@ func (p *Program) planDescriptors(opOff []int32, opBacking []opRec, ordOff, ordS
 				d.start += descBase[pt.src]
 				p.descBacking = append(p.descBacking, d)
 			}
-			dt.descOff, dt.descLen = off, dDescCnt[g]
-			dt.insPos = descBase[pt.dst] + dInsLocal[g]
-			dt.finalPos = -1
-			if isLast[g] != 0 {
-				dt.finalPos = finalBase[pt.dst] + finalRank[firstArr[g]]
-			} else {
-				p.lastHopOnly = false
-			}
-			p.descBytes += int64(pt.payLen) * 4
-			ps.moved += int(pt.payLen)
+			p.moves = append(p.moves, logMove{
+				src: pt.src, payLen: pt.payLen,
+				descOff: off, descLen: dDescCnt[g],
+				insPos: descBase[pt.dst] + dInsLocal[g],
+			})
 			g++
 		}
 	}
-	p.tailResidOff = make([]int32, n+1)
-	totalSegs := 0
+	p.moveOff[len(p.steps)] = int32(len(p.moves))
+	p.deliverOff = make([]int32, n+1)
 	for v := 0; v < n; v++ {
-		totalSegs += int(tailResidSegCnt[v])
+		p.deliverOff[v] = int32(len(p.descBacking))
+		p.descBacking = append(p.descBacking, deliverWC[finalBase[v]:finalBase[v]+deliverCnt[v]]...)
 	}
-	p.tailResid = make([]tailSeg, 0, totalSegs)
-	for v := 0; v < n; v++ {
-		p.tailResidOff[v] = int32(len(p.tailResid))
-		base := int32(len(p.descBacking))
-		for _, d := range tailRWC[finalBase[v] : finalBase[v]+tailResidDescCnt[v]] {
-			d.start += descBase[v]
-			p.descBacking = append(p.descBacking, d)
-		}
-		for _, sg := range tailSegWC[finalBase[v] : finalBase[v]+tailResidSegCnt[v]] {
-			sg.descOff += base
-			p.tailResid = append(p.tailResid, sg)
-		}
-	}
-	p.tailResidOff[n] = int32(len(p.tailResid))
+	p.deliverOff[n] = int32(len(p.descBacking))
 	p.descBase = descBase
+	p.deriveReplayStats()
+}
+
+// deriveReplayStats derives, at compile and at decode, each step's
+// log-move element count (which decides whether the parallel replay
+// fans the step out) and the bytes one replay's gathers copy: every
+// payload element once, through a log move or the delivery pass.
+func (p *Program) deriveReplayStats() {
+	for si := range p.steps {
+		ps := &p.steps[si]
+		for ti := range ps.transfers {
+			p.descBytes += int64(ps.transfers[ti].payLen) * 4
+		}
+		for _, m := range p.moves[p.moveOff[si]:p.moveOff[si+1]] {
+			ps.moved += int(m.payLen)
+		}
+	}
 }

@@ -19,7 +19,7 @@
 // suites the wall replaced and split the rows between them, so no row
 // is checked twice:
 //
-//	TestDescriptorDifferentialReplay        registry pairs, wide fabric set, dense traffic; hand-built ρ+ring
+//	TestDescriptorDifferentialReplay        registry pairs, wide fabric set, dense traffic; hand-built ρ+ring and rank interleave
 //	TestDifferentialRegistryAlgorithms      registry pairs, explicit all-to-all matrix
 //	TestCompiledDifferentialRegistryAlgorithms  registry pairs, uniform sparse matrix
 //	TestDecodedProgramDifferentialReplay    codec programs, permutation matrix
@@ -304,12 +304,38 @@ func shapeName(alg string, dims []int) string {
 
 // TestDescriptorDifferentialReplay: every registry (fabric, algorithm)
 // pair on the wide fabric set with the implicit all-to-all matrix, plus
-// the hand-built ρ+ring schedule whose self-transfers exercise the copy
-// path no registry builder emits. Runs under -race in CI.
+// two hand-built schedules: ρ+ring, whose self-transfers exercise the
+// copy path no registry builder emits, and a node whose delivery rank
+// order interleaves the three sources the delivery pass reads from.
+// Runs under -race in CI.
 func TestDescriptorDifferentialReplay(t *testing.T) {
 	rows := registryRows(t, descriptorFabrics(), "", atName)
-	rows = append(rows, wallRow{name: "rho-ring@8", sc: rhoRingSchedule(t)})
+	rows = append(rows, wallRow{name: "rho-ring@8", sc: rhoRingSchedule(t)}, interleaveRow())
 	runWall(t, rows, defaultWidths)
+}
+
+// interleaveRow is a 4-ring schedule after which node 2's deliveries,
+// in rank order, are B[2,2] (never moved, read from its initial
+// contents), B[1,2] (a last-hop transfer's, read from node 1's initial
+// contents), B[0,2] (log-moved: it arrived with B[0,3], which moves on,
+// so it is read from node 2's insert window) and B[3,2] (last-hop again,
+// from node 3) — so node 2's delivery descriptors must switch region at
+// every rank. Node 3 receives B[0,3] by a last-hop transfer out of node
+// 2's insert window.
+func interleaveRow() wallRow {
+	b := func(o, d topology.NodeID) block.Block { return block.Block{Origin: o, Dest: d} }
+	hop := func(src, dst topology.NodeID, dir topology.Direction, pay ...block.Block) schedule.Transfer {
+		return schedule.Transfer{Src: src, Dst: dst, Dim: 0, Dir: dir, Hops: 1, Blocks: len(pay), Payload: pay}
+	}
+	sc := &schedule.Schedule{Fabric: topology.MustNew(4), Phases: []schedule.Phase{{
+		Name: "interleave",
+		Steps: []schedule.Step{
+			{Transfers: []schedule.Transfer{hop(0, 1, topology.Pos, b(0, 2), b(0, 3)), hop(1, 2, topology.Pos, b(1, 2))}},
+			{Transfers: []schedule.Transfer{hop(1, 2, topology.Pos, b(0, 2), b(0, 3))}},
+			{Transfers: []schedule.Transfer{hop(2, 3, topology.Pos, b(0, 3)), hop(3, 2, topology.Neg, b(3, 2))}},
+		},
+	}}}
+	return wallRow{name: "interleave@4", sc: sc, traffic: []block.Block{b(0, 2), b(0, 3), b(1, 2), b(2, 2), b(3, 2)}}
 }
 
 // TestDifferentialRegistryAlgorithms: every registry algorithm on the
@@ -390,15 +416,33 @@ func TestCompiledDifferentialWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestIntraStepForwardingVerdicts pins the verdicts on a schedule where
+// TestIntraStepForwardingVerdicts pins the verdicts on schedules where
 // a transfer forwards a block delivered earlier in the same step: node
 // 0 sends B[0,2] to node 1, and node 1 forwards it to node 2 within one
-// step. Serial interleaved semantics (and the oracle) accept it; the
-// one-barrier parallel replay cannot express it, so its parallel modes
-// must refuse — from a verdict precomputed by Compile and carried
-// through the codec — without poisoning later serial replays.
+// step. Serial interleaved semantics (and the oracle) accept them; the
+// one-barrier parallel replay cannot express them, so its parallel
+// modes must refuse — from a verdict precomputed by Compile and carried
+// through the codec — without poisoning later serial replays. In both,
+// node 1's forward is a last-hop transfer reading a log slot node 0's
+// log move wrote earlier in the step, which the delivery pass reads
+// only after the last step. In the second, node 0's move also carries
+// B[0,1], delivered from node 1's insert window, and node 1's last hop
+// also carries B[1,2], read from its initial contents.
 func TestIntraStepForwardingVerdicts(t *testing.T) {
-	b02 := block.Block{Origin: 0, Dest: 2}
+	b01, b02, b12 := block.Block{Origin: 0, Dest: 1}, block.Block{Origin: 0, Dest: 2}, block.Block{Origin: 1, Dest: 2}
+	mixed := &schedule.Schedule{
+		Fabric: topology.MustNew(4),
+		Phases: []schedule.Phase{{
+			Name: "p",
+			Steps: []schedule.Step{{
+				Transfers: []schedule.Transfer{
+					{Src: 0, Dst: 1, Dim: 0, Dir: topology.Pos, Hops: 1, Blocks: 2, Payload: []block.Block{b02, b01}},
+					{Src: 1, Dst: 2, Dim: 0, Dir: topology.Pos, Hops: 1, Blocks: 2, Payload: []block.Block{b12, b02}},
+				},
+			}},
+		}},
+	}
+	checkRow(t, wallRow{name: "forward-mixed", sc: mixed, traffic: []block.Block{b01, b02, b12}, serialOnly: true}, defaultWidths)
 	sc := &schedule.Schedule{
 		Fabric: topology.MustNew(4),
 		Phases: []schedule.Phase{{

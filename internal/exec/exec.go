@@ -39,20 +39,22 @@ type Options struct {
 	// SkipChecks disables the per-step one-port and contention
 	// validation (for schedules already checked by their builder).
 	SkipChecks bool
-	// Serial replays a compiled program's transfers in schedule order on
-	// the calling goroutine. The default (false) is the parallel replay:
-	// a step whose gathers move enough elements to pay for goroutines
-	// and a barrier (2^18, set from a measured crossover) is sharded by
-	// sender over a par.Workers()-wide pool with one barrier after it,
-	// and every smaller step runs inline on the caller, in schedule
-	// order. The parallel replay rejects schedules that forward a block
-	// within the step that delivered it, whether or not any step fans
-	// out. Both modes are differentially tested to deliver identical
-	// matrices. Replay only: Compile ignores it.
+	// Serial replays a compiled program's log moves in schedule order
+	// and then its delivery pass, all on the calling goroutine. The
+	// default (false) is the parallel replay: a step whose log moves
+	// copy enough elements to pay for goroutines and a barrier (2^18,
+	// set from a measured crossover) is sharded by sender over a
+	// par.Workers()-wide pool with one barrier after it, a delivery pass
+	// of at least as many elements is sharded by node, and everything
+	// smaller runs inline on the caller, in order. The parallel replay
+	// rejects schedules that forward a block within the step that
+	// delivered it, whether or not anything fans out. Both modes are
+	// differentially tested to deliver identical matrices. Replay only:
+	// Compile ignores it.
 	Serial bool
 	// Workers overrides the fan-out width of the parallel replay's big
-	// steps (0 = runtime.GOMAXPROCS). Ignored when Serial is set, and by
-	// steps that run inline.
+	// steps and delivery pass (0 = runtime.GOMAXPROCS). Ignored when
+	// Serial is set, and by work that runs inline.
 	Workers int
 	// Telemetry receives the run's span events, counters and per-link
 	// gauges (see internal/telemetry). Nil disables telemetry entirely:

@@ -3,79 +3,94 @@ package exec
 import "fmt"
 
 // CheckDescriptorPlan verifies a compiled program's descriptor plan
-// against its own replay tables, transfer by transfer — a test-only
-// hook for the external registry sweeps (the algorithm registry cannot
-// be imported from package exec's own tests without a cycle). Checked:
-// every replayable program carries a plan; each step's tBase indexes
-// the flat dtransfer table contiguously; a payload transfer's
-// descriptor window expands to exactly payLen in-bounds log positions
-// and its insert window stays in range; an empty transfer carries no
-// window at all; each step's element count and BytesMoved are the
-// executed payload; and the last-hop windows and residual segments
-// tile the delivery layout exactly once (the proof DecodeProgram
-// requires of every file).
+// against its own transfer table — a test-only hook for the external
+// registry sweeps (the algorithm registry cannot be imported from
+// package exec's own tests without a cycle). Checked: every replayable
+// program carries a plan that passes the decoder's proofs (checkPlan);
+// exactly the transfers that are not the final mover of every block
+// they carry have a log move, in step order, with the transfer's
+// sender and size and an insert window in the receiver's log region;
+// each step's element count is its log moves' payload; and BytesMoved
+// is the whole executed payload.
 func CheckDescriptorPlan(p *Program) error {
 	if !p.replay {
 		return nil
 	}
-	if p.descBase == nil {
+	if p.descBase == nil || len(p.moveOff) != len(p.steps)+1 {
 		return fmt.Errorf("replayable program without a descriptor plan")
 	}
-	logSize := int(p.descBase[p.n])
-	var bytes int64
+	if err := p.checkPlan(); err != nil {
+		return err
+	}
+	lastMove := make([]int, p.numBlocks)
 	g := 0
 	for si := range p.steps {
+		for ti := range p.steps[si].transfers {
+			for _, id := range p.payloadOf(&p.steps[si].transfers[ti]) {
+				lastMove[id] = g
+			}
+			g++
+		}
+	}
+	var bytes int64
+	mi := 0
+	g = 0
+	for si := range p.steps {
 		ps := &p.steps[si]
-		if int(ps.tBase) != g {
-			return fmt.Errorf("step %d tBase %d, want %d", si, ps.tBase, g)
+		if int(p.moveOff[si]) != mi {
+			return fmt.Errorf("step %d log moves start at %d, want %d", si, p.moveOff[si], mi)
 		}
 		moved := 0
 		for ti := range ps.transfers {
-			pt, dt := &ps.transfers[ti], &p.dtransfers[g]
+			pt := &ps.transfers[ti]
+			bytes += int64(pt.payLen) * 4
+			last := true
+			for _, id := range p.payloadOf(pt) {
+				last = last && lastMove[id] == g
+			}
 			g++
-			if pt.payLen == 0 {
-				if dt.descLen != 0 || dt.insPos >= 0 || dt.finalPos >= 0 {
-					return fmt.Errorf("empty transfer %d has a descriptor plan %+v", g-1, *dt)
-				}
+			if last {
 				continue
 			}
-			pos := expandDescs(p.descBacking[dt.descOff : dt.descOff+dt.descLen])
-			if len(pos) != int(pt.payLen) {
-				return fmt.Errorf("transfer %d descriptors expand to %d positions, payLen %d", g-1, len(pos), pt.payLen)
+			if mi == len(p.moves) {
+				return fmt.Errorf("transfer %d forwards blocks but has no log move", g-1)
 			}
-			for _, q := range pos {
-				if q < 0 || int(q) >= logSize {
-					return fmt.Errorf("transfer %d reads log position %d outside [0,%d)", g-1, q, logSize)
-				}
+			m := &p.moves[mi]
+			mi++
+			if m.src != pt.src || m.payLen != pt.payLen {
+				return fmt.Errorf("transfer %d: log move %+v, transfer %d->%d carries %d", g-1, *m, pt.src, pt.dst, pt.payLen)
 			}
-			if dt.insPos < 0 || int(dt.insPos)+int(pt.payLen) > logSize {
-				return fmt.Errorf("transfer %d insert window escapes the log", g-1)
+			if m.insPos < p.descBase[pt.dst] || m.insPos+m.payLen > p.descBase[pt.dst+1] {
+				return fmt.Errorf("transfer %d inserts at %d, outside its receiver node %d's log region", g-1, m.insPos, pt.dst)
 			}
-			bytes += int64(pt.payLen) * 4
 			moved += int(pt.payLen)
 		}
 		if ps.moved != moved {
-			return fmt.Errorf("step %d element count %d, executed payload %d", si, ps.moved, moved)
+			return fmt.Errorf("step %d element count %d, log-moved payload %d", si, ps.moved, moved)
 		}
+	}
+	if mi != len(p.moves) {
+		return fmt.Errorf("%d log moves, %d transfers forward blocks", len(p.moves), mi)
 	}
 	if bytes != p.BytesMoved() {
 		return fmt.Errorf("BytesMoved %d, executed payload %d bytes", p.BytesMoved(), bytes)
 	}
-	return p.checkDeliveryTiling()
+	return nil
 }
 
-// SetFanOutElems sets the step size from which the parallel replay
-// fans a step out and returns the previous value, so tests can push
-// every step of a small program through the sender buckets (0) and
-// restore the production constant afterwards.
+// SetFanOutElems sets the size from which the parallel replay fans a
+// step's log moves or the delivery pass out and returns the previous
+// value, so tests can push every step and delivery of a small program
+// through the fan-out (0) and restore the production constant
+// afterwards.
 func SetFanOutElems(elems int) int {
 	prev := fanOutElems
 	fanOutElems = elems
 	return prev
 }
 
-// StepElems returns each step's element count, the size the fan-out
-// threshold is held against.
+// StepElems returns each step's log-move element count, the size the
+// fan-out threshold is held against.
 func StepElems(p *Program) []int {
 	out := make([]int, len(p.steps))
 	for si := range p.steps {
@@ -84,34 +99,28 @@ func StepElems(p *Program) []int {
 	return out
 }
 
-// EncodeWithDeliveryEdit encodes p after edit has rewritten its
-// delivery plan — finalPos is each transfer's last-hop delivery
-// position in transfer order (-1 when not last-hop), residPos each
-// residual segment's dstPos in segment order, residNode the node each
-// segment belongs to — so tests can write a correctly sealed file
-// whose plan a decoder must reject. p itself is left unchanged.
-func EncodeWithDeliveryEdit(p *Program, optFP uint64, edit func(finalPos, residPos []int32, residNode []int)) ([]byte, error) {
-	dts, segs := p.dtransfers, p.tailResid
-	defer func() { p.dtransfers, p.tailResid = dts, segs }()
-	finalPos := make([]int32, len(dts))
-	for i := range dts {
-		finalPos[i] = dts[i].finalPos
+// MoveRec is an editable copy of one log move for EncodeWithPlanEdit.
+type MoveRec struct{ Src, Len, DescOff, DescLen, InsPos int32 }
+
+// EncodeWithPlanEdit encodes p after edit has rewritten copies of its
+// log moves (in step order) and of its per-node delivery descriptor
+// windows (n+1 offsets into the descriptor table), so tests can write a
+// correctly sealed file whose plan a decoder must reject. descBase, the
+// per-node log-region prefix, is passed for reference. p itself is left
+// unchanged.
+func EncodeWithPlanEdit(p *Program, optFP uint64, edit func(moves []MoveRec, deliverOff, descBase []int32)) ([]byte, error) {
+	moves, deliverOff := p.moves, p.deliverOff
+	defer func() { p.moves, p.deliverOff = moves, deliverOff }()
+	recs := make([]MoveRec, len(moves))
+	for i, m := range moves {
+		recs[i] = MoveRec{m.src, m.payLen, m.descOff, m.descLen, m.insPos}
 	}
-	residPos := make([]int32, len(segs))
-	residNode := make([]int, len(segs))
-	for v := 0; v < p.n; v++ {
-		for i := p.tailResidOff[v]; i < p.tailResidOff[v+1]; i++ {
-			residPos[i], residNode[i] = segs[i].dstPos, v
-		}
+	off := append([]int32(nil), deliverOff...)
+	edit(recs, off, append([]int32(nil), p.descBase...))
+	p.moves = make([]logMove, len(recs))
+	for i, r := range recs {
+		p.moves[i] = logMove{r.Src, r.Len, r.DescOff, r.DescLen, r.InsPos}
 	}
-	edit(finalPos, residPos, residNode)
-	p.dtransfers = append([]dtransfer(nil), dts...)
-	for i := range p.dtransfers {
-		p.dtransfers[i].finalPos = finalPos[i]
-	}
-	p.tailResid = append([]tailSeg(nil), segs...)
-	for i := range p.tailResid {
-		p.tailResid[i].dstPos = residPos[i]
-	}
+	p.deliverOff = off
 	return EncodeProgram(p, optFP)
 }

@@ -34,9 +34,8 @@ type ptransfer struct {
 	src, dst int32
 	// payOff/payLen window into Program.payloadBacking: the transfer's
 	// blocks as dense ids (origin*n+dest), in schedule payload order;
-	// empty for structural transfers. Replay itself only needs payLen
-	// and the descriptor plan; the ids are kept for telemetry and
-	// re-encoding.
+	// empty for structural transfers. Replay itself reads only the
+	// descriptor plan; the ids are kept for telemetry and re-encoding.
 	payOff, payLen int32
 	// linkOff/linkLen window into Program.linkBacking: the transfer's
 	// full dimension-ordered route expanded to dense link ids, in path
@@ -54,13 +53,9 @@ type pstep struct {
 	maxBlocks  int
 	maxHops    int
 	transfers  []ptransfer
-	// tBase is the step's first global transfer ordinal: the dtransfer
-	// of transfers[ti] is Program.dtransfers[tBase+ti]; moved is the
-	// element count the step's gathers copy, which decides whether the
-	// parallel replay fans the step out (fanOutElems). Both derived (set
-	// by the descriptor planner at compile and recomputed at decode),
-	// never serialized.
-	tBase int32
+	// moved is the element count the step's log moves copy, which
+	// decides whether the parallel replay fans the step out
+	// (fanOutElems). Derived at compile and decode, never serialized.
 	moved int
 }
 
@@ -107,15 +102,15 @@ type Program struct {
 	fullTraffic bool
 
 	// Descriptor replay plan (see descriptor.go); all nil on
-	// measure-only programs.
-	dtransfers  []dtransfer
+	// measure-only programs. moves are the log moves in step order,
+	// step si's at [moveOff[si], moveOff[si+1]); descBase is the n+1
+	// prefix of the per-node log regions; node v's delivery descriptors
+	// are descBacking[deliverOff[v]:deliverOff[v+1]], in rank order.
+	moves       []logMove
+	moveOff     []int32
 	descBacking []xdesc
-	descBase    []int32 // per-node log regions, n+1 prefix
-	// tailResid holds the residual tail segments: the deliveries no
-	// last-hop transfer gathers directly, indexing descBacking, with
-	// per-node windows via the n+1 offset prefix.
-	tailResid    []tailSeg
-	tailResidOff []int32
+	descBase    []int32
+	deliverOff  []int32
 	// finalBase is the dense delivery layout: node v's blocks occupy
 	// [finalBase[v], finalBase[v+1]) of a delivery buffer. recip is the
 	// delivery pass's reciprocal of n (see divShift). Both derived from
@@ -123,10 +118,8 @@ type Program struct {
 	finalBase []int32
 	recip     uint64
 	// descBytes: bytes one replay's gathers physically copy, derived
-	// from the plan at compile and decode. lastHopOnly: every payload
-	// transfer is last-hop, so ReplayInto never writes arena scratch.
-	descBytes   int64
-	lastHopOnly bool
+	// at compile and decode (deriveReplayStats).
+	descBytes int64
 
 	// Decoded-program state: cold holds the unparsed cold section of
 	// the program file (phase names, block counts, routes, payload
@@ -191,24 +184,28 @@ func (p *Program) SizeBytes() int64 {
 	}
 	size += int64(len(p.payloadBacking))*4 + int64(len(p.linkBacking))*4
 	size += int64(len(p.trafficIDs))*4 + int64(len(p.perDest))*4
-	size += int64(len(p.dtransfers)) * int64(unsafe.Sizeof(dtransfer{}))
+	size += int64(len(p.moves)) * int64(unsafe.Sizeof(logMove{}))
 	size += int64(len(p.descBacking)) * int64(unsafe.Sizeof(xdesc{}))
-	size += int64(len(p.tailResid)) * int64(unsafe.Sizeof(tailSeg{}))
-	size += int64(len(p.descBase)+len(p.tailResidOff)+len(p.finalBase)) * 4
+	size += int64(len(p.moveOff)+len(p.descBase)+len(p.deliverOff)+len(p.finalBase)) * 4
 	return size
 }
 
-// BytesMoved returns the bytes one replay's gathers physically copy.
-// Derived from the plan; every RunArena reports the same value in
-// Result.BytesMoved and the exec.bytes_moved telemetry counter.
+// BytesMoved returns the bytes one replay's gathers physically copy:
+// every payload element once, through a log move or the delivery pass.
+// Every RunArena reports the same value in Result.BytesMoved and the
+// exec.bytes_moved telemetry counter.
 func (p *Program) BytesMoved() int64 { return p.descBytes }
 
 // ReplayStats summarizes the compiled replay plan for reporting
 // (aapebench's registry smoke, debugging).
 type ReplayStats struct {
-	Replayable  bool
-	DescCount   int  // strided descriptors across transfers and tails
-	LastHopOnly bool // every payload transfer delivers directly
+	Replayable bool
+	DescCount  int // strided descriptors across log moves and deliveries
+	// LastHopOnly: the program has no log moves — every payload
+	// transfer is the final mover of all it carries, so the whole
+	// replay is the delivery pass and ReplayInto writes no arena
+	// scratch.
+	LastHopOnly bool
 }
 
 // Stats reports the shape of the program's replay plan.
@@ -216,7 +213,7 @@ func (p *Program) Stats() ReplayStats {
 	return ReplayStats{
 		Replayable:  p.replay,
 		DescCount:   len(p.descBacking),
-		LastHopOnly: p.replay && p.lastHopOnly,
+		LastHopOnly: p.replay && len(p.moves) == 0,
 	}
 }
 
@@ -711,13 +708,13 @@ func (p *Program) Run(opt Options) (*Result, error) {
 }
 
 // RunArena executes the program using a's scratch. It replays exactly
-// as ReplayInto does, into the arena's dense delivery buffer, then one
-// sequential pass checks that every delivered id is addressed to its
-// node and writes the blocks into the arena's reused Result.Buffers.
-// Options.Serial and Options.Workers choose the replay path;
-// Options.Traffic and Options.SkipChecks were compiled in and are
-// ignored here. A warm arena allocates only the Result; the arena's
-// first run also builds the delivery buffers.
+// as ReplayInto does, into the arena's dense delivery buffer, and the
+// delivery pass that gathers each node's blocks also writes them into
+// the arena's reused Result.Buffers, right after checking that each is
+// addressed to its node. Options.Serial and Options.Workers choose the
+// replay path; Options.Traffic and Options.SkipChecks were compiled in
+// and are ignored here. A warm arena allocates only the Result; the
+// arena's first run also builds the delivery buffers.
 func (p *Program) RunArena(a *Arena, opt Options) (*Result, error) {
 	if a == nil || a.prog != p {
 		return nil, fmt.Errorf("exec: arena does not belong to this program")
@@ -732,11 +729,7 @@ func (p *Program) RunArena(a *Arena, opt Options) (*Result, error) {
 				a.out[v] = block.NewBuffer(int(p.perDest[v]))
 			}
 		}
-		err := a.replay(opt, a.dense)
-		if err == nil {
-			err = p.deliver(a.dense, a.out)
-		}
-		if err != nil {
+		if err := a.replay(opt, a.dense, a.out); err != nil {
 			sp.End()
 			a.bad = true
 			return nil, err
@@ -761,29 +754,31 @@ func (p *Program) RunArena(a *Arena, opt Options) (*Result, error) {
 	return res, nil
 }
 
-// fanOutElems is the step size, in elements gathered, from which the
-// parallel replay shards a step by sender over the worker pool with a
-// barrier after it; smaller steps run inline on the caller, where
-// spawning goroutines and waiting costs more than the gathers it would
-// split. Set from the crossover sweep in EXPERIMENTS.md ("Warm replay
-// through the dense delivery layout"). A variable only so tests can
-// lower it and push every step through the fan-out.
+// fanOutElems is the size, in elements gathered, from which the
+// parallel replay fans work out over the worker pool: a step's log
+// moves, sharded by sender with a barrier after the step, and the
+// delivery pass, sharded by node. Smaller work runs inline on the
+// caller, where spawning goroutines and waiting costs more than the
+// gathers it would split. Set from the crossover sweeps in
+// EXPERIMENTS.md ("Warm replay through the dense delivery layout",
+// "Deliver once"). A variable only so tests can lower it and push every
+// step and delivery through the fan-out.
 var fanOutElems = 1 << 18
 
-// replay executes every transfer's strided gather in schedule order,
-// then fills the residual tail: dst is a DeliverySize() dense delivery
-// buffer that last-hop transfers gather straight into, and the
-// residual segments complete from the log. Under Options.Serial every
-// step runs on the caller. Otherwise a step moving at least
-// fanOutElems elements is sharded by sender — a transfer's gather
-// reads its source node's region (conflict-free by the sender shard)
-// and writes a compile-time-fixed window no other transfer of the step
-// touches, so one barrier per step suffices — and smaller steps run
-// inline. Intra-step forwarders were flagged at compile time and are
-// refused whenever Serial is false, fanned-out step or not. No
-// compaction, no per-run reset: every window's contents are identical
-// run over run.
-func (a *Arena) replay(opt Options, dst []int32) error {
+// replay executes the log moves step by step in schedule order, then
+// the delivery pass: dst is a DeliverySize() dense delivery buffer that
+// each node's delivery descriptors gather into from the final log, and
+// out, when non-nil, receives the materialized buffers (see deliver).
+// Under Options.Serial everything runs on the caller. Otherwise a step
+// whose log moves copy at least fanOutElems elements is sharded by
+// sender — a move reads its sender's region (conflict-free by the
+// sender shard) and writes an insert window no other move touches, so
+// one barrier per step suffices — and so is a delivery pass of at
+// least fanOutElems elements, by node; smaller work runs inline.
+// Intra-step forwarders were flagged at compile time and are refused
+// whenever Serial is false, fanned-out step or not. No per-run reset:
+// every slot's contents are identical run over run.
+func (a *Arena) replay(opt Options, dst []int32, out []*block.Buffer) error {
 	p := a.prog
 	var buckets [][][]int
 	if !opt.Serial {
@@ -793,47 +788,31 @@ func (a *Arena) replay(opt Options, dst []int32) error {
 		buckets = a.stepBuckets(opt.Workers)
 	}
 	for si := range p.steps {
-		ps := &p.steps[si]
+		moves := p.moves[p.moveOff[si]:p.moveOff[si+1]]
 		if buckets != nil && buckets[si] != nil {
-			a.fanOut(buckets[si], ps, dst)
+			a.fanOut(buckets[si], moves)
 			continue
 		}
-		for ti := range ps.transfers {
-			a.move(ps, ti, dst)
+		for i := range moves {
+			a.move(&moves[i])
 		}
 	}
-	for v := 0; v < p.n; v++ {
-		base := int(p.finalBase[v])
-		for _, sg := range p.tailResid[p.tailResidOff[v]:p.tailResidOff[v+1]] {
-			gather(dst[base+int(sg.dstPos):], a.log, p.descBacking[sg.descOff:sg.descOff+sg.descLen])
-		}
+	if !opt.Serial && len(dst) >= fanOutElems {
+		return p.deliverFanOut(opt.Workers, a.log, dst, out)
 	}
-	return nil
+	return p.deliver(a.log, dst, out, 0, p.n)
 }
 
-// fanOut runs step ps's transfers over its sender buckets and waits for
+// fanOut runs a step's log moves over its sender buckets and waits for
 // them. Kept out of replay so that only a fanned-out step builds the
 // bucket callback.
-func (a *Arena) fanOut(buckets [][]int, ps *pstep, dst []int32) {
-	par.RunBucketsWorker(buckets, func(_, ti int) { a.move(ps, ti, dst) })
+func (a *Arena) fanOut(buckets [][]int, moves []logMove) {
+	par.RunBucketsWorker(buckets, func(_, i int) { a.move(&moves[i]) })
 }
 
-// move executes transfer ti of step ps: one strided gather into its
-// delivery slots in dst when the transfer is last-hop, into its log
-// insert window otherwise. Empty transfers move nothing.
-func (a *Arena) move(ps *pstep, ti int, dst []int32) {
-	p := a.prog
-	dt := &p.dtransfers[int(ps.tBase)+ti]
-	if dt.insPos < 0 {
-		return
-	}
-	n := ps.transfers[ti].payLen
-	descs := p.descBacking[dt.descOff : dt.descOff+dt.descLen]
-	if dt.finalPos >= 0 {
-		gather(dst[dt.finalPos:dt.finalPos+n], a.log, descs)
-		return
-	}
-	gather(a.log[dt.insPos:dt.insPos+n], a.log, descs)
+// move executes one log move: a strided gather into its insert window.
+func (a *Arena) move(m *logMove) {
+	gather(a.log[m.insPos:m.insPos+m.payLen], a.log, a.prog.descBacking[m.descOff:m.descOff+m.descLen])
 }
 
 // stepBuckets returns the parallel path's per-step sender partitions,
@@ -850,11 +829,11 @@ func (a *Arena) stepBuckets(workers int) [][][]int {
 		if p.steps[si].moved < fanOutElems {
 			continue
 		}
-		trs := p.steps[si].transfers
+		moves := p.moves[p.moveOff[si]:p.moveOff[si+1]]
 		if a.srcBuckets == nil {
 			a.srcBuckets = make([][][]int, len(p.steps))
 		}
-		a.srcBuckets[si] = par.Buckets(workers, len(trs), func(i int) int { return int(trs[i].src) })
+		a.srcBuckets[si] = par.Buckets(workers, len(moves), func(i int) int { return int(moves[i].src) })
 	}
 	a.bucketsBuilt, a.bucketWorkers, a.bucketMin = true, workers, fanOutElems
 	return a.srcBuckets
@@ -884,17 +863,19 @@ func (p *Program) deriveDelivery() {
 	p.recip = reciprocal(p.n)
 }
 
-// deliver is the single pass over a replayed dense delivery buffer: it
-// checks that every id is a valid block id addressed to the node whose
-// range holds it and, when out is non-nil, writes each node's blocks
-// into out[v] in place. Compile built, and the decoder proved, last-hop
-// windows and residual segments that tile every node's range exactly
-// once, so the counts hold by construction; a misaddressed id means
-// program or arena state was corrupted.
-func (p *Program) deliver(dst []int32, out []*block.Buffer) error {
+// deliver is the delivery pass over nodes [lo, hi): it gathers each
+// node's whole delivery range from the final log into dst, then, while
+// the ids are hot, checks that every id is a valid block id addressed
+// to the node and, when out is non-nil, writes the node's blocks into
+// out[v] in place. Compile built, and the decoder proved, delivery
+// descriptors that expand to exactly each node's count, so the counts
+// hold by construction; a misaddressed id means program or arena state
+// was corrupted.
+func (p *Program) deliver(log, dst []int32, out []*block.Buffer, lo, hi int) error {
 	n, nb, recip := uint32(p.n), uint32(p.numBlocks), p.recip
-	for v := 0; v < p.n; v++ {
+	for v := lo; v < hi; v++ {
 		ids := dst[p.finalBase[v]:p.finalBase[v+1]]
+		gather(ids, log, p.descBacking[p.deliverOff[v]:p.deliverOff[v+1]])
 		var blks []block.Block
 		if out != nil {
 			blks = out[v].Refill(len(ids))
@@ -913,13 +894,25 @@ func (p *Program) deliver(dst []int32, out []*block.Buffer) error {
 	return nil
 }
 
+// deliverFanOut runs the delivery pass over contiguous node ranges on
+// the worker pool. Every range writes only its own nodes' slots and
+// buffers and reads the log, which no one writes any more; the error
+// reported is the lowest node's, as the serial pass would return.
+func (p *Program) deliverFanOut(workers int, log, dst []int32, out []*block.Buffer) error {
+	var ferr par.FirstError
+	par.ForEach(workers, p.n, func(lo, hi int) {
+		ferr.Report(lo, p.deliver(log, dst, out, lo, hi))
+	})
+	return ferr.Err()
+}
+
 // ReplayInto replays the program and extracts the final deliveries
 // directly into caller-owned memory: dst must have exactly
 // DeliverySize() elements and receives every node's blocks as dense
 // ids at the DeliveryOffset layout, element-for-element the buffers a
 // RunArena would return, after the same addressing check of every id.
-// Last-hop transfers gather straight into dst (skipping the arena log),
-// so a last-hop-only program writes no arena scratch at all — the
+// The delivery pass gathers straight into dst, so a program without
+// log moves (Stats().LastHopOnly) writes no arena scratch at all — the
 // serial path then performs zero allocations. Options.Serial/Workers
 // choose the path as in RunArena. ReplayInto reports no Result and
 // emits no telemetry; callers that need either use RunArena.
@@ -933,10 +926,7 @@ func (p *Program) ReplayInto(a *Arena, dst []int32, opt Options) error {
 	if len(dst) != p.DeliverySize() {
 		return fmt.Errorf("exec: ReplayInto destination holds %d elements, want %d", len(dst), p.DeliverySize())
 	}
-	if err := a.replay(opt, dst); err != nil {
-		return err
-	}
-	if err := p.deliver(dst, nil); err != nil {
+	if err := a.replay(opt, dst, nil); err != nil {
 		a.bad = true
 		return err
 	}

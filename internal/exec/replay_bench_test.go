@@ -14,12 +14,15 @@ import (
 var fanOutSweep = []int{0, 1 << 14, 1 << 15, 1 << 16, 1 << 17, 1 << 18, 1 << 19, 1 << 20, 1 << 30}
 
 // BenchmarkReplayFanOut is the crossover sweep behind the parallel
-// replay's fan-out threshold: a warm RunArena of each payload algorithm
-// at 16x16 and 32x32 on the default parallel path, once per threshold
-// in fanOutSweep, plus a serial row. Each cell reports its largest
-// step in elements (max-step-elems), the size the threshold is held
-// against. A 32x32 compile holds up to about 2 GB, so sweep those cells
-// one per process:
+// replay's fan-out threshold, which gates both uses of the worker pool:
+// a step's log moves (sharded by sender) and the delivery pass (sharded
+// by node). It times a warm RunArena of each payload algorithm at 16x16
+// and 32x32 on the default parallel path, once per threshold in
+// fanOutSweep, plus a serial row. Each cell reports the two sizes the
+// threshold is held against: its largest step's log-move elements
+// (max-step-elems) and its delivery pass's elements (delivery-elems).
+// A 32x32 compile holds up to about 2 GB, so sweep those cells one per
+// process:
 //
 //	go test -run '^$' -bench 'ReplayFanOut/ring@32x32' -benchtime 20x ./internal/exec
 func BenchmarkReplayFanOut(b *testing.B) {
@@ -55,6 +58,7 @@ func BenchmarkReplayFanOut(b *testing.B) {
 						}
 					}
 					b.ReportMetric(float64(maxStep), "max-step-elems")
+					b.ReportMetric(float64(pg.DeliverySize()), "delivery-elems")
 				}
 				b.Run("serial", func(b *testing.B) { run(b, exec.Options{Serial: true}) })
 				for _, min := range fanOutSweep {

@@ -57,8 +57,8 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 }
 
 // TestDiskStoreCorruptFileRemoved: a file that fails to decode — a
-// flipped byte, or a program an older build wrote in the stale v2 or v3
-// format — is a tier-2 miss, is deleted on first touch, and the
+// flipped byte, or a program an older build wrote in the stale v2, v3
+// or v4 format — is a tier-2 miss, is deleted on first touch, and the
 // recompiled program is stored back in the current format.
 func TestDiskStoreCorruptFileRemoved(t *testing.T) {
 	tor := topology.MustNew(4, 4)
@@ -74,6 +74,7 @@ func TestDiskStoreCorruptFileRemoved(t *testing.T) {
 		{"corrupt", func(program []byte) { program[len(program)/2] ^= 0xff }},
 		{"stale-v2", restamp(2)},
 		{"stale-v3", restamp(3)},
+		{"stale-v4", restamp(4)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
