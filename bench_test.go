@@ -154,18 +154,24 @@ func BenchmarkCompletionSweep(b *testing.B) {
 			reportMeasure(b, m)
 		})
 		b.Run(fmt.Sprintf("ring/%dx%d", c, c), func(b *testing.B) {
-			var m costmodel.Measure
+			var res *baseline.Result
 			for i := 0; i < b.N; i++ {
-				m = baseline.Ring(topology.MustNew(dims...)).Measure
+				var err error
+				if res, err = baseline.Ring(topology.MustNew(dims...)); err != nil {
+					b.Fatal(err)
+				}
 			}
-			reportMeasure(b, m)
+			reportMeasure(b, res.Measure)
 		})
 		b.Run(fmt.Sprintf("direct/%dx%d", c, c), func(b *testing.B) {
-			var m costmodel.Measure
+			var res *baseline.Result
 			for i := 0; i < b.N; i++ {
-				m = baseline.Direct(topology.MustNew(dims...)).Measure
+				var err error
+				if res, err = baseline.Direct(topology.MustNew(dims...)); err != nil {
+					b.Fatal(err)
+				}
 			}
-			reportMeasure(b, m)
+			reportMeasure(b, res.Measure)
 		})
 	}
 }

@@ -209,8 +209,14 @@ func Sweep(p costmodel.Params) string {
 		if err != nil {
 			cli.Fatalf("aapetab: %v", err)
 		}
-		ring := baseline.Ring(topology.MustNew(dims...)).Measure
-		dir := baseline.Direct(topology.MustNew(dims...)).Measure
+		ring, err := baseline.Ring(topology.MustNew(dims...))
+		if err != nil {
+			cli.Fatalf("aapetab: %v", err)
+		}
+		dir, err := baseline.Direct(topology.MustNew(dims...))
+		if err != nil {
+			cli.Fatalf("aapetab: %v", err)
+		}
 		fac, err := baseline.Factored(topology.MustNew(dims...))
 		if err != nil {
 			cli.Fatalf("aapetab: %v", err)
@@ -218,8 +224,8 @@ func Sweep(p costmodel.Params) string {
 		row := []interface{}{
 			fmt.Sprintf("%dx%d", c, c),
 			stats.FmtUS(p.Completion(prop)),
-			stats.FmtUS(p.Completion(ring)),
-			stats.FmtUS(p.Completion(dir)),
+			stats.FmtUS(p.Completion(ring.Measure)),
+			stats.FmtUS(p.Completion(dir.Measure)),
 			stats.FmtUS(p.Completion(fac.Measure)),
 		}
 		if c&(c-1) == 0 { // power of two: Table 2 models apply
@@ -234,8 +240,8 @@ func Sweep(p costmodel.Params) string {
 			row = append(row, "-", "-")
 		}
 		row = append(row,
-			stats.Ratio(p.Completion(ring), p.Completion(prop)),
-			stats.Ratio(p.Completion(dir), p.Completion(prop)))
+			stats.Ratio(p.Completion(ring.Measure), p.Completion(prop)),
+			stats.Ratio(p.Completion(dir.Measure), p.Completion(prop)))
 		tb.AddRowf(row...)
 	}
 	return render(tb)

@@ -1,0 +1,74 @@
+package baseline
+
+import (
+	"runtime"
+	"testing"
+
+	"torusx/internal/schedule"
+	"torusx/internal/topology"
+)
+
+// builders are the four baseline schedule builders, as the algorithm
+// registry calls them.
+var builders = []struct {
+	name  string
+	build func(*topology.Torus) (*schedule.Schedule, error)
+	// maxMiB pins the bytes one build allocates at 16x16: the measured
+	// 9.99, 5.22, 5.22 and 16.79 MiB (linux/amd64) plus 25%.
+	maxMiB float64
+}{
+	{"direct", func(t *topology.Torus) (*schedule.Schedule, error) { return DirectSchedule(t), nil }, 12.5},
+	{"factored", FactoredSchedule, 6.5},
+	{"logtime", LogTimeSchedule, 6.5},
+	{"ring", func(t *topology.Torus) (*schedule.Schedule, error) { return RingSchedule(t), nil }, 21},
+}
+
+var schedSink *schedule.Schedule
+
+// BenchmarkBuildSchedule16 times each builder at the cold-start shape,
+// with its allocations: a cold request pays for every byte a build
+// allocates, kept or not.
+func BenchmarkBuildSchedule16(b *testing.B) {
+	tor := topology.MustNew(16, 16)
+	for _, c := range builders {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sc, err := c.build(tor)
+				if err != nil {
+					b.Fatal(err)
+				}
+				schedSink = sc
+			}
+		})
+	}
+}
+
+// allocatedMiB returns the heap bytes fn allocates, in MiB.
+func allocatedMiB(fn func()) float64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+}
+
+// TestBuildScheduleAllocBudget pins the bytes each builder allocates at
+// 16x16, so a build that starts growing slices by append or copying
+// scratch it throws away again fails here rather than only in the
+// cold-start benchmark.
+func TestBuildScheduleAllocBudget(t *testing.T) {
+	tor := topology.MustNew(16, 16)
+	for _, c := range builders {
+		t.Run(c.name, func(t *testing.T) {
+			var err error
+			got := allocatedMiB(func() { schedSink, err = c.build(tor) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got > c.maxMiB {
+				t.Fatalf("%s@16x16 allocates %.2f MiB, budget %.2f MiB", c.name, got, c.maxMiB)
+			}
+		})
+	}
+}

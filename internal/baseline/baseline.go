@@ -47,8 +47,8 @@ type Result struct {
 
 // appendDirectRoute appends the dimension-ordered minimal route from a
 // to b to segs as schedule segments (one per dimension with a non-zero
-// offset). Callers that hand in stack-backed scratch get route
-// computation without allocation.
+// offset), at most NDims() of them, so segs with that much spare
+// capacity never reallocates.
 func appendDirectRoute(segs []schedule.Seg, t *topology.Torus, a, b topology.Coord) []schedule.Seg {
 	for dim := 0; dim < t.NDims(); dim++ {
 		fwd := t.Wrap(dim, b[dim]-a[dim])
@@ -83,22 +83,32 @@ func DirectSchedule(t *topology.Torus) *schedule.Schedule {
 	if n > 1 {
 		// Every step k is a full cyclic-shift permutation (k != 0, so no
 		// route is ever empty), so sizes are known up front: the steps,
-		// the (n−1)·n transfers and their one-block payloads come from
-		// three preallocated backings instead of per-transfer
-		// allocations, and the independent steps fan out over the worker
-		// pool.
+		// the (n−1)·n transfers, their one-block payloads and their route
+		// legs (NDims() slots per transfer, of which multi-leg routes keep
+		// theirs as Segs) come from four preallocated backings instead of
+		// per-transfer allocations, and the independent steps fan out
+		// over the worker pool.
+		nd := t.NDims()
 		ph.Steps = make([]schedule.Step, n-1)
 		transfers := make([]schedule.Transfer, (n-1)*n)
 		payload := make([]block.Block, (n-1)*n)
+		var legs []schedule.Seg // a one-dimensional route never has a second leg
+		if nd > 1 {
+			legs = make([]schedule.Seg, (n-1)*n*nd)
+		}
 		steps := ph.Steps
 		par.ForEach(0, n-1, func(lo, hi int) {
-			var buf [16]schedule.Seg // route scratch; deeper tori fall back to append
-			var multi []schedule.Seg // chunk-local backing for multi-leg routes
+			var one [1]schedule.Seg // route slot when legs is nil
 			for k := lo + 1; k <= hi; k++ {
 				base := (k - 1) * n
 				for i := 0; i < n; i++ {
 					j := (i + k) % n
-					segs := appendDirectRoute(buf[:0], t, coords[i], coords[j])
+					slots := one[:0]
+					if legs != nil {
+						s := (base + i) * nd
+						slots = legs[s : s : s+nd]
+					}
+					segs := appendDirectRoute(slots, t, coords[i], coords[j])
 					pay := payload[base+i : base+i+1 : base+i+1]
 					pay[0] = block.Block{Origin: topology.NodeID(i), Dest: topology.NodeID(j)}
 					tr := &transfers[base+i]
@@ -106,9 +116,7 @@ func DirectSchedule(t *topology.Torus) *schedule.Schedule {
 					tr.Dim, tr.Dir, tr.Hops = segs[0].Dim, segs[0].Dir, segs[0].Hops
 					tr.Blocks, tr.Payload = 1, pay
 					if len(segs) > 1 {
-						off := len(multi)
-						multi = append(multi, segs...)
-						tr.Segs = multi[off : off+len(segs) : off+len(segs)]
+						tr.Segs = segs[:len(segs):len(segs)]
 					}
 				}
 				steps[k-1] = schedule.Step{Transfers: transfers[base : base+n : base+n], Shared: true}
@@ -121,14 +129,12 @@ func DirectSchedule(t *topology.Torus) *schedule.Schedule {
 
 // Direct executes the non-combining exchange through the shared
 // executor and returns the replayed buffers and measured costs.
-func Direct(t *topology.Torus) *Result {
+func Direct(t *topology.Torus) (*Result, error) {
 	res, err := exec.Run(DirectSchedule(t), exec.Options{})
 	if err != nil {
-		// DirectSchedule emits one-port-clean permutations by
-		// construction; an executor rejection is a program bug.
-		panic(fmt.Sprintf("baseline: direct schedule rejected: %v", err))
+		return nil, fmt.Errorf("baseline: direct schedule rejected: %w", err)
 	}
-	return &Result{Torus: t, Buffers: res.Buffers, Measure: res.Measure}
+	return &Result{Torus: t, Buffers: res.Buffers, Measure: res.Measure}, nil
 }
 
 // RingSchedule emits the dimension-ordered ring-scatter exchange as a
@@ -139,43 +145,20 @@ func Direct(t *topology.Torus) *Result {
 // Every step is link-disjoint (each node uses only its own +1 link),
 // so no step is Shared.
 func RingSchedule(t *topology.Torus) *schedule.Schedule {
-	n := t.Nodes()
-	bufs := block.Initial(t)
-	coords := make([]topology.Coord, n)
-	for i := range coords {
-		coords[i] = t.CoordOf(topology.NodeID(i))
-	}
+	r := newRounds(t)
 	sc := &schedule.Schedule{Fabric: t}
 	for dim := 0; dim < t.NDims(); dim++ {
-		if t.Dim(dim) == 1 {
+		size := t.Dim(dim)
+		if size == 1 {
 			continue
 		}
-		ph := schedule.Phase{Name: fmt.Sprintf("ring-dim%d", dim)}
-		for s := 1; s < t.Dim(dim); s++ {
-			var step schedule.Step
-			moved := make([][]block.Block, n)
-			for i := 0; i < n; i++ {
-				self := coords[i]
-				taken, _ := bufs[i].TakeIf(func(b block.Block) bool {
-					return t.RingDist(self, coords[b.Dest], dim, topology.Pos) > 0
-				})
-				if len(taken) == 0 {
-					continue
-				}
-				j := t.MoveID(topology.NodeID(i), dim, 1)
-				moved[j] = taken
-				step.Transfers = append(step.Transfers, schedule.Transfer{
-					Src: topology.NodeID(i), Dst: j,
-					Dim: dim, Dir: topology.Pos, Hops: 1,
-					Blocks: len(taken), Payload: taken,
-				})
-			}
-			for j, bs := range moved {
-				if bs != nil {
-					bufs[j].Add(bs...)
-				}
-			}
-			ph.Steps = append(ph.Steps, step)
+		send := r.setDim(dim)
+		for off := range send {
+			send[off] = off > 0
+		}
+		ph := schedule.Phase{Name: fmt.Sprintf("ring-dim%d", dim), Steps: make([]schedule.Step, 0, size-1)}
+		for s := 1; s < size; s++ {
+			ph.Steps = append(ph.Steps, r.step(1, false))
 		}
 		sc.Phases = append(sc.Phases, ph)
 	}
@@ -184,12 +167,12 @@ func RingSchedule(t *topology.Torus) *schedule.Schedule {
 
 // Ring executes the ring-scatter exchange through the shared executor
 // and returns the replayed buffers and measured costs.
-func Ring(t *topology.Torus) *Result {
+func Ring(t *topology.Torus) (*Result, error) {
 	res, err := exec.Run(RingSchedule(t), exec.Options{})
 	if err != nil {
-		panic(fmt.Sprintf("baseline: ring schedule rejected: %v", err))
+		return nil, fmt.Errorf("baseline: ring schedule rejected: %w", err)
 	}
-	return &Result{Torus: t, Buffers: res.Buffers, Measure: res.Measure}
+	return &Result{Torus: t, Buffers: res.Buffers, Measure: res.Measure}, nil
 }
 
 // RingClosedForm returns the analytic measure of Ring on dims:

@@ -13,7 +13,10 @@ var shapes = [][]int{{4, 4}, {8, 8}, {12, 8}, {6, 5}, {4, 4, 4}, {5, 3, 2}}
 
 func TestDirectDelivers(t *testing.T) {
 	for _, dims := range shapes {
-		res := Direct(topology.MustNew(dims...))
+		res, err := Direct(topology.MustNew(dims...))
+		if err != nil {
+			t.Fatalf("%v: %v", dims, err)
+		}
 		if err := Verify(res); err != nil {
 			t.Fatalf("%v: %v", dims, err)
 		}
@@ -22,7 +25,10 @@ func TestDirectDelivers(t *testing.T) {
 
 func TestDirectMeasure(t *testing.T) {
 	tor := topology.MustNew(8, 8)
-	res := Direct(tor)
+	res, err := Direct(tor)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Measure.Steps != 63 {
 		t.Fatalf("steps = %d, want 63", res.Measure.Steps)
 	}
@@ -61,7 +67,10 @@ func TestDirectMeasure(t *testing.T) {
 
 func TestRingDelivers(t *testing.T) {
 	for _, dims := range shapes {
-		res := Ring(topology.MustNew(dims...))
+		res, err := Ring(topology.MustNew(dims...))
+		if err != nil {
+			t.Fatalf("%v: %v", dims, err)
+		}
 		if err := Verify(res); err != nil {
 			t.Fatalf("%v: %v", dims, err)
 		}
@@ -70,7 +79,10 @@ func TestRingDelivers(t *testing.T) {
 
 func TestRingMeasureMatchesClosedForm(t *testing.T) {
 	for _, dims := range shapes {
-		res := Ring(topology.MustNew(dims...))
+		res, err := Ring(topology.MustNew(dims...))
+		if err != nil {
+			t.Fatalf("%v: %v", dims, err)
+		}
 		want := RingClosedForm(dims)
 		if res.Measure.Steps != want.Steps || res.Measure.Blocks != want.Blocks || res.Measure.Hops != want.Hops {
 			t.Fatalf("%v: measured %+v, closed form %+v", dims, res.Measure, want)
@@ -107,21 +119,28 @@ func TestSerializedGroupsAblation(t *testing.T) {
 }
 
 func TestVerifyCatchesCorruption(t *testing.T) {
-	res := Direct(topology.MustNew(4, 4))
+	direct := func() *Result {
+		res, err := Direct(topology.MustNew(4, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	res := direct()
 	// Misdeliver: node 0 "holds" node 1's buffer.
 	res.Buffers[0] = res.Buffers[1]
 	if err := Verify(res); err == nil {
 		t.Fatal("Verify should fail on misdelivered blocks")
 	}
 
-	res = Direct(topology.MustNew(4, 4))
+	res = direct()
 	// Wrong count: drop a block from node 2.
 	res.Buffers[2].TakeIf(func(b block.Block) bool { return b.Origin == 3 })
 	if err := Verify(res); err == nil {
 		t.Fatal("Verify should fail on missing blocks")
 	}
 
-	res = Direct(topology.MustNew(4, 4))
+	res = direct()
 	// Duplicate origin: replace one block with a copy of another.
 	taken, _ := res.Buffers[2].TakeIf(func(b block.Block) bool { return b.Origin == 3 })
 	if len(taken) != 1 {

@@ -3,7 +3,6 @@ package baseline
 import (
 	"fmt"
 
-	"torusx/internal/block"
 	"torusx/internal/exec"
 	"torusx/internal/schedule"
 	"torusx/internal/topology"
@@ -51,11 +50,7 @@ func FactoredSchedule(t *topology.Torus) (*schedule.Schedule, error) {
 		}
 	}
 	n := t.Nodes()
-	bufs := block.Initial(t)
-	coords := make([]topology.Coord, n)
-	for i := range coords {
-		coords[i] = t.CoordOf(topology.NodeID(i))
-	}
+	r := newRounds(t)
 	sc := &schedule.Schedule{Fabric: t}
 
 	for dim := 0; dim < t.NDims(); dim++ {
@@ -63,39 +58,18 @@ func FactoredSchedule(t *topology.Torus) (*schedule.Schedule, error) {
 		if size == 1 {
 			continue
 		}
+		send := r.setDim(dim)
 		ph := schedule.Phase{Name: fmt.Sprintf("factored-dim%d", dim), Rearrange: n}
 		place := 1
 		for _, f := range primeFactors(size) {
 			for v := 1; v < f; v++ {
+				for off := range send {
+					send[off] = (off/place)%f == v
+				}
 				dist := v * place
-				step := schedule.Step{Shared: dist > 1}
-				moved := make([][]block.Block, n)
-				for i := 0; i < n; i++ {
-					self := coords[i]
-					taken, _ := bufs[i].TakeIf(func(b block.Block) bool {
-						off := t.Wrap(dim, coords[b.Dest][dim]-self[dim])
-						return (off/place)%f == v
-					})
-					if len(taken) == 0 {
-						continue
-					}
-					dst := t.MoveID(topology.NodeID(i), dim, dist)
-					moved[dst] = taken
-					step.Transfers = append(step.Transfers, schedule.Transfer{
-						Src: topology.NodeID(i), Dst: dst,
-						Dim: dim, Dir: topology.Pos, Hops: dist,
-						Blocks: len(taken), Payload: taken,
-					})
+				if st := r.step(dist, dist > 1); len(st.Transfers) > 0 {
+					ph.Steps = append(ph.Steps, st)
 				}
-				for j, bs := range moved {
-					if bs != nil {
-						bufs[j].Add(bs...)
-					}
-				}
-				if len(step.Transfers) == 0 {
-					continue
-				}
-				ph.Steps = append(ph.Steps, step)
 			}
 			place *= f
 		}

@@ -58,48 +58,21 @@ func LogTimeSchedule(t *topology.Torus) (*schedule.Schedule, error) {
 		}
 	}
 	n := t.Nodes()
-	bufs := block.Initial(t)
-	coords := make([]topology.Coord, n)
-	for i := range coords {
-		coords[i] = t.CoordOf(topology.NodeID(i))
-	}
+	rs := newRounds(t)
 	sc := &schedule.Schedule{Fabric: t}
 
 	for dim := 0; dim < t.NDims(); dim++ {
-		size := t.Dim(dim)
+		send := rs.setDim(dim)
 		ph := schedule.Phase{Name: fmt.Sprintf("logtime-dim%d", dim), Rearrange: n}
-		for r := 1; r < size; r <<= 1 {
-			step := schedule.Step{Shared: r > 1}
-			moved := make([][]block.Block, n)
-			for i := 0; i < n; i++ {
-				self := coords[i]
-				// The Bruck criterion: send every block whose remaining
-				// ring offset along dim has bit r set; the +r move
-				// clears that bit.
-				taken, _ := bufs[i].TakeIf(func(b block.Block) bool {
-					off := t.Wrap(dim, coords[b.Dest][dim]-self[dim])
-					return off&r != 0
-				})
-				if len(taken) == 0 {
-					continue
-				}
-				dst := t.MoveID(topology.NodeID(i), dim, r)
-				moved[dst] = taken
-				step.Transfers = append(step.Transfers, schedule.Transfer{
-					Src: topology.NodeID(i), Dst: dst,
-					Dim: dim, Dir: topology.Pos, Hops: r,
-					Blocks: len(taken), Payload: taken,
-				})
+		for r := 1; r < t.Dim(dim); r <<= 1 {
+			// The Bruck criterion: send every block whose remaining ring
+			// offset along dim has bit r set; the +r move clears that bit.
+			for off := range send {
+				send[off] = off&r != 0
 			}
-			for j, bs := range moved {
-				if bs != nil {
-					bufs[j].Add(bs...)
-				}
+			if st := rs.step(r, r > 1); len(st.Transfers) > 0 {
+				ph.Steps = append(ph.Steps, st)
 			}
-			if len(step.Transfers) == 0 {
-				continue
-			}
-			ph.Steps = append(ph.Steps, step)
 		}
 		sc.Phases = append(sc.Phases, ph)
 	}

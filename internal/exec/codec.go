@@ -8,6 +8,7 @@ import (
 	"math"
 	"unsafe"
 
+	"torusx/internal/schedule"
 	"torusx/internal/topology"
 )
 
@@ -224,61 +225,57 @@ func EncodeProgram(p *Program, optFP uint64) ([]byte, error) {
 		numTraffic = len(p.trafficIDs)
 	}
 
-	// Cold section first, so its length is at hand for the header.
-	cold := appendU32(nil, uint32(len(p.payloadBacking)))
-	cold = appendI32s(cold, p.payloadBacking)
-	shared := make([]byte, (numSteps+7)/8)
+	// Sizing pass: validate every cold-section field against its codec
+	// limit and size the variable-length parts — the phase names and the
+	// route-leg stream — so the whole file is written into one buffer of
+	// its exact length.
+	var one [1]schedule.Seg
+	segBytes := 0
 	for si := range p.steps {
-		ps := &p.steps[si]
-		for ti := range ps.transfers {
-			tr := &ps.step.Transfers[ti]
+		for ti := range p.steps[si].transfers {
+			tr := &p.steps[si].step.Transfers[ti]
 			if tr.Blocks < 0 || int64(tr.Blocks) > math.MaxUint32 {
 				return nil, fmt.Errorf("exec: encode: transfer block count %d out of range", tr.Blocks)
 			}
-			cold = appendU32(cold, uint32(tr.Blocks))
-		}
-		if ps.step.Shared {
-			shared[si>>3] |= 1 << uint(si&7)
+			segs := routeLegs(tr, &one)
+			if len(segs) > math.MaxUint8 {
+				return nil, fmt.Errorf("exec: encode: transfer %v has %d route legs (max %d)", tr, len(segs), math.MaxUint8)
+			}
+			for _, sg := range segs {
+				if sg.Dim < 0 || sg.Dim > math.MaxUint8 || sg.Hops < 0 || sg.Hops > math.MaxUint16 {
+					return nil, fmt.Errorf("exec: encode: route leg %+v exceeds codec limits", sg)
+				}
+			}
+			segBytes += 1 + 4*len(segs)
 		}
 	}
-	cold = append(cold, shared...)
-	cold = pad4(cold)
+	phaseBytes := 0
 	for pi := range sc.Phases {
 		ph := &sc.Phases[pi]
 		if ph.Rearrange < 0 || int64(ph.Rearrange) > math.MaxUint32 {
 			return nil, fmt.Errorf("exec: encode: phase %q rearrange %d out of range", ph.Name, ph.Rearrange)
 		}
-		cold = appendU32(cold, uint32(len(ph.Name)))
-		cold = append(cold, ph.Name...)
-		cold = pad4(cold)
-		cold = appendU32(cold, uint32(len(ph.Steps)))
-		cold = appendU32(cold, uint32(ph.Rearrange))
+		phaseBytes += 4 + padded4(len(ph.Name)) + 8
 	}
-	for si := range p.steps {
-		for ti := range p.steps[si].transfers {
-			tr := &p.steps[si].step.Transfers[ti]
-			segs := tr.Segments()
-			if len(segs) > math.MaxUint8 {
-				return nil, fmt.Errorf("exec: encode: transfer %v has %d route legs (max %d)", tr, len(segs), math.MaxUint8)
-			}
-			cold = append(cold, byte(len(segs)))
-			for _, sg := range segs {
-				if sg.Dim < 0 || sg.Dim > math.MaxUint8 || sg.Hops < 0 || sg.Hops > math.MaxUint16 {
-					return nil, fmt.Errorf("exec: encode: route leg %+v exceeds codec limits", sg)
-				}
-				dir := byte(0)
-				if sg.Dir == topology.Neg {
-					dir = 1
-				}
-				cold = append(cold, byte(sg.Dim), dir)
-				cold = binary.LittleEndian.AppendUint16(cold, uint16(sg.Hops))
-			}
-		}
-	}
-	cold = pad4(cold)
+	coldLen := 4 + 4*len(p.payloadBacking) + 4*numTransfers + padded4((numSteps+7)/8) + phaseBytes + padded4(segBytes)
 
 	fp := p.fab.Fingerprint()
-	b := make([]byte, 0, 256+len(cold)+numSteps*24+numTransfers*40+len(p.descBacking)*16+5*n*4)
+	var errMsg string
+	if p.parallelErr != nil {
+		errMsg = p.parallelErr.Error()
+	}
+	size := 16 + 4 + padded4(len(fp)) + 7*4 + 4*8 + 4 +
+		numSteps*20 + (numSteps+1)*4 + numTransfers*24
+	if p.parallelErr != nil {
+		size += 4 + padded4(len(errMsg))
+	}
+	if p.replay {
+		size += 4*n + 4*numTraffic + 3*4 + (numSteps+1)*4 + len(p.moves)*20 +
+			(n+1)*4 + len(p.descBacking)*16 + (n+1)*4
+	}
+	size += coldLen + 4
+
+	b := make([]byte, 0, size)
 	b = append(b, codecMagic...)
 	b = binary.LittleEndian.AppendUint16(b, CodecVersion)
 	b = append(b, flags, 0)
@@ -297,7 +294,7 @@ func EncodeProgram(p *Program, optFP uint64) ([]byte, error) {
 	b = appendU64(b, uint64(p.measure.Blocks))
 	b = appendU64(b, uint64(p.measure.Hops))
 	b = appendU64(b, uint64(p.measure.RearrangedBlocks))
-	b = appendU32(b, uint32(len(cold)))
+	b = appendU32(b, uint32(coldLen))
 
 	for si := range p.steps {
 		ps := &p.steps[si]
@@ -331,9 +328,8 @@ func EncodeProgram(p *Program, optFP uint64) ([]byte, error) {
 		}
 	}
 	if p.parallelErr != nil {
-		msg := p.parallelErr.Error()
-		b = appendU32(b, uint32(len(msg)))
-		b = append(b, msg...)
+		b = appendU32(b, uint32(len(errMsg)))
+		b = append(b, errMsg...)
 		b = pad4(b)
 	}
 	if p.replay {
@@ -368,10 +364,68 @@ func EncodeProgram(p *Program, optFP uint64) ([]byte, error) {
 		}
 		b = appendI32s(b, p.deliverOff)
 	}
-	b = append(b, cold...)
+
+	coldStart := len(b)
+	b = appendU32(b, uint32(len(p.payloadBacking)))
+	b = appendI32s(b, p.payloadBacking)
+	for si := range p.steps {
+		for ti := range p.steps[si].transfers {
+			b = appendU32(b, uint32(p.steps[si].step.Transfers[ti].Blocks))
+		}
+	}
+	for lo := 0; lo < numSteps; lo += 8 {
+		var bits byte
+		for si := lo; si < min(lo+8, numSteps); si++ {
+			if p.steps[si].step.Shared {
+				bits |= 1 << uint(si-lo)
+			}
+		}
+		b = append(b, bits)
+	}
+	b = pad4(b)
+	for pi := range sc.Phases {
+		ph := &sc.Phases[pi]
+		b = appendU32(b, uint32(len(ph.Name)))
+		b = append(b, ph.Name...)
+		b = pad4(b)
+		b = appendU32(b, uint32(len(ph.Steps)))
+		b = appendU32(b, uint32(ph.Rearrange))
+	}
+	for si := range p.steps {
+		for ti := range p.steps[si].transfers {
+			segs := routeLegs(&p.steps[si].step.Transfers[ti], &one)
+			b = append(b, byte(len(segs)))
+			for _, sg := range segs {
+				dir := byte(0)
+				if sg.Dir == topology.Neg {
+					dir = 1
+				}
+				b = append(b, byte(sg.Dim), dir)
+				b = binary.LittleEndian.AppendUint16(b, uint16(sg.Hops))
+			}
+		}
+	}
+	b = pad4(b)
+	if len(b)-coldStart != coldLen || len(b)+4 != size {
+		return nil, fmt.Errorf("exec: encode: wrote %d bytes (cold section %d), sized %d (cold section %d)",
+			len(b)+4, len(b)-coldStart, size, coldLen)
+	}
 	b = appendU32(b, crc32.ChecksumIEEE(b))
 	return b, nil
 }
+
+// routeLegs is tr.Segments() without its per-call allocation: Segs
+// when present, otherwise the single (Dim, Dir, Hops) leg in one.
+func routeLegs(tr *schedule.Transfer, one *[1]schedule.Seg) []schedule.Seg {
+	if tr.Segs != nil {
+		return tr.Segs
+	}
+	one[0] = schedule.Seg{Dim: tr.Dim, Dir: tr.Dir, Hops: tr.Hops}
+	return one[:]
+}
+
+// padded4 rounds n up to a multiple of 4.
+func padded4(n int) int { return (n + 3) &^ 3 }
 
 // ---- Decoding.
 

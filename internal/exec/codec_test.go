@@ -7,12 +7,12 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"torusx/internal/algorithm"
 	"torusx/internal/exec"
-	"torusx/internal/schedule"
 	"torusx/internal/topology"
 )
 
@@ -39,22 +39,38 @@ func codecCells() []codecCell {
 	return append(cells, codecCell{"dimexchange/d4x4", "dimexchange", topology.MustNewDragonfly(4, 4)})
 }
 
-// codecPrograms builds every codec cell's schedule, keyed by name.
-func codecPrograms(t *testing.T) map[string]*schedule.Schedule {
+// codecRows are the codec cells plus one row for each variable-length
+// part of the cold section the cells leave uncovered: a parallelErr
+// message (forward-mixed), non-torus multi-leg routes (the dragonfly
+// direct exchange's two- and three-leg routes; dimexchange sends only
+// single hops), a sparse traffic-id table and an empty phase (logtime
+// on 8x1, whose size-1 dimension has no rounds).
+func codecRows(t *testing.T) []wallRow {
 	t.Helper()
-	out := map[string]*schedule.Schedule{}
+	var rows []wallRow
 	for _, c := range codecCells() {
-		b, err := algorithm.For(c.alg)
-		if err != nil {
-			t.Fatal(err)
+		row, ok := registryRow(t, c.name, c.alg, c.fab, "")
+		if !ok {
+			t.Fatalf("%s: builder rejected the shape", c.name)
 		}
-		sc, err := b.BuildSchedule(c.fab)
-		if err != nil {
-			t.Fatalf("builder %s: %v", c.name, err)
-		}
-		out[c.name] = sc
+		rows = append(rows, row)
 	}
-	return out
+	rows = append(rows, forwardMixedRow())
+	for _, c := range []struct {
+		name, alg, gen string
+		fab            topology.Fabric
+	}{
+		{"direct/d2x3", "direct", "", topology.MustNewDragonfly(2, 3)},
+		{"factored/8x8+uniform", "factored", "uniform:p=0.25,seed=1", topology.MustNew(8, 8)},
+		{"logtime/8x1", "logtime", "", topology.MustNew(8, 1)},
+	} {
+		row, ok := registryRow(t, c.name, c.alg, c.fab, c.gen)
+		if !ok {
+			t.Fatalf("%s: builder rejected the shape", c.name)
+		}
+		rows = append(rows, row)
+	}
+	return rows
 }
 
 // TestProgramCodecRoundTripStable: encode→decode→encode must be
@@ -62,9 +78,10 @@ func codecPrograms(t *testing.T) map[string]*schedule.Schedule {
 // observable surface (measure, sharing, size class, schedule) must
 // match the original.
 func TestProgramCodecRoundTripStable(t *testing.T) {
-	for name, sc := range codecPrograms(t) {
-		t.Run(name, func(t *testing.T) {
-			pg, err := exec.Compile(sc, exec.Options{})
+	for _, row := range codecRows(t) {
+		sc := row.sc
+		t.Run(row.name, func(t *testing.T) {
+			pg, err := exec.Compile(sc, exec.Options{Traffic: row.traffic})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -372,6 +389,40 @@ func TestProgramCodecGolden(t *testing.T) {
 				if dst[i] != refDst[i] {
 					t.Fatalf("golden ReplayInto diverges at flat position %d: %d vs %d", i, dst[i], refDst[i])
 				}
+			}
+		})
+	}
+}
+
+// TestEncodeProgramAllocBudget pins EncodeProgram to one buffer of the
+// encoded length: the bytes it allocates may exceed the file size only
+// by the allocator's rounding of that one buffer.
+func TestEncodeProgramAllocBudget(t *testing.T) {
+	const slack = 16 << 10
+	tor := topology.MustNew(16, 16)
+	for _, alg := range []string{"direct", "factored"} {
+		t.Run(alg, func(t *testing.T) {
+			b, err := algorithm.For(alg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc, err := b.BuildSchedule(tor)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pg, err := exec.Compile(sc, exec.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			enc, err := exec.EncodeProgram(pg, 0)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got > uint64(len(enc)+slack) {
+				t.Fatalf("%s@16x16: encoding %d bytes allocated %d bytes, budget %d", alg, len(enc), got, len(enc)+slack)
 			}
 		})
 	}

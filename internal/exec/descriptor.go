@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"sort"
 	"sync"
 
 	"torusx/internal/par"
@@ -248,7 +247,7 @@ func (p *Program) planDescriptors(opOff []int32, opBacking []opRec, ordOff, ordS
 	}
 
 	// Deliveries bucketed by destination node (matrix order; each
-	// node's worker sorts its own segment by final arrival stamp).
+	// node's worker reorders its own segment by final arrival stamp).
 	{
 		cur := make([]int32, n)
 		copy(cur, finalBase[:n])
@@ -277,6 +276,14 @@ func (p *Program) planDescriptors(opOff []int32, opBacking []opRec, ordOff, ordS
 			}
 		}
 		logIDs := make([]int32, maxS) // assignment journal, for the idPos reset
+		// byStamp places a node's deliveries by final arrival stamp: the
+		// stamps at node v are unique and below arrivals[v], so a scatter
+		// and one compacting sweep order them with no sort. All -1
+		// between nodes; the sweep resets what it reads.
+		byStamp := make([]int32, maxS)
+		for s := range byStamp {
+			byStamp[s] = -1
+		}
 		var physBuf []int32
 		var runs []xdesc
 		for v := lo; v < hi; v++ {
@@ -328,8 +335,18 @@ func (p *Program) planDescriptors(opOff []int32, opBacking []opRec, ordOff, ordS
 			// last-hop self-transfer inserted nothing, so its blocks
 			// still sit where it extracted them).
 			seg := survAll[finalBase[v]:finalBase[v+1]]
-			sort.Slice(seg, func(a, b int) bool { return uint32(hs[seg[a]]) < uint32(hs[seg[b]]) })
 			for _, id := range seg {
+				byStamp[uint32(hs[id])] = id
+			}
+			k := 0
+			for s := 0; k < len(seg); s++ {
+				id := byStamp[s]
+				if id < 0 {
+					continue
+				}
+				byStamp[s] = -1
+				seg[k] = id
+				k++
 				if readNode[id] == int32(v) {
 					readPos[id] = idPos[id]
 				}

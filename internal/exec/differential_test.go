@@ -353,7 +353,7 @@ func TestCompiledDifferentialRegistryAlgorithms(t *testing.T) {
 }
 
 // TestDecodedProgramDifferentialReplay: the codec tests' program set
-// (codecPrograms) pruned to a permutation matrix.
+// (codecCells) pruned to a permutation matrix.
 func TestDecodedProgramDifferentialReplay(t *testing.T) {
 	var rows []wallRow
 	for _, c := range codecCells() {
@@ -416,19 +416,10 @@ func TestCompiledDifferentialWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestIntraStepForwardingVerdicts pins the verdicts on schedules where
-// a transfer forwards a block delivered earlier in the same step: node
-// 0 sends B[0,2] to node 1, and node 1 forwards it to node 2 within one
-// step. Serial interleaved semantics (and the oracle) accept them; the
-// one-barrier parallel replay cannot express them, so its parallel
-// modes must refuse — from a verdict precomputed by Compile and carried
-// through the codec — without poisoning later serial replays. In both,
-// node 1's forward is a last-hop transfer reading a log slot node 0's
-// log move wrote earlier in the step, which the delivery pass reads
-// only after the last step. In the second, node 0's move also carries
-// B[0,1], delivered from node 1's insert window, and node 1's last hop
-// also carries B[1,2], read from its initial contents.
-func TestIntraStepForwardingVerdicts(t *testing.T) {
+// forwardMixedRow is the first schedule TestIntraStepForwardingVerdicts
+// checks: node 0's log move carries B[0,2] and B[0,1], and node 1's last
+// hop forwards B[0,2] in the same step together with B[1,2].
+func forwardMixedRow() wallRow {
 	b01, b02, b12 := block.Block{Origin: 0, Dest: 1}, block.Block{Origin: 0, Dest: 2}, block.Block{Origin: 1, Dest: 2}
 	mixed := &schedule.Schedule{
 		Fabric: topology.MustNew(4),
@@ -442,7 +433,24 @@ func TestIntraStepForwardingVerdicts(t *testing.T) {
 			}},
 		}},
 	}
-	checkRow(t, wallRow{name: "forward-mixed", sc: mixed, traffic: []block.Block{b01, b02, b12}, serialOnly: true}, defaultWidths)
+	return wallRow{name: "forward-mixed", sc: mixed, traffic: []block.Block{b01, b02, b12}, serialOnly: true}
+}
+
+// TestIntraStepForwardingVerdicts pins the verdicts on schedules where
+// a transfer forwards a block delivered earlier in the same step: node
+// 0 sends B[0,2] to node 1, and node 1 forwards it to node 2 within one
+// step. Serial interleaved semantics (and the oracle) accept them; the
+// one-barrier parallel replay cannot express them, so its parallel
+// modes must refuse — from a verdict precomputed by Compile and carried
+// through the codec — without poisoning later serial replays. In both,
+// node 1's forward is a last-hop transfer reading a log slot node 0's
+// log move wrote earlier in the step, which the delivery pass reads
+// only after the last step. In the second, node 0's move also carries
+// B[0,1], delivered from node 1's insert window, and node 1's last hop
+// also carries B[1,2], read from its initial contents.
+func TestIntraStepForwardingVerdicts(t *testing.T) {
+	checkRow(t, forwardMixedRow(), defaultWidths)
+	b02 := block.Block{Origin: 0, Dest: 2}
 	sc := &schedule.Schedule{
 		Fabric: topology.MustNew(4),
 		Phases: []schedule.Phase{{
