@@ -355,11 +355,15 @@ func BenchmarkCollectives(b *testing.B) {
 		reportMeasure(b, m)
 	})
 	b.Run("scatter", func(b *testing.B) {
+		var m costmodel.Measure
 		for i := 0; i < b.N; i++ {
-			if _, err := collective.Scatter(tor, 0); err != nil {
+			rep, err := Scatter(tor, 0)
+			if err != nil {
 				b.Fatal(err)
 			}
+			m = rep.Measure
 		}
+		reportMeasure(b, m)
 	})
 	b.Run("allgather", func(b *testing.B) {
 		var m costmodel.Measure

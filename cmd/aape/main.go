@@ -104,10 +104,10 @@ func run(args []string, w io.Writer) error {
 	if tel.Enabled() {
 		switch alg {
 		case "proposed":
-			// The block-level simulator behind the plain "proposed" path
-			// does not run through the instrumented executor; the
-			// registry's structural builder emits the same schedule and
-			// does.
+			// torusx.AllToAll behind the plain "proposed" path replays
+			// its program without telemetry; the registry's structural
+			// builder emits the same schedule through the instrumented
+			// executor.
 			return runExecutor(w, tel, alg, fab, params, execOpt)
 		case "concurrent", "virtual":
 			return fmt.Errorf("telemetry is only available for executor-backed algorithms, not %q", alg)
@@ -159,8 +159,9 @@ func run(args []string, w io.Writer) error {
 		}
 		return runExecutor(w, tel, alg, fab, params, execOpt)
 	}
-	// The simulator paths above bypass the executor pipeline; still
-	// honor -metrics-out (the registry carries whatever the process did).
+	// The library paths above do not report to the telemetry session;
+	// still honor -metrics-out (the registry carries whatever the
+	// process did).
 	return tel.Finish(w, fab, "")
 }
 

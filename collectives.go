@@ -1,8 +1,7 @@
 package torusx
 
 import (
-	"fmt"
-
+	"torusx/internal/block"
 	"torusx/internal/collective"
 	"torusx/internal/topology"
 )
@@ -29,42 +28,36 @@ func Broadcast(t *Torus, root int) (*CollectiveReport, error) {
 }
 
 // Scatter sends root's N personalized blocks to their destinations
-// through the Suh–Shin exchange schedule. The torus must satisfy the
-// exchange preconditions (dims multiples of four, non-increasing).
+// through the Suh–Shin exchange schedule, as a sparse exchange. The
+// torus must satisfy the exchange preconditions (dims multiples of
+// four, non-increasing).
 func Scatter(t *Torus, root int) (*CollectiveReport, error) {
-	res, err := collective.Scatter(t, topology.NodeID(root))
-	if err != nil {
-		return nil, err
+	blocks := make([]block.Block, t.Nodes())
+	for d := range blocks {
+		blocks[d] = block.Block{Origin: topology.NodeID(root), Dest: topology.NodeID(d)}
 	}
-	for i, buf := range res.Buffers {
-		if buf.Len() != 1 || int(buf.View()[0].Dest) != i || int(buf.View()[0].Origin) != root {
-			return nil, fmt.Errorf("torusx: scatter misdelivery at node %d", i)
-		}
-	}
-	return &CollectiveReport{Dims: t.Dims(), Nodes: t.Nodes(), Measure: Measure{
-		Steps:            res.Counters.Steps,
-		Blocks:           res.Counters.SumMaxBlocks,
-		Hops:             res.Counters.SumMaxHops,
-		RearrangedBlocks: res.Counters.RearrangedBlocksMaxPerNode,
-	}}, nil
+	return personalized(t, blocks)
 }
 
 // Gather collects one personalized block from every node at root
-// through the Suh–Shin exchange schedule.
+// through the Suh–Shin exchange schedule, as a sparse exchange.
 func Gather(t *Torus, root int) (*CollectiveReport, error) {
-	res, err := collective.Gather(t, topology.NodeID(root))
+	blocks := make([]block.Block, t.Nodes())
+	for o := range blocks {
+		blocks[o] = block.Block{Origin: topology.NodeID(o), Dest: topology.NodeID(root)}
+	}
+	return personalized(t, blocks)
+}
+
+// personalized runs a one-to-all or all-to-one personalized collective
+// through the shared sparse path; an out-of-range root fails its
+// range check.
+func personalized(t *Torus, blocks []block.Block) (*CollectiveReport, error) {
+	res, err := sparseExchange(t, t, blocks)
 	if err != nil {
 		return nil, err
 	}
-	if res.Buffers[root].Len() != t.Nodes() {
-		return nil, fmt.Errorf("torusx: gather incomplete: root holds %d blocks", res.Buffers[root].Len())
-	}
-	return &CollectiveReport{Dims: t.Dims(), Nodes: t.Nodes(), Measure: Measure{
-		Steps:            res.Counters.Steps,
-		Blocks:           res.Counters.SumMaxBlocks,
-		Hops:             res.Counters.SumMaxHops,
-		RearrangedBlocks: res.Counters.RearrangedBlocksMaxPerNode,
-	}}, nil
+	return &CollectiveReport{Dims: t.Dims(), Nodes: t.Nodes(), Measure: measureOf(res)}, nil
 }
 
 // AllGather replicates every node's block to all nodes with the ring

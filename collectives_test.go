@@ -1,6 +1,13 @@
 package torusx
 
-import "testing"
+import (
+	"fmt"
+	"sort"
+	"testing"
+
+	"torusx/internal/block"
+	"torusx/internal/topology"
+)
 
 func TestBroadcastAPI(t *testing.T) {
 	tor, _ := NewTorus(6, 5) // arbitrary shape allowed
@@ -18,28 +25,98 @@ func TestBroadcastAPI(t *testing.T) {
 
 func TestScatterGatherAPI(t *testing.T) {
 	tor, _ := NewTorus(8, 8)
-	s, err := Scatter(tor, 3)
-	if err != nil {
-		t.Fatal(err)
+	// holds runs blocks through the shared sparse path and checks that
+	// node v ends with exactly want(v).
+	holds := func(t *testing.T, tor *Torus, blocks []block.Block, want func(v int) []block.Block) {
+		t.Helper()
+		res, err := sparseExchange(tor, tor, blocks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v, buf := range res.Buffers {
+			got := append([]block.Block(nil), buf.View()...)
+			sort.Slice(got, func(i, j int) bool { return got[i].Origin < got[j].Origin })
+			if w := want(v); fmt.Sprint(got) != fmt.Sprint(w) {
+				t.Fatalf("node %d holds %v, want %v", v, got, w)
+			}
+		}
 	}
-	g, err := Gather(tor, 3)
-	if err != nil {
-		t.Fatal(err)
+	rows := []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		{"scatter-delivers-from-root", func(t *testing.T) {
+			for _, root := range []int{0, 17, 63} {
+				if _, err := Scatter(tor, root); err != nil {
+					t.Fatalf("root %d: %v", root, err)
+				}
+				var blocks []block.Block
+				for d := 0; d < tor.Nodes(); d++ {
+					blocks = append(blocks, block.Block{Origin: topology.NodeID(root), Dest: topology.NodeID(d)})
+				}
+				holds(t, tor, blocks, func(v int) []block.Block {
+					return []block.Block{{Origin: topology.NodeID(root), Dest: topology.NodeID(v)}}
+				})
+			}
+		}},
+		{"gather-collects-at-root", func(t *testing.T) {
+			tor, _ := NewTorus(12, 8)
+			const root = 37
+			if _, err := Gather(tor, root); err != nil {
+				t.Fatal(err)
+			}
+			var blocks []block.Block
+			for o := 0; o < tor.Nodes(); o++ {
+				blocks = append(blocks, block.Block{Origin: topology.NodeID(o), Dest: root})
+			}
+			holds(t, tor, blocks, func(v int) []block.Block {
+				if v != root {
+					return nil
+				}
+				return blocks
+			})
+		}},
+		{"same-steps-less-volume", func(t *testing.T) {
+			s, err := Scatter(tor, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := Gather(tor, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Scatter and gather ride the full exchange schedule: same steps.
+			if s.Measure.Steps != g.Measure.Steps {
+				t.Fatalf("scatter %d steps, gather %d", s.Measure.Steps, g.Measure.Steps)
+			}
+			// A single root moves far fewer blocks than a full all-to-all.
+			full, _ := Compare(Proposed, 8, 8)
+			if s.Measure.Blocks >= full.Blocks {
+				t.Fatalf("scatter volume %d should be below all-to-all %d", s.Measure.Blocks, full.Blocks)
+			}
+		}},
+		{"root-out-of-range", func(t *testing.T) {
+			for _, root := range []int{-1, 64, 999} {
+				if _, err := Scatter(tor, root); err == nil {
+					t.Fatalf("scatter root %d should fail", root)
+				}
+				if _, err := Gather(tor, root); err == nil {
+					t.Fatalf("gather root %d should fail", root)
+				}
+			}
+		}},
+		{"not-multiple-of-four", func(t *testing.T) {
+			bad, _ := NewTorus(10, 4)
+			if _, err := Scatter(bad, 0); err == nil {
+				t.Fatal("scatter on 10x4 should fail")
+			}
+			if _, err := Gather(bad, 0); err == nil {
+				t.Fatal("gather on 10x4 should fail")
+			}
+		}},
 	}
-	// Scatter and gather ride the full exchange schedule: same steps.
-	if s.Measure.Steps != g.Measure.Steps {
-		t.Fatalf("scatter %d steps, gather %d", s.Measure.Steps, g.Measure.Steps)
-	}
-	// A single root moves far fewer blocks than a full all-to-all.
-	full, _ := Compare(Proposed, 8, 8)
-	if s.Measure.Blocks >= full.Blocks {
-		t.Fatalf("scatter volume %d should be below all-to-all %d", s.Measure.Blocks, full.Blocks)
-	}
-	if _, err := Scatter(tor, -1); err == nil {
-		t.Fatal("bad root should fail")
-	}
-	if _, err := Gather(tor, 64); err == nil {
-		t.Fatal("bad root should fail")
+	for _, row := range rows {
+		t.Run(row.name, row.run)
 	}
 }
 

@@ -51,7 +51,7 @@ func ExampleReport_Completion() {
 	// 335 us
 }
 
-// Real payloads travel hop by hop through the simulated network.
+// Real payloads follow the block ids the compiled exchange delivers.
 func ExampleExchangeData() {
 	tor, _ := torusx.NewTorus(4, 4)
 	n := tor.Nodes()

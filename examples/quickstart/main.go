@@ -16,8 +16,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Run the proposed algorithm on the lock-step simulator with
-	// per-step contention checking and delivery verification.
+	// Run the proposed algorithm's compiled program: every step was
+	// checked for contention when it was compiled, and the replay
+	// verifies delivery.
 	rep, err := torusx.AllToAll(tor)
 	if err != nil {
 		log.Fatal(err)

@@ -4,11 +4,6 @@
 // operations of wormhole-routed machines [4, 6]; a library a user
 // would adopt for torus collectives needs the siblings too:
 //
-//   - Scatter / Gather: one-to-all and all-to-one *personalized*
-//     traffic. These are sparse cases of the Suh–Shin exchange (a
-//     single origin or a single destination), so they reuse
-//     exchange.RunSparse verbatim — a deliberate demonstration that
-//     the paper's schedule carries arbitrary traffic matrices.
 //   - Broadcast: one block replicated to all nodes, by bidirectional
 //     pipelined flooding one dimension at a time (works for any ring
 //     size, one-port compliant, contention-free).
@@ -16,15 +11,15 @@
 //     to all nodes, by the classic ring algorithm per dimension.
 //
 // Every operation returns measured costs in the same units as the
-// exchange counters plus a structural schedule where applicable.
+// exchange counters plus a structural schedule where applicable. The
+// personalized siblings, Scatter and Gather, are sparse cases of the
+// exchange itself and run through torusx's sparse path.
 package collective
 
 import (
 	"fmt"
 
-	"torusx/internal/block"
 	"torusx/internal/costmodel"
-	"torusx/internal/exchange"
 	"torusx/internal/exec"
 	"torusx/internal/schedule"
 	"torusx/internal/topology"
@@ -41,33 +36,6 @@ type Result struct {
 	// Schedule is the structural schedule (nil for operations executed
 	// through the exchange engine, which records its own).
 	Schedule *schedule.Schedule
-}
-
-// Scatter routes root's N personalized blocks to their destinations
-// through the Suh–Shin schedule. The torus must satisfy the exchange
-// preconditions.
-func Scatter(t *topology.Torus, root topology.NodeID) (*exchange.Result, error) {
-	if int(root) < 0 || int(root) >= t.Nodes() {
-		return nil, fmt.Errorf("collective: root %d out of range", root)
-	}
-	blocks := make([]block.Block, 0, t.Nodes())
-	for d := 0; d < t.Nodes(); d++ {
-		blocks = append(blocks, block.Block{Origin: root, Dest: topology.NodeID(d)})
-	}
-	return exchange.RunSparse(t, blocks, exchange.Options{CheckSteps: true})
-}
-
-// Gather routes one personalized block from every node to root through
-// the Suh–Shin schedule.
-func Gather(t *topology.Torus, root topology.NodeID) (*exchange.Result, error) {
-	if int(root) < 0 || int(root) >= t.Nodes() {
-		return nil, fmt.Errorf("collective: root %d out of range", root)
-	}
-	blocks := make([]block.Block, 0, t.Nodes())
-	for o := 0; o < t.Nodes(); o++ {
-		blocks = append(blocks, block.Block{Origin: topology.NodeID(o), Dest: root})
-	}
-	return exchange.RunSparse(t, blocks, exchange.Options{CheckSteps: true})
 }
 
 // BroadcastSchedule emits the pipelined bidirectional-flood broadcast

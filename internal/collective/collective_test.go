@@ -14,65 +14,6 @@ func allOrigins(t *topology.Torus) []topology.NodeID {
 	return out
 }
 
-func TestScatterDeliversFromRoot(t *testing.T) {
-	for _, root := range []topology.NodeID{0, 17, 63} {
-		tor := topology.MustNew(8, 8)
-		res, err := Scatter(tor, root)
-		if err != nil {
-			t.Fatalf("root %d: %v", root, err)
-		}
-		for i, buf := range res.Buffers {
-			if buf.Len() != 1 {
-				t.Fatalf("root %d: node %d holds %d blocks, want 1", root, i, buf.Len())
-			}
-			b := buf.View()[0]
-			if b.Origin != root || int(b.Dest) != i {
-				t.Fatalf("root %d: node %d holds %v", root, i, b)
-			}
-		}
-	}
-}
-
-func TestScatterValidation(t *testing.T) {
-	tor := topology.MustNew(8, 8)
-	if _, err := Scatter(tor, 999); err == nil {
-		t.Fatal("out-of-range root should fail")
-	}
-	if _, err := Scatter(topology.MustNew(10, 4), 0); err == nil {
-		t.Fatal("invalid torus should fail")
-	}
-}
-
-func TestGatherCollectsAtRoot(t *testing.T) {
-	tor := topology.MustNew(12, 8)
-	root := topology.NodeID(37)
-	res, err := Gather(tor, root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, buf := range res.Buffers {
-		if topology.NodeID(i) == root {
-			if buf.Len() != tor.Nodes() {
-				t.Fatalf("root holds %d blocks, want %d", buf.Len(), tor.Nodes())
-			}
-			seen := map[topology.NodeID]bool{}
-			for _, b := range buf.View() {
-				if b.Dest != root || seen[b.Origin] {
-					t.Fatalf("bad gathered block %v", b)
-				}
-				seen[b.Origin] = true
-			}
-			continue
-		}
-		if buf.Len() != 0 {
-			t.Fatalf("node %d still holds %d blocks", i, buf.Len())
-		}
-	}
-	if _, err := Gather(tor, -1); err == nil {
-		t.Fatal("out-of-range root should fail")
-	}
-}
-
 func TestBroadcastReachesAll(t *testing.T) {
 	for _, dims := range [][]int{{8, 8}, {12, 8}, {5, 3}, {6, 5, 4}, {7, 7}} {
 		tor := topology.MustNew(dims...)

@@ -95,6 +95,20 @@ func ProposedND(dims []int) Measure {
 	}
 }
 
+// ProposedNonContiguousSends returns how many transmissions of the
+// proposed algorithm on dims are not one contiguous run of the
+// sender's data array: none for n = 2, and 2(n−2)·Πai for n >= 3,
+// where steps 3..n of the quad and bit phases each send two disjoint
+// runs at every node (EXPERIMENTS.md). The block-level simulator's
+// NonContiguousSends counter is held to this form.
+func ProposedNonContiguousSends(dims []int) int {
+	n := len(dims)
+	if n < 3 {
+		return 0
+	}
+	return 2 * (n - 2) * prod(dims)
+}
+
 // Proposed2D is ProposedND for the paper's R×C presentation (R <= C):
 // (C/2+2) startups, RC(C+4)/4 blocks, 2(C−1) hops, 3RC rearranged
 // blocks.

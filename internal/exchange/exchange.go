@@ -129,9 +129,6 @@ type executor struct {
 // schedule and counters. The torus must have at least two dimensions,
 // every dimension a multiple of four, sizes non-increasing.
 func Run(t *topology.Torus, opt Options) (*Result, error) {
-	if t.NDims() < 2 {
-		return nil, fmt.Errorf("exchange: need at least 2 dimensions, got %d", t.NDims())
-	}
 	if err := t.ValidateForExchange(); err != nil {
 		return nil, err
 	}
@@ -146,9 +143,6 @@ func Run(t *topology.Torus, opt Options) (*Result, error) {
 // node, blocks with arbitrary origin/dest pairs whose dest determines
 // routing). Used by the virtual-node extension and by tests.
 func RunWithBuffers(t *topology.Torus, bufs []*block.Buffer, opt Options) (*Result, error) {
-	if t.NDims() < 2 {
-		return nil, fmt.Errorf("exchange: need at least 2 dimensions, got %d", t.NDims())
-	}
 	if err := t.ValidateForExchange(); err != nil {
 		return nil, err
 	}

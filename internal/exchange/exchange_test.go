@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"torusx/internal/costmodel"
 	"torusx/internal/topology"
 	"torusx/internal/verify"
 )
@@ -184,12 +185,8 @@ func TestSendContiguity(t *testing.T) {
 	// paper's n+1 rearrangement count is exact only for n = 2.
 	for _, dims := range shapes2to5D {
 		res := cachedRun(t, dims)
-		n := len(dims)
 		nodes := res.Torus.Nodes()
-		want := 0
-		if n >= 3 {
-			want = 2 * (n - 2) * nodes
-		}
+		want := costmodel.ProposedNonContiguousSends(dims)
 		if res.Counters.NonContiguousSends != want {
 			t.Fatalf("%v: %d non-contiguous sends, want %d",
 				dims, res.Counters.NonContiguousSends, want)

@@ -19,9 +19,6 @@ import (
 // internal/wormhole). Used only for measuring what the paper's
 // direction assignment buys.
 func GenerateNaive(t *topology.Torus) (*schedule.Schedule, error) {
-	if t.NDims() < 2 {
-		return nil, fmt.Errorf("exchange: need at least 2 dimensions, got %d", t.NDims())
-	}
 	if err := t.ValidateForExchange(); err != nil {
 		return nil, err
 	}

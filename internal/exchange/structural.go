@@ -24,9 +24,6 @@ import (
 // GenerateStructural returns the schedule of the proposed algorithm on
 // t without executing it.
 func GenerateStructural(t *topology.Torus) (*schedule.Schedule, error) {
-	if t.NDims() < 2 {
-		return nil, fmt.Errorf("exchange: need at least 2 dimensions, got %d", t.NDims())
-	}
 	if err := t.ValidateForExchange(); err != nil {
 		return nil, err
 	}

@@ -45,14 +45,9 @@ type VirtualResult struct {
 // RunSparse executes the exchange carrying an arbitrary set of blocks
 // (a many-to-many personalized exchange): the routing predicates act
 // per block, so any traffic matrix rides the same n+2-phase schedule.
-// Each block starts at its Origin and is delivered to its Dest.
+// Each block starts at its Origin and is delivered to its Dest;
+// RunWithBuffers checks the torus.
 func RunSparse(t *topology.Torus, blocks []block.Block, opt Options) (*Result, error) {
-	if t.NDims() < 2 {
-		return nil, fmt.Errorf("exchange: need at least 2 dimensions, got %d", t.NDims())
-	}
-	if err := t.ValidateForExchange(); err != nil {
-		return nil, err
-	}
 	bufs := make([]*block.Buffer, t.Nodes())
 	for i := range bufs {
 		bufs[i] = block.NewBuffer(0)
@@ -82,11 +77,9 @@ func PadDims(dims []int) []int {
 
 // RunVirtual executes the exchange among the nodes of an arbitrary
 // torus shape via the virtual-node extension. dims must be sorted
-// non-increasing with at least two dimensions, every size >= 1.
+// non-increasing with at least two dimensions (RunWithBuffers checks
+// the padded torus), every size >= 1.
 func RunVirtual(dims []int, opt Options) (*VirtualResult, error) {
-	if len(dims) < 2 {
-		return nil, fmt.Errorf("exchange: need at least 2 dimensions, got %d", len(dims))
-	}
 	real, err := topology.New(dims...)
 	if err != nil {
 		return nil, err

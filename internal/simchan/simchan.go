@@ -20,7 +20,6 @@
 package simchan
 
 import (
-	"fmt"
 	"sync"
 
 	"torusx/internal/block"
@@ -79,9 +78,6 @@ type Result struct {
 // final buffers. The torus must satisfy the same preconditions as
 // exchange.Run.
 func Run(t *topology.Torus) (*Result, error) {
-	if t.NDims() < 2 {
-		return nil, fmt.Errorf("simchan: need at least 2 dimensions, got %d", t.NDims())
-	}
 	if err := t.ValidateForExchange(); err != nil {
 		return nil, err
 	}

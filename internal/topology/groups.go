@@ -168,9 +168,15 @@ func BitCoord(c Coord) Coord {
 }
 
 // ValidateForExchange checks the preconditions of the Suh–Shin
-// algorithms: every dimension a multiple of four and sizes
-// non-increasing. It returns a descriptive error otherwise.
+// algorithms: at least two dimensions, every dimension a multiple of
+// four and sizes non-increasing. It returns a descriptive error
+// otherwise. Every builder and simulator of the exchange calls it
+// first, so plan.GroupPhases and plan.QuadOrder never see a
+// one-dimensional shape.
 func (t *Torus) ValidateForExchange() error {
+	if t.NDims() < 2 {
+		return fmt.Errorf("topology: torus %s has %d dimension(s); the exchange needs at least 2", t, t.NDims())
+	}
 	if !t.MultipleOfFour() {
 		return fmt.Errorf("topology: torus %s has a dimension that is not a multiple of %d; use the virtual-node extension", t, GroupStride)
 	}

@@ -214,6 +214,14 @@ func TestValidateForExchange(t *testing.T) {
 	}
 }
 
+func TestValidateForExchangeRejects1D(t *testing.T) {
+	// A ring passes the multiple-of-four and ordering checks; the
+	// dimension count alone must reject it.
+	if err := MustNew(8).ValidateForExchange(); err == nil {
+		t.Fatal("1-D torus should fail")
+	}
+}
+
 func TestMultipleOfFourAndSorted(t *testing.T) {
 	if !MustNew(4, 4).MultipleOfFour() {
 		t.Fatal("4x4 is a multiple of four")

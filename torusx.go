@@ -8,17 +8,18 @@
 // The core entry points are:
 //
 //   - NewTorus:            construct an n-dimensional torus.
-//   - AllToAll:            run the proposed n+2-phase exchange on a
-//     lock-step simulator with link-contention and one-port checking,
-//     returning measured costs in the paper's units.
+//   - AllToAll:            run the proposed n+2-phase exchange as a
+//     compiled program (contention- and one-port-checked at compile,
+//     delivery-verified on replay), returning measured costs in the
+//     paper's units.
 //   - AllToAllConcurrent:  run the same exchange as a goroutine-per-node
 //     SPMD program communicating over channels.
 //   - AllToAllArbitrary:   run on tori whose dimensions are not
 //     multiples of four, via the paper's virtual-node extension.
 //   - AllToAllSparse:      route an arbitrary traffic matrix through
-//     the same schedule.
-//   - ExchangeData:        move real per-pair payloads through the
-//     simulated network, hop by hop.
+//     the same schedule on the block-level simulator.
+//   - ExchangeData:        apply the compiled exchange to real
+//     per-pair payloads.
 //   - ScheduleFor:         build and verify the full schedule without
 //     simulating data (scales to tens of thousands of nodes).
 //   - Predict/Completion:  the closed-form cost model of Table 1 and
@@ -29,6 +30,13 @@
 //     the same executor (internal/algorithm + internal/exec).
 //   - Broadcast, Scatter, Gather, AllGather, AllReduce (collectives.go):
 //     the sibling collectives on the same substrate.
+//
+// Dense exchanges (AllToAll, ExchangeData, Compare) replay the program
+// that internal/algorithm builds, compiles and caches. Sparse traffic
+// (AllToAllSparse, AllToAllSparseArbitrary, Scatter, Gather) runs on
+// the block-level simulator instead, whose per-node rearrangement
+// charge follows the blocks a node actually holds; all four share one
+// validation and delivery check.
 //
 // Tori must have at least two dimensions, sizes sorted non-increasing
 // (a1 >= a2 >= ... >= an); AllToAll additionally requires every size
@@ -47,6 +55,7 @@ import (
 	"torusx/internal/simchan"
 	"torusx/internal/topology"
 	"torusx/internal/trace"
+	"torusx/internal/traffic"
 	"torusx/internal/verify"
 )
 
@@ -110,35 +119,74 @@ func (r *Report) Summary() string {
 // microseconds under the given machine parameters.
 func (r *Report) Completion(p CostParams) float64 { return p.Completion(r.Measure) }
 
+// reportFrom builds the report of a block-level simulator run.
 func reportFrom(res *exchange.Result) *Report {
 	return &Report{
-		Dims:   res.Torus.Dims(),
-		Nodes:  res.Torus.Nodes(),
-		Phases: res.Counters.Phases,
-		Measure: Measure{
-			Steps:            res.Counters.Steps,
-			Blocks:           res.Counters.SumMaxBlocks,
-			Hops:             res.Counters.SumMaxHops,
-			RearrangedBlocks: res.Counters.RearrangedBlocksMaxPerNode,
-		},
+		Dims:               res.Torus.Dims(),
+		Nodes:              res.Torus.Nodes(),
+		Phases:             res.Counters.Phases,
+		Measure:            measureOf(res),
 		NonContiguousSends: res.Counters.NonContiguousSends,
 		sched:              res.Schedule,
 	}
 }
 
-// AllToAll executes the proposed exchange on t with per-step
-// contention and one-port checking, verifies that every node ends
-// with exactly the blocks destined to it, and returns the measured
-// costs.
-func AllToAll(t *Torus) (*Report, error) {
-	res, err := exchange.Run(t, exchange.Options{CheckSteps: true})
+// measureOf converts a simulator run's counters into a Measure.
+func measureOf(res *exchange.Result) Measure {
+	return Measure{
+		Steps:            res.Counters.Steps,
+		Blocks:           res.Counters.SumMaxBlocks,
+		Hops:             res.Counters.SumMaxHops,
+		RearrangedBlocks: res.Counters.RearrangedBlocksMaxPerNode,
+	}
+}
+
+// proposedProgram is the registry name of the payload-carrying build
+// of the proposed exchange, the program the dense entry points replay.
+const proposedProgram = "proposed-sim"
+
+// replayProgram resolves alg's compiled program on f through the
+// process-wide program cache and replays it once on a pooled arena,
+// which re-checks that every node received exactly its blocks.
+func replayProgram(alg string, f topology.Fabric) (*exec.Program, error) {
+	b, err := algorithm.For(alg)
 	if err != nil {
 		return nil, err
 	}
-	if err := verify.Delivered(res.Torus, res.Buffers); err != nil {
+	pg, err := algorithm.BuildProgram(b, f, exec.Options{})
+	if err != nil {
 		return nil, err
 	}
-	return reportFrom(res), nil
+	arena := pg.AcquireArena()
+	if _, err := pg.RunArena(arena, exec.Options{}); err != nil {
+		return nil, err
+	}
+	pg.ReleaseArena(arena)
+	return pg, nil
+}
+
+// AllToAll executes the proposed exchange on t and returns the measured
+// costs. It replays the exchange's compiled program, served from the
+// process-wide program cache: compiling checked every step for
+// contention-freedom and one-port compliance, and the replay verifies
+// that every node ends with exactly the blocks destined to it.
+func AllToAll(t *Torus) (*Report, error) {
+	pg, err := replayProgram(proposedProgram, t)
+	if err != nil {
+		return nil, err
+	}
+	sc := pg.Schedule()
+	if sc == nil {
+		return nil, fmt.Errorf("torusx: compiled program has no schedule: %w", pg.SchedErr())
+	}
+	return &Report{
+		Dims:               t.Dims(),
+		Nodes:              t.Nodes(),
+		Phases:             len(sc.Phases),
+		Measure:            pg.Measure(),
+		NonContiguousSends: costmodel.ProposedNonContiguousSends(t.Dims()),
+		sched:              sc,
+	}, nil
 }
 
 // AllToAllConcurrent executes the exchange as one goroutine per node
@@ -179,7 +227,9 @@ type ArbitraryReport struct {
 // AllToAllArbitrary executes the exchange among the nodes of an
 // arbitrary torus shape (sizes >= 1, sorted non-increasing) using the
 // virtual-node extension of Section 6, verifying that every real node
-// receives exactly the blocks of every real origin.
+// receives exactly the blocks of every real origin. It runs on the
+// block-level simulator: moving it onto the compiled program needs a
+// padded-torus program with virtual relays first.
 func AllToAllArbitrary(dims ...int) (*ArbitraryReport, error) {
 	vr, err := exchange.RunVirtual(dims, exchange.Options{CheckSteps: true})
 	if err != nil {
@@ -260,24 +310,11 @@ func Compare(alg Algorithm, dims ...int) (Measure, error) {
 	if err != nil {
 		return Measure{}, err
 	}
-	b, err := algorithm.For(string(alg))
+	pg, err := replayProgram(string(alg), t)
 	if err != nil {
 		return Measure{}, err
 	}
-	// Compile-once, replay-many: BuildProgram serves the compiled form
-	// from the process-wide program cache, and the replay runs in a
-	// pooled arena so repeated Compare calls reuse buffer backing.
-	pg, err := algorithm.BuildProgram(b, t, exec.Options{})
-	if err != nil {
-		return Measure{}, err
-	}
-	arena := pg.AcquireArena()
-	res, err := pg.RunArena(arena, exec.Options{})
-	if err != nil {
-		return Measure{}, err
-	}
-	pg.ReleaseArena(arena)
-	return res.Measure, nil
+	return pg.Measure(), nil
 }
 
 // Pair identifies one personalized message of a sparse exchange.
@@ -285,49 +322,56 @@ type Pair struct {
 	Src, Dst int
 }
 
-// AllToAllSparse routes an arbitrary set of (source, destination)
-// pairs through the proposed schedule: the exchange machinery is
-// oblivious to which blocks exist, so partial (many-to-many) traffic
-// rides the same n+2 phases. Returns the verified report. Duplicate
-// pairs are rejected.
-func AllToAllSparse(t *Torus, pairs []Pair) (*Report, error) {
-	n := t.Nodes()
-	seen := make(map[Pair]bool, len(pairs))
-	blocks := make([]block.Block, 0, len(pairs))
-	for _, pr := range pairs {
-		if pr.Src < 0 || pr.Src >= n || pr.Dst < 0 || pr.Dst >= n {
-			return nil, fmt.Errorf("torusx: pair %+v out of range for %d nodes", pr, n)
-		}
-		if seen[pr] {
-			return nil, fmt.Errorf("torusx: duplicate pair %+v", pr)
-		}
-		seen[pr] = true
-		blocks = append(blocks, block.Block{
-			Origin: topology.NodeID(pr.Src),
-			Dest:   topology.NodeID(pr.Dst),
-		})
+// sparseExchange routes blocks, numbered on real, through the proposed
+// schedule on padded with per-step contention checking, and verifies
+// that every node ends holding exactly the blocks addressed to it. It
+// backs every sparse entry point: traffic.New rejects out-of-range and
+// duplicate blocks in real's numbering, and real's coordinates map onto
+// padded (the identity when padded is real), where virtual relays
+// originate and receive nothing.
+func sparseExchange(real, padded *Torus, blocks []block.Block) (*exchange.Result, error) {
+	if _, err := traffic.New(real.Nodes(), blocks); err != nil {
+		return nil, err
 	}
-	res, err := exchange.RunSparse(t, blocks, exchange.Options{CheckSteps: true})
+	routed := blocks
+	if padded != real {
+		routed = make([]block.Block, len(blocks))
+		for i, b := range blocks {
+			routed[i] = block.Block{
+				Origin: padded.ID(real.CoordOf(b.Origin)),
+				Dest:   padded.ID(real.CoordOf(b.Dest)),
+			}
+		}
+	}
+	res, err := exchange.RunSparse(padded, routed, exchange.Options{CheckSteps: true})
 	if err != nil {
 		return nil, err
 	}
-	// Verify: node i holds exactly the pairs destined to it.
-	for i, buf := range res.Buffers {
-		for _, b := range buf.View() {
-			if int(b.Dest) != i {
-				return nil, fmt.Errorf("torusx: misdelivered sparse block %v at node %d", b, i)
-			}
-			if !seen[Pair{Src: int(b.Origin), Dst: int(b.Dest)}] {
-				return nil, fmt.Errorf("torusx: unexpected block %v", b)
-			}
-		}
+	if err := verify.DeliveredMatrix(padded, res.Buffers, routed); err != nil {
+		return nil, err
 	}
-	total := 0
-	for _, buf := range res.Buffers {
-		total += buf.Len()
+	return res, nil
+}
+
+// pairBlocks converts pairs to blocks, keeping their order.
+func pairBlocks(pairs []Pair) []block.Block {
+	blocks := make([]block.Block, len(pairs))
+	for i, pr := range pairs {
+		blocks[i] = block.Block{Origin: topology.NodeID(pr.Src), Dest: topology.NodeID(pr.Dst)}
 	}
-	if total != len(pairs) {
-		return nil, fmt.Errorf("torusx: %d blocks delivered, want %d", total, len(pairs))
+	return blocks
+}
+
+// AllToAllSparse routes an arbitrary set of (source, destination)
+// pairs through the proposed schedule: the exchange machinery is
+// oblivious to which blocks exist, so partial (many-to-many) traffic
+// rides the same n+2 phases. It runs on the block-level simulator with
+// per-step contention checking and returns the delivery-verified
+// report. Out-of-range and duplicate pairs are rejected.
+func AllToAllSparse(t *Torus, pairs []Pair) (*Report, error) {
+	res, err := sparseExchange(t, t, pairBlocks(pairs))
+	if err != nil {
+		return nil, err
 	}
 	return reportFrom(res), nil
 }
@@ -337,7 +381,7 @@ func AllToAllSparse(t *Torus, pairs []Pair) (*Report, error) {
 // via the Section 6 virtual-node extension: pairs are expressed in the
 // real torus's node numbering, mapped onto the padded multiple-of-four
 // torus, routed by the unmodified schedule (virtual nodes relay but
-// originate nothing), and delivery is verified back in real numbering.
+// originate nothing), and delivery is verified on the padded torus.
 // Out-of-range and duplicate pairs are rejected with an error.
 func AllToAllSparseArbitrary(dims []int, pairs []Pair) (*Report, error) {
 	real, err := topology.New(dims...)
@@ -351,74 +395,53 @@ func AllToAllSparseArbitrary(dims []int, pairs []Pair) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	toPadded := func(id int) topology.NodeID {
-		return padded.ID(real.CoordOf(topology.NodeID(id)))
-	}
-	n := real.Nodes()
-	seen := make(map[Pair]bool, len(pairs))
-	blocks := make([]block.Block, 0, len(pairs))
-	for _, pr := range pairs {
-		if pr.Src < 0 || pr.Src >= n || pr.Dst < 0 || pr.Dst >= n {
-			return nil, fmt.Errorf("torusx: pair %+v out of range for %d nodes", pr, n)
-		}
-		if seen[pr] {
-			return nil, fmt.Errorf("torusx: duplicate pair %+v", pr)
-		}
-		seen[pr] = true
-		blocks = append(blocks, block.Block{Origin: toPadded(pr.Src), Dest: toPadded(pr.Dst)})
-	}
-	res, err := exchange.RunSparse(padded, blocks, exchange.Options{CheckSteps: true})
+	res, err := sparseExchange(real, padded, pairBlocks(pairs))
 	if err != nil {
 		return nil, err
-	}
-	// Verify in real numbering: real node i ends holding exactly the
-	// pairs destined to it; virtual relays end empty.
-	realOf := make(map[topology.NodeID]int, n)
-	for id := 0; id < n; id++ {
-		realOf[toPadded(id)] = id
-	}
-	total := 0
-	for i, buf := range res.Buffers {
-		ri, isReal := realOf[topology.NodeID(i)]
-		if !isReal && buf.Len() != 0 {
-			return nil, fmt.Errorf("torusx: virtual node %d ended with %d blocks", i, buf.Len())
-		}
-		for _, b := range buf.View() {
-			src, ok := realOf[b.Origin]
-			if !ok {
-				return nil, fmt.Errorf("torusx: block %v originates at a virtual node", b)
-			}
-			if int(b.Dest) != i {
-				return nil, fmt.Errorf("torusx: misdelivered sparse block %v at node %d", b, i)
-			}
-			if !seen[Pair{Src: src, Dst: ri}] {
-				return nil, fmt.Errorf("torusx: unexpected block %v", b)
-			}
-			total++
-		}
-	}
-	if total != len(pairs) {
-		return nil, fmt.Errorf("torusx: %d blocks delivered, want %d", total, len(pairs))
 	}
 	rep := reportFrom(res)
 	rep.Dims = dims
-	rep.Nodes = n
+	rep.Nodes = real.Nodes()
 	return rep, nil
 }
 
-// ExchangeData performs a complete exchange of real payloads over the
-// simulated network: data[i][j] is the payload node i holds for node
-// j, and the result out satisfies out[i][j] = data[j][i]. Every
-// payload travels hop by hop with its block through the concurrent
-// SPMD simulation (one goroutine per node, channels as ports), and
-// block delivery is verified before the data is returned.
+// ExchangeData performs a complete exchange of real payloads:
+// data[i][j] is the payload node i holds for node j, and the result out
+// satisfies out[i][j] = data[j][i]. It replays the proposed exchange's
+// compiled program once and applies the delivered block ids to the
+// payloads: the block from origin o that the replay delivers to node v
+// carries data[o][v]. The payload slices are shared, not copied.
 func ExchangeData(t *Torus, data [][][]byte) ([][][]byte, error) {
-	res, out, err := simchan.RunPayload(t, data)
+	n := t.Nodes()
+	if len(data) != n {
+		return nil, fmt.Errorf("torusx: %d payload rows for %d nodes", len(data), n)
+	}
+	for i, row := range data {
+		if len(row) != n {
+			return nil, fmt.Errorf("torusx: node %d has %d payloads, want %d", i, len(row), n)
+		}
+	}
+	b, err := algorithm.For(proposedProgram)
 	if err != nil {
 		return nil, err
 	}
-	if err := verify.Delivered(res.Torus, res.Buffers); err != nil {
+	pg, err := algorithm.BuildProgram(b, t, exec.Options{})
+	if err != nil {
 		return nil, err
+	}
+	ids := make([]int32, pg.DeliverySize())
+	arena := pg.AcquireArena()
+	if err := pg.ReplayInto(arena, ids, exec.Options{}); err != nil {
+		return nil, err
+	}
+	pg.ReleaseArena(arena)
+	out := make([][][]byte, n)
+	for v := range out {
+		out[v] = make([][]byte, n)
+		for _, id := range ids[pg.DeliveryOffset(v):pg.DeliveryOffset(v+1)] {
+			o := int(id) / n
+			out[v][o] = data[o][v]
+		}
 	}
 	return out, nil
 }

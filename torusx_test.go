@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"torusx/internal/baseline"
+	"torusx/internal/exchange"
 )
 
 func TestAllToAllReport(t *testing.T) {
@@ -33,6 +34,30 @@ func TestAllToAllReport(t *testing.T) {
 	}
 	if c := rep.Completion(T3DParams(64)); c <= 0 {
 		t.Fatalf("completion = %g", c)
+	}
+}
+
+// TestAllToAllMatchesSimulator holds AllToAll, which replays the
+// compiled program, to the block-level simulator on the paper's shapes:
+// same Measure, phase count, step count and non-contiguous sends.
+func TestAllToAllMatchesSimulator(t *testing.T) {
+	for _, dims := range [][]int{{4, 4}, {8, 8}, {12, 8}, {12, 12}, {16, 16}, {4, 4, 4}, {8, 8, 4}} {
+		tor, _ := NewTorus(dims...)
+		rep, err := AllToAll(tor)
+		if err != nil {
+			t.Fatalf("%v: %v", dims, err)
+		}
+		sim, err := exchange.Run(tor, exchange.Options{CheckSteps: true})
+		if err != nil {
+			t.Fatalf("%v: %v", dims, err)
+		}
+		want := reportFrom(sim)
+		if rep.Measure != want.Measure || rep.Phases != want.Phases ||
+			rep.NonContiguousSends != want.NonContiguousSends ||
+			rep.Schedule().NumSteps() != sim.Counters.Steps {
+			t.Fatalf("%v: AllToAll %+v (%d steps), simulator %+v (%d steps)",
+				dims, rep, rep.Schedule().NumSteps(), want, sim.Counters.Steps)
+		}
 	}
 }
 
@@ -251,26 +276,47 @@ func TestPredictMatchesPaperExample(t *testing.T) {
 }
 
 func TestExchangeData(t *testing.T) {
-	tor, _ := NewTorus(4, 4)
-	n := tor.Nodes()
-	data := make([][][]byte, n)
-	for i := range data {
-		data[i] = make([][]byte, n)
-		for j := range data[i] {
-			data[i][j] = []byte(fmt.Sprintf("payload %d->%d", i, j))
-		}
-	}
-	out, err := ExchangeData(tor, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range out {
-		for j := range out[i] {
-			want := []byte(fmt.Sprintf("payload %d->%d", j, i))
-			if !bytes.Equal(out[i][j], want) {
-				t.Fatalf("out[%d][%d] = %q, want %q", i, j, out[i][j], want)
+	text := func(i, j int) []byte { return []byte(fmt.Sprintf("payload %d->%d", i, j)) }
+	for _, row := range []struct {
+		name    string
+		dims    []int
+		payload func(i, j int) []byte
+	}{
+		{"4x4", []int{4, 4}, text},
+		{"8x8", []int{8, 8}, text},
+		{"12x8", []int{12, 8}, text},
+		{"4x4x4", []int{4, 4, 4}, text},
+		// Nil payloads are legal (zero-length data) and still route.
+		{"nil-payloads", []int{4, 4}, func(int, int) []byte { return nil }},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			tor, _ := NewTorus(row.dims...)
+			n := tor.Nodes()
+			data := make([][][]byte, n)
+			for i := range data {
+				data[i] = make([][]byte, n)
+				for j := range data[i] {
+					data[i][j] = row.payload(i, j)
+				}
 			}
-		}
+			out, err := ExchangeData(tor, data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(out) != n {
+				t.Fatalf("%d output rows, want %d", len(out), n)
+			}
+			for i := range out {
+				if len(out[i]) != n {
+					t.Fatalf("out[%d] has %d payloads, want %d", i, len(out[i]), n)
+				}
+				for j := range out[i] {
+					if want := row.payload(j, i); !bytes.Equal(out[i][j], want) || (want == nil) != (out[i][j] == nil) {
+						t.Fatalf("out[%d][%d] = %q, want %q", i, j, out[i][j], want)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -285,6 +331,14 @@ func TestExchangeDataValidation(t *testing.T) {
 	}
 	if _, err := ExchangeData(tor, bad); err == nil {
 		t.Fatal("ragged data should error")
+	}
+	odd, _ := NewTorus(10, 4)
+	square := make([][][]byte, odd.Nodes())
+	for i := range square {
+		square[i] = make([][]byte, odd.Nodes())
+	}
+	if _, err := ExchangeData(odd, square); err == nil {
+		t.Fatal("10x4 torus should error")
 	}
 }
 
