@@ -48,8 +48,8 @@ func main() {
 		tlFlag       = flag.Float64("tl", 0.05, "propagation delay per hop (us)")
 		rhoFlag      = flag.Float64("rho", 0.005, "rearrangement time per byte (us)")
 		csvFlag      = flag.Bool("csv", false, "emit comma-separated values instead of an aligned table")
-		parallelFlag = flag.Bool("parallel", true, "run -table replay backends on their parallel paths (bit-identical to serial)")
-		workersFlag  = flag.Int("workers", 0, "parallel worker count (0 = GOMAXPROCS)")
+		parallelFlag = flag.Bool("parallel", true, "run the -table replay executor on its parallel replay path (bit-identical to serial; the timing simulators are serial)")
+		workersFlag  = flag.Int("workers", 0, "parallel replay worker count (0 = GOMAXPROCS)")
 	)
 	trafficFlag := cli.RegisterTraffic(flag.CommandLine)
 	tel := cli.RegisterTelemetry(flag.CommandLine)
@@ -330,10 +330,11 @@ var replayShapes = [][]int{{8, 8}, {12, 12}, {16, 16}}
 
 var replayDragonflyShapes = [][2]int{{2, 3}, {2, 4}, {3, 4}}
 
-// ReplayOpt selects the execution path of every Replay backend.
-// Serial forces the single-goroutine reference implementations;
-// otherwise each backend fans out across Workers goroutines
-// (0 = GOMAXPROCS). Both paths produce bit-identical tables.
+// ReplayOpt configures Replay. Serial and Workers choose the
+// executor's replay path (Serial forces the single-goroutine replay;
+// otherwise it fans out across Workers goroutines, 0 = GOMAXPROCS);
+// both paths produce bit-identical tables. The timing simulators
+// always run serially.
 // Fabric selects the shape sweep ("" or "torus", or "dragonfly"); the
 // flit-level and event backends are torus simulators, so dragonfly
 // rows report the executor's measures with "-" in those columns.
@@ -442,10 +443,10 @@ func Replay(p costmodel.Params, algName string, opt ReplayOpt) (string, error) {
 				replayed, stats.FmtUS(p.Completion(m)), "-", "-", "-")
 			continue
 		}
-		ev := eventsim.RunOpt(tor, sc, p, tor.Nodes(),
-			eventsim.Options{Serial: opt.Serial, Workers: opt.Workers, Telemetry: rec})
-		// A completing step on these shapes needs < 20k cycles; the cap
-		// only bounds how long a deadlocked step spins before detection.
+		ev := eventsim.RunOpt(tor, sc, p, tor.Nodes(), eventsim.Options{Telemetry: rec})
+		// A completing step on these shapes needs < 20k cycles, and a
+		// deadlocked one stops in the first cycle no flit moves; the cap
+		// is a backstop.
 		const cycleCap = 1 << 20
 		track := rec.Enabled()
 		whTotal := wormhole.Stats{}
@@ -463,18 +464,11 @@ func Replay(p costmodel.Params, algName string, opt ReplayOpt) (string, error) {
 			}
 			if wh == "" {
 				wmsgs := wormhole.FromStep(tor, st, flitsPerBlock)
-				var wst wormhole.Stats
-				var err error
-				switch {
-				case track && opt.Serial:
-					wst, err = wormhole.SimulateTracked(wmsgs, cycleCap)
-				case track:
-					wst, err = wormhole.SimulateParallelTracked(wmsgs, cycleCap, opt.Workers)
-				case opt.Serial:
-					wst, err = wormhole.Simulate(wmsgs, cycleCap)
-				default:
-					wst, err = wormhole.SimulateParallel(wmsgs, cycleCap, opt.Workers)
+				simulate := wormhole.Simulate
+				if track {
+					simulate = wormhole.SimulateTracked
 				}
+				wst, err := simulate(wmsgs, cycleCap)
 				if err != nil {
 					// Simultaneous wrap-around worms (e.g. Direct's
 					// id-shifts) cyclically block head flits: a genuine
@@ -491,18 +485,11 @@ func Replay(p costmodel.Params, algName string, opt ReplayOpt) (string, error) {
 				}
 			}
 			pmsgs := packetsim.FromStep(tor, st, flitsPerBlock)
-			var pst packetsim.Stats
-			var err error
-			switch {
-			case track && opt.Serial:
-				pst, err = packetsim.SimulateTracked(pmsgs)
-			case track:
-				pst, err = packetsim.SimulateParallelTracked(pmsgs, opt.Workers)
-			case opt.Serial:
-				pst, err = packetsim.Simulate(pmsgs)
-			default:
-				pst, err = packetsim.SimulateParallel(pmsgs, opt.Workers)
+			simulate := packetsim.Simulate
+			if track {
+				simulate = packetsim.SimulateTracked
 			}
+			pst, err := simulate(pmsgs)
 			if err != nil {
 				simErr = err
 				return

@@ -44,21 +44,10 @@ type Options struct {
 	// OS jitter, cache effects or imbalanced local work. Nil means no
 	// noise.
 	Skew func(node, step int) float64
-	// Serial forces the single-goroutine reference path. The default
-	// fans each step's send/arrival bookkeeping out across transfers
-	// (sharded by sender and receiver) and the per-node updates across
-	// nodes; every parallel reduction is a float max or a per-node
-	// exclusive write, so the result is bit-identical to the serial
-	// path (no reassociated additions).
-	Serial bool
-	// Workers is the fan-out width of the parallel path
-	// (0 = runtime.GOMAXPROCS).
-	Workers int
 	// Telemetry receives the simulation's counters (makespan, the
 	// synchronous reference, recovered slack) and per-node finish-time
-	// gauges. Nil disables emission; the simulation paths themselves
-	// are untouched, so serial and parallel runs emit identical
-	// streams (both derive from the same bit-identical Result).
+	// gauges. Nil disables emission and leaves the simulation itself
+	// untouched.
 	Telemetry *telemetry.Recorder
 }
 
@@ -81,12 +70,7 @@ func RunSkewed(t *topology.Torus, sc *schedule.Schedule, p costmodel.Params, blo
 // RunOpt simulates the schedule under params with explicit Options;
 // Run and RunSkewed are thin wrappers over it.
 func RunOpt(t *topology.Torus, sc *schedule.Schedule, p costmodel.Params, blocksPerNode int, opt Options) *Result {
-	var res *Result
-	if !opt.Serial {
-		res = runParallel(t, sc, p, blocksPerNode, opt)
-	} else {
-		res = runSerial(t, sc, p, blocksPerNode, opt.Skew)
-	}
+	res := simulate(t, sc, p, blocksPerNode, opt.Skew)
 	if opt.Telemetry.Enabled() {
 		emitTelemetry(opt.Telemetry, t, res)
 	}
@@ -105,9 +89,9 @@ func emitTelemetry(rec *telemetry.Recorder, t *topology.Torus, res *Result) {
 	}
 }
 
-// runSerial is the single-goroutine reference implementation; the
-// parallel path in parallel.go is differentially tested against it.
-func runSerial(t *topology.Torus, sc *schedule.Schedule, p costmodel.Params, blocksPerNode int, skew func(node, step int) float64) *Result {
+// simulate walks the schedule step by step, advancing every node's
+// local clock.
+func simulate(t *topology.Torus, sc *schedule.Schedule, p costmodel.Params, blocksPerNode int, skew func(node, step int) float64) *Result {
 	n := t.Nodes()
 	ready := make([]float64, n)
 

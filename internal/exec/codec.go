@@ -547,8 +547,8 @@ func DecodeProgram(data []byte, f topology.Fabric, optFP uint64) (*Program, erro
 	if r.err != nil {
 		return nil, r.err
 	}
-	if n <= 0 || int64(n)*int64(n) > maxDecodeBlocks {
-		return nil, fmt.Errorf("exec: decode: implausible node count %d", n)
+	if n <= 0 || int64(n)*int64(n) > maxDecodeBlocks || n != f.Nodes() {
+		return nil, fmt.Errorf("exec: decode: node count %d, fabric %s has %d", n, f, f.Nodes())
 	}
 	replay := flags&flagReplay != 0
 	fullTraffic := flags&flagFullTraffic != 0
@@ -603,6 +603,12 @@ func DecodeProgram(data []byte, f topology.Fabric, optFP uint64) (*Program, erro
 	}
 	if r.off != len(body) {
 		return nil, fmt.Errorf("exec: decode: %d trailing bytes after cold section", len(body)-r.off)
+	}
+	// Each phase record in the cold section (name length, steps,
+	// rearrange) takes at least 12 bytes; materialize sizes its phase
+	// table from this count.
+	if numPhases > len(cold)/12 {
+		return nil, fmt.Errorf("exec: decode: %d phases do not fit a %d-byte cold section", numPhases, len(cold))
 	}
 
 	// Transfer table: a bulk view when the in-memory layout is the file
@@ -874,7 +880,7 @@ func (p *Program) checkPlan() error {
 		return fmt.Errorf("delivery descriptor windows outside the descriptor table")
 	}
 	for v := 0; v < n; v++ {
-		if off[v+1] < off[v] {
+		if off[v+1] < off[v] || off[v+1] > off[n] {
 			return fmt.Errorf("delivery descriptor windows not monotone at node %d", v)
 		}
 		if e := expandedLen(descs[off[v]:off[v+1]]); e != int64(p.perDest[v]) {

@@ -21,8 +21,9 @@ import (
 // once verbatim (exercising the CRC/framing layer) and once with the
 // trailing checksum recomputed, so mutations reach the structural
 // validation behind the integrity gate instead of dying at the
-// checksum 1/2^32 of the time. The two entry points differ only in
-// where their seeds point the mutator.
+// checksum 1/2^32 of the time. The torus entry points differ only in
+// where their seeds point the mutator; the dragonfly one decodes
+// against a fabric with unwired ports.
 
 // FuzzProgramDecode seeds the mutator with whole programs plus
 // truncated, bit-flipped and degenerate framings.
@@ -54,6 +55,16 @@ func FuzzDescriptorDecode(f *testing.F) {
 	planFlip[2*len(planFlip)/3] ^= 0x10 // land mutations in the replay plan tables
 	f.Add(planFlip)
 	f.Fuzz(fuzzDecodeReplay(tor))
+}
+
+// FuzzDragonflyDecode runs the same contract on a partially wired
+// fabric: D3(2,3) has unwired ports, so a mutated route leg can point
+// off the fabric, and materialize must reject it rather than walk it.
+func FuzzDragonflyDecode(f *testing.F) {
+	d := topology.MustNewDragonfly(2, 3)
+	f.Add(fuzzSeedProgram(f, d, "direct"))
+	f.Add(fuzzSeedProgram(f, d, "dimexchange"))
+	f.Fuzz(fuzzDecodeReplay(d))
 }
 
 // fuzzSeedProgram compiles alg on tor and returns its encoded program.

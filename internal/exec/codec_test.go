@@ -13,6 +13,7 @@ import (
 
 	"torusx/internal/algorithm"
 	"torusx/internal/exec"
+	"torusx/internal/schedule"
 	"torusx/internal/topology"
 )
 
@@ -184,13 +185,13 @@ func TestProgramDecodeRejects(t *testing.T) {
 			t.Fatal("nil fabric accepted")
 		}
 	})
+	reseal := func(mut func([]byte)) []byte {
+		bad := append([]byte(nil), enc...)
+		mut(bad)
+		binary.LittleEndian.PutUint32(bad[len(bad)-4:], crc32.ChecksumIEEE(bad[:len(bad)-4]))
+		return bad
+	}
 	t.Run("header", func(t *testing.T) {
-		reseal := func(mut func([]byte)) []byte {
-			bad := append([]byte(nil), enc...)
-			mut(bad)
-			binary.LittleEndian.PutUint32(bad[len(bad)-4:], crc32.ChecksumIEEE(bad[:len(bad)-4]))
-			return bad
-		}
 		if _, err := exec.DecodeProgram(reseal(func(b []byte) { b[0] = 'X' }), tor, 1); err == nil {
 			t.Fatal("bad magic accepted")
 		}
@@ -199,6 +200,14 @@ func TestProgramDecodeRejects(t *testing.T) {
 		}
 		if _, err := exec.DecodeProgram(reseal(func(b []byte) { b[6] |= 0x80 }), tor, 1); err == nil {
 			t.Fatal("unknown flag accepted")
+		}
+		// A 4x4 program relabelled as a 3x3 one (the fingerprints have
+		// the same length) names the fabric it is decoded on, but its
+		// node ids run past that fabric's.
+		small := topology.MustNew(3, 3)
+		relabelled := reseal(func(b []byte) { copy(b[20:], small.Fingerprint()) })
+		if _, err := exec.DecodeProgram(relabelled, small, 1); err == nil || !strings.Contains(err.Error(), "node count") {
+			t.Fatalf("relabelled fabric: err = %v, want a node count error", err)
 		}
 	})
 	// A file an older build wrote (v1: span tables only; v2: spans plus
@@ -230,6 +239,8 @@ func TestProgramDecodeRejects(t *testing.T) {
 			{"short-and-long", func(off []int32) { off[1]-- }},
 			// Node 0 reads node 1's descriptors too; node 1 reads none.
 			{"not-monotone", func(off []int32) { off[1] = off[2] + 1 }},
+			// Node 0's window ends past the descriptor table.
+			{"window-past-end", func(off []int32) { off[1] = off[len(off)-1] + 1 }},
 		} {
 			bad, err := exec.EncodeWithPlanEdit(pg, 1, func(_ []exec.MoveRec, off, _ []int32) { tc.edit(off) })
 			if err != nil {
@@ -243,6 +254,77 @@ func TestProgramDecodeRejects(t *testing.T) {
 		if _, err := exec.DecodeProgram(enc, tor, 1); err != nil {
 			t.Fatalf("unedited file no longer decodes: %v", err)
 		}
+	})
+	// The cold section is read only when Schedule() materializes it, so
+	// a file whose hot section is sound must not be able to make that
+	// read allocate without bound or walk a route off the fabric.
+	t.Run("cold-section", func(t *testing.T) {
+		fpEnd := 20 + (len(tor.Fingerprint())+3)&^3 // header through the fabric fingerprint
+		// numPhases, the fourth u32 count, sizes materialize's phase
+		// table.
+		t.Run("phase-count", func(t *testing.T) {
+			bad := reseal(func(b []byte) { b[fpEnd+3*4+3] = 0xff })
+			pg, err := exec.DecodeProgram(bad, tor, 1)
+			if err == nil {
+				pg.Schedule() // what a cache hit's telemetry would run next
+			}
+			if err == nil || !strings.Contains(err.Error(), "phases") {
+				t.Fatalf("err = %v, want a phase count error", err)
+			}
+		})
+		// The transfers' link windows size materialize's link table. The
+		// first transfer record follows the rest of the header (seven
+		// counts, four measures, coldLen), the step headers and the
+		// per-step transfer offsets; linkOff is its fifth field.
+		t.Run("link-windows", func(t *testing.T) {
+			numSteps := int(binary.LittleEndian.Uint32(enc[fpEnd+4:]))
+			linkOff := fpEnd + 7*4 + 4*8 + 4 + numSteps*5*4 + (numSteps+1)*4 + 4*4
+			pg, err := exec.DecodeProgram(reseal(func(b []byte) { b[linkOff+3] = 0x7f }), tor, 1)
+			if err != nil {
+				t.Fatalf("hot section rejected: %v", err)
+			}
+			if pg.Schedule() != nil || pg.SchedErr() == nil || !strings.Contains(pg.SchedErr().Error(), "link windows") {
+				t.Fatalf("schedule error = %v, want a link window error", pg.SchedErr())
+			}
+		})
+		// A dragonfly's global ports are wired in the Pos direction
+		// only; turn one global leg of D3(2,3)'s direct routes around.
+		t.Run("unwired-port", func(t *testing.T) {
+			d := topology.MustNewDragonfly(2, 3)
+			dsc, err := b.BuildSchedule(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dpg, err := exec.Compile(dsc, exec.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			turned := false
+			dsc.EachStep(func(_ *schedule.Phase, _ int, st *schedule.Step) {
+				for k := range st.Transfers {
+					tr := &st.Transfers[k]
+					for j := range tr.Segs {
+						if !turned && tr.Segs[j].Dim >= d.LocalDims() {
+							tr.Segs[j].Dir, turned = topology.Neg, true
+						}
+					}
+				}
+			})
+			if !turned {
+				t.Fatalf("direct@%s has no global leg", d)
+			}
+			unwired, err := exec.EncodeProgram(dpg, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dec, err := exec.DecodeProgram(unwired, d, 1)
+			if err != nil {
+				t.Fatalf("hot section rejected: %v", err)
+			}
+			if dec.Schedule() != nil || dec.SchedErr() == nil || !strings.Contains(dec.SchedErr().Error(), "unwired") {
+				t.Fatalf("schedule error = %v, want an unwired port error", dec.SchedErr())
+			}
+		})
 	})
 	// The proofs the delivery pass's deferral and the parallel replay's
 	// sender shards rest on, on a program with log moves: insert windows

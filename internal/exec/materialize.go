@@ -76,6 +76,12 @@ func (p *Program) materialize() error {
 			}
 		}
 	}
+	// A route leg takes 4 bytes of the cold section, and no builder
+	// makes a leg longer than the fabric has nodes, so link windows
+	// past that bound are corrupt and must not size an allocation.
+	if numLinks > p.n*(len(p.cold)/4) {
+		return fmt.Errorf("exec: cold section: link windows cover %d hops, more than its route legs can", numLinks)
+	}
 	linkBacking := make([]int32, numLinks)
 	ti := 0
 	var segBuf []schedule.Seg
@@ -135,10 +141,15 @@ func (p *Program) materialize() error {
 				}
 				tr.Payload = pay
 			}
-			// Route re-expansion into the recorded link window.
+			// Route re-expansion into the recorded link window. A leg
+			// over an unwired port is a corrupt route, not a walk the
+			// fabric may panic in.
 			w := int(pt.linkOff)
 			cur := tr.Src
-			for _, sg := range segBuf {
+			for s, sg := range segBuf {
+				if !legWired(p.fab, cur, sg) {
+					return fmt.Errorf("exec: cold section: transfer %d leg %d crosses an unwired port", ti, s)
+				}
 				p.fab.AppendPathLinkIDs(linkBacking[w:w:w+sg.Hops], cur, sg.Dim, sg.Dir, sg.Hops)
 				w += sg.Hops
 				cur = p.fab.Advance(cur, sg.Dim, sg.Dir, sg.Hops)
@@ -164,4 +175,26 @@ func (p *Program) materialize() error {
 	p.linkBacking = linkBacking
 	p.scMat = sc
 	return nil
+}
+
+// portWiring is implemented by fabrics with unwired ports (the
+// dragonfly); every port of any other fabric carries a link.
+type portWiring interface {
+	Wired(id topology.NodeID, dim int, dir topology.Direction) bool
+}
+
+// legWired reports whether the leg sg from src crosses only wired
+// ports.
+func legWired(f topology.Fabric, src topology.NodeID, sg schedule.Seg) bool {
+	w, ok := f.(portWiring)
+	if !ok {
+		return true
+	}
+	for h := 0; h < sg.Hops; h++ {
+		if !w.Wired(src, sg.Dim, sg.Dir) {
+			return false
+		}
+		src = f.Advance(src, sg.Dim, sg.Dir, 1)
+	}
+	return true
 }

@@ -9,8 +9,7 @@ import (
 // cycle count and queue-wait counters, plus one busy-cycle and one
 // utilization gauge per link the step touched, keyed by (dim,
 // direction, source coordinate). Gauges follow the torus's canonical
-// link order, so the stream is deterministic regardless of which entry
-// point (serial or component-parallel) produced st.
+// link order, so the stream does not depend on map iteration order.
 func EmitTelemetry(rec *telemetry.Recorder, t *topology.Torus, label string, st Stats) {
 	if !rec.Enabled() {
 		return

@@ -1,12 +1,11 @@
 // Package par is the deterministic fan-out layer behind the parallel
-// executor and simulators. Every helper here is shaped around one
-// rule: the partition of work depends only on the input sizes and
-// keys, never on goroutine scheduling, so per-shard results can be
-// reduced in shard order and the merged outcome is bit-identical to a
-// serial left-to-right walk. internal/exec shards schedule steps and,
-// within a step, transfers by sender/receiver; internal/wormhole and
-// internal/packetsim shard messages by link-disjoint component;
-// internal/eventsim shards transfers by endpoint and nodes by index.
+// executor and the schedule builders. Every helper here is shaped
+// around one rule: the partition of work depends only on the input
+// sizes and keys, never on goroutine scheduling, so per-shard results
+// can be reduced in shard order and the merged outcome is
+// bit-identical to a serial left-to-right walk. internal/exec shards
+// schedule steps, moves by sender and deliveries by node range;
+// internal/baseline shards Direct's rounds.
 package par
 
 import (
@@ -17,10 +16,10 @@ import (
 // Workers returns the default pool width: the process's GOMAXPROCS.
 func Workers() int { return runtime.GOMAXPROCS(0) }
 
-// Normalize resolves a requested worker count against n work items:
+// normalize resolves a requested worker count against n work items:
 // zero or negative means Workers(), and the result is clamped to
 // [1, n] so no shard is empty.
-func Normalize(workers, n int) int {
+func normalize(workers, n int) int {
 	if workers <= 0 {
 		workers = Workers()
 	}
@@ -44,7 +43,7 @@ func ForEach(workers, n int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	workers = Normalize(workers, n)
+	workers = normalize(workers, n)
 	chunk := (n + workers - 1) / workers
 	if chunk >= n {
 		fn(0, n)
@@ -73,7 +72,7 @@ func ForEach(workers, n int, fn func(lo, hi int)) {
 // Buckets may be empty; the partition depends only on (workers, n,
 // keys).
 func Buckets(workers, n int, key func(i int) int) [][]int {
-	workers = Normalize(workers, n)
+	workers = normalize(workers, n)
 	buckets := make([][]int, workers)
 	for i := 0; i < n; i++ {
 		k := key(i) % workers
@@ -85,15 +84,10 @@ func Buckets(workers, n int, key func(i int) int) [][]int {
 	return buckets
 }
 
-// RunBuckets runs fn(i) for every index of every bucket: buckets run
-// concurrently with each other, indices within a bucket sequentially
-// in slice order. A single non-empty bucket runs inline.
-func RunBuckets(buckets [][]int, fn func(i int)) {
-	RunBucketsWorker(buckets, func(_, i int) { fn(i) })
-}
-
-// RunBucketsWorker is RunBuckets with the bucket index passed to the
-// callback: fn(w, i) runs on the goroutine owning bucket w, so w can
+// RunBucketsWorker runs fn(w, i) for every index i of every bucket w:
+// buckets run concurrently with each other, indices within a bucket
+// sequentially in slice order, and a single non-empty bucket runs
+// inline. fn(w, i) runs on the goroutine owning bucket w, so w can
 // index per-worker scratch arenas (e.g. the compiled executor's
 // per-worker mark tables) without synchronization. Bucket indices are
 // stable — they depend only on the partition, never on scheduling.
@@ -129,60 +123,6 @@ func RunBucketsWorker(buckets [][]int, fn func(worker, i int)) {
 		}(b, idx)
 	}
 	wg.Wait()
-}
-
-// Components groups the items [0, n) into sets that transitively share
-// a resource key — e.g. wormhole messages sharing a physical link —
-// via a union-find over the keys each item touches. Items in different
-// components share no key, so they can be simulated independently.
-// Components are ordered by their smallest member and each lists its
-// members in ascending order, making downstream merges deterministic.
-func Components[K comparable](n int, keysOf func(i int) []K) [][]int {
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
-	}
-	find := func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	// Union by smaller root, so every root is its component's smallest
-	// member.
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra < rb {
-			parent[rb] = ra
-		} else if rb < ra {
-			parent[ra] = rb
-		}
-	}
-	owner := make(map[K]int)
-	for i := 0; i < n; i++ {
-		for _, k := range keysOf(i) {
-			if o, ok := owner[k]; ok {
-				union(o, i)
-			} else {
-				owner[k] = i
-			}
-		}
-	}
-	members := make(map[int][]int, n)
-	var roots []int
-	for i := 0; i < n; i++ {
-		r := find(i)
-		if len(members[r]) == 0 {
-			roots = append(roots, r) // ascending: r == min member == first seen
-		}
-		members[r] = append(members[r], i)
-	}
-	groups := make([][]int, 0, len(roots))
-	for _, r := range roots {
-		groups = append(groups, members[r])
-	}
-	return groups
 }
 
 // FirstError collects errors reported from concurrent shards and keeps

@@ -73,31 +73,11 @@ func TestParallelRunBucketsOrderWithinBucket(t *testing.T) {
 	keys := []int{0, 1, 0, 1, 0, 1, 0, 1}
 	buckets := Buckets(2, len(keys), func(i int) int { return keys[i] })
 	order := make([][]int, 2)
-	RunBuckets(buckets, func(i int) {
+	RunBucketsWorker(buckets, func(_, i int) {
 		order[keys[i]] = append(order[keys[i]], i) // same-key ⇒ same goroutine
 	})
 	if !reflect.DeepEqual(order[0], []int{0, 2, 4, 6}) || !reflect.DeepEqual(order[1], []int{1, 3, 5, 7}) {
 		t.Fatalf("per-key order broken: %v", order)
-	}
-}
-
-func TestParallelComponents(t *testing.T) {
-	// Items 0,2 share "a"; 2,4 share "b" (so {0,2,4}); 1,3 share "c";
-	// 5 is isolated.
-	keys := [][]string{{"a"}, {"c"}, {"a", "b"}, {"c"}, {"b"}, {"d"}}
-	got := Components(len(keys), func(i int) []string { return keys[i] })
-	want := [][]int{{0, 2, 4}, {1, 3}, {5}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("components = %v, want %v", got, want)
-	}
-}
-
-func TestParallelComponentsDisjoint(t *testing.T) {
-	// All-distinct keys: every item its own component, in order.
-	got := Components(4, func(i int) []int { return []int{i} })
-	want := [][]int{{0}, {1}, {2}, {3}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("components = %v, want %v", got, want)
 	}
 }
 
@@ -132,13 +112,13 @@ func TestNormalize(t *testing.T) {
 		{1, 100, 1},
 	} {
 		if tc.workers == 0 || tc.workers == -3 {
-			if w := Normalize(tc.workers, tc.n); w < 1 || w > tc.n {
-				t.Fatalf("Normalize(%d,%d) = %d out of range", tc.workers, tc.n, w)
+			if w := normalize(tc.workers, tc.n); w < 1 || w > tc.n {
+				t.Fatalf("normalize(%d,%d) = %d out of range", tc.workers, tc.n, w)
 			}
 			continue
 		}
-		if got := Normalize(tc.workers, tc.n); got != tc.want {
-			t.Fatalf("Normalize(%d,%d) = %d, want %d", tc.workers, tc.n, got, tc.want)
+		if got := normalize(tc.workers, tc.n); got != tc.want {
+			t.Fatalf("normalize(%d,%d) = %d, want %d", tc.workers, tc.n, got, tc.want)
 		}
 	}
 }

@@ -9,10 +9,9 @@ import (
 // cycle count and header-stall counters, plus one busy-cycle and one
 // utilization gauge per link the step touched, keyed by (dim,
 // direction, source coordinate). Gauges are emitted in the torus's
-// canonical link order, so the stream is deterministic regardless of
-// which entry point (serial or component-parallel) produced st. label
-// prefixes the counter names, letting one sink carry several steps
-// ("wormhole.step3.cycles", ...).
+// canonical link order, so the stream does not depend on map
+// iteration order. label prefixes the counter names, letting one sink
+// carry several steps ("wormhole.step3.cycles", ...).
 func EmitTelemetry(rec *telemetry.Recorder, t *topology.Torus, label string, st Stats) {
 	if !rec.Enabled() {
 		return

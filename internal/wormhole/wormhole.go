@@ -62,8 +62,8 @@ type msgState struct {
 	done      bool
 }
 
-// Simulate runs messages to completion, or fails after maxCycles
-// (indicating deadlock or an unreasonably contended step).
+// Simulate runs messages to completion. It fails at the first cycle
+// in which no flit can move (a deadlock), or after maxCycles.
 func Simulate(msgs []Message, maxCycles int) (Stats, error) {
 	return simulate(msgs, maxCycles, false)
 }
@@ -118,6 +118,7 @@ func simulate(msgs []Message, maxCycles int, trackLinks bool) (Stats, error) {
 		if cycle > maxCycles {
 			return stats, fmt.Errorf("wormhole: not complete after %d cycles (deadlock or extreme contention; %d messages left)", maxCycles, remaining)
 		}
+		moved := false
 		for mi, st := range states {
 			if st.done {
 				continue
@@ -133,6 +134,7 @@ func simulate(msgs []Message, maxCycles int, trackLinks bool) (Stats, error) {
 					// Consume at destination.
 					st.slots[j] = -1
 					st.delivered++
+					moved = true
 					if f == st.m.Flits-1 {
 						// Tail leaves the link: release it.
 						owner[st.path[j]] = 0
@@ -157,6 +159,7 @@ func simulate(msgs []Message, maxCycles int, trackLinks bool) (Stats, error) {
 				}
 				st.slots[j+1] = f
 				st.slots[j] = -1
+				moved = true
 				if f == st.m.Flits-1 {
 					owner[st.path[j]] = 0
 				}
@@ -173,7 +176,14 @@ func simulate(msgs []Message, maxCycles int, trackLinks bool) (Stats, error) {
 				}
 				st.slots[0] = st.injected
 				st.injected++
+				moved = true
 			}
+		}
+		if !moved {
+			// Nothing moved, so nothing was acquired or released: the
+			// next cycle starts from the same state and would move
+			// nothing either.
+			return stats, fmt.Errorf("wormhole: deadlock at cycle %d: no flit can move (%d messages left)", cycle, remaining)
 		}
 		if trackLinks {
 			// Links held at the end of the cycle were busy during it.

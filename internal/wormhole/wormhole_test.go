@@ -89,9 +89,14 @@ func TestDeadlockDetected(t *testing.T) {
 		{ID: 0, Path: append(append([]topology.Link{}, l01...), l10...), Flits: 8},
 		{ID: 1, Path: append(append([]topology.Link{}, l10...), l01...), Flits: 8},
 	}
-	_, err := Simulate(msgs, 200)
+	st, err := Simulate(msgs, 200)
 	if err == nil || !strings.Contains(err.Error(), "deadlock") {
 		t.Fatalf("want deadlock error, got %v", err)
+	}
+	// The cyclic wait is a fixed point from the cycle both headers
+	// block, so it is reported then rather than at the cycle cap.
+	if st.Cycles >= 10 {
+		t.Fatalf("deadlock reported after %d cycles, want it once both headers block", st.Cycles)
 	}
 }
 
