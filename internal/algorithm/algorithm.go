@@ -182,16 +182,12 @@ func init() {
 	// (no payloads: O(steps·nodes), scales to tori far beyond what the
 	// block-level simulator can hold).
 	registerTorus("proposed", exchange.GenerateStructural)
-	// The proposed exchange executed by the block-level simulator with
-	// payload recording, so the shared executor can replay and
-	// delivery-verify it end to end.
-	registerTorus("proposed-sim", func(t *topology.Torus) (*schedule.Schedule, error) {
-		res, err := exchange.Run(t, exchange.Options{RecordPayloads: true})
-		if err != nil {
-			return nil, err
-		}
-		return res.Schedule, nil
-	})
+	// The proposed exchange with every transfer's payload, so the
+	// shared executor can replay and delivery-verify it end to end. The
+	// dense builder emits the schedule the block-level simulator
+	// (exchange.Run with RecordPayloads) records, which its tests hold
+	// it to.
+	registerTorus("proposed-sim", exchange.PayloadSchedule)
 	// The direct (id-shift) exchange exists on both fabrics: N−1 steps
 	// of minimal-route sends with shared links priced by the executor.
 	registry["direct"] = fabricBuilder{

@@ -102,28 +102,30 @@ func TestUnsupportedFabricErrors(t *testing.T) {
 }
 
 func TestStructuralAndSimulatedProposedAgree(t *testing.T) {
-	// The structural generator and the block-level simulator must lower
+	// The structural generator and the dense payload builder must lower
 	// to schedules the executor prices identically — the parity that
 	// keeps torusx.Compare(Proposed, ...) stable across backends.
-	tor := topology.MustNew(8, 8)
-	var measures []interface{}
-	for _, name := range []string{"proposed", "proposed-sim"} {
-		b, err := algorithm.For(name)
-		if err != nil {
-			t.Fatal(err)
+	for _, dims := range [][]int{{8, 8}, {12, 8}, {4, 4, 4}} {
+		tor := topology.MustNew(dims...)
+		var measures []interface{}
+		for _, name := range []string{"proposed", "proposed-sim"} {
+			b, err := algorithm.For(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc, err := b.BuildSchedule(tor)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := exec.Run(sc, exec.Options{})
+			if err != nil {
+				t.Fatalf("%v %s: %v", dims, name, err)
+			}
+			measures = append(measures, res.Measure)
 		}
-		sc, err := b.BuildSchedule(tor)
-		if err != nil {
-			t.Fatal(err)
+		if measures[0] != measures[1] {
+			t.Fatalf("%v: structural %+v != payload %+v", dims, measures[0], measures[1])
 		}
-		res, err := exec.Run(sc, exec.Options{})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		measures = append(measures, res.Measure)
-	}
-	if measures[0] != measures[1] {
-		t.Fatalf("structural %+v != simulated %+v", measures[0], measures[1])
 	}
 }
 

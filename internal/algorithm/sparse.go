@@ -20,8 +20,9 @@ import (
 // whose full schedule delivers the complete all-to-all with payload
 // annotations gets a sparse variant for free through the generic prune
 // pass (traffic.Prune), and the two builders with native many-to-many
-// construction — the block-level simulator behind proposed-sim and the
-// dragonfly port-ordered exchange — bypass the dense build entirely.
+// construction — the proposed exchange's dense builder behind
+// proposed-sim and the dragonfly port-ordered exchange — build from the
+// matrix's blocks instead of the full exchange.
 // On top of the seam sits the planner: PlanSparse scores every sparse
 // candidate on a (matrix, fabric) pair with the executor's own cost
 // measure and returns the compiled winner.
@@ -87,18 +88,15 @@ func sparseSchedule(b Builder, f topology.Fabric, m traffic.Matrix, req *obs.Req
 	psp := req.Stage("plan")
 	switch {
 	case b.Name() == "proposed-sim":
-		// Native: the simulator's routing predicates act per block, so
-		// the sparse matrix rides the n+2-phase schedule directly and
-		// the recorded payloads are exact.
+		// Native: the n+2 phases route every block by its destination
+		// alone, so the matrix's blocks ride the schedule directly and
+		// the payloads are exact — the schedule exchange.RunSparse
+		// records.
 		t, ok := f.(*topology.Torus)
 		if !ok {
 			return nil, fmt.Errorf("algorithm: proposed-sim requires a torus fabric")
 		}
-		var res *exchange.Result
-		res, err = exchange.RunSparse(t, m.Blocks(), exchange.Options{RecordPayloads: true})
-		if err == nil {
-			sc = res.Schedule
-		}
+		sc, err = exchange.SparsePayloadSchedule(t, m.Blocks())
 	case b.Name() == "dimexchange":
 		// Native: the port-ordered builder replays block movement while
 		// emitting, for any traffic matrix.

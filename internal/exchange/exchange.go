@@ -60,7 +60,9 @@ type Options struct {
 	StopAfter Stage
 	// RecordPayloads attaches every transfer's extracted block set to
 	// the recorded schedule (Transfer.Payload), so the shared executor
-	// in internal/exec can replay and delivery-verify the run.
+	// in internal/exec can replay and delivery-verify the run. The
+	// registry builds the same schedule with PayloadSchedule; this is
+	// its test reference.
 	RecordPayloads bool
 }
 

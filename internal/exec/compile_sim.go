@@ -2,7 +2,7 @@ package exec
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"torusx/internal/block"
@@ -40,8 +40,10 @@ import (
 // opRec is one insert/extract event in a node's event run: a flat copy
 // of the transfer fields the planner reads, with the global transfer
 // ordinal and three event flags packed into gr (a self-transfer
-// extracts and inserts in one event; opHasOrd marks the rare
-// stamp-resorted payloads, resolved through the ordOff side table).
+// extracts and inserts in one event; opHasOrd marks payloads listed out
+// of the sender's arrival order — most of proposed-sim's, whose
+// receivers insert mid-buffer — whose stamp-sorted copies the ordOff
+// side table resolves).
 // The records live in per-node runs of one backing array, so each
 // node's event replay is a sequential scan.
 type opRec struct {
@@ -59,13 +61,15 @@ const (
 // compileScratch pools compileReplay's large transient tables across
 // compiles. None of the slices carry any cross-use invariant: every
 // region a compile reads is fully written by that same compile first
-// (hs is refilled, the event backing is written densely, initIDs and
-// ordOff are fully overwritten before use), so reuse needs no zeroing.
+// (hs is refilled, the event backing is written densely, initIDs,
+// ordOff and each payload's sort keys are fully overwritten before use),
+// so reuse needs no zeroing.
 type compileScratch struct {
 	hs        []uint64
 	opBacking []opRec
 	ordOff    []int32
 	initIDs   []int32
+	keys      []uint64
 }
 
 var compileScratchPool = sync.Pool{New: func() any { return new(compileScratch) }}
@@ -180,7 +184,7 @@ func (p *Program) compileReplay(opt Options, payloadBacking []int32, opOff []int
 	}
 	ordOff := cs.ordOff[:numT] // ordinal -> ordSpill offset, read only under opHasOrd
 
-	var ordSpill []int32 // stamp-sorted payload copies for the rare unsorted transfers
+	var ordSpill []int32 // stamp-sorted copies of the payloads listed out of arrival order
 	if cap(cs.opBacking) < int(opOff[n]) {
 		cs.opBacking = make([]opRec, opOff[n])
 	}
@@ -236,8 +240,9 @@ func (p *Program) compileReplay(opt Options, payloadBacking []int32, opOff []int
 				// One walk checks the sender-holds chain, marks the blocks in
 				// flight, and detects out-of-buffer-order payloads (the
 				// extraction order is the payload sorted by arrival stamp at
-				// src; most emitters list payloads in buffer order already,
-				// so the sorted copy is the exception).
+				// src; the round engine and direct list payloads in that
+				// order, while proposed-sim's receivers insert mid-buffer,
+				// so most of its payloads need the sorted copy).
 				inOrder := true
 				prev := int32(-1)
 				for _, id := range pay {
@@ -259,10 +264,19 @@ func (p *Program) compileReplay(opt Options, payloadBacking []int32, opOff []int
 				}
 				ord := pay
 				if !inOrder {
+					// Sort stamp<<32|id keys: stamps are unique per
+					// sender, so the order is the stamp order.
+					keys := cs.keys[:0]
+					for _, id := range pay {
+						keys = append(keys, uint64(uint32(hs[id]))<<32|uint64(uint32(id)))
+					}
+					slices.Sort(keys)
+					cs.keys = keys
 					off := len(ordSpill)
-					ordSpill = append(ordSpill, pay...)
+					for _, k := range keys {
+						ordSpill = append(ordSpill, int32(uint32(k)))
+					}
 					ord = ordSpill[off : off+len(pay)]
-					sort.Slice(ord, func(a, b int) bool { return uint32(hs[ord[a]]) < uint32(hs[ord[b]]) })
 					ordOff[g] = int32(off)
 					flags |= opHasOrd
 				}

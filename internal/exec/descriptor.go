@@ -164,8 +164,8 @@ func growDesc(s []xdesc, n int) []xdesc {
 
 // planDescriptors lowers the replay to the descriptor plan. Inputs are
 // the reference replay's artifacts: the per-node event runs
-// (opOff/opBacking, with ordOff/ordSpill resolving the rare
-// stamp-resorted payloads), the per-node initial contents
+// (opOff/opBacking, with ordOff/ordSpill resolving the payloads listed
+// out of arrival order), the per-node initial contents
 // (initIDs/initOff), the final holder/stamp table hs and the per-node
 // arrival totals. Must run after delivery was verified.
 func (p *Program) planDescriptors(opOff []int32, opBacking []opRec, ordOff, ordSpill, initIDs, initOff []int32,

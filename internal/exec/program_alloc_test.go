@@ -99,3 +99,27 @@ func TestReplayIntoZeroAlloc(t *testing.T) {
 		t.Fatalf("warm last-hop-only ReplayInto allocates %.0f objects/op, want 0", allocs)
 	}
 }
+
+// TestCompileAllocs pins the objects one cold Compile of proposed-sim
+// at 16x16 allocates: about 112 measured (linux/amd64), budget 250.
+// Most of its payloads are listed out of the sender's arrival order, so
+// a per-payload allocation in the stamp re-sort shows here first.
+func TestCompileAllocs(t *testing.T) {
+	const maxAllocs = 250
+	b, err := algorithm.For("proposed-sim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := b.BuildSchedule(topology.MustNew(16, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := exec.Compile(sc, exec.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > maxAllocs {
+		t.Fatalf("Compile(proposed-sim@16x16) allocates %.0f objects, want <= %d", allocs, maxAllocs)
+	}
+}

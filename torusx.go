@@ -142,7 +142,9 @@ func measureOf(res *exchange.Result) Measure {
 }
 
 // proposedProgram is the registry name of the payload-carrying build
-// of the proposed exchange, the program the dense entry points replay.
+// of the proposed exchange (exchange.PayloadSchedule, the dense builder
+// held to the block-level simulator), the program the dense entry
+// points replay.
 const proposedProgram = "proposed-sim"
 
 // replayProgram resolves alg's compiled program on f through the
