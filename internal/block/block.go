@@ -68,6 +68,29 @@ func NewBuffer(n int) *Buffer {
 	return &Buffer{blocks: make([]Block, 0, n)}
 }
 
+// NewBuffers returns one empty buffer per entry of sizes, buffer i with
+// capacity for sizes[i] blocks, all carved from one backing array: three
+// allocations however many buffers. Each buffer's window is capped at
+// its own size, so an Add past it reallocates that buffer instead of
+// writing into its neighbour's blocks.
+func NewBuffers(sizes []int32) []*Buffer {
+	total := 0
+	for _, s := range sizes {
+		total += int(s)
+	}
+	backing := make([]Block, total)
+	bufs := make([]Buffer, len(sizes))
+	out := make([]*Buffer, len(sizes))
+	off := 0
+	for i, s := range sizes {
+		end := off + int(s)
+		bufs[i].blocks = backing[off:off:end]
+		out[i] = &bufs[i]
+		off = end
+	}
+	return out
+}
+
 // Len returns the number of blocks held.
 func (buf *Buffer) Len() int { return len(buf.blocks) }
 

@@ -80,6 +80,41 @@ func TestBufferRefill(t *testing.T) {
 	}
 }
 
+// TestNewBuffersWindows: NewBuffers carves every buffer from one
+// backing with capacity exactly its size, so filling each in place
+// never reallocates and an Add past one buffer's window cannot write
+// into the next buffer's blocks.
+func TestNewBuffersWindows(t *testing.T) {
+	sizes := []int32{2, 0, 3}
+	bufs := NewBuffers(sizes)
+	if len(bufs) != len(sizes) {
+		t.Fatalf("%d buffers, want %d", len(bufs), len(sizes))
+	}
+	for i, b := range bufs {
+		if b.Len() != 0 {
+			t.Fatalf("buffer %d starts with %d blocks", i, b.Len())
+		}
+		blks := b.Refill(int(sizes[i]))
+		for k := range blks {
+			blks[k] = Block{Origin: topology.NodeID(i), Dest: topology.NodeID(k)}
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		for i, b := range bufs {
+			b.Refill(int(sizes[i]))
+		}
+	}); allocs != 0 {
+		t.Fatalf("refilling carved buffers within their windows allocates %v", allocs)
+	}
+	bufs[0].Add(Block{Origin: 9, Dest: 9})
+	if got := bufs[2].View()[0]; got != (Block{Origin: 2, Dest: 0}) {
+		t.Fatalf("Add past buffer 0's window overwrote buffer 2: %v", got)
+	}
+	if bufs[0].Len() != 3 || bufs[0].View()[2] != (Block{Origin: 9, Dest: 9}) {
+		t.Fatalf("Add past the window lost blocks: %v", bufs[0].View())
+	}
+}
+
 func TestTakeIfContiguousSuffix(t *testing.T) {
 	buf := NewBuffer(6)
 	for d := 0; d < 6; d++ {

@@ -25,10 +25,10 @@ func RegisterTraffic(fs *flag.FlagSet) *string {
 // RegisterCacheDir registers the shared -progcache-dir flag on fs and
 // returns the directory destination. A non-empty directory attaches a
 // disk-backed second tier to the process-wide compiled-program cache
-// (algorithm.SetCacheDir): cold processes load serialized programs
-// from it in well under a millisecond instead of recompiling, and
-// fresh compiles are written back for the next process. Empty keeps
-// the cache memory-only.
+// (algorithm.SetCacheDir): cold processes map and decode serialized
+// programs from it instead of recompiling, and fresh compiles are
+// written back for the next process. Empty keeps the cache
+// memory-only.
 func RegisterCacheDir(fs *flag.FlagSet) *string {
 	return fs.String("progcache-dir", "", "directory for the disk-backed compiled-program cache tier (empty = memory only)")
 }

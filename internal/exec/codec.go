@@ -14,76 +14,86 @@ import (
 
 // Versioned binary codec for compiled programs — the serialization
 // layer under the disk-backed program-cache tier. A program file is
-// split along the executor's own hot/cold boundary:
+// split along the executor's own hot/cold boundary into two sections,
+// each sealed by its own CRC32:
 //
-//   - The hot sections hold exactly what a replay touches — the
-//     lowered step and transfer tables, the per-node delivery counts,
-//     the traffic ids and the descriptor replay plan — as flat
+//   - The replay core holds exactly what a replay reads — the step
+//     headers, the per-node delivery counts, the sparse traffic ids and
+//     the descriptor replay plan — plus the totals a decoder would
+//     otherwise derive from the transfer table. Its tables are flat
 //     little-endian arrays laid out field-for-field like the in-memory
 //     form, so decoding on a little-endian host is a handful of
 //     bounds-checked slice views over the file buffer (zero copies;
-//     big-endian hosts take an element-wise fallback). A decoded
-//     program replays, serially or in parallel, without ever
-//     rebuilding the schedule it was compiled from.
-//   - The cold section holds what only telemetry, re-encoding and
-//     Program.Schedule need — phase names, declared block counts,
-//     route legs and the payload ids — and is not parsed at decode
-//     time at all: Schedule() materializes it on first use (see
-//     materialize.go), which also rebuilds the link table by
-//     re-walking the routes on the fabric.
+//     big-endian hosts take an element-wise fallback). DecodeProgram
+//     checksums, views and proves only the core, and a decoded program
+//     replays, serially or in parallel, without reading anything else.
+//   - The cold tail holds what only telemetry, re-encoding and
+//     Program.Schedule need — the transfer table, phase names, declared
+//     block counts, route legs and the payload ids. Decoding does not
+//     read it at all: Schedule() checks its CRC, validates and attaches
+//     the transfer table and materializes the schedule on first use (see
+//     materialize.go), which also rebuilds the link table by re-walking
+//     the routes on the fabric. A replay-only process never touches it,
+//     so on a mapped file its pages never become resident.
 //
 // The header carries the fabric fingerprint and the compile-options
 // fingerprint (progcache.Fingerprint: SkipChecks + the traffic
-// matrix), and the file ends in a CRC32 of everything before it.
-// DecodeProgram rejects short, truncated, corrupted, version- or
-// fingerprint-mismatched input with descriptive errors and validates
-// every index a replay would follow, so a file that decodes cannot
-// make the executor read out of bounds.
+// matrix). DecodeProgram rejects short, truncated, corrupted, version-
+// or fingerprint-mismatched input with descriptive errors and proves
+// every index a replay would follow (checkPlan), so a file that decodes
+// cannot make the executor read out of bounds. A tail that fails its
+// checksum or its checks decodes, replays, and fails Schedule() (see
+// Program.OnTailError).
 //
-// Format v5, all integers little-endian, sections 4-byte aligned:
+// Format v6, all integers little-endian, sections 4-byte aligned:
 //
-//	magic "TXPG" | u16 version | u8 flags | u8 reserved | u64 optFP
-//	u32 len + fabric fingerprint string, padded to 4
-//	u32 x7: n, numSteps, numTransfers, numPhases, maxSharing,
-//	        numDomains, numTraffic
-//	u64 x4: measure steps, blocks, hops, rearranged
-//	u32 coldLen
-//	steps     numSteps x 5 u32 (phaseIndex stepIndex sharing maxBlocks maxHops)
-//	stepT     (numSteps+1) x u32 (per-step transfer offsets)
-//	transfers numTransfers x 6 i32 (src dst payOff payLen linkOff linkLen)
-//	parallelErr u32 len + bytes, padded   | only when flagParallelErr
-//	replay section                         | only when flagReplay:
-//	  perDest    n x i32
-//	  traffic    numTraffic x i32          | only when not flagFullTraffic
-//	  u32 x3: numDesc, numMoves, logSize
-//	  moveOff    (numSteps+1) x i32 (per-step log-move offsets)
-//	  moves      numMoves x 5 i32 (src payLen descOff descLen insPos)
-//	  descBase   (n+1) x i32 (per-node log-region prefix)
-//	  descs      numDesc x 4 i32 (start count blocklen stride)
-//	  deliverOff (n+1) x i32 (per-node delivery descriptor windows)
-//	cold section (coldLen bytes):
-//	  u32 numPayload + payload ids (numPayload x i32)
-//	  blocks    numTransfers x u32 (declared Blocks per transfer)
-//	  shared    ceil(numSteps/8) bytes bitmap, padded to 4
-//	  phases    numPhases x (u32 len + name padded, u32 steps, u32 rearrange)
-//	  segs      per transfer: u8 count + count x (u8 dim, u8 dir, u16 hops),
-//	            stream padded to 4
-//	u32 CRC32 (IEEE) over all preceding bytes
+//	core:
+//	  magic "TXPG" | u16 version | u8 flags | u8 reserved | u64 optFP
+//	  u32 coreLen, u32 tailLen (coreLen + tailLen is the file size)
+//	  u32 len + fabric fingerprint string, padded to 4
+//	  u32 x8: n, numSteps, numTransfers, numPhases, maxSharing,
+//	          numDomains, numTraffic, numPayload
+//	  u64 x4: measure steps, blocks, hops, rearranged
+//	  steps     numSteps x 5 u32 (phaseIndex stepIndex sharing maxBlocks maxHops)
+//	  parallelErr u32 len + bytes, padded   | only when flagParallelErr
+//	  replay section                         | only when flagReplay:
+//	    perDest    n x i32
+//	    traffic    numTraffic x i32          | only when not flagFullTraffic
+//	    u32 x3: numDesc, numMoves, logSize
+//	    moveOff    (numSteps+1) x i32 (per-step log-move offsets)
+//	    moves      numMoves x 5 i32 (src payLen descOff descLen insPos)
+//	    descBase   (n+1) x i32 (per-node log-region prefix)
+//	    descs      numDesc x 4 i32 (start count blocklen stride)
+//	    deliverOff (n+1) x i32 (per-node delivery descriptor windows)
+//	  u32 CRC32 (IEEE) over the core before it
+//	tail:
+//	  stepT     (numSteps+1) x u32 (per-step transfer offsets)
+//	  transfers numTransfers x 6 i32 (src dst payOff payLen linkOff linkLen)
+//	  cold section:
+//	    payload   numPayload x i32 (payload ids)
+//	    blocks    numTransfers x u32 (declared Blocks per transfer)
+//	    shared    ceil(numSteps/8) bytes bitmap, padded to 4
+//	    phases    numPhases x (u32 len + name padded, u32 steps, u32 rearrange)
+//	    segs      per transfer: u8 count + count x (u8 dim, u8 dir, u16 hops),
+//	              stream padded to 4
+//	  u32 CRC32 (IEEE) over the tail before it
 //
-// Only transfers some later transfer forwards from have a log move;
-// last-hop transfers appear only through the per-node delivery
-// descriptors (see descriptor.go).
+// numPayload is the payload id count: the transfers' payload windows
+// tile [0, numPayload) in transfer order, so it bounds the log and gives
+// BytesMoved (4 bytes per id) without the transfer table. Only
+// transfers some later transfer forwards from have a log move; last-hop
+// transfers appear only through the per-node delivery descriptors (see
+// descriptor.go).
 //
-// This build reads and writes v5 only. A file of any other version
+// This build reads and writes v6 only. A file of any other version
 // (e.g. a warm disk cache written by an older build) is a decode error,
 // which the disk tier turns into a miss and a delete. Derived state
 // (per-step log-move element counts, the delivery layout prefix and
-// reciprocal, the bytes-moved measure) is recomputed at decode and
-// never serialized.
+// reciprocal) is recomputed at decode and never serialized.
 
 // CodecVersion is the program file format version this build reads and
 // writes.
-const CodecVersion = 5
+const CodecVersion = 6
 
 const codecMagic = "TXPG"
 
@@ -188,8 +198,9 @@ func pad4(b []byte) []byte {
 // under (progcache.Fingerprint); it is embedded in the header and
 // re-checked by DecodeProgram, so a cached file can never be replayed
 // against options it was not compiled for. Encoding a decoded program
-// first materializes its schedule (the cold section is rebuilt from
-// it), so encode→decode→encode is byte-identical.
+// first materializes its schedule (the tail is rebuilt from it), so
+// encode→decode→encode is byte-identical, and a decoded program whose
+// tail was rejected returns that error.
 func EncodeProgram(p *Program, optFP uint64) ([]byte, error) {
 	if p == nil {
 		return nil, fmt.Errorf("exec: encode nil program")
@@ -257,34 +268,39 @@ func EncodeProgram(p *Program, optFP uint64) ([]byte, error) {
 		}
 		phaseBytes += 4 + padded4(len(ph.Name)) + 8
 	}
-	coldLen := 4 + 4*len(p.payloadBacking) + 4*numTransfers + padded4((numSteps+7)/8) + phaseBytes + padded4(segBytes)
 
 	fp := p.fab.Fingerprint()
 	var errMsg string
 	if p.parallelErr != nil {
 		errMsg = p.parallelErr.Error()
 	}
-	size := 16 + 4 + padded4(len(fp)) + 7*4 + 4*8 + 4 +
-		numSteps*20 + (numSteps+1)*4 + numTransfers*24
+	coreLen := 24 + 4 + padded4(len(fp)) + 8*4 + 4*8 + numSteps*20
 	if p.parallelErr != nil {
-		size += 4 + padded4(len(errMsg))
+		coreLen += 4 + padded4(len(errMsg))
 	}
 	if p.replay {
-		size += 4*n + 4*numTraffic + 3*4 + (numSteps+1)*4 + len(p.moves)*20 +
+		coreLen += 4*n + 4*numTraffic + 3*4 + (numSteps+1)*4 + len(p.moves)*20 +
 			(n+1)*4 + len(p.descBacking)*16 + (n+1)*4
 	}
-	size += coldLen + 4
+	coreLen += 4
+	tailLen := (numSteps+1)*4 + numTransfers*24 +
+		4*len(p.payloadBacking) + 4*numTransfers + padded4((numSteps+7)/8) + phaseBytes + padded4(segBytes) + 4
+	if int64(coreLen)+int64(tailLen) > math.MaxUint32 {
+		return nil, fmt.Errorf("exec: encode: %d-byte program exceeds the codec's size limit", int64(coreLen)+int64(tailLen))
+	}
 
-	b := make([]byte, 0, size)
+	b := make([]byte, 0, coreLen+tailLen)
 	b = append(b, codecMagic...)
 	b = binary.LittleEndian.AppendUint16(b, CodecVersion)
 	b = append(b, flags, 0)
 	b = appendU64(b, optFP)
+	b = appendU32(b, uint32(coreLen))
+	b = appendU32(b, uint32(tailLen))
 	b = appendU32(b, uint32(len(fp)))
 	b = append(b, fp...)
 	b = pad4(b)
 	for _, v := range []int{n, numSteps, numTransfers,
-		len(sc.Phases), p.maxSharing, p.numDomains, numTraffic} {
+		len(sc.Phases), p.maxSharing, p.numDomains, numTraffic, p.numPayload} {
 		if v < 0 || int64(v) > math.MaxUint32 {
 			return nil, fmt.Errorf("exec: encode: scalar %d out of range", v)
 		}
@@ -294,8 +310,6 @@ func EncodeProgram(p *Program, optFP uint64) ([]byte, error) {
 	b = appendU64(b, uint64(p.measure.Blocks))
 	b = appendU64(b, uint64(p.measure.Hops))
 	b = appendU64(b, uint64(p.measure.RearrangedBlocks))
-	b = appendU32(b, uint32(coldLen))
-
 	for si := range p.steps {
 		ps := &p.steps[si]
 		b = appendU32(b, uint32(ps.phaseIndex))
@@ -303,29 +317,6 @@ func EncodeProgram(p *Program, optFP uint64) ([]byte, error) {
 		b = appendU32(b, uint32(ps.sharing))
 		b = appendU32(b, uint32(ps.maxBlocks))
 		b = appendU32(b, uint32(ps.maxHops))
-	}
-	off := 0
-	for si := range p.steps {
-		b = appendU32(b, uint32(off))
-		off += len(p.steps[si].transfers)
-	}
-	b = appendU32(b, uint32(off))
-	if hostLittle && ptLayoutMatches {
-		for si := range p.steps {
-			ts := p.steps[si].transfers
-			if len(ts) > 0 {
-				b = append(b, unsafe.Slice((*byte)(unsafe.Pointer(&ts[0])), len(ts)*24)...)
-			}
-		}
-	} else {
-		for si := range p.steps {
-			for ti := range p.steps[si].transfers {
-				pt := &p.steps[si].transfers[ti]
-				for _, v := range [6]int32{pt.src, pt.dst, pt.payOff, pt.payLen, pt.linkOff, pt.linkLen} {
-					b = appendU32(b, uint32(v))
-				}
-			}
-		}
 	}
 	if p.parallelErr != nil {
 		b = appendU32(b, uint32(len(errMsg)))
@@ -364,9 +355,34 @@ func EncodeProgram(p *Program, optFP uint64) ([]byte, error) {
 		}
 		b = appendI32s(b, p.deliverOff)
 	}
+	b = appendU32(b, crc32.ChecksumIEEE(b))
+	if len(b) != coreLen {
+		return nil, fmt.Errorf("exec: encode: wrote a %d-byte core, sized %d", len(b), coreLen)
+	}
 
-	coldStart := len(b)
-	b = appendU32(b, uint32(len(p.payloadBacking)))
+	off := 0
+	for si := range p.steps {
+		b = appendU32(b, uint32(off))
+		off += len(p.steps[si].transfers)
+	}
+	b = appendU32(b, uint32(off))
+	if hostLittle && ptLayoutMatches {
+		for si := range p.steps {
+			ts := p.steps[si].transfers
+			if len(ts) > 0 {
+				b = append(b, unsafe.Slice((*byte)(unsafe.Pointer(&ts[0])), len(ts)*24)...)
+			}
+		}
+	} else {
+		for si := range p.steps {
+			for ti := range p.steps[si].transfers {
+				pt := &p.steps[si].transfers[ti]
+				for _, v := range [6]int32{pt.src, pt.dst, pt.payOff, pt.payLen, pt.linkOff, pt.linkLen} {
+					b = appendU32(b, uint32(v))
+				}
+			}
+		}
+	}
 	b = appendI32s(b, p.payloadBacking)
 	for si := range p.steps {
 		for ti := range p.steps[si].transfers {
@@ -406,11 +422,10 @@ func EncodeProgram(p *Program, optFP uint64) ([]byte, error) {
 		}
 	}
 	b = pad4(b)
-	if len(b)-coldStart != coldLen || len(b)+4 != size {
-		return nil, fmt.Errorf("exec: encode: wrote %d bytes (cold section %d), sized %d (cold section %d)",
-			len(b)+4, len(b)-coldStart, size, coldLen)
+	b = appendU32(b, crc32.ChecksumIEEE(b[coreLen:]))
+	if len(b) != coreLen+tailLen {
+		return nil, fmt.Errorf("exec: encode: wrote a %d-byte tail, sized %d", len(b)-coreLen, tailLen)
 	}
-	b = appendU32(b, crc32.ChecksumIEEE(b))
 	return b, nil
 }
 
@@ -499,35 +514,44 @@ func (r *creader) count(elem int) int {
 // encode time; both are checked against the embedded header so a
 // stale or misfiled cache artifact is rejected, not replayed. The
 // decoded program replays immediately; its schedule (needed only for
-// telemetry and re-encoding) materializes lazily on first Schedule()
-// call.
+// telemetry and re-encoding) materializes lazily from the cold tail on
+// first Schedule() call.
 //
-// On little-endian hosts the transfer, id and plan tables are views
-// over data — decode cost is the header walk, the CRC check and the
-// index validation of the transfer table and replay plan (checkPlan).
-// The caller must not mutate data afterwards.
+// Decoding reads only the replay core: on little-endian hosts its
+// tables are views over data, and decode cost is the core's CRC, the
+// header walk and the proofs of the replay plan (checkPlan). The tail
+// is framed by the header's lengths but not read, so the caller may
+// hand in a mapped file whose tail pages stay on disk. The caller must
+// not mutate data afterwards.
 func DecodeProgram(data []byte, f topology.Fabric, optFP uint64) (*Program, error) {
 	if f == nil {
 		return nil, fmt.Errorf("exec: decode: nil fabric")
 	}
-	if len(data) < 24 || string(data[:4]) != codecMagic {
+	if len(data) < 28 || string(data[:4]) != codecMagic {
 		return nil, fmt.Errorf("exec: decode: not a program file (bad magic)")
 	}
 	if version := binary.LittleEndian.Uint16(data[4:]); version != CodecVersion {
 		return nil, fmt.Errorf("exec: decode: program file version %d, this build reads %d", version, CodecVersion)
 	}
-	body, crcField := data[:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
-	if got := crc32.ChecksumIEEE(body); got != crcField {
-		return nil, fmt.Errorf("exec: decode: checksum mismatch (file %08x, computed %08x): file corrupted or truncated", crcField, got)
+	coreLen := int64(binary.LittleEndian.Uint32(data[16:]))
+	tailLen := int64(binary.LittleEndian.Uint32(data[20:]))
+	if coreLen < 28 || coreLen&3 != 0 || tailLen < 4 || coreLen+tailLen != int64(len(data)) {
+		return nil, fmt.Errorf("exec: decode: core of %d and tail of %d bytes do not frame a %d-byte file: file truncated or corrupted",
+			coreLen, tailLen, len(data))
+	}
+	core, crcField := data[:coreLen-4], binary.LittleEndian.Uint32(data[coreLen-4:])
+	if got := crc32.ChecksumIEEE(core); got != crcField {
+		return nil, fmt.Errorf("exec: decode: core checksum mismatch (file %08x, computed %08x): file corrupted or truncated", crcField, got)
 	}
 	flags := data[6]
 	if flags&^flagKnown != 0 {
 		return nil, fmt.Errorf("exec: decode: unknown flags %#x", flags&^flagKnown)
 	}
-	r := &creader{b: body, off: 8}
+	r := &creader{b: core, off: 8}
 	if gotFP := r.u64(); gotFP != optFP {
 		return nil, fmt.Errorf("exec: decode: options fingerprint %#x, want %#x: file was compiled under different options", gotFP, optFP)
 	}
+	r.take(8) // coreLen, tailLen
 	fabFP := string(r.take(r.count(1)))
 	r.pad4()
 	if r.err == nil && fabFP != f.Fingerprint() {
@@ -541,9 +565,9 @@ func DecodeProgram(data []byte, f topology.Fabric, optFP uint64) (*Program, erro
 	maxSharing := int(r.u32())
 	numDomains := int(r.u32())
 	numTraffic := int(r.u32())
+	numPayload := int(r.u32())
 	mSteps, mBlocks := r.u64(), r.u64()
 	mHops, mRearr := r.u64(), r.u64()
-	coldLen := int(r.u32())
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -552,16 +576,35 @@ func DecodeProgram(data []byte, f topology.Fabric, optFP uint64) (*Program, erro
 	}
 	replay := flags&flagReplay != 0
 	fullTraffic := flags&flagFullTraffic != 0
-	if fullTraffic && !replay || numTraffic != 0 && (!replay || fullTraffic) {
+	if fullTraffic && !replay || numTraffic != 0 && (!replay || fullTraffic) || numPayload != 0 && !replay {
 		return nil, fmt.Errorf("exec: decode: inconsistent traffic flags")
+	}
+	// Tail framing, from the core's counts alone: the transfer table and
+	// the cold section must fit the tail, whose bytes are not read here.
+	// Each phase record (name length, steps, rearrange) takes at least 12
+	// cold bytes and each payload id 4, which bounds the phase table
+	// materialize sizes and the log the payloads may grow.
+	coldLen := tailLen - 4 - int64(numSteps+1)*4 - int64(numTransfers)*24
+	if coldLen < 0 {
+		return nil, fmt.Errorf("exec: decode: a %d-byte tail cannot hold %d steps' %d transfers", tailLen, numSteps, numTransfers)
+	}
+	if int64(numPhases) > coldLen/12 {
+		return nil, fmt.Errorf("exec: decode: %d phases do not fit a %d-byte cold section", numPhases, coldLen)
+	}
+	if int64(numPayload) > coldLen/4 {
+		return nil, fmt.Errorf("exec: decode: %d payload ids do not fit a %d-byte cold section", numPayload, coldLen)
 	}
 
 	p := &Program{
 		fab: f, n: n, numBlocks: n * n,
-		replay:      replay,
-		fullTraffic: fullTraffic,
-		maxSharing:  maxSharing,
-		numDomains:  numDomains,
+		replay:       replay,
+		fullTraffic:  fullTraffic,
+		maxSharing:   maxSharing,
+		numDomains:   numDomains,
+		numPayload:   numPayload,
+		tail:         data[coreLen:],
+		numTransfers: numTransfers,
+		coldPhases:   numPhases,
 	}
 	p.measure.Steps = int(mSteps)
 	p.measure.Blocks = int(mBlocks)
@@ -569,8 +612,6 @@ func DecodeProgram(data []byte, f topology.Fabric, optFP uint64) (*Program, erro
 	p.measure.RearrangedBlocks = int(mRearr)
 
 	stepHdr := asInt32s(r.take(numSteps * 20))
-	stepT := asInt32s(r.take((numSteps + 1) * 4))
-	tBytes := r.take(numTransfers * 24)
 	if flags&flagParallelErr != 0 {
 		msg := r.take(r.count(1))
 		r.pad4()
@@ -597,106 +638,49 @@ func DecodeProgram(data []byte, f topology.Fabric, optFP uint64) (*Program, erro
 		descRaw = r.take(numDesc * 16)
 		deliverOff = asInt32s(r.take((n + 1) * 4))
 	}
-	cold := r.take(coldLen)
 	if r.err != nil {
 		return nil, r.err
 	}
-	if r.off != len(body) {
-		return nil, fmt.Errorf("exec: decode: %d trailing bytes after cold section", len(body)-r.off)
-	}
-	// Each phase record in the cold section (name length, steps,
-	// rearrange) takes at least 12 bytes; materialize sizes its phase
-	// table from this count.
-	if numPhases > len(cold)/12 {
-		return nil, fmt.Errorf("exec: decode: %d phases do not fit a %d-byte cold section", numPhases, len(cold))
+	if r.off != len(core) {
+		return nil, fmt.Errorf("exec: decode: %d trailing bytes in the core", len(core)-r.off)
 	}
 
-	// Transfer table: a bulk view when the in-memory layout is the file
-	// layout, element-wise otherwise.
-	var transfers []ptransfer
-	if hostLittle && ptLayoutMatches && aligned4(tBytes) {
-		if numTransfers > 0 {
-			transfers = unsafe.Slice((*ptransfer)(unsafe.Pointer(&tBytes[0])), numTransfers)
-		}
-	} else {
-		transfers = make([]ptransfer, numTransfers)
-		for i := range transfers {
-			rec := tBytes[i*24:]
-			pt := &transfers[i]
-			pt.src = int32(binary.LittleEndian.Uint32(rec[0:]))
-			pt.dst = int32(binary.LittleEndian.Uint32(rec[4:]))
-			pt.payOff = int32(binary.LittleEndian.Uint32(rec[8:]))
-			pt.payLen = int32(binary.LittleEndian.Uint32(rec[12:]))
-			pt.linkOff = int32(binary.LittleEndian.Uint32(rec[16:]))
-			pt.linkLen = int32(binary.LittleEndian.Uint32(rec[20:]))
-		}
-	}
-
-	// Step table: partition the transfer backing by the recorded
-	// offsets and validate every field the replay will index with.
+	// Step table: validate every header field the replay and the
+	// telemetry post-pass index with.
 	p.steps = make([]pstep, numSteps)
 	for si := 0; si < numSteps; si++ {
 		h := stepHdr[si*5:]
-		lo, hi := stepT[si], stepT[si+1]
-		if lo < 0 || hi < lo || int(hi) > numTransfers {
-			return nil, fmt.Errorf("exec: decode: step %d transfer window [%d,%d) invalid", si, lo, hi)
-		}
 		if h[0] < 0 || int(h[0]) >= numPhases || h[1] < 0 || h[2] < 1 || h[3] < 0 || h[4] < 0 {
 			return nil, fmt.Errorf("exec: decode: step %d header invalid", si)
 		}
 		p.steps[si] = pstep{
 			phaseIndex: int(h[0]), stepIndex: int(h[1]),
 			sharing: int(h[2]), maxBlocks: int(h[3]), maxHops: int(h[4]),
-			transfers: transfers[lo:hi:hi],
-		}
-	}
-	if numSteps > 0 && (stepT[0] != 0 || int(stepT[numSteps]) != numTransfers) || numSteps == 0 && numTransfers != 0 {
-		return nil, fmt.Errorf("exec: decode: transfer table does not cover all transfers")
-	}
-	numPayload := 0
-	for i := range transfers {
-		pt := &transfers[i]
-		if int(pt.src) >= n || pt.src < 0 || int(pt.dst) >= n || pt.dst < 0 {
-			return nil, fmt.Errorf("exec: decode: transfer %d endpoints %d->%d out of range", i, pt.src, pt.dst)
-		}
-		if pt.payLen < 0 || pt.payOff < 0 || pt.linkLen < 0 || pt.linkOff < 0 {
-			return nil, fmt.Errorf("exec: decode: transfer %d negative window", i)
-		}
-		if pt.payLen > 0 && !replay {
-			return nil, fmt.Errorf("exec: decode: transfer %d carries payload in a measure-only program", i)
-		}
-		// numPayload (for the materialize cross-checks) is the largest
-		// payload window end, tracked inline to avoid a second pass.
-		if end := int(pt.payOff) + int(pt.payLen); end > numPayload {
-			numPayload = end
 		}
 	}
 	if replay {
 		// Every node's delivery count must be its share of the traffic
 		// matrix: the delivery layout is sized from these counts.
-		addressed := make([]int32, n)
 		if fullTraffic {
-			ids := make([]int32, p.numBlocks)
-			for i := range ids {
-				ids[i] = int32(i)
-			}
-			p.trafficIDs = ids
-			for v := range addressed {
-				addressed[v] = int32(n)
+			for v := 0; v < n; v++ {
+				if int(perDest[v]) != n {
+					return nil, fmt.Errorf("exec: decode: node %d delivery count %d, traffic addresses %d blocks to it", v, perDest[v], n)
+				}
 			}
 		} else {
+			addressed := make([]int32, n)
 			for _, id := range trafficIDs {
 				if id < 0 || int(id) >= p.numBlocks {
 					return nil, fmt.Errorf("exec: decode: traffic id %d out of range", id)
 				}
 				addressed[int(id)%n]++
 			}
-			p.trafficIDs = trafficIDs
-		}
-		for v := 0; v < n; v++ {
-			if perDest[v] != addressed[v] {
-				return nil, fmt.Errorf("exec: decode: node %d delivery count %d, traffic addresses %d blocks to it", v, perDest[v], addressed[v])
+			for v := 0; v < n; v++ {
+				if perDest[v] != addressed[v] {
+					return nil, fmt.Errorf("exec: decode: node %d delivery count %d, traffic addresses %d blocks to it", v, perDest[v], addressed[v])
+				}
 			}
+			p.trafficIDs = trafficIDs
 		}
 		p.perDest = perDest
 		// Delivery layout prefix and reciprocal — derived, never
@@ -718,10 +702,31 @@ func DecodeProgram(data []byte, f topology.Fabric, optFP uint64) (*Program, erro
 		}
 		p.deriveReplayStats()
 	}
-	p.cold = cold
-	p.coldPhases = numPhases
-	p.coldPayload = numPayload
 	return p, nil
+}
+
+// viewTransfers views b as n transfer records: a bulk view when the
+// in-memory layout is the file layout, element-wise otherwise.
+func viewTransfers(b []byte, n int) []ptransfer {
+	if n == 0 {
+		return nil
+	}
+	if hostLittle && ptLayoutMatches && aligned4(b) {
+		return unsafe.Slice((*ptransfer)(unsafe.Pointer(&b[0])), n)
+	}
+	out := make([]ptransfer, n)
+	for i := range out {
+		rec := b[i*24:]
+		out[i] = ptransfer{
+			src:     int32(binary.LittleEndian.Uint32(rec[0:])),
+			dst:     int32(binary.LittleEndian.Uint32(rec[4:])),
+			payOff:  int32(binary.LittleEndian.Uint32(rec[8:])),
+			payLen:  int32(binary.LittleEndian.Uint32(rec[12:])),
+			linkOff: int32(binary.LittleEndian.Uint32(rec[16:])),
+			linkLen: int32(binary.LittleEndian.Uint32(rec[20:])),
+		}
+	}
+	return out
 }
 
 func viewLogMoves(b []byte, n int) []logMove {

@@ -1,8 +1,6 @@
 package exec_test
 
 import (
-	"encoding/binary"
-	"hash/crc32"
 	"testing"
 
 	"torusx/internal/algorithm"
@@ -19,9 +17,9 @@ import (
 // here means a corrupted or hostile cache file can crash (or worse,
 // silently corrupt) the host process. Each input is decoded twice:
 // once verbatim (exercising the CRC/framing layer) and once with the
-// trailing checksum recomputed, so mutations reach the structural
-// validation behind the integrity gate instead of dying at the
-// checksum 1/2^32 of the time. The torus entry points differ only in
+// core's and the tail's checksums recomputed, so mutations reach the
+// structural validation behind the integrity gates instead of dying
+// at a checksum 1/2^32 of the time. The torus entry points differ only in
 // where their seeds point the mutator; the dragonfly one decodes
 // against a fabric with unwired ports.
 
@@ -44,7 +42,8 @@ func FuzzProgramDecode(f *testing.F) {
 }
 
 // FuzzDescriptorDecode seeds the mutator at the replay-facing tables:
-// the transfer and descriptor sections the unchecked gathers read.
+// the core's log-move and descriptor sections the unchecked gathers
+// read.
 func FuzzDescriptorDecode(f *testing.F) {
 	tor := topology.MustNew(4, 4)
 	direct := fuzzSeedProgram(f, tor, "direct")
@@ -52,7 +51,7 @@ func FuzzDescriptorDecode(f *testing.F) {
 	f.Add(fuzzSeedProgram(f, tor, "factored"))
 	f.Add(fuzzSeedProgram(f, tor, "proposed-sim"))
 	planFlip := append([]byte(nil), direct...)
-	planFlip[2*len(planFlip)/3] ^= 0x10 // land mutations in the replay plan tables
+	planFlip[2*programCoreLen(planFlip)/3] ^= 0x10 // land mutations in the replay plan tables
 	f.Add(planFlip)
 	f.Fuzz(fuzzDecodeReplay(tor))
 }
@@ -123,9 +122,7 @@ func fuzzDecodeReplay(tor topology.Fabric) func(*testing.T, []byte) {
 		}
 		check(data)
 		if len(data) >= 8 {
-			sealed := append([]byte(nil), data...)
-			binary.LittleEndian.PutUint32(sealed[len(sealed)-4:], crc32.ChecksumIEEE(sealed[:len(sealed)-4]))
-			check(sealed)
+			check(resealProgram(data))
 		}
 	}
 }

@@ -3,17 +3,22 @@ package exec_test
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"flag"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"torusx/internal/algorithm"
+	"torusx/internal/costmodel"
 	"torusx/internal/exec"
 	"torusx/internal/schedule"
+	"torusx/internal/telemetry"
 	"torusx/internal/topology"
 )
 
@@ -131,12 +136,39 @@ func TestProgramCodecRoundTripStable(t *testing.T) {
 	}
 }
 
+// resealProgram returns a copy of a v6 program file with both of its
+// checksums recomputed — the core's, at the end of the core the header
+// frames, and the tail's, in the file's last four bytes — so an edit
+// reaches the structural checks behind them. A file whose header does
+// not frame a core gets only its last four bytes resealed.
+func resealProgram(b []byte) []byte {
+	b = append([]byte(nil), b...)
+	if len(b) < 8 {
+		return b
+	}
+	if len(b) >= 24 {
+		if core := int(binary.LittleEndian.Uint32(b[16:])); core >= 28 && core <= len(b)-4 {
+			binary.LittleEndian.PutUint32(b[core-4:], crc32.ChecksumIEEE(b[:core-4]))
+			binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(b[core:len(b)-4]))
+			return b
+		}
+	}
+	binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(b[:len(b)-4]))
+	return b
+}
+
+// programCoreLen returns the length of a v6 program file's replay
+// core, as its header records it.
+func programCoreLen(b []byte) int { return int(binary.LittleEndian.Uint32(b[16:])) }
+
 // TestProgramDecodeRejects: the decoder must reject — with an error,
-// never a panic — every truncation prefix, flipped content bytes,
-// wrong magic/version, unknown flags, fabric or options fingerprints
-// that do not match the decode context, files of any other codec
-// version, and correctly sealed files whose replay plan breaks one of
-// the decoder's proofs.
+// never a panic — every truncation prefix, flipped core bytes, wrong
+// magic/version, unknown flags, fabric or options fingerprints that do
+// not match the decode context, files of any other codec version, and
+// correctly sealed files whose replay plan breaks one of the decoder's
+// proofs. The cold tail is checked only when Schedule() first needs it:
+// a flipped or resealed-garbage tail decodes and replays, then fails
+// Schedule() and re-encoding with the tail's error.
 func TestProgramDecodeRejects(t *testing.T) {
 	tor := topology.MustNew(4, 4)
 	b, err := algorithm.For("direct")
@@ -163,14 +195,59 @@ func TestProgramDecodeRejects(t *testing.T) {
 			}
 		}
 	})
+	coreLen := programCoreLen(enc)
 	t.Run("corruption", func(t *testing.T) {
 		// Every byte flipped in turn would be slow; stride through the
-		// file. CRC32 catches all single-byte flips by construction.
-		for i := 0; i < len(enc); i += 7 {
+		// core. CRC32 catches all single-byte flips by construction.
+		for i := 0; i < coreLen; i += 7 {
 			bad := append([]byte(nil), enc...)
 			bad[i] ^= 0x5a
 			if _, err := exec.DecodeProgram(bad, tor, 1); err == nil {
-				t.Fatalf("flip at %d decoded", i)
+				t.Fatalf("core flip at %d decoded", i)
+			}
+		}
+	})
+	ref, err := pg.Run(exec.Options{Serial: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A flipped tail byte is invisible to decode and to replay, and
+	// fails the tail's checksum when Schedule() first reads it.
+	t.Run("tail-corruption", func(t *testing.T) {
+		for i := coreLen; i < len(enc); i += 97 {
+			bad := append([]byte(nil), enc...)
+			bad[i] ^= 0x5a
+			dec, err := exec.DecodeProgram(bad, tor, 1)
+			if err != nil {
+				t.Fatalf("tail flip at %d rejected at decode: %v", i, err)
+			}
+			got, err := dec.Run(exec.Options{Serial: true})
+			if err != nil {
+				t.Fatalf("tail flip at %d: replay: %v", i, err)
+			}
+			sameBuffers(t, ref.Buffers, got.Buffers)
+			if dec.Schedule() != nil || dec.SchedErr() == nil || !strings.Contains(dec.SchedErr().Error(), "cold tail checksum") {
+				t.Fatalf("tail flip at %d: schedule error = %v, want a tail checksum error", i, dec.SchedErr())
+			}
+			if _, err := exec.EncodeProgram(dec, 1); err == nil || !errors.Is(err, dec.SchedErr()) {
+				t.Fatalf("tail flip at %d: re-encode err = %v, want the tail's error", i, err)
+			}
+		}
+	})
+	// Garbage under a valid tail checksum gets past the CRC and must
+	// still fail materialize's own checks.
+	t.Run("tail-resealed", func(t *testing.T) {
+		for _, fill := range []byte{0x00, 0x5a, 0xff} {
+			bad := append([]byte(nil), enc...)
+			for i := coreLen; i < len(bad)-4; i++ {
+				bad[i] = fill
+			}
+			dec, err := exec.DecodeProgram(resealProgram(bad), tor, 1)
+			if err != nil {
+				t.Fatalf("fill %#x: core rejected: %v", fill, err)
+			}
+			if dec.Schedule() != nil || dec.SchedErr() == nil || strings.Contains(dec.SchedErr().Error(), "checksum") {
+				t.Fatalf("fill %#x: schedule error = %v, want a structural tail error", fill, dec.SchedErr())
 			}
 		}
 	})
@@ -188,8 +265,7 @@ func TestProgramDecodeRejects(t *testing.T) {
 	reseal := func(mut func([]byte)) []byte {
 		bad := append([]byte(nil), enc...)
 		mut(bad)
-		binary.LittleEndian.PutUint32(bad[len(bad)-4:], crc32.ChecksumIEEE(bad[:len(bad)-4]))
-		return bad
+		return resealProgram(bad)
 	}
 	t.Run("header", func(t *testing.T) {
 		if _, err := exec.DecodeProgram(reseal(func(b []byte) { b[0] = 'X' }), tor, 1); err == nil {
@@ -205,22 +281,21 @@ func TestProgramDecodeRejects(t *testing.T) {
 		// the same length) names the fabric it is decoded on, but its
 		// node ids run past that fabric's.
 		small := topology.MustNew(3, 3)
-		relabelled := reseal(func(b []byte) { copy(b[20:], small.Fingerprint()) })
+		relabelled := reseal(func(b []byte) { copy(b[28:], small.Fingerprint()) })
 		if _, err := exec.DecodeProgram(relabelled, small, 1); err == nil || !strings.Contains(err.Error(), "node count") {
 			t.Fatalf("relabelled fabric: err = %v, want a node count error", err)
 		}
 	})
 	// A file an older build wrote (v1: span tables only; v2: spans plus
 	// the descriptor plan; v3: the descriptor plan with a full delivery
-	// tail; v4: last-hop windows and residual tail segments) must be a
-	// clean, descriptive error, which the disk tier turns into a miss
-	// and a delete.
+	// tail; v4: last-hop windows and residual tail segments; v5: one
+	// checksum over hot and cold sections) must be a clean, descriptive
+	// error, which the disk tier turns into a miss and a delete.
 	t.Run("stale-versions", func(t *testing.T) {
-		for _, v := range []uint16{1, 2, 3, 4} {
+		for _, v := range []uint16{1, 2, 3, 4, 5} {
 			stale := append([]byte(nil), enc...)
 			binary.LittleEndian.PutUint16(stale[4:], v)
-			binary.LittleEndian.PutUint32(stale[len(stale)-4:], crc32.ChecksumIEEE(stale[:len(stale)-4]))
-			_, err := exec.DecodeProgram(stale, tor, 1)
+			_, err := exec.DecodeProgram(resealProgram(stale), tor, 1)
 			if err == nil || !strings.Contains(err.Error(), "version") {
 				t.Fatalf("v%d file: err = %v, want a version error", v, err)
 			}
@@ -255,11 +330,11 @@ func TestProgramDecodeRejects(t *testing.T) {
 			t.Fatalf("unedited file no longer decodes: %v", err)
 		}
 	})
-	// The cold section is read only when Schedule() materializes it, so
-	// a file whose hot section is sound must not be able to make that
-	// read allocate without bound or walk a route off the fabric.
+	// The cold tail is read only when Schedule() materializes it, so a
+	// file whose core is sound must not be able to make that read
+	// allocate without bound or walk a route off the fabric.
 	t.Run("cold-section", func(t *testing.T) {
-		fpEnd := 20 + (len(tor.Fingerprint())+3)&^3 // header through the fabric fingerprint
+		fpEnd := 28 + (len(tor.Fingerprint())+3)&^3 // header through the fabric fingerprint
 		// numPhases, the fourth u32 count, sizes materialize's phase
 		// table.
 		t.Run("phase-count", func(t *testing.T) {
@@ -273,15 +348,14 @@ func TestProgramDecodeRejects(t *testing.T) {
 			}
 		})
 		// The transfers' link windows size materialize's link table. The
-		// first transfer record follows the rest of the header (seven
-		// counts, four measures, coldLen), the step headers and the
-		// per-step transfer offsets; linkOff is its fifth field.
+		// first transfer record opens the tail after the per-step
+		// transfer offsets; linkOff is its fifth field.
 		t.Run("link-windows", func(t *testing.T) {
 			numSteps := int(binary.LittleEndian.Uint32(enc[fpEnd+4:]))
-			linkOff := fpEnd + 7*4 + 4*8 + 4 + numSteps*5*4 + (numSteps+1)*4 + 4*4
+			linkOff := coreLen + (numSteps+1)*4 + 4*4
 			pg, err := exec.DecodeProgram(reseal(func(b []byte) { b[linkOff+3] = 0x7f }), tor, 1)
 			if err != nil {
-				t.Fatalf("hot section rejected: %v", err)
+				t.Fatalf("core rejected: %v", err)
 			}
 			if pg.Schedule() != nil || pg.SchedErr() == nil || !strings.Contains(pg.SchedErr().Error(), "link windows") {
 				t.Fatalf("schedule error = %v, want a link window error", pg.SchedErr())
@@ -319,7 +393,7 @@ func TestProgramDecodeRejects(t *testing.T) {
 			}
 			dec, err := exec.DecodeProgram(unwired, d, 1)
 			if err != nil {
-				t.Fatalf("hot section rejected: %v", err)
+				t.Fatalf("core rejected: %v", err)
 			}
 			if dec.Schedule() != nil || dec.SchedErr() == nil || !strings.Contains(dec.SchedErr().Error(), "unwired") {
 				t.Fatalf("schedule error = %v, want an unwired port error", dec.SchedErr())
@@ -394,7 +468,7 @@ func TestProgramDecodeRejects(t *testing.T) {
 	})
 }
 
-// TestProgramCodecGolden pins the v5 byte format: the committed
+// TestProgramCodecGolden pins the v6 byte format: the committed
 // golden files must decode, and re-encoding the 4x4 programs must
 // reproduce them bit-for-bit. A diff here means the format changed —
 // bump CodecVersion rather than silently breaking every cached
@@ -423,7 +497,7 @@ func TestProgramCodecGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join("testdata", "program_v5_"+alg+"4x4.bin")
+			path := filepath.Join("testdata", "program_v6_"+alg+"4x4.bin")
 			if *updateGolden {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {
 					t.Fatal(err)
@@ -437,7 +511,7 @@ func TestProgramCodecGolden(t *testing.T) {
 				t.Fatalf("read golden (regenerate with -update): %v", err)
 			}
 			if !bytes.Equal(enc, want) {
-				t.Fatalf("encoding diverges from committed v5 golden (%d vs %d bytes); if the format changed deliberately, bump CodecVersion and -update", len(enc), len(want))
+				t.Fatalf("encoding diverges from committed v6 golden (%d vs %d bytes); if the format changed deliberately, bump CodecVersion and -update", len(enc), len(want))
 			}
 			dec, err := exec.DecodeProgram(want, tor, 0)
 			if err != nil {
@@ -507,5 +581,51 @@ func TestEncodeProgramAllocBudget(t *testing.T) {
 				t.Fatalf("%s@16x16: encoding %d bytes allocated %d bytes, budget %d", alg, len(enc), got, len(enc)+slack)
 			}
 		})
+	}
+}
+
+// TestDecodedTailConcurrentParallel: the first Schedule() of a decoded
+// program attaches its transfer table while other goroutines replay
+// it, weigh it and trace it; under -race every access must be ordered,
+// and every goroutine must see the same delivery and the same trace.
+func TestDecodedTailConcurrentParallel(t *testing.T) {
+	tor := topology.MustNew(8, 8)
+	pg := decodedProgram(t, "factored", tor)
+	ref, err := pg.Run(exec.Options{Serial: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const goroutines = 8
+	traces := make([]int, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			opt := exec.Options{Workers: 2}
+			var sink telemetry.MemorySink
+			if g%2 == 0 {
+				opt.Telemetry = telemetry.New(&sink, costmodel.T3D(64))
+			}
+			_ = pg.SizeBytes()
+			res, err := pg.RunArena(pg.NewArena(), opt)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for v := range ref.Buffers {
+				if !slices.Equal(res.Buffers[v].View(), ref.Buffers[v].View()) {
+					t.Errorf("goroutine %d: node %d delivery differs", g, v)
+					return
+				}
+			}
+			traces[g] = sink.Len()
+		}(g)
+	}
+	wg.Wait()
+	for g := 2; g < goroutines; g += 2 {
+		if traces[g] == 0 || traces[g] != traces[0] {
+			t.Fatalf("goroutine %d traced %d events, goroutine 0 %d", g, traces[g], traces[0])
+		}
 	}
 }

@@ -439,15 +439,11 @@ func (p *Program) planDescriptors(opOff []int32, opBacking []opRec, ordOff, ordS
 }
 
 // deriveReplayStats derives, at compile and at decode, each step's
-// log-move element count (which decides whether the parallel replay
-// fans the step out) and the bytes one replay's gathers copy: every
-// payload element once, through a log move or the delivery pass.
+// log-move element count, which decides whether the parallel replay
+// fans the step out.
 func (p *Program) deriveReplayStats() {
 	for si := range p.steps {
 		ps := &p.steps[si]
-		for ti := range ps.transfers {
-			p.descBytes += int64(ps.transfers[ti].payLen) * 4
-		}
 		for _, m := range p.moves[p.moveOff[si]:p.moveOff[si+1]] {
 			ps.moved += int(m.payLen)
 		}

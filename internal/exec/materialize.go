@@ -3,6 +3,7 @@ package exec
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 
 	"torusx/internal/block"
 	"torusx/internal/schedule"
@@ -10,31 +11,62 @@ import (
 )
 
 // Lazy schedule materialization for decoded programs. A program
-// decoded from the binary codec replays without its source schedule;
-// only telemetry, re-encoding and explicit Schedule() calls need one.
-// materialize parses the file's cold section — phase names, declared
-// block counts, route legs and payload ids — rebuilds a semantically
-// identical schedule.Schedule, patches the lowered steps' schedule
-// pointers, and re-expands every route into the link table the
-// telemetry post-pass reads. It runs at most once per program (behind
-// Program.Schedule's sync.Once) and its cost is the cost of building
-// schedule structs, not of re-validating or re-replaying anything.
+// decoded from the binary codec replays from its file's core alone;
+// only telemetry, re-encoding and explicit Schedule() calls need the
+// cold tail. materialize checks the tail's CRC, validates the transfer
+// table against the core, parses the cold section — phase names,
+// declared block counts, route legs and payload ids — rebuilds a
+// semantically identical schedule.Schedule, attaches the transfer table
+// to the lowered steps and patches their schedule pointers, and
+// re-expands every route into the link table the telemetry post-pass
+// reads. It runs at most once per program (behind Program.Schedule's
+// sync.Once) and its cost is the cost of building schedule structs,
+// not of re-validating or re-replaying anything.
 func (p *Program) materialize() error {
-	r := &creader{b: p.cold}
-	numPayload := r.count(4)
-	if numPayload < p.coldPayload {
-		return fmt.Errorf("exec: cold section: %d payload ids, transfers reference %d", numPayload, p.coldPayload)
+	body := p.tail[:len(p.tail)-4]
+	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(p.tail[len(body):]); got != want {
+		return fmt.Errorf("exec: cold tail checksum mismatch (file %08x, computed %08x): file corrupted", want, got)
 	}
-	payload := asInt32s(r.take(numPayload * 4))
-	numTransfers := 0
-	for si := range p.steps {
-		numTransfers += len(p.steps[si].transfers)
-	}
-	blocks := asInt32s(r.take(numTransfers * 4))
-	sharedBits := r.take((len(p.steps) + 7) / 8)
+	numSteps := len(p.steps)
+	r := &creader{b: body}
+	stepT := asInt32s(r.take((numSteps + 1) * 4))
+	transfers := viewTransfers(r.take(p.numTransfers*24), p.numTransfers)
+	payload := asInt32s(r.take(p.numPayload * 4))
+	blocks := asInt32s(r.take(p.numTransfers * 4))
+	sharedBits := r.take((numSteps + 7) / 8)
 	r.pad4()
 	if r.err != nil {
 		return fmt.Errorf("exec: cold section truncated")
+	}
+
+	// Transfer table: the step windows partition it, endpoints are node
+	// ids, and the payload windows tile [0, numPayload) in transfer
+	// order, as Compile lays them out — the count the core's log bound
+	// and BytesMoved were taken from, and 0 in a measure-only program.
+	if stepT[0] != 0 || int(stepT[numSteps]) != p.numTransfers {
+		return fmt.Errorf("exec: cold tail: transfer table does not cover all transfers")
+	}
+	for si := 0; si < numSteps; si++ {
+		if stepT[si+1] < stepT[si] {
+			return fmt.Errorf("exec: cold tail: step %d transfer window [%d,%d) invalid", si, stepT[si], stepT[si+1])
+		}
+	}
+	payEnd := 0
+	for i := range transfers {
+		pt := &transfers[i]
+		if int(pt.src) >= p.n || pt.src < 0 || int(pt.dst) >= p.n || pt.dst < 0 {
+			return fmt.Errorf("exec: cold tail: transfer %d endpoints %d->%d out of range", i, pt.src, pt.dst)
+		}
+		if pt.payLen < 0 || pt.linkLen < 0 || pt.linkOff < 0 {
+			return fmt.Errorf("exec: cold tail: transfer %d negative window", i)
+		}
+		if int(pt.payOff) != payEnd {
+			return fmt.Errorf("exec: cold tail: transfer %d payload window at %d, want %d", i, pt.payOff, payEnd)
+		}
+		payEnd += int(pt.payLen)
+	}
+	if payEnd != p.numPayload {
+		return fmt.Errorf("exec: cold tail: transfers carry %d payload ids, the core counts %d", payEnd, p.numPayload)
 	}
 	for _, id := range payload {
 		if id < 0 || int(id) >= p.numBlocks {
@@ -65,21 +97,18 @@ func (p *Program) materialize() error {
 	// Rebuild the transfers with their routes, convert payload ids back
 	// to blocks, and re-expand the link table: the lowering pass wrote
 	// link windows in transfer order, so one route walk reproduces the
-	// exact offsets the hot section recorded.
+	// exact offsets the transfer table recorded.
 	nd := p.fab.NDims()
 	numLinks := 0
-	for si := range p.steps {
-		ts := p.steps[si].transfers
-		for k := range ts {
-			if end := int(ts[k].linkOff) + int(ts[k].linkLen); end > numLinks {
-				numLinks = end
-			}
+	for k := range transfers {
+		if end := int(transfers[k].linkOff) + int(transfers[k].linkLen); end > numLinks {
+			numLinks = end
 		}
 	}
 	// A route leg takes 4 bytes of the cold section, and no builder
 	// makes a leg longer than the fabric has nodes, so link windows
 	// past that bound are corrupt and must not size an allocation.
-	if numLinks > p.n*(len(p.cold)/4) {
+	if numLinks > p.n*(len(p.tail)/4) {
 		return fmt.Errorf("exec: cold section: link windows cover %d hops, more than its route legs can", numLinks)
 	}
 	linkBacking := make([]int32, numLinks)
@@ -93,9 +122,10 @@ func (p *Program) materialize() error {
 		}
 		st := &ph.Steps[ps.stepIndex]
 		st.Shared = sharedBits[si>>3]>>uint(si&7)&1 != 0
-		st.Transfers = make([]schedule.Transfer, len(ps.transfers))
-		for k := range ps.transfers {
-			pt := &ps.transfers[k]
+		ts := transfers[stepT[si]:stepT[si+1]]
+		st.Transfers = make([]schedule.Transfer, len(ts))
+		for k := range ts {
+			pt := &ts[k]
 			tr := &st.Transfers[k]
 			tr.Src, tr.Dst = topology.NodeID(pt.src), topology.NodeID(pt.dst)
 			tr.Blocks = int(blocks[ti])
@@ -162,14 +192,16 @@ func (p *Program) materialize() error {
 		return fmt.Errorf("exec: cold section: %d trailing bytes", len(r.b)-r.off)
 	}
 
-	// Publish: patch the lowered steps' schedule pointers, then the
-	// backings. Readers reach all of this through Schedule()'s
-	// sync.Once, which orders these writes before any of their reads.
+	// Publish: attach the transfer table and patch the lowered steps'
+	// schedule pointers, then the backings. Readers reach all of this
+	// through Schedule()'s sync.Once, which orders these writes before
+	// any of their reads.
 	for si := range p.steps {
 		ps := &p.steps[si]
 		ph := &sc.Phases[ps.phaseIndex]
 		ps.phase = ph
 		ps.step = &ph.Steps[ps.stepIndex]
+		ps.transfers = transfers[stepT[si]:stepT[si+1]:stepT[si+1]]
 	}
 	p.payloadBacking = payload
 	p.linkBacking = linkBacking

@@ -35,7 +35,7 @@ var compileDescPrograms atomic.Int64
 // counters.
 func noteReplay(p *Program) {
 	replayDescRuns.Add(1)
-	replayBytesMoved.Add(p.descBytes)
+	replayBytesMoved.Add(p.BytesMoved())
 }
 
 func init() {

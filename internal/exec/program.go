@@ -80,7 +80,8 @@ type Program struct {
 	numDomains int
 	domainTab  []int32
 
-	// Replay-only fields.
+	// Replay-only fields. trafficIDs is nil under the full matrix, whose
+	// ids are 0..n²-1 in matrix order.
 	trafficIDs []int32 // declared traffic as dense ids, in matrix order
 	perDest    []int32 // blocks each node must finally hold
 
@@ -97,8 +98,9 @@ type Program struct {
 	parallelErr error
 
 	// fullTraffic records that the program was compiled against the
-	// implicit all-to-all matrix (Options.Traffic nil); the codec then
-	// omits the id table and the decoder rebuilds it arithmetically.
+	// implicit all-to-all matrix (Options.Traffic nil); neither the
+	// program nor its file keeps an id table then, and arenas write the
+	// initial ids arithmetically.
 	fullTraffic bool
 
 	// Descriptor replay plan (see descriptor.go); all nil on
@@ -112,27 +114,34 @@ type Program struct {
 	descBase    []int32
 	deliverOff  []int32
 	// finalBase is the dense delivery layout: node v's blocks occupy
-	// [finalBase[v], finalBase[v+1]) of a delivery buffer. recip is the
-	// delivery pass's reciprocal of n (see divShift). Both derived from
-	// perDest and n at compile and decode, never serialized.
-	finalBase []int32
-	recip     uint64
-	// descBytes: bytes one replay's gathers physically copy, derived
-	// at compile and decode (deriveReplayStats).
-	descBytes int64
+	// [finalBase[v], finalBase[v+1]) of a delivery buffer; maxPerDest is
+	// the largest node's share, the size of RunArena's per-worker gather
+	// scratch. recip is the delivery pass's reciprocal of n (see
+	// divShift). All derived from perDest and n at compile and decode,
+	// never serialized.
+	finalBase  []int32
+	maxPerDest int
+	recip      uint64
+	// numPayload is the payload id count: every transfer's window
+	// tiles [0, numPayload) in transfer order, and one replay's gathers
+	// copy each of those elements once (BytesMoved is 4*numPayload).
+	numPayload int
 
-	// Decoded-program state: cold holds the unparsed cold section of
-	// the program file (phase names, block counts, routes, payload
-	// ids); Schedule() materializes it at most once into scMat,
-	// patching the steps' schedule pointers and the payload/link
-	// backings as a side effect. sc stays nil for decoded programs —
-	// replay never needs it.
-	cold        []byte
-	coldPhases  int
-	coldPayload int
-	scMat       *schedule.Schedule
-	schedOnce   sync.Once
-	schedErr    error
+	// Decoded-program state: tail is the program file's unchecked cold
+	// tail (the transfer table, then phase names, block counts, routes
+	// and payload ids, under their own checksum); Schedule()
+	// materializes it at most once into scMat, attaching the transfer
+	// table and the payload/link backings to the steps as a side
+	// effect. sc stays nil for decoded programs — replay never needs
+	// it, and a replay-only process never reads the tail. onTailErr
+	// runs when the tail is rejected (OnTailError).
+	tail         []byte
+	numTransfers int
+	coldPhases   int
+	scMat        *schedule.Schedule
+	schedOnce    sync.Once
+	schedErr     error
+	onTailErr    func(*Program, error)
 
 	// arenas pools released arenas for concurrent replays of one
 	// program; see AcquireArena/ReleaseArena.
@@ -141,23 +150,46 @@ type Program struct {
 
 // Schedule returns the schedule the program was compiled from. For a
 // program decoded from the binary codec the schedule is rebuilt from
-// the file's cold section on first call (and the telemetry link table
+// the file's cold tail on first call, after the tail's checksum and
+// transfer table are checked (and the telemetry link table is
 // re-expanded with it); the rebuild happens at most once. Returns nil
-// if the cold section is unusable — SchedErr then reports why.
+// if the tail is unusable — SchedErr then reports why.
 func (p *Program) Schedule() *schedule.Schedule {
 	if p.sc != nil {
 		return p.sc
 	}
-	if p.cold == nil {
+	if p.tail == nil {
 		return nil
 	}
-	p.schedOnce.Do(func() { p.schedErr = p.materialize() })
+	p.schedOnce.Do(func() {
+		p.schedErr = p.materialize()
+		if p.schedErr != nil && p.onTailErr != nil {
+			p.onTailErr(p, p.schedErr)
+		}
+	})
 	return p.scMat
 }
 
 // SchedErr reports why a decoded program's schedule failed to
 // materialize (nil before the first Schedule call and on success).
 func (p *Program) SchedErr() error { return p.schedErr }
+
+// OnTailError registers fn to run once, with the program and the
+// error, if Schedule() rejects the decoded program's cold tail. A tail
+// is checked only when first needed, so a corrupt one surfaces after
+// decode; the disk tier uses this to delete the file and drop the
+// cached program, so the next request recompiles. fn receives the
+// program rather than capturing it, so a hook never keeps its program
+// reachable. Register before the program is shared: hooks are not
+// synchronized, and each runs after the ones registered before it. A
+// no-op on compiled programs, which have no tail.
+func (p *Program) OnTailError(fn func(*Program, error)) {
+	if prev := p.onTailErr; prev != nil {
+		p.onTailErr = func(q *Program, err error) { prev(q, err); fn(q, err) }
+		return
+	}
+	p.onTailErr = fn
+}
 
 // Replayable reports whether the program carries payloads and its runs
 // replay and deliver blocks (rather than only reporting the measure).
@@ -172,21 +204,28 @@ func (p *Program) Measure() costmodel.Measure { return p.measure }
 // any step, as Run would report it.
 func (p *Program) MaxSharing() int { return p.maxSharing }
 
-// SizeBytes estimates the heap bytes owned by the compiled form — the
-// lowered steps with their dense payload and link slices plus the
-// replay plan — excluding the source schedule the program references.
-// Program caches use it as the eviction weight.
+// SizeBytes estimates the bytes the program holds, excluding the
+// source schedule it references; program caches use it as the eviction
+// weight. Every program counts its replay core: the lowered steps, the
+// traffic ids, the delivery counts and layout, and the replay plan. A
+// compiled program also counts its transfer table and its payload and
+// link ids. A decoded program counts only the core, whose tables are
+// views of the file: its cold tail, and the schedule and tables
+// materialized from it on demand, stay outside the weight, as they stay
+// outside a replay-only process's resident set.
 func (p *Program) SizeBytes() int64 {
 	size := int64(unsafe.Sizeof(*p))
 	size += int64(len(p.steps)) * int64(unsafe.Sizeof(pstep{}))
-	for si := range p.steps {
-		size += int64(len(p.steps[si].transfers)) * int64(unsafe.Sizeof(ptransfer{}))
-	}
-	size += int64(len(p.payloadBacking))*4 + int64(len(p.linkBacking))*4
 	size += int64(len(p.trafficIDs))*4 + int64(len(p.perDest))*4
 	size += int64(len(p.moves)) * int64(unsafe.Sizeof(logMove{}))
 	size += int64(len(p.descBacking)) * int64(unsafe.Sizeof(xdesc{}))
 	size += int64(len(p.moveOff)+len(p.descBase)+len(p.deliverOff)+len(p.finalBase)) * 4
+	if p.sc != nil {
+		for si := range p.steps {
+			size += int64(len(p.steps[si].transfers)) * int64(unsafe.Sizeof(ptransfer{}))
+		}
+		size += int64(len(p.payloadBacking))*4 + int64(len(p.linkBacking))*4
+	}
 	return size
 }
 
@@ -194,7 +233,7 @@ func (p *Program) SizeBytes() int64 {
 // every payload element once, through a log move or the delivery pass.
 // Every RunArena reports the same value in Result.BytesMoved and the
 // exec.bytes_moved telemetry counter.
-func (p *Program) BytesMoved() int64 { return p.descBytes }
+func (p *Program) BytesMoved() int64 { return int64(p.numPayload) * 4 }
 
 // ReplayStats summarizes the compiled replay plan for reporting
 // (aapebench's registry smoke, debugging).
@@ -554,6 +593,12 @@ func Compile(sc *schedule.Schedule, opt Options) (*Program, error) {
 		if err := p.compileReplay(opt, payloadBacking, opOff, numTransfers); err != nil {
 			return nil, err
 		}
+		p.numPayload = numPayload
+		if p.fullTraffic {
+			// The identity id table served the compile passes only; arenas
+			// write the full matrix's ids arithmetically.
+			p.trafficIDs = nil
+		}
 		compileDescPrograms.Add(1)
 	}
 	return p, nil
@@ -625,15 +670,15 @@ func checkStep(f topology.Fabric, domainTab, links []int32, ps *pstep, skipCheck
 }
 
 // Arena is the reusable per-run scratch of a compiled program: the
-// descriptor replay's block log, and RunArena's dense delivery buffer
-// and delivery buffers, allocated once per arena so steady-state
-// replays allocate (nearly) nothing. An Arena is not safe for
-// concurrent use; create one per goroutine with NewArena, or borrow one
-// from the program's pool with AcquireArena. Result.Buffers returned by
-// RunArena alias arena memory and are valid until the next RunArena
-// call on the same arena (or its release back to the pool). An arena
-// whose run returned an error must be discarded; ReleaseArena drops
-// such arenas on the floor.
+// descriptor replay's block log, and RunArena's per-worker gather
+// scratch and delivery buffers, allocated once per arena so
+// steady-state replays allocate (nearly) nothing. An Arena is not safe
+// for concurrent use; create one per goroutine with NewArena, or borrow
+// one from the program's pool with AcquireArena. Result.Buffers
+// returned by RunArena alias arena memory and are valid until the next
+// RunArena call on the same arena (or its release back to the pool).
+// An arena whose run returned an error must be discarded; ReleaseArena
+// drops such arenas on the floor.
 type Arena struct {
 	prog *Program
 
@@ -643,12 +688,13 @@ type Arena struct {
 	// position is fixed at compile time, so repeat replays rewrite every
 	// window with identical values — no per-run reset).
 	log []int32
-	// dense is RunArena's delivery buffer in the DeliverySize layout
-	// and out the Result.Buffers it materializes into; both are built
-	// on the arena's first RunArena.
-	dense []int32
-	out   []*block.Buffer
-	bad   bool // a replay errored; the arena must not be pooled
+	// out are the Result.Buffers RunArena materializes into, carved
+	// from one backing on the arena's first RunArena. scratch holds one
+	// maxPerDest-sized window per delivery worker: RunArena gathers and
+	// checks each node's ids there, never in a DeliverySize() buffer.
+	out     []*block.Buffer
+	scratch []int32
+	bad     bool // a replay errored; the arena must not be pooled
 
 	// Cached per-step sender partitions for the parallel path (nil for
 	// steps that run inline), keyed by the worker count and fan-out
@@ -662,15 +708,27 @@ type Arena struct {
 // NewArena returns a fresh scratch arena for p.
 func (p *Program) NewArena() *Arena {
 	a := &Arena{prog: p}
-	if p.replay {
-		a.log = make([]int32, p.descBase[p.n])
-		cur := make([]int32, p.n)
-		copy(cur, p.descBase[:p.n])
-		for _, id := range p.trafficIDs {
-			o := int(id) / p.n
-			a.log[cur[o]] = id
-			cur[o]++
+	if !p.replay {
+		return a
+	}
+	a.log = make([]int32, p.descBase[p.n])
+	if p.fullTraffic {
+		// Node o starts with ids o*n .. o*n+n-1, in matrix order.
+		for o := 0; o < p.n; o++ {
+			id := int32(o * p.n)
+			row := a.log[p.descBase[o] : int(p.descBase[o])+p.n]
+			for k := range row {
+				row[k] = id + int32(k)
+			}
 		}
+		return a
+	}
+	cur := make([]int32, p.n)
+	copy(cur, p.descBase[:p.n])
+	for _, id := range p.trafficIDs {
+		o := int(id) / p.n
+		a.log[cur[o]] = id
+		cur[o]++
 	}
 	return a
 }
@@ -708,13 +766,14 @@ func (p *Program) Run(opt Options) (*Result, error) {
 }
 
 // RunArena executes the program using a's scratch. It replays exactly
-// as ReplayInto does, into the arena's dense delivery buffer, and the
-// delivery pass that gathers each node's blocks also writes them into
-// the arena's reused Result.Buffers, right after checking that each is
-// addressed to its node. Options.Serial and Options.Workers choose the
-// replay path; Options.Traffic and Options.SkipChecks were compiled in
-// and are ignored here. A warm arena allocates only the Result; the
-// arena's first run also builds the delivery buffers.
+// as ReplayInto does, except that the delivery pass gathers each node's
+// ids into a node-sized arena scratch and, right after checking that
+// each is addressed to its node, writes the node's blocks into the
+// arena's reused Result.Buffers. Options.Serial and Options.Workers
+// choose the replay path; Options.Traffic and Options.SkipChecks were
+// compiled in and are ignored here. A warm arena allocates only the
+// Result; the arena's first run also carves the delivery buffers from
+// one backing.
 func (p *Program) RunArena(a *Arena, opt Options) (*Result, error) {
 	if a == nil || a.prog != p {
 		return nil, fmt.Errorf("exec: arena does not belong to this program")
@@ -722,21 +781,17 @@ func (p *Program) RunArena(a *Arena, opt Options) (*Result, error) {
 	res := &Result{Schedule: p.sc, Measure: p.measure, MaxSharing: p.maxSharing}
 	if p.replay {
 		sp := opt.Request.Stage("replay")
-		if a.dense == nil {
-			a.dense = make([]int32, p.DeliverySize())
-			a.out = make([]*block.Buffer, p.n)
-			for v := range a.out {
-				a.out[v] = block.NewBuffer(int(p.perDest[v]))
-			}
+		if a.out == nil {
+			a.out = block.NewBuffers(p.perDest)
 		}
-		if err := a.replay(opt, a.dense, a.out); err != nil {
+		if err := a.replay(opt, nil, a.out); err != nil {
 			sp.End()
 			a.bad = true
 			return nil, err
 		}
 		res.Replayed = true
 		res.Buffers = a.out
-		res.BytesMoved = p.descBytes
+		res.BytesMoved = p.BytesMoved()
 		noteReplay(p)
 		sp.End()
 	}
@@ -766,15 +821,16 @@ func (p *Program) RunArena(a *Arena, opt Options) (*Result, error) {
 var fanOutElems = 1 << 18
 
 // replay executes the log moves step by step in schedule order, then
-// the delivery pass: dst is a DeliverySize() dense delivery buffer that
-// each node's delivery descriptors gather into from the final log, and
-// out, when non-nil, receives the materialized buffers (see deliver).
-// Under Options.Serial everything runs on the caller. Otherwise a step
-// whose log moves copy at least fanOutElems elements is sharded by
-// sender — a move reads its sender's region (conflict-free by the
-// sender shard) and writes an insert window no other move touches, so
-// one barrier per step suffices — and so is a delivery pass of at
-// least fanOutElems elements, by node; smaller work runs inline.
+// the delivery pass from the final log: into dst, a DeliverySize()
+// dense delivery buffer (ReplayInto), or, when out is non-nil, through
+// the arena's node-sized gather scratch into the materialized buffers
+// (RunArena; see deliver). Under Options.Serial everything runs on the
+// caller. Otherwise a step whose log moves copy at least fanOutElems
+// elements is sharded by sender — a move reads its sender's region
+// (conflict-free by the sender shard) and writes an insert window no
+// other move touches, so one barrier per step suffices — and so is a
+// delivery pass of at least fanOutElems elements, by node; smaller work
+// runs inline.
 // Intra-step forwarders were flagged at compile time and are refused
 // whenever Serial is false, fanned-out step or not. No per-run reset:
 // every slot's contents are identical run over run.
@@ -797,10 +853,22 @@ func (a *Arena) replay(opt Options, dst []int32, out []*block.Buffer) error {
 			a.move(&moves[i])
 		}
 	}
-	if !opt.Serial && len(dst) >= fanOutElems {
-		return p.deliverFanOut(opt.Workers, a.log, dst, out)
+	if !opt.Serial && p.DeliverySize() >= fanOutElems {
+		return a.deliverFanOut(opt.Workers, dst, out)
+	}
+	if out != nil {
+		dst = a.gatherScratch(1)
 	}
 	return p.deliver(a.log, dst, out, 0, p.n)
+}
+
+// gatherScratch returns the arena's gather scratch, grown to one
+// maxPerDest window for each of workers delivery workers.
+func (a *Arena) gatherScratch(workers int) []int32 {
+	if need := workers * a.prog.maxPerDest; len(a.scratch) < need {
+		a.scratch = make([]int32, need)
+	}
+	return a.scratch
 }
 
 // fanOut runs a step's log moves over its sender buckets and waits for
@@ -857,29 +925,35 @@ func divRecip(x uint32, recip uint64) uint32 { return uint32(uint64(x) * recip >
 // of n from perDest and n, at compile and at decode.
 func (p *Program) deriveDelivery() {
 	p.finalBase = make([]int32, p.n+1)
+	p.maxPerDest = 0
 	for v := 0; v < p.n; v++ {
 		p.finalBase[v+1] = p.finalBase[v] + p.perDest[v]
+		p.maxPerDest = max(p.maxPerDest, int(p.perDest[v]))
 	}
 	p.recip = reciprocal(p.n)
 }
 
 // deliver is the delivery pass over nodes [lo, hi): it gathers each
-// node's whole delivery range from the final log into dst, then, while
-// the ids are hot, checks that every id is a valid block id addressed
-// to the node and, when out is non-nil, writes the node's blocks into
-// out[v] in place. Compile built, and the decoder proved, delivery
-// descriptors that expand to exactly each node's count, so the counts
-// hold by construction; a misaddressed id means program or arena state
-// was corrupted.
+// node's whole delivery range from the final log — into its range of
+// dst, the dense delivery layout, or, when out is non-nil, into dst as
+// a node-sized scratch — then, while the ids are hot, checks that every
+// id is a valid block id addressed to the node and, when out is
+// non-nil, writes the node's blocks into out[v] in place. Compile
+// built, and the decoder proved, delivery descriptors that expand to
+// exactly each node's count, so the counts hold by construction; a
+// misaddressed id means program or arena state was corrupted.
 func (p *Program) deliver(log, dst []int32, out []*block.Buffer, lo, hi int) error {
 	n, nb, recip := uint32(p.n), uint32(p.numBlocks), p.recip
 	for v := lo; v < hi; v++ {
-		ids := dst[p.finalBase[v]:p.finalBase[v+1]]
-		gather(ids, log, p.descBacking[p.deliverOff[v]:p.deliverOff[v+1]])
+		var ids []int32
 		var blks []block.Block
 		if out != nil {
+			ids = dst[:p.perDest[v]]
 			blks = out[v].Refill(len(ids))
+		} else {
+			ids = dst[p.finalBase[v]:p.finalBase[v+1]]
 		}
+		gather(ids, log, p.descBacking[p.deliverOff[v]:p.deliverOff[v+1]])
 		for i, id := range ids {
 			x := uint32(id)
 			o := divRecip(x, recip)
@@ -896,12 +970,23 @@ func (p *Program) deliver(log, dst []int32, out []*block.Buffer, lo, hi int) err
 
 // deliverFanOut runs the delivery pass over contiguous node ranges on
 // the worker pool. Every range writes only its own nodes' slots and
-// buffers and reads the log, which no one writes any more; the error
-// reported is the lowest node's, as the serial pass would return.
-func (p *Program) deliverFanOut(workers int, log, dst []int32, out []*block.Buffer) error {
+// buffers, gathers through its own window of the arena's scratch, and
+// reads the log, which no one writes any more; the error reported is
+// the lowest node's, as the serial pass would return.
+func (a *Arena) deliverFanOut(workers int, dst []int32, out []*block.Buffer) error {
+	p := a.prog
+	var scratch []int32
+	if out != nil {
+		scratch = a.gatherScratch(par.Width(workers, p.n))
+	}
+	m := p.maxPerDest
 	var ferr par.FirstError
-	par.ForEach(workers, p.n, func(lo, hi int) {
-		ferr.Report(lo, p.deliver(log, dst, out, lo, hi))
+	par.ForEachWorker(workers, p.n, func(w, lo, hi int) {
+		d := dst
+		if out != nil {
+			d = scratch[w*m : (w+1)*m]
+		}
+		ferr.Report(lo, p.deliver(a.log, d, out, lo, hi))
 	})
 	return ferr.Err()
 }

@@ -1,9 +1,11 @@
 package exec_test
 
 import (
+	"slices"
 	"testing"
 
 	"torusx/internal/algorithm"
+	"torusx/internal/block"
 	"torusx/internal/exec"
 	"torusx/internal/topology"
 )
@@ -60,6 +62,86 @@ func TestCompiledReplayAllocs(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// decodedProgram compiles alg on tor and returns it round-tripped
+// through the codec, as a process loading it from the disk tier holds
+// it.
+func decodedProgram(t testing.TB, alg string, tor *topology.Torus) *exec.Program {
+	t.Helper()
+	b, err := algorithm.For(alg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := b.BuildSchedule(tor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg, err := exec.Compile(sc, exec.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := exec.EncodeProgram(pg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := exec.DecodeProgram(enc, tor, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dec
+}
+
+// TestFirstReplayAllocs pins what a fresh process pays on its first
+// request for a program it decoded: a new arena and its first RunArena
+// allocate a constant handful of objects — the arena, its log, the
+// delivery buffers carved from one backing, the gather scratch and the
+// Result — however many nodes the program has, with no n² staging
+// table and no per-node buffer allocation.
+func TestFirstReplayAllocs(t *testing.T) {
+	const maxAllocs = 8
+	tor := topology.MustNew(16, 16)
+	for _, alg := range []string{"direct", "proposed-sim", "ring"} {
+		t.Run(alg, func(t *testing.T) {
+			pg := decodedProgram(t, alg, tor)
+			allocs := testing.AllocsPerRun(5, func() {
+				if _, err := pg.RunArena(pg.NewArena(), exec.Options{}); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > maxAllocs {
+				t.Fatalf("NewArena + first RunArena of decoded %s@16x16: %v allocs, want <= %d", alg, allocs, maxAllocs)
+			}
+		})
+	}
+}
+
+// TestResultBuffersIsolated: the delivery buffers share one backing,
+// but an Add on node v's buffer must not reach node v+1's blocks, and
+// the arena's next RunArena must restore both.
+func TestResultBuffersIsolated(t *testing.T) {
+	tor := topology.MustNew(4, 4)
+	pg := decodedProgram(t, "factored", tor)
+	a := pg.NewArena()
+	res, err := pg.RunArena(a, exec.Options{Serial: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const v = 5
+	want := [2][]block.Block{res.Buffers[v].All(), res.Buffers[v+1].All()}
+	res.Buffers[v].Add(block.Block{Origin: 0, Dest: 0}, block.Block{Origin: 1, Dest: 1})
+	if got := res.Buffers[v+1].View(); !slices.Equal(got, want[1]) {
+		t.Fatalf("Add on node %d's buffer changed node %d's blocks: %v, want %v", v, v+1, got, want[1])
+	}
+	res, err = pg.RunArena(a, exec.Options{Serial: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range want {
+		if got := res.Buffers[v+i].View(); !slices.Equal(got, w) {
+			t.Fatalf("node %d after the next RunArena: %v, want %v", v+i, got, w)
+		}
 	}
 }
 

@@ -72,3 +72,22 @@ func BenchmarkReplayFanOut(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFirstReplay16 times what a fresh process pays after loading
+// a program from the disk tier: a new arena and its first RunArena, on
+// a decoded 16x16 program, per payload algorithm.
+func BenchmarkFirstReplay16(b *testing.B) {
+	tor := topology.MustNew(16, 16)
+	for _, alg := range []string{"direct", "factored", "logtime", "proposed-sim", "ring"} {
+		b.Run(alg, func(b *testing.B) {
+			pg := decodedProgram(b, alg, tor)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := pg.RunArena(pg.NewArena(), exec.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

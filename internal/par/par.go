@@ -40,28 +40,48 @@ func normalize(workers, n int) int {
 // With one worker (or one chunk) fn runs inline on the caller's
 // goroutine.
 func ForEach(workers, n int, fn func(lo, hi int)) {
+	ForEachWorker(workers, n, func(_, lo, hi int) { fn(lo, hi) })
+}
+
+// ForEachWorker is ForEach that also passes each chunk's ordinal w, in
+// [0, Width(workers, n)), so chunks can index per-worker scratch
+// without synchronization. The chunks are exactly ForEach's.
+func ForEachWorker(workers, n int, fn func(w, lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	workers = normalize(workers, n)
-	chunk := (n + workers - 1) / workers
+	chunk := chunkSize(workers, n)
 	if chunk >= n {
-		fn(0, n)
+		fn(0, 0, n)
 		return
 	}
 	var wg sync.WaitGroup
 	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+chunk, n)
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func(w, lo, hi int) {
 			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
+			fn(w, lo, hi)
+		}(lo/chunk, lo, hi)
 	}
 	wg.Wait()
+}
+
+// Width returns the number of chunks ForEach and ForEachWorker split
+// [0, n) into for the given worker count (0 when n <= 0).
+func Width(workers, n int) int {
+	if n <= 0 {
+		return 0
+	}
+	chunk := chunkSize(workers, n)
+	return (n + chunk - 1) / chunk
+}
+
+// chunkSize is the length of every chunk but the last of ForEach's
+// partition of [0, n), n > 0.
+func chunkSize(workers, n int) int {
+	workers = normalize(workers, n)
+	return (n + workers - 1) / workers
 }
 
 // Buckets partitions the indices [0, n) into at most workers buckets

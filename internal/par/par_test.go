@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -37,6 +39,38 @@ func TestParallelForEachChunksDeterministic(t *testing.T) {
 	}
 	if a, b := record(), record(); !reflect.DeepEqual(a, b) {
 		t.Fatalf("chunking unstable: %v vs %v", a, b)
+	}
+}
+
+// TestParallelForEachWorkerMatchesForEach: ForEachWorker visits
+// ForEach's chunks, numbered 0..Width-1 in index order, so each chunk
+// can own one slot of a per-worker scratch table.
+func TestParallelForEachWorkerMatchesForEach(t *testing.T) {
+	for _, workers := range []int{0, 1, 2, 3, 4, 7, 64} {
+		for _, n := range []int{0, 1, 2, 5, 9, 10, 63, 64, 65, 1000} {
+			var want [][2]int
+			var mu sync.Mutex
+			ForEach(workers, n, func(lo, hi int) {
+				mu.Lock()
+				want = append(want, [2]int{lo, hi})
+				mu.Unlock()
+			})
+			sort.Slice(want, func(i, j int) bool { return want[i][0] < want[j][0] })
+			got := make([][2]int, Width(workers, n))
+			ForEachWorker(workers, n, func(w, lo, hi int) {
+				if w < 0 || w >= len(got) {
+					t.Errorf("workers=%d n=%d: chunk ordinal %d outside width %d", workers, n, w, len(got))
+					return
+				}
+				got[w] = [2]int{lo, hi}
+			})
+			if len(want) == 0 && len(got) == 0 {
+				continue
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("workers=%d n=%d: ForEachWorker chunks %v, ForEach chunks %v", workers, n, got, want)
+			}
+		}
 	}
 }
 

@@ -14,10 +14,11 @@ import (
 
 // DiskStore is the cache's second tier: encoded programs persisted
 // under a directory, one file per cache key, surviving the process.
-// A cold process pointed at a warm directory loads a 16x16 program in
-// well under a millisecond instead of recompiling it, which is the
-// whole point — the compile cost is paid once per machine, not once
-// per process.
+// A cold process pointed at a warm directory maps and decodes a
+// program's replay core instead of recompiling it, which is the whole
+// point — the compile cost is paid once per machine, not once per
+// process — and the file's cold tail is read only if telemetry or
+// re-encoding asks for the program's schedule.
 //
 // Files are named by the fnv64a of the key ("<hex>.txpg") and carry
 // the full key inline before the program bytes, so a hash collision
@@ -29,7 +30,9 @@ import (
 // corrupted on disk, written by a different codec version or a
 // different options fingerprint — is deleted on sight and reported as
 // a miss, so the store self-heals and a stale directory degrades to
-// cold compiles instead of errors.
+// cold compiles instead of errors. A file whose core decodes but whose
+// cold tail is later rejected is deleted when the rejection happens
+// (see exec.Program.OnTailError).
 type DiskStore struct {
 	dir string
 }
@@ -69,7 +72,16 @@ func headerLen(key string) int {
 // key, or a file that no longer decodes (which is removed).
 func (d *DiskStore) Load(key string, f topology.Fabric, optFP uint64) (*exec.Program, bool) {
 	path := d.path(key)
-	data, release, err := mapFile(path)
+	file, err := os.Open(path)
+	if err != nil {
+		return nil, false
+	}
+	defer file.Close()
+	fi, err := file.Stat()
+	if err != nil {
+		return nil, false
+	}
+	data, release, err := mapFile(file, fi.Size())
 	if err != nil {
 		return nil, false
 	}
@@ -96,6 +108,14 @@ func (d *DiskStore) Load(key string, f topology.Fabric, optFP uint64) (*exec.Pro
 		os.Remove(path)
 		return nil, false
 	}
+	// A tail rejected later removes this file — unless a fresh one has
+	// replaced it since — so the key recompiles instead of failing every
+	// traced run.
+	pg.OnTailError(func(*exec.Program, error) {
+		if cur, err := os.Stat(path); err == nil && os.SameFile(cur, fi) {
+			os.Remove(path)
+		}
+	})
 	// The decoded program's table views alias data for its whole life
 	// (mapped pages on Linux); drop the mapping only when the program
 	// itself is collected.

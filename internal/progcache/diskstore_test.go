@@ -10,8 +10,11 @@ import (
 	"sync"
 	"testing"
 
+	"torusx/internal/baseline"
+	"torusx/internal/costmodel"
 	"torusx/internal/exec"
 	"torusx/internal/progcache"
+	"torusx/internal/telemetry"
 	"torusx/internal/topology"
 )
 
@@ -57,9 +60,10 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 }
 
 // TestDiskStoreCorruptFileRemoved: a file that fails to decode — a
-// flipped byte, or a program an older build wrote in the stale v2, v3
-// or v4 format — is a tier-2 miss, is deleted on first touch, and the
-// recompiled program is stored back in the current format.
+// flipped byte in its replay core, or a program an older build wrote in
+// the stale v2, v3 or v4 format — is a tier-2 miss, is deleted on first
+// touch, and the recompiled program is stored back in the current
+// format.
 func TestDiskStoreCorruptFileRemoved(t *testing.T) {
 	tor := topology.MustNew(4, 4)
 	pg, err := compileDirect(tor)
@@ -71,7 +75,7 @@ func TestDiskStoreCorruptFileRemoved(t *testing.T) {
 		name  string
 		spoil func(program []byte)
 	}{
-		{"corrupt", func(program []byte) { program[len(program)/2] ^= 0xff }},
+		{"corrupt", func(program []byte) { program[coreLen(program)/2] ^= 0xff }},
 		{"stale-v2", restamp(2)},
 		{"stale-v3", restamp(3)},
 		{"stale-v4", restamp(4)},
@@ -117,6 +121,102 @@ func TestDiskStoreCorruptFileRemoved(t *testing.T) {
 				t.Fatal("miss after re-store")
 			}
 		})
+	}
+}
+
+// coreLen returns the length of a program file's replay core, as its
+// header records it.
+func coreLen(program []byte) int { return int(binary.LittleEndian.Uint32(program[16:])) }
+
+// TestTier2BadTailSelfHeals: a file whose core is sound but whose cold
+// tail is corrupt loads and replays — the tail is checked only when
+// the schedule is first needed — and the first traced run, which needs
+// it, fails without a panic, deletes the file and drops the program
+// from the memory tier, so the next request recompiles and traces.
+func TestTier2BadTailSelfHeals(t *testing.T) {
+	dir := t.TempDir()
+	tor := topology.MustNew(8, 8)
+	key := progcache.Key("ring", tor, 0)
+	compiles := 0
+	compileRing := func() (*exec.Program, error) {
+		compiles++
+		return exec.Compile(baseline.RingSchedule(tor), exec.Options{})
+	}
+	serve := func(c *progcache.Cache) *exec.Program {
+		t.Helper()
+		pg, err := c.GetOrCompileTiered(key, tor, 0, nil, compileRing)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pg
+	}
+	store, err := progcache.NewDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := progcache.New(0)
+	warm.SetTier2(store)
+	ref, err := serve(warm).Run(exec.Options{Serial: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.txpg"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("want 1 stored file, got %v (%v)", files, err)
+	}
+	data, program := readProgramFile(t, files[0])
+	program[coreLen(program)+(len(program)-coreLen(program))/2] ^= 0x5a
+	if err := os.WriteFile(files[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// A fresh process: the core decodes, and an untraced replay never
+	// reads the tail.
+	c := progcache.New(0)
+	c.SetTier2(store)
+	compiles = 0
+	pg := serve(c)
+	if st := c.Stats(); st.Tier2Hits != 1 || compiles != 0 {
+		t.Fatalf("bad-tail file: %v, %d compiles; want a tier-2 hit", st, compiles)
+	}
+	a := pg.NewArena()
+	res, err := pg.RunArena(a, exec.Options{})
+	if err != nil {
+		t.Fatalf("replay of a bad-tail program: %v", err)
+	}
+	for v := range ref.Buffers {
+		want, got := ref.Buffers[v].View(), res.Buffers[v].View()
+		if len(got) != len(want) {
+			t.Fatalf("node %d holds %d blocks, want %d", v, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("node %d block %d = %v, want %v", v, i, got[i], want[i])
+			}
+		}
+	}
+	traced := exec.Options{Telemetry: telemetry.New(&telemetry.MemorySink{}, costmodel.T3D(64))}
+	if _, err := pg.RunArena(pg.NewArena(), traced); err == nil || !strings.Contains(err.Error(), "cold tail checksum") {
+		t.Fatalf("traced run of a bad-tail program: err = %v, want the tail checksum error", err)
+	}
+	if _, err := os.Stat(files[0]); !os.IsNotExist(err) {
+		t.Fatalf("bad-tail file not removed: %v", err)
+	}
+	if keys := c.Keys(); len(keys) != 0 {
+		t.Fatalf("bad-tail program still cached under %v", keys)
+	}
+
+	// The next request misses both tiers, compiles once, stores a sound
+	// file back, and traces.
+	pg = serve(c)
+	if compiles != 1 {
+		t.Fatalf("%d compiles after the heal, want 1", compiles)
+	}
+	if _, err := pg.RunArena(pg.NewArena(), traced); err != nil {
+		t.Fatalf("traced run after the heal: %v", err)
+	}
+	if _, ok := store.Load(key, tor, 0); !ok {
+		t.Fatal("no sound file stored back after the heal")
 	}
 }
 

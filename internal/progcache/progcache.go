@@ -288,6 +288,9 @@ func (c *Cache) getOrCompile(key string, f topology.Fabric, optFP uint64, req *o
 		if ok {
 			c.tier2Hits.Add(1)
 			prog, onDisk = pg, true
+			// A rejected cold tail (the disk tier deletes the file) must
+			// not stay cached either: the next request recompiles.
+			pg.OnTailError(func(p *exec.Program, _ error) { c.drop(key, p) })
 		} else {
 			c.tier2Misses.Add(1)
 		}
@@ -322,6 +325,18 @@ func (c *Cache) Get(key string) (*exec.Program, bool) {
 		return e.prog, true
 	}
 	return nil, false
+}
+
+// drop removes key's entry if it still holds prog.
+func (c *Cache) drop(key string, prog *exec.Program) {
+	s := &c.shards[c.shardOf(key)]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e, ok := s.entries[key]; ok && e.prog == prog {
+		s.remove(e)
+		delete(s.entries, key)
+		s.bytes -= e.size
+	}
 }
 
 // insertLocked files prog under key and evicts from the shard's LRU
