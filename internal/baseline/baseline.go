@@ -91,7 +91,7 @@ func DirectSchedule(t *topology.Torus) *schedule.Schedule {
 		nd := t.NDims()
 		ph.Steps = make([]schedule.Step, n-1)
 		transfers := make([]schedule.Transfer, (n-1)*n)
-		payload := make([]block.Block, (n-1)*n)
+		payload := make([]int32, (n-1)*n)
 		var legs []schedule.Seg // a one-dimensional route never has a second leg
 		if nd > 1 {
 			legs = make([]schedule.Seg, (n-1)*n*nd)
@@ -110,7 +110,7 @@ func DirectSchedule(t *topology.Torus) *schedule.Schedule {
 					}
 					segs := appendDirectRoute(slots, t, coords[i], coords[j])
 					pay := payload[base+i : base+i+1 : base+i+1]
-					pay[0] = block.Block{Origin: topology.NodeID(i), Dest: topology.NodeID(j)}
+					pay[0] = int32(i*n + j)
 					tr := &transfers[base+i]
 					tr.Src, tr.Dst = topology.NodeID(i), topology.NodeID(j)
 					tr.Dim, tr.Dir, tr.Hops = segs[0].Dim, segs[0].Dir, segs[0].Hops

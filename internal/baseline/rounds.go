@@ -1,7 +1,6 @@
 package baseline
 
 import (
-	"torusx/internal/block"
 	"torusx/internal/schedule"
 	"torusx/internal/topology"
 )
@@ -121,11 +120,7 @@ func (r *rounds) step(dist int, shared bool) schedule.Step {
 		return st
 	}
 
-	payload := make([]block.Block, w)
-	for i, id := range r.taken[:w] {
-		o := int(id) / n
-		payload[i] = block.Block{Origin: topology.NodeID(o), Dest: topology.NodeID(int(id) - o*n)}
-	}
+	payload := append([]int32(nil), r.taken[:w]...)
 	st.Transfers = make([]schedule.Transfer, 0, senders)
 	for v := range r.from {
 		r.from[v] = -1

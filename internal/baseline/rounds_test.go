@@ -55,7 +55,7 @@ func refCombining(t *topology.Torus, prefix string, rearrange int, skipSize1, dr
 				step.Transfers = append(step.Transfers, schedule.Transfer{
 					Src: topology.NodeID(i), Dst: dst,
 					Dim: dim, Dir: topology.Pos, Hops: rd.dist,
-					Blocks: len(taken), Payload: taken,
+					Blocks: len(taken), Payload: block.IDs(taken, n),
 				})
 			}
 			for j, bs := range moved {
@@ -127,7 +127,7 @@ func refDirect(t *topology.Torus) *schedule.Schedule {
 			tr := schedule.Transfer{
 				Src: topology.NodeID(i), Dst: topology.NodeID(j),
 				Dim: segs[0].Dim, Dir: segs[0].Dir, Hops: segs[0].Hops,
-				Blocks: 1, Payload: []block.Block{{Origin: topology.NodeID(i), Dest: topology.NodeID(j)}},
+				Blocks: 1, Payload: []int32{int32(i*n + j)},
 			}
 			if len(segs) > 1 {
 				tr.Segs = segs

@@ -32,6 +32,30 @@ func (b Block) String() string {
 	return fmt.Sprintf("B[%d,%d]", b.Origin, b.Dest)
 }
 
+// ID returns b's dense id in an n-node exchange, Origin*n + Dest: the
+// name schedule payloads and the compiled executor use. It does not
+// range-check; a block outside [0, n)² has no id.
+func (b Block) ID(n int) int32 {
+	return int32(int(b.Origin)*n + int(b.Dest))
+}
+
+// IDs returns the dense ids of bs in an n-node exchange, in order, as
+// a new exact-size slice.
+func IDs(bs []Block, n int) []int32 {
+	ids := make([]int32, len(bs))
+	for i, b := range bs {
+		ids[i] = b.ID(n)
+	}
+	return ids
+}
+
+// FromID inverts ID: the block whose dense id in an n-node exchange is
+// id.
+func FromID(id int32, n int) Block {
+	o := int(id) / n
+	return Block{Origin: topology.NodeID(o), Dest: topology.NodeID(int(id) - o*n)}
+}
+
 // Checksum returns a deterministic payload fingerprint for b, standing
 // in for the m-byte payload of the paper's model. FNV-1a over the two
 // ids.

@@ -55,7 +55,7 @@ func DirectSchedule(d *topology.Dragonfly) *schedule.Schedule {
 			dst := topology.NodeID((i + k) % n)
 			tr := schedule.Transfer{
 				Src: src, Dst: dst, Blocks: 1,
-				Payload: []block.Block{{Origin: src, Dest: dst}},
+				Payload: []int32{block.Block{Origin: src, Dest: dst}.ID(n)},
 			}
 			routeSegs(&tr, d.Route(src, dst))
 			step.Transfers = append(step.Transfers, tr)
@@ -158,7 +158,7 @@ func SparseSchedule(d *topology.Dragonfly, traffic []block.Block) (*schedule.Sch
 			moves = append(moves, move{to: to, payload: send})
 			tr := schedule.Transfer{
 				Src: topology.NodeID(i), Dst: to,
-				Blocks: len(send), Payload: send,
+				Blocks: len(send), Payload: block.IDs(send, n),
 			}
 			routeSegs(&tr, d.Route(topology.NodeID(i), to))
 			step.Transfers = append(step.Transfers, tr)

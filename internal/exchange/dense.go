@@ -67,7 +67,7 @@ func SparsePayloadSchedule(t *topology.Torus, blocks []block.Block) (*schedule.S
 	}
 	copy(d.nextOff, d.off)
 	for _, b := range blocks {
-		d.ids[d.nextOff[b.Origin]] = int32(int(b.Origin)*n + int(b.Dest))
+		d.ids[d.nextOff[b.Origin]] = b.ID(n)
 		d.nextOff[b.Origin]++
 	}
 	return d.run(), nil
@@ -316,11 +316,7 @@ func (d *dense) step(hops int) schedule.Step {
 		return st
 	}
 
-	payload := make([]block.Block, w)
-	for i, id := range d.taken[:w] {
-		dst := d.dest[id]
-		payload[i] = block.Block{Origin: topology.NodeID((int(id) - int(dst)) / n), Dest: topology.NodeID(dst)}
-	}
+	payload := append([]int32(nil), d.taken[:w]...)
 	st.Transfers = make([]schedule.Transfer, 0, senders)
 	for v := range d.from {
 		d.from[v] = -1

@@ -18,13 +18,11 @@ import (
 
 // TestPayloadScheduleMatchesRun holds the dense builder to the
 // simulator that follows the paper: the same phases, steps, transfers
-// and payloads, in the same order.
+// and payloads, in the same order. The 12x12x12 and 32x32 rows run
+// under -tags bigshapes.
 func TestPayloadScheduleMatchesRun(t *testing.T) {
 	shapes := [][]int{{4, 4}, {8, 8}, {12, 8}, {16, 16}, {4, 4, 4}, {8, 8, 4}}
-	if !testing.Short() {
-		shapes = append(shapes, []int{12, 12, 12}, []int{32, 32})
-	}
-	for _, dims := range shapes {
+	for _, dims := range append(shapes, bigShapes...) {
 		t.Run(fmt.Sprint(dims), func(t *testing.T) {
 			tor := topology.MustNew(dims...)
 			want, err := Run(tor, Options{RecordPayloads: true})
@@ -164,9 +162,9 @@ func TestSparsePayloadScheduleFuzzCorpus(t *testing.T) {
 }
 
 // TestPayloadScheduleAllocBudget pins the bytes one 16x16 build
-// allocates: the measured 6.33 MiB (linux/amd64) plus 25%.
+// allocates: the measured 2.57 MiB (linux/amd64) plus 25%.
 func TestPayloadScheduleAllocBudget(t *testing.T) {
-	const maxMiB = 7.9
+	const maxMiB = 3.2
 	tor := topology.MustNew(16, 16)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -58,8 +58,9 @@ type Options struct {
 	SkipRearrangeCharges bool
 	// StopAfter truncates the run after the given stage.
 	StopAfter Stage
-	// RecordPayloads attaches every transfer's extracted block set to
-	// the recorded schedule (Transfer.Payload), so the shared executor
+	// RecordPayloads attaches the dense ids of every transfer's
+	// extracted blocks to the recorded schedule (Transfer.Payload),
+	// converted as they are recorded, so the shared executor
 	// in internal/exec can replay and delivery-verify the run. The
 	// registry builds the same schedule with PayloadSchedule; this is
 	// its test reference.
@@ -451,7 +452,7 @@ func (ex *executor) execStep(phase string, index int, assign func(i int) (plan.M
 			Dim: m.Dim, Dir: m.Dir, Hops: hops, Blocks: len(taken),
 		}
 		if ex.opt.RecordPayloads {
-			tr.Payload = append([]block.Block(nil), taken...)
+			tr.Payload = block.IDs(taken, n)
 		}
 		step.Transfers = append(step.Transfers, tr)
 		ex.ctr.TotalBlockHops += len(taken) * hops

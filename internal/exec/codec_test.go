@@ -8,11 +8,13 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"torusx/internal/algorithm"
 	"torusx/internal/costmodel"
@@ -627,5 +629,67 @@ func TestDecodedTailConcurrentParallel(t *testing.T) {
 		if traces[g] == 0 || traces[g] != traces[0] {
 			t.Fatalf("goroutine %d traced %d events, goroutine 0 %d", g, traces[g], traces[0])
 		}
+	}
+}
+
+// TestDecodedSchedulePayloadsOneBacking: Schedule() on a decoded
+// ring@16x16 hands out every payload as a capped window of one heap
+// []int32 of exactly BytesMoved/4 ids, in transfer order, holding the
+// compiled schedule's ids and never aliasing the file's bytes.
+func TestDecodedSchedulePayloadsOneBacking(t *testing.T) {
+	tor := topology.MustNew(16, 16)
+	b, err := algorithm.For("ring")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := b.BuildSchedule(tor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg, err := exec.Compile(src, exec.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := exec.EncodeProgram(pg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := exec.DecodeProgram(enc, tor, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := dec.Schedule()
+	if sc == nil {
+		t.Fatal(dec.SchedErr())
+	}
+	if !reflect.DeepEqual(sc.Phases, src.Phases) {
+		t.Fatal("decoded schedule differs from the compiled one")
+	}
+	fileLo, fileHi := uintptr(unsafe.Pointer(&enc[0])), uintptr(unsafe.Pointer(&enc[len(enc)-1]))
+	var base uintptr
+	total := 0
+	sc.EachStep(func(_ *schedule.Phase, _ int, s *schedule.Step) {
+		for _, tr := range s.Transfers {
+			if len(tr.Payload) == 0 {
+				continue
+			}
+			at := uintptr(unsafe.Pointer(&tr.Payload[0]))
+			if base == 0 {
+				base = at
+			}
+			if at != base+uintptr(total)*4 {
+				t.Fatalf("transfer %v payload at +%d bytes, want +%d: not one backing in transfer order", tr, at-base, total*4)
+			}
+			if cap(tr.Payload) != len(tr.Payload) {
+				t.Fatalf("transfer %v payload window has cap %d, len %d", tr, cap(tr.Payload), len(tr.Payload))
+			}
+			if at >= fileLo && at <= fileHi {
+				t.Fatalf("transfer %v payload aliases the encoded file", tr)
+			}
+			total += len(tr.Payload)
+		}
+	})
+	if want := int(dec.BytesMoved() / 4); total != want {
+		t.Fatalf("payloads carry %d ids, want numPayload %d", total, want)
 	}
 }

@@ -6,15 +6,14 @@ import (
 	"sync"
 
 	"torusx/internal/block"
-	"torusx/internal/topology"
 )
 
-// Compile-time reference replay. One serial walk over the transfers in
-// schedule order does everything order-sensitive: payload/Blocks
-// coherence, dense-id conversion, the sender-holds chain via a holder
-// table, and a per-node arrival stamp for every block. A node's holdings
-// are always ordered by arrival stamp (kept blocks keep their order,
-// new arrivals get fresh larger stamps), so each transfer's extraction
+// Compile-time reference replay. One serial walk over the lowered
+// transfers in schedule order does everything order-sensitive: the
+// sender-holds chain via a holder table, and a per-node arrival stamp
+// for every block. A node's holdings are always ordered by arrival
+// stamp (kept blocks keep their order, new arrivals get fresh larger
+// stamps), so each transfer's extraction
 // order — the order its blocks arrive at the destination — is its
 // payload sorted by stamp, with no buffers materialized at all. The
 // same walk
@@ -61,13 +60,14 @@ const (
 // compileScratch pools compileReplay's large transient tables across
 // compiles. None of the slices carry any cross-use invariant: every
 // region a compile reads is fully written by that same compile first
-// (hs is refilled, the event backing is written densely, initIDs,
-// ordOff and each payload's sort keys are fully overwritten before use),
-// so reuse needs no zeroing.
+// (hs is refilled, the event backing is written densely, ordSpill is
+// refilled from empty, initIDs, ordOff and each payload's sort keys are
+// fully overwritten before use), so reuse needs no zeroing.
 type compileScratch struct {
 	hs        []uint64
 	opBacking []opRec
 	ordOff    []int32
+	ordSpill  []int32
 	initIDs   []int32
 	keys      []uint64
 }
@@ -150,7 +150,7 @@ func (p *Program) compileReplay(opt Options, payloadBacking []int32, opOff []int
 			if int(b.Origin) < 0 || int(b.Origin) >= n || int(b.Dest) < 0 || int(b.Dest) >= n {
 				return fmt.Errorf("exec: traffic block %v out of range", b)
 			}
-			id := int32(int(b.Origin)*n + int(b.Dest))
+			id := b.ID(n)
 			if hs[id] != hsAbsent {
 				return fmt.Errorf("exec: duplicate traffic block %v", b)
 			}
@@ -184,7 +184,10 @@ func (p *Program) compileReplay(opt Options, payloadBacking []int32, opOff []int
 	}
 	ordOff := cs.ordOff[:numT] // ordinal -> ordSpill offset, read only under opHasOrd
 
-	var ordSpill []int32 // stamp-sorted copies of the payloads listed out of arrival order
+	// ordSpill holds stamp-sorted copies of the payloads listed out of
+	// arrival order. It is taken from the scratch on the first such
+	// payload, with room for every payload id, so it never regrows.
+	var ordSpill []int32
 	if cap(cs.opBacking) < int(opOff[n]) {
 		cs.opBacking = make([]opRec, opOff[n])
 	}
@@ -229,7 +232,7 @@ func (p *Program) compileReplay(opt Options, payloadBacking []int32, opOff []int
 				h := hs[id]
 				if int32(h>>32) != int32(src) {
 					return fmt.Errorf("exec: phase %q step %d: node %d transmits %v it does not hold",
-						ps.phase.Name, ps.stepIndex, src, block.Block{Origin: topology.NodeID(int(id) / n), Dest: topology.NodeID(int(id) % n)})
+						ps.phase.Name, ps.stepIndex, src, block.FromID(id, n))
 				}
 				if int32(uint32(h)) >= stepArr[src] {
 					fwd = id
@@ -249,7 +252,7 @@ func (p *Program) compileReplay(opt Options, payloadBacking []int32, opOff []int
 					h := hs[id]
 					if int32(h>>32) != int32(src) {
 						return fmt.Errorf("exec: phase %q step %d: node %d transmits %v it does not hold",
-							ps.phase.Name, ps.stepIndex, src, block.Block{Origin: topology.NodeID(int(id) / n), Dest: topology.NodeID(int(id) % n)})
+							ps.phase.Name, ps.stepIndex, src, block.FromID(id, n))
 					}
 					st := int32(uint32(h))
 					if st < prev {
@@ -272,6 +275,10 @@ func (p *Program) compileReplay(opt Options, payloadBacking []int32, opOff []int
 					}
 					slices.Sort(keys)
 					cs.keys = keys
+					if ordSpill == nil {
+						ordSpill = growI32(cs.ordSpill, len(payloadBacking))[:0]
+						cs.ordSpill = ordSpill
+					}
 					off := len(ordSpill)
 					for _, k := range keys {
 						ordSpill = append(ordSpill, int32(uint32(k)))
@@ -287,7 +294,7 @@ func (p *Program) compileReplay(opt Options, payloadBacking []int32, opOff []int
 			}
 			if fwd >= 0 && p.parallelErr == nil {
 				p.parallelErr = fmt.Errorf("exec: phase %q step %d: node %d forwards %v within the step that delivered it; the one-barrier parallel replay cannot execute this schedule (run with Options.Serial)",
-					ps.phase.Name, ps.stepIndex, src, block.Block{Origin: topology.NodeID(int(fwd) / n), Dest: topology.NodeID(int(fwd) % n)})
+					ps.phase.Name, ps.stepIndex, src, block.FromID(fwd, n))
 			}
 			// Emit the transfer's event records into the per-node runs,
 			// right here while its fields are at hand.
@@ -333,9 +340,7 @@ func (p *Program) compileReplay(opt Options, payloadBacking []int32, opOff []int
 			return fmt.Errorf("exec: node %d holds %d blocks after replay, want %d", v, held[v], p.perDest[v])
 		}
 		if mis[v] >= 0 {
-			id := int(uint32(mis[v]))
-			return fmt.Errorf("exec: node %d holds misdelivered block %v", v,
-				block.Block{Origin: topology.NodeID(id / n), Dest: topology.NodeID(id % n)})
+			return fmt.Errorf("exec: node %d holds misdelivered block %v", v, block.FromID(int32(uint32(mis[v])), n))
 		}
 	}
 

@@ -86,13 +86,15 @@ func gather(dst, log []int32, descs []xdesc) int {
 	return w
 }
 
-// coalesceDescs folds pos — a payload's source log positions in
-// arrival-stamp order — into strided descriptors: maximal +1 runs
+// coalesceDescs appends pos — a payload's source log positions in
+// arrival-stamp order — to dst as strided descriptors: maximal +1 runs
 // become blocks, and consecutive blocks of equal length with a
 // constant start-to-start delta merge into one descriptor, so common
 // permutations (interleaves, transposes of contiguous groups) collapse
-// to a handful of descriptors.
+// to a handful of descriptors. Descriptors already in dst are never
+// merged into, so one buffer can collect many payloads' descriptors.
 func coalesceDescs(dst []xdesc, pos []int32) []xdesc {
+	base := len(dst)
 	i := 0
 	for i < len(pos) {
 		start := pos[i]
@@ -101,7 +103,7 @@ func coalesceDescs(dst []xdesc, pos []int32) []xdesc {
 			j++
 		}
 		bl := int32(j - i)
-		if m := len(dst); m > 0 && dst[m-1].blocklen == bl {
+		if m := len(dst); m > base && dst[m-1].blocklen == bl {
 			last := &dst[m-1]
 			if last.count == 1 {
 				last.stride = start - last.start
@@ -124,19 +126,19 @@ func coalesceDescs(dst []xdesc, pos []int32) []xdesc {
 // descScratch pools the descriptor planner's transient tables across
 // compiles, compileScratch-style: every region a compile reads is
 // fully written by that same compile first (lastMove and readNode are
-// re-initialized over the traffic ids, the worst-case backings are
-// written before the compaction reads them through the recorded
-// counts), so reuse needs no zeroing.
+// re-initialized over the traffic ids, the worker buffers are refilled
+// from empty and read only through the recorded offsets and counts),
+// so reuse needs no zeroing.
 type descScratch struct {
-	lastMove  []int32 // block id -> last moving transfer ordinal
-	readNode  []int32 // block id -> node whose log region delivery reads it from
-	readPos   []int32 // block id -> node-local log slot delivery reads it from
-	isLast    []uint8 // ordinal -> final mover of its whole payload
-	survAll   []int32 // deliveries bucketed by node (finalBase offsets)
-	descWC    []xdesc // worst-case log-move descriptors at payload offsets
-	dInsLocal []int32 // ordinal -> node-local insert position
-	dDescCnt  []int32 // ordinal -> descriptor count in descWC
-	deliverWC []xdesc // worst-case delivery descriptors at finalBase offsets
+	lastMove  []int32   // block id -> last moving transfer ordinal
+	readNode  []int32   // block id -> node whose log region delivery reads it from
+	readPos   []int32   // block id -> node-local log slot delivery reads it from
+	isLast    []uint8   // ordinal -> final mover of its whole payload
+	survAll   []int32   // deliveries bucketed by node (finalBase offsets)
+	dInsLocal []int32   // ordinal -> node-local insert position
+	dDescOff  []int32   // ordinal -> first descriptor in its sender's worker buffer
+	dDescCnt  []int32   // ordinal -> descriptor count
+	wdescs    [][]xdesc // worker -> its nodes' log-move, then delivery, descriptors
 }
 
 var descScratchPool = sync.Pool{New: func() any { return new(descScratch) }}
@@ -151,13 +153,6 @@ func growI32(s []int32, n int) []int32 {
 func growU8(s []uint8, n int) []uint8 {
 	if cap(s) < n {
 		return make([]uint8, n)
-	}
-	return s[:n]
-}
-
-func growDesc(s []xdesc, n int) []xdesc {
-	if cap(s) < n {
-		return make([]xdesc, n)
 	}
 	return s[:n]
 }
@@ -185,14 +180,24 @@ func (p *Program) planDescriptors(opOff []int32, opBacking []opRec, ordOff, ordS
 	ds.isLast = isLast
 	dInsLocal := growI32(ds.dInsLocal, numT)
 	ds.dInsLocal = dInsLocal
+	dDescOff := growI32(ds.dDescOff, numT)
+	ds.dDescOff = dDescOff
 	dDescCnt := growI32(ds.dDescCnt, numT)
 	ds.dDescCnt = dDescCnt
 	survAll := growI32(ds.survAll, numDeliver)
 	ds.survAll = survAll
-	descWC := growDesc(ds.descWC, len(p.payloadBacking))
-	ds.descWC = descWC
-	deliverWC := growDesc(ds.deliverWC, numDeliver)
-	ds.deliverWC = deliverWC
+	// Both node passes split the nodes into the same chunks, so worker
+	// w appends its nodes' log-move descriptors and then their delivery
+	// descriptors to wdescs[w], and nodeW records each node's worker
+	// for the compaction. Descriptor counts are only known after
+	// coalescing, so the buffers grow by append instead of being sized
+	// for the worst case.
+	workers := par.Workers()
+	for len(ds.wdescs) < par.Width(workers, n) {
+		ds.wdescs = append(ds.wdescs, nil)
+	}
+	wdescs := ds.wdescs
+	nodeW := make([]int32, n)
 
 	// Final delivery layout: node v's blocks occupy
 	// [finalBase[v], finalBase[v+1]) of the flat delivery buffer.
@@ -267,7 +272,8 @@ func (p *Program) planDescriptors(opOff []int32, opBacking []opRec, ordOff, ordS
 	// the end. All cross-node state is read-only or indexed by ids the
 	// node owns, so the walks are data-race free.
 	nodeLog := make([]int32, n)
-	par.ForEach(0, n, func(lo, hi int) {
+	par.ForEachWorker(workers, n, func(w, lo, hi int) {
+		descs := wdescs[w][:0]
 		idPos := acquireIDSlot(p.numBlocks) // block id -> log slot at the node in progress
 		maxS := 0
 		for v := lo; v < hi; v++ {
@@ -285,8 +291,8 @@ func (p *Program) planDescriptors(opOff []int32, opBacking []opRec, ordOff, ordS
 			byStamp[s] = -1
 		}
 		var physBuf []int32
-		var runs []xdesc
 		for v := lo; v < hi; v++ {
+			nodeW[v] = int32(w)
 			cursor := 0
 			for _, id := range initIDs[initOff[v]:initOff[v+1]] {
 				idPos[id] = int32(cursor)
@@ -315,9 +321,9 @@ func (p *Program) planDescriptors(opOff []int32, opBacking []opRec, ordOff, ordS
 					for _, id := range ord {
 						physBuf = append(physBuf, idPos[id])
 					}
-					runs = coalesceDescs(runs[:0], physBuf)
-					copy(descWC[op.payOff:], runs)
-					dDescCnt[tg] = int32(len(runs))
+					off := len(descs)
+					descs = coalesceDescs(descs, physBuf)
+					dDescOff[tg], dDescCnt[tg] = int32(off), int32(len(descs)-off)
 				}
 				if gr&opInsert != 0 {
 					dInsLocal[tg] = int32(cursor)
@@ -358,6 +364,7 @@ func (p *Program) planDescriptors(opOff []int32, opBacking []opRec, ordOff, ordS
 			}
 		}
 		idSlotPool.Put(idPos)
+		wdescs[w] = descs
 	})
 
 	// Per-node log regions via the descBase prefix.
@@ -367,20 +374,23 @@ func (p *Program) planDescriptors(opOff []int32, opBacking []opRec, ordOff, ordS
 	}
 
 	// Second parallel pass over nodes: each node's delivery descriptors
-	// over absolute log positions, in rank order.
+	// over absolute log positions, in rank order, after the worker's
+	// log-move descriptors.
+	deliverAt := make([]int32, n)
 	deliverCnt := make([]int32, n)
-	par.ForEach(0, n, func(lo, hi int) {
+	par.ForEachWorker(workers, n, func(w, lo, hi int) {
+		descs := wdescs[w]
 		var physBuf []int32
-		var runs []xdesc
 		for v := lo; v < hi; v++ {
 			physBuf = physBuf[:0]
 			for _, id := range survAll[finalBase[v]:finalBase[v+1]] {
 				physBuf = append(physBuf, descBase[readNode[id]]+readPos[id])
 			}
-			runs = coalesceDescs(runs[:0], physBuf)
-			copy(deliverWC[finalBase[v]:], runs)
-			deliverCnt[v] = int32(len(runs))
+			off := len(descs)
+			descs = coalesceDescs(descs, physBuf)
+			deliverAt[v], deliverCnt[v] = int32(off), int32(len(descs)-off)
 		}
+		wdescs[w] = descs
 	})
 
 	// Serial compaction into the program's exact-size form: the log
@@ -415,7 +425,7 @@ func (p *Program) planDescriptors(opOff []int32, opBacking []opRec, ordOff, ordS
 				continue
 			}
 			off := int32(len(p.descBacking))
-			for _, d := range descWC[pt.payOff : pt.payOff+dDescCnt[g]] {
+			for _, d := range wdescs[nodeW[pt.src]][dDescOff[g] : dDescOff[g]+dDescCnt[g]] {
 				d.start += descBase[pt.src]
 				p.descBacking = append(p.descBacking, d)
 			}
@@ -431,7 +441,7 @@ func (p *Program) planDescriptors(opOff []int32, opBacking []opRec, ordOff, ordS
 	p.deliverOff = make([]int32, n+1)
 	for v := 0; v < n; v++ {
 		p.deliverOff[v] = int32(len(p.descBacking))
-		p.descBacking = append(p.descBacking, deliverWC[finalBase[v]:finalBase[v]+deliverCnt[v]]...)
+		p.descBacking = append(p.descBacking, wdescs[nodeW[v]][deliverAt[v]:deliverAt[v]+deliverCnt[v]]...)
 	}
 	p.deliverOff[n] = int32(len(p.descBacking))
 	p.descBase = descBase

@@ -325,7 +325,7 @@ func TestDescriptorDifferentialReplay(t *testing.T) {
 func interleaveRow() wallRow {
 	b := func(o, d topology.NodeID) block.Block { return block.Block{Origin: o, Dest: d} }
 	hop := func(src, dst topology.NodeID, dir topology.Direction, pay ...block.Block) schedule.Transfer {
-		return schedule.Transfer{Src: src, Dst: dst, Dim: 0, Dir: dir, Hops: 1, Blocks: len(pay), Payload: pay}
+		return schedule.Transfer{Src: src, Dst: dst, Dim: 0, Dir: dir, Hops: 1, Blocks: len(pay), Payload: block.IDs(pay, 4)}
 	}
 	sc := &schedule.Schedule{Fabric: topology.MustNew(4), Phases: []schedule.Phase{{
 		Name: "interleave",
@@ -427,8 +427,8 @@ func forwardMixedRow() wallRow {
 			Name: "p",
 			Steps: []schedule.Step{{
 				Transfers: []schedule.Transfer{
-					{Src: 0, Dst: 1, Dim: 0, Dir: topology.Pos, Hops: 1, Blocks: 2, Payload: []block.Block{b02, b01}},
-					{Src: 1, Dst: 2, Dim: 0, Dir: topology.Pos, Hops: 1, Blocks: 2, Payload: []block.Block{b12, b02}},
+					{Src: 0, Dst: 1, Dim: 0, Dir: topology.Pos, Hops: 1, Blocks: 2, Payload: block.IDs([]block.Block{b02, b01}, 4)},
+					{Src: 1, Dst: 2, Dim: 0, Dir: topology.Pos, Hops: 1, Blocks: 2, Payload: block.IDs([]block.Block{b12, b02}, 4)},
 				},
 			}},
 		}},
@@ -457,8 +457,8 @@ func TestIntraStepForwardingVerdicts(t *testing.T) {
 			Name: "p",
 			Steps: []schedule.Step{{
 				Transfers: []schedule.Transfer{
-					{Src: 0, Dst: 1, Blocks: 1, Payload: []block.Block{b02}},
-					{Src: 1, Dst: 2, Blocks: 1, Payload: []block.Block{b02}},
+					{Src: 0, Dst: 1, Blocks: 1, Payload: []int32{b02.ID(4)}},
+					{Src: 1, Dst: 2, Blocks: 1, Payload: []int32{b02.ID(4)}},
 				},
 			}},
 		}},
@@ -529,7 +529,8 @@ func TestCompiledDifferentialRejects(t *testing.T) {
 func TestDifferentialRejectsSameSchedules(t *testing.T) {
 	tor := topology.MustNew(4, 4)
 	dst := tor.MoveID(0, 0, 1)
-	hop := func(declared int, pay ...block.Block) *schedule.Schedule {
+	n := tor.Nodes()
+	hopIDs := func(declared int, pay ...int32) *schedule.Schedule {
 		return &schedule.Schedule{Fabric: tor, Phases: []schedule.Phase{{
 			Name: "hop",
 			Steps: []schedule.Step{{Transfers: []schedule.Transfer{{
@@ -538,13 +539,16 @@ func TestDifferentialRejectsSameSchedules(t *testing.T) {
 			}}}},
 		}}}
 	}
+	hop := func(declared int, pay ...block.Block) *schedule.Schedule {
+		return hopIDs(declared, block.IDs(pay, n)...)
+	}
 	b0 := block.Block{Origin: 0, Dest: dst}
 	// Node 0 keeps B[0,dst] through a self-transfer while B[dst,0] stays
 	// put: every node holds its share's count, but not its blocks.
 	kept := &schedule.Schedule{Fabric: tor, Phases: []schedule.Phase{{
 		Name: "keep",
 		Steps: []schedule.Step{{Transfers: []schedule.Transfer{{
-			Src: 0, Dst: 0, Dim: 0, Dir: topology.Pos, Blocks: 1, Payload: []block.Block{b0},
+			Src: 0, Dst: 0, Dim: 0, Dir: topology.Pos, Blocks: 1, Payload: []int32{b0.ID(n)},
 		}}}},
 	}}}
 	for _, tc := range []struct {
@@ -559,6 +563,10 @@ func TestDifferentialRejectsSameSchedules(t *testing.T) {
 		{"misdelivered", kept, []block.Block{b0, {Origin: dst, Dest: 0}}, false},
 		{"out-of-range", hop(1, b0), []block.Block{{Origin: 99, Dest: 0}}, true},
 		{"duplicate", hop(1, b0), []block.Block{b0, b0}, true},
+		// Payload ids outside [0, n²) name no block; n² would alias
+		// B[1,0] if it were taken apart.
+		{"payload-id-negative", hopIDs(1, -1), []block.Block{b0}, true},
+		{"payload-id-n2", hopIDs(1, int32(n*n)), []block.Block{b0}, true},
 	} {
 		_, refErr := oracleRun(tc.sc, tc.traffic, false)
 		_, cErr := exec.Compile(tc.sc, exec.Options{Traffic: tc.traffic})
@@ -595,7 +603,7 @@ func rhoRingSchedule(t *testing.T) *schedule.Schedule {
 		st.Transfers = append(st.Transfers, schedule.Transfer{
 			Src: topology.NodeID(i), Dst: topology.NodeID(i),
 			Dim: 0, Dir: topology.Pos, Hops: 0,
-			Blocks: len(rev), Payload: rev,
+			Blocks: len(rev), Payload: block.IDs(rev, n),
 		})
 	}
 	rho.Steps = append(rho.Steps, st)
@@ -615,7 +623,7 @@ func rhoRingSchedule(t *testing.T) *schedule.Schedule {
 			st.Transfers = append(st.Transfers, schedule.Transfer{
 				Src: topology.NodeID(i), Dst: dst,
 				Dim: 0, Dir: topology.Pos, Hops: 1,
-				Blocks: len(taken), Payload: taken,
+				Blocks: len(taken), Payload: block.IDs(taken, n),
 			})
 		}
 		for j, bs := range moved {

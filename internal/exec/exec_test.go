@@ -1,6 +1,7 @@
 package exec_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -159,7 +160,7 @@ func singleHop(tor *topology.Torus, declared int, pay []block.Block) *schedule.S
 				Transfers: []schedule.Transfer{{
 					Src: 0, Dst: tor.MoveID(0, 0, 1),
 					Dim: 0, Dir: topology.Pos, Hops: 1,
-					Blocks: declared, Payload: pay,
+					Blocks: declared, Payload: block.IDs(pay, tor.Nodes()),
 				}},
 			}},
 		}},
@@ -182,6 +183,16 @@ func TestRunReplayErrors(t *testing.T) {
 	if _, err := exec.Run(sc, exec.Options{Traffic: traffic}); err == nil ||
 		!strings.Contains(err.Error(), "does not hold") {
 		t.Fatalf("transmitting an unheld block should fail, got %v", err)
+	}
+	// A payload id must name a block: ids below 0 or at n² and beyond
+	// are rejected, and the error names the id.
+	for _, id := range []int32{-1, int32(tor.Nodes() * tor.Nodes())} {
+		sc = singleHop(tor, 1, []block.Block{{Origin: 0, Dest: dst}})
+		sc.Phases[0].Steps[0].Transfers[0].Payload[0] = id
+		if _, err := exec.Run(sc, exec.Options{Traffic: traffic}); err == nil ||
+			!strings.Contains(err.Error(), fmt.Sprintf("payload id %d outside", id)) {
+			t.Fatalf("payload id %d should fail naming the id, got %v", id, err)
+		}
 	}
 	// Delivery is verified against the declared matrix: a schedule that
 	// moves nothing cannot satisfy non-self traffic.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 
-	"torusx/internal/block"
 	"torusx/internal/schedule"
 	"torusx/internal/topology"
 )
@@ -73,6 +72,10 @@ func (p *Program) materialize() error {
 			return fmt.Errorf("exec: cold section: payload id %d out of range", id)
 		}
 	}
+	// The schedule's payloads are windows of one heap copy of the ids,
+	// never views of the file: a mapped file is unmapped when its
+	// program is collected, and a caller may keep the schedule longer.
+	payload = append([]int32(nil), payload...)
 
 	sc := &schedule.Schedule{Fabric: p.fab, Phases: make([]schedule.Phase, p.coldPhases)}
 	stepCursor := 0
@@ -94,10 +97,10 @@ func (p *Program) materialize() error {
 		return fmt.Errorf("exec: cold section: phases cover %d steps, program has %d", stepCursor, len(p.steps))
 	}
 
-	// Rebuild the transfers with their routes, convert payload ids back
-	// to blocks, and re-expand the link table: the lowering pass wrote
-	// link windows in transfer order, so one route walk reproduces the
-	// exact offsets the transfer table recorded.
+	// Rebuild the transfers with their routes and payload windows, and
+	// re-expand the link table: the lowering pass wrote link windows in
+	// transfer order, so one route walk reproduces the exact offsets
+	// the transfer table recorded.
 	nd := p.fab.NDims()
 	numLinks := 0
 	for k := range transfers {
@@ -165,11 +168,8 @@ func (p *Program) materialize() error {
 				tr.Segs = append([]schedule.Seg(nil), segBuf...)
 			}
 			if pt.payLen > 0 {
-				pay := make([]block.Block, pt.payLen)
-				for j, id := range payload[pt.payOff : pt.payOff+pt.payLen] {
-					pay[j] = block.Block{Origin: topology.NodeID(int(id) / p.n), Dest: topology.NodeID(int(id) % p.n)}
-				}
-				tr.Payload = pay
+				end := pt.payOff + pt.payLen
+				tr.Payload = payload[pt.payOff:end:end]
 			}
 			// Route re-expansion into the recorded link window. A leg
 			// over an unwired port is a corrupt route, not a walk the

@@ -109,13 +109,23 @@ func oracleRun(sc *schedule.Schedule, traffic []block.Block, skipChecks bool) (*
 					p.Name, si, tr, len(tr.Payload), tr.Blocks)
 				return
 			}
+			n := f.Nodes()
+			pay := make([]block.Block, len(tr.Payload))
+			for k, id := range tr.Payload {
+				if id < 0 || int(id) >= n*n {
+					firstErr = fmt.Errorf("exec: phase %q step %d: transfer %v payload id %d outside [0, %d)",
+						p.Name, si, tr, id, n*n)
+					return
+				}
+				pay[k] = block.FromID(id, n)
+			}
 			src, dst := tr.Src, tr.Dst
-			want := make(map[block.Block]int, len(tr.Payload))
-			for _, b := range tr.Payload {
+			want := make(map[block.Block]int, len(pay))
+			for _, b := range pay {
 				want[b]++
 			}
 			moved, _ := bufs[src].TakeIf(func(b block.Block) bool { return want[b] > 0 })
-			if len(moved) != len(tr.Payload) {
+			if len(moved) != len(pay) {
 				// The extraction came up short, so some payload block was
 				// not in the source buffer; name the first one in payload
 				// order. (A duplicated payload entry lands here too: the
@@ -123,7 +133,7 @@ func oracleRun(sc *schedule.Schedule, traffic []block.Block, skipChecks bool) (*
 				for _, b := range moved {
 					want[b]--
 				}
-				for _, b := range tr.Payload {
+				for _, b := range pay {
 					if want[b] > 0 {
 						firstErr = fmt.Errorf("exec: phase %q step %d: node %d transmits %v it does not hold",
 							p.Name, si, src, b)
@@ -131,7 +141,7 @@ func oracleRun(sc *schedule.Schedule, traffic []block.Block, skipChecks bool) (*
 					}
 				}
 				firstErr = fmt.Errorf("exec: phase %q step %d: node %d extracted %d blocks, want %d",
-					p.Name, si, src, len(moved), len(tr.Payload))
+					p.Name, si, src, len(moved), len(pay))
 				return
 			}
 			bufs[dst].Add(moved...)

@@ -423,8 +423,8 @@ func Compile(sc *schedule.Schedule, opt Options) (*Program, error) {
 	// maxima, the link-sharing serialization factor of Shared steps
 	// (counted per transfer while its freshly written link ids are
 	// still in L1), the one-port/contention checks, and the payload
-	// conversion to dense block ids — one parallel sweep over the
-	// steps, each chunk with private claim scratch. Steps write
+	// ids' range check and copy — one parallel sweep over the steps,
+	// each chunk with private claim scratch. Steps write
 	// disjoint pre-sliced regions of the backings, so they fan out over
 	// the worker pool. The reported error is the lowest-step one —
 	// exactly what a serial left-to-right walk would have hit first.
@@ -540,10 +540,11 @@ func Compile(sc *schedule.Schedule, opt Options) (*Program, error) {
 					return
 				}
 			}
-			// Payload conversion to dense ids, into the step's disjoint
-			// region of the flat backing. Payload/Blocks coherence only
-			// binds replayable programs — measure-only schedules declare
-			// Blocks for the cost terms and carry no payloads.
+			// Payload ids, range-checked and copied into the step's
+			// disjoint region of the flat backing. Payload/Blocks
+			// coherence only binds replayable programs — measure-only
+			// schedules declare Blocks for the cost terms and carry no
+			// payloads.
 			if !p.replay {
 				continue
 			}
@@ -556,16 +557,15 @@ func Compile(sc *schedule.Schedule, opt Options) (*Program, error) {
 						ps.phase.Name, ps.stepIndex, *tr, len(tr.Payload), tr.Blocks))
 					return
 				}
-				pt.payOff, pt.payLen = int32(pw), int32(len(tr.Payload))
-				for _, b := range tr.Payload {
-					if int(b.Origin) < 0 || int(b.Origin) >= n || int(b.Dest) < 0 || int(b.Dest) >= n {
-						ferr.Report(si, fmt.Errorf("exec: phase %q step %d: transfer %v payload block %v out of range",
-							ps.phase.Name, ps.stepIndex, *tr, b))
+				for _, id := range tr.Payload {
+					if id < 0 || int(id) >= p.numBlocks {
+						ferr.Report(si, fmt.Errorf("exec: phase %q step %d: transfer %v payload id %d outside [0, %d)",
+							ps.phase.Name, ps.stepIndex, *tr, id, p.numBlocks))
 						return
 					}
-					payloadBacking[pw] = int32(int(b.Origin)*n + int(b.Dest))
-					pw++
 				}
+				pt.payOff, pt.payLen = int32(pw), int32(len(tr.Payload))
+				pw += copy(payloadBacking[pw:], tr.Payload)
 			}
 		}
 	})

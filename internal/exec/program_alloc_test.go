@@ -1,6 +1,7 @@
 package exec_test
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 
@@ -203,5 +204,60 @@ func TestCompileAllocs(t *testing.T) {
 	})
 	if allocs > maxAllocs {
 		t.Fatalf("Compile(proposed-sim@16x16) allocates %.0f objects, want <= %d", allocs, maxAllocs)
+	}
+}
+
+// compileBudgetMiB pins the bytes one cold Compile of each registry
+// cell at 16x16 allocates at GOMAXPROCS 2, with its scratch pools
+// empty: the measured value (linux/amd64, Go 1.24) plus 25%.
+// TestCompileAllocs pins only the object count; this pins the bytes a
+// cold process pays for.
+var compileBudgetMiB = map[string]float64{
+	"allgather":    0.30, // 0.24 measured
+	"broadcast":    0.04, // 0.03
+	"direct":       10.9, // 8.68
+	"factored":     5.7,  // 4.57
+	"logtime":      5.7,  // 4.57
+	"proposed":     0.18, // 0.14
+	"proposed-sim": 7.9,  // 6.32
+	"ring":         11.2, // 8.92
+	"swing":        0.23, // 0.18
+}
+
+// TestCompileAllocBudget measures each cell's Compile after two
+// collections, which empty the sync.Pool scratch, so every table the
+// compile needs is allocated fresh as in a cold process. The worker
+// count is fixed, because every compile worker allocates its own
+// scratch.
+func TestCompileAllocBudget(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	tor := topology.MustNew(16, 16)
+	for _, alg := range algorithm.Supporting(tor) {
+		t.Run(alg, func(t *testing.T) {
+			budget, ok := compileBudgetMiB[alg]
+			if !ok {
+				t.Fatalf("no compile budget for %s", alg)
+			}
+			b, err := algorithm.For(alg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc, err := b.BuildSchedule(tor)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.GC()
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err = exec.Compile(sc, exec.Options{})
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); got > budget {
+				t.Fatalf("Compile(%s@16x16) allocates %.2f MiB, budget %.2f MiB", alg, got, budget)
+			}
+		})
 	}
 }

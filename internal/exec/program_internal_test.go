@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"torusx/internal/block"
 	"torusx/internal/schedule"
 	"torusx/internal/topology"
 )
@@ -60,8 +59,8 @@ func TestDeliveryChecksAddressing(t *testing.T) {
 	sc := &schedule.Schedule{Fabric: tor, Phases: []schedule.Phase{{
 		Name: "swap",
 		Steps: []schedule.Step{{Transfers: []schedule.Transfer{
-			{Src: 0, Dst: 1, Dim: 0, Dir: topology.Pos, Hops: 1, Blocks: 1, Payload: []block.Block{{Origin: 0, Dest: 1}}},
-			{Src: 1, Dst: 0, Dim: 0, Dir: topology.Pos, Hops: 1, Blocks: 1, Payload: []block.Block{{Origin: 1, Dest: 0}}},
+			{Src: 0, Dst: 1, Dim: 0, Dir: topology.Pos, Hops: 1, Blocks: 1, Payload: []int32{1}},
+			{Src: 1, Dst: 0, Dim: 0, Dir: topology.Pos, Hops: 1, Blocks: 1, Payload: []int32{2}},
 		}}},
 	}}}
 	p, err := Compile(sc, Options{})

@@ -28,7 +28,7 @@ var fanOutSweep = []int{0, 1 << 14, 1 << 15, 1 << 16, 1 << 17, 1 << 18, 1 << 19,
 func BenchmarkReplayFanOut(b *testing.B) {
 	for _, dims := range [][]int{{16, 16}, {32, 32}} {
 		fab := topology.MustNew(dims...)
-		for _, alg := range []string{"direct", "factored", "logtime", "proposed-sim", "ring"} {
+		for _, alg := range coldCells {
 			b.Run(alg+"@"+fab.String(), func(b *testing.B) {
 				bld, err := algorithm.For(alg)
 				if err != nil {
@@ -78,7 +78,7 @@ func BenchmarkReplayFanOut(b *testing.B) {
 // a decoded 16x16 program, per payload algorithm.
 func BenchmarkFirstReplay16(b *testing.B) {
 	tor := topology.MustNew(16, 16)
-	for _, alg := range []string{"direct", "factored", "logtime", "proposed-sim", "ring"} {
+	for _, alg := range coldCells {
 		b.Run(alg, func(b *testing.B) {
 			pg := decodedProgram(b, alg, tor)
 			b.ReportAllocs()

@@ -6,9 +6,12 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"torusx/internal/baseline"
 	"torusx/internal/costmodel"
@@ -418,5 +421,53 @@ func TestEvictionStatsDistinguishDiskBacked(t *testing.T) {
 	}
 	if !strings.Contains(st.String(), "disk-backed") {
 		t.Fatalf("footer lacks the eviction split: %q", st.String())
+	}
+}
+
+// TestTier2ScheduleOutlivesProgram: a loaded program's schedule holds
+// its own copy of the payload ids, so it stays whole after the program
+// is dropped and collected and the file's mapping is released.
+func TestTier2ScheduleOutlivesProgram(t *testing.T) {
+	dir := t.TempDir()
+	store, err := progcache.NewDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tor := topology.MustNew(16, 16)
+	src := baseline.RingSchedule(tor)
+	pg, err := exec.Compile(src, exec.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := progcache.Key("ring", tor, 0)
+	if err := store.Store(key, pg, 0); err != nil {
+		t.Fatal(err)
+	}
+	loaded, ok := store.Load(key, tor, 0)
+	if !ok {
+		t.Fatal("miss after store")
+	}
+	sc := loaded.Schedule()
+	if sc == nil {
+		t.Fatal(loaded.SchedErr())
+	}
+	loaded = nil
+	// Collect until no mapping of the store's files remains (Linux
+	// lists mappings in /proc/self/maps; elsewhere the loader reads
+	// the file into the heap and two collections suffice).
+	for i := 0; i < 100; i++ {
+		runtime.GC()
+		maps, err := os.ReadFile("/proc/self/maps")
+		if err != nil || !strings.Contains(string(maps), dir) {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	runtime.GC()
+	if !reflect.DeepEqual(sc.Phases, src.Phases) {
+		t.Fatal("schedule changed after its program was collected")
+	}
+	if _, err := exec.Compile(sc, exec.Options{}); err != nil {
+		t.Fatalf("schedule no longer compiles after its program was collected: %v", err)
 	}
 }

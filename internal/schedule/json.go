@@ -17,7 +17,8 @@ import (
 // files predate both and describe a torus through a bare top-level
 // "dims" array, which ReadJSON still accepts. Optional fields carry
 // the richer IR annotations — multi-leg routes ("segs"), recorded
-// payloads ("payload", as [origin, dest] pairs), link-sharing steps
+// payloads ("payload", as [origin, dest] pairs, which the reader checks
+// against the fabric and converts to dense ids), link-sharing steps
 // ("shared") and per-phase rearrangement counts ("rearrange") — and
 // are omitted when absent, so schedules written by older versions read
 // back unchanged.
@@ -108,6 +109,7 @@ func (sc *Schedule) WriteJSON(w io.Writer) error {
 		return err
 	}
 	out := jsonSchedule{Version: Version, Fabric: jf}
+	n := sc.Fabric.Nodes()
 	for _, ph := range sc.Phases {
 		jp := jsonPhase{Name: ph.Name, Rearrange: ph.Rearrange}
 		for _, st := range ph.Steps {
@@ -121,7 +123,8 @@ func (sc *Schedule) WriteJSON(w io.Writer) error {
 				for _, s := range tr.Segs {
 					jt.Segs = append(jt.Segs, jsonSeg{Dim: s.Dim, Dir: s.Dir.String(), Hops: s.Hops})
 				}
-				for _, b := range tr.Payload {
+				for _, id := range tr.Payload {
+					b := block.FromID(id, n)
 					jt.Payload = append(jt.Payload, [2]int{int(b.Origin), int(b.Dest)})
 				}
 				js.Transfers = append(js.Transfers, jt)
@@ -160,6 +163,7 @@ func ReadJSON(r io.Reader) (*Schedule, error) {
 		return nil, err
 	}
 	sc := &Schedule{Fabric: fab}
+	n := fab.Nodes()
 	for _, jp := range in.Phases {
 		ph := Phase{Name: jp.Name, Rearrange: jp.Rearrange}
 		for _, js := range jp.Steps {
@@ -180,10 +184,13 @@ func ReadJSON(r io.Reader) (*Schedule, error) {
 					}
 					tr.Segs = append(tr.Segs, Seg{Dim: s.Dim, Dir: sdir, Hops: s.Hops})
 				}
+				// A pair outside [0, n)² has no id: [0, n] would alias
+				// block [1, 0].
 				for _, p := range jt.Payload {
-					tr.Payload = append(tr.Payload, block.Block{
-						Origin: topology.NodeID(p[0]), Dest: topology.NodeID(p[1]),
-					})
+					if p[0] < 0 || p[0] >= n || p[1] < 0 || p[1] >= n {
+						return nil, fmt.Errorf("schedule: payload block [%d,%d] outside a %d-node fabric", p[0], p[1], n)
+					}
+					tr.Payload = append(tr.Payload, int32(p[0]*n+p[1]))
 				}
 				st.Transfers = append(st.Transfers, tr)
 			}

@@ -69,4 +69,13 @@ func TestReadJSONErrors(t *testing.T) {
 	if _, err := ReadJSON(strings.NewReader(`{"dims": [], "phases": []}`)); err == nil {
 		t.Fatal("empty dims should fail")
 	}
+	// Payload pairs outside the fabric's [0, n)² have no dense id; [0, 4]
+	// on a 4-node ring would otherwise alias block [1, 0].
+	for _, pair := range []string{"[0, 4]", "[4, 0]", "[-1, 2]", "[2, -1]"} {
+		in := `{"version": 2, "fabric": {"kind": "torus", "dims": [4]}, "phases": [{"name": "p", "steps": [{"transfers": [` +
+			`{"src": 0, "dst": 1, "dim": 0, "dir": "+", "hops": 1, "blocks": 1, "payload": [` + pair + `]}]}]}]}`
+		if _, err := ReadJSON(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "outside a 4-node fabric") {
+			t.Errorf("payload %s: err = %v, want an out-of-range rejection", pair, err)
+		}
+	}
 }

@@ -6,6 +6,11 @@
 // to, and the one representation the shared executor in internal/exec
 // replays, verifies and measures.
 //
+// Payloads name blocks by dense id: block B[o,d] of an n-node exchange
+// (n = Fabric.Nodes()) is the int32 o*n + d, the name every builder
+// already tracks and the one the executor replays. block.Block.ID and
+// block.FromID convert between the two.
+//
 // Validity on a wormhole-switched torus means:
 //
 //   - contention-freedom: within one step, no unidirectional physical
@@ -22,7 +27,6 @@ package schedule
 import (
 	"fmt"
 
-	"torusx/internal/block"
 	"torusx/internal/topology"
 )
 
@@ -50,12 +54,13 @@ type Transfer struct {
 	// route is the single leg (Dim, Dir, Hops).
 	Segs []Seg
 
-	// Payload lists the blocks this transfer moves, when the emitting
-	// algorithm recorded them (len(Payload) == Blocks). A schedule
-	// whose transfers all carry payloads can be replayed and
+	// Payload lists the dense ids (origin*n + dest, n =
+	// Fabric.Nodes()) of the blocks this transfer moves, when the
+	// emitting algorithm recorded them (len(Payload) == Blocks). A
+	// schedule whose transfers all carry payloads can be replayed and
 	// delivery-verified by internal/exec; structural schedules (e.g.
 	// exchange.GenerateStructural at scale) leave it nil.
-	Payload []block.Block
+	Payload []int32
 }
 
 // Segments returns the transfer's route legs: Segs when present,

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"torusx/internal/baseline"
-	"torusx/internal/block"
 	"torusx/internal/exchange"
 	"torusx/internal/schedule"
 	"torusx/internal/topology"
@@ -89,7 +88,7 @@ func TestGoStringIsGoSyntax(t *testing.T) {
 	}
 	// %#v routes through GoString, and payloads surface as a count, not
 	// as data.
-	tr.Payload = []block.Block{{}, {}}
+	tr.Payload = []int32{0, 0}
 	if g := fmt.Sprintf("%#v", tr); !strings.Contains(g, "+2 payload blocks") {
 		t.Errorf("payload-carrying GoString %q should note the payload count", g)
 	}

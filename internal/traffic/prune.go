@@ -3,7 +3,6 @@ package traffic
 import (
 	"fmt"
 
-	"torusx/internal/block"
 	"torusx/internal/schedule"
 )
 
@@ -48,7 +47,7 @@ func Prune(sc *schedule.Schedule, m Matrix) (*schedule.Schedule, error) {
 	// error should name the block now rather than fail delivery later.
 	keep := make([]bool, n*n)
 	for _, b := range m.Blocks() {
-		keep[int(b.Origin)*n+int(b.Dest)] = true
+		keep[b.ID(n)] = true
 	}
 	carried := make([]bool, n*n)
 
@@ -71,7 +70,7 @@ func Prune(sc *schedule.Schedule, m Matrix) (*schedule.Schedule, error) {
 					return nil, fmt.Errorf("traffic: prune needs full payload annotations; phase %q step %d transfer %v carries %d of %d",
 						ph.Name, si, tr, len(tr.Payload), tr.Blocks)
 				}
-				kept := filterPayload(tr.Payload, keep, carried, n)
+				kept := filterPayload(tr.Payload, keep, carried)
 				if len(kept) == 0 {
 					continue
 				}
@@ -95,7 +94,7 @@ func Prune(sc *schedule.Schedule, m Matrix) (*schedule.Schedule, error) {
 		if b.Origin == b.Dest {
 			continue // self blocks are born delivered and never travel
 		}
-		if !carried[int(b.Origin)*n+int(b.Dest)] {
+		if !carried[b.ID(n)] {
 			return nil, fmt.Errorf("traffic: schedule never carries block %v of the matrix", b)
 		}
 	}
@@ -103,14 +102,14 @@ func Prune(sc *schedule.Schedule, m Matrix) (*schedule.Schedule, error) {
 }
 
 // filterPayload returns the sub-slice of payload the keep set retains,
-// recording each kept block in carried. When every block survives the
+// recording each kept id in carried. When every id survives the
 // original slice is returned unchanged (no copy — the common case for
-// dense-ish matrices); out-of-range payload blocks are left for the
-// executor's compile-time validation to report.
-func filterPayload(payload []block.Block, keep, carried []bool, n int) []block.Block {
+// dense-ish matrices); out-of-range ids are left for the executor's
+// compile-time validation to report.
+func filterPayload(payload []int32, keep, carried []bool) []int32 {
 	cnt := 0
-	for _, b := range payload {
-		if id, ok := denseID(b, n); ok && keep[id] {
+	for _, id := range payload {
+		if uint32(id) < uint32(len(keep)) && keep[id] {
 			cnt++
 		}
 	}
@@ -118,28 +117,17 @@ func filterPayload(payload []block.Block, keep, carried []bool, n int) []block.B
 		return nil
 	}
 	if cnt == len(payload) {
-		for _, b := range payload {
-			if id, ok := denseID(b, n); ok {
-				carried[id] = true
-			}
+		for _, id := range payload {
+			carried[id] = true
 		}
 		return payload
 	}
-	kept := make([]block.Block, 0, cnt)
-	for _, b := range payload {
-		if id, ok := denseID(b, n); ok && keep[id] {
+	kept := make([]int32, 0, cnt)
+	for _, id := range payload {
+		if uint32(id) < uint32(len(keep)) && keep[id] {
 			carried[id] = true
-			kept = append(kept, b)
+			kept = append(kept, id)
 		}
 	}
 	return kept
-}
-
-// denseID maps a block to its origin*n+dest id, reporting false for
-// out-of-range blocks.
-func denseID(b block.Block, n int) (int, bool) {
-	if int(b.Origin) < 0 || int(b.Origin) >= n || int(b.Dest) < 0 || int(b.Dest) >= n {
-		return 0, false
-	}
-	return int(b.Origin)*n + int(b.Dest), true
 }

@@ -160,7 +160,7 @@ func TestPruneRejectsUncarriedBlock(t *testing.T) {
 		Name: "partial",
 		Steps: []schedule.Step{{Transfers: []schedule.Transfer{{
 			Src: 0, Dst: 1, Dim: 0, Dir: topology.Pos, Hops: 1, Blocks: 1,
-			Payload: []block.Block{b(0, 1)},
+			Payload: []int32{b(0, 1).ID(tor.Nodes())},
 		}}}},
 	}}}
 	m := mustNew(t, tor.Nodes(), []block.Block{b(0, 1), b(2, 3)})
@@ -177,7 +177,7 @@ func TestPruneScalesRearrange(t *testing.T) {
 		Rearrange: n * n,
 		Steps: []schedule.Step{{Transfers: []schedule.Transfer{{
 			Src: 0, Dst: 1, Dim: 0, Dir: topology.Pos, Hops: 1, Blocks: 1,
-			Payload: []block.Block{b(0, 1)},
+			Payload: []int32{b(0, 1).ID(tor.Nodes())},
 		}}}},
 	}}}
 	m := mustNew(t, n, []block.Block{b(0, 1)})

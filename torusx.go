@@ -72,7 +72,9 @@ type CostParams = costmodel.Params
 type Measure = costmodel.Measure
 
 // Schedule is the structural phase/step/transfer representation of a
-// run, checkable for contention-freedom.
+// run, checkable for contention-freedom. A transfer's Payload, when
+// recorded, lists the dense ids origin*N + dest of the blocks it moves
+// (N = Fabric.Nodes()).
 type Schedule = schedule.Schedule
 
 // NewTorus constructs a torus with the given per-dimension sizes.
