@@ -33,6 +33,7 @@ import (
 	"torusx/internal/algorithm"
 	"torusx/internal/cli"
 	"torusx/internal/exec"
+	"torusx/internal/obs"
 	"torusx/internal/topology"
 )
 
@@ -221,7 +222,7 @@ func runSparse(w io.Writer, tel *cli.Telemetry, alg string, fab topology.Fabric,
 		return err
 	}
 	execOpt.Telemetry = rec
-	asp := req.Stage("arena-acquire")
+	asp := req.Stage(obs.StageArenaAcquire)
 	arena := pg.AcquireArena()
 	asp.End()
 	res, err := pg.RunArena(arena, execOpt)
@@ -261,7 +262,7 @@ func runExecutor(w io.Writer, tel *cli.Telemetry, alg string, fab topology.Fabri
 		return err
 	}
 	execOpt.Telemetry = rec
-	asp := req.Stage("arena-acquire")
+	asp := req.Stage(obs.StageArenaAcquire)
 	arena := pg.AcquireArena()
 	asp.End()
 	res, err := pg.RunArena(arena, execOpt)

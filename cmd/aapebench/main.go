@@ -195,7 +195,7 @@ func run(args []string, w io.Writer) error {
 				fmt.Fprintf(os.Stderr, "aapebench: skip %s on %s: %v\n", b.Name(), shapeString(dims), buildErr)
 				continue
 			}
-			asp := req.Stage("arena-acquire")
+			asp := req.Stage(obs.StageArenaAcquire)
 			arena := pg.AcquireArena()
 			asp.End()
 			defer pg.ReleaseArena(arena)
@@ -565,7 +565,7 @@ func sparseSweep(w io.Writer, fabric, out string, shapes [][]int, algs []string,
 					fmt.Fprintf(os.Stderr, "aapebench: skip %s+%s on %s: %v\n", b.Name(), spec, shapeString(dims), buildErr)
 					continue
 				}
-				asp := req.Stage("arena-acquire")
+				asp := req.Stage(obs.StageArenaAcquire)
 				arena := pg.AcquireArena()
 				asp.End()
 				runOnce := func(topt exec.Options) (*exec.Result, error) { return pg.RunArena(arena, topt) }

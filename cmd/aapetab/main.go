@@ -29,6 +29,7 @@ import (
 	"torusx/internal/eventsim"
 	"torusx/internal/exchange"
 	"torusx/internal/exec"
+	"torusx/internal/obs"
 	"torusx/internal/packetsim"
 	"torusx/internal/schedule"
 	"torusx/internal/stats"
@@ -423,7 +424,7 @@ func Replay(p costmodel.Params, algName string, opt ReplayOpt) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		asp := req.Stage("arena-acquire")
+		asp := req.Stage(obs.StageArenaAcquire)
 		arena := pg.AcquireArena()
 		asp.End()
 		res, err := pg.RunArena(arena, exec.Options{Serial: opt.Serial, Workers: opt.Workers, Telemetry: rec, Request: req})

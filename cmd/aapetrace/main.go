@@ -33,6 +33,7 @@ import (
 	"torusx/internal/cli"
 	"torusx/internal/costmodel"
 	"torusx/internal/exec"
+	"torusx/internal/obs"
 	"torusx/internal/topology"
 	"torusx/internal/trace"
 )
@@ -148,7 +149,7 @@ func run(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	asp := req.Stage("arena-acquire")
+	asp := req.Stage(obs.StageArenaAcquire)
 	arena := pg.AcquireArena()
 	asp.End()
 	if _, err := pg.RunArena(arena, exec.Options{Serial: !*parallelFlag, Workers: *workersFlag, Telemetry: rec, Request: req}); err != nil {

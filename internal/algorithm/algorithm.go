@@ -146,17 +146,17 @@ func SetCacheDir(dir string) error {
 // construction) and "compile" (exec.Compile) stage spans.
 func buildProgramUncached(b Builder, f topology.Fabric, opt exec.Options) (*exec.Program, error) {
 	if pb, ok := b.(ProgramBuilder); ok {
-		sp := opt.Request.Stage("compile")
+		sp := opt.Request.Stage(obs.StageCompile)
 		defer sp.End()
 		return pb.BuildProgram(f, opt)
 	}
-	psp := opt.Request.Stage("plan")
+	psp := opt.Request.Stage(obs.StagePlan)
 	sc, err := b.BuildSchedule(f)
 	psp.End()
 	if err != nil {
 		return nil, err
 	}
-	csp := opt.Request.Stage("compile")
+	csp := opt.Request.Stage(obs.StageCompile)
 	defer csp.End()
 	return exec.Compile(sc, opt)
 }

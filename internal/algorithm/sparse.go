@@ -85,7 +85,7 @@ func sparseSchedule(b Builder, f topology.Fabric, m traffic.Matrix, req *obs.Req
 	}
 	var sc *schedule.Schedule
 	var err error
-	psp := req.Stage("plan")
+	psp := req.Stage(obs.StagePlan)
 	switch {
 	case b.Name() == "proposed-sim":
 		// Native: the n+2 phases route every block by its destination
@@ -112,7 +112,7 @@ func sparseSchedule(b Builder, f topology.Fabric, m traffic.Matrix, req *obs.Req
 	if err != nil {
 		return nil, err
 	}
-	prsp := req.Stage("prune")
+	prsp := req.Stage(obs.StagePrune)
 	defer prsp.End()
 	return traffic.Prune(sc, m)
 }
@@ -137,7 +137,7 @@ func BuildSparseProgram(b Builder, f topology.Fabric, m traffic.Matrix, opt exec
 		if err != nil {
 			return nil, err
 		}
-		csp := opt.Request.Stage("compile")
+		csp := opt.Request.Stage(obs.StageCompile)
 		defer csp.End()
 		return exec.Compile(sc, opt)
 	})
@@ -187,7 +187,7 @@ func PlanSparse(f topology.Fabric, m traffic.Matrix, p costmodel.Params, opt exe
 	// One "plan-scoring" span brackets the whole candidate sweep; each
 	// candidate's cache-lookup/plan/prune/compile spans nest inside it
 	// on the request's timeline.
-	ssp := opt.Request.Stage("plan-scoring")
+	ssp := opt.Request.Stage(obs.StagePlanScoring)
 	for _, name := range names {
 		b := registry[name]
 		pg, err := BuildSparseProgram(b, f, m, opt)

@@ -1,10 +1,12 @@
 package exec
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"unsafe"
 
@@ -12,35 +14,40 @@ import (
 	"torusx/internal/topology"
 )
 
-// Versioned binary codec for compiled programs — the serialization
-// layer under the disk-backed program-cache tier. A program file is
-// split along the executor's own hot/cold boundary into two sections,
-// each sealed by its own CRC32:
+// Versioned binary format of compiled programs — the one form a
+// Program takes. Compile writes a program's file itself and then views
+// it, exactly as DecodeProgram views a file read back from the disk
+// tier: both build the Program through newProgram, which views and
+// proves the core (checkPlan). WriteProgram and EncodeProgram only
+// reseal the header's options fingerprint over the bytes a program
+// already holds. A program file is split along the executor's own
+// hot/cold boundary into two sections, each sealed by its own CRC32:
 //
 //   - The replay core holds exactly what a replay reads — the step
 //     headers, the per-node delivery counts, the sparse traffic ids and
 //     the descriptor replay plan — plus the totals a decoder would
 //     otherwise derive from the transfer table. Its tables are flat
 //     little-endian arrays laid out field-for-field like the in-memory
-//     form, so decoding on a little-endian host is a handful of
-//     bounds-checked slice views over the file buffer (zero copies;
-//     big-endian hosts take an element-wise fallback). DecodeProgram
-//     checksums, views and proves only the core, and a decoded program
-//     replays, serially or in parallel, without reading anything else.
-//   - The cold tail holds what only telemetry, re-encoding and
-//     Program.Schedule need — the transfer table, phase names, declared
-//     block counts, route legs and the payload ids. Decoding does not
-//     read it at all: Schedule() checks its CRC, validates and attaches
-//     the transfer table and materializes the schedule on first use (see
-//     materialize.go), which also rebuilds the link table by re-walking
-//     the routes on the fabric. A replay-only process never touches it,
-//     so on a mapped file its pages never become resident.
+//     form, so viewing it on a little-endian host is a handful of
+//     bounds-checked slice views over the bytes (zero copies; big-endian
+//     hosts take an element-wise fallback). A program replays, serially
+//     or in parallel, without reading anything else.
+//   - The cold tail holds what only telemetry and Program.Schedule
+//     need — the transfer table, phase names, declared block counts,
+//     route legs and the payload ids. Nothing reads it until the first
+//     Schedule(), which checks its CRC and tables and materializes the
+//     schedule (see materialize.go), also rebuilding the link table by
+//     re-walking the routes on the fabric. A replay-only process never
+//     touches it, so on a mapped file its pages never become resident;
+//     the disk tier serves a fresh compile from the file it stored,
+//     loaded back, for the same reason.
 //
 // The header carries the fabric fingerprint and the compile-options
 // fingerprint (progcache.Fingerprint: SkipChecks + the traffic
-// matrix). DecodeProgram rejects short, truncated, corrupted, version-
-// or fingerprint-mismatched input with descriptive errors and proves
-// every index a replay would follow (checkPlan), so a file that decodes
+// matrix); Compile writes 0 there and the writers reseal it.
+// DecodeProgram rejects short, truncated, corrupted, version- or
+// fingerprint-mismatched input with descriptive errors and proves every
+// index a replay would follow (checkPlan), so a file that decodes
 // cannot make the executor read out of bounds. A tail that fails its
 // checksum or its checks decodes, replays, and fails Schedule() (see
 // Program.OnTailError).
@@ -79,17 +86,22 @@ import (
 //	  u32 CRC32 (IEEE) over the tail before it
 //
 // numPayload is the payload id count: the transfers' payload windows
-// tile [0, numPayload) in transfer order, so it bounds the log and gives
-// BytesMoved (4 bytes per id) without the transfer table. Only
+// tile [0, numPayload) in transfer order, and their link windows tile
+// the expanded routes the same way, so the count bounds the log and
+// gives BytesMoved (4 bytes per id) without the transfer table. Only
 // transfers some later transfer forwards from have a log move; last-hop
 // transfers appear only through the per-node delivery descriptors (see
-// descriptor.go).
+// descriptor.go). The fields' ranges are the format's limits, which
+// Compile enforces: at most 255 route legs per transfer, each on a
+// dimension below 256 and at most 65,535 hops long, block counts below
+// 2^32, and a file below 4 GiB.
 //
 // This build reads and writes v6 only. A file of any other version
 // (e.g. a warm disk cache written by an older build) is a decode error,
 // which the disk tier turns into a miss and a delete. Derived state
 // (per-step log-move element counts, the delivery layout prefix and
-// reciprocal) is recomputed at decode and never serialized.
+// reciprocal) is recomputed when a program is viewed and never
+// serialized.
 
 // CodecVersion is the program file format version this build reads and
 // writes.
@@ -111,7 +123,7 @@ const (
 const maxDecodeBlocks = 1 << 26
 
 var (
-	errTruncated = errors.New("exec: program file truncated")
+	errTruncated = errors.New("program file truncated")
 )
 
 // hostLittle reports the host byte order; the zero-copy decode views
@@ -121,31 +133,18 @@ var hostLittle = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// ptLayoutMatches reports that the in-memory ptransfer layout equals
-// the file's 24-byte transfer record, making bulk unsafe views exact.
-// It holds on every supported Go platform (six consecutive int32s);
-// if a future field breaks it, both codec paths fall back to the
-// element-wise loops and the format stays unchanged.
-var ptLayoutMatches = unsafe.Sizeof(ptransfer{}) == 24 &&
-	unsafe.Offsetof(ptransfer{}.src) == 0 &&
-	unsafe.Offsetof(ptransfer{}.dst) == 4 &&
-	unsafe.Offsetof(ptransfer{}.payOff) == 8 &&
-	unsafe.Offsetof(ptransfer{}.payLen) == 12 &&
-	unsafe.Offsetof(ptransfer{}.linkOff) == 16 &&
-	unsafe.Offsetof(ptransfer{}.linkLen) == 20
-
-var moveLayoutMatches = unsafe.Sizeof(logMove{}) == 20 &&
-	unsafe.Offsetof(logMove{}.src) == 0 &&
-	unsafe.Offsetof(logMove{}.payLen) == 4 &&
-	unsafe.Offsetof(logMove{}.descOff) == 8 &&
-	unsafe.Offsetof(logMove{}.descLen) == 12 &&
-	unsafe.Offsetof(logMove{}.insPos) == 16
-
-var xdescLayoutMatches = unsafe.Sizeof(xdesc{}) == 16 &&
-	unsafe.Offsetof(xdesc{}.start) == 0 &&
-	unsafe.Offsetof(xdesc{}.count) == 4 &&
-	unsafe.Offsetof(xdesc{}.blocklen) == 8 &&
-	unsafe.Offsetof(xdesc{}.stride) == 12
+// The file's transfer, log-move and descriptor records are runs of
+// int32 fields in their structs' declaration order, so viewRecords can
+// view them in place. These declarations fail to compile if a struct's
+// size drifts from its record's.
+var (
+	_ [unsafe.Sizeof(ptransfer{}) - 24]struct{}
+	_ [24 - unsafe.Sizeof(ptransfer{})]struct{}
+	_ [unsafe.Sizeof(logMove{}) - 20]struct{}
+	_ [20 - unsafe.Sizeof(logMove{})]struct{}
+	_ [unsafe.Sizeof(xdesc{}) - 16]struct{}
+	_ [16 - unsafe.Sizeof(xdesc{})]struct{}
+)
 
 func aligned4(b []byte) bool {
 	return len(b) == 0 || uintptr(unsafe.Pointer(&b[0]))&3 == 0
@@ -167,266 +166,222 @@ func asInt32s(b []byte) []int32 {
 	return out
 }
 
-// ---- Encoding.
+// ---- Layout and writing.
 
-// appendI32s appends vals little-endian — one bulk copy on
+// coreLayout is the byte offset of every table of a program file's
+// replay core, derived from the counts alone; end is the core's length,
+// CRC included.
+type coreLayout struct {
+	steps, parallelErr, perDest, traffic, counts int
+	moveOff, moves, descBase, descs, deliverOff  int
+	end                                          int
+}
+
+// layoutCore lays out a core with fpLen bytes of fabric fingerprint,
+// numSteps steps and, when errLen >= 0, a parallelErr message of errLen
+// bytes; replay adds the replay section for n nodes, numTraffic sparse
+// traffic ids, numMoves log moves and numDesc descriptors.
+func layoutCore(fpLen, numSteps, errLen int, replay bool, n, numTraffic, numMoves, numDesc int) coreLayout {
+	var l coreLayout
+	l.steps = 24 + 4 + padded4(fpLen) + 8*4 + 4*8
+	l.parallelErr = l.steps + numSteps*20
+	off := l.parallelErr
+	if errLen >= 0 {
+		off += 4 + padded4(errLen)
+	}
+	if replay {
+		l.perDest = off
+		l.traffic = l.perDest + 4*n
+		l.counts = l.traffic + 4*numTraffic
+		l.moveOff = l.counts + 3*4
+		l.moves = l.moveOff + (numSteps+1)*4
+		l.descBase = l.moves + numMoves*20
+		l.descs = l.descBase + (n+1)*4
+		l.deliverOff = l.descs + numDesc*16
+		off = l.deliverOff + (n+1)*4
+	}
+	l.end = off + 4
+	return l
+}
+
+// tailLayout is the byte offset of every table of a program file's
+// cold tail; end is the tail's length, CRC included.
+type tailLayout struct {
+	stepT, transfers, payload, blocks, shared, phases, segs int
+	end                                                     int
+}
+
+// layoutTail lays out a tail for numSteps steps, numTransfers transfers
+// and numPayload payload ids, with phaseBytes of phase records and
+// segBytes of route legs.
+func layoutTail(numSteps, numTransfers, numPayload, phaseBytes, segBytes int) tailLayout {
+	var l tailLayout
+	l.transfers = (numSteps + 1) * 4
+	l.payload = l.transfers + numTransfers*24
+	l.blocks = l.payload + numPayload*4
+	l.shared = l.blocks + numTransfers*4
+	l.phases = l.shared + padded4((numSteps+7)/8)
+	l.segs = l.phases + phaseBytes
+	l.end = l.segs + padded4(segBytes) + 4
+	return l
+}
+
+func putU32(b []byte, off int, v uint32) { binary.LittleEndian.PutUint32(b[off:], v) }
+func putI32(b []byte, off int, v int32)  { binary.LittleEndian.PutUint32(b[off:], uint32(v)) }
+
+// putI32s writes vals little-endian at b[off:] — one bulk copy on
 // little-endian hosts.
-func appendI32s(b []byte, vals []int32) []byte {
+func putI32s(b []byte, off int, vals []int32) {
 	if len(vals) == 0 {
-		return b
+		return
 	}
 	if hostLittle {
-		return append(b, unsafe.Slice((*byte)(unsafe.Pointer(&vals[0])), len(vals)*4)...)
+		copy(b[off:], unsafe.Slice((*byte)(unsafe.Pointer(&vals[0])), len(vals)*4))
+		return
 	}
-	for _, v := range vals {
-		b = binary.LittleEndian.AppendUint32(b, uint32(v))
+	for i, v := range vals {
+		putI32(b, off+4*i, v)
 	}
-	return b
 }
 
-func appendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
-func appendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
-func pad4(b []byte) []byte {
-	for len(b)&3 != 0 {
-		b = append(b, 0)
+// putRecord writes a transfer, log-move or descriptor record at
+// b[off:], its int32 fields in declaration order: one store on
+// little-endian hosts (off is 4-aligned in an 8-aligned buffer).
+func putRecord[T ptransfer | logMove | xdesc](b []byte, off int, rec T) {
+	dst := b[off : off+int(unsafe.Sizeof(rec))]
+	if hostLittle {
+		*(*T)(unsafe.Pointer(&dst[0])) = rec
+		return
 	}
-	return b
+	putI32s(dst, 0, unsafe.Slice((*int32)(unsafe.Pointer(&rec)), len(dst)/4))
 }
 
-// EncodeProgram serializes p to the versioned binary program format.
-// optFP is the compile-options fingerprint the program was compiled
-// under (progcache.Fingerprint); it is embedded in the header and
-// re-checked by DecodeProgram, so a cached file can never be replayed
-// against options it was not compiled for. Encoding a decoded program
-// first materializes its schedule (the tail is rebuilt from it), so
-// encode→decode→encode is byte-identical, and a decoded program whose
-// tail was rejected returns that error.
+// seal writes the CRC32 of a section's bytes into its last four.
+func seal(section []byte) {
+	body := section[:len(section)-4]
+	putU32(section, len(body), crc32.ChecksumIEEE(body))
+}
+
+// newCore allocates the program's exact-size replay core for numMoves
+// log moves and numDesc descriptors, ahead of a tailLen-byte tail, and
+// writes every field but the per-step log-move offsets, the log moves,
+// the descriptors, the delivery windows and the CRC: planDescriptors'
+// compaction writes those at the returned offsets, and Compile seals
+// the core. The options fingerprint stays 0 until a writer reseals it.
+func (p *Program) newCore(tailLen, numDomains, numMoves, numDesc int) (coreLayout, error) {
+	fp := p.fab.Fingerprint()
+	var flags byte
+	errLen, errMsg := -1, ""
+	if p.parallelErr != nil {
+		flags |= flagParallelErr
+		errMsg = p.parallelErr.Error()
+		errLen = len(errMsg)
+	}
+	numTraffic := 0
+	if p.replay {
+		flags |= flagReplay
+		if p.fullTraffic {
+			flags |= flagFullTraffic
+		} else {
+			numTraffic = len(p.trafficIDs)
+		}
+	}
+	l := layoutCore(len(fp), len(p.steps), errLen, p.replay, p.n, numTraffic, numMoves, numDesc)
+	if size := int64(l.end) + int64(tailLen); size > math.MaxUint32 {
+		return l, fmt.Errorf("exec: a %d-byte program exceeds the program format's 4 GiB limit", size)
+	}
+	b := make([]byte, l.end)
+	copy(b, codecMagic)
+	binary.LittleEndian.PutUint16(b[4:], CodecVersion)
+	b[6] = flags
+	putU32(b, 16, uint32(l.end))
+	putU32(b, 20, uint32(tailLen))
+	putU32(b, 24, uint32(len(fp)))
+	copy(b[28:], fp)
+	off := 28 + padded4(len(fp))
+	for _, v := range [...]int{p.n, len(p.steps), p.numTransfers, p.coldPhases,
+		p.maxSharing, numDomains, numTraffic, p.numPayload} {
+		putU32(b, off, uint32(v))
+		off += 4
+	}
+	m := &p.measure
+	for _, v := range [...]int{m.Steps, m.Blocks, m.Hops, m.RearrangedBlocks} {
+		binary.LittleEndian.PutUint64(b[off:], uint64(v))
+		off += 8
+	}
+	for si := range p.steps {
+		ps := &p.steps[si]
+		for k, v := range [...]int{ps.phaseIndex, ps.stepIndex, ps.sharing, ps.maxBlocks, ps.maxHops} {
+			putU32(b, l.steps+20*si+4*k, uint32(v))
+		}
+	}
+	if errLen >= 0 {
+		putU32(b, l.parallelErr, uint32(errLen))
+		copy(b[l.parallelErr+4:], errMsg)
+	}
+	if p.replay {
+		putI32s(b, l.perDest, p.perDest)
+		putI32s(b, l.traffic, p.trafficIDs[:numTraffic])
+		putU32(b, l.counts, uint32(numDesc))
+		putU32(b, l.counts+4, uint32(numMoves))
+		putI32(b, l.counts+8, p.descBase[p.n])
+		putI32s(b, l.descBase, p.descBase)
+	}
+	p.core = b
+	return l, nil
+}
+
+// WriteProgram writes p's program file to w: the replay core and the
+// cold tail p already holds — Compile wrote both, and a decoded program
+// views its file's — with the core's header resealed under optFP, the
+// compile-options fingerprint the program was compiled under
+// (progcache.Fingerprint). DecodeProgram re-checks it, so a cached file
+// can never be replayed against options it was not compiled for.
+// Nothing is re-encoded, so compile→write→decode→write is
+// byte-identical. A program whose tail Schedule() rejected returns
+// that error; a mapped tail that faults (its file truncated in place)
+// returns an error too.
+func WriteProgram(w io.Writer, p *Program, optFP uint64) (int64, error) {
+	if p == nil {
+		return 0, fmt.Errorf("exec: encode nil program")
+	}
+	if err := p.SchedErr(); err != nil {
+		return 0, fmt.Errorf("exec: encode: %w", err)
+	}
+	var head [24]byte
+	copy(head[:], p.core)
+	binary.LittleEndian.PutUint64(head[8:], optFP)
+	body := p.core[len(head) : len(p.core)-4]
+	var sum [4]byte
+	binary.LittleEndian.PutUint32(sum[:], crc32.Update(crc32.ChecksumIEEE(head[:]), crc32.IEEETable, body))
+	var n int64
+	err := guardTail(func() error {
+		for _, b := range [...][]byte{head[:], body, sum[:], p.tail} {
+			m, err := w.Write(b)
+			n += int64(m)
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return n, fmt.Errorf("exec: encode: %w", err)
+	}
+	return n, nil
+}
+
+// EncodeProgram returns p's program file (see WriteProgram) as one
+// buffer of its exact length, for callers that want the bytes.
 func EncodeProgram(p *Program, optFP uint64) ([]byte, error) {
 	if p == nil {
 		return nil, fmt.Errorf("exec: encode nil program")
 	}
-	sc := p.Schedule()
-	if sc == nil {
-		if p.schedErr != nil {
-			return nil, fmt.Errorf("exec: encode: %w", p.schedErr)
-		}
-		return nil, fmt.Errorf("exec: encode: program has no schedule")
+	b := bytes.NewBuffer(make([]byte, 0, len(p.core)+len(p.tail)))
+	if _, err := WriteProgram(b, p, optFP); err != nil {
+		return nil, err
 	}
-	if p.fab == nil {
-		return nil, fmt.Errorf("exec: encode: program has no fabric")
-	}
-	n := p.n
-	numSteps := len(p.steps)
-	numTransfers := 0
-	for si := range p.steps {
-		numTransfers += len(p.steps[si].transfers)
-	}
-	var flags byte
-	if p.replay {
-		flags |= flagReplay
-	}
-	if p.fullTraffic {
-		flags |= flagFullTraffic
-	}
-	if p.parallelErr != nil {
-		flags |= flagParallelErr
-	}
-	numTraffic := 0
-	if p.replay && !p.fullTraffic {
-		numTraffic = len(p.trafficIDs)
-	}
-
-	// Sizing pass: validate every cold-section field against its codec
-	// limit and size the variable-length parts — the phase names and the
-	// route-leg stream — so the whole file is written into one buffer of
-	// its exact length.
-	var one [1]schedule.Seg
-	segBytes := 0
-	for si := range p.steps {
-		for ti := range p.steps[si].transfers {
-			tr := &p.steps[si].step.Transfers[ti]
-			if tr.Blocks < 0 || int64(tr.Blocks) > math.MaxUint32 {
-				return nil, fmt.Errorf("exec: encode: transfer block count %d out of range", tr.Blocks)
-			}
-			segs := routeLegs(tr, &one)
-			if len(segs) > math.MaxUint8 {
-				return nil, fmt.Errorf("exec: encode: transfer %v has %d route legs (max %d)", tr, len(segs), math.MaxUint8)
-			}
-			for _, sg := range segs {
-				if sg.Dim < 0 || sg.Dim > math.MaxUint8 || sg.Hops < 0 || sg.Hops > math.MaxUint16 {
-					return nil, fmt.Errorf("exec: encode: route leg %+v exceeds codec limits", sg)
-				}
-			}
-			segBytes += 1 + 4*len(segs)
-		}
-	}
-	phaseBytes := 0
-	for pi := range sc.Phases {
-		ph := &sc.Phases[pi]
-		if ph.Rearrange < 0 || int64(ph.Rearrange) > math.MaxUint32 {
-			return nil, fmt.Errorf("exec: encode: phase %q rearrange %d out of range", ph.Name, ph.Rearrange)
-		}
-		phaseBytes += 4 + padded4(len(ph.Name)) + 8
-	}
-
-	fp := p.fab.Fingerprint()
-	var errMsg string
-	if p.parallelErr != nil {
-		errMsg = p.parallelErr.Error()
-	}
-	coreLen := 24 + 4 + padded4(len(fp)) + 8*4 + 4*8 + numSteps*20
-	if p.parallelErr != nil {
-		coreLen += 4 + padded4(len(errMsg))
-	}
-	if p.replay {
-		coreLen += 4*n + 4*numTraffic + 3*4 + (numSteps+1)*4 + len(p.moves)*20 +
-			(n+1)*4 + len(p.descBacking)*16 + (n+1)*4
-	}
-	coreLen += 4
-	tailLen := (numSteps+1)*4 + numTransfers*24 +
-		4*len(p.payloadBacking) + 4*numTransfers + padded4((numSteps+7)/8) + phaseBytes + padded4(segBytes) + 4
-	if int64(coreLen)+int64(tailLen) > math.MaxUint32 {
-		return nil, fmt.Errorf("exec: encode: %d-byte program exceeds the codec's size limit", int64(coreLen)+int64(tailLen))
-	}
-
-	b := make([]byte, 0, coreLen+tailLen)
-	b = append(b, codecMagic...)
-	b = binary.LittleEndian.AppendUint16(b, CodecVersion)
-	b = append(b, flags, 0)
-	b = appendU64(b, optFP)
-	b = appendU32(b, uint32(coreLen))
-	b = appendU32(b, uint32(tailLen))
-	b = appendU32(b, uint32(len(fp)))
-	b = append(b, fp...)
-	b = pad4(b)
-	for _, v := range []int{n, numSteps, numTransfers,
-		len(sc.Phases), p.maxSharing, p.numDomains, numTraffic, p.numPayload} {
-		if v < 0 || int64(v) > math.MaxUint32 {
-			return nil, fmt.Errorf("exec: encode: scalar %d out of range", v)
-		}
-		b = appendU32(b, uint32(v))
-	}
-	b = appendU64(b, uint64(p.measure.Steps))
-	b = appendU64(b, uint64(p.measure.Blocks))
-	b = appendU64(b, uint64(p.measure.Hops))
-	b = appendU64(b, uint64(p.measure.RearrangedBlocks))
-	for si := range p.steps {
-		ps := &p.steps[si]
-		b = appendU32(b, uint32(ps.phaseIndex))
-		b = appendU32(b, uint32(ps.stepIndex))
-		b = appendU32(b, uint32(ps.sharing))
-		b = appendU32(b, uint32(ps.maxBlocks))
-		b = appendU32(b, uint32(ps.maxHops))
-	}
-	if p.parallelErr != nil {
-		b = appendU32(b, uint32(len(errMsg)))
-		b = append(b, errMsg...)
-		b = pad4(b)
-	}
-	if p.replay {
-		b = appendI32s(b, p.perDest)
-		if !p.fullTraffic {
-			b = appendI32s(b, p.trafficIDs)
-		}
-		b = appendU32(b, uint32(len(p.descBacking)))
-		b = appendU32(b, uint32(len(p.moves)))
-		b = appendU32(b, uint32(p.descBase[n]))
-		b = appendI32s(b, p.moveOff)
-		if hostLittle && moveLayoutMatches && len(p.moves) > 0 {
-			b = append(b, unsafe.Slice((*byte)(unsafe.Pointer(&p.moves[0])), len(p.moves)*20)...)
-		} else {
-			for i := range p.moves {
-				m := &p.moves[i]
-				for _, v := range [5]int32{m.src, m.payLen, m.descOff, m.descLen, m.insPos} {
-					b = appendU32(b, uint32(v))
-				}
-			}
-		}
-		b = appendI32s(b, p.descBase)
-		if hostLittle && xdescLayoutMatches && len(p.descBacking) > 0 {
-			b = append(b, unsafe.Slice((*byte)(unsafe.Pointer(&p.descBacking[0])), len(p.descBacking)*16)...)
-		} else {
-			for i := range p.descBacking {
-				d := &p.descBacking[i]
-				for _, v := range [4]int32{d.start, d.count, d.blocklen, d.stride} {
-					b = appendU32(b, uint32(v))
-				}
-			}
-		}
-		b = appendI32s(b, p.deliverOff)
-	}
-	b = appendU32(b, crc32.ChecksumIEEE(b))
-	if len(b) != coreLen {
-		return nil, fmt.Errorf("exec: encode: wrote a %d-byte core, sized %d", len(b), coreLen)
-	}
-
-	off := 0
-	for si := range p.steps {
-		b = appendU32(b, uint32(off))
-		off += len(p.steps[si].transfers)
-	}
-	b = appendU32(b, uint32(off))
-	if hostLittle && ptLayoutMatches {
-		for si := range p.steps {
-			ts := p.steps[si].transfers
-			if len(ts) > 0 {
-				b = append(b, unsafe.Slice((*byte)(unsafe.Pointer(&ts[0])), len(ts)*24)...)
-			}
-		}
-	} else {
-		for si := range p.steps {
-			for ti := range p.steps[si].transfers {
-				pt := &p.steps[si].transfers[ti]
-				for _, v := range [6]int32{pt.src, pt.dst, pt.payOff, pt.payLen, pt.linkOff, pt.linkLen} {
-					b = appendU32(b, uint32(v))
-				}
-			}
-		}
-	}
-	b = appendI32s(b, p.payloadBacking)
-	for si := range p.steps {
-		for ti := range p.steps[si].transfers {
-			b = appendU32(b, uint32(p.steps[si].step.Transfers[ti].Blocks))
-		}
-	}
-	for lo := 0; lo < numSteps; lo += 8 {
-		var bits byte
-		for si := lo; si < min(lo+8, numSteps); si++ {
-			if p.steps[si].step.Shared {
-				bits |= 1 << uint(si-lo)
-			}
-		}
-		b = append(b, bits)
-	}
-	b = pad4(b)
-	for pi := range sc.Phases {
-		ph := &sc.Phases[pi]
-		b = appendU32(b, uint32(len(ph.Name)))
-		b = append(b, ph.Name...)
-		b = pad4(b)
-		b = appendU32(b, uint32(len(ph.Steps)))
-		b = appendU32(b, uint32(ph.Rearrange))
-	}
-	for si := range p.steps {
-		for ti := range p.steps[si].transfers {
-			segs := routeLegs(&p.steps[si].step.Transfers[ti], &one)
-			b = append(b, byte(len(segs)))
-			for _, sg := range segs {
-				dir := byte(0)
-				if sg.Dir == topology.Neg {
-					dir = 1
-				}
-				b = append(b, byte(sg.Dim), dir)
-				b = binary.LittleEndian.AppendUint16(b, uint16(sg.Hops))
-			}
-		}
-	}
-	b = pad4(b)
-	b = appendU32(b, crc32.ChecksumIEEE(b[coreLen:]))
-	if len(b) != coreLen+tailLen {
-		return nil, fmt.Errorf("exec: encode: wrote a %d-byte tail, sized %d", len(b)-coreLen, tailLen)
-	}
-	return b, nil
+	return b.Bytes(), nil
 }
 
 // routeLegs is tr.Segments() without its per-call allocation: Segs
@@ -509,13 +464,13 @@ func (r *creader) count(elem int) int {
 }
 
 // DecodeProgram reconstructs a compiled program from data (a buffer
-// produced by EncodeProgram). f must be the fabric the program was
-// compiled on and optFP the compile-options fingerprint used at
-// encode time; both are checked against the embedded header so a
-// stale or misfiled cache artifact is rejected, not replayed. The
+// produced by WriteProgram or EncodeProgram). f must be the fabric the
+// program was compiled on and optFP the compile-options fingerprint
+// used at encode time; both are checked against the embedded header so
+// a stale or misfiled cache artifact is rejected, not replayed. The
 // decoded program replays immediately; its schedule (needed only for
-// telemetry and re-encoding) materializes lazily from the cold tail on
-// first Schedule() call.
+// telemetry) materializes lazily from the cold tail on first
+// Schedule() call.
 //
 // Decoding reads only the replay core: on little-endian hosts its
 // tables are views over data, and decode cost is the core's CRC, the
@@ -543,19 +498,36 @@ func DecodeProgram(data []byte, f topology.Fabric, optFP uint64) (*Program, erro
 	if got := crc32.ChecksumIEEE(core); got != crcField {
 		return nil, fmt.Errorf("exec: decode: core checksum mismatch (file %08x, computed %08x): file corrupted or truncated", crcField, got)
 	}
-	flags := data[6]
-	if flags&^flagKnown != 0 {
-		return nil, fmt.Errorf("exec: decode: unknown flags %#x", flags&^flagKnown)
-	}
-	r := &creader{b: core, off: 8}
-	if gotFP := r.u64(); gotFP != optFP {
+	if gotFP := binary.LittleEndian.Uint64(data[8:]); gotFP != optFP {
 		return nil, fmt.Errorf("exec: decode: options fingerprint %#x, want %#x: file was compiled under different options", gotFP, optFP)
 	}
-	r.take(8) // coreLen, tailLen
+	p, err := newProgram(data[:coreLen], data[coreLen:], f, false)
+	if err != nil {
+		return nil, fmt.Errorf("exec: decode: %w", err)
+	}
+	return p, nil
+}
+
+// newProgram builds the Program a core and tail describe: it walks the
+// core's header, views its tables and proves every index a replay
+// follows (checkPlan). The core's framing (its length, version and
+// CRC) must already be checked; the tail is only framed, never read.
+// Compile's programs and decoded ones both come from here, so every
+// program is trusted by the same proofs. compiled records that core
+// and tail are Compile's heap buffers, whose node count is the
+// fabric's own: SizeBytes then counts the tail, and only decoded bytes
+// are held to maxDecodeBlocks.
+func newProgram(core, tail []byte, f topology.Fabric, compiled bool) (*Program, error) {
+	flags := core[6]
+	if flags&^flagKnown != 0 {
+		return nil, fmt.Errorf("unknown flags %#x", flags&^flagKnown)
+	}
+	tailLen := int64(len(tail))
+	r := &creader{b: core[:len(core)-4], off: 24}
 	fabFP := string(r.take(r.count(1)))
 	r.pad4()
 	if r.err == nil && fabFP != f.Fingerprint() {
-		return nil, fmt.Errorf("exec: decode: program compiled for fabric %q, decoding on %q", fabFP, f.Fingerprint())
+		return nil, fmt.Errorf("program compiled for fabric %q, decoding on %q", fabFP, f.Fingerprint())
 	}
 
 	n := int(r.u32())
@@ -563,7 +535,7 @@ func DecodeProgram(data []byte, f topology.Fabric, optFP uint64) (*Program, erro
 	numTransfers := int(r.u32())
 	numPhases := int(r.u32())
 	maxSharing := int(r.u32())
-	numDomains := int(r.u32())
+	r.u32() // numDomains: sized Compile's claim tables; a replay needs none
 	numTraffic := int(r.u32())
 	numPayload := int(r.u32())
 	mSteps, mBlocks := r.u64(), r.u64()
@@ -571,13 +543,13 @@ func DecodeProgram(data []byte, f topology.Fabric, optFP uint64) (*Program, erro
 	if r.err != nil {
 		return nil, r.err
 	}
-	if n <= 0 || int64(n)*int64(n) > maxDecodeBlocks || n != f.Nodes() {
-		return nil, fmt.Errorf("exec: decode: node count %d, fabric %s has %d", n, f, f.Nodes())
+	if n <= 0 || !compiled && int64(n)*int64(n) > maxDecodeBlocks || n != f.Nodes() {
+		return nil, fmt.Errorf("node count %d, fabric %s has %d", n, f, f.Nodes())
 	}
 	replay := flags&flagReplay != 0
 	fullTraffic := flags&flagFullTraffic != 0
 	if fullTraffic && !replay || numTraffic != 0 && (!replay || fullTraffic) || numPayload != 0 && !replay {
-		return nil, fmt.Errorf("exec: decode: inconsistent traffic flags")
+		return nil, fmt.Errorf("inconsistent traffic flags")
 	}
 	// Tail framing, from the core's counts alone: the transfer table and
 	// the cold section must fit the tail, whose bytes are not read here.
@@ -586,13 +558,13 @@ func DecodeProgram(data []byte, f topology.Fabric, optFP uint64) (*Program, erro
 	// materialize sizes and the log the payloads may grow.
 	coldLen := tailLen - 4 - int64(numSteps+1)*4 - int64(numTransfers)*24
 	if coldLen < 0 {
-		return nil, fmt.Errorf("exec: decode: a %d-byte tail cannot hold %d steps' %d transfers", tailLen, numSteps, numTransfers)
+		return nil, fmt.Errorf("a %d-byte tail cannot hold %d steps' %d transfers", tailLen, numSteps, numTransfers)
 	}
 	if int64(numPhases) > coldLen/12 {
-		return nil, fmt.Errorf("exec: decode: %d phases do not fit a %d-byte cold section", numPhases, coldLen)
+		return nil, fmt.Errorf("%d phases do not fit a %d-byte cold section", numPhases, coldLen)
 	}
 	if int64(numPayload) > coldLen/4 {
-		return nil, fmt.Errorf("exec: decode: %d payload ids do not fit a %d-byte cold section", numPayload, coldLen)
+		return nil, fmt.Errorf("%d payload ids do not fit a %d-byte cold section", numPayload, coldLen)
 	}
 
 	p := &Program{
@@ -600,9 +572,10 @@ func DecodeProgram(data []byte, f topology.Fabric, optFP uint64) (*Program, erro
 		replay:       replay,
 		fullTraffic:  fullTraffic,
 		maxSharing:   maxSharing,
-		numDomains:   numDomains,
 		numPayload:   numPayload,
-		tail:         data[coreLen:],
+		core:         core,
+		tail:         tail,
+		heapTail:     compiled,
 		numTransfers: numTransfers,
 		coldPhases:   numPhases,
 	}
@@ -641,8 +614,8 @@ func DecodeProgram(data []byte, f topology.Fabric, optFP uint64) (*Program, erro
 	if r.err != nil {
 		return nil, r.err
 	}
-	if r.off != len(core) {
-		return nil, fmt.Errorf("exec: decode: %d trailing bytes in the core", len(core)-r.off)
+	if r.off != len(r.b) {
+		return nil, fmt.Errorf("%d trailing bytes in the core", len(r.b)-r.off)
 	}
 
 	// Step table: validate every header field the replay and the
@@ -651,7 +624,7 @@ func DecodeProgram(data []byte, f topology.Fabric, optFP uint64) (*Program, erro
 	for si := 0; si < numSteps; si++ {
 		h := stepHdr[si*5:]
 		if h[0] < 0 || int(h[0]) >= numPhases || h[1] < 0 || h[2] < 1 || h[3] < 0 || h[4] < 0 {
-			return nil, fmt.Errorf("exec: decode: step %d header invalid", si)
+			return nil, fmt.Errorf("step %d header invalid", si)
 		}
 		p.steps[si] = pstep{
 			phaseIndex: int(h[0]), stepIndex: int(h[1]),
@@ -664,20 +637,20 @@ func DecodeProgram(data []byte, f topology.Fabric, optFP uint64) (*Program, erro
 		if fullTraffic {
 			for v := 0; v < n; v++ {
 				if int(perDest[v]) != n {
-					return nil, fmt.Errorf("exec: decode: node %d delivery count %d, traffic addresses %d blocks to it", v, perDest[v], n)
+					return nil, fmt.Errorf("node %d delivery count %d, traffic addresses %d blocks to it", v, perDest[v], n)
 				}
 			}
 		} else {
 			addressed := make([]int32, n)
 			for _, id := range trafficIDs {
 				if id < 0 || int(id) >= p.numBlocks {
-					return nil, fmt.Errorf("exec: decode: traffic id %d out of range", id)
+					return nil, fmt.Errorf("traffic id %d out of range", id)
 				}
 				addressed[int(id)%n]++
 			}
 			for v := 0; v < n; v++ {
 				if perDest[v] != addressed[v] {
-					return nil, fmt.Errorf("exec: decode: node %d delivery count %d, traffic addresses %d blocks to it", v, perDest[v], addressed[v])
+					return nil, fmt.Errorf("node %d delivery count %d, traffic addresses %d blocks to it", v, perDest[v], addressed[v])
 				}
 			}
 			p.trafficIDs = trafficIDs
@@ -687,87 +660,32 @@ func DecodeProgram(data []byte, f topology.Fabric, optFP uint64) (*Program, erro
 		// serialized.
 		p.deriveDelivery()
 		if logSize < 0 || logSize > p.numBlocks+numPayload {
-			return nil, fmt.Errorf("exec: decode: implausible log size %d", logSize)
+			return nil, fmt.Errorf("implausible log size %d", logSize)
 		}
 		if int(descBase[n]) != logSize {
-			return nil, fmt.Errorf("exec: decode: log region prefix does not cover the log")
+			return nil, fmt.Errorf("log region prefix does not cover the log")
 		}
-		p.moves = viewLogMoves(movesRaw, numMoves)
+		p.moves = viewRecords[logMove](movesRaw, numMoves)
 		p.moveOff = moveOff
-		p.descBacking = viewXdescs(descRaw, numDesc)
+		p.descBacking = viewRecords[xdesc](descRaw, numDesc)
 		p.descBase = descBase
 		p.deliverOff = deliverOff
 		if err := p.checkPlan(); err != nil {
-			return nil, fmt.Errorf("exec: decode: %w", err)
+			return nil, err
 		}
 		p.deriveReplayStats()
 	}
 	return p, nil
 }
 
-// viewTransfers views b as n transfer records: a bulk view when the
-// in-memory layout is the file layout, element-wise otherwise.
-func viewTransfers(b []byte, n int) []ptransfer {
+// viewRecords views b, which holds at least n records, as n records of
+// T — in place wherever asInt32s views in place, and over asInt32s'
+// decoded copy otherwise.
+func viewRecords[T ptransfer | logMove | xdesc](b []byte, n int) []T {
 	if n == 0 {
 		return nil
 	}
-	if hostLittle && ptLayoutMatches && aligned4(b) {
-		return unsafe.Slice((*ptransfer)(unsafe.Pointer(&b[0])), n)
-	}
-	out := make([]ptransfer, n)
-	for i := range out {
-		rec := b[i*24:]
-		out[i] = ptransfer{
-			src:     int32(binary.LittleEndian.Uint32(rec[0:])),
-			dst:     int32(binary.LittleEndian.Uint32(rec[4:])),
-			payOff:  int32(binary.LittleEndian.Uint32(rec[8:])),
-			payLen:  int32(binary.LittleEndian.Uint32(rec[12:])),
-			linkOff: int32(binary.LittleEndian.Uint32(rec[16:])),
-			linkLen: int32(binary.LittleEndian.Uint32(rec[20:])),
-		}
-	}
-	return out
-}
-
-func viewLogMoves(b []byte, n int) []logMove {
-	if n == 0 {
-		return nil
-	}
-	if hostLittle && moveLayoutMatches && aligned4(b) {
-		return unsafe.Slice((*logMove)(unsafe.Pointer(&b[0])), n)
-	}
-	out := make([]logMove, n)
-	for i := range out {
-		rec := b[i*20:]
-		out[i] = logMove{
-			src:     int32(binary.LittleEndian.Uint32(rec[0:])),
-			payLen:  int32(binary.LittleEndian.Uint32(rec[4:])),
-			descOff: int32(binary.LittleEndian.Uint32(rec[8:])),
-			descLen: int32(binary.LittleEndian.Uint32(rec[12:])),
-			insPos:  int32(binary.LittleEndian.Uint32(rec[16:])),
-		}
-	}
-	return out
-}
-
-func viewXdescs(b []byte, n int) []xdesc {
-	if n == 0 {
-		return nil
-	}
-	if hostLittle && xdescLayoutMatches && aligned4(b) {
-		return unsafe.Slice((*xdesc)(unsafe.Pointer(&b[0])), n)
-	}
-	out := make([]xdesc, n)
-	for i := range out {
-		rec := b[i*16:]
-		out[i] = xdesc{
-			start:    int32(binary.LittleEndian.Uint32(rec[0:])),
-			count:    int32(binary.LittleEndian.Uint32(rec[4:])),
-			blocklen: int32(binary.LittleEndian.Uint32(rec[8:])),
-			stride:   int32(binary.LittleEndian.Uint32(rec[12:])),
-		}
-	}
-	return out
+	return unsafe.Slice((*T)(unsafe.Pointer(&asInt32s(b)[0])), n)
 }
 
 // checkPlan proves a replay plan safe to execute with unchecked

@@ -364,7 +364,10 @@ func TestProgramDecodeRejects(t *testing.T) {
 			}
 		})
 		// A dragonfly's global ports are wired in the Pos direction
-		// only; turn one global leg of D3(2,3)'s direct routes around.
+		// only; turn one global leg of D3(2,3)'s direct routes around in
+		// the file's route-leg stream, the last section of the tail: one
+		// count byte per transfer, then four bytes (dim, dir, hops) per
+		// leg, padded to 4.
 		t.Run("unwired-port", func(t *testing.T) {
 			d := topology.MustNewDragonfly(2, 3)
 			dsc, err := b.BuildSchedule(d)
@@ -375,24 +378,35 @@ func TestProgramDecodeRejects(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			turned := false
+			enc, err := exec.EncodeProgram(dpg, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			segBytes := 0
 			dsc.EachStep(func(_ *schedule.Phase, _ int, st *schedule.Step) {
-				for k := range st.Transfers {
-					tr := &st.Transfers[k]
-					for j := range tr.Segs {
-						if !turned && tr.Segs[j].Dim >= d.LocalDims() {
-							tr.Segs[j].Dir, turned = topology.Neg, true
+				for _, tr := range st.Transfers {
+					segBytes += 1 + 4*len(tr.Segments())
+				}
+			})
+			at, turned := len(enc)-4-(segBytes+3)&^3, false
+			dsc.EachStep(func(_ *schedule.Phase, _ int, st *schedule.Step) {
+				for _, tr := range st.Transfers {
+					at++
+					for _, sg := range tr.Segments() {
+						if !turned && sg.Dim >= d.LocalDims() {
+							if enc[at] != byte(sg.Dim) || enc[at+1] != 0 {
+								t.Fatalf("route leg stream at %d holds dim %d dir %d, want %+v", at, enc[at], enc[at+1], sg)
+							}
+							enc[at+1], turned = 1, true
 						}
+						at += 4
 					}
 				}
 			})
 			if !turned {
 				t.Fatalf("direct@%s has no global leg", d)
 			}
-			unwired, err := exec.EncodeProgram(dpg, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
+			unwired := resealProgram(enc)
 			dec, err := exec.DecodeProgram(unwired, d, 1)
 			if err != nil {
 				t.Fatalf("core rejected: %v", err)
@@ -588,12 +602,17 @@ func TestEncodeProgramAllocBudget(t *testing.T) {
 
 // TestDecodedTailConcurrentParallel: the first Schedule() of a decoded
 // program attaches its transfer table while other goroutines replay
-// it, weigh it and trace it; under -race every access must be ordered,
-// and every goroutine must see the same delivery and the same trace.
+// it, weigh it, trace it and encode it; under -race every access must
+// be ordered, and every goroutine must see the same delivery, the same
+// trace and the same bytes.
 func TestDecodedTailConcurrentParallel(t *testing.T) {
 	tor := topology.MustNew(8, 8)
 	pg := decodedProgram(t, "factored", tor)
 	ref, err := pg.Run(exec.Options{Serial: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refEnc, err := exec.EncodeProgram(pg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -608,6 +627,8 @@ func TestDecodedTailConcurrentParallel(t *testing.T) {
 			var sink telemetry.MemorySink
 			if g%2 == 0 {
 				opt.Telemetry = telemetry.New(&sink, costmodel.T3D(64))
+			} else if enc, err := exec.EncodeProgram(pg, 0); err != nil || !bytes.Equal(enc, refEnc) {
+				t.Errorf("goroutine %d: encoding differs (%v)", g, err)
 			}
 			_ = pg.SizeBytes()
 			res, err := pg.RunArena(pg.NewArena(), opt)

@@ -6,6 +6,8 @@ import (
 	"sync"
 
 	"torusx/internal/block"
+	"torusx/internal/obs"
+	"torusx/internal/schedule"
 )
 
 // Compile-time reference replay. One serial walk over the lowered
@@ -93,13 +95,17 @@ func acquireIDSlot(numBlocks int) []int32 {
 // compileReplay resolves the traffic matrix to dense ids, validates the
 // full replay chain once with the serial reference semantics (each
 // transfer's extraction interleaved with the previous transfer's
-// insertion), verifies final delivery and builds the descriptor plan.
-// After this pass a run is a pure, check-free id shuffle. opOff holds
-// the per-node prefix offsets of insert/extract event counts (from
-// Compile's counting pass); numT is the total transfer count.
-func (p *Program) compileReplay(opt Options, payloadBacking []int32, opOff []int32, numT int) error {
+// insertion), verifies final delivery and builds the descriptor plan,
+// whose compaction writes the program's core. After this pass a run is
+// a pure, check-free id shuffle. It reads the transfers and payloads
+// the lowering pass wrote into the tail; tail.opOff counts each node's
+// insert/extract events (from the counting pass).
+func (p *Program) compileReplay(sc *schedule.Schedule, opt Options, tail *lowered) error {
+	rsp := opt.Request.Stage(obs.StageReferenceReplay)
+	defer rsp.End()
 	n := p.n
 	traffic := opt.Traffic
+	opOff, payloadBacking, numT := tail.opOff, tail.payload, p.numTransfers
 	cs := compileScratchPool.Get().(*compileScratch)
 	defer compileScratchPool.Put(cs)
 
@@ -210,8 +216,9 @@ func (p *Program) compileReplay(opt Options, payloadBacking []int32, opOff []int
 	for si := range p.steps {
 		ps := &p.steps[si]
 		sv := int32(si) + 1
-		for ti := range ps.transfers {
-			pt := &ps.transfers[ti]
+		ts := tail.transfers[tail.stepT[si]:tail.stepT[si+1]]
+		for ti := range ts {
+			pt := &ts[ti]
 			if pt.payLen == 0 {
 				g++
 				continue
@@ -232,7 +239,7 @@ func (p *Program) compileReplay(opt Options, payloadBacking []int32, opOff []int
 				h := hs[id]
 				if int32(h>>32) != int32(src) {
 					return fmt.Errorf("exec: phase %q step %d: node %d transmits %v it does not hold",
-						ps.phase.Name, ps.stepIndex, src, block.FromID(id, n))
+						sc.Phases[ps.phaseIndex].Name, ps.stepIndex, src, block.FromID(id, n))
 				}
 				if int32(uint32(h)) >= stepArr[src] {
 					fwd = id
@@ -252,7 +259,7 @@ func (p *Program) compileReplay(opt Options, payloadBacking []int32, opOff []int
 					h := hs[id]
 					if int32(h>>32) != int32(src) {
 						return fmt.Errorf("exec: phase %q step %d: node %d transmits %v it does not hold",
-							ps.phase.Name, ps.stepIndex, src, block.FromID(id, n))
+							sc.Phases[ps.phaseIndex].Name, ps.stepIndex, src, block.FromID(id, n))
 					}
 					st := int32(uint32(h))
 					if st < prev {
@@ -294,7 +301,7 @@ func (p *Program) compileReplay(opt Options, payloadBacking []int32, opOff []int
 			}
 			if fwd >= 0 && p.parallelErr == nil {
 				p.parallelErr = fmt.Errorf("exec: phase %q step %d: node %d forwards %v within the step that delivered it; the one-barrier parallel replay cannot execute this schedule (run with Options.Serial)",
-					ps.phase.Name, ps.stepIndex, src, block.FromID(fwd, n))
+					sc.Phases[ps.phaseIndex].Name, ps.stepIndex, src, block.FromID(fwd, n))
 			}
 			// Emit the transfer's event records into the per-node runs,
 			// right here while its fields are at hand.
@@ -313,8 +320,6 @@ func (p *Program) compileReplay(opt Options, payloadBacking []int32, opOff []int
 			g++
 		}
 	}
-
-	p.payloadBacking = payloadBacking
 
 	// Delivery: every node must end up holding exactly its share of the
 	// matrix, every block addressed to it. hs holds each block's final
@@ -347,6 +352,8 @@ func (p *Program) compileReplay(opt Options, payloadBacking []int32, opOff []int
 	// The descriptor replay plan (the append-only log layout, the log
 	// moves' strided gathers and the per-node delivery descriptors),
 	// built from this walk's artifacts. See descriptor.go.
-	p.planDescriptors(opOff, opBacking, ordOff, ordSpill, initIDs, initOff, hs, arrivals, numT)
-	return nil
+	rsp.End()
+	psp := opt.Request.Stage(obs.StagePlanDescriptors)
+	defer psp.End()
+	return p.planDescriptors(tail, opBacking, ordOff, ordSpill, initIDs, initOff, hs, arrivals)
 }

@@ -157,15 +157,18 @@ func growU8(s []uint8, n int) []uint8 {
 	return s[:n]
 }
 
-// planDescriptors lowers the replay to the descriptor plan. Inputs are
-// the reference replay's artifacts: the per-node event runs
-// (opOff/opBacking, with ordOff/ordSpill resolving the payloads listed
-// out of arrival order), the per-node initial contents
-// (initIDs/initOff), the final holder/stamp table hs and the per-node
-// arrival totals. Must run after delivery was verified.
-func (p *Program) planDescriptors(opOff []int32, opBacking []opRec, ordOff, ordSpill, initIDs, initOff []int32,
-	hs []uint64, arrivals []int32, numT int) {
+// planDescriptors lowers the replay to the descriptor plan and writes
+// the program's core. Inputs are the tail the lowering pass wrote (its
+// transfer table and payload ids) and the reference replay's
+// artifacts: the per-node event runs (tail.opOff/opBacking, with
+// ordOff/ordSpill resolving the payloads listed out of arrival order),
+// the per-node initial contents (initIDs/initOff), the final
+// holder/stamp table hs and the per-node arrival totals. Must run after
+// delivery was verified.
+func (p *Program) planDescriptors(tail *lowered, opBacking []opRec, ordOff, ordSpill, initIDs, initOff []int32,
+	hs []uint64, arrivals []int32) error {
 	n := p.n
+	opOff, payload, numT := tail.opOff, tail.payload, p.numTransfers
 	ds := descScratchPool.Get().(*descScratch)
 	defer descScratchPool.Put(ds)
 
@@ -215,39 +218,29 @@ func (p *Program) planDescriptors(opOff []int32, opBacking []opRec, ordOff, ordS
 		lastMove[id] = -1
 		readNode[id] = id % int32(n)
 	}
-	g := 0
-	for si := range p.steps {
-		ts := p.steps[si].transfers
-		for ti := range ts {
-			pt := &ts[ti]
-			for _, id := range p.payloadBacking[pt.payOff : pt.payOff+pt.payLen] {
-				lastMove[id] = int32(g)
-			}
-			g++
+	for g := range tail.transfers {
+		pt := &tail.transfers[g]
+		for _, id := range payload[pt.payOff : pt.payOff+pt.payLen] {
+			lastMove[id] = int32(g)
 		}
 	}
-	g = 0
-	for si := range p.steps {
-		ts := p.steps[si].transfers
-		for ti := range ts {
-			pt := &ts[ti]
-			isLast[g] = 0
-			if pt.payLen > 0 {
-				all := uint8(1)
-				for _, id := range p.payloadBacking[pt.payOff : pt.payOff+pt.payLen] {
-					if lastMove[id] != int32(g) {
-						all = 0
-						break
-					}
-				}
-				isLast[g] = all
-				if all != 0 {
-					for _, id := range p.payloadBacking[pt.payOff : pt.payOff+pt.payLen] {
-						readNode[id] = pt.src
-					}
+	for g := range tail.transfers {
+		pt := &tail.transfers[g]
+		isLast[g] = 0
+		if pt.payLen > 0 {
+			all := uint8(1)
+			for _, id := range payload[pt.payOff : pt.payOff+pt.payLen] {
+				if lastMove[id] != int32(g) {
+					all = 0
+					break
 				}
 			}
-			g++
+			isLast[g] = all
+			if all != 0 {
+				for _, id := range payload[pt.payOff : pt.payOff+pt.payLen] {
+					readNode[id] = pt.src
+				}
+			}
 		}
 	}
 
@@ -303,7 +296,7 @@ func (p *Program) planDescriptors(opOff []int32, opBacking []opRec, ordOff, ordS
 				op := &opBacking[oi]
 				gr := op.gr
 				tg := gr >> opFlagBits
-				ord := p.payloadBacking[op.payOff : op.payOff+op.payLen]
+				ord := payload[op.payOff : op.payOff+op.payLen]
 				if gr&opHasOrd != 0 {
 					o := ordOff[tg]
 					ord = ordSpill[o : o+op.payLen]
@@ -393,62 +386,61 @@ func (p *Program) planDescriptors(opOff []int32, opBacking []opRec, ordOff, ordS
 		wdescs[w] = descs
 	})
 
-	// Serial compaction into the program's exact-size form: the log
-	// moves in step order with descriptors rebased to absolute log
-	// positions, then every node's delivery descriptors.
+	// Serial compaction straight into the program's exact-size core:
+	// the log moves in step order with descriptors rebased to absolute
+	// log positions, then every node's delivery descriptors.
 	total, numMoves := 0, 0
-	g = 0
-	for si := range p.steps {
-		ts := p.steps[si].transfers
-		for ti := range ts {
-			if ts[ti].payLen > 0 && isLast[g] == 0 {
-				total += int(dDescCnt[g])
-				numMoves++
-			}
-			g++
+	for g := range tail.transfers {
+		if tail.transfers[g].payLen > 0 && isLast[g] == 0 {
+			total += int(dDescCnt[g])
+			numMoves++
 		}
 	}
 	for v := 0; v < n; v++ {
 		total += int(deliverCnt[v])
 	}
-	p.descBacking = make([]xdesc, 0, total)
-	p.moves = make([]logMove, 0, numMoves)
-	p.moveOff = make([]int32, len(p.steps)+1)
-	g = 0
+	p.descBase = descBase
+	lay, err := p.newCore(len(tail.b), tail.numDomains, numMoves, total)
+	if err != nil {
+		return err
+	}
+	core := p.core
+	mi, di := 0, 0
+	g := 0
 	for si := range p.steps {
-		ps := &p.steps[si]
-		p.moveOff[si] = int32(len(p.moves))
-		for ti := range ps.transfers {
-			pt := &ps.transfers[ti]
+		putI32(core, lay.moveOff+4*si, int32(mi))
+		for ; g < int(tail.stepT[si+1]); g++ {
+			pt := &tail.transfers[g]
 			if pt.payLen == 0 || isLast[g] != 0 {
-				g++
 				continue
 			}
-			off := int32(len(p.descBacking))
+			off := di
 			for _, d := range wdescs[nodeW[pt.src]][dDescOff[g] : dDescOff[g]+dDescCnt[g]] {
 				d.start += descBase[pt.src]
-				p.descBacking = append(p.descBacking, d)
+				putRecord(core, lay.descs+16*di, d)
+				di++
 			}
-			p.moves = append(p.moves, logMove{
+			putRecord(core, lay.moves+20*mi, logMove{
 				src: pt.src, payLen: pt.payLen,
-				descOff: off, descLen: dDescCnt[g],
+				descOff: int32(off), descLen: dDescCnt[g],
 				insPos: descBase[pt.dst] + dInsLocal[g],
 			})
-			g++
+			mi++
 		}
 	}
-	p.moveOff[len(p.steps)] = int32(len(p.moves))
-	p.deliverOff = make([]int32, n+1)
+	putI32(core, lay.moveOff+4*len(p.steps), int32(mi))
 	for v := 0; v < n; v++ {
-		p.deliverOff[v] = int32(len(p.descBacking))
-		p.descBacking = append(p.descBacking, wdescs[nodeW[v]][deliverAt[v]:deliverAt[v]+deliverCnt[v]]...)
+		putI32(core, lay.deliverOff+4*v, int32(di))
+		for _, d := range wdescs[nodeW[v]][deliverAt[v] : deliverAt[v]+deliverCnt[v]] {
+			putRecord(core, lay.descs+16*di, d)
+			di++
+		}
 	}
-	p.deliverOff[n] = int32(len(p.descBacking))
-	p.descBase = descBase
-	p.deriveReplayStats()
+	putI32(core, lay.deliverOff+4*n, int32(di))
+	return nil
 }
 
-// deriveReplayStats derives, at compile and at decode, each step's
+// deriveReplayStats derives, whenever a program is viewed, each step's
 // log-move element count, which decides whether the parallel replay
 // fans the step out.
 func (p *Program) deriveReplayStats() {

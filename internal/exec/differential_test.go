@@ -32,6 +32,7 @@
 package exec_test
 
 import (
+	"math"
 	"reflect"
 	"strconv"
 	"strings"
@@ -496,11 +497,55 @@ func structuralRejects() []struct {
 	}
 }
 
+// formatLimitRejects are schedules Compile rejects, whatever
+// SkipChecks says, because the program format cannot hold them: more
+// than 255 route legs, a leg of more than 65,535 hops or on a dimension
+// above 255, or a block count above 2^32-1. Each is one transfer on a
+// 4x4 torus whose route ends where it starts.
+func formatLimitRejects() []struct {
+	name string
+	tr   schedule.Transfer
+} {
+	legs := make([]schedule.Seg, 256)
+	for i := range legs {
+		legs[i] = schedule.Seg{Dim: 0, Dir: topology.Pos, Hops: 4}
+	}
+	return []struct {
+		name string
+		tr   schedule.Transfer
+	}{
+		{"route-legs", schedule.Transfer{Src: 0, Dst: 0, Dim: 0, Dir: topology.Pos, Hops: 4, Blocks: 1, Segs: legs}},
+		{"leg-hops", schedule.Transfer{Src: 0, Dst: 0, Dim: 0, Dir: topology.Pos, Hops: 1 << 16, Blocks: 1}},
+		{"leg-dimension", schedule.Transfer{Src: 0, Dst: 0, Dim: 0, Dir: topology.Pos, Hops: 0, Blocks: 1,
+			Segs: []schedule.Seg{{Dim: 0, Dir: topology.Pos, Hops: 4}, {Dim: 256, Dir: topology.Pos, Hops: 0}}}},
+		{"block-count", schedule.Transfer{Src: 0, Dst: 1, Dim: 1, Dir: topology.Pos, Hops: 1, Blocks: math.MaxInt}},
+	}
+}
+
 // TestCompiledDifferentialRejects: one-port and contention violations
 // are rejected by the oracle and by Compile with the same error (both
 // reuse the schedule package's error types and check order), and
-// SkipChecks lets the same structural schedules through on both.
+// SkipChecks lets the same structural schedules through on both. A
+// schedule past the program format's limits fails Compile, with and
+// without SkipChecks, naming the transfer.
 func TestCompiledDifferentialRejects(t *testing.T) {
+	tor := topology.MustNew(4, 4)
+	for _, tc := range formatLimitRejects() {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.name == "block-count" && uint64(math.MaxInt) <= math.MaxUint32 {
+				t.Skip("every int block count fits the program format on this platform")
+			}
+			sc := &schedule.Schedule{Fabric: tor, Phases: []schedule.Phase{{
+				Name: "limit", Steps: []schedule.Step{{Transfers: []schedule.Transfer{tc.tr}}},
+			}}}
+			for _, skip := range []bool{false, true} {
+				_, err := exec.Compile(sc, exec.Options{SkipChecks: skip})
+				if err == nil || !strings.Contains(err.Error(), "program format") || !strings.Contains(err.Error(), tc.tr.String()) {
+					t.Fatalf("SkipChecks=%v: Compile err = %v, want a program format error naming %v", skip, err, tc.tr)
+				}
+			}
+		})
+	}
 	for _, tc := range structuralRejects() {
 		t.Run(tc.name, func(t *testing.T) {
 			_, refErr := oracleRun(tc.sc, nil, false)

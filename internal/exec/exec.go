@@ -71,6 +71,9 @@ type Options struct {
 
 // Result is the outcome of executing a schedule.
 type Result struct {
+	// Schedule is the schedule Run was given; a program's RunArena
+	// reports its materialized schedule on traced runs and nil
+	// otherwise, so untraced replays never read the program's tail.
 	Schedule *schedule.Schedule
 	// Measure is the uniformly derived cost-model measurement.
 	Measure costmodel.Measure
@@ -91,11 +94,16 @@ type Result struct {
 // Run executes sc once: Compile followed by a replay on a one-shot
 // arena, for one-shot callers such as the baselines' closed-form checks
 // and the collectives; replay-many callers compile once (usually
-// through the program cache) and reuse arenas instead.
+// through the program cache) and reuse arenas instead. The Result
+// reports sc itself as its Schedule.
 func Run(sc *schedule.Schedule, opt Options) (*Result, error) {
 	pg, err := Compile(sc, opt)
 	if err != nil {
 		return nil, err
 	}
-	return pg.Run(opt)
+	res, err := pg.Run(opt)
+	if err == nil {
+		res.Schedule = sc
+	}
+	return res, err
 }

@@ -7,6 +7,7 @@ import (
 
 	"torusx/internal/baseline"
 	"torusx/internal/block"
+	"torusx/internal/collective"
 	"torusx/internal/costmodel"
 	"torusx/internal/exchange"
 	"torusx/internal/exec"
@@ -64,6 +65,34 @@ func TestRunStructuralProposed(t *testing.T) {
 	}
 }
 
+// TestRunMeasureOnlyLargeFabric: a measure-only schedule holds no
+// n²-sized table, so Compile and Run accept fabrics of any size the
+// schedule builders do — here 16,384 nodes, past the block-id space a
+// program decoder reconstructs.
+func TestRunMeasureOnlyLargeFabric(t *testing.T) {
+	tor := topology.MustNew(32, 32, 16)
+	bcast, err := collective.BroadcastSchedule(tor, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	structural, err := exchange.GenerateStructural(tor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, sc := range map[string]*schedule.Schedule{"broadcast": bcast, "structural": structural} {
+		res, err := exec.Run(sc, exec.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.Replayed || res.Measure.Steps != sc.NumSteps() {
+			t.Fatalf("%s: replayed %v, %d steps measured, schedule has %d", name, res.Replayed, res.Measure.Steps, sc.NumSteps())
+		}
+	}
+	if got, want := structural.NumSteps(), costmodel.ProposedND([]int{32, 32, 16}).Steps; got != want {
+		t.Fatalf("structural: %d steps, closed form %d", got, want)
+	}
+}
+
 func TestRunReplaysPayloadSchedules(t *testing.T) {
 	// Payload-annotated builders are replayed block by block and
 	// delivery-verified against the full all-to-all matrix.
@@ -82,6 +111,9 @@ func TestRunReplaysPayloadSchedules(t *testing.T) {
 		}
 		if !res.Replayed || len(res.Buffers) != tor.Nodes() {
 			t.Fatalf("%s: payload schedule should be replayed", tc.name)
+		}
+		if res.Schedule != tc.sc {
+			t.Fatalf("%s: Run reports schedule %p, not the one it was given", tc.name, res.Schedule)
 		}
 		if tc.sharing && res.MaxSharing <= 1 {
 			t.Fatalf("%s: expected link sharing, MaxSharing = %d", tc.name, res.MaxSharing)

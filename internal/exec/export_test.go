@@ -1,6 +1,10 @@
 package exec
 
-import "fmt"
+import (
+	"fmt"
+
+	"torusx/internal/schedule"
+)
 
 // CheckDescriptorPlan verifies a compiled program's descriptor plan
 // against its own transfer table — a test-only hook for the external
@@ -11,7 +15,8 @@ import "fmt"
 // they carry have a log move, in step order, with the transfer's
 // sender and size and an insert window in the receiver's log region;
 // each step's element count is its log moves' payload; and BytesMoved
-// is the whole executed payload.
+// is the whole executed payload. The transfers are read from the
+// program's materialized schedule.
 func CheckDescriptorPlan(p *Program) error {
 	if !p.replay {
 		return nil
@@ -22,11 +27,20 @@ func CheckDescriptorPlan(p *Program) error {
 	if err := p.checkPlan(); err != nil {
 		return err
 	}
+	sc := p.Schedule()
+	if sc == nil {
+		return p.SchedErr()
+	}
+	var steps []*schedule.Step
+	sc.EachStep(func(_ *schedule.Phase, _ int, s *schedule.Step) { steps = append(steps, s) })
+	if len(steps) != len(p.steps) {
+		return fmt.Errorf("schedule has %d steps, program %d", len(steps), len(p.steps))
+	}
 	lastMove := make([]int, p.numBlocks)
 	g := 0
-	for si := range p.steps {
-		for ti := range p.steps[si].transfers {
-			for _, id := range p.payloadOf(&p.steps[si].transfers[ti]) {
+	for _, s := range steps {
+		for _, tr := range s.Transfers {
+			for _, id := range tr.Payload {
 				lastMove[id] = g
 			}
 			g++
@@ -35,17 +49,16 @@ func CheckDescriptorPlan(p *Program) error {
 	var bytes int64
 	mi := 0
 	g = 0
-	for si := range p.steps {
-		ps := &p.steps[si]
+	for si, s := range steps {
 		if int(p.moveOff[si]) != mi {
 			return fmt.Errorf("step %d log moves start at %d, want %d", si, p.moveOff[si], mi)
 		}
 		moved := 0
-		for ti := range ps.transfers {
-			pt := &ps.transfers[ti]
-			bytes += int64(pt.payLen) * 4
+		for _, tr := range s.Transfers {
+			payLen := int32(len(tr.Payload))
+			bytes += int64(payLen) * 4
 			last := true
-			for _, id := range p.payloadOf(pt) {
+			for _, id := range tr.Payload {
 				last = last && lastMove[id] == g
 			}
 			g++
@@ -57,16 +70,16 @@ func CheckDescriptorPlan(p *Program) error {
 			}
 			m := &p.moves[mi]
 			mi++
-			if m.src != pt.src || m.payLen != pt.payLen {
-				return fmt.Errorf("transfer %d: log move %+v, transfer %d->%d carries %d", g-1, *m, pt.src, pt.dst, pt.payLen)
+			if m.src != int32(tr.Src) || m.payLen != payLen {
+				return fmt.Errorf("transfer %d: log move %+v, transfer %d->%d carries %d", g-1, *m, tr.Src, tr.Dst, payLen)
 			}
-			if m.insPos < p.descBase[pt.dst] || m.insPos+m.payLen > p.descBase[pt.dst+1] {
-				return fmt.Errorf("transfer %d inserts at %d, outside its receiver node %d's log region", g-1, m.insPos, pt.dst)
+			if m.insPos < p.descBase[tr.Dst] || m.insPos+m.payLen > p.descBase[tr.Dst+1] {
+				return fmt.Errorf("transfer %d inserts at %d, outside its receiver node %d's log region", g-1, m.insPos, tr.Dst)
 			}
-			moved += int(pt.payLen)
+			moved += int(payLen)
 		}
-		if ps.moved != moved {
-			return fmt.Errorf("step %d element count %d, log-moved payload %d", si, ps.moved, moved)
+		if p.steps[si].moved != moved {
+			return fmt.Errorf("step %d element count %d, log-moved payload %d", si, p.steps[si].moved, moved)
 		}
 	}
 	if mi != len(p.moves) {
@@ -106,21 +119,33 @@ type MoveRec struct{ Src, Len, DescOff, DescLen, InsPos int32 }
 // log moves (in step order) and of its per-node delivery descriptor
 // windows (n+1 offsets into the descriptor table), so tests can write a
 // correctly sealed file whose plan a decoder must reject. descBase, the
-// per-node log-region prefix, is passed for reference. p itself is left
+// per-node log-region prefix, is passed for reference. The edits land
+// in the encoded bytes, whose core is resealed; p itself is left
 // unchanged.
 func EncodeWithPlanEdit(p *Program, optFP uint64, edit func(moves []MoveRec, deliverOff, descBase []int32)) ([]byte, error) {
-	moves, deliverOff := p.moves, p.deliverOff
-	defer func() { p.moves, p.deliverOff = moves, deliverOff }()
-	recs := make([]MoveRec, len(moves))
-	for i, m := range moves {
+	enc, err := EncodeProgram(p, optFP)
+	if err != nil {
+		return nil, err
+	}
+	numTraffic := 0
+	if !p.fullTraffic {
+		numTraffic = len(p.trafficIDs)
+	}
+	errLen := -1
+	if p.parallelErr != nil {
+		errLen = len(p.parallelErr.Error())
+	}
+	lay := layoutCore(len(p.fab.Fingerprint()), len(p.steps), errLen, p.replay, p.n, numTraffic, len(p.moves), len(p.descBacking))
+	recs := make([]MoveRec, len(p.moves))
+	for i, m := range p.moves {
 		recs[i] = MoveRec{m.src, m.payLen, m.descOff, m.descLen, m.insPos}
 	}
-	off := append([]int32(nil), deliverOff...)
+	off := append([]int32(nil), p.deliverOff...)
 	edit(recs, off, append([]int32(nil), p.descBase...))
-	p.moves = make([]logMove, len(recs))
 	for i, r := range recs {
-		p.moves[i] = logMove{r.Src, r.Len, r.DescOff, r.DescLen, r.InsPos}
+		putRecord(enc, lay.moves+20*i, logMove{r.Src, r.Len, r.DescOff, r.DescLen, r.InsPos})
 	}
-	p.deliverOff = off
-	return EncodeProgram(p, optFP)
+	putI32s(enc, lay.deliverOff, off)
+	seal(enc[:lay.end])
+	return enc, nil
 }

@@ -4,23 +4,44 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"runtime/debug"
 
 	"torusx/internal/schedule"
 	"torusx/internal/topology"
 )
 
-// Lazy schedule materialization for decoded programs. A program
-// decoded from the binary codec replays from its file's core alone;
-// only telemetry, re-encoding and explicit Schedule() calls need the
+// Lazy schedule materialization. A program replays from its file's
+// core alone; only telemetry and explicit Schedule() calls need the
 // cold tail. materialize checks the tail's CRC, validates the transfer
 // table against the core, parses the cold section — phase names,
 // declared block counts, route legs and payload ids — rebuilds a
-// semantically identical schedule.Schedule, attaches the transfer table
-// to the lowered steps and patches their schedule pointers, and
-// re-expands every route into the link table the telemetry post-pass
-// reads. It runs at most once per program (behind Program.Schedule's
-// sync.Once) and its cost is the cost of building schedule structs,
-// not of re-validating or re-replaying anything.
+// semantically identical schedule.Schedule, and re-expands every route
+// into the link table the telemetry post-pass reads. It runs at most
+// once per program (behind Program.Schedule's sync.Once) and its cost
+// is the cost of building schedule structs, not of re-validating or
+// re-replaying anything. Nothing it returns views the tail, so a
+// mapped tail is read only while materialize runs, under guardTail.
+
+// guardTail runs read, which reads the program's tail, and turns a
+// memory fault into an error. A disk-tier tail is a file mapping, and
+// a file truncated in place under it faults (SIGBUS) instead of
+// reading short, which would otherwise kill the process; the error
+// reaches OnTailError like any other rejected tail, so the disk tier
+// deletes the file and the next request recompiles.
+func guardTail(read func() error) (err error) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer func() {
+		if r := recover(); r != nil {
+			fault, ok := r.(interface{ Addr() uintptr })
+			if !ok {
+				panic(r)
+			}
+			err = fmt.Errorf("exec: cold tail unreadable (fault at %#x): program file truncated under its mapping", fault.Addr())
+		}
+	}()
+	return read()
+}
+
 func (p *Program) materialize() error {
 	body := p.tail[:len(p.tail)-4]
 	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(p.tail[len(body):]); got != want {
@@ -29,7 +50,7 @@ func (p *Program) materialize() error {
 	numSteps := len(p.steps)
 	r := &creader{b: body}
 	stepT := asInt32s(r.take((numSteps + 1) * 4))
-	transfers := viewTransfers(r.take(p.numTransfers*24), p.numTransfers)
+	transfers := viewRecords[ptransfer](r.take(p.numTransfers*24), p.numTransfers)
 	payload := asInt32s(r.take(p.numPayload * 4))
 	blocks := asInt32s(r.take(p.numTransfers * 4))
 	sharedBits := r.take((numSteps + 7) / 8)
@@ -50,19 +71,25 @@ func (p *Program) materialize() error {
 			return fmt.Errorf("exec: cold tail: step %d transfer window [%d,%d) invalid", si, stepT[si], stepT[si+1])
 		}
 	}
-	payEnd := 0
+	// The link windows tile the expanded routes the same way, which
+	// lets telemetry walk the link table in transfer order.
+	payEnd, numLinks := 0, 0
 	for i := range transfers {
 		pt := &transfers[i]
 		if int(pt.src) >= p.n || pt.src < 0 || int(pt.dst) >= p.n || pt.dst < 0 {
 			return fmt.Errorf("exec: cold tail: transfer %d endpoints %d->%d out of range", i, pt.src, pt.dst)
 		}
-		if pt.payLen < 0 || pt.linkLen < 0 || pt.linkOff < 0 {
+		if pt.payLen < 0 || pt.linkLen < 0 {
 			return fmt.Errorf("exec: cold tail: transfer %d negative window", i)
 		}
 		if int(pt.payOff) != payEnd {
 			return fmt.Errorf("exec: cold tail: transfer %d payload window at %d, want %d", i, pt.payOff, payEnd)
 		}
+		if int(pt.linkOff) != numLinks {
+			return fmt.Errorf("exec: cold tail: link windows do not tile the routes: transfer %d at %d, want %d", i, pt.linkOff, numLinks)
+		}
 		payEnd += int(pt.payLen)
+		numLinks += int(pt.linkLen)
 	}
 	if payEnd != p.numPayload {
 		return fmt.Errorf("exec: cold tail: transfers carry %d payload ids, the core counts %d", payEnd, p.numPayload)
@@ -98,16 +125,10 @@ func (p *Program) materialize() error {
 	}
 
 	// Rebuild the transfers with their routes and payload windows, and
-	// re-expand the link table: the lowering pass wrote link windows in
-	// transfer order, so one route walk reproduces the exact offsets
-	// the transfer table recorded.
+	// re-expand the link table: the windows tile it in transfer order,
+	// so one route walk reproduces the exact offsets the transfer table
+	// recorded.
 	nd := p.fab.NDims()
-	numLinks := 0
-	for k := range transfers {
-		if end := int(transfers[k].linkOff) + int(transfers[k].linkLen); end > numLinks {
-			numLinks = end
-		}
-	}
 	// A route leg takes 4 bytes of the cold section, and no builder
 	// makes a leg longer than the fabric has nodes, so link windows
 	// past that bound are corrupt and must not size an allocation.
@@ -192,18 +213,8 @@ func (p *Program) materialize() error {
 		return fmt.Errorf("exec: cold section: %d trailing bytes", len(r.b)-r.off)
 	}
 
-	// Publish: attach the transfer table and patch the lowered steps'
-	// schedule pointers, then the backings. Readers reach all of this
-	// through Schedule()'s sync.Once, which orders these writes before
-	// any of their reads.
-	for si := range p.steps {
-		ps := &p.steps[si]
-		ph := &sc.Phases[ps.phaseIndex]
-		ps.phase = ph
-		ps.step = &ph.Steps[ps.stepIndex]
-		ps.transfers = transfers[stepT[si]:stepT[si+1]:stepT[si+1]]
-	}
-	p.payloadBacking = payload
+	// Publish. Readers reach these through Schedule()'s sync.Once,
+	// which orders these writes before any of their reads.
 	p.linkBacking = linkBacking
 	p.scMat = sc
 	return nil

@@ -1,69 +1,66 @@
 package exec
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"torusx/internal/block"
 	"torusx/internal/costmodel"
+	"torusx/internal/obs"
 	"torusx/internal/par"
 	"torusx/internal/schedule"
 	"torusx/internal/topology"
 )
 
 // This file is the compilation layer between the schedule IR and the
-// executor: Compile validates a schedule exactly once and lowers it to
-// a Program — dense integer ids for every traffic block (origin*n +
-// dest), every transfer's multi-leg route pre-expanded to flat link-id
-// slices, per-step cost terms and sharing factors precomputed, and the
-// descriptor replay plan derived from a compile-time reference replay
-// (descriptor.go) — so that replaying the same schedule again costs no
+// executor: Compile validates a schedule exactly once and writes it as
+// a program file (codec.go) — dense integer ids for every traffic
+// block (origin*n + dest), per-step cost terms and sharing factors
+// precomputed, and the descriptor replay plan derived from a
+// compile-time reference replay (descriptor.go) — which it then views
+// as a Program, so that replaying the same schedule again costs no
 // re-validation, no route walking, no hashing and (with a reused Arena)
 // no allocation. The structural checks of independent steps fan out
 // over internal/par, so first-touch (compile) latency on large tori
 // drops with core count.
 
-// ptransfer is one transfer lowered to dense ids. It is deliberately
-// pointer-free — all variable-length data lives in the Program's flat
-// backings, referenced by [off, off+len) windows — so the tens of
-// thousands of lowered transfers of a large program cost the garbage
-// collector nothing to scan and serialize to the binary program codec
-// as a handful of flat arrays.
+// ptransfer is one record of a program file's transfer table, viewed
+// in place: the reference replay and the descriptor planner read it
+// while compiling, and materialize checks it.
 type ptransfer struct {
 	src, dst int32
-	// payOff/payLen window into Program.payloadBacking: the transfer's
-	// blocks as dense ids (origin*n+dest), in schedule payload order;
-	// empty for structural transfers. Replay itself reads only the
-	// descriptor plan; the ids are kept for telemetry and re-encoding.
+	// payOff/payLen window the payload ids (origin*n+dest), in schedule
+	// payload order; empty for structural transfers.
 	payOff, payLen int32
-	// linkOff/linkLen window into Program.linkBacking: the transfer's
-	// full dimension-ordered route expanded to dense link ids, in path
-	// order.
+	// linkOff/linkLen window the transfer's full dimension-ordered
+	// route expanded to dense link ids, in path order.
 	linkOff, linkLen int32
 }
 
-// pstep is one step lowered to precomputed form.
+// pstep is one step's header in the program core.
 type pstep struct {
-	phase      *schedule.Phase
-	step       *schedule.Step
 	phaseIndex int
 	stepIndex  int // index within the phase
 	sharing    int // link-sharing serialization factor (1 unless Shared)
 	maxBlocks  int
 	maxHops    int
-	transfers  []ptransfer
 	// moved is the element count the step's log moves copy, which
 	// decides whether the parallel replay fans the step out
-	// (fanOutElems). Derived at compile and decode, never serialized.
+	// (fanOutElems). Derived when a program is viewed, never serialized.
 	moved int
 }
 
-// Program is a compiled schedule: the validated, densely indexed form
-// the executor replays. A Program is immutable after Compile and
-// safe for concurrent use; per-run mutable state lives in an Arena.
+// Program is a compiled schedule: a view over its program file (see
+// codec.go), the validated, densely indexed form the executor replays.
+// Compile writes the file and DecodeProgram reads one back; either way
+// the Program is the same view. A Program is immutable after it is
+// built and safe for concurrent use; per-run mutable state lives in an
+// Arena.
 type Program struct {
-	sc  *schedule.Schedule
 	fab topology.Fabric
 
 	n         int // nodes
@@ -74,23 +71,11 @@ type Program struct {
 	measure    costmodel.Measure
 	maxSharing int
 
-	// numDomains sizes the contention-claim scratch; domainTab maps
-	// link ids to domains and is nil on identity-domain fabrics (torus,
-	// dragonfly), where link ids index the scratch directly.
-	numDomains int
-	domainTab  []int32
-
 	// Replay-only fields. trafficIDs is nil under the full matrix, whose
 	// ids are 0..n²-1 in matrix order.
 	trafficIDs []int32 // declared traffic as dense ids, in matrix order
 	perDest    []int32 // blocks each node must finally hold
 
-	// Flat backings every ptransfer's [off, off+len) windows point
-	// into. Two arrays instead of two slices per transfer: the lowered
-	// form carries no pointers for the collector to chase and
-	// round-trips through the binary codec as bulk copies.
-	payloadBacking []int32
-	linkBacking    []int32
 	// parallelErr, when non-nil, records that the schedule forwards a
 	// block within the step that delivered it (serial semantics accept
 	// this; the one-barrier parallel replay cannot execute it). The
@@ -117,8 +102,7 @@ type Program struct {
 	// [finalBase[v], finalBase[v+1]) of a delivery buffer; maxPerDest is
 	// the largest node's share, the size of RunArena's per-worker gather
 	// scratch. recip is the delivery pass's reciprocal of n (see
-	// divShift). All derived from perDest and n at compile and decode,
-	// never serialized.
+	// divShift). All derived from perDest and n, never serialized.
 	finalBase  []int32
 	maxPerDest int
 	recip      uint64
@@ -127,20 +111,27 @@ type Program struct {
 	// copy each of those elements once (BytesMoved is 4*numPayload).
 	numPayload int
 
-	// Decoded-program state: tail is the program file's unchecked cold
-	// tail (the transfer table, then phase names, block counts, routes
-	// and payload ids, under their own checksum); Schedule()
-	// materializes it at most once into scMat, attaching the transfer
-	// table and the payload/link backings to the steps as a side
-	// effect. sc stays nil for decoded programs — replay never needs
-	// it, and a replay-only process never reads the tail. onTailErr
-	// runs when the tail is rejected (OnTailError).
+	// The program file: core is the replay core every table above but
+	// the derived ones views; tail is the unchecked cold tail (the
+	// transfer table, then phase names, block counts, route legs and
+	// payload ids, under their own checksum). heapTail records that the
+	// tail is Compile's heap buffer rather than a view of bytes the
+	// caller owns or maps. Schedule() materializes the tail at most once
+	// into scMat, with the telemetry link table linkBacking, every
+	// transfer's route re-expanded in transfer order; a replay-only
+	// process never reads the tail. schedDone is set once schedErr holds
+	// the outcome; onTailErr runs when the tail is rejected
+	// (OnTailError).
+	core         []byte
 	tail         []byte
+	heapTail     bool
 	numTransfers int
 	coldPhases   int
 	scMat        *schedule.Schedule
+	linkBacking  []int32
 	schedOnce    sync.Once
 	schedErr     error
+	schedDone    atomic.Bool
 	onTailErr    func(*Program, error)
 
 	// arenas pools released arenas for concurrent replays of one
@@ -148,21 +139,17 @@ type Program struct {
 	arenas sync.Pool
 }
 
-// Schedule returns the schedule the program was compiled from. For a
-// program decoded from the binary codec the schedule is rebuilt from
-// the file's cold tail on first call, after the tail's checksum and
+// Schedule returns the program's schedule, rebuilt from the program
+// file's cold tail on first call, after the tail's checksum and
 // transfer table are checked (and the telemetry link table is
-// re-expanded with it); the rebuild happens at most once. Returns nil
-// if the tail is unusable — SchedErr then reports why.
+// re-expanded with it); the rebuild happens at most once. The schedule
+// is semantically identical to the one Compile was given, but never
+// the same value. Returns nil if the tail is unusable — SchedErr then
+// reports why.
 func (p *Program) Schedule() *schedule.Schedule {
-	if p.sc != nil {
-		return p.sc
-	}
-	if p.tail == nil {
-		return nil
-	}
 	p.schedOnce.Do(func() {
-		p.schedErr = p.materialize()
+		p.schedErr = guardTail(p.materialize)
+		p.schedDone.Store(true)
 		if p.schedErr != nil && p.onTailErr != nil {
 			p.onTailErr(p, p.schedErr)
 		}
@@ -170,19 +157,24 @@ func (p *Program) Schedule() *schedule.Schedule {
 	return p.scMat
 }
 
-// SchedErr reports why a decoded program's schedule failed to
-// materialize (nil before the first Schedule call and on success).
-func (p *Program) SchedErr() error { return p.schedErr }
+// SchedErr reports why the program's schedule failed to materialize
+// (nil until a Schedule call has finished, and on success). It is safe
+// to call concurrently with Schedule.
+func (p *Program) SchedErr() error {
+	if !p.schedDone.Load() {
+		return nil
+	}
+	return p.schedErr
+}
 
 // OnTailError registers fn to run once, with the program and the
-// error, if Schedule() rejects the decoded program's cold tail. A tail
-// is checked only when first needed, so a corrupt one surfaces after
+// error, if Schedule() rejects the program's cold tail. A tail is
+// checked only when first needed, so a corrupt one surfaces after
 // decode; the disk tier uses this to delete the file and drop the
 // cached program, so the next request recompiles. fn receives the
 // program rather than capturing it, so a hook never keeps its program
 // reachable. Register before the program is shared: hooks are not
-// synchronized, and each runs after the ones registered before it. A
-// no-op on compiled programs, which have no tail.
+// synchronized, and each runs after the ones registered before it.
 func (p *Program) OnTailError(fn func(*Program, error)) {
 	if prev := p.onTailErr; prev != nil {
 		p.onTailErr = func(q *Program, err error) { prev(q, err); fn(q, err) }
@@ -204,15 +196,14 @@ func (p *Program) Measure() costmodel.Measure { return p.measure }
 // any step, as Run would report it.
 func (p *Program) MaxSharing() int { return p.maxSharing }
 
-// SizeBytes estimates the bytes the program holds, excluding the
-// source schedule it references; program caches use it as the eviction
-// weight. Every program counts its replay core: the lowered steps, the
-// traffic ids, the delivery counts and layout, and the replay plan. A
-// compiled program also counts its transfer table and its payload and
-// link ids. A decoded program counts only the core, whose tables are
-// views of the file: its cold tail, and the schedule and tables
-// materialized from it on demand, stay outside the weight, as they stay
-// outside a replay-only process's resident set.
+// SizeBytes estimates the bytes the program holds; program caches use
+// it as the eviction weight. It counts the replay core — the step
+// headers, the traffic ids, the delivery counts and layout, and the
+// replay plan — and the cold tail only while the program owns it on
+// the heap, as a fresh Compile does. A tail viewed in caller-owned or
+// mapped bytes, and the schedule and tables materialized from it on
+// demand, stay outside the weight, as they stay outside a replay-only
+// process's resident set.
 func (p *Program) SizeBytes() int64 {
 	size := int64(unsafe.Sizeof(*p))
 	size += int64(len(p.steps)) * int64(unsafe.Sizeof(pstep{}))
@@ -220,11 +211,8 @@ func (p *Program) SizeBytes() int64 {
 	size += int64(len(p.moves)) * int64(unsafe.Sizeof(logMove{}))
 	size += int64(len(p.descBacking)) * int64(unsafe.Sizeof(xdesc{}))
 	size += int64(len(p.moveOff)+len(p.descBase)+len(p.deliverOff)+len(p.finalBase)) * 4
-	if p.sc != nil {
-		for si := range p.steps {
-			size += int64(len(p.steps[si].transfers)) * int64(unsafe.Sizeof(ptransfer{}))
-		}
-		size += int64(len(p.payloadBacking))*4 + int64(len(p.linkBacking))*4
+	if p.heapTail {
+		size += int64(len(p.tail))
 	}
 	return size
 }
@@ -277,76 +265,123 @@ func (p *Program) DeliveryOffset(v int) int {
 	return int(p.finalBase[v])
 }
 
-// payloadOf and linksOf resolve a transfer's backing windows.
-func (p *Program) payloadOf(pt *ptransfer) []int32 {
-	return p.payloadBacking[pt.payOff : pt.payOff+pt.payLen]
-}
-
-func (p *Program) linksOf(pt *ptransfer) []int32 {
-	return p.linkBacking[pt.linkOff : pt.linkOff+pt.linkLen]
-}
-
 // Compile validates sc once — one-port and contention checks (honoring
 // opt.SkipChecks), payload/Blocks coherence, the full sender-holds
 // replay chain and final delivery against the declared traffic matrix
-// (opt.Traffic, nil meaning all-to-all) — and lowers it to a Program.
-// A rejected schedule fails here, at compile time; a compiled
-// program's runs cannot fail on a schedule left unmodified, except that
-// the parallel replay refuses intra-step forwarding. Options.Serial,
-// Workers and Telemetry are run-time choices and are ignored by
-// Compile.
+// (opt.Traffic, nil meaning all-to-all), and the program format's
+// limits — and writes it as a program file, which it then views as the
+// Program, just as DecodeProgram views a stored one: the result holds
+// the file's exact-size core and tail and nothing of sc. A rejected
+// schedule fails here, at compile time; a compiled program's runs
+// cannot fail, except that the parallel replay refuses intra-step
+// forwarding. Options.Serial, Workers and Telemetry are run-time
+// choices and are ignored by Compile; Options.Request receives the
+// stages of its passes (obs.StageLower, StageReferenceReplay,
+// StagePlanDescriptors, StageSeal).
 func Compile(sc *schedule.Schedule, opt Options) (*Program, error) {
 	if sc == nil || sc.Fabric == nil {
 		return nil, fmt.Errorf("exec: nil schedule")
 	}
+	lsp := opt.Request.Stage(obs.StageLower)
+	b, tail, err := lower(sc, opt)
+	lsp.End()
+	if err != nil {
+		return nil, err
+	}
+	if b.replay {
+		if err := b.compileReplay(sc, opt, tail); err != nil {
+			return nil, err
+		}
+		compileDescPrograms.Add(1)
+	}
+	ssp := opt.Request.Stage(obs.StageSeal)
+	defer ssp.End()
+	if !b.replay {
+		if _, err := b.newCore(len(tail.b), tail.numDomains, 0, 0); err != nil {
+			return nil, err
+		}
+	}
+	seal(b.core)
+	seal(tail.b)
+	p, err := newProgram(b.core, tail.b, sc.Fabric, true)
+	if err != nil {
+		return nil, fmt.Errorf("exec: compile wrote a program it cannot prove: %w", err)
+	}
+	return p, nil
+}
+
+// lowered is the cold tail Compile's lowering wrote, with the views
+// the reference replay and the descriptor planner read it through.
+type lowered struct {
+	b          []byte
+	transfers  []ptransfer // the transfer table, in schedule order
+	stepT      []int32     // step si's transfers are transfers[stepT[si]:stepT[si+1]]
+	payload    []int32     // the payload ids every transfer windows
+	opOff      []int32     // per-node replay-event prefix offsets (see compileReplay)
+	numDomains int
+}
+
+// lower is Compile's first pass. A serial counting pass checks the
+// program format's limits and sizes the cold tail exactly, with every
+// step's offsets into it; the lowering pass then fans the steps out
+// over the worker pool and writes each step's transfer records, block
+// counts, route legs and payload ids straight into the tail, expanding
+// routes into per-worker scratch for the one-port and contention
+// checks and the sharing factors. It returns the program under
+// construction — step headers, measure and counts — and the tail.
+func lower(sc *schedule.Schedule, opt Options) (*Program, *lowered, error) {
 	f := sc.Fabric
 	n := f.Nodes()
 	p := &Program{
-		sc: sc, fab: f, n: n,
+		fab: f, n: n,
 		numBlocks:  n * n,
 		maxSharing: 1,
+		coldPhases: len(sc.Phases),
 	}
 
-	// Counting pass: exact sizes and per-step offsets into the flat
-	// backings, so the per-transfer payload and link slices are
-	// sub-slices of shared arrays rather than thousands of small
-	// allocations, and so the lowering pass below can fan independent
-	// steps over the worker pool with no shared append cursor.
 	numSteps := sc.NumSteps()
-	numTransfers, numLinks, numPayload := 0, 0, 0
-	stepTBase := make([]int32, numSteps+1) // per-step transfer offsets
-	stepLBase := make([]int32, numSteps+1) // per-step link offsets
-	stepPBase := make([]int32, numSteps+1) // per-step payload offsets
-	opOff := make([]int32, n+1)            // per-node replay-event offsets (see compileReplay)
-	var usedDims []bool                    // (dim*2 + dirbit) pairs any route leg uses
+	numTransfers, numLinks, numPayload, segBytes, phaseBytes := 0, 0, 0, 0, 0
+	stepT := make([]int32, numSteps+1) // per-step transfer offsets
+	stepL := make([]int32, numSteps+1) // per-step link offsets
+	stepP := make([]int32, numSteps+1) // per-step payload offsets
+	stepS := make([]int32, numSteps+1) // per-step route-leg byte offsets
+	opOff := make([]int32, n+1)        // per-node replay-event offsets (see compileReplay)
+	var usedDims []bool                // (dim*2 + dirbit) pairs any route leg uses
 	if nd := f.NDims(); nd > 0 {
 		usedDims = make([]bool, nd*2)
 	}
-	markDimDir := func(dim int, dir topology.Direction) {
-		pair := dim * 2
-		if dir == topology.Neg {
-			pair++
-		}
-		if pair >= 0 && pair < len(usedDims) {
-			usedDims[pair] = true
-		}
-	}
 	p.steps = make([]pstep, numSteps)
 	k := 0
+	var one [1]schedule.Seg
 	for pi := range sc.Phases {
 		ph := &sc.Phases[pi]
+		if ph.Rearrange < 0 || int64(ph.Rearrange) > math.MaxUint32 {
+			return nil, nil, fmt.Errorf("exec: phase %q rearranges %d blocks, outside the program format's [0, 2^32)", ph.Name, ph.Rearrange)
+		}
+		phaseBytes += 4 + padded4(len(ph.Name)) + 8
 		for si := range ph.Steps {
 			s := &ph.Steps[si]
-			p.steps[k] = pstep{
-				phase: ph, step: s, phaseIndex: pi, stepIndex: si, sharing: 1,
-			}
-			stepTBase[k] = int32(numTransfers)
-			stepLBase[k] = int32(numLinks)
-			stepPBase[k] = int32(numPayload)
+			p.steps[k] = pstep{phaseIndex: pi, stepIndex: si, sharing: 1}
+			stepT[k], stepL[k] = int32(numTransfers), int32(numLinks)
+			stepP[k], stepS[k] = int32(numPayload), int32(segBytes)
 			numTransfers += len(s.Transfers)
 			for i := range s.Transfers {
 				tr := &s.Transfers[i]
-				numLinks += tr.TotalHops()
+				segs := routeLegs(tr, &one)
+				if err := checkLimits(tr, segs); err != nil {
+					return nil, nil, fmt.Errorf("exec: phase %q step %d: %w", ph.Name, si, err)
+				}
+				for _, seg := range segs {
+					numLinks += seg.Hops
+					pair := seg.Dim * 2
+					if seg.Dir == topology.Neg {
+						pair++
+					}
+					if pair < len(usedDims) {
+						usedDims[pair] = true
+					}
+				}
+				segBytes += 1 + 4*len(segs)
 				numPayload += len(tr.Payload)
 				if len(tr.Payload) > 0 {
 					p.replay = true
@@ -358,20 +393,39 @@ func Compile(sc *schedule.Schedule, opt Options) (*Program, error) {
 						opOff[tr.Dst+1]++
 					}
 				}
-				if tr.Segs == nil {
-					markDimDir(tr.Dim, tr.Dir)
-				} else {
-					for _, seg := range tr.Segs {
-						markDimDir(seg.Dim, seg.Dir)
-					}
-				}
 			}
 			k++
 		}
 	}
-	stepTBase[numSteps], stepLBase[numSteps] = int32(numTransfers), int32(numLinks)
-	stepPBase[numSteps] = int32(numPayload)
-	payloadBacking := make([]int32, numPayload)
+	stepT[numSteps], stepL[numSteps] = int32(numTransfers), int32(numLinks)
+	stepP[numSteps], stepS[numSteps] = int32(numPayload), int32(segBytes)
+	p.numTransfers, p.numPayload = numTransfers, numPayload
+	tl := layoutTail(numSteps, numTransfers, numPayload, phaseBytes, segBytes)
+	if int64(tl.end) > math.MaxUint32 {
+		return nil, nil, fmt.Errorf("exec: a %d-byte program tail exceeds the program format's 4 GiB limit", tl.end)
+	}
+	tail := make([]byte, tl.end)
+
+	// The serial tables: step offsets, the shared bitmap and the phase
+	// records.
+	putI32s(tail, tl.stepT, stepT)
+	k = 0
+	w := tl.phases
+	for pi := range sc.Phases {
+		ph := &sc.Phases[pi]
+		for si := range ph.Steps {
+			if ph.Steps[si].Shared {
+				tail[tl.shared+k>>3] |= 1 << uint(k&7)
+			}
+			k++
+		}
+		putU32(tail, w, uint32(len(ph.Name)))
+		w += 4 + copy(tail[w+4:], ph.Name)
+		w = padded4(w)
+		putU32(tail, w, uint32(len(ph.Steps)))
+		putU32(tail, w+4, uint32(ph.Rearrange))
+		w += 8
+	}
 
 	// Per-(dim,dir) route tables: on a torus every (node, dim, dir)
 	// single hop has a statically known successor and link id, so each
@@ -411,25 +465,23 @@ func Compile(sc *schedule.Schedule, opt Options) (*Program, error) {
 	// and link ids index the claim tables directly, keeping the hot loops
 	// free of interface calls.
 	var domainTab []int32
-	if p.numDomains = f.NumContentionDomains(); p.numDomains != f.NumLinkIDs() {
+	numDomains := f.NumContentionDomains()
+	if numDomains != f.NumLinkIDs() {
 		domainTab = make([]int32, f.NumLinkIDs())
 		for id := range domainTab {
 			domainTab[id] = int32(f.ContentionDomain(id))
 		}
 	}
-	p.domainTab = domainTab
 
-	// Lowering pass: dense endpoints, route expansion, per-step message
-	// maxima, the link-sharing serialization factor of Shared steps
-	// (counted per transfer while its freshly written link ids are
-	// still in L1), the one-port/contention checks, and the payload
-	// ids' range check and copy — one parallel sweep over the steps,
-	// each chunk with private claim scratch. Steps write
-	// disjoint pre-sliced regions of the backings, so they fan out over
-	// the worker pool. The reported error is the lowest-step one —
-	// exactly what a serial left-to-right walk would have hit first.
-	transferBacking := make([]ptransfer, numTransfers)
-	linkBacking := make([]int32, numLinks)
+	// Lowering pass: the tail's per-transfer records, route expansion,
+	// per-step message maxima, the link-sharing serialization factor of
+	// Shared steps (counted per transfer while its freshly expanded link
+	// ids are still in L1), the one-port/contention checks, and the
+	// payload ids' range check and copy — one parallel sweep over the
+	// steps, each chunk with private claim and link scratch. Steps write
+	// disjoint pre-sized regions of the tail, so they fan out over the
+	// worker pool. The reported error is the lowest-step one — exactly
+	// what a serial left-to-right walk would have hit first.
 	var ferr par.FirstError
 	par.ForEach(0, numSteps, func(lo, hi int) {
 		var linkClaim []int32 // domain -> claim stamp (checkStep scratch)
@@ -441,138 +493,137 @@ func Compile(sc *schedule.Schedule, opt Options) (*Program, error) {
 		var shareClaim []int64
 		var sendClaim, recvClaim []int32
 		var touched []int32
+		var links, lend []int32 // the step's expanded routes; transfer i's end at lend[i]
+		var one [1]schedule.Seg
 		for si := lo; si < hi; si++ {
 			ps := &p.steps[si]
-			s := ps.step
+			ph := &sc.Phases[ps.phaseIndex]
+			s := &ph.Steps[ps.stepIndex]
 			if !opt.SkipChecks && linkClaim == nil {
-				linkClaim = make([]int32, p.numDomains)
+				linkClaim = make([]int32, numDomains)
 			}
 			if s.Shared && shareClaim == nil {
-				shareClaim = make([]int64, p.numDomains)
+				shareClaim = make([]int64, numDomains)
 			}
-			tBase := int(stepTBase[si])
-			w := int(stepLBase[si])
+			tBase := int(stepT[si])
+			links = growI32(links, int(stepL[si+1]-stepL[si]))
+			lend = lend[:0]
+			lw := 0
+			sw := tl.segs + int(stepS[si])
+			pOff := stepP[si]
 			sharing := int32(ps.sharing)
 			for i := range s.Transfers {
 				tr := &s.Transfers[i]
-				pt := &transferBacking[tBase+i]
-				pt.src, pt.dst = int32(tr.Src), int32(tr.Dst)
-				linkBase := w
-				var one [1]schedule.Seg
-				segs := tr.Segs
-				if segs == nil {
-					one[0] = schedule.Seg{Dim: tr.Dim, Dir: tr.Dir, Hops: tr.Hops}
-					segs = one[:]
-				}
+				linkBase := lw
+				segs := routeLegs(tr, &one)
+				tail[sw] = byte(len(segs))
+				sw++
 				cur := tr.Src
 				for _, seg := range segs {
+					if seg.Dir == topology.Neg {
+						tail[sw+1] = 1
+					}
+					tail[sw] = byte(seg.Dim)
+					binary.LittleEndian.PutUint16(tail[sw+2:], uint16(seg.Hops))
+					sw += 4
 					pair := seg.Dim * 2
 					if seg.Dir == topology.Neg {
 						pair++
 					}
-					if tabNL != nil && pair >= 0 && pair < len(usedDims) {
+					if tabNL != nil && pair < len(usedDims) {
 						t := tabNL[pair*n : pair*n+n]
 						c := int32(cur)
 						for h := 0; h < seg.Hops; h++ {
 							nl := t[c]
-							linkBacking[w] = int32(uint32(nl))
-							w++
+							links[lw] = int32(uint32(nl))
+							lw++
 							c = int32(nl >> 32)
 						}
 						cur = topology.NodeID(c)
 					} else {
-						f.AppendPathLinkIDs(linkBacking[w:w:w+seg.Hops], cur, seg.Dim, seg.Dir, seg.Hops)
-						w += seg.Hops
+						f.AppendPathLinkIDs(links[lw:lw:lw+seg.Hops], cur, seg.Dim, seg.Dir, seg.Hops)
+						lw += seg.Hops
 						cur = f.Advance(cur, seg.Dim, seg.Dir, seg.Hops)
 					}
 				}
-				pt.linkOff, pt.linkLen = int32(linkBase), int32(w-linkBase)
+				lend = append(lend, int32(lw))
+				putRecord(tail, tl.transfers+(tBase+i)*24, ptransfer{
+					src: int32(tr.Src), dst: int32(tr.Dst),
+					payOff: pOff, payLen: int32(len(tr.Payload)),
+					linkOff: stepL[si] + int32(linkBase), linkLen: int32(lw - linkBase),
+				})
+				pOff += int32(len(tr.Payload))
+				putU32(tail, tl.blocks+(tBase+i)*4, uint32(tr.Blocks))
 				if s.Shared {
-					// The transfer's own links were just written and are
+					// The transfer's own links were just expanded and are
 					// hot; counting them here beats a per-step rewalk.
 					epoch := int64(si+1) << 32
-					if domainTab == nil {
-						for _, l := range linkBacking[linkBase:w] {
-							c := shareClaim[l]
-							if c < epoch {
-								c = epoch
-							}
-							c++
-							shareClaim[l] = c
-							if s := int32(c); s > sharing {
-								sharing = s
-							}
+					for _, l := range links[linkBase:lw] {
+						d := l
+						if domainTab != nil {
+							d = domainTab[l]
 						}
-					} else {
-						for _, l := range linkBacking[linkBase:w] {
-							d := domainTab[l]
-							c := shareClaim[d]
-							if c < epoch {
-								c = epoch
-							}
-							c++
-							shareClaim[d] = c
-							if s := int32(c); s > sharing {
-								sharing = s
-							}
+						c := shareClaim[d]
+						if c < epoch {
+							c = epoch
+						}
+						c++
+						shareClaim[d] = c
+						if s := int32(c); s > sharing {
+							sharing = s
 						}
 					}
 				}
 				if tr.Blocks > ps.maxBlocks {
 					ps.maxBlocks = tr.Blocks
 				}
-				if h := w - linkBase; h > ps.maxHops {
+				if h := lw - linkBase; h > ps.maxHops {
 					ps.maxHops = h
 				}
 			}
 			if s.Shared {
 				ps.sharing = int(sharing)
 			}
-			end := tBase + len(s.Transfers)
-			ps.transfers = transferBacking[tBase:end:end]
 			if !opt.SkipChecks {
 				if sendClaim == nil {
 					sendClaim = make([]int32, n) // node -> transfer index + 1
 					recvClaim = make([]int32, n) // node -> transfer index + 1
 				}
-				if err := checkStep(f, domainTab, linkBacking, ps, false, sendClaim, recvClaim, linkClaim, &touched); err != nil {
+				if err := checkStep(f, domainTab, s, ph.Name, ps.stepIndex, links, lend, sendClaim, recvClaim, linkClaim, &touched); err != nil {
 					ferr.Report(si, err)
 					return
 				}
 			}
 			// Payload ids, range-checked and copied into the step's
-			// disjoint region of the flat backing. Payload/Blocks
-			// coherence only binds replayable programs — measure-only
-			// schedules declare Blocks for the cost terms and carry no
-			// payloads.
+			// disjoint region of the tail. Payload/Blocks coherence only
+			// binds replayable programs — measure-only schedules declare
+			// Blocks for the cost terms and carry no payloads.
 			if !p.replay {
 				continue
 			}
-			pw := int(stepPBase[si])
+			pw := tl.payload + 4*int(stepP[si])
 			for i := range s.Transfers {
 				tr := &s.Transfers[i]
-				pt := &transferBacking[tBase+i]
 				if len(tr.Payload) != tr.Blocks {
 					ferr.Report(si, fmt.Errorf("exec: phase %q step %d transfer %v carries %d payload blocks, declares %d",
-						ps.phase.Name, ps.stepIndex, *tr, len(tr.Payload), tr.Blocks))
+						ph.Name, ps.stepIndex, *tr, len(tr.Payload), tr.Blocks))
 					return
 				}
 				for _, id := range tr.Payload {
 					if id < 0 || int(id) >= p.numBlocks {
 						ferr.Report(si, fmt.Errorf("exec: phase %q step %d: transfer %v payload id %d outside [0, %d)",
-							ps.phase.Name, ps.stepIndex, *tr, id, p.numBlocks))
+							ph.Name, ps.stepIndex, *tr, id, p.numBlocks))
 						return
 					}
 				}
-				pt.payOff, pt.payLen = int32(pw), int32(len(tr.Payload))
-				pw += copy(payloadBacking[pw:], tr.Payload)
+				putI32s(tail, pw, tr.Payload)
+				pw += 4 * len(tr.Payload)
 			}
 		}
 	})
 	if err := ferr.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	p.linkBacking = linkBacking
 
 	// Measure accumulation (serial: order-dependent sums).
 	for si := range p.steps {
@@ -585,88 +636,96 @@ func Compile(sc *schedule.Schedule, opt Options) (*Program, error) {
 		p.measure.Hops += ps.maxHops
 	}
 	p.measure.RearrangedBlocks = sc.RearrangedBlocks()
-
-	if p.replay {
-		for v := 0; v < n; v++ {
-			opOff[v+1] += opOff[v]
-		}
-		if err := p.compileReplay(opt, payloadBacking, opOff, numTransfers); err != nil {
-			return nil, err
-		}
-		p.numPayload = numPayload
-		if p.fullTraffic {
-			// The identity id table served the compile passes only; arenas
-			// write the full matrix's ids arithmetically.
-			p.trafficIDs = nil
-		}
-		compileDescPrograms.Add(1)
+	for v := 0; v < n; v++ {
+		opOff[v+1] += opOff[v]
 	}
-	return p, nil
+	return p, &lowered{
+		b:          tail,
+		transfers:  viewRecords[ptransfer](tail[tl.transfers:tl.payload], numTransfers),
+		stepT:      stepT,
+		payload:    asInt32s(tail[tl.payload:tl.blocks]),
+		opOff:      opOff,
+		numDomains: numDomains,
+	}, nil
 }
 
-// checkStep validates one lowered step — one-port compliance and
-// wormhole link-disjointness for non-Shared steps (both skipped under
-// skipChecks; the sharing factor of declared time-sharing steps was
-// already counted during lowering). The claim tables are caller-owned
-// dense scratch, reset via the touched list; checkStep leaves them
-// zeroed on every return path so one set serves a whole chunk of steps.
-// linkClaim is indexed by contention domain: domainTab maps link ids to
-// domains and is nil on identity-domain fabrics, where link ids index
-// directly.
-func checkStep(f topology.Fabric, domainTab, links []int32, ps *pstep, skipChecks bool,
-	sendClaim, recvClaim, linkClaim []int32, touched *[]int32) error {
-	s, ph, si := ps.step, ps.phase, ps.stepIndex
-	if !skipChecks {
-		var err error
-		for i := range s.Transfers {
-			tr := &s.Transfers[i]
-			if c := sendClaim[tr.Src]; c != 0 {
-				err = &schedule.OnePortError{Phase: ph.Name, Step: si, Node: tr.Src,
-					Role: "send", A: s.Transfers[c-1], B: *tr}
-				break
-			}
-			sendClaim[tr.Src] = int32(i + 1)
-			if c := recvClaim[tr.Dst]; c != 0 {
-				err = &schedule.OnePortError{Phase: ph.Name, Step: si, Node: tr.Dst,
-					Role: "receive", A: s.Transfers[c-1], B: *tr}
-				break
-			}
-			recvClaim[tr.Dst] = int32(i + 1)
-		}
-		for i := range s.Transfers {
-			sendClaim[s.Transfers[i].Src] = 0
-			recvClaim[s.Transfers[i].Dst] = 0
-		}
-		if err == nil && !s.Shared {
-			for i := range ps.transfers {
-				pt := &ps.transfers[i]
-				for _, l := range links[pt.linkOff : pt.linkOff+pt.linkLen] {
-					d := l
-					if domainTab != nil {
-						d = domainTab[l]
-					}
-					if c := linkClaim[d]; c != 0 {
-						err = &schedule.ContentionError{Phase: ph.Name, Step: si,
-							Link: f.LinkAt(int(l)), A: s.Transfers[c-1], B: s.Transfers[i]}
-						break
-					}
-					linkClaim[d] = int32(i + 1)
-					*touched = append(*touched, d)
-				}
-				if err != nil {
-					break
-				}
-			}
-			for _, l := range *touched {
-				linkClaim[l] = 0
-			}
-			*touched = (*touched)[:0]
-		}
-		if err != nil {
-			return err
+// checkLimits rejects a transfer the program format cannot hold: a
+// block count outside [0, 2^32), no route legs or more than 255, or a
+// leg on a dimension outside [0, 256) or of more than 65,535 hops.
+func checkLimits(tr *schedule.Transfer, segs []schedule.Seg) error {
+	if tr.Blocks < 0 || int64(tr.Blocks) > math.MaxUint32 {
+		return fmt.Errorf("transfer %v declares %d blocks, outside the program format's [0, 2^32)", tr, tr.Blocks)
+	}
+	if len(segs) < 1 || len(segs) > math.MaxUint8 {
+		return fmt.Errorf("transfer %v has %d route legs, the program format holds 1 to %d", tr, len(segs), math.MaxUint8)
+	}
+	for _, sg := range segs {
+		if sg.Dim < 0 || sg.Dim > math.MaxUint8 || sg.Hops < 0 || sg.Hops > math.MaxUint16 {
+			return fmt.Errorf("transfer %v route leg %+v exceeds the program format's limits (dimension below %d, at most %d hops)",
+				tr, sg, math.MaxUint8+1, math.MaxUint16)
 		}
 	}
 	return nil
+}
+
+// checkStep validates one step — one-port compliance and wormhole
+// link-disjointness for non-Shared steps (the sharing factor of
+// declared time-sharing steps was already counted during lowering).
+// links holds the step's expanded routes, transfer i's ending at
+// lend[i]. The claim tables are caller-owned dense scratch, reset via
+// the touched list; checkStep leaves them zeroed on every return path
+// so one set serves a whole chunk of steps. linkClaim is indexed by
+// contention domain: domainTab maps link ids to domains and is nil on
+// identity-domain fabrics, where link ids index directly.
+func checkStep(f topology.Fabric, domainTab []int32, s *schedule.Step, phase string, si int, links, lend []int32,
+	sendClaim, recvClaim, linkClaim []int32, touched *[]int32) error {
+	var err error
+	for i := range s.Transfers {
+		tr := &s.Transfers[i]
+		if c := sendClaim[tr.Src]; c != 0 {
+			err = &schedule.OnePortError{Phase: phase, Step: si, Node: tr.Src,
+				Role: "send", A: s.Transfers[c-1], B: *tr}
+			break
+		}
+		sendClaim[tr.Src] = int32(i + 1)
+		if c := recvClaim[tr.Dst]; c != 0 {
+			err = &schedule.OnePortError{Phase: phase, Step: si, Node: tr.Dst,
+				Role: "receive", A: s.Transfers[c-1], B: *tr}
+			break
+		}
+		recvClaim[tr.Dst] = int32(i + 1)
+	}
+	for i := range s.Transfers {
+		sendClaim[s.Transfers[i].Src] = 0
+		recvClaim[s.Transfers[i].Dst] = 0
+	}
+	if err == nil && !s.Shared {
+		start := int32(0)
+		for i := range s.Transfers {
+			for _, l := range links[start:lend[i]] {
+				d := l
+				if domainTab != nil {
+					d = domainTab[l]
+				}
+				if c := linkClaim[d]; c != 0 {
+					err = &schedule.ContentionError{Phase: phase, Step: si,
+						Link: f.LinkAt(int(l)), A: s.Transfers[c-1], B: s.Transfers[i]}
+					break
+				}
+				linkClaim[d] = int32(i + 1)
+				*touched = append(*touched, d)
+			}
+			if err != nil {
+				break
+			}
+			start = lend[i]
+		}
+		for _, l := range *touched {
+			linkClaim[l] = 0
+		}
+		*touched = (*touched)[:0]
+	}
+	return err
 }
 
 // Arena is the reusable per-run scratch of a compiled program: the
@@ -778,9 +837,9 @@ func (p *Program) RunArena(a *Arena, opt Options) (*Result, error) {
 	if a == nil || a.prog != p {
 		return nil, fmt.Errorf("exec: arena does not belong to this program")
 	}
-	res := &Result{Schedule: p.sc, Measure: p.measure, MaxSharing: p.maxSharing}
+	res := &Result{Measure: p.measure, MaxSharing: p.maxSharing}
 	if p.replay {
-		sp := opt.Request.Stage("replay")
+		sp := opt.Request.Stage(obs.StageReplay)
 		if a.out == nil {
 			a.out = block.NewBuffers(p.perDest)
 		}
@@ -796,12 +855,12 @@ func (p *Program) RunArena(a *Arena, opt Options) (*Result, error) {
 		sp.End()
 	}
 	if opt.Telemetry.Enabled() {
-		// Decoded programs materialize their schedule here, on the
-		// first traced run; untraced replays never pay for it.
+		// The schedule materializes from the program's tail here, on
+		// the first traced run; untraced replays never pay for it.
 		sc := p.Schedule()
 		if sc == nil {
 			a.bad = true
-			return nil, fmt.Errorf("exec: telemetry on decoded program: %w", p.schedErr)
+			return nil, fmt.Errorf("exec: telemetry: %w", p.schedErr)
 		}
 		res.Schedule = sc
 		emitRun(opt.Telemetry, sc, res, p)

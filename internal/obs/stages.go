@@ -1,0 +1,40 @@
+package obs
+
+// Stage names. Every Request.Stage call in this repository names its
+// stage with one of these, so the "stage.<name>.ns" histograms, the
+// Prometheus output and the Perfetto stage spans all draw on one list.
+// A stage that opens inside another is recorded flat; the trace nests
+// it by containment.
+const (
+	// Serving layer (internal/progcache).
+	StageCacheLookup      = "cache-lookup"
+	StageSingleflightWait = "singleflight-wait"
+	StageTier2Load        = "tier2-load"
+	StageTier2Store       = "tier2-store"
+	// Building a program (internal/algorithm): schedule construction,
+	// the sparse prune pass and the sparse planner's candidate scoring.
+	StagePlan        = "plan"
+	StagePrune       = "prune"
+	StagePlanScoring = "plan-scoring"
+	// exec.Compile and its passes, which open inside it: lowering into
+	// the program file's tail, the reference replay, the descriptor
+	// planner (which writes the core), and sealing and proving the file.
+	StageCompile         = "compile"
+	StageLower           = "lower"
+	StageReferenceReplay = "reference-replay"
+	StagePlanDescriptors = "plan-descriptors"
+	StageSeal            = "seal"
+	// Replay (the cmd tools and internal/exec).
+	StageArenaAcquire = "arena-acquire"
+	StageReplay       = "replay"
+)
+
+// StageNames returns every stage name, in pipeline order.
+func StageNames() []string {
+	return []string{
+		StageCacheLookup, StageSingleflightWait, StageTier2Load, StageTier2Store,
+		StagePlan, StagePrune, StagePlanScoring,
+		StageCompile, StageLower, StageReferenceReplay, StagePlanDescriptors, StageSeal,
+		StageArenaAcquire, StageReplay,
+	}
+}

@@ -17,8 +17,8 @@ import (
 // A cold process pointed at a warm directory maps and decodes a
 // program's replay core instead of recompiling it, which is the whole
 // point — the compile cost is paid once per machine, not once per
-// process — and the file's cold tail is read only if telemetry or
-// re-encoding asks for the program's schedule.
+// process — and the file's cold tail is read only if telemetry asks
+// for the program's schedule or the program is written out again.
 //
 // Files are named by the fnv64a of the key ("<hex>.txpg") and carry
 // the full key inline before the program bytes, so a hash collision
@@ -124,12 +124,10 @@ func (d *DiskStore) Load(key string, f topology.Fabric, optFP uint64) (*exec.Pro
 }
 
 // Store persists prog under key. The write is atomic (temp file +
-// rename) and a failure leaves no partial file behind.
+// rename) and a failure leaves no partial file behind. The program's
+// core and tail are written as they are held (exec.WriteProgram), with
+// no file-sized buffer; prog itself is not changed.
 func (d *DiskStore) Store(key string, prog *exec.Program, optFP uint64) error {
-	enc, err := exec.EncodeProgram(prog, optFP)
-	if err != nil {
-		return fmt.Errorf("progcache: disk store: %w", err)
-	}
 	hdr := make([]byte, headerLen(key))
 	binary.LittleEndian.PutUint32(hdr, uint32(len(key)))
 	copy(hdr[4:], key)
@@ -138,8 +136,8 @@ func (d *DiskStore) Store(key string, prog *exec.Program, optFP uint64) error {
 		return fmt.Errorf("progcache: disk store: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(hdr); err == nil {
-		_, err = tmp.Write(enc)
+	if _, err = tmp.Write(hdr); err == nil {
+		_, err = exec.WriteProgram(tmp, prog, optFP)
 	}
 	if cerr := tmp.Close(); err == nil {
 		err = cerr

@@ -471,3 +471,165 @@ func TestTier2ScheduleOutlivesProgram(t *testing.T) {
 		t.Fatalf("schedule no longer compiles after its program was collected: %v", err)
 	}
 }
+
+// TestTier2TruncatedInPlace: a file truncated in place while a program
+// maps it — one loaded on a tier-2 hit, or one the cache loaded back
+// right after storing its compile — faults on the tail's first read. Schedule() must
+// turn the fault into the tail's error rather than crash the process,
+// and the heal must follow: the file is deleted, the key dropped, and
+// the next request recompiles.
+func TestTier2TruncatedInPlace(t *testing.T) {
+	tor := topology.MustNew(16, 16)
+	key := progcache.Key("direct", tor, 0)
+	compiles := 0
+	compile := func() (*exec.Program, error) {
+		compiles++
+		return compileDirect(tor)
+	}
+	for _, loaded := range []bool{true, false} {
+		dir := t.TempDir()
+		store, err := progcache.NewDiskStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := progcache.New(0)
+		c.SetTier2(store)
+		pg, err := c.GetOrCompileTiered(key, tor, 0, nil, compile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if loaded {
+			c = progcache.New(0)
+			c.SetTier2(store)
+			if pg, err = c.GetOrCompileTiered(key, tor, 0, nil, compile); err != nil {
+				t.Fatal(err)
+			}
+			if st := c.Stats(); st.Tier2Hits != 1 {
+				t.Fatalf("loaded=%v: %v, want a tier-2 hit", loaded, st)
+			}
+		}
+		files, err := filepath.Glob(filepath.Join(dir, "*.txpg"))
+		if err != nil || len(files) != 1 {
+			t.Fatalf("want 1 stored file, got %v (%v)", files, err)
+		}
+		if err := os.Truncate(files[0], 0); err != nil {
+			t.Fatal(err)
+		}
+		if sc := pg.Schedule(); sc != nil || pg.SchedErr() == nil || !strings.Contains(pg.SchedErr().Error(), "unreadable") {
+			t.Fatalf("loaded=%v: Schedule() of a truncated file = %v, %v; want an unreadable-tail error", loaded, sc, pg.SchedErr())
+		}
+		if _, err := os.Stat(files[0]); !os.IsNotExist(err) {
+			t.Fatalf("loaded=%v: truncated file not removed: %v", loaded, err)
+		}
+		if keys := c.Keys(); len(keys) != 0 {
+			t.Fatalf("loaded=%v: program of a truncated file still cached under %v", loaded, keys)
+		}
+		compiles = 0
+		if pg, err = c.GetOrCompileTiered(key, tor, 0, nil, compile); err != nil {
+			t.Fatal(err)
+		}
+		if compiles != 1 {
+			t.Fatalf("loaded=%v: %d compiles after the heal, want 1", loaded, compiles)
+		}
+		if pg.Schedule() == nil {
+			t.Fatalf("loaded=%v: recompiled program: %v", loaded, pg.SchedErr())
+		}
+	}
+}
+
+// TestStoredProgramWeighsDecoded: a 16x16 program compiled through a
+// cache with a disk tier is served from the file it stored, so it
+// weighs exactly what the same program loaded from that file weighs,
+// and the cache charges it that; without a disk tier the heap tail
+// counts.
+func TestStoredProgramWeighsDecoded(t *testing.T) {
+	tor := topology.MustNew(16, 16)
+	for _, alg := range []string{"direct", "ring"} {
+		key := progcache.Key(alg, tor, 0)
+		compile := func() (*exec.Program, error) {
+			if alg == "ring" {
+				return exec.Compile(baseline.RingSchedule(tor), exec.Options{})
+			}
+			return compileDirect(tor)
+		}
+		mem, err := compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		store, err := progcache.NewDiskStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := progcache.New(0)
+		c.SetTier2(store)
+		pg, err := c.GetOrCompileTiered(key, tor, 0, nil, compile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loaded, ok := store.Load(key, tor, 0)
+		if !ok {
+			t.Fatalf("%s: miss after store", alg)
+		}
+		if pg.SizeBytes() != loaded.SizeBytes() {
+			t.Fatalf("%s: stored program weighs %d bytes, loaded %d", alg, pg.SizeBytes(), loaded.SizeBytes())
+		}
+		if st := c.Stats(); st.Bytes != pg.SizeBytes() {
+			t.Fatalf("%s: cache charges %d bytes, program weighs %d", alg, st.Bytes, pg.SizeBytes())
+		}
+		if mem.SizeBytes() <= pg.SizeBytes() {
+			t.Fatalf("%s: memory-only program weighs %d bytes, no more than the stored one's %d", alg, mem.SizeBytes(), pg.SizeBytes())
+		}
+	}
+}
+
+// TestDiskStoreWritesHeldBytes: Store writes the core and tail the
+// program holds, so storing a ring@16x16 program (a file of several
+// MiB) allocates a few KiB — never a buffer the size of the file — and
+// the file holds exactly EncodeProgram's bytes. Store leaves the
+// program as it was: same weight, and a schedule that does not depend
+// on the stored file.
+func TestDiskStoreWritesHeldBytes(t *testing.T) {
+	const budget = 64 << 10
+	dir := t.TempDir()
+	store, err := progcache.NewDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tor := topology.MustNew(16, 16)
+	pg, err := exec.Compile(baseline.RingSchedule(tor), exec.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := exec.EncodeProgram(pg, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := progcache.Key("ring", tor, 3)
+	size := pg.SizeBytes()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = store.Store(key, pg, 3)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+		t.Fatalf("storing a %d-byte program allocated %d bytes, budget %d", len(enc), got, budget)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.txpg"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("want 1 stored file, got %v (%v)", files, err)
+	}
+	if _, program := readProgramFile(t, files[0]); !bytes.Equal(program, enc) {
+		t.Fatal("stored file differs from EncodeProgram's bytes")
+	}
+	if got := pg.SizeBytes(); got != size {
+		t.Fatalf("Store changed the program's weight: %d bytes, was %d", got, size)
+	}
+	if err := os.Remove(files[0]); err != nil {
+		t.Fatal(err)
+	}
+	if pg.Schedule() == nil {
+		t.Fatalf("schedule after the stored file is removed: %v", pg.SchedErr())
+	}
+}

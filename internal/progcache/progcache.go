@@ -224,7 +224,8 @@ func (c *Cache) Tier2() *DiskStore { return c.tier2 }
 // — the fabric and options fingerprint the key was built from — so an
 // LRU miss can be served from the tier-2 disk store (recorded as a
 // "tier2-load" stage) before falling back to compile, and a fresh
-// compile is written back ("tier2-store"). The singleflight covers
+// compile is written back and served loaded from the file it wrote
+// ("tier2-store"). The singleflight covers
 // both tiers: concurrent requesters of one key share a single disk
 // probe and at most one compile. Without an attached store (or with a
 // nil fabric) it behaves exactly like GetOrCompileTraced.
@@ -233,7 +234,7 @@ func (c *Cache) GetOrCompileTiered(key string, f topology.Fabric, optFP uint64, 
 }
 
 func (c *Cache) getOrCompile(key string, f topology.Fabric, optFP uint64, req *obs.Request, compile func() (*exec.Program, error)) (prog *exec.Program, err error) {
-	sp := req.Stage("cache-lookup")
+	sp := req.Stage(obs.StageCacheLookup)
 	s := &c.shards[c.shardOf(key)]
 	s.mu.Lock()
 	if e, ok := s.entries[key]; ok {
@@ -247,7 +248,7 @@ func (c *Cache) getOrCompile(key string, f topology.Fabric, optFP uint64, req *o
 		s.mu.Unlock()
 		sp.End()
 		c.coalesced.Add(1)
-		wsp := req.Stage("singleflight-wait")
+		wsp := req.Stage(obs.StageSingleflightWait)
 		cl.wg.Wait()
 		wsp.End()
 		return cl.prog, cl.err
@@ -278,7 +279,7 @@ func (c *Cache) getOrCompile(key string, f topology.Fabric, optFP uint64, req *o
 		cl.wg.Done()
 	}()
 	if c.tier2 != nil && f != nil {
-		lsp := req.Stage("tier2-load")
+		lsp := req.Stage(obs.StageTier2Load)
 		start := time.Now()
 		pg, ok := c.tier2.Load(key, f, optFP)
 		if c.loadHist != nil {
@@ -287,10 +288,7 @@ func (c *Cache) getOrCompile(key string, f topology.Fabric, optFP uint64, req *o
 		lsp.End()
 		if ok {
 			c.tier2Hits.Add(1)
-			prog, onDisk = pg, true
-			// A rejected cold tail (the disk tier deletes the file) must
-			// not stay cached either: the next request recompiles.
-			pg.OnTailError(func(p *exec.Program, _ error) { c.drop(key, p) })
+			prog, onDisk = c.fromDisk(key, pg), true
 		} else {
 			c.tier2Misses.Add(1)
 		}
@@ -299,11 +297,18 @@ func (c *Cache) getOrCompile(key string, f topology.Fabric, optFP uint64, req *o
 		c.compiles.Add(1)
 		prog, err = compile()
 		if err == nil && c.tier2 != nil && f != nil {
-			ssp := req.Stage("tier2-store")
+			ssp := req.Stage(obs.StageTier2Store)
 			start := time.Now()
 			if c.tier2.Store(key, prog, optFP) == nil {
 				c.tier2Stores.Add(1)
-				onDisk = true
+				// Serve the file just written rather than the compile's
+				// heap copy: the loaded program leaves its cold tail in
+				// the file, so it weighs what every later tier-2 hit
+				// weighs. A file that does not load back (see
+				// exec.DecodeProgram's limits) leaves the compile cached.
+				if pg, ok := c.tier2.Load(key, f, optFP); ok {
+					prog, onDisk = c.fromDisk(key, pg), true
+				}
 			}
 			if c.storeHist != nil {
 				c.storeHist.ObserveSince(start)
@@ -325,6 +330,14 @@ func (c *Cache) Get(key string) (*exec.Program, bool) {
 		return e.prog, true
 	}
 	return nil, false
+}
+
+// fromDisk returns pg, a program the disk tier loaded for key, set so
+// that a cold tail rejected later (the disk tier deletes the file)
+// drops it from the cache too, and the next request recompiles.
+func (c *Cache) fromDisk(key string, pg *exec.Program) *exec.Program {
+	pg.OnTailError(func(p *exec.Program, _ error) { c.drop(key, p) })
+	return pg
 }
 
 // drop removes key's entry if it still holds prog.
