@@ -125,7 +125,7 @@ func run(args []string, w io.Writer) error {
 		defer ln.Close()
 		// /debug/vars serves the live metrics registry next to the
 		// sweep-progress counter; the snapshot is taken per scrape.
-		obs.Default().PublishExpvar("torusx_obs")
+		publishExpvar(obs.Default(), "torusx_obs")
 		go http.Serve(ln, nil)
 		fmt.Fprintf(w, "profiling: http://%s/debug/pprof/ and http://%s/debug/vars\n", ln.Addr(), ln.Addr())
 	}

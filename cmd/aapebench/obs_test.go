@@ -55,3 +55,42 @@ func TestMetricsOutParses(t *testing.T) {
 		t.Errorf("dump has no per-cell bench histograms; types: %v", pm.Types)
 	}
 }
+
+// TestMetricsStageFamiliesAreStageNames: every torusx_stage_* family a
+// sweep's Prometheus dump carries is the histogram of a stage named in
+// obs.StageNames, so the dump, the ledger's layers and the Perfetto
+// stage spans share one vocabulary; the delivery pass is among them.
+func TestMetricsStageFamiliesAreStageNames(t *testing.T) {
+	metricsPath := filepath.Join(t.TempDir(), "metrics.prom")
+	var buf bytes.Buffer
+	if err := run([]string{"-dims", "8x8", "-algs", "proposed-sim", "-quick", "-samples", "0",
+		"-out", "-", "-metrics-out", metricsPath}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(metricsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	pm, err := obs.ParsePrometheus(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	known := map[string]bool{}
+	for _, name := range obs.StageNames() {
+		known["torusx_stage_"+strings.ReplaceAll(name, "-", "_")+"_ns"] = true
+	}
+	stages := 0
+	for name := range pm.Types {
+		if !strings.HasPrefix(name, "torusx_stage_") {
+			continue
+		}
+		stages++
+		if !known[name] {
+			t.Errorf("dump family %s names no stage in obs.StageNames", name)
+		}
+	}
+	if stages == 0 || pm.Types["torusx_stage_deliver_ns"] != "histogram" {
+		t.Errorf("dump has %d stage families, want the deliver stage among them; types: %v", stages, pm.Types)
+	}
+}

@@ -96,8 +96,9 @@ type ProgramBuilder interface {
 var cache = progcache.New(progcache.DefaultMaxBytes)
 
 func init() {
-	// Export the process cache on the default obs registry; dumps and
-	// the expvar endpoint read these live instead of printed snapshots.
+	// Export the process cache on the default obs registry; the metrics
+	// dumps, and aapebench's -pprof endpoint at /debug/vars, read these
+	// live instead of printed snapshots.
 	cache.RegisterMetrics(obs.Default(), "progcache")
 }
 

@@ -5,9 +5,11 @@ import (
 	"slices"
 	"testing"
 
+	"torusx/internal/costmodel"
 	"torusx/internal/exec"
 	"torusx/internal/obs"
 	"torusx/internal/progcache"
+	"torusx/internal/telemetry"
 	"torusx/internal/topology"
 	"torusx/internal/traffic"
 )
@@ -30,7 +32,9 @@ func withColdTier(t *testing.T) {
 
 // TestColdBuildProgramStageNames: a traced cold BuildProgram, and the
 // replay after it, record only stages from obs.StageNames — Compile's
-// passes among them — and a cold sparse build does too.
+// passes, the delivery pass and, on a run with telemetry, the
+// schedule's materialization among them — and a cold sparse build does
+// too.
 func TestColdBuildProgramStageNames(t *testing.T) {
 	known := obs.StageNames()
 	tor := topology.MustNew(8, 8)
@@ -48,6 +52,10 @@ func TestColdBuildProgramStageNames(t *testing.T) {
 		if _, err := pg.Run(exec.Options{Request: req}); err != nil {
 			t.Fatal(err)
 		}
+		rec := telemetry.New(telemetry.NopSink{}, costmodel.T3D(64))
+		if _, err := pg.Run(exec.Options{Request: req, Telemetry: rec}); err != nil {
+			t.Fatal(err)
+		}
 		req.Finish()
 		var got []string
 		for _, st := range req.Stages() {
@@ -57,9 +65,9 @@ func TestColdBuildProgramStageNames(t *testing.T) {
 			got = append(got, st.Name)
 		}
 		want := []string{obs.StageCacheLookup, obs.StageTier2Load, obs.StagePlan, obs.StageCompile,
-			obs.StageLower, obs.StageSeal, obs.StageTier2Store}
+			obs.StageLower, obs.StageSeal, obs.StageTier2Store, obs.StageMaterialize}
 		if alg == "proposed-sim" {
-			want = append(want, obs.StageReferenceReplay, obs.StagePlanDescriptors, obs.StageReplay)
+			want = append(want, obs.StageReferenceReplay, obs.StagePlanDescriptors, obs.StageReplay, obs.StageDeliver)
 		}
 		for _, name := range want {
 			if !slices.Contains(got, name) {

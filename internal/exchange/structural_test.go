@@ -134,22 +134,20 @@ func TestStructuralRandomShapesProperty(t *testing.T) {
 	}
 }
 
+// TestStructuralContentionFreeAtScale: on shapes far beyond what the
+// block-level simulator can hold, contention-freedom and the one-port
+// model are verified on every step. The 32x32x16, 16^4, 8^5 and 100x96
+// rows run under -tags bigshapes.
 func TestStructuralContentionFreeAtScale(t *testing.T) {
-	// Shapes far beyond what the block-level simulator can hold:
-	// contention-freedom and the one-port model verified on every step.
 	shapes := [][]int{
 		{64, 64},           // 4096 nodes, would be 16.7M blocks
-		{32, 32, 16},       // 16384 nodes, 3D
-		{16, 16, 16, 16},   // 65536 nodes, 4D
-		{8, 8, 8, 8, 8},    // 32768 nodes, 5D
 		{4, 4, 4, 4, 4, 4}, // 4096 nodes, 6D
 		{8, 8, 4, 4, 4, 4}, // 16384 nodes, 6D mixed
-		{100, 96},          // large non-power-of-two
 	}
 	if testing.Short() {
 		shapes = shapes[:2]
 	}
-	for _, dims := range shapes {
+	for _, dims := range append(shapes, bigStructuralShapes...) {
 		sc, err := GenerateStructural(topology.MustNew(dims...))
 		if err != nil {
 			t.Fatalf("%v: %v", dims, err)

@@ -7,7 +7,6 @@ import (
 
 	"torusx/internal/block"
 	"torusx/internal/obs"
-	"torusx/internal/schedule"
 )
 
 // Compile-time reference replay. One serial walk over the lowered
@@ -100,7 +99,7 @@ func acquireIDSlot(numBlocks int) []int32 {
 // a pure, check-free id shuffle. It reads the transfers and payloads
 // the lowering pass wrote into the tail; tail.opOff counts each node's
 // insert/extract events (from the counting pass).
-func (p *Program) compileReplay(sc *schedule.Schedule, opt Options, tail *lowered) error {
+func (p *Program) compileReplay(opt Options, tail *lowered) error {
 	rsp := opt.Request.Stage(obs.StageReferenceReplay)
 	defer rsp.End()
 	n := p.n
@@ -239,7 +238,7 @@ func (p *Program) compileReplay(sc *schedule.Schedule, opt Options, tail *lowere
 				h := hs[id]
 				if int32(h>>32) != int32(src) {
 					return fmt.Errorf("exec: phase %q step %d: node %d transmits %v it does not hold",
-						sc.Phases[ps.phaseIndex].Name, ps.stepIndex, src, block.FromID(id, n))
+						tail.phases[ps.phaseIndex], ps.stepIndex, src, block.FromID(id, n))
 				}
 				if int32(uint32(h)) >= stepArr[src] {
 					fwd = id
@@ -259,7 +258,7 @@ func (p *Program) compileReplay(sc *schedule.Schedule, opt Options, tail *lowere
 					h := hs[id]
 					if int32(h>>32) != int32(src) {
 						return fmt.Errorf("exec: phase %q step %d: node %d transmits %v it does not hold",
-							sc.Phases[ps.phaseIndex].Name, ps.stepIndex, src, block.FromID(id, n))
+							tail.phases[ps.phaseIndex], ps.stepIndex, src, block.FromID(id, n))
 					}
 					st := int32(uint32(h))
 					if st < prev {
@@ -301,7 +300,7 @@ func (p *Program) compileReplay(sc *schedule.Schedule, opt Options, tail *lowere
 			}
 			if fwd >= 0 && p.parallelErr == nil {
 				p.parallelErr = fmt.Errorf("exec: phase %q step %d: node %d forwards %v within the step that delivered it; the one-barrier parallel replay cannot execute this schedule (run with Options.Serial)",
-					sc.Phases[ps.phaseIndex].Name, ps.stepIndex, src, block.FromID(fwd, n))
+					tail.phases[ps.phaseIndex], ps.stepIndex, src, block.FromID(fwd, n))
 			}
 			// Emit the transfer's event records into the per-node runs,
 			// right here while its fields are at hand.

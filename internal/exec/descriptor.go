@@ -130,16 +130,50 @@ func coalesceDescs(dst []xdesc, pos []int32) []xdesc {
 // from empty and read only through the recorded offsets and counts),
 // so reuse needs no zeroing.
 type descScratch struct {
-	lastMove  []int32   // block id -> last moving transfer ordinal
-	readNode  []int32   // block id -> node whose log region delivery reads it from
-	readPos   []int32   // block id -> node-local log slot delivery reads it from
-	isLast    []uint8   // ordinal -> final mover of its whole payload
-	survAll   []int32   // deliveries bucketed by node (finalBase offsets)
-	dInsLocal []int32   // ordinal -> node-local insert position
-	dDescOff  []int32   // ordinal -> first descriptor in its sender's worker buffer
-	dDescCnt  []int32   // ordinal -> descriptor count
-	wdescs    [][]xdesc // worker -> its nodes' log-move, then delivery, descriptors
+	lastMove  []int32     // block id -> last moving transfer ordinal
+	readNode  []int32     // block id -> node whose log region delivery reads it from
+	readPos   []int32     // block id -> node-local log slot delivery reads it from
+	isLast    []uint8     // ordinal -> final mover of its whole payload
+	survAll   []int32     // deliveries bucketed by node (finalBase offsets)
+	dInsLocal []int32     // ordinal -> node-local insert position
+	dDescOff  []int32     // ordinal -> first descriptor in its sender's worker buffer
+	dDescCnt  []int32     // ordinal -> descriptor count
+	wdescs    []descStore // worker -> its nodes' log-move, then delivery, descriptors
 }
+
+// descChunk is the descriptor count of one descStore chunk (16 KiB).
+const descChunk = 1 << 10
+
+// descStore is a planner worker's descriptor buffer. Descriptor counts
+// are only known after coalescing, and a slice grown by append
+// allocates about four times its final size on the way (large slices
+// grow by 1.25x), so the store grows by fixed-size chunks instead and
+// never copies: descriptor i is chunks[i/descChunk][i%descChunk]. run
+// is the scratch one payload is coalesced into before it is appended.
+type descStore struct {
+	chunks [][]xdesc
+	n      int
+	run    []xdesc
+}
+
+// appendRun coalesces pos (see coalesceDescs) onto the store and
+// returns the offset and count of the descriptors it appended.
+func (st *descStore) appendRun(pos []int32) (off, cnt int32) {
+	st.run = coalesceDescs(st.run[:0], pos)
+	off = int32(st.n)
+	for r := st.run; len(r) > 0; {
+		c := st.n / descChunk
+		if c == len(st.chunks) {
+			st.chunks = append(st.chunks, make([]xdesc, descChunk))
+		}
+		k := copy(st.chunks[c][st.n%descChunk:], r)
+		st.n += k
+		r = r[k:]
+	}
+	return off, int32(len(st.run))
+}
+
+func (st *descStore) at(i int32) xdesc { return st.chunks[i/descChunk][i%descChunk] }
 
 var descScratchPool = sync.Pool{New: func() any { return new(descScratch) }}
 
@@ -192,12 +226,10 @@ func (p *Program) planDescriptors(tail *lowered, opBacking []opRec, ordOff, ordS
 	// Both node passes split the nodes into the same chunks, so worker
 	// w appends its nodes' log-move descriptors and then their delivery
 	// descriptors to wdescs[w], and nodeW records each node's worker
-	// for the compaction. Descriptor counts are only known after
-	// coalescing, so the buffers grow by append instead of being sized
-	// for the worst case.
+	// for the compaction.
 	workers := par.Workers()
 	for len(ds.wdescs) < par.Width(workers, n) {
-		ds.wdescs = append(ds.wdescs, nil)
+		ds.wdescs = append(ds.wdescs, descStore{})
 	}
 	wdescs := ds.wdescs
 	nodeW := make([]int32, n)
@@ -266,7 +298,8 @@ func (p *Program) planDescriptors(tail *lowered, opBacking []opRec, ordOff, ordS
 	// node owns, so the walks are data-race free.
 	nodeLog := make([]int32, n)
 	par.ForEachWorker(workers, n, func(w, lo, hi int) {
-		descs := wdescs[w][:0]
+		descs := &wdescs[w]
+		descs.n = 0
 		idPos := acquireIDSlot(p.numBlocks) // block id -> log slot at the node in progress
 		maxS := 0
 		for v := lo; v < hi; v++ {
@@ -314,9 +347,7 @@ func (p *Program) planDescriptors(tail *lowered, opBacking []opRec, ordOff, ordS
 					for _, id := range ord {
 						physBuf = append(physBuf, idPos[id])
 					}
-					off := len(descs)
-					descs = coalesceDescs(descs, physBuf)
-					dDescOff[tg], dDescCnt[tg] = int32(off), int32(len(descs)-off)
+					dDescOff[tg], dDescCnt[tg] = descs.appendRun(physBuf)
 				}
 				if gr&opInsert != 0 {
 					dInsLocal[tg] = int32(cursor)
@@ -357,7 +388,6 @@ func (p *Program) planDescriptors(tail *lowered, opBacking []opRec, ordOff, ordS
 			}
 		}
 		idSlotPool.Put(idPos)
-		wdescs[w] = descs
 	})
 
 	// Per-node log regions via the descBase prefix.
@@ -372,18 +402,15 @@ func (p *Program) planDescriptors(tail *lowered, opBacking []opRec, ordOff, ordS
 	deliverAt := make([]int32, n)
 	deliverCnt := make([]int32, n)
 	par.ForEachWorker(workers, n, func(w, lo, hi int) {
-		descs := wdescs[w]
+		descs := &wdescs[w]
 		var physBuf []int32
 		for v := lo; v < hi; v++ {
 			physBuf = physBuf[:0]
 			for _, id := range survAll[finalBase[v]:finalBase[v+1]] {
 				physBuf = append(physBuf, descBase[readNode[id]]+readPos[id])
 			}
-			off := len(descs)
-			descs = coalesceDescs(descs, physBuf)
-			deliverAt[v], deliverCnt[v] = int32(off), int32(len(descs)-off)
+			deliverAt[v], deliverCnt[v] = descs.appendRun(physBuf)
 		}
-		wdescs[w] = descs
 	})
 
 	// Serial compaction straight into the program's exact-size core:
@@ -415,7 +442,9 @@ func (p *Program) planDescriptors(tail *lowered, opBacking []opRec, ordOff, ordS
 				continue
 			}
 			off := di
-			for _, d := range wdescs[nodeW[pt.src]][dDescOff[g] : dDescOff[g]+dDescCnt[g]] {
+			descs := &wdescs[nodeW[pt.src]]
+			for i := dDescOff[g]; i < dDescOff[g]+dDescCnt[g]; i++ {
+				d := descs.at(i)
 				d.start += descBase[pt.src]
 				putRecord(core, lay.descs+16*di, d)
 				di++
@@ -431,8 +460,9 @@ func (p *Program) planDescriptors(tail *lowered, opBacking []opRec, ordOff, ordS
 	putI32(core, lay.moveOff+4*len(p.steps), int32(mi))
 	for v := 0; v < n; v++ {
 		putI32(core, lay.deliverOff+4*v, int32(di))
-		for _, d := range wdescs[nodeW[v]][deliverAt[v] : deliverAt[v]+deliverCnt[v]] {
-			putRecord(core, lay.descs+16*di, d)
+		descs := &wdescs[nodeW[v]]
+		for i := deliverAt[v]; i < deliverAt[v]+deliverCnt[v]; i++ {
+			putRecord(core, lay.descs+16*di, descs.at(i))
 			di++
 		}
 	}

@@ -83,3 +83,33 @@ func TestCoalesceDescsLossless(t *testing.T) {
 		}
 	}
 }
+
+// TestDescStoreMatchesAppend: runs appended to a descStore across its
+// chunk boundaries read back, through the offsets and counts appendRun
+// returns, exactly the descriptors coalescing each run alone gives.
+func TestDescStoreMatchesAppend(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var st descStore
+	for round := 0; round < 2; round++ {
+		st.n = 0 // reuse, as the pooled planner scratch does
+		for i := 0; i < 400; i++ {
+			pos := make([]int32, 1+rng.Intn(40))
+			for j := range pos {
+				pos[j] = int32(rng.Intn(64))
+			}
+			want := coalesceDescs(nil, pos)
+			off, cnt := st.appendRun(pos)
+			if int(cnt) != len(want) {
+				t.Fatalf("round %d run %d: %d descriptors, want %d", round, i, cnt, len(want))
+			}
+			for k := range want {
+				if got := st.at(off + int32(k)); got != want[k] {
+					t.Fatalf("round %d run %d: descriptor %d = %+v, want %+v", round, i, k, got, want[k])
+				}
+			}
+		}
+		if st.n <= 2*descChunk {
+			t.Fatalf("the runs filled %d descriptors, too few to cross two chunk boundaries", st.n)
+		}
+	}
+}

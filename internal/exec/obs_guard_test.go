@@ -128,8 +128,40 @@ func TestObsHistogramDeterministicAcrossExecutors(t *testing.T) {
 		if sum != h.Count {
 			t.Errorf("serial=%v: bucket sum %d != count %d", serial, sum, h.Count)
 		}
+		if dh := s.Hists["stage.deliver.ns"]; dh.Count != runs {
+			t.Errorf("serial=%v: deliver stage count = %d, want %d", serial, dh.Count, runs)
+		}
 		if rh, ok := s.Hists["req.det.ns"]; !ok || rh.Count != runs {
 			t.Errorf("serial=%v: request histogram = %+v, want count %d", serial, rh, runs)
+		}
+	}
+}
+
+// TestDeliverStageOnBothReplayPaths: RunArena records the delivery
+// pass as a deliver stage inside its replay stage, and ReplayInto,
+// which records no replay stage, records the deliver stage alone.
+func TestDeliverStageOnBothReplayPaths(t *testing.T) {
+	pg := compileDirect8x8(t)
+	arena := pg.NewArena()
+	reg := obs.NewRegistry()
+	for _, serial := range []bool{true, false} {
+		req := reg.StartRequest("run-arena")
+		if _, err := pg.RunArena(arena, exec.Options{Serial: serial, Request: req}); err != nil {
+			t.Fatal(err)
+		}
+		req.Finish()
+		st := req.Stages()
+		if len(st) != 2 || st[0].Name != obs.StageReplay || st[1].Name != obs.StageDeliver ||
+			st[1].Start < st[0].Start || st[1].End > st[0].End {
+			t.Errorf("serial=%v: RunArena recorded %+v, want deliver inside replay", serial, st)
+		}
+		req = reg.StartRequest("replay-into")
+		if err := pg.ReplayInto(arena, make([]int32, pg.DeliverySize()), exec.Options{Serial: serial, Request: req}); err != nil {
+			t.Fatal(err)
+		}
+		req.Finish()
+		if st := req.Stages(); len(st) != 1 || st[0].Name != obs.StageDeliver {
+			t.Errorf("serial=%v: ReplayInto recorded %+v, want one deliver stage", serial, st)
 		}
 	}
 }

@@ -274,7 +274,10 @@ func (p *Program) DeliveryOffset(v int) int {
 // the file's exact-size core and tail and nothing of sc. A rejected
 // schedule fails here, at compile time; a compiled program's runs
 // cannot fail, except that the parallel replay refuses intra-step
-// forwarding. Options.Serial, Workers and Telemetry are run-time
+// forwarding. Compile reads sc only while lowering it: the later
+// passes read what lowering wrote, so a caller that drops its own
+// reference lets the collector reuse the schedule's pages for the
+// planner's tables. Options.Serial, Workers and Telemetry are run-time
 // choices and are ignored by Compile; Options.Request receives the
 // stages of its passes (obs.StageLower, StageReferenceReplay,
 // StagePlanDescriptors, StageSeal).
@@ -288,8 +291,11 @@ func Compile(sc *schedule.Schedule, opt Options) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
+	if h := afterLower.Load(); h != nil {
+		(*h)()
+	}
 	if b.replay {
-		if err := b.compileReplay(sc, opt, tail); err != nil {
+		if err := b.compileReplay(opt, tail); err != nil {
 			return nil, err
 		}
 		compileDescPrograms.Add(1)
@@ -303,17 +309,31 @@ func Compile(sc *schedule.Schedule, opt Options) (*Program, error) {
 	}
 	seal(b.core)
 	seal(tail.b)
-	p, err := newProgram(b.core, tail.b, sc.Fabric, true)
+	p, err := newProgram(b.core, tail.b, b.fab, true)
 	if err != nil {
 		return nil, fmt.Errorf("exec: compile wrote a program it cannot prove: %w", err)
 	}
 	return p, nil
 }
 
+// afterLower, when set, runs inside Compile right after lowering.
+var afterLower atomic.Pointer[func()]
+
+// SetAfterLowerHook makes every Compile call fn right after lowering,
+// when nothing Compile holds references the schedule any more, and
+// returns a function that restores the previous hook. It exists for
+// tests that prove the schedule collectable at that point.
+func SetAfterLowerHook(fn func()) (restore func()) {
+	prev := afterLower.Swap(&fn)
+	return func() { afterLower.Store(prev) }
+}
+
 // lowered is the cold tail Compile's lowering wrote, with the views
-// the reference replay and the descriptor planner read it through.
+// the reference replay and the descriptor planner read it through, and
+// the phase names the reference replay's errors cite.
 type lowered struct {
 	b          []byte
+	phases     []string
 	transfers  []ptransfer // the transfer table, in schedule order
 	stepT      []int32     // step si's transfers are transfers[stepT[si]:stepT[si+1]]
 	payload    []int32     // the payload ids every transfer windows
@@ -411,8 +431,10 @@ func lower(sc *schedule.Schedule, opt Options) (*Program, *lowered, error) {
 	putI32s(tail, tl.stepT, stepT)
 	k = 0
 	w := tl.phases
+	phases := make([]string, len(sc.Phases))
 	for pi := range sc.Phases {
 		ph := &sc.Phases[pi]
+		phases[pi] = ph.Name
 		for si := range ph.Steps {
 			if ph.Steps[si].Shared {
 				tail[tl.shared+k>>3] |= 1 << uint(k&7)
@@ -641,6 +663,7 @@ func lower(sc *schedule.Schedule, opt Options) (*Program, *lowered, error) {
 	}
 	return p, &lowered{
 		b:          tail,
+		phases:     phases,
 		transfers:  viewRecords[ptransfer](tail[tl.transfers:tl.payload], numTransfers),
 		stepT:      stepT,
 		payload:    asInt32s(tail[tl.payload:tl.blocks]),
@@ -857,7 +880,9 @@ func (p *Program) RunArena(a *Arena, opt Options) (*Result, error) {
 	if opt.Telemetry.Enabled() {
 		// The schedule materializes from the program's tail here, on
 		// the first traced run; untraced replays never pay for it.
+		msp := opt.Request.Stage(obs.StageMaterialize)
 		sc := p.Schedule()
+		msp.End()
 		if sc == nil {
 			a.bad = true
 			return nil, fmt.Errorf("exec: telemetry: %w", p.schedErr)
@@ -912,6 +937,8 @@ func (a *Arena) replay(opt Options, dst []int32, out []*block.Buffer) error {
 			a.move(&moves[i])
 		}
 	}
+	dsp := opt.Request.Stage(obs.StageDeliver)
+	defer dsp.End()
 	if !opt.Serial && p.DeliverySize() >= fanOutElems {
 		return a.deliverFanOut(opt.Workers, dst, out)
 	}

@@ -14,8 +14,9 @@
 //     Gauges, pull-based CounterFunc/GaugeFunc hooks reading live
 //     subsystem state (cache occupancy, arena-pool traffic), and
 //     log-scale latency Histograms with deterministic p50/p95/p99
-//     extraction — exported as expvar (PublishExpvar), Prometheus text
-//     (WritePrometheus) and a compact human dump (WriteText);
+//     extraction — exported as Prometheus text (WritePrometheus), a
+//     compact human dump (WriteText) and a Snapshot, which aapebench's
+//     -pprof endpoint publishes through expvar;
 //   - request-scoped tracing (StartRequest → Stage spans → Finish)
 //     that times one request's walk through the pipeline and both
 //     feeds the latency histograms and converts into telemetry.Events
@@ -25,7 +26,10 @@
 // Like telemetry, obs must never tax a run that did not ask for it: a
 // nil *Request disables every span behind one branch with zero
 // allocations (guarded by AllocsPerRun tests in internal/exec), and
-// registered metrics are lock-free atomics on the update path.
+// registered metrics are lock-free atomics on the update path. Nor may
+// it tax a process's footprint: the package links no network stack
+// (no expvar, no net/http), so every binary that imports the library
+// starts without one.
 package obs
 
 import (

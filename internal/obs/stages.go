@@ -24,9 +24,13 @@ const (
 	StageReferenceReplay = "reference-replay"
 	StagePlanDescriptors = "plan-descriptors"
 	StageSeal            = "seal"
-	// Replay (the cmd tools and internal/exec).
+	// Replay (the cmd tools and internal/exec): the delivery pass opens
+	// inside replay, and a traced run materializes the schedule from
+	// the program file's cold tail after it.
 	StageArenaAcquire = "arena-acquire"
 	StageReplay       = "replay"
+	StageDeliver      = "deliver"
+	StageMaterialize  = "materialize"
 )
 
 // StageNames returns every stage name, in pipeline order.
@@ -35,6 +39,6 @@ func StageNames() []string {
 		StageCacheLookup, StageSingleflightWait, StageTier2Load, StageTier2Store,
 		StagePlan, StagePrune, StagePlanScoring,
 		StageCompile, StageLower, StageReferenceReplay, StagePlanDescriptors, StageSeal,
-		StageArenaAcquire, StageReplay,
+		StageArenaAcquire, StageReplay, StageDeliver, StageMaterialize,
 	}
 }
