@@ -9,7 +9,7 @@
 // Each cell is compiled once through the serving-layer program cache
 // (algorithm.BuildProgram, outside the timed region — the cold compile
 // cost lands in the compile_ns/compile_allocs columns) and every timed
-// op replays the compiled program on a pooled arena — the
+// op replays the compiled program on an acquired arena — the
 // compile-once/replay-many fast path the ledger's headline numbers
 // track.
 // A progcache footer reports the sweep's hit/miss/coalesced counters,
@@ -369,7 +369,7 @@ func compareBaseline(w io.Writer, path string, ledger *benchfmt.File, toleranceP
 
 // tenantSweep replays the whole (algorithm, shape) grid from tenants
 // concurrent goroutines, every request going through the program cache
-// and a pooled arena — the multi-tenant serving pattern. It reports
+// and an acquired arena — the multi-tenant serving pattern. It reports
 // the aggregate request rate and the cache's hit/miss/coalesced deltas
 // so a cache regression (e.g. a fingerprint change splitting hot keys)
 // shows up as a miss-rate jump, not just slower wall time.

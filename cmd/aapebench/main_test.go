@@ -249,7 +249,7 @@ func TestBenchTenantSweep(t *testing.T) {
 		t.Fatalf("tenant sweep recompiled cached cells:\n%s", out)
 	}
 	// The footer is the metrics registry's view of the sweep: progcache
-	// counters plus the arena pool's traffic.
+	// counters plus the arenas' traffic.
 	if !strings.Contains(out, "progcache.hits") {
 		t.Fatalf("missing registry footer:\n%s", out)
 	}

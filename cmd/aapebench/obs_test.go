@@ -34,7 +34,7 @@ func TestMetricsOutParses(t *testing.T) {
 	if err != nil {
 		t.Fatalf("metrics dump failed structural validation: %v", err)
 	}
-	for _, want := range []string{"torusx_progcache_hits", "torusx_progcache_misses", "torusx_exec_arena_acquires"} {
+	for _, want := range []string{"torusx_progcache_hits", "torusx_progcache_misses", "torusx_exec_arena_acquires", "torusx_exec_arena_creates"} {
 		if pm.Types[want] != "counter" {
 			t.Errorf("dump missing counter %s; types: %v", want, pm.Types)
 		}

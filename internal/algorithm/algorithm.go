@@ -110,7 +110,7 @@ func init() {
 // (algorithm, fabric) are singleflighted into exactly one Compile.
 // This is the compile-once entry point the command-line tools and
 // torusx.Compare run through; callers that replay many times hold on
-// to the returned Program and acquire/release pooled Arenas.
+// to the returned Program and acquire/release its Arenas.
 //
 // The cache key uses b.Name(), so two distinct Builder implementations
 // registered under one name would alias; registry builders are unique

@@ -7,7 +7,7 @@ import (
 )
 
 // Process-wide observability of the executor's shared state: the
-// arena pool's acquire/release traffic and the FullTraffic LRU's
+// arenas' acquire/release/create traffic and the FullTraffic LRU's
 // counters, exported as pull-based metrics on the default obs
 // registry. Registration happens once at init; the hooks read live
 // atomics (or take the LRU's snapshot lock) only when a dump or
@@ -16,8 +16,10 @@ import (
 // arenaAcquires and arenaReleases count AcquireArena/ReleaseArena
 // calls across every program in the process; a widening gap means
 // arenas are being dropped (error-poisoned runs) or leaked instead of
-// pooled.
-var arenaAcquires, arenaReleases atomic.Int64
+// kept. arenaCreates counts NewArena calls, AcquireArena's fallbacks
+// included: under steady replay of retained programs it stays flat,
+// and any rise is an arena rebuilt (and its log re-faulted).
+var arenaAcquires, arenaReleases, arenaCreates atomic.Int64
 
 // Replay counters, bumped once per successful compiled replay
 // (noteReplay — plain atomic adds, so the guarded replay paths stay
@@ -42,6 +44,7 @@ func init() {
 	reg := obs.Default()
 	reg.CounterFunc("exec.arena.acquires", arenaAcquires.Load)
 	reg.CounterFunc("exec.arena.releases", arenaReleases.Load)
+	reg.CounterFunc("exec.arena.creates", arenaCreates.Load)
 	reg.CounterFunc("exec.replay.desc_runs", replayDescRuns.Load)
 	reg.CounterFunc("exec.replay.bytes_moved", replayBytesMoved.Load)
 	reg.CounterFunc("exec.compile.desc_programs", compileDescPrograms.Load)

@@ -134,8 +134,11 @@ type Program struct {
 	schedDone    atomic.Bool
 	onTailErr    func(*Program, error)
 
-	// arenas pools released arenas for concurrent replays of one
-	// program; see AcquireArena/ReleaseArena.
+	// arena is the one released arena the program retains across
+	// garbage collections; arenas pools the overflow of concurrent
+	// replays, which the collector may drop. See AcquireArena and
+	// ReleaseArena.
+	arena  atomic.Pointer[Arena]
 	arenas sync.Pool
 }
 
@@ -203,7 +206,9 @@ func (p *Program) MaxSharing() int { return p.maxSharing }
 // the heap, as a fresh Compile does. A tail viewed in caller-owned or
 // mapped bytes, and the schedule and tables materialized from it on
 // demand, stay outside the weight, as they stay outside a replay-only
-// process's resident set.
+// process's resident set. So do arenas: a replayed program that stays
+// reachable also pins the one arena it retains (see Arena), whose size
+// is the block log, set by the program's layout.
 func (p *Program) SizeBytes() int64 {
 	size := int64(unsafe.Sizeof(*p))
 	size += int64(len(p.steps)) * int64(unsafe.Sizeof(pstep{}))
@@ -756,12 +761,23 @@ func checkStep(f topology.Fabric, domainTab []int32, s *schedule.Step, phase str
 // scratch and delivery buffers, allocated once per arena so
 // steady-state replays allocate (nearly) nothing. An Arena is not safe
 // for concurrent use; create one per goroutine with NewArena, or borrow
-// one from the program's pool with AcquireArena. Result.Buffers
-// returned by RunArena alias arena memory and are valid until the next
-// RunArena call on the same arena (or its release back to the pool).
+// one from the program with AcquireArena. Result.Buffers returned by
+// RunArena alias arena memory and are valid until the next RunArena
+// call on the same arena (or its release back to the program).
 // An arena whose run returned an error must be discarded; ReleaseArena
 // drops such arenas on the floor.
+//
+// Memory contract: a program that has been replayed through
+// AcquireArena/ReleaseArena keeps one arena for as long as the program
+// itself is reachable, garbage collections included, so each replayed,
+// reachable program pins one arena on top of its SizeBytes. Arenas
+// beyond that one, released by concurrent replays, are pooled and may
+// be reclaimed by any collection.
 type Arena struct {
+	// prog is the program the arena is lent to, nil while it sits
+	// released in that program's slot or pool: a kept arena holds no
+	// reference back, so a program retaining one stays collectable (and
+	// finalizable), and a released arena is refused until re-acquired.
 	prog *Program
 
 	// log is the append-only block log: per-node regions at the
@@ -776,7 +792,7 @@ type Arena struct {
 	// checks each node's ids there, never in a DeliverySize() buffer.
 	out     []*block.Buffer
 	scratch []int32
-	bad     bool // a replay errored; the arena must not be pooled
+	bad     bool // a replay errored; the arena must not be kept
 
 	// Cached per-step sender partitions for the parallel path (nil for
 	// steps that run inline), keyed by the worker count and fan-out
@@ -789,6 +805,7 @@ type Arena struct {
 
 // NewArena returns a fresh scratch arena for p.
 func (p *Program) NewArena() *Arena {
+	arenaCreates.Add(1)
 	a := &Arena{prog: p}
 	if !p.replay {
 		return a
@@ -815,30 +832,43 @@ func (p *Program) NewArena() *Arena {
 	return a
 }
 
-// AcquireArena returns an arena for p from its free list, falling back
-// to NewArena when the pool is empty. Concurrent replays of one shared
-// (e.g. cached) program should bracket every run with AcquireArena and
-// ReleaseArena so the per-run buffer backing is recycled instead of
-// reallocated; the pool is sync.Pool-backed and safe for concurrent
-// use.
+// AcquireArena returns an arena for p: the one p retains if it is
+// free, else one from p's pool, else a NewArena. Concurrent replays of
+// one shared (e.g. cached) program should bracket every run with
+// AcquireArena and ReleaseArena so the arena is reused instead of
+// rebuilt; both are safe for concurrent use. The retained arena
+// survives garbage collection, so a program replayed one request at a
+// time builds its arena once (see Arena for the memory contract).
 func (p *Program) AcquireArena() *Arena {
 	arenaAcquires.Add(1)
-	if a, ok := p.arenas.Get().(*Arena); ok && a != nil {
-		return a
+	a := p.arena.Swap(nil)
+	if a == nil {
+		a, _ = p.arenas.Get().(*Arena)
 	}
-	return p.NewArena()
+	if a == nil {
+		return p.NewArena()
+	}
+	a.prog = p
+	return a
 }
 
-// ReleaseArena returns a to p's free list. The caller must be done
-// with the previous RunArena result — its Buffers alias arena memory.
-// Arenas that do not belong to p or whose last run errored are
-// discarded instead of pooled.
+// ReleaseArena gives a back to p. The caller must be done with the
+// previous RunArena result — its Buffers alias arena memory — and with
+// a itself: a released arena is refused by RunArena and ReplayInto
+// until AcquireArena lends it again. The first released arena fills
+// the slot p retains across garbage collections; while that slot is
+// taken, released arenas go to a pool the collector may empty. Arenas
+// that do not belong to p, are already released, or whose last run
+// errored are discarded instead of kept.
 func (p *Program) ReleaseArena(a *Arena) {
 	if a == nil || a.prog != p || a.bad {
 		return
 	}
 	arenaReleases.Add(1)
-	p.arenas.Put(a)
+	a.prog = nil
+	if !p.arena.CompareAndSwap(nil, a) {
+		p.arenas.Put(a)
+	}
 }
 
 // Run executes the program with a one-shot arena. For replay-many
@@ -858,7 +888,7 @@ func (p *Program) Run(opt Options) (*Result, error) {
 // one backing.
 func (p *Program) RunArena(a *Arena, opt Options) (*Result, error) {
 	if a == nil || a.prog != p {
-		return nil, fmt.Errorf("exec: arena does not belong to this program")
+		return nil, fmt.Errorf("exec: arena does not belong to this program, or was released")
 	}
 	res := &Result{Measure: p.measure, MaxSharing: p.maxSharing}
 	if p.replay {
@@ -1089,7 +1119,7 @@ func (a *Arena) deliverFanOut(workers int, dst []int32, out []*block.Buffer) err
 // emits no telemetry; callers that need either use RunArena.
 func (p *Program) ReplayInto(a *Arena, dst []int32, opt Options) error {
 	if a == nil || a.prog != p {
-		return fmt.Errorf("exec: arena does not belong to this program")
+		return fmt.Errorf("exec: arena does not belong to this program, or was released")
 	}
 	if !p.replay {
 		return fmt.Errorf("exec: ReplayInto on a measure-only program")

@@ -95,7 +95,7 @@ func NewRegistry() *Registry {
 }
 
 // defaultRegistry is the process-wide registry every subsystem
-// (progcache, exec's arena pool and FullTraffic LRU, the cmd tools)
+// (progcache, exec's arenas and FullTraffic LRU, the cmd tools)
 // registers into.
 var defaultRegistry = NewRegistry()
 
@@ -141,7 +141,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 // CounterFunc registers fn as a pull-based counter: fn is read at
 // snapshot time and must be monotone and safe for concurrent calls.
 // This is how subsystems with their own atomic counters (the program
-// cache, the arena pool) export live values without double counting.
+// cache, the arenas) export live values without double counting.
 // Re-registering a name replaces the hook.
 func (r *Registry) CounterFunc(name string, fn func() int64) {
 	r.mu.Lock()

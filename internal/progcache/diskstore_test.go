@@ -633,3 +633,70 @@ func TestDiskStoreWritesHeldBytes(t *testing.T) {
 		t.Fatalf("schedule after the stored file is removed: %v", pg.SchedErr())
 	}
 }
+
+// TestDiskStoreFailureServesCompile: a disk tier that cannot write —
+// its directory replaced by a regular file after NewDiskStore, so
+// CreateTemp fails even for root — costs the request its store and
+// nothing else. The compile is served, replays and is cached in memory;
+// no store is counted; the next request is a memory hit; and no temp
+// file is left behind.
+func TestDiskStoreFailureServesCompile(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "tier2")
+	store, err := progcache.NewDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tor := topology.MustNew(8, 8)
+	key := progcache.Key("direct", tor, 0)
+	c := progcache.New(0)
+	c.SetTier2(store)
+	pg, err := c.GetOrCompileTiered(key, tor, 0, nil, func() (*exec.Program, error) { return compileDirect(tor) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := pg.AcquireArena()
+	res, err := pg.RunArena(a, exec.Options{})
+	if err != nil {
+		t.Fatalf("program served after a failed store does not replay: %v", err)
+	}
+	ref, err := compileDirect(tor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Run(exec.Options{Serial: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Measure != want.Measure {
+		t.Fatalf("served program measures %+v, want %+v", res.Measure, want.Measure)
+	}
+	pg.ReleaseArena(a)
+	st := c.Stats()
+	if st.Compiles != 1 || st.Tier2Stores != 0 || st.Entries != 1 {
+		t.Fatalf("after a failed store: %v; want 1 compile, 0 stores, 1 entry", st)
+	}
+	got, err := c.GetOrCompileTiered(key, tor, 0, nil, func() (*exec.Program, error) {
+		t.Error("compile ran although the program is cached in memory")
+		return compileDirect(tor)
+	})
+	if err != nil || got != pg {
+		t.Fatalf("second request: %v, same program %v", err, got == pg)
+	}
+	if st = c.Stats(); st.Hits != 1 || st.Tier2Stores != 0 {
+		t.Fatalf("second request was not a memory hit: %v", st)
+	}
+	left, err := filepath.Glob(filepath.Join(root, ".txpg-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 0 {
+		t.Fatalf("failed store left temp files: %v", left)
+	}
+}

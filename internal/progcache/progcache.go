@@ -7,7 +7,13 @@
 // exec.Compile once per (algorithm, shape) per process instead of once
 // per request: a warm hit is a couple of map lookups, and a compiled
 // Program is immutable and safe to share, so every requester replays
-// the same cached plan through its own (pooled) Arena.
+// the same cached plan through its own Arena.
+//
+// Memory contract: the cache bounds program bytes (exec.Program's
+// SizeBytes), not arenas. Each replayed program that is still reachable
+// — cached here or held by a caller — also pins the one arena it
+// retains across garbage collections (see exec.Arena); evicting a
+// program no caller holds frees both.
 package progcache
 
 import (

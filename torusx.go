@@ -150,7 +150,7 @@ func measureOf(res *exchange.Result) Measure {
 const proposedProgram = "proposed-sim"
 
 // replayProgram resolves alg's compiled program on f through the
-// process-wide program cache and replays it once on a pooled arena,
+// process-wide program cache and replays it once on the program's arena,
 // which re-checks that every node received exactly its blocks.
 func replayProgram(alg string, f topology.Fabric) (*exec.Program, error) {
 	b, err := algorithm.For(alg)

@@ -3,11 +3,14 @@ package torusx
 import (
 	"bytes"
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
 	"torusx/internal/baseline"
 	"torusx/internal/exchange"
+	"torusx/internal/obs"
 )
 
 func TestAllToAllReport(t *testing.T) {
@@ -426,4 +429,37 @@ func FuzzAllToAllSparse(f *testing.F) {
 			t.Fatal("valid exchange returned nil report")
 		}
 	})
+}
+
+// TestAllToAllArenaOutlivesGC checks the public path's memory contract:
+// AllToAll on 16×16 builds the cached program's arena at most once (not
+// at all if an earlier test already replayed the program), and a forced
+// garbage collection between two calls does not take it — the second
+// call creates no arena.
+func TestAllToAllArenaOutlivesGC(t *testing.T) {
+	tor, err := NewTorus(16, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	creates := func() int64 {
+		n, ok := obs.Default().Snapshot().Counters["exec.arena.creates"]
+		if !ok {
+			t.Fatal("exec.arena.creates is not registered")
+		}
+		return n
+	}
+	start := creates()
+	if _, err := AllToAll(tor); err != nil {
+		t.Fatal(err)
+	}
+	first := creates()
+	runtime.GC()
+	debug.FreeOSMemory()
+	if _, err := AllToAll(tor); err != nil {
+		t.Fatal(err)
+	}
+	if got := creates(); got != first || first-start > 1 {
+		t.Fatalf("exec.arena.creates: first call +%d, second call after GC +%d; want at most 1 and 0", first-start, got-first)
+	}
+	t.Logf("arenas created: %d by the first call, 0 by the second", first-start)
 }
