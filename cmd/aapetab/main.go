@@ -416,7 +416,10 @@ func Replay(p costmodel.Params, algName string, opt ReplayOpt) (string, error) {
 				fmt.Sprintf("(%v)", berr))
 			continue
 		}
-		sc := pg.Schedule()
+		sc, err := pg.Schedule()
+		if err != nil {
+			return "", err
+		}
 		if firstFab == nil {
 			firstFab = fab
 		}

@@ -144,7 +144,10 @@ func run(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	sc := pg.Schedule()
+	sc, err := pg.Schedule()
+	if err != nil {
+		return err
+	}
 	rec, err := tel.Labeled(costmodel.T3D(64), label)
 	if err != nil {
 		return err

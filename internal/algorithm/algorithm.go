@@ -78,15 +78,6 @@ func (b fabricBuilder) BuildSchedule(f topology.Fabric) (*schedule.Schedule, err
 	return nil, fmt.Errorf("algorithm: %q does not support fabric %s", b.name, f.Fingerprint())
 }
 
-// ProgramBuilder is the optional fast-path interface: a Builder that
-// can emit a compiled exec.Program directly (for example one that
-// caches compiled forms per fabric shape). BuildProgram prefers it
-// over the generic build-then-compile route.
-type ProgramBuilder interface {
-	Builder
-	BuildProgram(f topology.Fabric, opt exec.Options) (*exec.Program, error)
-}
-
 // cache memoizes compiled programs across every BuildProgram caller in
 // the process — torusx.Compare, the cmd tools, and any embedding
 // service share one serving-layer cache keyed by (builder name, fabric
@@ -102,15 +93,18 @@ func init() {
 	cache.RegisterMetrics(obs.Default(), "progcache")
 }
 
-// BuildProgram resolves an algorithm to its compiled form on f: the
-// builder's own BuildProgram when it implements ProgramBuilder,
-// otherwise BuildSchedule followed by exec.Compile. Results are
-// memoized in a process-wide progcache.Cache, so a warm call performs
-// no schedule build and no compile — concurrent cold calls for one
-// (algorithm, fabric) are singleflighted into exactly one Compile.
-// This is the compile-once entry point the command-line tools and
-// torusx.Compare run through; callers that replay many times hold on
-// to the returned Program and acquire/release its Arenas.
+// BuildProgram resolves an algorithm to its compiled form on f:
+// BuildSchedule followed by exec.Compile. Results are memoized in a
+// process-wide progcache.Cache, so a warm call performs no schedule
+// build and no compile — concurrent cold calls for one (algorithm,
+// fabric) are singleflighted into exactly one Compile. The cache
+// records BuildSchedule as every served program's schedule source, so
+// Program.Schedule() re-plans it on demand. This is the compile-once
+// entry point the command-line tools and torusx.Compare run through;
+// callers that replay many times hold on to the returned Program and
+// acquire/release its Arenas. opt.Request (nil-safe) receives a miss's
+// wall-clock decomposition as "plan" (schedule construction) and
+// "compile" (exec.Compile) stage spans.
 //
 // The cache key uses b.Name(), so two distinct Builder implementations
 // registered under one name would alias; registry builders are unique
@@ -118,8 +112,17 @@ func init() {
 func BuildProgram(b Builder, f topology.Fabric, opt exec.Options) (*exec.Program, error) {
 	fp := progcache.Fingerprint(opt)
 	key := progcache.Key(b.Name(), f, fp)
-	return cache.GetOrCompileTiered(key, f, fp, opt.Request, func() (*exec.Program, error) {
-		return buildProgramUncached(b, f, opt)
+	source := func() (*schedule.Schedule, error) { return b.BuildSchedule(f) }
+	return cache.GetOrCompileTiered(key, f, fp, opt.Request, source, func() (*exec.Program, error) {
+		psp := opt.Request.Stage(obs.StagePlan)
+		sc, err := source()
+		psp.End()
+		if err != nil {
+			return nil, err
+		}
+		csp := opt.Request.Stage(obs.StageCompile)
+		defer csp.End()
+		return exec.Compile(sc, opt)
 	})
 }
 
@@ -138,28 +141,6 @@ func SetCacheDir(dir string) error {
 	}
 	cache.SetTier2(store)
 	return nil
-}
-
-// buildProgramUncached is the cache-miss path: the builder's own
-// BuildProgram when it implements ProgramBuilder, otherwise
-// BuildSchedule followed by exec.Compile. opt.Request (nil-safe)
-// receives the miss's wall-clock decomposition as "plan" (schedule
-// construction) and "compile" (exec.Compile) stage spans.
-func buildProgramUncached(b Builder, f topology.Fabric, opt exec.Options) (*exec.Program, error) {
-	if pb, ok := b.(ProgramBuilder); ok {
-		sp := opt.Request.Stage(obs.StageCompile)
-		defer sp.End()
-		return pb.BuildProgram(f, opt)
-	}
-	psp := opt.Request.Stage(obs.StagePlan)
-	sc, err := b.BuildSchedule(f)
-	psp.End()
-	if err != nil {
-		return nil, err
-	}
-	csp := opt.Request.Stage(obs.StageCompile)
-	defer csp.End()
-	return exec.Compile(sc, opt)
 }
 
 // CacheStats snapshots the process-wide program cache counters —

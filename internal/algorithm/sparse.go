@@ -123,7 +123,9 @@ func sparseSchedule(b Builder, f topology.Fabric, m traffic.Matrix, req *obs.Req
 // process-wide program cache. The matrix fingerprint is folded into
 // the cache key's name component, so distinct matrices can never share
 // a compiled program and warm lookups never re-hash the block list.
-// Any opt.Traffic the caller set is superseded by m.
+// Any opt.Traffic the caller set is superseded by m. As with
+// BuildProgram, the cache records the sparse schedule's construction as
+// the program's schedule source.
 func BuildSparseProgram(b Builder, f topology.Fabric, m traffic.Matrix, opt exec.Options) (*exec.Program, error) {
 	opt.Traffic = m.Blocks()
 	var optBits uint64
@@ -132,7 +134,8 @@ func BuildSparseProgram(b Builder, f topology.Fabric, m traffic.Matrix, opt exec
 	}
 	name := b.Name() + "+sparse:" + strconv.FormatUint(m.Fingerprint(), 16)
 	key := progcache.Key(name, f, optBits)
-	return cache.GetOrCompileTraced(key, opt.Request, func() (*exec.Program, error) {
+	source := func() (*schedule.Schedule, error) { return sparseSchedule(b, f, m, nil) }
+	return cache.GetOrCompileTiered(key, nil, 0, opt.Request, source, func() (*exec.Program, error) {
 		sc, err := sparseSchedule(b, f, m, opt.Request)
 		if err != nil {
 			return nil, err

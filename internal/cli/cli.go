@@ -25,7 +25,7 @@ func RegisterTraffic(fs *flag.FlagSet) *string {
 // RegisterCacheDir registers the shared -progcache-dir flag on fs and
 // returns the directory destination. A non-empty directory attaches a
 // disk-backed second tier to the process-wide compiled-program cache
-// (algorithm.SetCacheDir): cold processes map and decode serialized
+// (algorithm.SetCacheDir): cold processes read and decode serialized
 // programs from it instead of recompiling, and fresh compiles are
 // written back for the next process. Empty keeps the cache
 // memory-only.

@@ -18,29 +18,20 @@ import (
 // Program takes. Compile writes a program's file itself and then views
 // it, exactly as DecodeProgram views a file read back from the disk
 // tier: both build the Program through newProgram, which views and
-// proves the core (checkPlan). WriteProgram and EncodeProgram only
-// reseal the header's options fingerprint over the bytes a program
-// already holds. A program file is split along the executor's own
-// hot/cold boundary into two sections, each sealed by its own CRC32:
+// proves it (checkPlan). WriteProgram and EncodeProgram only reseal the
+// header's options fingerprint over the bytes a program already holds.
 //
-//   - The replay core holds exactly what a replay reads — the step
-//     headers, the per-node delivery counts, the sparse traffic ids and
-//     the descriptor replay plan — plus the totals a decoder would
-//     otherwise derive from the transfer table. Its tables are flat
-//     little-endian arrays laid out field-for-field like the in-memory
-//     form, so viewing it on a little-endian host is a handful of
-//     bounds-checked slice views over the bytes (zero copies; big-endian
-//     hosts take an element-wise fallback). A program replays, serially
-//     or in parallel, without reading anything else.
-//   - The cold tail holds what only telemetry and Program.Schedule
-//     need — the transfer table, phase names, declared block counts,
-//     route legs and the payload ids. Nothing reads it until the first
-//     Schedule(), which checks its CRC and tables and materializes the
-//     schedule (see materialize.go), also rebuilding the link table by
-//     re-walking the routes on the fabric. A replay-only process never
-//     touches it, so on a mapped file its pages never become resident;
-//     the disk tier serves a fresh compile from the file it stored,
-//     loaded back, for the same reason.
+// A program file is its replay core: exactly what a replay reads — the
+// step headers, the per-node delivery counts, the sparse traffic ids
+// and the descriptor replay plan — plus the totals and the measure a
+// caller reads without replaying, sealed by one CRC32. Its tables are
+// flat little-endian arrays laid out field-for-field like the
+// in-memory form, so viewing it on a little-endian host is a handful
+// of bounds-checked slice views over the bytes (zero copies; big-endian
+// hosts take an element-wise fallback). The schedule itself is not in
+// the file: the header carries its 64-bit digest (digest.go), and
+// Program.Schedule() re-plans it from a recorded source and checks it
+// against that digest.
 //
 // The header carries the fabric fingerprint and the compile-options
 // fingerprint (progcache.Fingerprint: SkipChecks + the traffic
@@ -48,55 +39,41 @@ import (
 // DecodeProgram rejects short, truncated, corrupted, version- or
 // fingerprint-mismatched input with descriptive errors and proves every
 // index a replay would follow (checkPlan), so a file that decodes
-// cannot make the executor read out of bounds. A tail that fails its
-// checksum or its checks decodes, replays, and fails Schedule() (see
-// Program.OnTailError).
+// cannot make the executor read out of bounds.
 //
-// Format v6, all integers little-endian, sections 4-byte aligned:
+// Format v7, all integers little-endian, 4-byte aligned:
 //
-//	core:
-//	  magic "TXPG" | u16 version | u8 flags | u8 reserved | u64 optFP
-//	  u32 coreLen, u32 tailLen (coreLen + tailLen is the file size)
-//	  u32 len + fabric fingerprint string, padded to 4
-//	  u32 x8: n, numSteps, numTransfers, numPhases, maxSharing,
-//	          numDomains, numTraffic, numPayload
-//	  u64 x4: measure steps, blocks, hops, rearranged
-//	  steps     numSteps x 5 u32 (phaseIndex stepIndex sharing maxBlocks maxHops)
-//	  parallelErr u32 len + bytes, padded   | only when flagParallelErr
-//	  replay section                         | only when flagReplay:
-//	    perDest    n x i32
-//	    traffic    numTraffic x i32          | only when not flagFullTraffic
-//	    u32 x3: numDesc, numMoves, logSize
-//	    moveOff    (numSteps+1) x i32 (per-step log-move offsets)
-//	    moves      numMoves x 5 i32 (src payLen descOff descLen insPos)
-//	    descBase   (n+1) x i32 (per-node log-region prefix)
-//	    descs      numDesc x 4 i32 (start count blocklen stride)
-//	    deliverOff (n+1) x i32 (per-node delivery descriptor windows)
-//	  u32 CRC32 (IEEE) over the core before it
-//	tail:
-//	  stepT     (numSteps+1) x u32 (per-step transfer offsets)
-//	  transfers numTransfers x 6 i32 (src dst payOff payLen linkOff linkLen)
-//	  cold section:
-//	    payload   numPayload x i32 (payload ids)
-//	    blocks    numTransfers x u32 (declared Blocks per transfer)
-//	    shared    ceil(numSteps/8) bytes bitmap, padded to 4
-//	    phases    numPhases x (u32 len + name padded, u32 steps, u32 rearrange)
-//	    segs      per transfer: u8 count + count x (u8 dim, u8 dir, u16 hops),
-//	              stream padded to 4
-//	  u32 CRC32 (IEEE) over the tail before it
+//	magic "TXPG" | u16 version | u8 flags | u8 reserved | u64 optFP
+//	u64 digest (the schedule digest, see digest.go)
+//	u32 fileLen
+//	u32 len + fabric fingerprint string, padded to 4
+//	u32 x6: n, numSteps, numPhases, maxSharing, numTraffic, numPayload
+//	u64 x4: measure steps, blocks, hops, rearranged
+//	steps     numSteps x 5 u32 (phaseIndex stepIndex sharing maxBlocks maxHops)
+//	parallelErr u32 len + bytes, padded   | only when flagParallelErr
+//	replay section                         | only when flagReplay:
+//	  perDest    n x i32
+//	  traffic    numTraffic x i32          | only when not flagFullTraffic
+//	  u32 x3: numDesc, numMoves, logSize
+//	  moveOff    (numSteps+1) x i32 (per-step log-move offsets)
+//	  moves      numMoves x 5 i32 (src payLen descOff descLen insPos)
+//	  descBase   (n+1) x i32 (per-node log-region prefix)
+//	  descs      numDesc x 4 i32 (start count blocklen stride)
+//	  deliverOff (n+1) x i32 (per-node delivery descriptor windows)
+//	u32 CRC32 (IEEE) over the file before it
 //
-// numPayload is the payload id count: the transfers' payload windows
-// tile [0, numPayload) in transfer order, and their link windows tile
-// the expanded routes the same way, so the count bounds the log and
-// gives BytesMoved (4 bytes per id) without the transfer table. Only
-// transfers some later transfer forwards from have a log move; last-hop
-// transfers appear only through the per-node delivery descriptors (see
-// descriptor.go). The fields' ranges are the format's limits, which
-// Compile enforces: at most 255 route legs per transfer, each on a
-// dimension below 256 and at most 65,535 hops long, block counts below
-// 2^32, and a file below 4 GiB.
+// numPayload is the schedule's payload id count, which bounds the log
+// and gives BytesMoved (4 bytes per id). Only transfers some later
+// transfer forwards from have a log move; last-hop transfers appear
+// only through the per-node delivery descriptors (see descriptor.go).
+// The fields' ranges are the format's limits, which Compile enforces:
+// block counts below 2^32, payload ids below 2^31 and a file below
+// 4 GiB. Compile also keeps the route-leg limits of the formats that
+// stored routes (at most 255 legs per transfer, each on a dimension
+// below 256 and at most 65,535 hops long), so which schedules compile
+// does not depend on the format version.
 //
-// This build reads and writes v6 only. A file of any other version
+// This build reads and writes v7 only. A file of any other version
 // (e.g. a warm disk cache written by an older build) is a decode error,
 // which the disk tier turns into a miss and a delete. Derived state
 // (per-step log-move element counts, the delivery layout prefix and
@@ -105,7 +82,7 @@ import (
 
 // CodecVersion is the program file format version this build reads and
 // writes.
-const CodecVersion = 6
+const CodecVersion = 7
 
 const codecMagic = "TXPG"
 
@@ -133,13 +110,11 @@ var hostLittle = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// The file's transfer, log-move and descriptor records are runs of
-// int32 fields in their structs' declaration order, so viewRecords can
-// view them in place. These declarations fail to compile if a struct's
-// size drifts from its record's.
+// The file's log-move and descriptor records are runs of int32 fields
+// in their structs' declaration order, so viewRecords can view them in
+// place. These declarations fail to compile if a struct's size drifts
+// from its record's.
 var (
-	_ [unsafe.Sizeof(ptransfer{}) - 24]struct{}
-	_ [24 - unsafe.Sizeof(ptransfer{})]struct{}
 	_ [unsafe.Sizeof(logMove{}) - 20]struct{}
 	_ [20 - unsafe.Sizeof(logMove{})]struct{}
 	_ [unsafe.Sizeof(xdesc{}) - 16]struct{}
@@ -168,22 +143,22 @@ func asInt32s(b []byte) []int32 {
 
 // ---- Layout and writing.
 
-// coreLayout is the byte offset of every table of a program file's
-// replay core, derived from the counts alone; end is the core's length,
-// CRC included.
+// coreLayout is the byte offset of every table of a program file,
+// derived from the counts alone; end is the file's length, CRC
+// included.
 type coreLayout struct {
 	steps, parallelErr, perDest, traffic, counts int
 	moveOff, moves, descBase, descs, deliverOff  int
 	end                                          int
 }
 
-// layoutCore lays out a core with fpLen bytes of fabric fingerprint,
+// layoutCore lays out a file with fpLen bytes of fabric fingerprint,
 // numSteps steps and, when errLen >= 0, a parallelErr message of errLen
 // bytes; replay adds the replay section for n nodes, numTraffic sparse
 // traffic ids, numMoves log moves and numDesc descriptors.
 func layoutCore(fpLen, numSteps, errLen int, replay bool, n, numTraffic, numMoves, numDesc int) coreLayout {
 	var l coreLayout
-	l.steps = 24 + 4 + padded4(fpLen) + 8*4 + 4*8
+	l.steps = 32 + padded4(fpLen) + 6*4 + 4*8
 	l.parallelErr = l.steps + numSteps*20
 	off := l.parallelErr
 	if errLen >= 0 {
@@ -201,28 +176,6 @@ func layoutCore(fpLen, numSteps, errLen int, replay bool, n, numTraffic, numMove
 		off = l.deliverOff + (n+1)*4
 	}
 	l.end = off + 4
-	return l
-}
-
-// tailLayout is the byte offset of every table of a program file's
-// cold tail; end is the tail's length, CRC included.
-type tailLayout struct {
-	stepT, transfers, payload, blocks, shared, phases, segs int
-	end                                                     int
-}
-
-// layoutTail lays out a tail for numSteps steps, numTransfers transfers
-// and numPayload payload ids, with phaseBytes of phase records and
-// segBytes of route legs.
-func layoutTail(numSteps, numTransfers, numPayload, phaseBytes, segBytes int) tailLayout {
-	var l tailLayout
-	l.transfers = (numSteps + 1) * 4
-	l.payload = l.transfers + numTransfers*24
-	l.blocks = l.payload + numPayload*4
-	l.shared = l.blocks + numTransfers*4
-	l.phases = l.shared + padded4((numSteps+7)/8)
-	l.segs = l.phases + phaseBytes
-	l.end = l.segs + padded4(segBytes) + 4
 	return l
 }
 
@@ -244,10 +197,10 @@ func putI32s(b []byte, off int, vals []int32) {
 	}
 }
 
-// putRecord writes a transfer, log-move or descriptor record at
-// b[off:], its int32 fields in declaration order: one store on
-// little-endian hosts (off is 4-aligned in an 8-aligned buffer).
-func putRecord[T ptransfer | logMove | xdesc](b []byte, off int, rec T) {
+// putRecord writes a log-move or descriptor record at b[off:], its
+// int32 fields in declaration order: one store on little-endian hosts
+// (off is 4-aligned in an 8-aligned buffer).
+func putRecord[T logMove | xdesc](b []byte, off int, rec T) {
 	dst := b[off : off+int(unsafe.Sizeof(rec))]
 	if hostLittle {
 		*(*T)(unsafe.Pointer(&dst[0])) = rec
@@ -256,19 +209,19 @@ func putRecord[T ptransfer | logMove | xdesc](b []byte, off int, rec T) {
 	putI32s(dst, 0, unsafe.Slice((*int32)(unsafe.Pointer(&rec)), len(dst)/4))
 }
 
-// seal writes the CRC32 of a section's bytes into its last four.
-func seal(section []byte) {
-	body := section[:len(section)-4]
-	putU32(section, len(body), crc32.ChecksumIEEE(body))
+// seal writes the CRC32 of a file's bytes into its last four.
+func seal(file []byte) {
+	body := file[:len(file)-4]
+	putU32(file, len(body), crc32.ChecksumIEEE(body))
 }
 
-// newCore allocates the program's exact-size replay core for numMoves
-// log moves and numDesc descriptors, ahead of a tailLen-byte tail, and
-// writes every field but the per-step log-move offsets, the log moves,
-// the descriptors, the delivery windows and the CRC: planDescriptors'
-// compaction writes those at the returned offsets, and Compile seals
-// the core. The options fingerprint stays 0 until a writer reseals it.
-func (p *Program) newCore(tailLen, numDomains, numMoves, numDesc int) (coreLayout, error) {
+// newCore allocates the program's exact-size file for numMoves log
+// moves and numDesc descriptors, and writes every field but the
+// per-step log-move offsets, the log moves, the descriptors, the
+// delivery windows and the CRC: planDescriptors' compaction writes
+// those at the returned offsets, and Compile seals the file. The
+// options fingerprint stays 0 until a writer reseals it.
+func (p *Program) newCore(numMoves, numDesc int) (coreLayout, error) {
 	fp := p.fab.Fingerprint()
 	var flags byte
 	errLen, errMsg := -1, ""
@@ -287,20 +240,20 @@ func (p *Program) newCore(tailLen, numDomains, numMoves, numDesc int) (coreLayou
 		}
 	}
 	l := layoutCore(len(fp), len(p.steps), errLen, p.replay, p.n, numTraffic, numMoves, numDesc)
-	if size := int64(l.end) + int64(tailLen); size > math.MaxUint32 {
-		return l, fmt.Errorf("exec: a %d-byte program exceeds the program format's 4 GiB limit", size)
+	if int64(l.end) > math.MaxUint32 {
+		return l, fmt.Errorf("exec: a %d-byte program exceeds the program format's 4 GiB limit", l.end)
 	}
 	b := make([]byte, l.end)
 	copy(b, codecMagic)
 	binary.LittleEndian.PutUint16(b[4:], CodecVersion)
 	b[6] = flags
-	putU32(b, 16, uint32(l.end))
-	putU32(b, 20, uint32(tailLen))
-	putU32(b, 24, uint32(len(fp)))
-	copy(b[28:], fp)
-	off := 28 + padded4(len(fp))
-	for _, v := range [...]int{p.n, len(p.steps), p.numTransfers, p.coldPhases,
-		p.maxSharing, numDomains, numTraffic, p.numPayload} {
+	binary.LittleEndian.PutUint64(b[16:], p.digest)
+	putU32(b, 24, uint32(l.end))
+	putU32(b, 28, uint32(len(fp)))
+	copy(b[32:], fp)
+	off := 32 + padded4(len(fp))
+	for _, v := range [...]int{p.n, len(p.steps), p.numPhases,
+		p.maxSharing, numTraffic, p.numPayload} {
 		putU32(b, off, uint32(v))
 		off += 4
 	}
@@ -331,22 +284,16 @@ func (p *Program) newCore(tailLen, numDomains, numMoves, numDesc int) (coreLayou
 	return l, nil
 }
 
-// WriteProgram writes p's program file to w: the replay core and the
-// cold tail p already holds — Compile wrote both, and a decoded program
-// views its file's — with the core's header resealed under optFP, the
-// compile-options fingerprint the program was compiled under
-// (progcache.Fingerprint). DecodeProgram re-checks it, so a cached file
-// can never be replayed against options it was not compiled for.
-// Nothing is re-encoded, so compile→write→decode→write is
-// byte-identical. A program whose tail Schedule() rejected returns
-// that error; a mapped tail that faults (its file truncated in place)
-// returns an error too.
+// WriteProgram writes p's program file to w: the bytes p already holds
+// — Compile wrote them, and a decoded program views its file's — with
+// the header resealed under optFP, the compile-options fingerprint the
+// program was compiled under (progcache.Fingerprint). DecodeProgram
+// re-checks it, so a cached file can never be replayed against options
+// it was not compiled for. Nothing is re-encoded, so
+// compile→write→decode→write is byte-identical.
 func WriteProgram(w io.Writer, p *Program, optFP uint64) (int64, error) {
 	if p == nil {
 		return 0, fmt.Errorf("exec: encode nil program")
-	}
-	if err := p.SchedErr(); err != nil {
-		return 0, fmt.Errorf("exec: encode: %w", err)
 	}
 	var head [24]byte
 	copy(head[:], p.core)
@@ -355,18 +302,12 @@ func WriteProgram(w io.Writer, p *Program, optFP uint64) (int64, error) {
 	var sum [4]byte
 	binary.LittleEndian.PutUint32(sum[:], crc32.Update(crc32.ChecksumIEEE(head[:]), crc32.IEEETable, body))
 	var n int64
-	err := guardTail(func() error {
-		for _, b := range [...][]byte{head[:], body, sum[:], p.tail} {
-			m, err := w.Write(b)
-			n += int64(m)
-			if err != nil {
-				return err
-			}
+	for _, b := range [...][]byte{head[:], body, sum[:]} {
+		m, err := w.Write(b)
+		n += int64(m)
+		if err != nil {
+			return n, fmt.Errorf("exec: encode: %w", err)
 		}
-		return nil
-	})
-	if err != nil {
-		return n, fmt.Errorf("exec: encode: %w", err)
 	}
 	return n, nil
 }
@@ -377,7 +318,7 @@ func EncodeProgram(p *Program, optFP uint64) ([]byte, error) {
 	if p == nil {
 		return nil, fmt.Errorf("exec: encode nil program")
 	}
-	b := bytes.NewBuffer(make([]byte, 0, len(p.core)+len(p.tail)))
+	b := bytes.NewBuffer(make([]byte, 0, len(p.core)))
 	if _, err := WriteProgram(b, p, optFP); err != nil {
 		return nil, err
 	}
@@ -468,62 +409,52 @@ func (r *creader) count(elem int) int {
 // program was compiled on and optFP the compile-options fingerprint
 // used at encode time; both are checked against the embedded header so
 // a stale or misfiled cache artifact is rejected, not replayed. The
-// decoded program replays immediately; its schedule (needed only for
-// telemetry) materializes lazily from the cold tail on first
-// Schedule() call.
+// decoded program replays immediately; it has no schedule source until
+// one is recorded (Program.SetSource).
 //
-// Decoding reads only the replay core: on little-endian hosts its
-// tables are views over data, and decode cost is the core's CRC, the
-// header walk and the proofs of the replay plan (checkPlan). The tail
-// is framed by the header's lengths but not read, so the caller may
-// hand in a mapped file whose tail pages stay on disk. The caller must
-// not mutate data afterwards.
+// On little-endian hosts the program's tables are views over data, and
+// decode cost is the CRC, the header walk and the proofs of the replay
+// plan (checkPlan). The caller must not mutate data afterwards.
 func DecodeProgram(data []byte, f topology.Fabric, optFP uint64) (*Program, error) {
 	if f == nil {
 		return nil, fmt.Errorf("exec: decode: nil fabric")
 	}
-	if len(data) < 28 || string(data[:4]) != codecMagic {
+	if len(data) < 32 || string(data[:4]) != codecMagic {
 		return nil, fmt.Errorf("exec: decode: not a program file (bad magic)")
 	}
 	if version := binary.LittleEndian.Uint16(data[4:]); version != CodecVersion {
 		return nil, fmt.Errorf("exec: decode: program file version %d, this build reads %d", version, CodecVersion)
 	}
-	coreLen := int64(binary.LittleEndian.Uint32(data[16:]))
-	tailLen := int64(binary.LittleEndian.Uint32(data[20:]))
-	if coreLen < 28 || coreLen&3 != 0 || tailLen < 4 || coreLen+tailLen != int64(len(data)) {
-		return nil, fmt.Errorf("exec: decode: core of %d and tail of %d bytes do not frame a %d-byte file: file truncated or corrupted",
-			coreLen, tailLen, len(data))
+	if fileLen := binary.LittleEndian.Uint32(data[24:]); int64(fileLen) != int64(len(data)) || fileLen&3 != 0 {
+		return nil, fmt.Errorf("exec: decode: header frames a %d-byte file, got %d bytes: file truncated or corrupted", fileLen, len(data))
 	}
-	core, crcField := data[:coreLen-4], binary.LittleEndian.Uint32(data[coreLen-4:])
-	if got := crc32.ChecksumIEEE(core); got != crcField {
-		return nil, fmt.Errorf("exec: decode: core checksum mismatch (file %08x, computed %08x): file corrupted or truncated", crcField, got)
+	body, crcField := data[:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
+	if got := crc32.ChecksumIEEE(body); got != crcField {
+		return nil, fmt.Errorf("exec: decode: checksum mismatch (file %08x, computed %08x): file corrupted or truncated", crcField, got)
 	}
 	if gotFP := binary.LittleEndian.Uint64(data[8:]); gotFP != optFP {
 		return nil, fmt.Errorf("exec: decode: options fingerprint %#x, want %#x: file was compiled under different options", gotFP, optFP)
 	}
-	p, err := newProgram(data[:coreLen], data[coreLen:], f, false)
+	p, err := newProgram(data, f, false)
 	if err != nil {
 		return nil, fmt.Errorf("exec: decode: %w", err)
 	}
 	return p, nil
 }
 
-// newProgram builds the Program a core and tail describe: it walks the
-// core's header, views its tables and proves every index a replay
-// follows (checkPlan). The core's framing (its length, version and
-// CRC) must already be checked; the tail is only framed, never read.
-// Compile's programs and decoded ones both come from here, so every
-// program is trusted by the same proofs. compiled records that core
-// and tail are Compile's heap buffers, whose node count is the
-// fabric's own: SizeBytes then counts the tail, and only decoded bytes
-// are held to maxDecodeBlocks.
-func newProgram(core, tail []byte, f topology.Fabric, compiled bool) (*Program, error) {
+// newProgram builds the Program a file describes: it walks the header,
+// views its tables and proves every index a replay follows (checkPlan).
+// The file's framing (its length, version and CRC) must already be
+// checked. Compile's programs and decoded ones both come from here, so
+// every program is trusted by the same proofs. compiled records that
+// the file is Compile's own, whose node count is the fabric's: only
+// decoded bytes are held to maxDecodeBlocks.
+func newProgram(core []byte, f topology.Fabric, compiled bool) (*Program, error) {
 	flags := core[6]
 	if flags&^flagKnown != 0 {
 		return nil, fmt.Errorf("unknown flags %#x", flags&^flagKnown)
 	}
-	tailLen := int64(len(tail))
-	r := &creader{b: core[:len(core)-4], off: 24}
+	r := &creader{b: core[:len(core)-4], off: 28}
 	fabFP := string(r.take(r.count(1)))
 	r.pad4()
 	if r.err == nil && fabFP != f.Fingerprint() {
@@ -532,10 +463,8 @@ func newProgram(core, tail []byte, f topology.Fabric, compiled bool) (*Program, 
 
 	n := int(r.u32())
 	numSteps := int(r.u32())
-	numTransfers := int(r.u32())
 	numPhases := int(r.u32())
 	maxSharing := int(r.u32())
-	r.u32() // numDomains: sized Compile's claim tables; a replay needs none
 	numTraffic := int(r.u32())
 	numPayload := int(r.u32())
 	mSteps, mBlocks := r.u64(), r.u64()
@@ -551,33 +480,19 @@ func newProgram(core, tail []byte, f topology.Fabric, compiled bool) (*Program, 
 	if fullTraffic && !replay || numTraffic != 0 && (!replay || fullTraffic) || numPayload != 0 && !replay {
 		return nil, fmt.Errorf("inconsistent traffic flags")
 	}
-	// Tail framing, from the core's counts alone: the transfer table and
-	// the cold section must fit the tail, whose bytes are not read here.
-	// Each phase record (name length, steps, rearrange) takes at least 12
-	// cold bytes and each payload id 4, which bounds the phase table
-	// materialize sizes and the log the payloads may grow.
-	coldLen := tailLen - 4 - int64(numSteps+1)*4 - int64(numTransfers)*24
-	if coldLen < 0 {
-		return nil, fmt.Errorf("a %d-byte tail cannot hold %d steps' %d transfers", tailLen, numSteps, numTransfers)
-	}
-	if int64(numPhases) > coldLen/12 {
-		return nil, fmt.Errorf("%d phases do not fit a %d-byte cold section", numPhases, coldLen)
-	}
-	if int64(numPayload) > coldLen/4 {
-		return nil, fmt.Errorf("%d payload ids do not fit a %d-byte cold section", numPayload, coldLen)
+	if numPayload < 0 {
+		return nil, fmt.Errorf("payload count %d invalid", numPayload)
 	}
 
 	p := &Program{
 		fab: f, n: n, numBlocks: n * n,
-		replay:       replay,
-		fullTraffic:  fullTraffic,
-		maxSharing:   maxSharing,
-		numPayload:   numPayload,
-		core:         core,
-		tail:         tail,
-		heapTail:     compiled,
-		numTransfers: numTransfers,
-		coldPhases:   numPhases,
+		replay:      replay,
+		fullTraffic: fullTraffic,
+		maxSharing:  maxSharing,
+		numPayload:  numPayload,
+		numPhases:   numPhases,
+		digest:      binary.LittleEndian.Uint64(core[16:]),
+		core:        core,
 	}
 	p.measure.Steps = int(mSteps)
 	p.measure.Blocks = int(mBlocks)
@@ -623,7 +538,10 @@ func newProgram(core, tail []byte, f topology.Fabric, compiled bool) (*Program, 
 	p.steps = make([]pstep, numSteps)
 	for si := 0; si < numSteps; si++ {
 		h := stepHdr[si*5:]
-		if h[0] < 0 || int(h[0]) >= numPhases || h[1] < 0 || h[2] < 1 || h[3] < 0 || h[4] < 0 {
+		if h[0] < 0 || int(h[0]) >= numPhases {
+			return nil, fmt.Errorf("step %d names phase %d of %d phases", si, h[0], numPhases)
+		}
+		if h[1] < 0 || h[2] < 1 || h[3] < 0 || h[4] < 0 {
 			return nil, fmt.Errorf("step %d header invalid", si)
 		}
 		p.steps[si] = pstep{
@@ -659,7 +577,11 @@ func newProgram(core, tail []byte, f topology.Fabric, compiled bool) (*Program, 
 		// Delivery layout prefix and reciprocal — derived, never
 		// serialized.
 		p.deriveDelivery()
-		if logSize < 0 || logSize > p.numBlocks+numPayload {
+		// A log holds each node's initial blocks and every log move's
+		// arrivals, and a move carries distinct blocks, at most every
+		// block there is: the file's move count bounds the arena a
+		// decoded program may ask for.
+		if logSize < 0 || logSize > p.numBlocks+numPayload || int64(logSize) > int64(p.numBlocks)*int64(numMoves+1) {
 			return nil, fmt.Errorf("implausible log size %d", logSize)
 		}
 		if int(descBase[n]) != logSize {
@@ -681,7 +603,7 @@ func newProgram(core, tail []byte, f topology.Fabric, compiled bool) (*Program, 
 // viewRecords views b, which holds at least n records, as n records of
 // T — in place wherever asInt32s views in place, and over asInt32s'
 // decoded copy otherwise.
-func viewRecords[T ptransfer | logMove | xdesc](b []byte, n int) []T {
+func viewRecords[T logMove | xdesc](b []byte, n int) []T {
 	if n == 0 {
 		return nil
 	}

@@ -8,13 +8,12 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"reflect"
 	"runtime"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"unsafe"
 
 	"torusx/internal/algorithm"
 	"torusx/internal/costmodel"
@@ -118,59 +117,43 @@ func TestProgramCodecRoundTripStable(t *testing.T) {
 			if !bytes.Equal(enc, re) {
 				t.Fatalf("re-encoded bytes differ: %d vs %d bytes", len(enc), len(re))
 			}
-			// The lazily materialized schedule must round-trip the
-			// structural facts the original carried.
-			got := dec.Schedule()
-			if got == nil {
-				t.Fatalf("decoded schedule: %v", dec.SchedErr())
+			// The header carries the phase count, and the digest checks
+			// a re-plan of the very schedule compiled.
+			if dec.NumPhases() != len(sc.Phases) {
+				t.Fatalf("%d phases, want %d", dec.NumPhases(), len(sc.Phases))
 			}
-			if len(got.Phases) != len(sc.Phases) {
-				t.Fatalf("%d phases, want %d", len(got.Phases), len(sc.Phases))
-			}
-			for pi := range sc.Phases {
-				a, b := &got.Phases[pi], &sc.Phases[pi]
-				if a.Name != b.Name || a.Rearrange != b.Rearrange || len(a.Steps) != len(b.Steps) {
-					t.Fatalf("phase %d: %q/%d/%d steps, want %q/%d/%d", pi,
-						a.Name, a.Rearrange, len(a.Steps), b.Name, b.Rearrange, len(b.Steps))
-				}
+			dec.SetSource(func() (*schedule.Schedule, error) { return sc, nil })
+			if got, err := dec.Schedule(); err != nil || got != sc {
+				t.Fatalf("decoded Schedule() = %p, %v; want the source's schedule %p", got, err, sc)
 			}
 		})
 	}
 }
 
-// resealProgram returns a copy of a v6 program file with both of its
-// checksums recomputed — the core's, at the end of the core the header
-// frames, and the tail's, in the file's last four bytes — so an edit
-// reaches the structural checks behind them. A file whose header does
-// not frame a core gets only its last four bytes resealed.
+// resealProgram returns a copy of a program file with its checksum,
+// the file's last four bytes, recomputed, so an edit reaches the
+// structural checks behind it.
 func resealProgram(b []byte) []byte {
 	b = append([]byte(nil), b...)
-	if len(b) < 8 {
-		return b
+	if len(b) >= 8 {
+		binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(b[:len(b)-4]))
 	}
-	if len(b) >= 24 {
-		if core := int(binary.LittleEndian.Uint32(b[16:])); core >= 28 && core <= len(b)-4 {
-			binary.LittleEndian.PutUint32(b[core-4:], crc32.ChecksumIEEE(b[:core-4]))
-			binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(b[core:len(b)-4]))
-			return b
-		}
-	}
-	binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(b[:len(b)-4]))
 	return b
 }
 
-// programCoreLen returns the length of a v6 program file's replay
-// core, as its header records it.
-func programCoreLen(b []byte) int { return int(binary.LittleEndian.Uint32(b[16:])) }
+// programFPEnd returns the offset of the first count after a program
+// file's fabric fingerprint (n, then numSteps, numPhases, ...).
+func programFPEnd(b []byte) int { return 32 + int(binary.LittleEndian.Uint32(b[28:])+3)&^3 }
 
 // TestProgramDecodeRejects: the decoder must reject — with an error,
-// never a panic — every truncation prefix, flipped core bytes, wrong
-// magic/version, unknown flags, fabric or options fingerprints that do
-// not match the decode context, files of any other codec version, and
-// correctly sealed files whose replay plan breaks one of the decoder's
-// proofs. The cold tail is checked only when Schedule() first needs it:
-// a flipped or resealed-garbage tail decodes and replays, then fails
-// Schedule() and re-encoding with the tail's error.
+// never a panic — every truncation prefix, flipped bytes, trailing
+// bytes past the framed file (such as an older build's cold tail),
+// wrong magic/version, unknown flags, fabric or options fingerprints
+// that do not match the decode context, files of any other codec
+// version, and correctly sealed files whose replay plan breaks one of
+// the decoder's proofs. The schedule digest is not a replay input: a
+// resealed file with a flipped digest decodes and replays, and only
+// Schedule() reports the mismatch.
 func TestProgramDecodeRejects(t *testing.T) {
 	tor := topology.MustNew(4, 4)
 	b, err := algorithm.For("direct")
@@ -197,15 +180,14 @@ func TestProgramDecodeRejects(t *testing.T) {
 			}
 		}
 	})
-	coreLen := programCoreLen(enc)
 	t.Run("corruption", func(t *testing.T) {
 		// Every byte flipped in turn would be slow; stride through the
-		// core. CRC32 catches all single-byte flips by construction.
-		for i := 0; i < coreLen; i += 7 {
+		// file. CRC32 catches all single-byte flips by construction.
+		for i := 0; i < len(enc); i += 7 {
 			bad := append([]byte(nil), enc...)
 			bad[i] ^= 0x5a
 			if _, err := exec.DecodeProgram(bad, tor, 1); err == nil {
-				t.Fatalf("core flip at %d decoded", i)
+				t.Fatalf("flip at %d decoded", i)
 			}
 		}
 	})
@@ -213,43 +195,38 @@ func TestProgramDecodeRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A flipped tail byte is invisible to decode and to replay, and
-	// fails the tail's checksum when Schedule() first reads it.
+	// A file is its replay core: bytes past the length its header
+	// frames — a cold tail an older layout appended, or any trailing
+	// garbage — fail decode, resealed or not.
 	t.Run("tail-corruption", func(t *testing.T) {
-		for i := coreLen; i < len(enc); i += 97 {
-			bad := append([]byte(nil), enc...)
-			bad[i] ^= 0x5a
-			dec, err := exec.DecodeProgram(bad, tor, 1)
-			if err != nil {
-				t.Fatalf("tail flip at %d rejected at decode: %v", i, err)
-			}
-			got, err := dec.Run(exec.Options{Serial: true})
-			if err != nil {
-				t.Fatalf("tail flip at %d: replay: %v", i, err)
-			}
-			sameBuffers(t, ref.Buffers, got.Buffers)
-			if dec.Schedule() != nil || dec.SchedErr() == nil || !strings.Contains(dec.SchedErr().Error(), "cold tail checksum") {
-				t.Fatalf("tail flip at %d: schedule error = %v, want a tail checksum error", i, dec.SchedErr())
-			}
-			if _, err := exec.EncodeProgram(dec, 1); err == nil || !errors.Is(err, dec.SchedErr()) {
-				t.Fatalf("tail flip at %d: re-encode err = %v, want the tail's error", i, err)
+		for _, extra := range []int{4, 97, len(enc)} {
+			bad := append(append([]byte(nil), enc...), make([]byte, extra)...)
+			for _, in := range [][]byte{bad, resealProgram(bad)} {
+				if _, err := exec.DecodeProgram(in, tor, 1); err == nil || !strings.Contains(err.Error(), "frames") {
+					t.Fatalf("%d trailing bytes: err = %v, want a framing error", extra, err)
+				}
 			}
 		}
 	})
-	// Garbage under a valid tail checksum gets past the CRC and must
-	// still fail materialize's own checks.
+	// A flipped digest under a valid checksum decodes and replays
+	// exactly as before; re-planning from the true source then fails
+	// the digest check.
 	t.Run("tail-resealed", func(t *testing.T) {
-		for _, fill := range []byte{0x00, 0x5a, 0xff} {
+		for i := 16; i < 24; i++ {
 			bad := append([]byte(nil), enc...)
-			for i := coreLen; i < len(bad)-4; i++ {
-				bad[i] = fill
-			}
+			bad[i] ^= 0x5a
 			dec, err := exec.DecodeProgram(resealProgram(bad), tor, 1)
 			if err != nil {
-				t.Fatalf("fill %#x: core rejected: %v", fill, err)
+				t.Fatalf("digest flip at %d rejected at decode: %v", i, err)
 			}
-			if dec.Schedule() != nil || dec.SchedErr() == nil || strings.Contains(dec.SchedErr().Error(), "checksum") {
-				t.Fatalf("fill %#x: schedule error = %v, want a structural tail error", fill, dec.SchedErr())
+			got, err := dec.Run(exec.Options{Serial: true})
+			if err != nil {
+				t.Fatalf("digest flip at %d: replay: %v", i, err)
+			}
+			sameBuffers(t, ref.Buffers, got.Buffers)
+			dec.SetSource(func() (*schedule.Schedule, error) { return b.BuildSchedule(tor) })
+			if sc, err := dec.Schedule(); sc != nil || err == nil || !strings.Contains(err.Error(), "digest") {
+				t.Fatalf("digest flip at %d: Schedule() = %v, %v; want a digest error", i, sc, err)
 			}
 		}
 	})
@@ -283,7 +260,7 @@ func TestProgramDecodeRejects(t *testing.T) {
 		// the same length) names the fabric it is decoded on, but its
 		// node ids run past that fabric's.
 		small := topology.MustNew(3, 3)
-		relabelled := reseal(func(b []byte) { copy(b[28:], small.Fingerprint()) })
+		relabelled := reseal(func(b []byte) { copy(b[32:], small.Fingerprint()) })
 		if _, err := exec.DecodeProgram(relabelled, small, 1); err == nil || !strings.Contains(err.Error(), "node count") {
 			t.Fatalf("relabelled fabric: err = %v, want a node count error", err)
 		}
@@ -291,10 +268,11 @@ func TestProgramDecodeRejects(t *testing.T) {
 	// A file an older build wrote (v1: span tables only; v2: spans plus
 	// the descriptor plan; v3: the descriptor plan with a full delivery
 	// tail; v4: last-hop windows and residual tail segments; v5: one
-	// checksum over hot and cold sections) must be a clean, descriptive
-	// error, which the disk tier turns into a miss and a delete.
+	// checksum over hot and cold sections; v6: a replay core and a cold
+	// tail holding the schedule) must be a clean, descriptive error,
+	// which the disk tier turns into a miss and a delete.
 	t.Run("stale-versions", func(t *testing.T) {
-		for _, v := range []uint16{1, 2, 3, 4, 5} {
+		for _, v := range []uint16{1, 2, 3, 4, 5, 6} {
 			stale := append([]byte(nil), enc...)
 			binary.LittleEndian.PutUint16(stale[4:], v)
 			_, err := exec.DecodeProgram(resealProgram(stale), tor, 1)
@@ -332,87 +310,13 @@ func TestProgramDecodeRejects(t *testing.T) {
 			t.Fatalf("unedited file no longer decodes: %v", err)
 		}
 	})
-	// The cold tail is read only when Schedule() materializes it, so a
-	// file whose core is sound must not be able to make that read
-	// allocate without bound or walk a route off the fabric.
+	// The header's phase count is what Report.Phases shows and what
+	// every step header's phase index must fall below.
 	t.Run("cold-section", func(t *testing.T) {
-		fpEnd := 28 + (len(tor.Fingerprint())+3)&^3 // header through the fabric fingerprint
-		// numPhases, the fourth u32 count, sizes materialize's phase
-		// table.
 		t.Run("phase-count", func(t *testing.T) {
-			bad := reseal(func(b []byte) { b[fpEnd+3*4+3] = 0xff })
-			pg, err := exec.DecodeProgram(bad, tor, 1)
-			if err == nil {
-				pg.Schedule() // what a cache hit's telemetry would run next
-			}
-			if err == nil || !strings.Contains(err.Error(), "phases") {
+			bad := reseal(func(b []byte) { binary.LittleEndian.PutUint32(b[programFPEnd(b)+8:], 0) })
+			if _, err := exec.DecodeProgram(bad, tor, 1); err == nil || !strings.Contains(err.Error(), "phases") {
 				t.Fatalf("err = %v, want a phase count error", err)
-			}
-		})
-		// The transfers' link windows size materialize's link table. The
-		// first transfer record opens the tail after the per-step
-		// transfer offsets; linkOff is its fifth field.
-		t.Run("link-windows", func(t *testing.T) {
-			numSteps := int(binary.LittleEndian.Uint32(enc[fpEnd+4:]))
-			linkOff := coreLen + (numSteps+1)*4 + 4*4
-			pg, err := exec.DecodeProgram(reseal(func(b []byte) { b[linkOff+3] = 0x7f }), tor, 1)
-			if err != nil {
-				t.Fatalf("core rejected: %v", err)
-			}
-			if pg.Schedule() != nil || pg.SchedErr() == nil || !strings.Contains(pg.SchedErr().Error(), "link windows") {
-				t.Fatalf("schedule error = %v, want a link window error", pg.SchedErr())
-			}
-		})
-		// A dragonfly's global ports are wired in the Pos direction
-		// only; turn one global leg of D3(2,3)'s direct routes around in
-		// the file's route-leg stream, the last section of the tail: one
-		// count byte per transfer, then four bytes (dim, dir, hops) per
-		// leg, padded to 4.
-		t.Run("unwired-port", func(t *testing.T) {
-			d := topology.MustNewDragonfly(2, 3)
-			dsc, err := b.BuildSchedule(d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dpg, err := exec.Compile(dsc, exec.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			enc, err := exec.EncodeProgram(dpg, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			segBytes := 0
-			dsc.EachStep(func(_ *schedule.Phase, _ int, st *schedule.Step) {
-				for _, tr := range st.Transfers {
-					segBytes += 1 + 4*len(tr.Segments())
-				}
-			})
-			at, turned := len(enc)-4-(segBytes+3)&^3, false
-			dsc.EachStep(func(_ *schedule.Phase, _ int, st *schedule.Step) {
-				for _, tr := range st.Transfers {
-					at++
-					for _, sg := range tr.Segments() {
-						if !turned && sg.Dim >= d.LocalDims() {
-							if enc[at] != byte(sg.Dim) || enc[at+1] != 0 {
-								t.Fatalf("route leg stream at %d holds dim %d dir %d, want %+v", at, enc[at], enc[at+1], sg)
-							}
-							enc[at+1], turned = 1, true
-						}
-						at += 4
-					}
-				}
-			})
-			if !turned {
-				t.Fatalf("direct@%s has no global leg", d)
-			}
-			unwired := resealProgram(enc)
-			dec, err := exec.DecodeProgram(unwired, d, 1)
-			if err != nil {
-				t.Fatalf("core rejected: %v", err)
-			}
-			if dec.Schedule() != nil || dec.SchedErr() == nil || !strings.Contains(dec.SchedErr().Error(), "unwired") {
-				t.Fatalf("schedule error = %v, want an unwired port error", dec.SchedErr())
 			}
 		})
 	})
@@ -484,7 +388,7 @@ func TestProgramDecodeRejects(t *testing.T) {
 	})
 }
 
-// TestProgramCodecGolden pins the v6 byte format: the committed
+// TestProgramCodecGolden pins the v7 byte format: the committed
 // golden files must decode, and re-encoding the 4x4 programs must
 // reproduce them bit-for-bit. A diff here means the format changed —
 // bump CodecVersion rather than silently breaking every cached
@@ -513,7 +417,7 @@ func TestProgramCodecGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join("testdata", "program_v6_"+alg+"4x4.bin")
+			path := filepath.Join("testdata", "program_v7_"+alg+"4x4.bin")
 			if *updateGolden {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {
 					t.Fatal(err)
@@ -527,7 +431,7 @@ func TestProgramCodecGolden(t *testing.T) {
 				t.Fatalf("read golden (regenerate with -update): %v", err)
 			}
 			if !bytes.Equal(enc, want) {
-				t.Fatalf("encoding diverges from committed v6 golden (%d vs %d bytes); if the format changed deliberately, bump CodecVersion and -update", len(enc), len(want))
+				t.Fatalf("encoding diverges from committed v7 golden (%d vs %d bytes); if the format changed deliberately, bump CodecVersion and -update", len(enc), len(want))
 			}
 			dec, err := exec.DecodeProgram(want, tor, 0)
 			if err != nil {
@@ -601,13 +505,22 @@ func TestEncodeProgramAllocBudget(t *testing.T) {
 }
 
 // TestDecodedTailConcurrentParallel: the first Schedule() of a decoded
-// program attaches its transfer table while other goroutines replay
-// it, weigh it, trace it and encode it; under -race every access must
-// be ordered, and every goroutine must see the same delivery, the same
-// trace and the same bytes.
+// program re-plans from its source while other goroutines replay it,
+// weigh it, trace it and encode it; under -race every access must be
+// ordered, the source must run exactly once, and every goroutine must
+// see the same delivery, the same trace and the same bytes.
 func TestDecodedTailConcurrentParallel(t *testing.T) {
 	tor := topology.MustNew(8, 8)
 	pg := decodedProgram(t, "factored", tor)
+	b, err := algorithm.For("factored")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var plans atomic.Int32
+	pg.SetSource(func() (*schedule.Schedule, error) {
+		plans.Add(1)
+		return b.BuildSchedule(tor)
+	})
 	ref, err := pg.Run(exec.Options{Serial: true})
 	if err != nil {
 		t.Fatal(err)
@@ -618,6 +531,7 @@ func TestDecodedTailConcurrentParallel(t *testing.T) {
 	}
 	const goroutines = 8
 	traces := make([]int, goroutines)
+	scheds := make([]*schedule.Schedule, goroutines)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -631,6 +545,12 @@ func TestDecodedTailConcurrentParallel(t *testing.T) {
 				t.Errorf("goroutine %d: encoding differs (%v)", g, err)
 			}
 			_ = pg.SizeBytes()
+			sc, err := pg.Schedule()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			scheds[g] = sc
 			res, err := pg.RunArena(pg.NewArena(), opt)
 			if err != nil {
 				t.Error(err)
@@ -646,6 +566,14 @@ func TestDecodedTailConcurrentParallel(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	if n := plans.Load(); n != 1 {
+		t.Fatalf("source ran %d times, want once", n)
+	}
+	for g := 1; g < goroutines; g++ {
+		if scheds[g] != scheds[0] {
+			t.Fatalf("goroutine %d saw a different schedule", g)
+		}
+	}
 	for g := 2; g < goroutines; g += 2 {
 		if traces[g] == 0 || traces[g] != traces[0] {
 			t.Fatalf("goroutine %d traced %d events, goroutine 0 %d", g, traces[g], traces[0])
@@ -653,64 +581,68 @@ func TestDecodedTailConcurrentParallel(t *testing.T) {
 	}
 }
 
-// TestDecodedSchedulePayloadsOneBacking: Schedule() on a decoded
-// ring@16x16 hands out every payload as a capped window of one heap
-// []int32 of exactly BytesMoved/4 ids, in transfer order, holding the
-// compiled schedule's ids and never aliasing the file's bytes.
-func TestDecodedSchedulePayloadsOneBacking(t *testing.T) {
-	tor := topology.MustNew(16, 16)
-	b, err := algorithm.For("ring")
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := b.BuildSchedule(tor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pg, err := exec.Compile(src, exec.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc, err := exec.EncodeProgram(pg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := exec.DecodeProgram(enc, tor, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := dec.Schedule()
-	if sc == nil {
-		t.Fatal(dec.SchedErr())
-	}
-	if !reflect.DeepEqual(sc.Phases, src.Phases) {
-		t.Fatal("decoded schedule differs from the compiled one")
-	}
-	fileLo, fileHi := uintptr(unsafe.Pointer(&enc[0])), uintptr(unsafe.Pointer(&enc[len(enc)-1]))
-	var base uintptr
-	total := 0
-	sc.EachStep(func(_ *schedule.Phase, _ int, s *schedule.Step) {
-		for _, tr := range s.Transfers {
-			if len(tr.Payload) == 0 {
-				continue
-			}
-			at := uintptr(unsafe.Pointer(&tr.Payload[0]))
-			if base == 0 {
-				base = at
-			}
-			if at != base+uintptr(total)*4 {
-				t.Fatalf("transfer %v payload at +%d bytes, want +%d: not one backing in transfer order", tr, at-base, total*4)
-			}
-			if cap(tr.Payload) != len(tr.Payload) {
-				t.Fatalf("transfer %v payload window has cap %d, len %d", tr, cap(tr.Payload), len(tr.Payload))
-			}
-			if at >= fileLo && at <= fileHi {
-				t.Fatalf("transfer %v payload aliases the encoded file", tr)
-			}
-			total += len(tr.Payload)
+// TestScheduleSource: Schedule() re-plans only from a recorded source
+// that rebuilds the compiled schedule. A program with no source returns
+// nil and an error; one whose source rebuilds another schedule (here
+// ring's in place of direct's) reports a digest mismatch, from
+// Schedule() and from a traced run, while its untraced replays still
+// verify; and exec.Run records the schedule it was given.
+func TestScheduleSource(t *testing.T) {
+	tor := topology.MustNew(4, 4)
+	build := func(alg string) *schedule.Schedule {
+		b, err := algorithm.For(alg)
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	if want := int(dec.BytesMoved() / 4); total != want {
-		t.Fatalf("payloads carry %d ids, want numPayload %d", total, want)
+		sc, err := b.BuildSchedule(tor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sc
+	}
+	direct := build("direct")
+	pg, err := exec.Compile(direct, exec.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sc, err := pg.Schedule(); sc != nil || err == nil || !strings.Contains(err.Error(), "no schedule source") {
+		t.Fatalf("no source: Schedule() = %v, %v; want nil and a no-source error", sc, err)
+	}
+
+	pg, err = exec.Compile(direct, exec.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg.SetSource(func() (*schedule.Schedule, error) { return build("ring"), nil })
+	sc, err := pg.Schedule()
+	if sc != nil || err == nil || !strings.Contains(err.Error(), "digest") {
+		t.Fatalf("wrong source: Schedule() = %v, %v; want a digest mismatch", sc, err)
+	}
+	traced := exec.Options{Telemetry: telemetry.New(&telemetry.MemorySink{}, costmodel.T3D(64))}
+	if _, terr := pg.RunArena(pg.NewArena(), traced); terr == nil || !errors.Is(terr, err) {
+		t.Fatalf("traced run: err = %v, want %v", terr, err)
+	}
+	want, err := oracleRun(direct, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := pg.AcquireArena()
+	for _, opt := range []exec.Options{{Serial: true}, {Workers: 2}} {
+		res, err := pg.RunArena(a, opt)
+		if err != nil {
+			t.Fatalf("untraced replay after a digest mismatch: %v", err)
+		}
+		sameBuffers(t, want.Buffers, res.Buffers)
+	}
+	dst := make([]int32, pg.DeliverySize())
+	if err := pg.ReplayInto(a, dst, exec.Options{}); err != nil {
+		t.Fatalf("ReplayInto after a digest mismatch: %v", err)
+	}
+	sameIDs(t, "ReplayInto", flatIDs(want.Buffers), dst)
+	pg.ReleaseArena(a)
+
+	res, err := exec.Run(direct, traced)
+	if err != nil || res.Schedule != direct {
+		t.Fatalf("traced exec.Run: %v, schedule %p, want %p", err, res.Schedule, direct)
 	}
 }

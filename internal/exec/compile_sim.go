@@ -97,14 +97,14 @@ func acquireIDSlot(numBlocks int) []int32 {
 // insertion), verifies final delivery and builds the descriptor plan,
 // whose compaction writes the program's core. After this pass a run is
 // a pure, check-free id shuffle. It reads the transfers and payloads
-// the lowering pass wrote into the tail; tail.opOff counts each node's
-// insert/extract events (from the counting pass).
-func (p *Program) compileReplay(opt Options, tail *lowered) error {
+// the lowering pass kept; low.opOff counts each node's insert/extract
+// events (from the counting pass).
+func (p *Program) compileReplay(opt Options, low *lowered) error {
 	rsp := opt.Request.Stage(obs.StageReferenceReplay)
 	defer rsp.End()
 	n := p.n
 	traffic := opt.Traffic
-	opOff, payloadBacking, numT := tail.opOff, tail.payload, p.numTransfers
+	opOff, payloadBacking, numT := low.opOff, low.payload, len(low.transfers)
 	cs := compileScratchPool.Get().(*compileScratch)
 	defer compileScratchPool.Put(cs)
 
@@ -215,7 +215,7 @@ func (p *Program) compileReplay(opt Options, tail *lowered) error {
 	for si := range p.steps {
 		ps := &p.steps[si]
 		sv := int32(si) + 1
-		ts := tail.transfers[tail.stepT[si]:tail.stepT[si+1]]
+		ts := low.transfers[low.stepT[si]:low.stepT[si+1]]
 		for ti := range ts {
 			pt := &ts[ti]
 			if pt.payLen == 0 {
@@ -238,7 +238,7 @@ func (p *Program) compileReplay(opt Options, tail *lowered) error {
 				h := hs[id]
 				if int32(h>>32) != int32(src) {
 					return fmt.Errorf("exec: phase %q step %d: node %d transmits %v it does not hold",
-						tail.phases[ps.phaseIndex], ps.stepIndex, src, block.FromID(id, n))
+						low.phases[ps.phaseIndex], ps.stepIndex, src, block.FromID(id, n))
 				}
 				if int32(uint32(h)) >= stepArr[src] {
 					fwd = id
@@ -258,7 +258,7 @@ func (p *Program) compileReplay(opt Options, tail *lowered) error {
 					h := hs[id]
 					if int32(h>>32) != int32(src) {
 						return fmt.Errorf("exec: phase %q step %d: node %d transmits %v it does not hold",
-							tail.phases[ps.phaseIndex], ps.stepIndex, src, block.FromID(id, n))
+							low.phases[ps.phaseIndex], ps.stepIndex, src, block.FromID(id, n))
 					}
 					st := int32(uint32(h))
 					if st < prev {
@@ -300,7 +300,7 @@ func (p *Program) compileReplay(opt Options, tail *lowered) error {
 			}
 			if fwd >= 0 && p.parallelErr == nil {
 				p.parallelErr = fmt.Errorf("exec: phase %q step %d: node %d forwards %v within the step that delivered it; the one-barrier parallel replay cannot execute this schedule (run with Options.Serial)",
-					tail.phases[ps.phaseIndex], ps.stepIndex, src, block.FromID(fwd, n))
+					low.phases[ps.phaseIndex], ps.stepIndex, src, block.FromID(fwd, n))
 			}
 			// Emit the transfer's event records into the per-node runs,
 			// right here while its fields are at hand.
@@ -354,5 +354,5 @@ func (p *Program) compileReplay(opt Options, tail *lowered) error {
 	rsp.End()
 	psp := opt.Request.Stage(obs.StagePlanDescriptors)
 	defer psp.End()
-	return p.planDescriptors(tail, opBacking, ordOff, ordSpill, initIDs, initOff, hs, arrivals)
+	return p.planDescriptors(low, opBacking, ordOff, ordSpill, initIDs, initOff, hs, arrivals)
 }

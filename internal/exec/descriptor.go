@@ -192,17 +192,17 @@ func growU8(s []uint8, n int) []uint8 {
 }
 
 // planDescriptors lowers the replay to the descriptor plan and writes
-// the program's core. Inputs are the tail the lowering pass wrote (its
+// the program's core. Inputs are the tables the lowering pass kept (its
 // transfer table and payload ids) and the reference replay's
-// artifacts: the per-node event runs (tail.opOff/opBacking, with
+// artifacts: the per-node event runs (low.opOff/opBacking, with
 // ordOff/ordSpill resolving the payloads listed out of arrival order),
 // the per-node initial contents (initIDs/initOff), the final
 // holder/stamp table hs and the per-node arrival totals. Must run after
 // delivery was verified.
-func (p *Program) planDescriptors(tail *lowered, opBacking []opRec, ordOff, ordSpill, initIDs, initOff []int32,
+func (p *Program) planDescriptors(low *lowered, opBacking []opRec, ordOff, ordSpill, initIDs, initOff []int32,
 	hs []uint64, arrivals []int32) error {
 	n := p.n
-	opOff, payload, numT := tail.opOff, tail.payload, p.numTransfers
+	opOff, payload, numT := low.opOff, low.payload, len(low.transfers)
 	ds := descScratchPool.Get().(*descScratch)
 	defer descScratchPool.Put(ds)
 
@@ -250,14 +250,14 @@ func (p *Program) planDescriptors(tail *lowered, opBacking []opRec, ordOff, ordS
 		lastMove[id] = -1
 		readNode[id] = id % int32(n)
 	}
-	for g := range tail.transfers {
-		pt := &tail.transfers[g]
+	for g := range low.transfers {
+		pt := &low.transfers[g]
 		for _, id := range payload[pt.payOff : pt.payOff+pt.payLen] {
 			lastMove[id] = int32(g)
 		}
 	}
-	for g := range tail.transfers {
-		pt := &tail.transfers[g]
+	for g := range low.transfers {
+		pt := &low.transfers[g]
 		isLast[g] = 0
 		if pt.payLen > 0 {
 			all := uint8(1)
@@ -417,8 +417,8 @@ func (p *Program) planDescriptors(tail *lowered, opBacking []opRec, ordOff, ordS
 	// the log moves in step order with descriptors rebased to absolute
 	// log positions, then every node's delivery descriptors.
 	total, numMoves := 0, 0
-	for g := range tail.transfers {
-		if tail.transfers[g].payLen > 0 && isLast[g] == 0 {
+	for g := range low.transfers {
+		if low.transfers[g].payLen > 0 && isLast[g] == 0 {
 			total += int(dDescCnt[g])
 			numMoves++
 		}
@@ -427,7 +427,7 @@ func (p *Program) planDescriptors(tail *lowered, opBacking []opRec, ordOff, ordS
 		total += int(deliverCnt[v])
 	}
 	p.descBase = descBase
-	lay, err := p.newCore(len(tail.b), tail.numDomains, numMoves, total)
+	lay, err := p.newCore(numMoves, total)
 	if err != nil {
 		return err
 	}
@@ -436,8 +436,8 @@ func (p *Program) planDescriptors(tail *lowered, opBacking []opRec, ordOff, ordS
 	g := 0
 	for si := range p.steps {
 		putI32(core, lay.moveOff+4*si, int32(mi))
-		for ; g < int(tail.stepT[si+1]); g++ {
-			pt := &tail.transfers[g]
+		for ; g < int(low.stepT[si+1]); g++ {
+			pt := &low.transfers[g]
 			if pt.payLen == 0 || isLast[g] != 0 {
 				continue
 			}

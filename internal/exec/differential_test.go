@@ -162,7 +162,7 @@ func checkRow(t *testing.T, r wallRow, widths []int) {
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	if err := exec.CheckDescriptorPlan(pg); err != nil {
+	if err := exec.CheckDescriptorPlan(pg, r.sc); err != nil {
 		t.Fatalf("descriptor plan: %v", err)
 	}
 	const fp = 7

@@ -72,8 +72,8 @@ type Options struct {
 // Result is the outcome of executing a schedule.
 type Result struct {
 	// Schedule is the schedule Run was given; a program's RunArena
-	// reports its materialized schedule on traced runs and nil
-	// otherwise, so untraced replays never read the program's tail.
+	// reports its re-planned schedule (Program.Schedule) on traced runs
+	// and nil otherwise, so untraced replays never re-plan.
 	Schedule *schedule.Schedule
 	// Measure is the uniformly derived cost-model measurement.
 	Measure costmodel.Measure
@@ -94,13 +94,15 @@ type Result struct {
 // Run executes sc once: Compile followed by a replay on a one-shot
 // arena, for one-shot callers such as the baselines' closed-form checks
 // and the collectives; replay-many callers compile once (usually
-// through the program cache) and reuse arenas instead. The Result
-// reports sc itself as its Schedule.
+// through the program cache) and reuse arenas instead. The program
+// records sc as its schedule source, and the Result reports sc itself
+// as its Schedule.
 func Run(sc *schedule.Schedule, opt Options) (*Result, error) {
 	pg, err := Compile(sc, opt)
 	if err != nil {
 		return nil, err
 	}
+	pg.SetSource(func() (*schedule.Schedule, error) { return sc, nil })
 	res, err := pg.Run(opt)
 	if err == nil {
 		res.Schedule = sc

@@ -15,9 +15,9 @@ import (
 // they carry have a log move, in step order, with the transfer's
 // sender and size and an insert window in the receiver's log region;
 // each step's element count is its log moves' payload; and BytesMoved
-// is the whole executed payload. The transfers are read from the
-// program's materialized schedule.
-func CheckDescriptorPlan(p *Program) error {
+// is the whole executed payload. The transfers are read from sc, the
+// schedule p was compiled from.
+func CheckDescriptorPlan(p *Program, sc *schedule.Schedule) error {
 	if !p.replay {
 		return nil
 	}
@@ -26,10 +26,6 @@ func CheckDescriptorPlan(p *Program) error {
 	}
 	if err := p.checkPlan(); err != nil {
 		return err
-	}
-	sc := p.Schedule()
-	if sc == nil {
-		return p.SchedErr()
 	}
 	var steps []*schedule.Step
 	sc.EachStep(func(_ *schedule.Phase, _ int, s *schedule.Step) { steps = append(steps, s) })

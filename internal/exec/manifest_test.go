@@ -19,7 +19,7 @@ import (
 
 // manifestPath is the byte-identity manifest: one line per program the
 // registry compiles on the manifest fabrics.
-var manifestPath = filepath.Join("testdata", "program_v6_sha256.txt")
+var manifestPath = filepath.Join("testdata", "program_v7_sha256.txt")
 
 // manifestFabrics are the fabrics the manifest covers: square,
 // rectangular and cubic tori, the 16x16 benchmark shape and a

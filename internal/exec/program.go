@@ -1,7 +1,7 @@
 package exec
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -28,20 +28,16 @@ import (
 // over internal/par, so first-touch (compile) latency on large tori
 // drops with core count.
 
-// ptransfer is one record of a program file's transfer table, viewed
-// in place: the reference replay and the descriptor planner read it
-// while compiling, and materialize checks it.
+// ptransfer is one transfer as Compile's lowering keeps it, in pooled
+// scratch, for the reference replay and the descriptor planner.
 type ptransfer struct {
 	src, dst int32
 	// payOff/payLen window the payload ids (origin*n+dest), in schedule
-	// payload order; empty for structural transfers.
+	// payload order.
 	payOff, payLen int32
-	// linkOff/linkLen window the transfer's full dimension-ordered
-	// route expanded to dense link ids, in path order.
-	linkOff, linkLen int32
 }
 
-// pstep is one step's header in the program core.
+// pstep is one step's header in the program file.
 type pstep struct {
 	phaseIndex int
 	stepIndex  int // index within the phase
@@ -58,8 +54,8 @@ type pstep struct {
 // codec.go), the validated, densely indexed form the executor replays.
 // Compile writes the file and DecodeProgram reads one back; either way
 // the Program is the same view. A Program is immutable after it is
-// built and safe for concurrent use; per-run mutable state lives in an
-// Arena.
+// built (bar SetSource, which precedes sharing) and safe for
+// concurrent use; per-run mutable state lives in an Arena.
 type Program struct {
 	fab topology.Fabric
 
@@ -68,6 +64,7 @@ type Program struct {
 	replay    bool
 
 	steps      []pstep
+	numPhases  int
 	measure    costmodel.Measure
 	maxSharing int
 
@@ -106,33 +103,22 @@ type Program struct {
 	finalBase  []int32
 	maxPerDest int
 	recip      uint64
-	// numPayload is the payload id count: every transfer's window
-	// tiles [0, numPayload) in transfer order, and one replay's gathers
-	// copy each of those elements once (BytesMoved is 4*numPayload).
+	// numPayload is the schedule's payload id count: one replay's
+	// gathers copy each of those elements once (BytesMoved is
+	// 4*numPayload).
 	numPayload int
 
-	// The program file: core is the replay core every table above but
-	// the derived ones views; tail is the unchecked cold tail (the
-	// transfer table, then phase names, block counts, route legs and
-	// payload ids, under their own checksum). heapTail records that the
-	// tail is Compile's heap buffer rather than a view of bytes the
-	// caller owns or maps. Schedule() materializes the tail at most once
-	// into scMat, with the telemetry link table linkBacking, every
-	// transfer's route re-expanded in transfer order; a replay-only
-	// process never reads the tail. schedDone is set once schedErr holds
-	// the outcome; onTailErr runs when the tail is rejected
-	// (OnTailError).
-	core         []byte
-	tail         []byte
-	heapTail     bool
-	numTransfers int
-	coldPhases   int
-	scMat        *schedule.Schedule
-	linkBacking  []int32
-	schedOnce    sync.Once
-	schedErr     error
-	schedDone    atomic.Bool
-	onTailErr    func(*Program, error)
+	// core is the program file every table above but the derived ones
+	// views; digest is the schedule digest its header carries. The file
+	// holds no schedule: Schedule() re-plans it from source at most
+	// once, checks it against digest, and memoizes the outcome in sched
+	// and schedErr.
+	core      []byte
+	digest    uint64
+	source    func() (*schedule.Schedule, error)
+	schedOnce sync.Once
+	sched     *schedule.Schedule
+	schedErr  error
 
 	// arena is the one released arena the program retains across
 	// garbage collections; arenas pools the overflow of concurrent
@@ -142,49 +128,46 @@ type Program struct {
 	arenas sync.Pool
 }
 
-// Schedule returns the program's schedule, rebuilt from the program
-// file's cold tail on first call, after the tail's checksum and
-// transfer table are checked (and the telemetry link table is
-// re-expanded with it); the rebuild happens at most once. The schedule
-// is semantically identical to the one Compile was given, but never
-// the same value. Returns nil if the tail is unusable — SchedErr then
-// reports why.
-func (p *Program) Schedule() *schedule.Schedule {
-	p.schedOnce.Do(func() {
-		p.schedErr = guardTail(p.materialize)
-		p.schedDone.Store(true)
-		if p.schedErr != nil && p.onTailErr != nil {
-			p.onTailErr(p, p.schedErr)
-		}
-	})
-	return p.scMat
+// SetSource records how to rebuild the program's schedule: a function
+// that plans it again, such as the builder call that produced the
+// schedule Compile was given. Record it before the program is shared;
+// Schedule() calls it at most once. The program cache records the
+// builder for every program it serves, and Run records the schedule it
+// was given.
+func (p *Program) SetSource(src func() (*schedule.Schedule, error)) { p.source = src }
+
+// Schedule returns the program's schedule, re-planned from its source
+// on first call and checked against the digest Compile recorded; later
+// calls return the same outcome. The schedule is semantically identical
+// to the one Compile was given. A program with no source, a source that
+// fails, or a source that no longer builds the compiled schedule (a
+// digest mismatch) returns nil and an error. Replays never need the
+// schedule, so none of these errors touches an untraced run.
+func (p *Program) Schedule() (*schedule.Schedule, error) {
+	p.schedOnce.Do(func() { p.sched, p.schedErr = p.replan() })
+	return p.sched, p.schedErr
 }
 
-// SchedErr reports why the program's schedule failed to materialize
-// (nil until a Schedule call has finished, and on success). It is safe
-// to call concurrently with Schedule.
-func (p *Program) SchedErr() error {
-	if !p.schedDone.Load() {
-		return nil
+// replan runs the source and checks what it built against the digest.
+func (p *Program) replan() (*schedule.Schedule, error) {
+	if p.source == nil {
+		return nil, errors.New("exec: program has no schedule source to re-plan from")
 	}
-	return p.schedErr
+	sc, err := p.source()
+	if err != nil {
+		return nil, fmt.Errorf("exec: re-plan: %w", err)
+	}
+	if sc == nil || sc.Fabric == nil || sc.Fabric.Fingerprint() != p.fab.Fingerprint() {
+		return nil, fmt.Errorf("exec: re-plan built no schedule on fabric %s", p.fab.Fingerprint())
+	}
+	if d := scheduleDigest(sc); d != p.digest {
+		return nil, fmt.Errorf("exec: re-planned schedule has digest %016x, the program was compiled from %016x", d, p.digest)
+	}
+	return sc, nil
 }
 
-// OnTailError registers fn to run once, with the program and the
-// error, if Schedule() rejects the program's cold tail. A tail is
-// checked only when first needed, so a corrupt one surfaces after
-// decode; the disk tier uses this to delete the file and drop the
-// cached program, so the next request recompiles. fn receives the
-// program rather than capturing it, so a hook never keeps its program
-// reachable. Register before the program is shared: hooks are not
-// synchronized, and each runs after the ones registered before it.
-func (p *Program) OnTailError(fn func(*Program, error)) {
-	if prev := p.onTailErr; prev != nil {
-		p.onTailErr = func(q *Program, err error) { prev(q, err); fn(q, err) }
-		return
-	}
-	p.onTailErr = fn
-}
+// NumPhases returns the number of phases of the compiled schedule.
+func (p *Program) NumPhases() int { return p.numPhases }
 
 // Replayable reports whether the program carries payloads and its runs
 // replay and deliver blocks (rather than only reporting the measure).
@@ -202,13 +185,11 @@ func (p *Program) MaxSharing() int { return p.maxSharing }
 // SizeBytes estimates the bytes the program holds; program caches use
 // it as the eviction weight. It counts the replay core — the step
 // headers, the traffic ids, the delivery counts and layout, and the
-// replay plan — and the cold tail only while the program owns it on
-// the heap, as a fresh Compile does. A tail viewed in caller-owned or
-// mapped bytes, and the schedule and tables materialized from it on
-// demand, stay outside the weight, as they stay outside a replay-only
-// process's resident set. So do arenas: a replayed program that stays
-// reachable also pins the one arena it retains (see Arena), whose size
-// is the block log, set by the program's layout.
+// replay plan. A schedule Schedule() re-planned stays outside the
+// weight, as it stays outside a replay-only process's resident set. So
+// do arenas: a replayed program that stays reachable also pins the one
+// arena it retains (see Arena), whose size is the block log, set by the
+// program's layout.
 func (p *Program) SizeBytes() int64 {
 	size := int64(unsafe.Sizeof(*p))
 	size += int64(len(p.steps)) * int64(unsafe.Sizeof(pstep{}))
@@ -216,9 +197,6 @@ func (p *Program) SizeBytes() int64 {
 	size += int64(len(p.moves)) * int64(unsafe.Sizeof(logMove{}))
 	size += int64(len(p.descBacking)) * int64(unsafe.Sizeof(xdesc{}))
 	size += int64(len(p.moveOff)+len(p.descBase)+len(p.deliverOff)+len(p.finalBase)) * 4
-	if p.heapTail {
-		size += int64(len(p.tail))
-	}
 	return size
 }
 
@@ -276,13 +254,14 @@ func (p *Program) DeliveryOffset(v int) int {
 // (opt.Traffic, nil meaning all-to-all), and the program format's
 // limits — and writes it as a program file, which it then views as the
 // Program, just as DecodeProgram views a stored one: the result holds
-// the file's exact-size core and tail and nothing of sc. A rejected
-// schedule fails here, at compile time; a compiled program's runs
-// cannot fail, except that the parallel replay refuses intra-step
-// forwarding. Compile reads sc only while lowering it: the later
-// passes read what lowering wrote, so a caller that drops its own
-// reference lets the collector reuse the schedule's pages for the
-// planner's tables. Options.Serial, Workers and Telemetry are run-time
+// the file's exact-size bytes, with the schedule's digest, and nothing
+// of sc. A rejected schedule fails here, at compile time; a compiled
+// program's runs cannot fail, except that the parallel replay refuses
+// intra-step forwarding. Compile reads sc only while lowering it: the
+// later passes read what lowering kept in pooled scratch, so a caller
+// that drops its own reference lets the collector reuse the schedule's
+// pages for the planner's tables. The program has no schedule source
+// (see SetSource). Options.Serial, Workers and Telemetry are run-time
 // choices and are ignored by Compile; Options.Request receives the
 // stages of its passes (obs.StageLower, StageReferenceReplay,
 // StagePlanDescriptors, StageSeal).
@@ -290,8 +269,10 @@ func Compile(sc *schedule.Schedule, opt Options) (*Program, error) {
 	if sc == nil || sc.Fabric == nil {
 		return nil, fmt.Errorf("exec: nil schedule")
 	}
+	ls := lowerScratchPool.Get().(*lowerScratch)
+	defer lowerScratchPool.Put(ls)
 	lsp := opt.Request.Stage(obs.StageLower)
-	b, tail, err := lower(sc, opt)
+	b, low, err := lower(sc, opt, ls)
 	lsp.End()
 	if err != nil {
 		return nil, err
@@ -300,7 +281,7 @@ func Compile(sc *schedule.Schedule, opt Options) (*Program, error) {
 		(*h)()
 	}
 	if b.replay {
-		if err := b.compileReplay(opt, tail); err != nil {
+		if err := b.compileReplay(opt, low); err != nil {
 			return nil, err
 		}
 		compileDescPrograms.Add(1)
@@ -308,13 +289,12 @@ func Compile(sc *schedule.Schedule, opt Options) (*Program, error) {
 	ssp := opt.Request.Stage(obs.StageSeal)
 	defer ssp.End()
 	if !b.replay {
-		if _, err := b.newCore(len(tail.b), tail.numDomains, 0, 0); err != nil {
+		if _, err := b.newCore(0, 0); err != nil {
 			return nil, err
 		}
 	}
 	seal(b.core)
-	seal(tail.b)
-	p, err := newProgram(b.core, tail.b, b.fab, true)
+	p, err := newProgram(b.core, b.fab, true)
 	if err != nil {
 		return nil, fmt.Errorf("exec: compile wrote a program it cannot prove: %w", err)
 	}
@@ -333,43 +313,52 @@ func SetAfterLowerHook(fn func()) (restore func()) {
 	return func() { afterLower.Store(prev) }
 }
 
-// lowered is the cold tail Compile's lowering wrote, with the views
-// the reference replay and the descriptor planner read it through, and
-// the phase names the reference replay's errors cite.
+// lowered is what Compile's lowering keeps of a replayable schedule for
+// the reference replay and the descriptor planner, in the pooled
+// lowerScratch, with the phase names the reference replay's errors
+// cite.
 type lowered struct {
-	b          []byte
-	phases     []string
-	transfers  []ptransfer // the transfer table, in schedule order
-	stepT      []int32     // step si's transfers are transfers[stepT[si]:stepT[si+1]]
-	payload    []int32     // the payload ids every transfer windows
-	opOff      []int32     // per-node replay-event prefix offsets (see compileReplay)
-	numDomains int
+	phases    []string
+	transfers []ptransfer // the transfer table, in schedule order
+	stepT     []int32     // step si's transfers are transfers[stepT[si]:stepT[si+1]]
+	payload   []int32     // the payload ids every transfer windows
+	opOff     []int32     // per-node replay-event prefix offsets (see compileReplay)
 }
 
+// lowerScratch pools the lowered transfer table and payload ids across
+// compiles. Lowering writes every element a compile reads, so reuse
+// needs no zeroing.
+type lowerScratch struct {
+	transfers []ptransfer
+	payload   []int32
+}
+
+var lowerScratchPool = sync.Pool{New: func() any { return new(lowerScratch) }}
+
 // lower is Compile's first pass. A serial counting pass checks the
-// program format's limits and sizes the cold tail exactly, with every
-// step's offsets into it; the lowering pass then fans the steps out
-// over the worker pool and writes each step's transfer records, block
-// counts, route legs and payload ids straight into the tail, expanding
-// routes into per-worker scratch for the one-port and contention
-// checks and the sharing factors. It returns the program under
-// construction — step headers, measure and counts — and the tail.
-func lower(sc *schedule.Schedule, opt Options) (*Program, *lowered, error) {
+// program format's limits and sizes the lowered tables, with every
+// step's offsets into them; the lowering pass then fans the steps out
+// over the worker pool, expands routes into per-worker scratch for the
+// one-port and contention checks and the sharing factors, hashes every
+// transfer into its step's digest hash, and — for a replayable
+// schedule — writes each step's transfer endpoints and payload ids
+// into ls. It returns the program under construction — step headers,
+// measure, counts and digest — and the lowered tables.
+func lower(sc *schedule.Schedule, opt Options, ls *lowerScratch) (*Program, *lowered, error) {
 	f := sc.Fabric
 	n := f.Nodes()
 	p := &Program{
 		fab: f, n: n,
 		numBlocks:  n * n,
 		maxSharing: 1,
-		coldPhases: len(sc.Phases),
+		numPhases:  len(sc.Phases),
 	}
 
 	numSteps := sc.NumSteps()
-	numTransfers, numLinks, numPayload, segBytes, phaseBytes := 0, 0, 0, 0, 0
+	numTransfers, numLinks, numPayload := 0, 0, 0
 	stepT := make([]int32, numSteps+1) // per-step transfer offsets
 	stepL := make([]int32, numSteps+1) // per-step link offsets
 	stepP := make([]int32, numSteps+1) // per-step payload offsets
-	stepS := make([]int32, numSteps+1) // per-step route-leg byte offsets
 	opOff := make([]int32, n+1)        // per-node replay-event offsets (see compileReplay)
 	var usedDims []bool                // (dim*2 + dirbit) pairs any route leg uses
 	if nd := f.NDims(); nd > 0 {
@@ -383,12 +372,10 @@ func lower(sc *schedule.Schedule, opt Options) (*Program, *lowered, error) {
 		if ph.Rearrange < 0 || int64(ph.Rearrange) > math.MaxUint32 {
 			return nil, nil, fmt.Errorf("exec: phase %q rearranges %d blocks, outside the program format's [0, 2^32)", ph.Name, ph.Rearrange)
 		}
-		phaseBytes += 4 + padded4(len(ph.Name)) + 8
 		for si := range ph.Steps {
 			s := &ph.Steps[si]
 			p.steps[k] = pstep{phaseIndex: pi, stepIndex: si, sharing: 1}
-			stepT[k], stepL[k] = int32(numTransfers), int32(numLinks)
-			stepP[k], stepS[k] = int32(numPayload), int32(segBytes)
+			stepT[k], stepL[k], stepP[k] = int32(numTransfers), int32(numLinks), int32(numPayload)
 			numTransfers += len(s.Transfers)
 			for i := range s.Transfers {
 				tr := &s.Transfers[i]
@@ -406,7 +393,6 @@ func lower(sc *schedule.Schedule, opt Options) (*Program, *lowered, error) {
 						usedDims[pair] = true
 					}
 				}
-				segBytes += 1 + 4*len(segs)
 				numPayload += len(tr.Payload)
 				if len(tr.Payload) > 0 {
 					p.replay = true
@@ -422,37 +408,26 @@ func lower(sc *schedule.Schedule, opt Options) (*Program, *lowered, error) {
 			k++
 		}
 	}
-	stepT[numSteps], stepL[numSteps] = int32(numTransfers), int32(numLinks)
-	stepP[numSteps], stepS[numSteps] = int32(numPayload), int32(segBytes)
-	p.numTransfers, p.numPayload = numTransfers, numPayload
-	tl := layoutTail(numSteps, numTransfers, numPayload, phaseBytes, segBytes)
-	if int64(tl.end) > math.MaxUint32 {
-		return nil, nil, fmt.Errorf("exec: a %d-byte program tail exceeds the program format's 4 GiB limit", tl.end)
+	stepT[numSteps], stepL[numSteps], stepP[numSteps] = int32(numTransfers), int32(numLinks), int32(numPayload)
+	if numPayload > math.MaxInt32 {
+		return nil, nil, fmt.Errorf("exec: %d payload ids exceed the program format's 2^31 limit", numPayload)
 	}
-	tail := make([]byte, tl.end)
-
-	// The serial tables: step offsets, the shared bitmap and the phase
-	// records.
-	putI32s(tail, tl.stepT, stepT)
-	k = 0
-	w := tl.phases
+	p.numPayload = numPayload
 	phases := make([]string, len(sc.Phases))
 	for pi := range sc.Phases {
-		ph := &sc.Phases[pi]
-		phases[pi] = ph.Name
-		for si := range ph.Steps {
-			if ph.Steps[si].Shared {
-				tail[tl.shared+k>>3] |= 1 << uint(k&7)
-			}
-			k++
-		}
-		putU32(tail, w, uint32(len(ph.Name)))
-		w += 4 + copy(tail[w+4:], ph.Name)
-		w = padded4(w)
-		putU32(tail, w, uint32(len(ph.Steps)))
-		putU32(tail, w+4, uint32(ph.Rearrange))
-		w += 8
+		phases[pi] = sc.Phases[pi].Name
 	}
+	var transfers []ptransfer
+	var payload []int32
+	if p.replay {
+		if cap(ls.transfers) < numTransfers {
+			ls.transfers = make([]ptransfer, numTransfers)
+		}
+		transfers = ls.transfers[:numTransfers]
+		ls.payload = growI32(ls.payload, numPayload)
+		payload = ls.payload
+	}
+	stepHash := make([]uint64, numSteps)
 
 	// Per-(dim,dir) route tables: on a torus every (node, dim, dir)
 	// single hop has a statically known successor and link id, so each
@@ -500,15 +475,16 @@ func lower(sc *schedule.Schedule, opt Options) (*Program, *lowered, error) {
 		}
 	}
 
-	// Lowering pass: the tail's per-transfer records, route expansion,
+	// Lowering pass: route expansion, each transfer's digest hash,
 	// per-step message maxima, the link-sharing serialization factor of
 	// Shared steps (counted per transfer while its freshly expanded link
 	// ids are still in L1), the one-port/contention checks, and the
-	// payload ids' range check and copy — one parallel sweep over the
-	// steps, each chunk with private claim and link scratch. Steps write
-	// disjoint pre-sized regions of the tail, so they fan out over the
-	// worker pool. The reported error is the lowest-step one — exactly
-	// what a serial left-to-right walk would have hit first.
+	// transfer records and payload ids' range check and copy — one
+	// parallel sweep over the steps, each chunk with private claim and
+	// link scratch. Steps write disjoint pre-sized regions of the
+	// lowered tables, so they fan out over the worker pool. The reported
+	// error is the lowest-step one — exactly what a serial left-to-right
+	// walk would have hit first.
 	var ferr par.FirstError
 	par.ForEach(0, numSteps, func(lo, hi int) {
 		var linkClaim []int32 // domain -> claim stamp (checkStep scratch)
@@ -536,23 +512,16 @@ func lower(sc *schedule.Schedule, opt Options) (*Program, *lowered, error) {
 			links = growI32(links, int(stepL[si+1]-stepL[si]))
 			lend = lend[:0]
 			lw := 0
-			sw := tl.segs + int(stepS[si])
 			pOff := stepP[si]
 			sharing := int32(ps.sharing)
+			sh := uint64(digestSeed)
 			for i := range s.Transfers {
 				tr := &s.Transfers[i]
 				linkBase := lw
 				segs := routeLegs(tr, &one)
-				tail[sw] = byte(len(segs))
-				sw++
+				sh = mix(sh, transferHash(tr, segs))
 				cur := tr.Src
 				for _, seg := range segs {
-					if seg.Dir == topology.Neg {
-						tail[sw+1] = 1
-					}
-					tail[sw] = byte(seg.Dim)
-					binary.LittleEndian.PutUint16(tail[sw+2:], uint16(seg.Hops))
-					sw += 4
 					pair := seg.Dim * 2
 					if seg.Dir == topology.Neg {
 						pair++
@@ -574,13 +543,13 @@ func lower(sc *schedule.Schedule, opt Options) (*Program, *lowered, error) {
 					}
 				}
 				lend = append(lend, int32(lw))
-				putRecord(tail, tl.transfers+(tBase+i)*24, ptransfer{
-					src: int32(tr.Src), dst: int32(tr.Dst),
-					payOff: pOff, payLen: int32(len(tr.Payload)),
-					linkOff: stepL[si] + int32(linkBase), linkLen: int32(lw - linkBase),
-				})
-				pOff += int32(len(tr.Payload))
-				putU32(tail, tl.blocks+(tBase+i)*4, uint32(tr.Blocks))
+				if transfers != nil {
+					transfers[tBase+i] = ptransfer{
+						src: int32(tr.Src), dst: int32(tr.Dst),
+						payOff: pOff, payLen: int32(len(tr.Payload)),
+					}
+					pOff += int32(len(tr.Payload))
+				}
 				if s.Shared {
 					// The transfer's own links were just expanded and are
 					// hot; counting them here beats a per-step rewalk.
@@ -608,6 +577,7 @@ func lower(sc *schedule.Schedule, opt Options) (*Program, *lowered, error) {
 					ps.maxHops = h
 				}
 			}
+			stepHash[si] = sh
 			if s.Shared {
 				ps.sharing = int(sharing)
 			}
@@ -622,13 +592,13 @@ func lower(sc *schedule.Schedule, opt Options) (*Program, *lowered, error) {
 				}
 			}
 			// Payload ids, range-checked and copied into the step's
-			// disjoint region of the tail. Payload/Blocks coherence only
-			// binds replayable programs — measure-only schedules declare
-			// Blocks for the cost terms and carry no payloads.
+			// disjoint region of the lowered ids. Payload/Blocks coherence
+			// only binds replayable programs — measure-only schedules
+			// declare Blocks for the cost terms and carry no payloads.
 			if !p.replay {
 				continue
 			}
-			pw := tl.payload + 4*int(stepP[si])
+			pw := int(stepP[si])
 			for i := range s.Transfers {
 				tr := &s.Transfers[i]
 				if len(tr.Payload) != tr.Blocks {
@@ -643,8 +613,7 @@ func lower(sc *schedule.Schedule, opt Options) (*Program, *lowered, error) {
 						return
 					}
 				}
-				putI32s(tail, pw, tr.Payload)
-				pw += 4 * len(tr.Payload)
+				pw += copy(payload[pw:], tr.Payload)
 			}
 		}
 	})
@@ -652,7 +621,8 @@ func lower(sc *schedule.Schedule, opt Options) (*Program, *lowered, error) {
 		return nil, nil, err
 	}
 
-	// Measure accumulation (serial: order-dependent sums).
+	// Measure accumulation (serial: order-dependent sums) and the
+	// digest, folded in schedule order.
 	for si := range p.steps {
 		ps := &p.steps[si]
 		if ps.sharing > p.maxSharing {
@@ -663,17 +633,16 @@ func lower(sc *schedule.Schedule, opt Options) (*Program, *lowered, error) {
 		p.measure.Hops += ps.maxHops
 	}
 	p.measure.RearrangedBlocks = sc.RearrangedBlocks()
+	p.digest = foldDigest(sc, stepHash)
 	for v := 0; v < n; v++ {
 		opOff[v+1] += opOff[v]
 	}
 	return p, &lowered{
-		b:          tail,
-		phases:     phases,
-		transfers:  viewRecords[ptransfer](tail[tl.transfers:tl.payload], numTransfers),
-		stepT:      stepT,
-		payload:    asInt32s(tail[tl.payload:tl.blocks]),
-		opOff:      opOff,
-		numDomains: numDomains,
+		phases:    phases,
+		transfers: transfers,
+		stepT:     stepT,
+		payload:   payload,
+		opOff:     opOff,
 	}, nil
 }
 
@@ -908,14 +877,13 @@ func (p *Program) RunArena(a *Arena, opt Options) (*Result, error) {
 		sp.End()
 	}
 	if opt.Telemetry.Enabled() {
-		// The schedule materializes from the program's tail here, on
+		// The schedule is re-planned from the program's source here, on
 		// the first traced run; untraced replays never pay for it.
 		msp := opt.Request.Stage(obs.StageMaterialize)
-		sc := p.Schedule()
+		sc, err := p.Schedule()
 		msp.End()
-		if sc == nil {
-			a.bad = true
-			return nil, fmt.Errorf("exec: telemetry: %w", p.schedErr)
+		if err != nil {
+			return nil, fmt.Errorf("exec: telemetry: %w", err)
 		}
 		res.Schedule = sc
 		emitRun(opt.Telemetry, sc, res, p)

@@ -14,11 +14,10 @@ import (
 // guard in telemetry_guard_test.go.
 //
 // The post-pass reads the program's precomputed per-step sharing
-// factors and the dense link ids Schedule() expanded once, instead of
-// re-walking routes and rehashing links on every traced run; the
-// per-link accumulators are dense arrays indexed by topology.LinkID,
-// emitted in AllLinks' canonical order (which is ascending in dense
-// id).
+// factors, and expands each transfer's route to dense link ids in one
+// reused buffer; the per-link accumulators are dense arrays indexed by
+// topology.LinkID, emitted in AllLinks' canonical order (which is
+// ascending in dense id).
 //
 // The timeline follows the paper's synchronous model: each step lasts
 // ts + tc·maxBlocks·sharing·m + tl·maxHops, phases with a Rearrange
@@ -43,9 +42,8 @@ func emitRun(rec *telemetry.Recorder, sc *schedule.Schedule, res *Result, pg *Pr
 	rec.Emit(telemetry.Event{Kind: telemetry.SpanBegin, Scope: telemetry.ScopeRun,
 		Name: "run", Phase: -1, Step: -1, Transfer: -1})
 
-	// The program's link table holds every transfer's expanded route,
-	// in transfer order; links is what the transfers below still own.
-	links := pg.linkBacking
+	var links []int32 // the transfer in progress's route, as dense link ids
+	var one [1]schedule.Seg
 	now := 0.0
 	global := 0
 	for pi := range sc.Phases {
@@ -86,13 +84,18 @@ func emitRun(rec *telemetry.Recorder, sc *schedule.Schedule, res *Result, pg *Pr
 				ev.Kind, ev.Time = telemetry.SpanEnd, now+tStartup+tTrans+tProp
 				ev.Startup, ev.Transmit, ev.Propagate = tStartup, tTrans, tProp
 				rec.Emit(ev)
-				for _, id := range links[:tr.TotalHops()] {
+				links = links[:0]
+				cur := tr.Src
+				for _, sg := range routeLegs(tr, &one) {
+					links = f.AppendPathLinkIDs(links, cur, sg.Dim, sg.Dir, sg.Hops)
+					cur = f.Advance(cur, sg.Dim, sg.Dir, sg.Hops)
+				}
+				for _, id := range links {
 					if perLink[id] == 0 {
 						touched = append(touched, id)
 					}
 					perLink[id]++
 				}
-				links = links[tr.TotalHops():]
 			}
 			for _, id := range touched {
 				busySteps[id]++

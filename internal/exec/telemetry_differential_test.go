@@ -12,6 +12,7 @@ import (
 	"torusx/internal/algorithm"
 	"torusx/internal/costmodel"
 	"torusx/internal/exec"
+	"torusx/internal/schedule"
 	"torusx/internal/telemetry"
 	"torusx/internal/topology"
 )
@@ -106,10 +107,10 @@ func recordProgram(t *testing.T, pg *exec.Program, opt exec.Options) []telemetry
 }
 
 // TestCompiledDifferentialTelemetry: a decoded program's stream — which
-// forces the lazy schedule materialization and re-walks every route
-// into the link table — must equal the fresh compile's on both replay
-// modes, and the stream's run counters must agree with the oracle's
-// independently derived measure.
+// re-plans the schedule from the builder and re-walks every route — must
+// equal the fresh compile's, traced from the schedule it was compiled
+// from, on both replay modes, and the stream's run counters must agree
+// with the oracle's independently derived measure.
 func TestCompiledDifferentialTelemetry(t *testing.T) {
 	for _, alg := range []string{"proposed", "direct", "ring"} {
 		for _, dims := range telemetryShapes {
@@ -139,6 +140,8 @@ func TestCompiledDifferentialTelemetry(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				pg.SetSource(func() (*schedule.Schedule, error) { return sc, nil })
+				dec.SetSource(func() (*schedule.Schedule, error) { return b.BuildSchedule(tor) })
 				want := recordProgram(t, pg, exec.Options{Serial: true})
 				counters := map[string]float64{
 					"exec.steps":       float64(ref.Measure.Steps),
@@ -188,6 +191,7 @@ func TestBytesMovedMatchesTelemetry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		pg.SetSource(func() (*schedule.Schedule, error) { return sc, nil })
 		want := pg.BytesMoved()
 		if want <= 0 {
 			t.Fatalf("%s: BytesMoved %d on a payload program", name, want)

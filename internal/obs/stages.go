@@ -16,17 +16,17 @@ const (
 	StagePlan        = "plan"
 	StagePrune       = "prune"
 	StagePlanScoring = "plan-scoring"
-	// exec.Compile and its passes, which open inside it: lowering into
-	// the program file's tail, the reference replay, the descriptor
-	// planner (which writes the core), and sealing and proving the file.
+	// exec.Compile and its passes, which open inside it: lowering the
+	// schedule into pooled scratch, the reference replay, the descriptor
+	// planner (which writes the file), and sealing and proving the file.
 	StageCompile         = "compile"
 	StageLower           = "lower"
 	StageReferenceReplay = "reference-replay"
 	StagePlanDescriptors = "plan-descriptors"
 	StageSeal            = "seal"
 	// Replay (the cmd tools and internal/exec): the delivery pass opens
-	// inside replay, and a traced run materializes the schedule from
-	// the program file's cold tail after it.
+	// inside replay, and a traced run materializes the schedule after
+	// it, re-planning it from the program's recorded source.
 	StageArenaAcquire = "arena-acquire"
 	StageReplay       = "replay"
 	StageDeliver      = "deliver"

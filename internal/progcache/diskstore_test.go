@@ -11,12 +11,12 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"torusx/internal/baseline"
 	"torusx/internal/costmodel"
 	"torusx/internal/exec"
 	"torusx/internal/progcache"
+	"torusx/internal/schedule"
 	"torusx/internal/telemetry"
 	"torusx/internal/topology"
 )
@@ -78,7 +78,7 @@ func TestDiskStoreCorruptFileRemoved(t *testing.T) {
 		name  string
 		spoil func(program []byte)
 	}{
-		{"corrupt", func(program []byte) { program[coreLen(program)/2] ^= 0xff }},
+		{"corrupt", func(program []byte) { program[len(program)/2] ^= 0xff }},
 		{"stale-v2", restamp(2)},
 		{"stale-v3", restamp(3)},
 		{"stale-v4", restamp(4)},
@@ -106,7 +106,7 @@ func TestDiskStoreCorruptFileRemoved(t *testing.T) {
 			// back.
 			c := progcache.New(0)
 			c.SetTier2(store)
-			if _, err := c.GetOrCompileTiered(key, tor, 0, nil, func() (*exec.Program, error) {
+			if _, err := c.GetOrCompileTiered(key, tor, 0, nil, nil, func() (*exec.Program, error) {
 				if _, err := os.Stat(files[0]); !os.IsNotExist(err) {
 					t.Errorf("spoiled file not removed before the recompile: %v", err)
 				}
@@ -124,102 +124,6 @@ func TestDiskStoreCorruptFileRemoved(t *testing.T) {
 				t.Fatal("miss after re-store")
 			}
 		})
-	}
-}
-
-// coreLen returns the length of a program file's replay core, as its
-// header records it.
-func coreLen(program []byte) int { return int(binary.LittleEndian.Uint32(program[16:])) }
-
-// TestTier2BadTailSelfHeals: a file whose core is sound but whose cold
-// tail is corrupt loads and replays — the tail is checked only when
-// the schedule is first needed — and the first traced run, which needs
-// it, fails without a panic, deletes the file and drops the program
-// from the memory tier, so the next request recompiles and traces.
-func TestTier2BadTailSelfHeals(t *testing.T) {
-	dir := t.TempDir()
-	tor := topology.MustNew(8, 8)
-	key := progcache.Key("ring", tor, 0)
-	compiles := 0
-	compileRing := func() (*exec.Program, error) {
-		compiles++
-		return exec.Compile(baseline.RingSchedule(tor), exec.Options{})
-	}
-	serve := func(c *progcache.Cache) *exec.Program {
-		t.Helper()
-		pg, err := c.GetOrCompileTiered(key, tor, 0, nil, compileRing)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pg
-	}
-	store, err := progcache.NewDiskStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm := progcache.New(0)
-	warm.SetTier2(store)
-	ref, err := serve(warm).Run(exec.Options{Serial: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	files, err := filepath.Glob(filepath.Join(dir, "*.txpg"))
-	if err != nil || len(files) != 1 {
-		t.Fatalf("want 1 stored file, got %v (%v)", files, err)
-	}
-	data, program := readProgramFile(t, files[0])
-	program[coreLen(program)+(len(program)-coreLen(program))/2] ^= 0x5a
-	if err := os.WriteFile(files[0], data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// A fresh process: the core decodes, and an untraced replay never
-	// reads the tail.
-	c := progcache.New(0)
-	c.SetTier2(store)
-	compiles = 0
-	pg := serve(c)
-	if st := c.Stats(); st.Tier2Hits != 1 || compiles != 0 {
-		t.Fatalf("bad-tail file: %v, %d compiles; want a tier-2 hit", st, compiles)
-	}
-	a := pg.NewArena()
-	res, err := pg.RunArena(a, exec.Options{})
-	if err != nil {
-		t.Fatalf("replay of a bad-tail program: %v", err)
-	}
-	for v := range ref.Buffers {
-		want, got := ref.Buffers[v].View(), res.Buffers[v].View()
-		if len(got) != len(want) {
-			t.Fatalf("node %d holds %d blocks, want %d", v, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("node %d block %d = %v, want %v", v, i, got[i], want[i])
-			}
-		}
-	}
-	traced := exec.Options{Telemetry: telemetry.New(&telemetry.MemorySink{}, costmodel.T3D(64))}
-	if _, err := pg.RunArena(pg.NewArena(), traced); err == nil || !strings.Contains(err.Error(), "cold tail checksum") {
-		t.Fatalf("traced run of a bad-tail program: err = %v, want the tail checksum error", err)
-	}
-	if _, err := os.Stat(files[0]); !os.IsNotExist(err) {
-		t.Fatalf("bad-tail file not removed: %v", err)
-	}
-	if keys := c.Keys(); len(keys) != 0 {
-		t.Fatalf("bad-tail program still cached under %v", keys)
-	}
-
-	// The next request misses both tiers, compiles once, stores a sound
-	// file back, and traces.
-	pg = serve(c)
-	if compiles != 1 {
-		t.Fatalf("%d compiles after the heal, want 1", compiles)
-	}
-	if _, err := pg.RunArena(pg.NewArena(), traced); err != nil {
-		t.Fatalf("traced run after the heal: %v", err)
-	}
-	if _, ok := store.Load(key, tor, 0); !ok {
-		t.Fatal("no sound file stored back after the heal")
 	}
 }
 
@@ -263,7 +167,7 @@ func TestTier2CrossProcessWarmth(t *testing.T) {
 		t.Fatal(err)
 	}
 	warm.SetTier2(store1)
-	pg, err := warm.GetOrCompileTiered(key, tor, 0, nil, func() (*exec.Program, error) { return compileDirect(tor) })
+	pg, err := warm.GetOrCompileTiered(key, tor, 0, nil, nil, func() (*exec.Program, error) { return compileDirect(tor) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +184,7 @@ func TestTier2CrossProcessWarmth(t *testing.T) {
 		t.Fatal(err)
 	}
 	cold.SetTier2(store2)
-	got, err := cold.GetOrCompileTiered(key, tor, 0, nil, func() (*exec.Program, error) {
+	got, err := cold.GetOrCompileTiered(key, tor, 0, nil, nil, func() (*exec.Program, error) {
 		t.Error("compile ran despite warm disk tier")
 		return compileDirect(tor)
 	})
@@ -303,7 +207,7 @@ func TestTier2CrossProcessWarmth(t *testing.T) {
 		t.Fatalf("tier-2 program diverges: %+v vs %+v", res.Measure, want.Measure)
 	}
 	// And the second request in the cold process is a plain memory hit.
-	if _, err := cold.GetOrCompileTiered(key, tor, 0, nil, func() (*exec.Program, error) {
+	if _, err := cold.GetOrCompileTiered(key, tor, 0, nil, nil, func() (*exec.Program, error) {
 		t.Error("compile ran on warm memory tier")
 		return nil, nil
 	}); err != nil {
@@ -335,7 +239,7 @@ func TestTier2SingleflightParallel(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			pg, err := c.GetOrCompileTiered(key, tor, 0, nil, func() (*exec.Program, error) { return compileDirect(tor) })
+			pg, err := c.GetOrCompileTiered(key, tor, 0, nil, nil, func() (*exec.Program, error) { return compileDirect(tor) })
 			if err != nil {
 				t.Error(err)
 				return
@@ -376,7 +280,7 @@ func TestEvictionStatsDistinguishDiskBacked(t *testing.T) {
 		key := progcache.Key(alg, tor, 0)
 		var err error
 		if tier2 {
-			_, err = c.GetOrCompileTiered(key, tor, 0, nil, func() (*exec.Program, error) { return pg, nil })
+			_, err = c.GetOrCompileTiered(key, tor, 0, nil, nil, func() (*exec.Program, error) { return pg, nil })
 		} else {
 			_, err = c.GetOrCompile(key, func() (*exec.Program, error) { return pg, nil })
 		}
@@ -424,12 +328,21 @@ func TestEvictionStatsDistinguishDiskBacked(t *testing.T) {
 	}
 }
 
-// TestTier2ScheduleOutlivesProgram: a loaded program's schedule holds
-// its own copy of the payload ids, so it stays whole after the program
-// is dropped and collected and the file's mapping is released.
+// ringSource is the schedule source a registry build of ring@tor would
+// record, counting its calls in *plans.
+func ringSource(tor *topology.Torus, plans *int) func() (*schedule.Schedule, error) {
+	return func() (*schedule.Schedule, error) {
+		*plans++
+		return baseline.RingSchedule(tor), nil
+	}
+}
+
+// TestTier2ScheduleOutlivesProgram: a loaded program's schedule is
+// re-planned from the source the cache recorded, so it is the
+// builder's own and stays whole after the program is dropped and
+// collected.
 func TestTier2ScheduleOutlivesProgram(t *testing.T) {
-	dir := t.TempDir()
-	store, err := progcache.NewDiskStore(dir)
+	store, err := progcache.NewDiskStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,48 +356,51 @@ func TestTier2ScheduleOutlivesProgram(t *testing.T) {
 	if err := store.Store(key, pg, 0); err != nil {
 		t.Fatal(err)
 	}
-	loaded, ok := store.Load(key, tor, 0)
-	if !ok {
-		t.Fatal("miss after store")
+	c := progcache.New(0)
+	c.SetTier2(store)
+	plans := 0
+	loaded, err := c.GetOrCompileTiered(key, tor, 0, nil, ringSource(tor, &plans), func() (*exec.Program, error) {
+		t.Error("compile ran despite a stored file")
+		return pg, nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	sc := loaded.Schedule()
-	if sc == nil {
-		t.Fatal(loaded.SchedErr())
+	sc, err := loaded.Schedule()
+	if err != nil {
+		t.Fatal(err)
 	}
-	loaded = nil
-	// Collect until no mapping of the store's files remains (Linux
-	// lists mappings in /proc/self/maps; elsewhere the loader reads
-	// the file into the heap and two collections suffice).
-	for i := 0; i < 100; i++ {
-		runtime.GC()
-		maps, err := os.ReadFile("/proc/self/maps")
-		if err != nil || !strings.Contains(string(maps), dir) {
-			break
-		}
-		time.Sleep(time.Millisecond)
+	if plans != 1 {
+		t.Fatalf("source ran %d times, want once", plans)
 	}
+	loaded, c = nil, nil
+	runtime.GC()
 	runtime.GC()
 	if !reflect.DeepEqual(sc.Phases, src.Phases) {
-		t.Fatal("schedule changed after its program was collected")
+		t.Fatal("re-planned schedule differs from the compiled one")
 	}
 	if _, err := exec.Compile(sc, exec.Options{}); err != nil {
 		t.Fatalf("schedule no longer compiles after its program was collected: %v", err)
 	}
 }
 
-// TestTier2TruncatedInPlace: a file truncated in place while a program
-// maps it — one loaded on a tier-2 hit, or one the cache loaded back
-// right after storing its compile — faults on the tail's first read. Schedule() must
-// turn the fault into the tail's error rather than crash the process,
-// and the heal must follow: the file is deleted, the key dropped, and
-// the next request recompiles.
+// TestTier2TruncatedInPlace: the disk tier reads a file into the heap,
+// so a program it loaded — on a tier-2 hit, or right after storing its
+// compile — owns its bytes. Truncating the file in place afterwards
+// must not reach it: arenas, replays, ReplayInto and a traced run
+// (which re-plans from the recorded source) all still verify, with no
+// signal raised.
 func TestTier2TruncatedInPlace(t *testing.T) {
 	tor := topology.MustNew(16, 16)
-	key := progcache.Key("direct", tor, 0)
-	compiles := 0
-	compile := func() (*exec.Program, error) {
-		compiles++
-		return compileDirect(tor)
+	key := progcache.Key("ring", tor, 0)
+	compile := func() (*exec.Program, error) { return exec.Compile(baseline.RingSchedule(tor), exec.Options{}) }
+	ref, err := compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Run(exec.Options{Serial: true})
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, loaded := range []bool{true, false} {
 		dir := t.TempDir()
@@ -492,16 +408,17 @@ func TestTier2TruncatedInPlace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		plans := 0
 		c := progcache.New(0)
 		c.SetTier2(store)
-		pg, err := c.GetOrCompileTiered(key, tor, 0, nil, compile)
+		pg, err := c.GetOrCompileTiered(key, tor, 0, nil, ringSource(tor, &plans), compile)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if loaded {
 			c = progcache.New(0)
 			c.SetTier2(store)
-			if pg, err = c.GetOrCompileTiered(key, tor, 0, nil, compile); err != nil {
+			if pg, err = c.GetOrCompileTiered(key, tor, 0, nil, ringSource(tor, &plans), compile); err != nil {
 				t.Fatal(err)
 			}
 			if st := c.Stats(); st.Tier2Hits != 1 {
@@ -515,33 +432,152 @@ func TestTier2TruncatedInPlace(t *testing.T) {
 		if err := os.Truncate(files[0], 0); err != nil {
 			t.Fatal(err)
 		}
-		if sc := pg.Schedule(); sc != nil || pg.SchedErr() == nil || !strings.Contains(pg.SchedErr().Error(), "unreadable") {
-			t.Fatalf("loaded=%v: Schedule() of a truncated file = %v, %v; want an unreadable-tail error", loaded, sc, pg.SchedErr())
+		a := pg.AcquireArena()
+		res, err := pg.RunArena(a, exec.Options{})
+		if err != nil {
+			t.Fatalf("loaded=%v: replay after truncation: %v", loaded, err)
 		}
-		if _, err := os.Stat(files[0]); !os.IsNotExist(err) {
-			t.Fatalf("loaded=%v: truncated file not removed: %v", loaded, err)
+		sameDelivery(t, want, res)
+		dst := make([]int32, pg.DeliverySize())
+		if err := pg.ReplayInto(a, dst, exec.Options{}); err != nil {
+			t.Fatalf("loaded=%v: ReplayInto after truncation: %v", loaded, err)
 		}
-		if keys := c.Keys(); len(keys) != 0 {
-			t.Fatalf("loaded=%v: program of a truncated file still cached under %v", loaded, keys)
+		pg.ReleaseArena(a)
+		traced := exec.Options{Telemetry: telemetry.New(&telemetry.MemorySink{}, costmodel.T3D(64))}
+		res, err = pg.RunArena(pg.NewArena(), traced)
+		if err != nil {
+			t.Fatalf("loaded=%v: traced run after truncation: %v", loaded, err)
 		}
-		compiles = 0
-		if pg, err = c.GetOrCompileTiered(key, tor, 0, nil, compile); err != nil {
+		sameDelivery(t, want, res)
+		if plans != 1 || res.Schedule == nil {
+			t.Fatalf("loaded=%v: traced run re-planned %d times (schedule %v), want once", loaded, plans, res.Schedule != nil)
+		}
+	}
+}
+
+// sameDelivery fails unless got delivered exactly want's blocks.
+func sameDelivery(t *testing.T, want, got *exec.Result) {
+	t.Helper()
+	for v := range want.Buffers {
+		if !reflect.DeepEqual(got.Buffers[v].View(), want.Buffers[v].View()) {
+			t.Fatalf("node %d delivery differs", v)
+		}
+	}
+}
+
+// TestTier2TornCoreRecompilesOnce: a file cut short anywhere — inside
+// its key header, its program header or its tables — is a tier-2 miss,
+// is removed before the recompile, and the key compiles exactly once
+// and is stored back whole.
+func TestTier2TornCoreRecompilesOnce(t *testing.T) {
+	tor := topology.MustNew(8, 8)
+	key := progcache.Key("direct", tor, 0)
+	ref, err := compileDirect(tor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := exec.EncodeProgram(ref, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cut := range []int{-8, 0, 3, 12, 40, len(enc) / 2, len(enc) - 4, len(enc) - 1} {
+		dir := t.TempDir()
+		store, err := progcache.NewDiskStore(dir)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if compiles != 1 {
-			t.Fatalf("loaded=%v: %d compiles after the heal, want 1", loaded, compiles)
+		if err := store.Store(key, ref, 0); err != nil {
+			t.Fatal(err)
 		}
-		if pg.Schedule() == nil {
-			t.Fatalf("loaded=%v: recompiled program: %v", loaded, pg.SchedErr())
+		files, err := filepath.Glob(filepath.Join(dir, "*.txpg"))
+		if err != nil || len(files) != 1 {
+			t.Fatalf("want 1 stored file, got %v (%v)", files, err)
 		}
+		data, program := readProgramFile(t, files[0])
+		if err := os.WriteFile(files[0], data[:len(data)-len(program)+cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c := progcache.New(0)
+		c.SetTier2(store)
+		compiles := 0
+		pg, err := c.GetOrCompileTiered(key, tor, 0, nil, nil, func() (*exec.Program, error) {
+			compiles++
+			if _, err := os.Stat(files[0]); !os.IsNotExist(err) {
+				t.Errorf("cut at %d: torn file not removed before the recompile: %v", cut, err)
+			}
+			return compileDirect(tor)
+		})
+		if err != nil {
+			t.Fatalf("cut at %d: %v", cut, err)
+		}
+		if st := c.Stats(); compiles != 1 || st.Tier2Hits != 0 || st.Tier2Misses != 1 || st.Tier2Stores != 1 {
+			t.Fatalf("cut at %d: %d compiles, %v; want one miss, compile and store", cut, compiles, st)
+		}
+		if _, err := pg.Run(exec.Options{}); err != nil {
+			t.Fatalf("cut at %d: recompiled program: %v", cut, err)
+		}
+		if _, program := readProgramFile(t, files[0]); !bytes.Equal(program, enc) {
+			t.Fatalf("cut at %d: file stored back differs from the program's bytes", cut)
+		}
+	}
+}
+
+// TestTier2LeftoverTempFileIgnored: a temp file a killed Store left in
+// the directory — here one holding a whole program file for the key —
+// is never loaded, and a later Store of the same key publishes its own
+// file beside it.
+func TestTier2LeftoverTempFileIgnored(t *testing.T) {
+	tor := topology.MustNew(8, 8)
+	key := progcache.Key("direct", tor, 0)
+	ref, err := compileDirect(tor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scratch, err := progcache.NewDiskStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := scratch.Store(key, ref, 0); err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(scratch.Dir(), "*.txpg"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("want 1 stored file, got %v (%v)", files, err)
+	}
+	data, _ := readProgramFile(t, files[0])
+	dir := t.TempDir()
+	leftover := filepath.Join(dir, ".txpg-123456")
+	if err := os.WriteFile(leftover, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	store, err := progcache.NewDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := store.Load(key, tor, 0); ok {
+		t.Fatal("a leftover temp file was loaded")
+	}
+	c := progcache.New(0)
+	c.SetTier2(store)
+	if _, err := c.GetOrCompileTiered(key, tor, 0, nil, nil, func() (*exec.Program, error) { return compileDirect(tor) }); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Compiles != 1 || st.Tier2Hits != 0 || st.Tier2Stores != 1 {
+		t.Fatalf("%v; want a miss, one compile and one store despite the leftover", st)
+	}
+	if _, ok := store.Load(key, tor, 0); !ok {
+		t.Fatal("miss after a Store beside a leftover temp file")
+	}
+	if _, err := os.Stat(leftover); err != nil {
+		t.Fatalf("the leftover temp file is not Store's to touch: %v", err)
 	}
 }
 
 // TestStoredProgramWeighsDecoded: a 16x16 program compiled through a
 // cache with a disk tier is served from the file it stored, so it
 // weighs exactly what the same program loaded from that file weighs,
-// and the cache charges it that; without a disk tier the heap tail
-// counts.
+// and the cache charges it that; a program file is its replay core, so
+// a compile without a disk tier weighs the same.
 func TestStoredProgramWeighsDecoded(t *testing.T) {
 	tor := topology.MustNew(16, 16)
 	for _, alg := range []string{"direct", "ring"} {
@@ -562,7 +598,7 @@ func TestStoredProgramWeighsDecoded(t *testing.T) {
 		}
 		c := progcache.New(0)
 		c.SetTier2(store)
-		pg, err := c.GetOrCompileTiered(key, tor, 0, nil, compile)
+		pg, err := c.GetOrCompileTiered(key, tor, 0, nil, nil, compile)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -576,18 +612,16 @@ func TestStoredProgramWeighsDecoded(t *testing.T) {
 		if st := c.Stats(); st.Bytes != pg.SizeBytes() {
 			t.Fatalf("%s: cache charges %d bytes, program weighs %d", alg, st.Bytes, pg.SizeBytes())
 		}
-		if mem.SizeBytes() <= pg.SizeBytes() {
-			t.Fatalf("%s: memory-only program weighs %d bytes, no more than the stored one's %d", alg, mem.SizeBytes(), pg.SizeBytes())
+		if mem.SizeBytes() != pg.SizeBytes() {
+			t.Fatalf("%s: memory-only program weighs %d bytes, the stored one %d", alg, mem.SizeBytes(), pg.SizeBytes())
 		}
 	}
 }
 
-// TestDiskStoreWritesHeldBytes: Store writes the core and tail the
-// program holds, so storing a ring@16x16 program (a file of several
-// MiB) allocates a few KiB — never a buffer the size of the file — and
-// the file holds exactly EncodeProgram's bytes. Store leaves the
-// program as it was: same weight, and a schedule that does not depend
-// on the stored file.
+// TestDiskStoreWritesHeldBytes: Store writes the bytes the program
+// holds, so storing a ring@16x16 program allocates a few KiB — never a
+// buffer the size of the file — and the file holds exactly
+// EncodeProgram's bytes. Store leaves the program's weight as it was.
 func TestDiskStoreWritesHeldBytes(t *testing.T) {
 	const budget = 64 << 10
 	dir := t.TempDir()
@@ -626,12 +660,6 @@ func TestDiskStoreWritesHeldBytes(t *testing.T) {
 	if got := pg.SizeBytes(); got != size {
 		t.Fatalf("Store changed the program's weight: %d bytes, was %d", got, size)
 	}
-	if err := os.Remove(files[0]); err != nil {
-		t.Fatal(err)
-	}
-	if pg.Schedule() == nil {
-		t.Fatalf("schedule after the stored file is removed: %v", pg.SchedErr())
-	}
 }
 
 // TestDiskStoreFailureServesCompile: a disk tier that cannot write —
@@ -657,7 +685,7 @@ func TestDiskStoreFailureServesCompile(t *testing.T) {
 	key := progcache.Key("direct", tor, 0)
 	c := progcache.New(0)
 	c.SetTier2(store)
-	pg, err := c.GetOrCompileTiered(key, tor, 0, nil, func() (*exec.Program, error) { return compileDirect(tor) })
+	pg, err := c.GetOrCompileTiered(key, tor, 0, nil, nil, func() (*exec.Program, error) { return compileDirect(tor) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -682,7 +710,7 @@ func TestDiskStoreFailureServesCompile(t *testing.T) {
 	if st.Compiles != 1 || st.Tier2Stores != 0 || st.Entries != 1 {
 		t.Fatalf("after a failed store: %v; want 1 compile, 0 stores, 1 entry", st)
 	}
-	got, err := c.GetOrCompileTiered(key, tor, 0, nil, func() (*exec.Program, error) {
+	got, err := c.GetOrCompileTiered(key, tor, 0, nil, nil, func() (*exec.Program, error) {
 		t.Error("compile ran although the program is cached in memory")
 		return compileDirect(tor)
 	})

@@ -28,6 +28,7 @@ import (
 	"torusx/internal/block"
 	"torusx/internal/exec"
 	"torusx/internal/obs"
+	"torusx/internal/schedule"
 	"torusx/internal/topology"
 )
 
@@ -213,7 +214,7 @@ func (c *Cache) GetOrCompile(key string, compile func() (*exec.Program, error)) 
 // takes the identical code path — warm hits stay within the serving
 // layer's pinned allocation budget.
 func (c *Cache) GetOrCompileTraced(key string, req *obs.Request, compile func() (*exec.Program, error)) (*exec.Program, error) {
-	return c.getOrCompile(key, nil, 0, req, compile)
+	return c.getOrCompile(key, nil, 0, req, nil, compile)
 }
 
 // SetTier2 attaches a disk store as the cache's second tier. Call once
@@ -231,15 +232,20 @@ func (c *Cache) Tier2() *DiskStore { return c.tier2 }
 // LRU miss can be served from the tier-2 disk store (recorded as a
 // "tier2-load" stage) before falling back to compile, and a fresh
 // compile is written back and served loaded from the file it wrote
-// ("tier2-store"). The singleflight covers
-// both tiers: concurrent requesters of one key share a single disk
-// probe and at most one compile. Without an attached store (or with a
-// nil fabric) it behaves exactly like GetOrCompileTraced.
-func (c *Cache) GetOrCompileTiered(key string, f topology.Fabric, optFP uint64, req *obs.Request, compile func() (*exec.Program, error)) (*exec.Program, error) {
-	return c.getOrCompile(key, f, optFP, req, compile)
+// ("tier2-store"). The singleflight covers both tiers: concurrent
+// requesters of one key share a single disk probe and at most one
+// compile. Without an attached store (or with a nil fabric) it behaves
+// exactly like GetOrCompileTraced. A non-nil source — the
+// schedule-building half of compile, untraced — is recorded as the
+// schedule source (exec.Program.SetSource) of the program served on a
+// miss, compiled or loaded, before any requester sees it.
+func (c *Cache) GetOrCompileTiered(key string, f topology.Fabric, optFP uint64, req *obs.Request,
+	source func() (*schedule.Schedule, error), compile func() (*exec.Program, error)) (*exec.Program, error) {
+	return c.getOrCompile(key, f, optFP, req, source, compile)
 }
 
-func (c *Cache) getOrCompile(key string, f topology.Fabric, optFP uint64, req *obs.Request, compile func() (*exec.Program, error)) (prog *exec.Program, err error) {
+func (c *Cache) getOrCompile(key string, f topology.Fabric, optFP uint64, req *obs.Request,
+	source func() (*schedule.Schedule, error), compile func() (*exec.Program, error)) (prog *exec.Program, err error) {
 	sp := req.Stage(obs.StageCacheLookup)
 	s := &c.shards[c.shardOf(key)]
 	s.mu.Lock()
@@ -294,7 +300,7 @@ func (c *Cache) getOrCompile(key string, f topology.Fabric, optFP uint64, req *o
 		lsp.End()
 		if ok {
 			c.tier2Hits.Add(1)
-			prog, onDisk = c.fromDisk(key, pg), true
+			prog, onDisk = pg, true
 		} else {
 			c.tier2Misses.Add(1)
 		}
@@ -307,13 +313,11 @@ func (c *Cache) getOrCompile(key string, f topology.Fabric, optFP uint64, req *o
 			start := time.Now()
 			if c.tier2.Store(key, prog, optFP) == nil {
 				c.tier2Stores.Add(1)
-				// Serve the file just written rather than the compile's
-				// heap copy: the loaded program leaves its cold tail in
-				// the file, so it weighs what every later tier-2 hit
-				// weighs. A file that does not load back (see
+				// Serve the file just written, as every later tier-2 hit
+				// will. A file that does not load back (see
 				// exec.DecodeProgram's limits) leaves the compile cached.
 				if pg, ok := c.tier2.Load(key, f, optFP); ok {
-					prog, onDisk = c.fromDisk(key, pg), true
+					prog, onDisk = pg, true
 				}
 			}
 			if c.storeHist != nil {
@@ -321,6 +325,9 @@ func (c *Cache) getOrCompile(key string, f topology.Fabric, optFP uint64, req *o
 			}
 			ssp.End()
 		}
+	}
+	if prog != nil && source != nil {
+		prog.SetSource(source)
 	}
 	return prog, err
 }
@@ -336,26 +343,6 @@ func (c *Cache) Get(key string) (*exec.Program, bool) {
 		return e.prog, true
 	}
 	return nil, false
-}
-
-// fromDisk returns pg, a program the disk tier loaded for key, set so
-// that a cold tail rejected later (the disk tier deletes the file)
-// drops it from the cache too, and the next request recompiles.
-func (c *Cache) fromDisk(key string, pg *exec.Program) *exec.Program {
-	pg.OnTailError(func(p *exec.Program, _ error) { c.drop(key, p) })
-	return pg
-}
-
-// drop removes key's entry if it still holds prog.
-func (c *Cache) drop(key string, prog *exec.Program) {
-	s := &c.shards[c.shardOf(key)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.entries[key]; ok && e.prog == prog {
-		s.remove(e)
-		delete(s.entries, key)
-		s.bytes -= e.size
-	}
 }
 
 // insertLocked files prog under key and evicts from the shard's LRU

@@ -140,7 +140,10 @@ func (sc *Schedule) WriteJSON(w io.Writer) error {
 
 // ReadJSON reconstructs a schedule from the WriteJSON format. Version-2
 // files rebuild the fabric from the descriptor; version-less (v1) files
-// rebuild a torus from the recorded dimensions.
+// rebuild a torus from the recorded dimensions. Every transfer must
+// join two nodes of the fabric and carry a non-negative block count,
+// and every route leg must name a fabric dimension and a non-negative
+// hop count, so the schedule's routes can be walked on its fabric.
 func ReadJSON(r io.Reader) (*Schedule, error) {
 	var in jsonSchedule
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
@@ -163,14 +166,31 @@ func ReadJSON(r io.Reader) (*Schedule, error) {
 		return nil, err
 	}
 	sc := &Schedule{Fabric: fab}
-	n := fab.Nodes()
+	n, nd := fab.Nodes(), fab.NDims()
+	// A leg must name a dimension of the fabric and walk forward along
+	// it, or walking its route would index outside the fabric.
+	checkLeg := func(dim, hops int) error {
+		if dim < 0 || dim >= nd || hops < 0 {
+			return fmt.Errorf("schedule: route leg dim %d, %d hops on a %d-dimensional fabric", dim, hops, nd)
+		}
+		return nil
+	}
 	for _, jp := range in.Phases {
+		if jp.Rearrange < 0 {
+			return nil, fmt.Errorf("schedule: phase %q rearranges %d blocks", jp.Name, jp.Rearrange)
+		}
 		ph := Phase{Name: jp.Name, Rearrange: jp.Rearrange}
 		for _, js := range jp.Steps {
 			st := Step{Shared: js.Shared}
 			for _, jt := range js.Transfers {
+				if jt.Src < 0 || jt.Src >= n || jt.Dst < 0 || jt.Dst >= n || jt.Blocks < 0 {
+					return nil, fmt.Errorf("schedule: transfer %d->%d of %d blocks on a %d-node fabric", jt.Src, jt.Dst, jt.Blocks, n)
+				}
 				dir, err := parseDir(jt.Dir)
 				if err != nil {
+					return nil, err
+				}
+				if err := checkLeg(jt.Dim, jt.Hops); err != nil {
 					return nil, err
 				}
 				tr := Transfer{
@@ -182,10 +202,17 @@ func ReadJSON(r io.Reader) (*Schedule, error) {
 					if err != nil {
 						return nil, err
 					}
+					if err := checkLeg(s.Dim, s.Hops); err != nil {
+						return nil, err
+					}
 					tr.Segs = append(tr.Segs, Seg{Dim: s.Dim, Dir: sdir, Hops: s.Hops})
 				}
 				// A pair outside [0, n)² has no id: [0, n] would alias
-				// block [1, 0].
+				// block [1, 0]. Ids are 32-bit, so only fabrics whose n²
+				// ids fit carry payloads.
+				if len(jt.Payload) > 0 && int64(n)*int64(n) > 1<<31 {
+					return nil, fmt.Errorf("schedule: payload block ids of a %d-node fabric exceed 32 bits", n)
+				}
 				for _, p := range jt.Payload {
 					if p[0] < 0 || p[0] >= n || p[1] < 0 || p[1] >= n {
 						return nil, fmt.Errorf("schedule: payload block [%d,%d] outside a %d-node fabric", p[0], p[1], n)

@@ -47,6 +47,9 @@ func NewDragonfly(k, m int) (*Dragonfly, error) {
 	if k < 1 || m < 1 {
 		return nil, fmt.Errorf("topology: dragonfly needs K >= 1 and M >= 1, got K=%d M=%d", k, m)
 	}
+	if m > MaxNodes/m || k > MaxNodes/(m*m) {
+		return nil, fmt.Errorf("topology: dragonfly D3(%d,%d) has more than %d nodes", k, m, MaxNodes)
+	}
 	return &Dragonfly{
 		k: k, m: m, groups: k * m, n: k * m * m, localPairs: m / 2,
 		fp: fmt.Sprintf("d3:%dx%d", k, m),

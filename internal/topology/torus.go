@@ -17,6 +17,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -108,6 +109,9 @@ func New(dims ...int) (*Torus, error) {
 		if dims[i] < 1 {
 			return nil, fmt.Errorf("topology: dimension %d has invalid size %d", i, dims[i])
 		}
+		if dims[i] > MaxNodes/n {
+			return nil, fmt.Errorf("topology: torus %v has more than %d nodes", dims, MaxNodes)
+		}
 		t.strides[i] = n
 		n *= dims[i]
 	}
@@ -115,6 +119,10 @@ func New(dims ...int) (*Torus, error) {
 	t.fp = "torus:" + t.String()
 	return t, nil
 }
+
+// MaxNodes is the largest node count a fabric may have: node ids,
+// link ids and a compiled program's tables are 32-bit.
+const MaxNodes = math.MaxInt32
 
 // MustNew is New, panicking on error. Intended for tests and examples
 // with constant shapes.

@@ -92,3 +92,32 @@ func FuzzTorusSparseTraffic(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseSpec: every -traffic spec returns an error or a matrix over
+// exactly the nodes asked for that New accepts as it stands — in
+// range, duplicate-free and canonical. Seeds are the specs the cmd
+// tools' usage text (SpecHelp) shows; the node count is 0 to 64.
+func FuzzParseSpec(f *testing.F) {
+	for _, spec := range append([]string{"", "full", "uniform", "uniform:p=0.25,seed=1", "ring:radius=2",
+		"hotspot:k=4,seed=1", "perm:seed=1", "halo", "incast:k=99", "ring:radius=2147483647", "uniform:p=NaN",
+		"uniform:p=1,p=2", "perm:seed", "bogus"}, CannedSpecs()...) {
+		f.Add(spec, uint8(16))
+	}
+	f.Fuzz(func(t *testing.T, spec string, nb uint8) {
+		n := int(nb) % 65
+		m, err := ParseSpec(spec, n)
+		if err != nil {
+			return
+		}
+		if m.Nodes() != n {
+			t.Fatalf("ParseSpec(%q, %d) built a matrix over %d nodes", spec, n, m.Nodes())
+		}
+		again, err := New(n, m.Blocks())
+		if err != nil {
+			t.Fatalf("ParseSpec(%q, %d): New rejects its matrix: %v", spec, n, err)
+		}
+		if again.Fingerprint() != m.Fingerprint() {
+			t.Fatalf("ParseSpec(%q, %d) is not canonical", spec, n)
+		}
+	})
+}

@@ -63,8 +63,10 @@ func Uniform(n int, p float64, seed int64) Matrix {
 // id ring, (i±d) mod n for d = 1..radius — the communication pattern
 // of a 1-D domain decomposition with a radius-wide ghost region (and,
 // for radius 1, the particle-filter neighbor exchange). Deterministic
-// with no seed; radius < 1 yields the empty matrix.
+// with no seed; radius < 1 yields the empty matrix, and a radius of n
+// or more the same matrix as radius n.
 func Ring(n, radius int) Matrix {
+	radius = min(radius, n)
 	var bs []block.Block
 	dest := make([]bool, n)
 	for i := 0; i < n; i++ {

@@ -102,19 +102,38 @@ type Report struct {
 	// MessagesSent is filled by the concurrent backend only.
 	MessagesSent int
 
+	// A run of a compiled program keeps the program, whose schedule is
+	// re-planned on the first Schedule or Summary call; a simulator run
+	// keeps the schedule it recorded.
+	prog  *exec.Program
 	sched *Schedule
 }
 
-// Schedule returns the recorded communication schedule of the run
-// (nil for the concurrent backend, which records no global schedule).
-func (r *Report) Schedule() *Schedule { return r.sched }
+// Schedule returns the communication schedule of the run (nil for the
+// concurrent backend, which records no global schedule). For a compiled
+// program it is re-planned on the first call (exec.Program.Schedule),
+// and nil if that fails; Summary reports the error.
+func (r *Report) Schedule() *Schedule {
+	if r.prog != nil {
+		sc, _ := r.prog.Schedule()
+		return sc
+	}
+	return r.sched
+}
 
 // Summary renders a per-step overview of the run's schedule.
 func (r *Report) Summary() string {
-	if r.sched == nil {
+	sc := r.sched
+	if r.prog != nil {
+		var err error
+		if sc, err = r.prog.Schedule(); err != nil {
+			return fmt.Sprintf("(schedule unavailable: %v)", err)
+		}
+	}
+	if sc == nil {
 		return "(no schedule recorded)"
 	}
-	return trace.Summary(r.sched)
+	return trace.Summary(sc)
 }
 
 // Completion converts the report's measured costs into wall-clock
@@ -179,17 +198,13 @@ func AllToAll(t *Torus) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	sc := pg.Schedule()
-	if sc == nil {
-		return nil, fmt.Errorf("torusx: compiled program has no schedule: %w", pg.SchedErr())
-	}
 	return &Report{
 		Dims:               t.Dims(),
 		Nodes:              t.Nodes(),
-		Phases:             len(sc.Phases),
+		Phases:             pg.NumPhases(),
 		Measure:            pg.Measure(),
 		NonContiguousSends: costmodel.ProposedNonContiguousSends(t.Dims()),
-		sched:              sc,
+		prog:               pg,
 	}, nil
 }
 

@@ -2,6 +2,7 @@ package torusx
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -37,6 +38,34 @@ func TestAllToAllReport(t *testing.T) {
 	}
 	if c := rep.Completion(T3DParams(64)); c <= 0 {
 		t.Fatalf("completion = %g", c)
+	}
+}
+
+// TestAllToAllReportReplans: AllToAll's Report takes its phase count
+// from the program's header and re-plans its schedule on first use;
+// the phase count matches the schedule's, and Summary renders exactly
+// what a Report holding the compiled schedule rendered (SHA-256 of the
+// text, recorded from that form).
+func TestAllToAllReportReplans(t *testing.T) {
+	for _, c := range []struct {
+		dims []int
+		sum  string
+	}{
+		{[]int{4, 4}, "656edd15d9d6e6a5edc090a3f7562f326a6a54ee7196772d2d0559a6a57f13d2"},
+		{[]int{4, 4, 4}, "26a7d5ef60bb804cfe07334c31bb4f02b07abbbd73c943e69d9bf43bcdd27b2c"},
+	} {
+		tor, _ := NewTorus(c.dims...)
+		rep, err := AllToAll(tor)
+		if err != nil {
+			t.Fatalf("%v: %v", c.dims, err)
+		}
+		sc := rep.Schedule()
+		if sc == nil || rep.Phases != len(sc.Phases) {
+			t.Fatalf("%v: Phases %d, schedule %v", c.dims, rep.Phases, sc)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(rep.Summary()))); got != c.sum {
+			t.Fatalf("%v: Summary() changed:\n%s", c.dims, rep.Summary())
+		}
 	}
 }
 
