@@ -206,7 +206,7 @@ func run(args []string, w io.Writer) error {
 				return fmt.Errorf("%s on %s: %v", b.Name(), shapeString(dims), err)
 			}
 			entry := benchfmt.Entry{
-				Alg: b.Name(), Dims: dims, Parallel: !serial, Compiled: true,
+				Alg: b.Name(), Dims: dims, Parallel: parallelLabel(opt), Compiled: true,
 				CompileNs: compileNs, CompileAllocs: compileAllocs,
 				CompileParallelNs: compileParallelNs, Tier2LoadNs: tier2LoadNs,
 				Steps: res.Measure.Steps, Blocks: res.Measure.Blocks,
@@ -517,6 +517,13 @@ func trafficSpecs(flag string) []string {
 	return []string{flag}
 }
 
+// parallelLabel is a ledger entry's parallel label: the replay ran its
+// fan-out path on more than one core. At GOMAXPROCS 1 every fan-out runs
+// inline, so no cell is labelled parallel there, -serial or not.
+func parallelLabel(opt exec.Options) bool {
+	return !opt.Serial && runtime.GOMAXPROCS(0) > 1
+}
+
 // sparseSweep is the -traffic counterpart of the main sweep: every
 // (shape, traffic spec, sparse algorithm) cell compiles its sparse
 // program through the cache (timed into the compile columns) and times
@@ -575,7 +582,7 @@ func sparseSweep(w io.Writer, fabric, out string, shapes [][]int, algs []string,
 					return fmt.Errorf("%s+%s on %s: %v", b.Name(), spec, shapeString(dims), err)
 				}
 				entry := benchfmt.Entry{
-					Alg: b.Name(), Dims: dims, Traffic: spec, Parallel: !opt.Serial, Compiled: true,
+					Alg: b.Name(), Dims: dims, Traffic: spec, Parallel: parallelLabel(opt), Compiled: true,
 					CompileNs: compileNs, CompileAllocs: compileAllocs,
 					Steps: res.Measure.Steps, Blocks: res.Measure.Blocks,
 					Hops: res.Measure.Hops, Rearranged: res.Measure.RearrangedBlocks,

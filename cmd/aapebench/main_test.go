@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -285,6 +286,44 @@ func TestBenchSampleEnvelope(t *testing.T) {
 		}
 		if !e.Compiled || e.CompileNs <= 0 || e.CompileAllocs < 0 {
 			t.Fatalf("%s: missing compile columns: %+v", e.Key(), e)
+		}
+	}
+}
+
+// TestBenchParallelLabelFollowsCores: a one-cell sweep at GOMAXPROCS 1
+// runs every fan-out inline, so its entry is not labelled parallel; the
+// same sweep on two cores is, and -serial never is.
+func TestBenchParallelLabelFollowsCores(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range []struct {
+		procs   int
+		extra   []string
+		wantPar bool
+	}{
+		{1, nil, false},
+		{2, nil, true},
+		{2, []string{"-serial"}, false},
+	} {
+		runtime.GOMAXPROCS(tc.procs)
+		out := filepath.Join(t.TempDir(), "b.json")
+		args := append([]string{"-dims", "8x8", "-algs", "ring", "-quick", "-samples", "0", "-out", out}, tc.extra...)
+		if err := run(args, new(bytes.Buffer)); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Open(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ledger, err := benchfmt.Decode(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ledger.GoMaxProcs != tc.procs || len(ledger.Entries) != 1 {
+			t.Fatalf("GOMAXPROCS %d %v: ledger at gomaxprocs %d with %d entries, want one", tc.procs, tc.extra, ledger.GoMaxProcs, len(ledger.Entries))
+		}
+		if got := ledger.Entries[0].Parallel; got != tc.wantPar {
+			t.Errorf("GOMAXPROCS %d %v: parallel = %v, want %v", tc.procs, tc.extra, got, tc.wantPar)
 		}
 	}
 }

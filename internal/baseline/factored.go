@@ -44,22 +44,25 @@ func primeFactors(v int) []int {
 // are link-disjoint. Each dimension phase ends with a full per-node
 // rearrangement, recorded as the phase's Rearrange annotation.
 func FactoredSchedule(t *topology.Torus) (*schedule.Schedule, error) {
+	return schedule.Collect(t, func(s schedule.Sink) error { return EmitFactored(t, s) })
+}
+
+// EmitFactored emits FactoredSchedule's phases and steps into sink.
+func EmitFactored(t *topology.Torus, sink schedule.Sink) error {
 	for d := 0; d < t.NDims(); d++ {
 		if t.Dim(d) < 1 {
-			return nil, fmt.Errorf("baseline: bad dimension %d", t.Dim(d))
+			return fmt.Errorf("baseline: bad dimension %d", t.Dim(d))
 		}
 	}
 	n := t.Nodes()
 	r := newRounds(t)
-	sc := &schedule.Schedule{Fabric: t}
-
 	for dim := 0; dim < t.NDims(); dim++ {
 		size := t.Dim(dim)
 		if size == 1 {
 			continue
 		}
 		send := r.setDim(dim)
-		ph := schedule.Phase{Name: fmt.Sprintf("factored-dim%d", dim), Rearrange: n}
+		sink.Phase(fmt.Sprintf("factored-dim%d", dim), n)
 		place := 1
 		for _, f := range primeFactors(size) {
 			for v := 1; v < f; v++ {
@@ -68,14 +71,15 @@ func FactoredSchedule(t *topology.Torus) (*schedule.Schedule, error) {
 				}
 				dist := v * place
 				if st := r.step(dist, dist > 1); len(st.Transfers) > 0 {
-					ph.Steps = append(ph.Steps, st)
+					if err := sink.Step(st); err != nil {
+						return err
+					}
 				}
 			}
 			place *= f
 		}
-		sc.Phases = append(sc.Phases, ph)
 	}
-	return sc, nil
+	return nil
 }
 
 // Factored executes the multiphase exchange through the shared

@@ -52,18 +52,21 @@ func isPow2(v int) bool { return v > 0 && v&(v-1) == 0 }
 // rearrangement, recorded as the phase's Rearrange annotation, as the
 // combining schemes of [9] require between dimension sweeps.
 func LogTimeSchedule(t *topology.Torus) (*schedule.Schedule, error) {
+	return schedule.Collect(t, func(s schedule.Sink) error { return EmitLogTime(t, s) })
+}
+
+// EmitLogTime emits LogTimeSchedule's phases and steps into sink.
+func EmitLogTime(t *topology.Torus, sink schedule.Sink) error {
 	for d := 0; d < t.NDims(); d++ {
 		if !isPow2(t.Dim(d)) {
-			return nil, fmt.Errorf("baseline: logtime requires power-of-two dimensions, got %s", t)
+			return fmt.Errorf("baseline: logtime requires power-of-two dimensions, got %s", t)
 		}
 	}
 	n := t.Nodes()
 	rs := newRounds(t)
-	sc := &schedule.Schedule{Fabric: t}
-
 	for dim := 0; dim < t.NDims(); dim++ {
 		send := rs.setDim(dim)
-		ph := schedule.Phase{Name: fmt.Sprintf("logtime-dim%d", dim), Rearrange: n}
+		sink.Phase(fmt.Sprintf("logtime-dim%d", dim), n)
 		for r := 1; r < t.Dim(dim); r <<= 1 {
 			// The Bruck criterion: send every block whose remaining ring
 			// offset along dim has bit r set; the +r move clears that bit.
@@ -71,12 +74,13 @@ func LogTimeSchedule(t *topology.Torus) (*schedule.Schedule, error) {
 				send[off] = off&r != 0
 			}
 			if st := rs.step(r, r > 1); len(st.Transfers) > 0 {
-				ph.Steps = append(ph.Steps, st)
+				if err := sink.Step(st); err != nil {
+					return err
+				}
 			}
 		}
-		sc.Phases = append(sc.Phases, ph)
 	}
-	return sc, nil
+	return nil
 }
 
 // LogTime executes the logarithmic-startup exchange through the shared

@@ -45,11 +45,16 @@ func routeSegs(tr *schedule.Transfer, route []topology.Hop) {
 // so every step declares Shared and the executor charges the
 // serialization factor, exactly like the torus Direct baseline.
 func DirectSchedule(d *topology.Dragonfly) *schedule.Schedule {
+	sc, _ := schedule.Collect(d, func(s schedule.Sink) error { return EmitDirect(d, s) })
+	return sc
+}
+
+// EmitDirect emits DirectSchedule's steps into sink.
+func EmitDirect(d *topology.Dragonfly, sink schedule.Sink) error {
 	n := d.Nodes()
-	sc := &schedule.Schedule{Fabric: d}
-	ph := schedule.Phase{Name: "direct"}
+	sink.Phase("direct", 0)
 	for k := 1; k < n; k++ {
-		step := schedule.Step{Shared: true}
+		step := schedule.Step{Shared: true, Transfers: make([]schedule.Transfer, 0, n)}
 		for i := 0; i < n; i++ {
 			src := topology.NodeID(i)
 			dst := topology.NodeID((i + k) % n)
@@ -60,10 +65,11 @@ func DirectSchedule(d *topology.Dragonfly) *schedule.Schedule {
 			routeSegs(&tr, d.Route(src, dst))
 			step.Transfers = append(step.Transfers, tr)
 		}
-		ph.Steps = append(ph.Steps, step)
+		if err := sink.Step(step); err != nil {
+			return err
+		}
 	}
-	sc.Phases = append(sc.Phases, ph)
-	return sc
+	return nil
 }
 
 // entryRouter returns the router of group g a block destined to dst

@@ -31,8 +31,14 @@ import (
 // every transfer's payload: the schedule of Run(t, Options{RecordPayloads:
 // true}), built without the block-level simulator.
 func PayloadSchedule(t *topology.Torus) (*schedule.Schedule, error) {
+	return schedule.Collect(t, func(s schedule.Sink) error { return EmitPayload(t, s) })
+}
+
+// EmitPayload emits PayloadSchedule's phases and steps into sink, each
+// step as soon as it is built.
+func EmitPayload(t *topology.Torus, sink schedule.Sink) error {
 	if err := t.ValidateForExchange(); err != nil {
-		return nil, err
+		return err
 	}
 	n := t.Nodes()
 	d := newDense(t, n*n)
@@ -42,7 +48,7 @@ func PayloadSchedule(t *topology.Torus) (*schedule.Schedule, error) {
 	for v := 0; v <= n; v++ {
 		d.off[v] = int32(v * n)
 	}
-	return d.run(), nil
+	return d.run(sink)
 }
 
 // SparsePayloadSchedule is PayloadSchedule carrying only blocks, every
@@ -70,7 +76,7 @@ func SparsePayloadSchedule(t *topology.Torus, blocks []block.Block) (*schedule.S
 		d.ids[d.nextOff[b.Origin]] = b.ID(n)
 		d.nextOff[b.Origin]++
 	}
-	return d.run(), nil
+	return schedule.Collect(t, d.run)
 }
 
 // dense is the builder's state: the buffers, the per-destination class
@@ -163,9 +169,9 @@ func maskGrayRank(x int32, order []int) int32 {
 	return rank
 }
 
-func (d *dense) run() *schedule.Schedule {
+// run emits the n+2 phases into sink.
+func (d *dense) run(sink schedule.Sink) error {
 	n, nd := d.n, d.nd
-	sc := &schedule.Schedule{Fabric: d.t, Phases: make([]schedule.Phase, 0, nd+2)}
 
 	// Group phases: the key of a block is its remaining stride-4 ring
 	// distance along the node's move, and a step sends every block with
@@ -191,13 +197,15 @@ func (d *dense) run() *schedule.Schedule {
 			}
 		}
 		d.arrange()
-		ph := d.phase(fmt.Sprintf("group-%d", p+1), d.t.Dim(0)/topology.GroupStride-1, topology.GroupStride, func(int) {})
+		// The layout before group phase 1 is the starting data
+		// structure, not a charged rearrangement (Section 3.3).
+		rearrange := n
 		if p == 0 {
-			// The layout before group phase 1 is the starting data
-			// structure, not a charged rearrangement (Section 3.3).
-			ph.Rearrange = 0
+			rearrange = 0
 		}
-		sc.Phases = append(sc.Phases, ph)
+		if err := d.phase(sink, fmt.Sprintf("group-%d", p+1), rearrange, d.t.Dim(0)/topology.GroupStride-1, topology.GroupStride, func(int) {}); err != nil {
+			return err
+		}
 	}
 
 	// Quad and bit phases: the Gray order of the node's dimension
@@ -207,17 +215,17 @@ func (d *dense) run() *schedule.Schedule {
 	for dim := range dims {
 		dims[dim] = dim
 	}
-	sc.Phases = append(sc.Phases,
-		d.pairPhase("quad", d.quad, 2, plan.QuadOrder, plan.QuadMove),
-		d.pairPhase("bit", d.low, 1, func(topology.Coord) []int { return dims }, plan.BitMove))
-	return sc
+	if err := d.pairPhase(sink, "quad", d.quad, 2, plan.QuadOrder, plan.QuadMove); err != nil {
+		return err
+	}
+	return d.pairPhase(sink, "bit", d.low, 1, func(topology.Coord) []int { return dims }, plan.BitMove)
 }
 
 // pairPhase arranges every node's buffer in the Gray order of mask
 // differences over its dimension order, then runs one step per
 // dimension: each node sends the blocks whose mask differs from its own
 // in the dimension of its move.
-func (d *dense) pairPhase(name string, mask []int32, hops int, order func(topology.Coord) []int, move func(topology.Coord, int) plan.Move) schedule.Phase {
+func (d *dense) pairPhase(sink schedule.Sink, name string, mask []int32, hops int, order func(topology.Coord) []int, move func(topology.Coord, int) plan.Move) error {
 	for v := 0; v < d.n; v++ {
 		ord := order(d.coords[v])
 		d.cls[v] = mask
@@ -227,7 +235,7 @@ func (d *dense) pairPhase(name string, mask []int32, hops int, order func(topolo
 		}
 	}
 	d.arrange()
-	return d.phase(name, d.nd, hops, func(s int) {
+	return d.phase(sink, name, d.n, d.nd, hops, func(s int) {
 		for v := 0; v < d.n; v++ {
 			d.moves[v] = move(d.coords[v], s+1)
 			tab, own, dim := d.table(v), mask[v], d.moves[v].Dim
@@ -238,19 +246,18 @@ func (d *dense) pairPhase(name string, mask []int32, hops int, order func(topolo
 	})
 }
 
-// phase runs steps steps of hops hops each, setStep(s) filling the
-// moves and send tables of step s, into a phase charged with a
-// rearrangement of every node's blocks.
-func (d *dense) phase(name string, steps, hops int, setStep func(s int)) schedule.Phase {
-	ph := schedule.Phase{Name: name, Rearrange: d.n}
-	if steps > 0 {
-		ph.Steps = make([]schedule.Step, steps)
-	}
-	for s := range ph.Steps {
+// phase emits a phase of steps steps of hops hops each, charged with a
+// rearrangement of rearrange blocks, setStep(s) filling the moves and
+// send tables of step s.
+func (d *dense) phase(sink schedule.Sink, name string, rearrange, steps, hops int, setStep func(s int)) error {
+	sink.Phase(name, rearrange)
+	for s := 0; s < steps; s++ {
 		setStep(s)
-		ph.Steps[s] = d.step(hops)
+		if err := sink.Step(d.step(hops)); err != nil {
+			return err
+		}
 	}
-	return ph
+	return nil
 }
 
 // arrange stably sorts every node's buffer by its key table, by

@@ -193,16 +193,15 @@ func growU8(s []uint8, n int) []uint8 {
 
 // planDescriptors lowers the replay to the descriptor plan and writes
 // the program's core. Inputs are the tables the lowering pass kept (its
-// transfer table and payload ids) and the reference replay's
-// artifacts: the per-node event runs (low.opOff/opBacking, with
-// ordOff/ordSpill resolving the payloads listed out of arrival order),
+// transfer table and payload ids, in stamp order) and the reference
+// replay's artifacts: the per-node event runs (low.opOff/opBacking),
 // the per-node initial contents (initIDs/initOff), the final
 // holder/stamp table hs and the per-node arrival totals. Must run after
 // delivery was verified.
-func (p *Program) planDescriptors(low *lowered, opBacking []opRec, ordOff, ordSpill, initIDs, initOff []int32,
+func (p *Program) planDescriptors(low *lowered, opBacking []opRec, initIDs, initOff []int32,
 	hs []uint64, arrivals []int32) error {
 	n := p.n
-	opOff, payload, numT := low.opOff, low.payload, len(low.transfers)
+	opOff, pay, numT := low.opOff, low.pay, len(low.transfers)
 	ds := descScratchPool.Get().(*descScratch)
 	defer descScratchPool.Put(ds)
 
@@ -252,26 +251,24 @@ func (p *Program) planDescriptors(low *lowered, opBacking []opRec, ordOff, ordSp
 	}
 	for g := range low.transfers {
 		pt := &low.transfers[g]
-		for _, id := range payload[pt.payOff : pt.payOff+pt.payLen] {
+		for _, id := range pay.at(int(pt.payOff), int(pt.payLen)) {
 			lastMove[id] = int32(g)
 		}
 	}
 	for g := range low.transfers {
 		pt := &low.transfers[g]
-		isLast[g] = 0
-		if pt.payLen > 0 {
-			all := uint8(1)
-			for _, id := range payload[pt.payOff : pt.payOff+pt.payLen] {
-				if lastMove[id] != int32(g) {
-					all = 0
-					break
-				}
+		ids := pay.at(int(pt.payOff), int(pt.payLen))
+		all := uint8(1)
+		for _, id := range ids {
+			if lastMove[id] != int32(g) {
+				all = 0
+				break
 			}
-			isLast[g] = all
-			if all != 0 {
-				for _, id := range payload[pt.payOff : pt.payOff+pt.payLen] {
-					readNode[id] = pt.src
-				}
+		}
+		isLast[g] = all
+		if all != 0 {
+			for _, id := range ids {
+				readNode[id] = pt.src
 			}
 		}
 	}
@@ -326,14 +323,10 @@ func (p *Program) planDescriptors(low *lowered, opBacking []opRec, ordOff, ordSp
 				cursor++
 			}
 			for oi := opOff[v]; oi < opOff[v+1]; oi++ {
-				op := &opBacking[oi]
-				gr := op.gr
+				gr := opBacking[oi]
 				tg := gr >> opFlagBits
-				ord := payload[op.payOff : op.payOff+op.payLen]
-				if gr&opHasOrd != 0 {
-					o := ordOff[tg]
-					ord = ordSpill[o : o+op.payLen]
-				}
+				pt := &low.transfers[tg]
+				ord := pay.at(int(pt.payOff), int(pt.payLen))
 				if isLast[tg] != 0 {
 					if gr&opExtract != 0 {
 						for _, id := range ord {
@@ -418,7 +411,7 @@ func (p *Program) planDescriptors(low *lowered, opBacking []opRec, ordOff, ordSp
 	// log positions, then every node's delivery descriptors.
 	total, numMoves := 0, 0
 	for g := range low.transfers {
-		if low.transfers[g].payLen > 0 && isLast[g] == 0 {
+		if isLast[g] == 0 {
 			total += int(dDescCnt[g])
 			numMoves++
 		}
@@ -438,7 +431,7 @@ func (p *Program) planDescriptors(low *lowered, opBacking []opRec, ordOff, ordSp
 		putI32(core, lay.moveOff+4*si, int32(mi))
 		for ; g < int(low.stepT[si+1]); g++ {
 			pt := &low.transfers[g]
-			if pt.payLen == 0 || isLast[g] != 0 {
+			if isLast[g] != 0 {
 				continue
 			}
 			off := di

@@ -45,24 +45,23 @@ func transferHash(tr *schedule.Transfer, segs []schedule.Seg) uint64 {
 }
 
 // foldDigest folds the per-step hashes, in schedule order, with the
-// phase and step records into the schedule digest.
-func foldDigest(sc *schedule.Schedule, stepHash []uint64) uint64 {
-	d := mix(digestSeed, uint64(len(sc.Phases)))
+// phase records and the steps' Shared flags into the schedule digest.
+func foldDigest(phases []phaseRec, shared []bool, stepHash []uint64) uint64 {
+	d := mix(digestSeed, uint64(len(phases)))
 	k := 0
-	for pi := range sc.Phases {
-		ph := &sc.Phases[pi]
-		d = mix(d, uint64(len(ph.Name)))
-		for i := 0; i < len(ph.Name); i++ {
-			d = mix(d, uint64(ph.Name[i]))
+	for _, ph := range phases {
+		d = mix(d, uint64(len(ph.name)))
+		for i := 0; i < len(ph.name); i++ {
+			d = mix(d, uint64(ph.name[i]))
 		}
-		d = mix(d, uint64(ph.Rearrange))
-		d = mix(d, uint64(len(ph.Steps)))
-		for si := range ph.Steps {
-			shared := uint64(0)
-			if ph.Steps[si].Shared {
-				shared = 1
+		d = mix(d, uint64(ph.rearrange))
+		d = mix(d, uint64(ph.steps))
+		for range ph.steps {
+			sh := uint64(0)
+			if shared[k] {
+				sh = 1
 			}
-			d = mix(mix(d, shared), stepHash[k])
+			d = mix(mix(d, sh), stepHash[k])
 			k++
 		}
 	}
@@ -71,8 +70,17 @@ func foldDigest(sc *schedule.Schedule, stepHash []uint64) uint64 {
 
 // scheduleDigest computes sc's digest as Compile's lowering does.
 func scheduleDigest(sc *schedule.Schedule) uint64 {
+	phases := make([]phaseRec, len(sc.Phases))
 	steps := make([]*schedule.Step, 0, sc.NumSteps())
-	sc.EachStep(func(_ *schedule.Phase, _ int, s *schedule.Step) { steps = append(steps, s) })
+	shared := make([]bool, 0, sc.NumSteps())
+	for pi := range sc.Phases {
+		ph := &sc.Phases[pi]
+		phases[pi] = phaseRec{name: ph.Name, rearrange: ph.Rearrange, steps: len(ph.Steps)}
+		for si := range ph.Steps {
+			steps = append(steps, &ph.Steps[si])
+			shared = append(shared, ph.Steps[si].Shared)
+		}
+	}
 	stepHash := make([]uint64, len(steps))
 	par.ForEach(0, len(steps), func(lo, hi int) {
 		var one [1]schedule.Seg
@@ -85,5 +93,5 @@ func scheduleDigest(sc *schedule.Schedule) uint64 {
 			stepHash[si] = h
 		}
 	})
-	return foldDigest(sc, stepHash)
+	return foldDigest(phases, shared, stepHash)
 }

@@ -248,404 +248,6 @@ func (p *Program) DeliveryOffset(v int) int {
 	return int(p.finalBase[v])
 }
 
-// Compile validates sc once — one-port and contention checks (honoring
-// opt.SkipChecks), payload/Blocks coherence, the full sender-holds
-// replay chain and final delivery against the declared traffic matrix
-// (opt.Traffic, nil meaning all-to-all), and the program format's
-// limits — and writes it as a program file, which it then views as the
-// Program, just as DecodeProgram views a stored one: the result holds
-// the file's exact-size bytes, with the schedule's digest, and nothing
-// of sc. A rejected schedule fails here, at compile time; a compiled
-// program's runs cannot fail, except that the parallel replay refuses
-// intra-step forwarding. Compile reads sc only while lowering it: the
-// later passes read what lowering kept in pooled scratch, so a caller
-// that drops its own reference lets the collector reuse the schedule's
-// pages for the planner's tables. The program has no schedule source
-// (see SetSource). Options.Serial, Workers and Telemetry are run-time
-// choices and are ignored by Compile; Options.Request receives the
-// stages of its passes (obs.StageLower, StageReferenceReplay,
-// StagePlanDescriptors, StageSeal).
-func Compile(sc *schedule.Schedule, opt Options) (*Program, error) {
-	if sc == nil || sc.Fabric == nil {
-		return nil, fmt.Errorf("exec: nil schedule")
-	}
-	ls := lowerScratchPool.Get().(*lowerScratch)
-	defer lowerScratchPool.Put(ls)
-	lsp := opt.Request.Stage(obs.StageLower)
-	b, low, err := lower(sc, opt, ls)
-	lsp.End()
-	if err != nil {
-		return nil, err
-	}
-	if h := afterLower.Load(); h != nil {
-		(*h)()
-	}
-	if b.replay {
-		if err := b.compileReplay(opt, low); err != nil {
-			return nil, err
-		}
-		compileDescPrograms.Add(1)
-	}
-	ssp := opt.Request.Stage(obs.StageSeal)
-	defer ssp.End()
-	if !b.replay {
-		if _, err := b.newCore(0, 0); err != nil {
-			return nil, err
-		}
-	}
-	seal(b.core)
-	p, err := newProgram(b.core, b.fab, true)
-	if err != nil {
-		return nil, fmt.Errorf("exec: compile wrote a program it cannot prove: %w", err)
-	}
-	return p, nil
-}
-
-// afterLower, when set, runs inside Compile right after lowering.
-var afterLower atomic.Pointer[func()]
-
-// SetAfterLowerHook makes every Compile call fn right after lowering,
-// when nothing Compile holds references the schedule any more, and
-// returns a function that restores the previous hook. It exists for
-// tests that prove the schedule collectable at that point.
-func SetAfterLowerHook(fn func()) (restore func()) {
-	prev := afterLower.Swap(&fn)
-	return func() { afterLower.Store(prev) }
-}
-
-// lowered is what Compile's lowering keeps of a replayable schedule for
-// the reference replay and the descriptor planner, in the pooled
-// lowerScratch, with the phase names the reference replay's errors
-// cite.
-type lowered struct {
-	phases    []string
-	transfers []ptransfer // the transfer table, in schedule order
-	stepT     []int32     // step si's transfers are transfers[stepT[si]:stepT[si+1]]
-	payload   []int32     // the payload ids every transfer windows
-	opOff     []int32     // per-node replay-event prefix offsets (see compileReplay)
-}
-
-// lowerScratch pools the lowered transfer table and payload ids across
-// compiles. Lowering writes every element a compile reads, so reuse
-// needs no zeroing.
-type lowerScratch struct {
-	transfers []ptransfer
-	payload   []int32
-}
-
-var lowerScratchPool = sync.Pool{New: func() any { return new(lowerScratch) }}
-
-// lower is Compile's first pass. A serial counting pass checks the
-// program format's limits and sizes the lowered tables, with every
-// step's offsets into them; the lowering pass then fans the steps out
-// over the worker pool, expands routes into per-worker scratch for the
-// one-port and contention checks and the sharing factors, hashes every
-// transfer into its step's digest hash, and — for a replayable
-// schedule — writes each step's transfer endpoints and payload ids
-// into ls. It returns the program under construction — step headers,
-// measure, counts and digest — and the lowered tables.
-func lower(sc *schedule.Schedule, opt Options, ls *lowerScratch) (*Program, *lowered, error) {
-	f := sc.Fabric
-	n := f.Nodes()
-	p := &Program{
-		fab: f, n: n,
-		numBlocks:  n * n,
-		maxSharing: 1,
-		numPhases:  len(sc.Phases),
-	}
-
-	numSteps := sc.NumSteps()
-	numTransfers, numLinks, numPayload := 0, 0, 0
-	stepT := make([]int32, numSteps+1) // per-step transfer offsets
-	stepL := make([]int32, numSteps+1) // per-step link offsets
-	stepP := make([]int32, numSteps+1) // per-step payload offsets
-	opOff := make([]int32, n+1)        // per-node replay-event offsets (see compileReplay)
-	var usedDims []bool                // (dim*2 + dirbit) pairs any route leg uses
-	if nd := f.NDims(); nd > 0 {
-		usedDims = make([]bool, nd*2)
-	}
-	p.steps = make([]pstep, numSteps)
-	k := 0
-	var one [1]schedule.Seg
-	for pi := range sc.Phases {
-		ph := &sc.Phases[pi]
-		if ph.Rearrange < 0 || int64(ph.Rearrange) > math.MaxUint32 {
-			return nil, nil, fmt.Errorf("exec: phase %q rearranges %d blocks, outside the program format's [0, 2^32)", ph.Name, ph.Rearrange)
-		}
-		for si := range ph.Steps {
-			s := &ph.Steps[si]
-			p.steps[k] = pstep{phaseIndex: pi, stepIndex: si, sharing: 1}
-			stepT[k], stepL[k], stepP[k] = int32(numTransfers), int32(numLinks), int32(numPayload)
-			numTransfers += len(s.Transfers)
-			for i := range s.Transfers {
-				tr := &s.Transfers[i]
-				segs := routeLegs(tr, &one)
-				if err := checkLimits(tr, segs); err != nil {
-					return nil, nil, fmt.Errorf("exec: phase %q step %d: %w", ph.Name, si, err)
-				}
-				for _, seg := range segs {
-					numLinks += seg.Hops
-					pair := seg.Dim * 2
-					if seg.Dir == topology.Neg {
-						pair++
-					}
-					if pair < len(usedDims) {
-						usedDims[pair] = true
-					}
-				}
-				numPayload += len(tr.Payload)
-				if len(tr.Payload) > 0 {
-					p.replay = true
-					// Count the transfer's insert/extract events per node
-					// here, so the reference replay can write its per-node
-					// event lists in its single serial walk.
-					opOff[tr.Src+1]++
-					if tr.Dst != tr.Src {
-						opOff[tr.Dst+1]++
-					}
-				}
-			}
-			k++
-		}
-	}
-	stepT[numSteps], stepL[numSteps], stepP[numSteps] = int32(numTransfers), int32(numLinks), int32(numPayload)
-	if numPayload > math.MaxInt32 {
-		return nil, nil, fmt.Errorf("exec: %d payload ids exceed the program format's 2^31 limit", numPayload)
-	}
-	p.numPayload = numPayload
-	phases := make([]string, len(sc.Phases))
-	for pi := range sc.Phases {
-		phases[pi] = sc.Phases[pi].Name
-	}
-	var transfers []ptransfer
-	var payload []int32
-	if p.replay {
-		if cap(ls.transfers) < numTransfers {
-			ls.transfers = make([]ptransfer, numTransfers)
-		}
-		transfers = ls.transfers[:numTransfers]
-		ls.payload = growI32(ls.payload, numPayload)
-		payload = ls.payload
-	}
-	stepHash := make([]uint64, numSteps)
-
-	// Per-(dim,dir) route tables: on a torus every (node, dim, dir)
-	// single hop has a statically known successor and link id, so each
-	// pair used anywhere in the schedule is expanded to a flat table
-	// (successor<<32 | link id, one load per hop) exactly once and
-	// every step sharing that dimension walks the same table — no
-	// per-hop stride arithmetic or interface dispatch in the lowering
-	// loop. Fabrics with partial wiring (dragonfly global ports may be
-	// unwired for a given node) keep the per-segment route calls.
-	var tabNL []uint64
-	if tor, ok := f.(*topology.Torus); ok && usedDims != nil {
-		tabNL = make([]uint64, len(usedDims)*n)
-		par.ForEach(0, len(usedDims), func(lo, hi int) {
-			var one [1]int32
-			for pair := lo; pair < hi; pair++ {
-				if !usedDims[pair] {
-					continue
-				}
-				dim, dir := pair/2, topology.Pos
-				if pair&1 == 1 {
-					dir = topology.Neg
-				}
-				base := pair * n
-				for v := 0; v < n; v++ {
-					tor.AppendPathLinkIDs(one[:0], topology.NodeID(v), dim, dir, 1)
-					next := tor.Advance(topology.NodeID(v), dim, dir, 1)
-					tabNL[base+v] = uint64(uint32(next))<<32 | uint64(uint32(one[0]))
-				}
-			}
-		})
-	}
-
-	// Contention-domain table, built before lowering so the sharing
-	// factors of declared time-sharing steps can be counted inline: when
-	// the fabric groups links into domains, domainTab maps link ids to
-	// domains; on identity-domain fabrics (torus, dragonfly) it stays nil
-	// and link ids index the claim tables directly, keeping the hot loops
-	// free of interface calls.
-	var domainTab []int32
-	numDomains := f.NumContentionDomains()
-	if numDomains != f.NumLinkIDs() {
-		domainTab = make([]int32, f.NumLinkIDs())
-		for id := range domainTab {
-			domainTab[id] = int32(f.ContentionDomain(id))
-		}
-	}
-
-	// Lowering pass: route expansion, each transfer's digest hash,
-	// per-step message maxima, the link-sharing serialization factor of
-	// Shared steps (counted per transfer while its freshly expanded link
-	// ids are still in L1), the one-port/contention checks, and the
-	// transfer records and payload ids' range check and copy — one
-	// parallel sweep over the steps, each chunk with private claim and
-	// link scratch. Steps write disjoint pre-sized regions of the
-	// lowered tables, so they fan out over the worker pool. The reported
-	// error is the lowest-step one — exactly what a serial left-to-right
-	// walk would have hit first.
-	var ferr par.FirstError
-	par.ForEach(0, numSteps, func(lo, hi int) {
-		var linkClaim []int32 // domain -> claim stamp (checkStep scratch)
-		// shareClaim counts a Shared step's per-domain uses as
-		// (step ordinal + 1)<<32 | count: an entry from an earlier step
-		// compares below the current epoch and reads as zero, so the
-		// table never needs the per-step reset rewalk over the step's
-		// links (a full extra pass over every expanded hop).
-		var shareClaim []int64
-		var sendClaim, recvClaim []int32
-		var touched []int32
-		var links, lend []int32 // the step's expanded routes; transfer i's end at lend[i]
-		var one [1]schedule.Seg
-		for si := lo; si < hi; si++ {
-			ps := &p.steps[si]
-			ph := &sc.Phases[ps.phaseIndex]
-			s := &ph.Steps[ps.stepIndex]
-			if !opt.SkipChecks && linkClaim == nil {
-				linkClaim = make([]int32, numDomains)
-			}
-			if s.Shared && shareClaim == nil {
-				shareClaim = make([]int64, numDomains)
-			}
-			tBase := int(stepT[si])
-			links = growI32(links, int(stepL[si+1]-stepL[si]))
-			lend = lend[:0]
-			lw := 0
-			pOff := stepP[si]
-			sharing := int32(ps.sharing)
-			sh := uint64(digestSeed)
-			for i := range s.Transfers {
-				tr := &s.Transfers[i]
-				linkBase := lw
-				segs := routeLegs(tr, &one)
-				sh = mix(sh, transferHash(tr, segs))
-				cur := tr.Src
-				for _, seg := range segs {
-					pair := seg.Dim * 2
-					if seg.Dir == topology.Neg {
-						pair++
-					}
-					if tabNL != nil && pair < len(usedDims) {
-						t := tabNL[pair*n : pair*n+n]
-						c := int32(cur)
-						for h := 0; h < seg.Hops; h++ {
-							nl := t[c]
-							links[lw] = int32(uint32(nl))
-							lw++
-							c = int32(nl >> 32)
-						}
-						cur = topology.NodeID(c)
-					} else {
-						f.AppendPathLinkIDs(links[lw:lw:lw+seg.Hops], cur, seg.Dim, seg.Dir, seg.Hops)
-						lw += seg.Hops
-						cur = f.Advance(cur, seg.Dim, seg.Dir, seg.Hops)
-					}
-				}
-				lend = append(lend, int32(lw))
-				if transfers != nil {
-					transfers[tBase+i] = ptransfer{
-						src: int32(tr.Src), dst: int32(tr.Dst),
-						payOff: pOff, payLen: int32(len(tr.Payload)),
-					}
-					pOff += int32(len(tr.Payload))
-				}
-				if s.Shared {
-					// The transfer's own links were just expanded and are
-					// hot; counting them here beats a per-step rewalk.
-					epoch := int64(si+1) << 32
-					for _, l := range links[linkBase:lw] {
-						d := l
-						if domainTab != nil {
-							d = domainTab[l]
-						}
-						c := shareClaim[d]
-						if c < epoch {
-							c = epoch
-						}
-						c++
-						shareClaim[d] = c
-						if s := int32(c); s > sharing {
-							sharing = s
-						}
-					}
-				}
-				if tr.Blocks > ps.maxBlocks {
-					ps.maxBlocks = tr.Blocks
-				}
-				if h := lw - linkBase; h > ps.maxHops {
-					ps.maxHops = h
-				}
-			}
-			stepHash[si] = sh
-			if s.Shared {
-				ps.sharing = int(sharing)
-			}
-			if !opt.SkipChecks {
-				if sendClaim == nil {
-					sendClaim = make([]int32, n) // node -> transfer index + 1
-					recvClaim = make([]int32, n) // node -> transfer index + 1
-				}
-				if err := checkStep(f, domainTab, s, ph.Name, ps.stepIndex, links, lend, sendClaim, recvClaim, linkClaim, &touched); err != nil {
-					ferr.Report(si, err)
-					return
-				}
-			}
-			// Payload ids, range-checked and copied into the step's
-			// disjoint region of the lowered ids. Payload/Blocks coherence
-			// only binds replayable programs — measure-only schedules
-			// declare Blocks for the cost terms and carry no payloads.
-			if !p.replay {
-				continue
-			}
-			pw := int(stepP[si])
-			for i := range s.Transfers {
-				tr := &s.Transfers[i]
-				if len(tr.Payload) != tr.Blocks {
-					ferr.Report(si, fmt.Errorf("exec: phase %q step %d transfer %v carries %d payload blocks, declares %d",
-						ph.Name, ps.stepIndex, *tr, len(tr.Payload), tr.Blocks))
-					return
-				}
-				for _, id := range tr.Payload {
-					if id < 0 || int(id) >= p.numBlocks {
-						ferr.Report(si, fmt.Errorf("exec: phase %q step %d: transfer %v payload id %d outside [0, %d)",
-							ph.Name, ps.stepIndex, *tr, id, p.numBlocks))
-						return
-					}
-				}
-				pw += copy(payload[pw:], tr.Payload)
-			}
-		}
-	})
-	if err := ferr.Err(); err != nil {
-		return nil, nil, err
-	}
-
-	// Measure accumulation (serial: order-dependent sums) and the
-	// digest, folded in schedule order.
-	for si := range p.steps {
-		ps := &p.steps[si]
-		if ps.sharing > p.maxSharing {
-			p.maxSharing = ps.sharing
-		}
-		p.measure.Steps++
-		p.measure.Blocks += ps.maxBlocks * ps.sharing
-		p.measure.Hops += ps.maxHops
-	}
-	p.measure.RearrangedBlocks = sc.RearrangedBlocks()
-	p.digest = foldDigest(sc, stepHash)
-	for v := 0; v < n; v++ {
-		opOff[v+1] += opOff[v]
-	}
-	return p, &lowered{
-		phases:    phases,
-		transfers: transfers,
-		stepT:     stepT,
-		payload:   payload,
-		opOff:     opOff,
-	}, nil
-}
-
 // checkLimits rejects a transfer the program format cannot hold: a
 // block count outside [0, 2^32), no route legs or more than 255, or a
 // leg on a dimension outside [0, 256) or of more than 65,535 hops.

@@ -45,7 +45,7 @@ func TestCompileReleasesScheduleAfterLowering(t *testing.T) {
 			freed := make(chan struct{})
 			runtime.SetFinalizer(sc, func(*schedule.Schedule) { close(freed) })
 			released := false
-			defer exec.SetAfterLowerHook(func() { released = collected(freed) })()
+			defer exec.SetAfterLowerHook(func(int) { released = collected(freed) })()
 			if _, err := exec.Compile(sc, exec.Options{}); err != nil {
 				t.Fatal(err)
 			}

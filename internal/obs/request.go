@@ -107,6 +107,20 @@ func (s Span) End() {
 	}
 }
 
+// Record adds a closed stage that opened at start and ran for d: a
+// stage whose work another goroutine timed (a streamed compile's plan,
+// run by the builder beside the compile), or whose work was split into
+// pieces interleaved with other stages (a streamed compile's lower and
+// reference-replay, recorded as one span of their summed time). No-op
+// on a nil request.
+func (r *Request) Record(name string, start time.Time, d time.Duration) {
+	if r == nil {
+		return
+	}
+	off := int64(start.Sub(r.start))
+	r.stages = append(r.stages, stageRec{name: name, start: off, end: off + int64(d)})
+}
+
 // Finish closes the request: any stage still open is closed at the
 // request's end (an error-path exit, not a bug), the total duration
 // lands in histogram "req.<name>.ns" and each stage's duration in

@@ -13,12 +13,19 @@ const (
 	StageTier2Store       = "tier2-store"
 	// Building a program (internal/algorithm): schedule construction,
 	// the sparse prune pass and the sparse planner's candidate scoring.
+	// On a streamed compile (exec.CompileStream, BuildProgram's miss
+	// path) plan is the builder's run on its own goroutine, recorded
+	// when it ends: it overlaps compile and its passes instead of
+	// preceding them.
 	StagePlan        = "plan"
 	StagePrune       = "prune"
 	StagePlanScoring = "plan-scoring"
 	// exec.Compile and its passes, which open inside it: lowering the
 	// schedule into pooled scratch, the reference replay, the descriptor
 	// planner (which writes the file), and sealing and proving the file.
+	// A streamed compile lowers and reference-replays batch by batch;
+	// each of the two is recorded as one span of its summed time,
+	// opened when it first ran.
 	StageCompile         = "compile"
 	StageLower           = "lower"
 	StageReferenceReplay = "reference-replay"
