@@ -17,11 +17,15 @@ type CollectiveReport struct {
 // pipelined flooding, one dimension at a time. Works on any torus
 // shape.
 func Broadcast(t *Torus, root int) (*CollectiveReport, error) {
-	res, err := collective.Broadcast(t, topology.NodeID(root))
+	r, err := nodeID(root, t.Nodes())
 	if err != nil {
 		return nil, err
 	}
-	if err := collective.VerifyReplication(t, res.Have, []topology.NodeID{topology.NodeID(root)}); err != nil {
+	res, err := collective.Broadcast(t, r)
+	if err != nil {
+		return nil, err
+	}
+	if err := collective.VerifyReplication(t, res.Have, []topology.NodeID{r}); err != nil {
 		return nil, err
 	}
 	return &CollectiveReport{Dims: t.Dims(), Nodes: t.Nodes(), Measure: res.Measure}, nil
@@ -32,9 +36,13 @@ func Broadcast(t *Torus, root int) (*CollectiveReport, error) {
 // torus must satisfy the exchange preconditions (dims multiples of
 // four, non-increasing).
 func Scatter(t *Torus, root int) (*CollectiveReport, error) {
+	r, err := nodeID(root, t.Nodes())
+	if err != nil {
+		return nil, err
+	}
 	blocks := make([]block.Block, t.Nodes())
 	for d := range blocks {
-		blocks[d] = block.Block{Origin: topology.NodeID(root), Dest: topology.NodeID(d)}
+		blocks[d] = block.Block{Origin: r, Dest: topology.NodeID(d)}
 	}
 	return personalized(t, blocks)
 }
@@ -42,16 +50,19 @@ func Scatter(t *Torus, root int) (*CollectiveReport, error) {
 // Gather collects one personalized block from every node at root
 // through the Suh–Shin exchange schedule, as a sparse exchange.
 func Gather(t *Torus, root int) (*CollectiveReport, error) {
+	r, err := nodeID(root, t.Nodes())
+	if err != nil {
+		return nil, err
+	}
 	blocks := make([]block.Block, t.Nodes())
 	for o := range blocks {
-		blocks[o] = block.Block{Origin: topology.NodeID(o), Dest: topology.NodeID(root)}
+		blocks[o] = block.Block{Origin: topology.NodeID(o), Dest: r}
 	}
 	return personalized(t, blocks)
 }
 
 // personalized runs a one-to-all or all-to-one personalized collective
-// through the shared sparse path; an out-of-range root fails its
-// range check.
+// through the shared sparse path.
 func personalized(t *Torus, blocks []block.Block) (*CollectiveReport, error) {
 	res, err := sparseExchange(t, t, blocks)
 	if err != nil {

@@ -18,6 +18,7 @@ package block
 import (
 	"fmt"
 	"sort"
+	"unsafe"
 
 	"torusx/internal/topology"
 )
@@ -27,6 +28,14 @@ type Block struct {
 	Origin topology.NodeID // the node whose data this is
 	Dest   topology.NodeID // the node that must finally receive it
 }
+
+// A Block is two 4-byte node ids, so a replay's Result.Buffers backing
+// costs 8 bytes per delivered block. These declarations fail to compile
+// if its size drifts.
+var (
+	_ [unsafe.Sizeof(Block{}) - 8]struct{}
+	_ [8 - unsafe.Sizeof(Block{})]struct{}
+)
 
 func (b Block) String() string {
 	return fmt.Sprintf("B[%d,%d]", b.Origin, b.Dest)

@@ -145,3 +145,12 @@ func EncodeWithPlanEdit(p *Program, optFP uint64, edit func(moves []MoveRec, del
 	seal(enc[:lay.end])
 	return enc, nil
 }
+
+// LogSlots returns the length of p's block log: the int32 slots every
+// arena of p allocates.
+func LogSlots(p *Program) int {
+	if p.descBase == nil {
+		return 0
+	}
+	return int(p.descBase[p.n])
+}

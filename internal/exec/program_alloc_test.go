@@ -118,6 +118,48 @@ func TestFirstReplayAllocs(t *testing.T) {
 	}
 }
 
+// TestFirstReplayBytes bounds the bytes behind TestFirstReplayAllocs'
+// handful of objects: a new arena and its first RunArena of a decoded
+// 16x16 program allocate the block log (4 bytes a slot), the
+// Result.Buffers backing (one 8-byte Block per delivered block) and at
+// most firstReplaySlack more — the per-node Buffer headers and
+// pointers (48 bytes a node, 12 KiB at 256 nodes), the gather scratch,
+// the Arena and the Result, with size-class rounding.
+func TestFirstReplayBytes(t *testing.T) {
+	const firstReplaySlack = 32 << 10
+	tor := topology.MustNew(16, 16)
+	for _, alg := range []string{"direct", "proposed-sim", "ring"} {
+		t.Run(alg, func(t *testing.T) {
+			pg := decodedProgram(t, alg, tor)
+			want := 4*exec.LogSlots(pg) + 8*pg.DeliverySize() + firstReplaySlack
+			got := bytesPerRun(5, func() {
+				if _, err := pg.RunArena(pg.NewArena(), exec.Options{}); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("NewArena + first RunArena of decoded %s@16x16: %d bytes (log %d slots, delivery %d blocks)",
+				alg, got, exec.LogSlots(pg), pg.DeliverySize())
+			if got > want {
+				t.Fatalf("NewArena + first RunArena of decoded %s@16x16: %d bytes, want <= %d", alg, got, want)
+			}
+		})
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the mean heap bytes
+// one call of f allocates, after one warm-up call, at GOMAXPROCS 1.
+func bytesPerRun(runs int, f func()) int {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return int((after.TotalAlloc - before.TotalAlloc) / uint64(runs))
+}
+
 // TestResultBuffersIsolated: the delivery buffers share one backing,
 // but an Add on node v's buffer must not reach node v+1's blocks, and
 // the arena's next RunArena must restore both.

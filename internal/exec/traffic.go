@@ -3,6 +3,7 @@ package exec
 import (
 	"container/list"
 	"sync"
+	"unsafe"
 
 	"torusx/internal/block"
 	"torusx/internal/topology"
@@ -16,19 +17,19 @@ import (
 // The cache is byte-bounded: a sweep over many shapes (aapebench
 // grids, the fuzzers, a long-lived embedding service) must not retain
 // one n²-block slice per fabric forever — a 64x64 torus alone pins
-// 128 MiB-of-address-space worth of ids at 16 M blocks × 8 bytes.
+// 128 MiB: 16 M blocks of 8 bytes, two 4-byte node ids each.
 // Least-recently-used matrices are evicted once the total backing
 // bytes exceed fullTrafficMaxBytes; an evicted matrix is simply
 // rebuilt on next use, and slices handed out earlier stay valid (the
 // cache drops its reference, it never frees).
 
 // fullTrafficMaxBytes bounds the summed backing bytes of cached
-// all-to-all matrices: 16 MiB holds every shape up to ~1448 nodes (two
-// 32x32 tori and change) with room for the test grids.
-const fullTrafficMaxBytes = 16 << 20
+// all-to-all matrices: 8 MiB is 1 M blocks, the matrix of any shape up
+// to 1024 nodes (a 32x32 torus).
+const fullTrafficMaxBytes = 8 << 20
 
-// blockBytes is the per-entry eviction weight.
-const blockBytes = 16 // unsafe.Sizeof(block.Block{}) on 64-bit: two 8-byte ids
+// blockBytes is the per-block eviction weight.
+const blockBytes = int64(unsafe.Sizeof(block.Block{}))
 
 // fullTrafficLRU is a byte-bounded LRU keyed by fabric fingerprint.
 type fullTrafficLRU struct {

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"torusx/internal/block"
 	"torusx/internal/topology"
@@ -32,8 +33,9 @@ func TestFullTrafficContent(t *testing.T) {
 
 func TestFullTrafficLRUEviction(t *testing.T) {
 	// A private small cache: budget for exactly two 4-node matrices
-	// (16 blocks × 16 bytes = 256 bytes each).
-	c := newFullTrafficLRU(512)
+	// (16 blocks of unsafe.Sizeof(block.Block{}) bytes each).
+	size := int64(unsafe.Sizeof(block.Block{}))
+	c := newFullTrafficLRU(2 * 16 * size)
 	mat := func(tag int) []block.Block {
 		out := make([]block.Block, 16)
 		for i := range out {
@@ -57,8 +59,16 @@ func TestFullTrafficLRUEviction(t *testing.T) {
 	if _, ok := c.get("c"); !ok {
 		t.Fatal("newest entry missing")
 	}
-	if c.bytes > 512 {
+	if c.bytes > c.maxBytes {
 		t.Fatalf("cache over budget: %d bytes", c.bytes)
+	}
+	var held int64
+	for _, key := range []string{"a", "c"} {
+		blocks, _ := c.get(key)
+		held += int64(len(blocks)) * size
+	}
+	if c.bytes != held {
+		t.Fatalf("cache counts %d bytes, its entries hold len × Sizeof = %d", c.bytes, held)
 	}
 	if c.evictions == 0 {
 		t.Fatal("eviction counter never moved")
@@ -82,8 +92,8 @@ func TestFullTrafficCacheBounded(t *testing.T) {
 	// them all; the byte bound must hold and evictions must occur, while
 	// every returned matrix stays correct (eviction = rebuild, never
 	// corruption).
-	// n=28 is the largest shape here (28⁴ ≈ 614k blocks ≈ 9.4 MiB);
-	// the whole sweep sums past the 16 MiB budget without any single
+	// n=28 is the largest shape here (28⁴ ≈ 614k blocks ≈ 4.7 MiB);
+	// the whole sweep sums past the 8 MiB budget without any single
 	// entry exceeding it, so real LRU eviction — not the oversized
 	// pass-through — is what keeps the bound.
 	before := FullTrafficCacheStats()

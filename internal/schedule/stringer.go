@@ -87,6 +87,10 @@ func ParseTransfer(s string) (Transfer, error) {
 	if err != nil {
 		return Transfer{}, fmt.Errorf("schedule: transfer %q: bad dst: %v", s, err)
 	}
+	// Checked as ints: a NodeID is 32-bit and would wrap 1<<32+1 to 1.
+	if src < 0 || src >= topology.MaxNodes || dst < 0 || dst >= topology.MaxNodes {
+		return Transfer{}, fmt.Errorf("schedule: transfer %q: endpoint outside [0, %d)", s, topology.MaxNodes)
+	}
 	if !strings.HasPrefix(fields[2], "b") {
 		return Transfer{}, fmt.Errorf("schedule: transfer %q: bad block count %q", s, fields[2])
 	}

@@ -63,6 +63,10 @@ func TestParseTransferErrors(t *testing.T) {
 		"0->5 dim0+h4 2",
 		"0->5 dim0+h4 bx",
 		"0->5 dim0+h3,badleg b2",
+		"-1->5 dim0+h4 b2",
+		"0->2147483647 dim0+h4 b2",
+		"4294967297->5 dim0+h4 b2",
+		"0->4294967301 dim0+h4 b2",
 	} {
 		if _, err := schedule.ParseTransfer(s); err == nil {
 			t.Errorf("ParseTransfer(%q): expected error", s)

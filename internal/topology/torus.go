@@ -22,8 +22,9 @@ import (
 	"strings"
 )
 
-// NodeID is a dense node index in [0, N).
-type NodeID int
+// NodeID is a dense node index in [0, N). It is 32-bit, which caps N
+// at MaxNodes and makes a block.Block two 4-byte ids.
+type NodeID int32
 
 // Coord is a coordinate vector with one entry per dimension.
 type Coord []int
@@ -120,8 +121,10 @@ func New(dims ...int) (*Torus, error) {
 	return t, nil
 }
 
-// MaxNodes is the largest node count a fabric may have: node ids,
-// link ids and a compiled program's tables are 32-bit.
+// MaxNodes is the largest node count a fabric may have: NodeID is an
+// int32, so every id in [0, MaxNodes) fits one, and link ids and a
+// compiled program's tables are 32-bit too. A caller's int node number
+// is range-checked before it becomes a NodeID, never after.
 const MaxNodes = math.MaxInt32
 
 // MustNew is New, panicking on error. Intended for tests and examples

@@ -33,6 +33,41 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestMaxNodesBoundary: the largest square torus under MaxNodes is
+// accepted and its last node round-trips through the 32-bit NodeID;
+// one row more, or a dragonfly past MaxNodes, is rejected.
+func TestMaxNodesBoundary(t *testing.T) {
+	tor, err := New(46340, 46340)
+	if err != nil {
+		t.Fatalf("New(46340, 46340): %v", err)
+	}
+	if n := tor.Nodes(); n != 2_147_395_600 || n > MaxNodes {
+		t.Fatalf("46340x46340 has %d nodes", n)
+	}
+	last := NodeID(tor.Nodes() - 1)
+	if c := tor.CoordOf(last); !c.Equal(Coord{46339, 46339}) {
+		t.Fatalf("CoordOf(%d) = %v", last, c)
+	}
+	if id := tor.ID(Coord{46339, 46339}); id != last {
+		t.Fatalf("ID of the last coordinate = %d, want %d", id, last)
+	}
+	if _, err := New(46341, 46341); err == nil {
+		t.Fatal("New(46341, 46341) past MaxNodes accepted")
+	}
+	d, err := NewDragonfly(1, 46340)
+	if err != nil {
+		t.Fatalf("NewDragonfly(1, 46340): %v", err)
+	}
+	if last := NodeID(d.Nodes() - 1); d.ID(d.Group(last), d.Router(last)) != last {
+		t.Fatalf("dragonfly node %d does not round-trip", last)
+	}
+	for _, km := range [][2]int{{1, 46341}, {2, 1 << 15}, {1 << 31, 1}} {
+		if _, err := NewDragonfly(km[0], km[1]); err == nil {
+			t.Fatalf("NewDragonfly(%d, %d) past MaxNodes accepted", km[0], km[1])
+		}
+	}
+}
+
 func TestMustNewPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

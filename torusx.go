@@ -372,13 +372,27 @@ func sparseExchange(real, padded *Torus, blocks []block.Block) (*exchange.Result
 	return res, nil
 }
 
-// pairBlocks converts pairs to blocks, keeping their order.
-func pairBlocks(pairs []Pair) []block.Block {
+// nodeID converts a caller's node number on an n-node torus to a
+// NodeID. It range-checks v while it is still an int: NodeID is 32-bit,
+// so converting first would wrap 1<<32+1 into range as node 1.
+func nodeID(v, n int) (topology.NodeID, error) {
+	if v < 0 || v >= n {
+		return 0, fmt.Errorf("torusx: node %d out of range for %d nodes", v, n)
+	}
+	return topology.NodeID(v), nil
+}
+
+// pairBlocks converts pairs on an n-node torus to blocks, keeping their
+// order. Like nodeID, it range-checks each endpoint as an int.
+func pairBlocks(pairs []Pair, n int) ([]block.Block, error) {
 	blocks := make([]block.Block, len(pairs))
 	for i, pr := range pairs {
+		if pr.Src < 0 || pr.Src >= n || pr.Dst < 0 || pr.Dst >= n {
+			return nil, fmt.Errorf("torusx: pair %d->%d out of range for %d nodes", pr.Src, pr.Dst, n)
+		}
 		blocks[i] = block.Block{Origin: topology.NodeID(pr.Src), Dest: topology.NodeID(pr.Dst)}
 	}
-	return blocks
+	return blocks, nil
 }
 
 // AllToAllSparse routes an arbitrary set of (source, destination)
@@ -388,7 +402,11 @@ func pairBlocks(pairs []Pair) []block.Block {
 // per-step contention checking and returns the delivery-verified
 // report. Out-of-range and duplicate pairs are rejected.
 func AllToAllSparse(t *Torus, pairs []Pair) (*Report, error) {
-	res, err := sparseExchange(t, t, pairBlocks(pairs))
+	blocks, err := pairBlocks(pairs, t.Nodes())
+	if err != nil {
+		return nil, err
+	}
+	res, err := sparseExchange(t, t, blocks)
 	if err != nil {
 		return nil, err
 	}
@@ -414,7 +432,11 @@ func AllToAllSparseArbitrary(dims []int, pairs []Pair) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := sparseExchange(real, padded, pairBlocks(pairs))
+	blocks, err := pairBlocks(pairs, real.Nodes())
+	if err != nil {
+		return nil, err
+	}
+	res, err := sparseExchange(real, padded, blocks)
 	if err != nil {
 		return nil, err
 	}

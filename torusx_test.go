@@ -252,6 +252,50 @@ func TestAllToAllSparse(t *testing.T) {
 	}
 }
 
+// TestOutOfRangeNodesRejected passes node numbers outside [0, n) to
+// every public entry point that takes one as an int. 1<<32+1 is the
+// case a 32-bit NodeID would wrap to node 1 if converted before its
+// range check.
+func TestOutOfRangeNodesRejected(t *testing.T) {
+	tor, err := NewTorus(8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arb := []int{6, 5}
+	entries := []struct {
+		name string
+		n    int
+		run  func(v int) error
+	}{
+		{"AllToAllSparse.Src", 64, func(v int) error {
+			_, err := AllToAllSparse(tor, []Pair{{Src: v, Dst: 2}})
+			return err
+		}},
+		{"AllToAllSparse.Dst", 64, func(v int) error {
+			_, err := AllToAllSparse(tor, []Pair{{Src: 2, Dst: v}})
+			return err
+		}},
+		{"AllToAllSparseArbitrary.Src", 30, func(v int) error {
+			_, err := AllToAllSparseArbitrary(arb, []Pair{{Src: v, Dst: 2}})
+			return err
+		}},
+		{"AllToAllSparseArbitrary.Dst", 30, func(v int) error {
+			_, err := AllToAllSparseArbitrary(arb, []Pair{{Src: 2, Dst: v}})
+			return err
+		}},
+		{"Scatter", 64, func(v int) error { _, err := Scatter(tor, v); return err }},
+		{"Gather", 64, func(v int) error { _, err := Gather(tor, v); return err }},
+		{"Broadcast", 64, func(v int) error { _, err := Broadcast(tor, v); return err }},
+	}
+	for _, e := range entries {
+		for _, v := range []int{-1, e.n, 1 << 31, 1<<32 + 1} {
+			if err := e.run(v); err == nil {
+				t.Errorf("%s(%d) on %d nodes: nil error", e.name, v, e.n)
+			}
+		}
+	}
+}
+
 func TestLowStartupParams(t *testing.T) {
 	low := LowStartupParams(64)
 	t3d := T3DParams(64)
