@@ -218,7 +218,7 @@ func corpusSeeds() []corpusSeed {
 		// A log move whose descriptor window runs past the table.
 		corpusSeed{"FuzzProgramDecode", "link_window_past_route_table", false, func(t *testing.T) []byte {
 			pg := program(t, tor, "factored", "")
-			b, err := exec.EncodeWithPlanEdit(pg, 0, func(moves []exec.MoveRec, _, _ []int32) {
+			b, err := exec.EncodeWithPlanEdit(pg, 0, func(moves []exec.MoveRec, _, _ []int32, _ []exec.DescRec) {
 				moves[0].DescOff = int32(pg.Stats().DescCount)
 			})
 			if err != nil {
@@ -228,7 +228,7 @@ func corpusSeeds() []corpusSeed {
 		}},
 		// Node 0's delivery window ends past the descriptor table.
 		corpusSeed{"FuzzProgramDecode", "delivery_window_past_end", false, func(t *testing.T) []byte {
-			b, err := exec.EncodeWithPlanEdit(program(t, tor, "direct", ""), 0, func(_ []exec.MoveRec, off, _ []int32) {
+			b, err := exec.EncodeWithPlanEdit(program(t, tor, "direct", ""), 0, func(_ []exec.MoveRec, off, _ []int32, _ []exec.DescRec) {
 				off[1] = off[len(off)-1] + 1
 			})
 			if err != nil {

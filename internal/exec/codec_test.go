@@ -297,7 +297,7 @@ func TestProgramDecodeRejects(t *testing.T) {
 			// Node 0's window ends past the descriptor table.
 			{"window-past-end", func(off []int32) { off[1] = off[len(off)-1] + 1 }},
 		} {
-			bad, err := exec.EncodeWithPlanEdit(pg, 1, func(_ []exec.MoveRec, off, _ []int32) { tc.edit(off) })
+			bad, err := exec.EncodeWithPlanEdit(pg, 1, func(_ []exec.MoveRec, off, _ []int32, _ []exec.DescRec) { tc.edit(off) })
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -364,7 +364,7 @@ func TestProgramDecodeRejects(t *testing.T) {
 				moves[0].Src = (moves[0].Src + 1) % int32(tor.Nodes())
 			}},
 		} {
-			bad, err := exec.EncodeWithPlanEdit(fpg, 1, func(moves []exec.MoveRec, _, descBase []int32) {
+			bad, err := exec.EncodeWithPlanEdit(fpg, 1, func(moves []exec.MoveRec, _, descBase []int32, _ []exec.DescRec) {
 				if len(moves) < 2 {
 					t.Fatalf("factored@%s has %d log moves", tor, len(moves))
 				}

@@ -86,6 +86,42 @@ func gather(dst, log []int32, descs []xdesc) int {
 	return w
 }
 
+// cursor is a position in a descriptor table: element k of descriptor
+// d's expansion. The tiled delivery pass keeps one per node, to gather a
+// node's ids a turn at a time.
+type cursor struct{ d, k int }
+
+// gather fills dst with the elements descs expand to from c on, exactly
+// as gather would write them, and advances c past them. The caller
+// never asks for more than remains of the node's descriptors.
+func (c *cursor) gather(dst, log []int32, descs []xdesc) {
+	for w := 0; w < len(dst); {
+		d := &descs[c.d]
+		bl, st := int(d.blocklen), int(d.stride)
+		size := int(d.count) * bl
+		take := min(size-c.k, len(dst)-w)
+		if bl == 1 {
+			s := int(d.start) + c.k*st
+			out := dst[w : w+take]
+			for i := range out {
+				out[i] = log[s]
+				s += st
+			}
+		} else {
+			for k, end := c.k, c.k+take; k < end; {
+				s := int(d.start) + k/bl*st + k%bl
+				r := min(bl-k%bl, end-k)
+				copy(dst[w+k-c.k:], log[s:s+r])
+				k += r
+			}
+		}
+		w += take
+		if c.k += take; c.k == size {
+			c.d, c.k = c.d+1, 0
+		}
+	}
+}
+
 // coalesceDescs appends pos — a payload's source log positions in
 // arrival-stamp order — to dst as strided descriptors: maximal +1 runs
 // become blocks, and consecutive blocks of equal length with a

@@ -113,3 +113,44 @@ func TestDescStoreMatchesAppend(t *testing.T) {
 		}
 	}
 }
+
+// TestCursorGatherMatchesGather: a cursor that gathers a descriptor
+// list in pieces of any size, as the tiled delivery pass does a turn at
+// a time, writes exactly what one gather writes. Registry programs
+// without log moves deliver through blocklen-1 descriptors only, so
+// the blocked and run shapes are held here.
+func TestCursorGatherMatchesGather(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	log := make([]int32, 1<<12)
+	for i := range log {
+		log[i] = int32(i*7 + 1)
+	}
+	for i := 0; i < 200; i++ {
+		var descs []xdesc
+		for r := 0; r < 1+rng.Intn(5); r++ {
+			d := xdesc{count: int32(1 + rng.Intn(6)), blocklen: int32(1 + rng.Intn(6)), stride: int32(rng.Intn(33) - 16)}
+			if d.stride == 0 {
+				d.stride = d.blocklen
+			}
+			d.start = 1024 + int32(rng.Intn(1024))
+			descs = append(descs, d)
+		}
+		want := make([]int32, expandedLen(descs))
+		gather(want, log, descs)
+		got := make([]int32, len(want))
+		var c cursor
+		for off := 0; off < len(got); {
+			end := min(off+1+rng.Intn(9), len(got))
+			c.gather(got[off:end], log, descs)
+			off = end
+		}
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("case %d (%+v): element %d = %d, want %d", i, descs, j, got[j], want[j])
+			}
+		}
+		if c.d != len(descs) || c.k != 0 {
+			t.Fatalf("case %d: cursor ends at %+v, want descriptor %d", i, c, len(descs))
+		}
+	}
+}

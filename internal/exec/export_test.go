@@ -111,14 +111,19 @@ func StepElems(p *Program) []int {
 // MoveRec is an editable copy of one log move for EncodeWithPlanEdit.
 type MoveRec struct{ Src, Len, DescOff, DescLen, InsPos int32 }
 
+// DescRec is an editable copy of one strided descriptor for
+// EncodeWithPlanEdit.
+type DescRec struct{ Start, Count, BlockLen, Stride int32 }
+
 // EncodeWithPlanEdit encodes p after edit has rewritten copies of its
-// log moves (in step order) and of its per-node delivery descriptor
-// windows (n+1 offsets into the descriptor table), so tests can write a
-// correctly sealed file whose plan a decoder must reject. descBase, the
-// per-node log-region prefix, is passed for reference. The edits land
-// in the encoded bytes, whose core is resealed; p itself is left
+// log moves (in step order), of its per-node delivery descriptor
+// windows (n+1 offsets into the descriptor table) and of the descriptor
+// table itself, so tests can write a correctly sealed file whose plan a
+// decoder must reject, or one it accepts that replays wrongly. descBase,
+// the per-node log-region prefix, is passed for reference. The edits
+// land in the encoded bytes, whose core is resealed; p itself is left
 // unchanged.
-func EncodeWithPlanEdit(p *Program, optFP uint64, edit func(moves []MoveRec, deliverOff, descBase []int32)) ([]byte, error) {
+func EncodeWithPlanEdit(p *Program, optFP uint64, edit func(moves []MoveRec, deliverOff, descBase []int32, descs []DescRec)) ([]byte, error) {
 	enc, err := EncodeProgram(p, optFP)
 	if err != nil {
 		return nil, err
@@ -136,10 +141,17 @@ func EncodeWithPlanEdit(p *Program, optFP uint64, edit func(moves []MoveRec, del
 	for i, m := range p.moves {
 		recs[i] = MoveRec{m.src, m.payLen, m.descOff, m.descLen, m.insPos}
 	}
+	descs := make([]DescRec, len(p.descBacking))
+	for i, d := range p.descBacking {
+		descs[i] = DescRec{d.start, d.count, d.blocklen, d.stride}
+	}
 	off := append([]int32(nil), p.deliverOff...)
-	edit(recs, off, append([]int32(nil), p.descBase...))
+	edit(recs, off, append([]int32(nil), p.descBase...), descs)
 	for i, r := range recs {
 		putRecord(enc, lay.moves+20*i, logMove{r.Src, r.Len, r.DescOff, r.DescLen, r.InsPos})
+	}
+	for i, d := range descs {
+		putRecord(enc, lay.descs+16*i, xdesc{d.Start, d.Count, d.BlockLen, d.Stride})
 	}
 	putI32s(enc, lay.deliverOff, off)
 	seal(enc[:lay.end])
@@ -153,4 +165,22 @@ func LogSlots(p *Program) int {
 		return 0
 	}
 	return int(p.descBase[p.n])
+}
+
+// DeliverPass runs the serial delivery pass alone over a's block log,
+// as the end of a replay does: into dst, as ReplayInto's pass, or, with
+// dst nil, through the arena's gather scratch into its Result.Buffers,
+// as RunArena's. untiled runs the node-at-a-time pass even on a program
+// without log moves: the column gather the tiled pass replaced, and the
+// reference it is held to. a must have run RunArena once, so that its
+// log is final and its buffers exist.
+func DeliverPass(p *Program, a *Arena, dst []int32, untiled bool) error {
+	deliver := p.deliver
+	if untiled {
+		deliver = p.deliverNodes
+	}
+	if dst == nil {
+		return deliver(a.log, a.gatherScratch(1), a.out, 0, p.n)
+	}
+	return deliver(a.log, dst, nil, 0, p.n)
 }

@@ -358,9 +358,10 @@ type Arena struct {
 	// window with identical values — no per-run reset).
 	log []int32
 	// out are the Result.Buffers RunArena materializes into, carved
-	// from one backing on the arena's first RunArena. scratch holds one
-	// maxPerDest-sized window per delivery worker: RunArena gathers and
-	// checks each node's ids there, never in a DeliverySize() buffer.
+	// from one backing on the arena's first RunArena. scratch holds
+	// tileWidth maxPerDest-sized node windows per delivery worker:
+	// RunArena gathers and checks each node's ids there, never in a
+	// DeliverySize() buffer.
 	out     []*block.Buffer
 	scratch []int32
 	bad     bool // a replay errored; the arena must not be kept
@@ -382,6 +383,7 @@ func (p *Program) NewArena() *Arena {
 		return a
 	}
 	a.log = make([]int32, p.descBase[p.n])
+	adviseHugePages(a.log)
 	if p.fullTraffic {
 		// Node o starts with ids o*n .. o*n+n-1, in matrix order.
 		for o := 0; o < p.n; o++ {
@@ -401,6 +403,28 @@ func (p *Program) NewArena() *Arena {
 		cur[o]++
 	}
 	return a
+}
+
+// hugePage is the size and alignment of a transparent huge page on the
+// hosts the replay is tuned for (x86-64 and arm64 with 4 KiB base pages).
+const hugePage = 2 << 20
+
+// hugePageRange returns the elements [lo, hi) of s whose bytes are the
+// whole hugePage-aligned pages s spans; lo == hi when it spans none. The
+// block log is advised onto huge pages over this range only (see
+// adviseHugePages), so the advice never reaches memory the log shares a
+// page with.
+func hugePageRange(s []int32) (lo, hi int) {
+	if len(s) == 0 {
+		return 0, 0
+	}
+	base := uintptr(unsafe.Pointer(unsafe.SliceData(s)))
+	first := (base + hugePage - 1) &^ (hugePage - 1)
+	last := (base + 4*uintptr(len(s))) &^ (hugePage - 1)
+	if last <= first {
+		return 0, 0
+	}
+	return int(first-base) / 4, int(last-base) / 4
 }
 
 // AcquireArena returns an arena for p: the one p retains if it is
@@ -548,10 +572,10 @@ func (a *Arena) replay(opt Options, dst []int32, out []*block.Buffer) error {
 	return p.deliver(a.log, dst, out, 0, p.n)
 }
 
-// gatherScratch returns the arena's gather scratch, grown to one
-// maxPerDest window for each of workers delivery workers.
+// gatherScratch returns the arena's gather scratch, grown to tileWidth
+// maxPerDest node windows for each of workers delivery workers.
 func (a *Arena) gatherScratch(workers int) []int32 {
-	if need := workers * a.prog.maxPerDest; len(a.scratch) < need {
+	if need := workers * a.prog.tileWidth() * a.prog.maxPerDest; len(a.scratch) < need {
 		a.scratch = make([]int32, need)
 	}
 	return a.scratch
@@ -619,36 +643,116 @@ func (p *Program) deriveDelivery() {
 	p.recip = reciprocal(p.n)
 }
 
+// deliverTile and deliverTurn shape the delivery pass of a program
+// without log moves (Stats().LastHopOnly: direct). Every delivery there
+// reads the initial id matrix, so the pass is a transpose of it, and a
+// node at a time it reads one id per cache line. The pass instead
+// gathers deliverTile consecutive nodes together, deliverTurn ids per
+// node per turn, so the nodes of a tile share the lines a turn reads.
+// Programs with log moves gather a node at a time: tiles slowed three
+// of those four cells' passes by 5–25% and left ring's within its
+// spread. Set from the sweep in EXPERIMENTS.md ("Replay on the memory
+// system's terms").
+const (
+	deliverTile = 16
+	deliverTurn = 64
+)
+
+// tileWidth returns the nodes the delivery pass gathers together, and
+// so the node windows each worker's gather scratch holds.
+func (p *Program) tileWidth() int {
+	if len(p.moves) == 0 {
+		return deliverTile
+	}
+	return 1
+}
+
 // deliver is the delivery pass over nodes [lo, hi): it gathers each
 // node's whole delivery range from the final log — into its range of
-// dst, the dense delivery layout, or, when out is non-nil, into dst as
-// a node-sized scratch — then, while the ids are hot, checks that every
-// id is a valid block id addressed to the node and, when out is
-// non-nil, writes the node's blocks into out[v] in place. Compile
+// dst, the dense delivery layout, or, when out is non-nil, into a
+// node window of dst, the gather scratch (tileWidth windows of
+// maxPerDest) — then settles the node (see settle). A program without
+// log moves gathers its nodes a tile at a time (deliverTiles). Compile
 // built, and the decoder proved, delivery descriptors that expand to
-// exactly each node's count, so the counts hold by construction; a
-// misaddressed id means program or arena state was corrupted.
+// exactly each node's count, so the counts hold by construction.
 func (p *Program) deliver(log, dst []int32, out []*block.Buffer, lo, hi int) error {
-	n, nb, recip := uint32(p.n), uint32(p.numBlocks), p.recip
+	if p.tileWidth() > 1 {
+		return p.deliverTiles(log, dst, out, lo, hi)
+	}
+	return p.deliverNodes(log, dst, out, lo, hi)
+}
+
+// deliverNodes is the delivery pass a node at a time.
+func (p *Program) deliverNodes(log, dst []int32, out []*block.Buffer, lo, hi int) error {
 	for v := lo; v < hi; v++ {
-		var ids []int32
-		var blks []block.Block
-		if out != nil {
-			ids = dst[:p.perDest[v]]
-			blks = out[v].Refill(len(ids))
-		} else {
-			ids = dst[p.finalBase[v]:p.finalBase[v+1]]
-		}
+		ids := p.deliveryWindow(dst, out, v, 0)
 		gather(ids, log, p.descBacking[p.deliverOff[v]:p.deliverOff[v+1]])
-		for i, id := range ids {
-			x := uint32(id)
-			o := divRecip(x, recip)
-			if x >= nb || x-o*n != uint32(v) {
-				return fmt.Errorf("exec: node %d holds misdelivered block id %d", v, id)
+		if err := p.settle(ids, out, v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// deliverTiles is the delivery pass deliverTile nodes at a time: the
+// tile's nodes gather in turns of deliverTurn ids each, through one
+// descriptor cursor per node, and are then settled in node order, so
+// the lowest misdelivered node's error is the one returned.
+func (p *Program) deliverTiles(log, dst []int32, out []*block.Buffer, lo, hi int) error {
+	var ids [deliverTile][]int32
+	var cur [deliverTile]cursor
+	for t := lo; t < hi; t += deliverTile {
+		w := min(deliverTile, hi-t)
+		longest := 0
+		for j := 0; j < w; j++ {
+			ids[j] = p.deliveryWindow(dst, out, t+j, j)
+			cur[j] = cursor{d: int(p.deliverOff[t+j])}
+			longest = max(longest, len(ids[j]))
+		}
+		for off := 0; off < longest; off += deliverTurn {
+			for j := 0; j < w; j++ {
+				if off < len(ids[j]) {
+					cur[j].gather(ids[j][off:min(off+deliverTurn, len(ids[j]))], log, p.descBacking)
+				}
 			}
-			if blks != nil {
-				blks[i] = block.Block{Origin: topology.NodeID(o), Dest: topology.NodeID(v)}
+		}
+		for j := 0; j < w; j++ {
+			if err := p.settle(ids[j], out, t+j); err != nil {
+				return err
 			}
+		}
+	}
+	return nil
+}
+
+// deliveryWindow returns where node v's delivery is gathered: its range
+// of the dense layout dst or, when out is non-nil, the first perDest[v]
+// slots of the scratch dst's node window j.
+func (p *Program) deliveryWindow(dst []int32, out []*block.Buffer, v, j int) []int32 {
+	if out != nil {
+		return dst[j*p.maxPerDest : j*p.maxPerDest+int(p.perDest[v])]
+	}
+	return dst[p.finalBase[v]:p.finalBase[v+1]]
+}
+
+// settle checks, while node v's gathered ids are hot, that every id is
+// a valid block id addressed to v and, when out is non-nil, writes v's
+// blocks into out[v] in place. A misaddressed id means program or arena
+// state was corrupted.
+func (p *Program) settle(ids []int32, out []*block.Buffer, v int) error {
+	n, nb, recip := uint32(p.n), uint32(p.numBlocks), p.recip
+	var blks []block.Block
+	if out != nil {
+		blks = out[v].Refill(len(ids))
+	}
+	for i, id := range ids {
+		x := uint32(id)
+		o := divRecip(x, recip)
+		if x >= nb || x-o*n != uint32(v) {
+			return fmt.Errorf("exec: node %d holds misdelivered block id %d", v, id)
+		}
+		if blks != nil {
+			blks[i] = block.Block{Origin: topology.NodeID(o), Dest: topology.NodeID(v)}
 		}
 	}
 	return nil
@@ -656,16 +760,16 @@ func (p *Program) deliver(log, dst []int32, out []*block.Buffer, lo, hi int) err
 
 // deliverFanOut runs the delivery pass over contiguous node ranges on
 // the worker pool. Every range writes only its own nodes' slots and
-// buffers, gathers through its own window of the arena's scratch, and
-// reads the log, which no one writes any more; the error reported is
-// the lowest node's, as the serial pass would return.
+// buffers, gathers through its own tileWidth node windows of the
+// arena's scratch, and reads the log, which no one writes any more; the
+// error reported is the lowest node's, as the serial pass would return.
 func (a *Arena) deliverFanOut(workers int, dst []int32, out []*block.Buffer) error {
 	p := a.prog
 	var scratch []int32
 	if out != nil {
 		scratch = a.gatherScratch(par.Width(workers, p.n))
 	}
-	m := p.maxPerDest
+	m := p.tileWidth() * p.maxPerDest
 	var ferr par.FirstError
 	par.ForEachWorker(workers, p.n, func(w, lo, hi int) {
 		d := dst

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"torusx/internal/schedule"
 	"torusx/internal/topology"
@@ -89,5 +90,63 @@ func TestDeliveryChecksAddressing(t *testing.T) {
 				t.Fatalf("log of id %d: arena that misdelivered is still poolable", bad)
 			}
 		}
+	}
+}
+
+// TestHugePageRange: the range a block log is advised onto huge pages
+// over lies inside the log, starts and ends on 2 MiB boundaries and
+// covers every whole 2 MiB page the log spans, so it is empty for a
+// nil log and for logs that span no whole page.
+func TestHugePageRange(t *testing.T) {
+	const page = hugePage / 4 // int32s per huge page
+	backing := make([]int32, 3*page)
+	check := func(s []int32) (lo, hi int) {
+		t.Helper()
+		lo, hi = hugePageRange(s)
+		if lo < 0 || hi < lo || hi > len(s) {
+			t.Fatalf("range [%d, %d) of a %d-element slice", lo, hi, len(s))
+		}
+		if lo == hi {
+			lo, hi = 0, 0
+		} else if a := uintptr(unsafe.Pointer(&s[lo])); a%hugePage != 0 || (hi-lo)%page != 0 {
+			t.Fatalf("range [%d, %d) starts at %#x, not on whole 2 MiB pages", lo, hi, a)
+		}
+		if len(s) > 0 {
+			base := uintptr(unsafe.Pointer(&s[0]))
+			first := (base + hugePage - 1) &^ (hugePage - 1)
+			whole := (base+4*uintptr(len(s)))&^(hugePage-1) > first
+			if whole != (lo < hi) || whole && (uintptr(4*lo) != first-base || len(s)-hi >= page) {
+				t.Fatalf("range [%d, %d) of a %d-element slice at %#x misses a whole page", lo, hi, len(s), base)
+			}
+		}
+		return lo, hi
+	}
+	if lo, hi := check(nil); lo != hi {
+		t.Fatalf("nil slice: range [%d, %d)", lo, hi)
+	}
+	lo, hi := check(backing)
+	if hi-lo < 2*page {
+		t.Fatalf("6 MiB slice: range [%d, %d) holds fewer than two whole pages", lo, hi)
+	}
+	for _, c := range []struct {
+		s    []int32
+		want int // whole pages
+	}{
+		{backing[lo : lo+page], 1},
+		{backing[lo : lo+page-1], 0},
+		{backing[lo+1 : lo+2*page-1], 0},
+		{backing[lo+1 : lo+2*page], 1},
+		{backing[lo : lo+1], 0},
+		{backing[lo:lo], 0},
+	} {
+		if l, h := check(c.s); (h-l)/page != c.want {
+			t.Fatalf("slice of %d elements from page offset %d: range [%d, %d), want %d whole pages",
+				len(c.s), uintptr(unsafe.Pointer(unsafe.SliceData(c.s)))%hugePage, l, h, c.want)
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 1000; i++ {
+		a := rng.Intn(len(backing))
+		check(backing[a : a+rng.Intn(len(backing)-a+1)])
 	}
 }

@@ -30,18 +30,7 @@ func BenchmarkReplayFanOut(b *testing.B) {
 		fab := topology.MustNew(dims...)
 		for _, alg := range coldCells {
 			b.Run(alg+"@"+fab.String(), func(b *testing.B) {
-				bld, err := algorithm.For(alg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				sc, err := bld.BuildSchedule(fab)
-				if err != nil {
-					b.Fatal(err)
-				}
-				pg, err := exec.Compile(sc, exec.Options{})
-				if err != nil {
-					b.Fatal(err)
-				}
+				pg := compiledCell(b, alg, fab)
 				arena := pg.NewArena()
 				maxStep := 0
 				for _, e := range exec.StepElems(pg) {
@@ -71,6 +60,68 @@ func BenchmarkReplayFanOut(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkDeliverPass times the delivery pass alone, serially, from a
+// warm arena's final log, for each payload algorithm at 16x16 and
+// 32x32: "ReplayInto" gathers and checks into a DeliverySize() buffer,
+// "RunArena" gathers and checks through the gather scratch and
+// materializes the Result.Buffers. On a program without log moves
+// (direct) the "-column" rows run the node-at-a-time pass the tiled
+// one replaced, over the same log. Sweep the 32x32 cells one per
+// process:
+//
+//	go test -run '^$' -bench 'DeliverPass/direct@32x32' -benchtime 41x -count 2 ./internal/exec
+func BenchmarkDeliverPass(b *testing.B) {
+	for _, dims := range [][]int{{16, 16}, {32, 32}} {
+		fab := topology.MustNew(dims...)
+		for _, alg := range coldCells {
+			b.Run(alg+"@"+fab.String(), func(b *testing.B) {
+				pg := compiledCell(b, alg, fab)
+				arena := pg.NewArena()
+				if _, err := pg.RunArena(arena, exec.Options{Serial: true}); err != nil {
+					b.Fatal(err)
+				}
+				dst := make([]int32, pg.DeliverySize())
+				type form struct {
+					name    string
+					dst     []int32
+					untiled bool
+				}
+				forms := []form{{"ReplayInto", dst, false}, {"RunArena", nil, false}}
+				if pg.Stats().LastHopOnly {
+					forms = append(forms, form{"ReplayInto-column", dst, true}, form{"RunArena-column", nil, true})
+				}
+				for _, f := range forms {
+					b.Run(f.name, func(b *testing.B) {
+						for i := 0; i < b.N; i++ {
+							if err := exec.DeliverPass(pg, arena, f.dst, f.untiled); err != nil {
+								b.Fatal(err)
+							}
+						}
+					})
+				}
+			})
+		}
+	}
+}
+
+// compiledCell builds alg's schedule on fab and compiles it.
+func compiledCell(b *testing.B, alg string, fab topology.Fabric) *exec.Program {
+	b.Helper()
+	bld, err := algorithm.For(alg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sc, err := bld.BuildSchedule(fab)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pg, err := exec.Compile(sc, exec.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return pg
 }
 
 // BenchmarkFirstReplay16 times what a fresh process pays after loading
