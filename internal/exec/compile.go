@@ -665,7 +665,7 @@ func (c *compiler) finish() (*Program, error) {
 		if req != nil {
 			t0 = time.Now()
 		}
-		low, opBacking, err := c.finishReplay()
+		low, err := c.finishReplay()
 		if req != nil {
 			c.replayClock.since(t0)
 		}
@@ -677,7 +677,7 @@ func (c *compiler) finish() (*Program, error) {
 		// moves' strided gathers and the per-node delivery descriptors),
 		// built from the reference replay's artifacts. See descriptor.go.
 		psp := req.Stage(obs.StagePlanDescriptors)
-		err = p.planDescriptors(low, opBacking, c.rr.initIDs, c.rr.initOff, c.rr.hs, c.rr.arrivals)
+		err = p.planDescriptors(low)
 		psp.End()
 		if err != nil {
 			return nil, err

@@ -16,8 +16,13 @@ import (
 // order, new arrivals get fresh larger stamps), so each transfer's
 // extraction order — the order its blocks arrive at the destination —
 // is its payload sorted by stamp, with no buffers materialized at all.
-// The walk rewrites each payload listed out of that order in place, in
-// stamp order, which is the only order the descriptor planner reads.
+// Node v's initial contents take stamps [0, init[v]) in matrix order,
+// and each transfer into v takes the next payLen stamps there: one
+// contiguous stamp segment per arrival.
+//
+// The walk rewrites every payload it moves in place as its blocks'
+// arrival stamps at the sender, in ascending order, which is all the
+// descriptor planner reads of it: the ids are never needed again.
 // The same walk flags the first transfer that forwards a block within
 // the step that delivered it: a block whose stamp at the sender is at
 // least the sender's arrival count when the step began arrived during
@@ -25,7 +30,7 @@ import (
 //
 // Delivery is then read off the final holder table, and each node's
 // insert/extract events are laid out as per-node runs, which the
-// descriptor planner replays per node in parallel (descriptor.go).
+// descriptor planner walks per node in parallel (descriptor.go).
 //
 // Error parity: coherence errors surface at exactly the point a serial
 // walk would hit them (first transfer in schedule order, first block in
@@ -56,13 +61,12 @@ const maxMergeRuns = 64
 // compileScratch pools the reference replay's large transient tables
 // across compiles. None of the slices carry any cross-use invariant:
 // every region a compile reads is fully written by that same compile
-// first (hs is refilled, the event backing is written densely, initIDs
-// and each payload's merge keys and run starts are fully overwritten
+// first (hs is refilled, the event backing is written densely, and
+// each payload's merge keys and run starts are fully overwritten
 // before use), so reuse needs no zeroing.
 type compileScratch struct {
 	hs        []uint64
 	opBacking []opRec
-	initIDs   []int32
 	keys, tmp []uint64
 	starts    []int32
 }
@@ -83,30 +87,13 @@ type refReplay struct {
 	// node and stepArr the node's arrival count when that step began: a
 	// block held at stamp >= stepArr arrived during the current step.
 	nodeStep, stepArr []int32
-	initIDs           []int32 // per-node initial contents in matrix order
-	initOff           []int32
+	init              []int32 // per-node initial block count
 }
 
 const (
 	hsAbsent   = uint64(0xFFFFFFFF) << 32
 	hsInFlight = uint64(0xFFFFFFFE) << 32
 )
-
-// idSlotPool pools the descriptor planner's per-worker block-id -> log
-// slot tables. Pooled tables hold the all-(-1) invariant: every worker
-// resets the slots it touched before releasing its table.
-var idSlotPool sync.Pool
-
-func acquireIDSlot(numBlocks int) []int32 {
-	if v, ok := idSlotPool.Get().([]int32); ok && cap(v) >= numBlocks {
-		return v[:numBlocks]
-	}
-	s := make([]int32, numBlocks)
-	for i := range s {
-		s[i] = -1
-	}
-	return s
-}
 
 // startReplay resolves the traffic matrix to dense ids and fills the
 // holder table with every node's initial contents, before the first
@@ -125,8 +112,7 @@ func (c *compiler) startReplay() error {
 	rr.arrivals = make([]int32, n)
 	rr.nodeStep = make([]int32, n)
 	rr.stepArr = make([]int32, n)
-	rr.initOff = make([]int32, n+1)
-	arrivals, initOff := rr.arrivals, rr.initOff
+	arrivals := rr.arrivals
 	traffic := c.opt.Traffic
 	if traffic == nil {
 		// Full all-to-all: the matrix is every dense id in order, so
@@ -139,16 +125,15 @@ func (c *compiler) startReplay() error {
 			ids[i] = int32(i)
 		}
 		p.trafficIDs = ids
-		rr.initIDs = ids
 		for v := 0; v < n; v++ {
 			p.perDest[v] = int32(n)
 			arrivals[v] = int32(n)
-			initOff[v+1] = int32((v + 1) * n)
 			base, hv := v*n, uint64(uint32(v))<<32
 			for j := 0; j < n; j++ {
 				hs[base+j] = hv | uint64(uint32(j))
 			}
 		}
+		rr.init = slices.Clone(arrivals)
 		return nil
 	}
 	for i := range hs {
@@ -169,21 +154,7 @@ func (c *compiler) startReplay() error {
 		p.trafficIDs = append(p.trafficIDs, id)
 		p.perDest[b.Dest]++
 	}
-	// Per-node initial contents in matrix order, flat with prefix
-	// offsets (arrivals still holds exactly the initial per-node counts
-	// here).
-	for v := 0; v < n; v++ {
-		initOff[v+1] = initOff[v] + arrivals[v]
-	}
-	rr.initIDs = growI32(cs.initIDs, len(p.trafficIDs))
-	cs.initIDs = rr.initIDs
-	curInit := make([]int32, n)
-	copy(curInit, initOff[:n])
-	for _, id := range p.trafficIDs {
-		o := int(id) / n
-		rr.initIDs[curInit[o]] = id
-		curInit[o]++
-	}
+	rr.init = slices.Clone(arrivals)
 	return nil
 }
 
@@ -222,6 +193,7 @@ func (c *compiler) replayBatch(b []batchStep) error {
 				if int32(uint32(h)) >= stepArr[src] {
 					fwd = id
 				}
+				pay[0] = int32(uint32(h))
 				hs[id] = uint64(uint32(dst))<<32 | uint64(uint32(arrivals[dst]))
 				arrivals[dst]++
 			} else {
@@ -253,13 +225,15 @@ func (c *compiler) replayBatch(b []batchStep) error {
 					}
 					hs[id] = h&0xFFFFFFFF | hsInFlight
 				}
-				if !inOrder {
-					rr.stampOrder(pay)
-				}
 				holder, a := uint64(uint32(dst))<<32, arrivals[dst]
-				for _, id := range pay {
-					hs[id] = holder | uint64(uint32(a))
-					a++
+				if inOrder {
+					for i, id := range pay {
+						pay[i] = int32(uint32(hs[id]))
+						hs[id] = holder | uint64(uint32(a))
+						a++
+					}
+				} else {
+					a = rr.stampOrder(pay, holder, a)
 				}
 				arrivals[dst] = a
 			}
@@ -272,14 +246,16 @@ func (c *compiler) replayBatch(b []batchStep) error {
 	return nil
 }
 
-// stampOrder rewrites pay, whose blocks are in flight from one sender,
-// in arrival-stamp order. Keys are stamp<<32|id; stamps are unique per
-// sender, so the key order is the stamp order. A payload out of order
-// is a concatenation of a few ascending stamp runs (proposed-sim's
-// average 2.7 at 16x16 and 4 at 32x32), which a bottom-up merge orders
-// in a pass per doubling of the run length; past maxMergeRuns runs the
-// keys are sorted instead.
-func (rr *refReplay) stampOrder(pay []int32) {
+// stampOrder delivers pay, whose blocks are in flight from one sender
+// and listed out of arrival order, to holder in arrival-stamp order
+// from stamp a on, rewrites pay as their stamps at the sender in that
+// order, and returns the receiver's next stamp. Keys are stamp<<32|id;
+// stamps are unique per sender, so the key order is the stamp order. A
+// payload out of order is a concatenation of a few ascending stamp
+// runs (proposed-sim's average 2.7 at 16x16 and 4 at 32x32), which a
+// bottom-up merge orders in a pass per doubling of the run length;
+// past maxMergeRuns runs the keys are sorted instead.
+func (rr *refReplay) stampOrder(pay []int32, holder uint64, a int32) int32 {
 	cs := rr.cs
 	keys := growU64(cs.keys, len(pay))
 	cs.keys = keys
@@ -299,8 +275,11 @@ func (rr *refReplay) stampOrder(pay []int32) {
 		keys = mergeRuns(keys, cs.tmp, starts)
 	}
 	for i, k := range keys {
-		pay[i] = int32(uint32(k))
+		pay[i] = int32(k >> 32)
+		rr.hs[uint32(k)] = holder | uint64(uint32(a))
+		a++
 	}
+	return a
 }
 
 // mergeRuns sorts keys, the concatenation of the ascending runs that
@@ -351,9 +330,9 @@ func growU64(s []uint64, n int) []uint64 {
 
 // finishReplay verifies final delivery off the holder table and lays
 // out every node's insert/extract events, in schedule order, as the
-// per-node runs the descriptor planner replays. It returns the planner's
+// per-node runs the descriptor planner walks. It returns the planner's
 // view of the lowered tables.
-func (c *compiler) finishReplay() (*lowered, []opRec, error) {
+func (c *compiler) finishReplay() (*lowered, error) {
 	p, n, rr := c.p, c.n, c.rr
 	// Delivery: every node must end up holding exactly its share of the
 	// matrix, every block addressed to it. hs holds each block's final
@@ -376,24 +355,27 @@ func (c *compiler) finishReplay() (*lowered, []opRec, error) {
 	}
 	for v := 0; v < n; v++ {
 		if held[v] != p.perDest[v] {
-			return nil, nil, fmt.Errorf("exec: node %d holds %d blocks after replay, want %d", v, held[v], p.perDest[v])
+			return nil, fmt.Errorf("exec: node %d holds %d blocks after replay, want %d", v, held[v], p.perDest[v])
 		}
 		if mis[v] >= 0 {
-			return nil, nil, fmt.Errorf("exec: node %d holds misdelivered block %v", v, block.FromID(int32(uint32(mis[v])), n))
+			return nil, fmt.Errorf("exec: node %d holds misdelivered block %v", v, block.FromID(int32(uint32(mis[v])), n))
 		}
 	}
 
 	transfers := c.ls.transfers
 	opOff := make([]int32, n+1)
+	arrOff := make([]int32, n+1)
 	for i := range transfers {
 		pt := &transfers[i]
 		opOff[pt.src+1]++
 		if pt.dst != pt.src {
 			opOff[pt.dst+1]++
 		}
+		arrOff[pt.dst+1]++
 	}
 	for v := 0; v < n; v++ {
 		opOff[v+1] += opOff[v]
+		arrOff[v+1] += arrOff[v]
 	}
 	cs := rr.cs
 	if cap(cs.opBacking) < int(opOff[n]) {
@@ -415,16 +397,25 @@ func (c *compiler) finishReplay() (*lowered, []opRec, error) {
 		opBacking[cur[pt.dst]] = gr | opInsert
 		cur[pt.dst]++
 	}
-	return &lowered{transfers: transfers, stepT: c.stepT, pay: &c.ls.pay, opOff: opOff}, opBacking, nil
+	return &lowered{
+		transfers: transfers, stepT: c.stepT, pay: &c.ls.pay,
+		ops: opBacking, opOff: opOff, arrOff: arrOff,
+		init: rr.init, arrivals: rr.arrivals,
+	}, nil
 }
 
-// lowered is what the descriptor planner reads of the lowered schedule:
-// the transfer table of the payload-carrying transfers in schedule
-// order, each step's window of it, the payload ids every transfer
-// windows (each in stamp order) and the per-node event run offsets.
+// lowered is what the descriptor planner reads of the lowered schedule
+// and its reference replay: the transfer table of the payload-carrying
+// transfers in schedule order, each step's window of it, the sender
+// stamps every transfer windows (ascending), the per-node event runs,
+// and each node's arrival count, initial blocks and stamp total.
 type lowered struct {
 	transfers []ptransfer
 	stepT     []int32 // step si's transfers are transfers[stepT[si]:stepT[si+1]]
 	pay       *idPages
-	opOff     []int32 // node v's events are opBacking[opOff[v]:opOff[v+1]]
+	ops       []opRec
+	opOff     []int32 // node v's events are ops[opOff[v]:opOff[v+1]]
+	arrOff    []int32 // node v receives arrOff[v+1]-arrOff[v] transfers
+	init      []int32 // node v's initial blocks hold stamps [0, init[v])
+	arrivals  []int32 // node v's stamps are [0, arrivals[v])
 }

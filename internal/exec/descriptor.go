@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math/bits"
 	"sync"
 
 	"torusx/internal/par"
@@ -34,9 +35,14 @@ import (
 //     DecodeProgram proves. A program without log moves replays
 //     without writing arena scratch at all.
 //
-// The plan is built by two compile passes parallel over nodes: one
-// replays the reference replay's per-node event runs, the other lays
-// out each node's deliveries once every log region is placed.
+// The planner works on arrival stamps, never on block ids. The
+// reference replay leaves every payload as its blocks' stamps at the
+// sender, ascending, and each arrival at a node is one contiguous stamp
+// segment there. A log-move segment takes log slots, a last-hop
+// segment none, so a block's slot at a node is its stamp there less
+// the last-hop arrivals before it: within a segment, consecutive
+// stamps are consecutive slots, and each gather is converted a run at
+// a time and coalesced run-wise (planDescriptors).
 
 // xdesc is one strided datatype descriptor: count windows of blocklen
 // consecutive log slots, window starts stride apart. count == 1 is a
@@ -122,59 +128,64 @@ func (c *cursor) gather(dst, log []int32, descs []xdesc) {
 	}
 }
 
-// coalesceDescs appends pos — a payload's source log positions in
-// arrival-stamp order — to dst as strided descriptors: maximal +1 runs
-// become blocks, and consecutive blocks of equal length with a
-// constant start-to-start delta merge into one descriptor, so common
-// permutations (interleaves, transposes of contiguous groups) collapse
-// to a handful of descriptors. Descriptors already in dst are never
-// merged into, so one buffer can collect many payloads' descriptors.
-func coalesceDescs(dst []xdesc, pos []int32) []xdesc {
+// run is a gather's source log positions [start, start+n).
+type run struct{ start, n int32 }
+
+// appendRun appends [start, start+n) to rs, joined to the last run when
+// it continues it.
+func appendRun(rs []run, start, n int32) []run {
+	if k := len(rs) - 1; k >= 0 && rs[k].start+rs[k].n == start {
+		rs[k].n += n
+		return rs
+	}
+	return append(rs, run{start, n})
+}
+
+// coalesceRuns appends rs — a gather's source log positions as runs in
+// gather order, each joined to the last when it continues it (see
+// appendRun) — to dst as strided descriptors: consecutive runs of
+// equal length with a constant start-to-start delta merge into one
+// descriptor, so common permutations (interleaves, transposes of
+// contiguous groups) collapse to a handful of descriptors. Descriptors
+// already in dst are never merged into, so one buffer can collect many
+// gathers' descriptors.
+func coalesceRuns(dst []xdesc, rs []run) []xdesc {
 	base := len(dst)
-	i := 0
-	for i < len(pos) {
-		start := pos[i]
-		j := i + 1
-		for j < len(pos) && pos[j] == pos[j-1]+1 {
-			j++
-		}
-		bl := int32(j - i)
-		if m := len(dst); m > base && dst[m-1].blocklen == bl {
+	for _, r := range rs {
+		if m := len(dst); m > base && dst[m-1].blocklen == r.n {
 			last := &dst[m-1]
 			if last.count == 1 {
-				last.stride = start - last.start
+				last.stride = r.start - last.start
 				last.count = 2
-				i = j
 				continue
 			}
-			if start == last.start+last.count*last.stride {
+			if r.start == last.start+last.count*last.stride {
 				last.count++
-				i = j
 				continue
 			}
 		}
-		dst = append(dst, xdesc{start: start, count: 1, blocklen: bl})
-		i = j
+		dst = append(dst, xdesc{start: r.start, count: 1, blocklen: r.n})
 	}
 	return dst
 }
 
 // descScratch pools the descriptor planner's transient tables across
 // compiles, compileScratch-style: every region a compile reads is
-// fully written by that same compile first (lastMove and readNode are
-// re-initialized over the traffic ids, the worker buffers are refilled
-// from empty and read only through the recorded offsets and counts),
-// so reuse needs no zeroing.
+// fully written by that same compile first (an arrival's entries and
+// its transfer's flag when the arrival is recorded, the other
+// per-transfer entries before the compaction reads them, each node's
+// final stamps in full, the worker buffers refilled from empty and
+// read only through the recorded offsets and counts), so reuse needs
+// no zeroing.
 type descScratch struct {
-	lastMove  []int32     // block id -> last moving transfer ordinal
-	readNode  []int32     // block id -> node whose log region delivery reads it from
-	readPos   []int32     // block id -> node-local log slot delivery reads it from
-	isLast    []uint8     // ordinal -> final mover of its whole payload
-	survAll   []int32     // deliveries bucketed by node (finalBase offsets)
+	segStamp  []int32     // arrival -> its first stamp at the receiver
+	segG      []int32     // arrival -> transfer ordinal
+	isLast    []uint8     // ordinal -> no block it carries moves again
 	dInsLocal []int32     // ordinal -> node-local insert position
 	dDescOff  []int32     // ordinal -> first descriptor in its sender's worker buffer
 	dDescCnt  []int32     // ordinal -> descriptor count
-	wdescs    []descStore // worker -> its nodes' log-move, then delivery, descriptors
+	finals    []int32     // each node's final stamps, ascending, at its finalBase offset
+	wdescs    []descStore // worker -> its nodes' log-move and delivery descriptors
 }
 
 // descChunk is the descriptor count of one descStore chunk (16 KiB).
@@ -184,20 +195,22 @@ const descChunk = 1 << 10
 // are only known after coalescing, and a slice grown by append
 // allocates about four times its final size on the way (large slices
 // grow by 1.25x), so the store grows by fixed-size chunks instead and
-// never copies: descriptor i is chunks[i/descChunk][i%descChunk]. run
-// is the scratch one payload is coalesced into before it is appended.
+// never copies: descriptor i is chunks[i/descChunk][i%descChunk].
+// runs collects one gather's runs and descs coalesces them before they
+// are appended.
 type descStore struct {
 	chunks [][]xdesc
 	n      int
-	run    []xdesc
+	runs   []run
+	descs  []xdesc
 }
 
-// appendRun coalesces pos (see coalesceDescs) onto the store and
+// appendRuns coalesces rs (see coalesceRuns) onto the store and
 // returns the offset and count of the descriptors it appended.
-func (st *descStore) appendRun(pos []int32) (off, cnt int32) {
-	st.run = coalesceDescs(st.run[:0], pos)
-	off = int32(st.n)
-	for r := st.run; len(r) > 0; {
+func (st *descStore) appendRuns(rs []run) (off, cnt int32) {
+	st.descs = coalesceRuns(st.descs[:0], rs)
+	off, cnt = int32(st.n), int32(len(st.descs))
+	for r := st.descs; len(r) > 0; {
 		c := st.n / descChunk
 		if c == len(st.chunks) {
 			st.chunks = append(st.chunks, make([]xdesc, descChunk))
@@ -206,7 +219,7 @@ func (st *descStore) appendRun(pos []int32) (off, cnt int32) {
 		st.n += k
 		r = r[k:]
 	}
-	return off, int32(len(st.run))
+	return off, cnt
 }
 
 func (st *descStore) at(i int32) xdesc { return st.chunks[i/descChunk][i%descChunk] }
@@ -227,27 +240,104 @@ func growU8(s []uint8, n int) []uint8 {
 	return s[:n]
 }
 
+// segAt returns the arrival in [from, to) whose stamp segment holds
+// stamp s: the last one starting at or before s. segStamp[from] <= s.
+// Callers walk ascending stamps, so from or the arrival after it is
+// tried before the search.
+func segAt(segStamp []int32, from, to, s int32) int32 {
+	if from+1 == to || segStamp[from+1] > s {
+		return from
+	}
+	from++
+	for to-from > 1 {
+		m := int32(uint32(from+to) >> 1)
+		if segStamp[m] <= s {
+			from = m
+		} else {
+			to = m
+		}
+	}
+	return from
+}
+
+// stampPlan maps arrival stamps to log slots once every node's region
+// is laid out.
+type stampPlan struct {
+	*lowered
+	segStamp, segG      []int32
+	isLast              []uint8
+	dInsLocal, descBase []int32
+}
+
+// runs appends the log slots of stamps, ascending stamps at node u, to
+// rs: initial slots equal their stamps, and a log move's segment
+// starts at its insert position, so within a segment slots follow
+// stamps. Slots at u are offset by base. A last-hop segment holds no
+// slots: a delivery reads it — all of it, as none of its blocks moves
+// again — where the segment's sender held it, at the sender stamps its
+// payload records, offset by the start of the sender's region.
+func (sp *stampPlan) runs(rs []run, u int, base int32, stamps []int32) []run {
+	init, from, to := sp.init[u], sp.arrOff[u], sp.arrOff[u+1]
+	for i := 0; i < len(stamps); {
+		s := stamps[i]
+		off, end := base, init
+		if s >= init {
+			from = segAt(sp.segStamp, from, to, s)
+			g, segStart := sp.segG[from], sp.segStamp[from]
+			end = sp.arrivals[u]
+			if from+1 < to {
+				end = sp.segStamp[from+1]
+			}
+			if sp.isLast[g] != 0 {
+				pt := &sp.transfers[g]
+				src := sp.pay.at(int(pt.payOff), int(pt.payLen))
+				if t := src[0]; len(src) == 1 && t < sp.init[pt.src] {
+					rs = appendRun(rs, sp.descBase[pt.src]+t, 1) // direct's every delivery
+				} else {
+					rs = sp.runs(rs, int(pt.src), sp.descBase[pt.src], src)
+				}
+				i += int(pt.payLen)
+				continue
+			}
+			off += sp.dInsLocal[g] - segStart
+		}
+		for ; i < len(stamps) && stamps[i] < end; i++ {
+			rs = appendRun(rs, off+stamps[i], 1)
+		}
+	}
+	return rs
+}
+
 // planDescriptors lowers the replay to the descriptor plan and writes
-// the program's core. Inputs are the tables the lowering pass kept (its
-// transfer table and payload ids, in stamp order) and the reference
-// replay's artifacts: the per-node event runs (low.opOff/opBacking),
-// the per-node initial contents (initIDs/initOff), the final
-// holder/stamp table hs and the per-node arrival totals. Must run after
-// delivery was verified.
-func (p *Program) planDescriptors(low *lowered, opBacking []opRec, initIDs, initOff []int32,
-	hs []uint64, arrivals []int32) error {
+// the program's core, from the lowered tables and the reference
+// replay's artifacts (low): the transfers, their sender stamps and
+// the per-node event runs and stamp counts. Must run after delivery
+// was verified. Two passes parallel over nodes build the plan without
+// a per-block table:
+//
+//  1. Per node, in event order, each arrival is recorded as a stamp
+//     segment, flagged last-hop; each extraction's ascending stamps
+//     clear the flag of every segment they fall in, and mark their
+//     stamps taken. The node's region is then laid out: initial slots
+//     equal their stamps, each log move's segment takes the next slots
+//     (dInsLocal) and a last-hop segment takes none. The stamps never
+//     taken are the node's final holdings, in final-stamp order.
+//  2. Per node, each log move's sender stamps and then the node's
+//     final stamps are converted to slots run by run (stampPlan.runs)
+//     and coalesced into descriptors: the log moves' over node-local
+//     slots, the deliveries' over absolute ones.
+//
+// A serial compaction then writes both into the program's core.
+func (p *Program) planDescriptors(low *lowered) error {
 	n := p.n
-	opOff, pay, numT := low.opOff, low.pay, len(low.transfers)
+	pay, numT := low.pay, len(low.transfers)
 	ds := descScratchPool.Get().(*descScratch)
 	defer descScratchPool.Put(ds)
 
-	numDeliver := len(p.trafficIDs)
-	lastMove := growI32(ds.lastMove, p.numBlocks)
-	ds.lastMove = lastMove
-	readNode := growI32(ds.readNode, p.numBlocks)
-	ds.readNode = readNode
-	readPos := growI32(ds.readPos, p.numBlocks)
-	ds.readPos = readPos
+	segStamp := growI32(ds.segStamp, numT)
+	ds.segStamp = segStamp
+	segG := growI32(ds.segG, numT)
+	ds.segG = segG
 	isLast := growU8(ds.isLast, numT)
 	ds.isLast = isLast
 	dInsLocal := growI32(ds.dInsLocal, numT)
@@ -256,12 +346,11 @@ func (p *Program) planDescriptors(low *lowered, opBacking []opRec, initIDs, init
 	ds.dDescOff = dDescOff
 	dDescCnt := growI32(ds.dDescCnt, numT)
 	ds.dDescCnt = dDescCnt
-	survAll := growI32(ds.survAll, numDeliver)
-	ds.survAll = survAll
-	// Both node passes split the nodes into the same chunks, so worker
-	// w appends its nodes' log-move descriptors and then their delivery
-	// descriptors to wdescs[w], and nodeW records each node's worker
-	// for the compaction.
+	finals := growI32(ds.finals, len(p.trafficIDs))
+	ds.finals = finals
+	// Both node passes split the nodes into the same chunks; worker w
+	// appends its nodes' descriptors to wdescs[w], and nodeW records
+	// each node's worker for the compaction.
 	workers := par.Workers()
 	for len(ds.wdescs) < par.Width(workers, n) {
 		ds.wdescs = append(ds.wdescs, descStore{})
@@ -274,149 +363,67 @@ func (p *Program) planDescriptors(low *lowered, opBacking []opRec, initIDs, init
 	p.deriveDelivery()
 	finalBase := p.finalBase
 
-	// Serial pre-pass: each block's last moving transfer, the last-hop
-	// transfers (final mover of their whole payload), and the node each
-	// delivery is read from — the last-hop sender, else the final
-	// holder. Done serially because a transfer's payload spans the src
-	// node while the delivery verdict lands on the dst — the parallel
-	// per-node walks below only read these tables, or write them for
-	// ids their own node extracts or holds.
-	for _, id := range p.trafficIDs {
-		lastMove[id] = -1
-		readNode[id] = id % int32(n)
-	}
-	for g := range low.transfers {
-		pt := &low.transfers[g]
-		for _, id := range pay.at(int(pt.payOff), int(pt.payLen)) {
-			lastMove[id] = int32(g)
-		}
-	}
-	for g := range low.transfers {
-		pt := &low.transfers[g]
-		ids := pay.at(int(pt.payOff), int(pt.payLen))
-		all := uint8(1)
-		for _, id := range ids {
-			if lastMove[id] != int32(g) {
-				all = 0
-				break
-			}
-		}
-		isLast[g] = all
-		if all != 0 {
-			for _, id := range ids {
-				readNode[id] = pt.src
-			}
-		}
-	}
-
-	// Deliveries bucketed by destination node (matrix order; each
-	// node's worker reorders its own segment by final arrival stamp).
-	{
-		cur := make([]int32, n)
-		copy(cur, finalBase[:n])
-		for _, id := range p.trafficIDs {
-			v := int(id) % n
-			survAll[cur[v]] = id
-			cur[v]++
-		}
-	}
-
-	// First parallel pass over nodes: replay each node's event run,
-	// assigning append-only log positions to the initial contents and
-	// to log-move arrivals only, recognizing each log move's extraction
-	// positions as strided descriptors, and recording the slot every
-	// delivery is read from: a last-hop transfer's blocks where its
-	// sender held them, every other delivery where its node holds it at
-	// the end. All cross-node state is read-only or indexed by ids the
-	// node owns, so the walks are data-race free.
+	// First pass: segments, last-hop flags, region layout and final
+	// stamps. A node's worker writes only its own arrivals' entries and
+	// the flags of the transfers into it.
 	nodeLog := make([]int32, n)
 	par.ForEachWorker(workers, n, func(w, lo, hi int) {
-		descs := &wdescs[w]
-		descs.n = 0
-		idPos := acquireIDSlot(p.numBlocks) // block id -> log slot at the node in progress
-		maxS := 0
+		maxS := int32(0)
 		for v := lo; v < hi; v++ {
-			if s := int(arrivals[v]); s > maxS {
-				maxS = s
-			}
+			maxS = max(maxS, low.arrivals[v])
 		}
-		logIDs := make([]int32, maxS) // assignment journal, for the idPos reset
-		// byStamp places a node's deliveries by final arrival stamp: the
-		// stamps at node v are unique and below arrivals[v], so a scatter
-		// and one compacting sweep order them with no sort. All -1
-		// between nodes; the sweep resets what it reads.
-		byStamp := make([]int32, maxS)
-		for s := range byStamp {
-			byStamp[s] = -1
-		}
-		var physBuf []int32
+		taken := make([]uint64, (maxS+63)/64)
 		for v := lo; v < hi; v++ {
-			nodeW[v] = int32(w)
-			cursor := 0
-			for _, id := range initIDs[initOff[v]:initOff[v+1]] {
-				idPos[id] = int32(cursor)
-				logIDs[cursor] = id
-				cursor++
-			}
-			for oi := opOff[v]; oi < opOff[v+1]; oi++ {
-				gr := opBacking[oi]
-				tg := gr >> opFlagBits
-				pt := &low.transfers[tg]
-				ord := pay.at(int(pt.payOff), int(pt.payLen))
-				if isLast[tg] != 0 {
-					if gr&opExtract != 0 {
-						for _, id := range ord {
-							readPos[id] = idPos[id]
+			init, next, total := low.init[v], low.init[v], low.arrivals[v]
+			base, k := low.arrOff[v], low.arrOff[v]
+			words := taken[:(total+63)/64]
+			clear(words)
+			for _, gr := range low.ops[low.opOff[v]:low.opOff[v+1]] {
+				g := int32(gr >> opFlagBits)
+				pt := &low.transfers[g]
+				if gr&opExtract != 0 {
+					a, end := base, init
+					for _, s := range pay.at(int(pt.payOff), int(pt.payLen)) {
+						words[s>>6] |= 1 << (s & 63)
+						if s < end {
+							continue
+						}
+						a = segAt(segStamp, a, k, s)
+						isLast[segG[a]] = 0
+						end = next
+						if a+1 < k {
+							end = segStamp[a+1]
 						}
 					}
-					continue
-				}
-				if gr&opExtract != 0 {
-					physBuf = physBuf[:0]
-					for _, id := range ord {
-						physBuf = append(physBuf, idPos[id])
-					}
-					dDescOff[tg], dDescCnt[tg] = descs.appendRun(physBuf)
 				}
 				if gr&opInsert != 0 {
-					dInsLocal[tg] = int32(cursor)
-					for _, id := range ord {
-						idPos[id] = int32(cursor)
-						logIDs[cursor] = id
-						cursor++
-					}
+					segStamp[k], segG[k], isLast[g] = next, g, 1
+					k++
+					next += pt.payLen
 				}
 			}
-			nodeLog[v] = int32(cursor)
+			slot := init
+			for a := base; a < k; a++ {
+				if g := segG[a]; isLast[g] == 0 {
+					dInsLocal[g] = slot
+					slot += low.transfers[g].payLen
+				}
+			}
+			nodeLog[v] = slot
 
-			// The node's deliveries in final arrival order; those it
-			// reads from its own region sit where it holds them now (a
-			// last-hop self-transfer inserted nothing, so its blocks
-			// still sit where it extracted them).
-			seg := survAll[finalBase[v]:finalBase[v+1]]
-			for _, id := range seg {
-				byStamp[uint32(hs[id])] = id
-			}
-			k := 0
-			for s := 0; k < len(seg); s++ {
-				id := byStamp[s]
-				if id < 0 {
-					continue
+			out := finals[finalBase[v]:finalBase[v+1]]
+			m := 0
+			for wi, word := range words {
+				free := ^word
+				if rest := total - int32(wi*64); rest < 64 {
+					free &= 1<<rest - 1
 				}
-				byStamp[s] = -1
-				seg[k] = id
-				k++
-				if readNode[id] == int32(v) {
-					readPos[id] = idPos[id]
+				for ; free != 0; free &= free - 1 {
+					out[m] = int32(wi*64 + bits.TrailingZeros64(free))
+					m++
 				}
-			}
-
-			// Restore the pooled table's all-(-1) invariant.
-			for s := 0; s < cursor; s++ {
-				idPos[logIDs[s]] = -1
 			}
 		}
-		idSlotPool.Put(idPos)
 	})
 
 	// Per-node log regions via the descBase prefix.
@@ -424,21 +431,29 @@ func (p *Program) planDescriptors(low *lowered, opBacking []opRec, initIDs, init
 	for v := 0; v < n; v++ {
 		descBase[v+1] = descBase[v] + nodeLog[v]
 	}
+	sp := &stampPlan{lowered: low, segStamp: segStamp, segG: segG, isLast: isLast,
+		dInsLocal: dInsLocal, descBase: descBase}
 
-	// Second parallel pass over nodes: each node's delivery descriptors
-	// over absolute log positions, in rank order, after the worker's
-	// log-move descriptors.
+	// Second pass: each node's log-move descriptors over node-local
+	// slots, then its delivery descriptors over absolute ones.
 	deliverAt := make([]int32, n)
 	deliverCnt := make([]int32, n)
 	par.ForEachWorker(workers, n, func(w, lo, hi int) {
 		descs := &wdescs[w]
-		var physBuf []int32
+		descs.n = 0
 		for v := lo; v < hi; v++ {
-			physBuf = physBuf[:0]
-			for _, id := range survAll[finalBase[v]:finalBase[v+1]] {
-				physBuf = append(physBuf, descBase[readNode[id]]+readPos[id])
+			nodeW[v] = int32(w)
+			for _, gr := range low.ops[low.opOff[v]:low.opOff[v+1]] {
+				g := gr >> opFlagBits
+				if gr&opExtract == 0 || isLast[g] != 0 {
+					continue
+				}
+				pt := &low.transfers[g]
+				descs.runs = sp.runs(descs.runs[:0], v, 0, pay.at(int(pt.payOff), int(pt.payLen)))
+				dDescOff[g], dDescCnt[g] = descs.appendRuns(descs.runs)
 			}
-			deliverAt[v], deliverCnt[v] = descs.appendRun(physBuf)
+			descs.runs = sp.runs(descs.runs[:0], v, descBase[v], finals[finalBase[v]:finalBase[v+1]])
+			deliverAt[v], deliverCnt[v] = descs.appendRuns(descs.runs)
 		}
 	})
 

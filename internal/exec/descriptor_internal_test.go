@@ -2,8 +2,20 @@ package exec
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
+
+// coalesceDescs appends pos, a gather's source log positions in order,
+// to dst as strided descriptors: the element-wise front end of
+// coalesceRuns, each position a run of one.
+func coalesceDescs(dst []xdesc, pos []int32) []xdesc {
+	var rs []run
+	for _, s := range pos {
+		rs = appendRun(rs, s, 1)
+	}
+	return coalesceRuns(dst, rs)
+}
 
 // expandDescs flattens a descriptor list back to the position list it
 // encodes, in order.
@@ -84,9 +96,9 @@ func TestCoalesceDescsLossless(t *testing.T) {
 	}
 }
 
-// TestDescStoreMatchesAppend: runs appended to a descStore across its
-// chunk boundaries read back, through the offsets and counts appendRun
-// returns, exactly the descriptors coalescing each run alone gives.
+// TestDescStoreMatchesAppend: gathers appended to a descStore across
+// its chunk boundaries read back, through the offsets and counts end
+// returns, exactly the descriptors coalescing each gather alone gives.
 func TestDescStoreMatchesAppend(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var st descStore
@@ -98,7 +110,11 @@ func TestDescStoreMatchesAppend(t *testing.T) {
 				pos[j] = int32(rng.Intn(64))
 			}
 			want := coalesceDescs(nil, pos)
-			off, cnt := st.appendRun(pos)
+			var rs []run
+			for _, s := range pos {
+				rs = appendRun(rs, s, 1)
+			}
+			off, cnt := st.appendRuns(rs)
 			if int(cnt) != len(want) {
 				t.Fatalf("round %d run %d: %d descriptors, want %d", round, i, cnt, len(want))
 			}
@@ -110,6 +126,58 @@ func TestDescStoreMatchesAppend(t *testing.T) {
 		}
 		if st.n <= 2*descChunk {
 			t.Fatalf("the runs filled %d descriptors, too few to cross two chunk boundaries", st.n)
+		}
+	}
+}
+
+// TestCoalesceRunsMatchElementWise: the planner appends its positions
+// as runs, cut wherever a stamp segment ends, so a block may arrive in
+// several pieces and one piece may continue the last. For any
+// concatenation of runs — contiguous, repeated, reversed or random —
+// coalescing them run by run must give exactly the descriptors
+// coalesceDescs gives their positions one by one.
+func TestCoalesceRunsMatchElementWise(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for i := 0; i < 2000; i++ {
+		var runs []run
+		var pos []int32
+		next := int32(rng.Intn(64))
+		for r := 0; r < rng.Intn(12); r++ {
+			var start int32
+			switch rng.Intn(4) {
+			case 0: // continues the previous run
+				start = next
+			case 1: // a constant stride from it
+				start = next + 3
+			case 2: // behind it
+				start = next - int32(rng.Intn(8)) - 1
+			default:
+				start = int32(rng.Intn(128))
+			}
+			rn := run{start, int32(1 + rng.Intn(5))}
+			runs = append(runs, rn)
+			for k := int32(0); k < rn.n; k++ {
+				pos = append(pos, rn.start+k)
+			}
+			next = rn.start + rn.n
+		}
+		prefix := []xdesc{{start: 1, count: 1, blocklen: 1}}
+		want := coalesceDescs(append([]xdesc(nil), prefix...), pos)
+		var rs []run
+		for _, rn := range runs {
+			rs = appendRun(rs, rn.start, rn.n)
+		}
+		got := coalesceRuns(append([]xdesc(nil), prefix...), rs)
+		if len(got) != len(want) {
+			t.Fatalf("case %d (runs %v): %d descriptors, want %d\n got %+v\nwant %+v", i, runs, len(got), len(want), got, want)
+		}
+		for k := range want {
+			if got[k] != want[k] {
+				t.Fatalf("case %d (runs %v): descriptor %d = %+v, want %+v", i, runs, k, got[k], want[k])
+			}
+		}
+		if got := expandDescs(got[len(prefix):]); len(pos) > 0 && !slices.Equal(got, pos) {
+			t.Fatalf("case %d: expansion %v, want %v", i, got, pos)
 		}
 	}
 }
