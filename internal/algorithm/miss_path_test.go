@@ -99,11 +99,11 @@ func TestColdBuildProgramStageNames(t *testing.T) {
 // cell at 16x16 at GOMAXPROCS 2, with the scratch pools empty: the
 // measured value (linux/amd64, Go 1.24) plus 25%.
 var missPathBudgetMiB = map[string]float64{
-	"direct":       21.2, // 16.96 measured
-	"factored":     8.5,  // 6.82
-	"logtime":      8.5,  // 6.82
-	"proposed-sim": 11.1, // 8.90
-	"ring":         18.1, // 14.50
+	"direct":       17.9, // 14.27 measured
+	"factored":     6.5,  // 5.15
+	"logtime":      6.4,  // 5.12
+	"proposed-sim": 7.5,  // 5.98
+	"ring":         15.4, // 12.32
 }
 
 // TestMissPathAllocBudget measures each cell's cold BuildProgram after

@@ -1,11 +1,14 @@
 package exec_test
 
 import (
+	"slices"
 	"testing"
+	"time"
 
 	"torusx/internal/algorithm"
 	"torusx/internal/baseline"
 	"torusx/internal/exec"
+	"torusx/internal/obs"
 	"torusx/internal/topology"
 )
 
@@ -34,9 +37,12 @@ func cold16(b *testing.B) (*exec.Program, []byte) {
 }
 
 // BenchmarkColdCompile16 compiles each cold-start cell's 16x16
-// schedule, built once outside the timer.
+// schedule, built once outside the timer. Each compile carries a
+// request, and the benchmark reports Compile's stages from it as
+// <stage>-ms/op; the request is opened and read outside the timer.
 func BenchmarkColdCompile16(b *testing.B) {
 	tor := topology.MustNew(16, 16)
+	stages := []string{obs.StageLower, obs.StageReferenceReplay, obs.StagePlanDescriptors, obs.StageSeal}
 	for _, alg := range coldCells {
 		b.Run(alg, func(b *testing.B) {
 			bld, err := algorithm.For(alg)
@@ -47,12 +53,27 @@ func BenchmarkColdCompile16(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			reg := obs.NewRegistry()
+			sum := make([]time.Duration, len(stages))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := exec.Compile(sc, exec.Options{}); err != nil {
+				b.StopTimer()
+				req := reg.StartRequest(alg)
+				b.StartTimer()
+				if _, err := exec.Compile(sc, exec.Options{Request: req}); err != nil {
 					b.Fatal(err)
 				}
+				b.StopTimer()
+				for _, st := range req.Stages() {
+					if k := slices.Index(stages, st.Name); k >= 0 {
+						sum[k] += st.End - st.Start
+					}
+				}
+				b.StartTimer()
+			}
+			for k, name := range stages {
+				b.ReportMetric(float64(sum[k])/float64(time.Millisecond)/float64(b.N), name+"-ms/op")
 			}
 		})
 	}

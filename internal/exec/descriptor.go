@@ -170,13 +170,9 @@ func coalesceRuns(dst []xdesc, rs []run) []xdesc {
 }
 
 // descScratch pools the descriptor planner's transient tables across
-// compiles, compileScratch-style: every region a compile reads is
-// fully written by that same compile first (an arrival's entries and
-// its transfer's flag when the arrival is recorded, the other
-// per-transfer entries before the compaction reads them, each node's
-// final stamps in full, the worker buffers refilled from empty and
-// read only through the recorded offsets and counts), so reuse needs
-// no zeroing.
+// compiles, compileScratch-style: every entry a compile reads it wrote
+// first (the worker buffers are refilled from empty and read only
+// through the recorded offsets and counts), so reuse needs no zeroing.
 type descScratch struct {
 	segStamp  []int32     // arrival -> its first stamp at the receiver
 	segG      []int32     // arrival -> transfer ordinal
@@ -309,25 +305,21 @@ func (sp *stampPlan) runs(rs []run, u int, base int32, stamps []int32) []run {
 }
 
 // planDescriptors lowers the replay to the descriptor plan and writes
-// the program's core, from the lowered tables and the reference
-// replay's artifacts (low): the transfers, their sender stamps and
-// the per-node event runs and stamp counts. Must run after delivery
-// was verified. Two passes parallel over nodes build the plan without
-// a per-block table:
+// the program's core from low, the lowered tables and the reference
+// replay's artifacts. Must run after delivery was verified. Two passes
+// parallel over nodes build the plan, and a serial compaction writes
+// it into the core:
 //
 //  1. Per node, in event order, each arrival is recorded as a stamp
-//     segment, flagged last-hop; each extraction's ascending stamps
-//     clear the flag of every segment they fall in, and mark their
-//     stamps taken. The node's region is then laid out: initial slots
-//     equal their stamps, each log move's segment takes the next slots
-//     (dInsLocal) and a last-hop segment takes none. The stamps never
-//     taken are the node's final holdings, in final-stamp order.
+//     segment flagged last-hop, and each extraction's stamps clear the
+//     flag of every segment they fall in and are marked taken. The
+//     node's region is then laid out: initial slots, then each log
+//     move's segment (dInsLocal). The stamps never taken are the
+//     node's final holdings, in final-stamp order.
 //  2. Per node, each log move's sender stamps and then the node's
-//     final stamps are converted to slots run by run (stampPlan.runs)
-//     and coalesced into descriptors: the log moves' over node-local
-//     slots, the deliveries' over absolute ones.
-//
-// A serial compaction then writes both into the program's core.
+//     final stamps are converted to slots (stampPlan.runs) and
+//     coalesced: the log moves' over node-local slots, the deliveries'
+//     over absolute ones.
 func (p *Program) planDescriptors(low *lowered) error {
 	n := p.n
 	pay, numT := low.pay, len(low.transfers)
@@ -363,9 +355,8 @@ func (p *Program) planDescriptors(low *lowered) error {
 	p.deriveDelivery()
 	finalBase := p.finalBase
 
-	// First pass: segments, last-hop flags, region layout and final
-	// stamps. A node's worker writes only its own arrivals' entries and
-	// the flags of the transfers into it.
+	// First pass. A node's worker writes only its own arrivals' entries
+	// and the flags of the transfers into it.
 	nodeLog := make([]int32, n)
 	par.ForEachWorker(workers, n, func(w, lo, hi int) {
 		maxS := int32(0)
@@ -434,8 +425,7 @@ func (p *Program) planDescriptors(low *lowered) error {
 	sp := &stampPlan{lowered: low, segStamp: segStamp, segG: segG, isLast: isLast,
 		dInsLocal: dInsLocal, descBase: descBase}
 
-	// Second pass: each node's log-move descriptors over node-local
-	// slots, then its delivery descriptors over absolute ones.
+	// Second pass.
 	deliverAt := make([]int32, n)
 	deliverCnt := make([]int32, n)
 	par.ForEachWorker(workers, n, func(w, lo, hi int) {

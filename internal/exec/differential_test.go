@@ -162,6 +162,13 @@ func checkRow(t *testing.T, r wallRow, widths []int) {
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
+	checkProgram(t, r, want, pg, widths)
+}
+
+// checkProgram holds pg, compiled from r, to the oracle's outcome want
+// over every (source × mode × entry point), as checkRow describes.
+func checkProgram(t *testing.T, r wallRow, want *exec.Result, pg *exec.Program, widths []int) {
+	t.Helper()
 	if err := exec.CheckDescriptorPlan(pg, r.sc); err != nil {
 		t.Fatalf("descriptor plan: %v", err)
 	}
