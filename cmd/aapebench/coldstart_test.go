@@ -2,24 +2,60 @@ package main
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"torusx/internal/algorithm"
 	"torusx/internal/benchfmt"
+	"torusx/internal/exec"
+	"torusx/internal/topology"
 )
 
-// TestColdStartLedgerGate is the CI cold-start gate: the committed
-// ledger must show the 16x16 direct exchange compiling (exec.Compile
-// alone, prebuilt schedule) in under 20ms and loading from a warm
-// tier-2 disk cache in under 2.5ms. A regression in the parallel
-// lowering or the codec shows up here as a regenerated ledger that no
-// longer clears the bar. The bars track the ledger-recording machine:
-// they were recalibrated (10ms/1ms -> 20ms/2.5ms) when the recording
-// box moved to a single core, where the parallel lowering runs
-// serially (14.6ms) and the mmap load measures 1.5ms.
+// TestColdStartLedgerGate is the CI cold-start gate: the 16x16 direct
+// exchange must compile (exec.Compile alone, prebuilt schedule) in
+// under 20ms and load from a warm tier-2 disk cache in under 2.5ms. The
+// test times both here, on the code under test, with coldStartTimings
+// (min of 3 samples, each after a forced collection), taking the best
+// of up to five rounds so that a burst of load from other processes
+// does not fail it; a regression in the parallel lowering or the codec
+// fails every round. The committed ledger must carry both columns for
+// the cell and clear the same bars. The bars were set for a single-core
+// recording box, where the parallel lowering runs serially (14.6ms) and
+// the load measured 1.5ms; they hold on the 2-vCPU class too.
 func TestColdStartLedgerGate(t *testing.T) {
+	const maxCompileNs, maxLoadNs = 20e6, 2.5e6
+	tor := topology.MustNew(16, 16)
+	b, err := algorithm.For("direct")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := b.BuildSchedule(tor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg, err := exec.Compile(sc, exec.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	compile, load := math.Inf(1), math.Inf(1)
+	for round := 0; round < 5 && (compile >= maxCompileNs || load >= maxLoadNs); round++ {
+		c, l := coldStartTimings(b, tor, pg, exec.Options{})
+		if c <= 0 || l <= 0 {
+			t.Fatalf("coldStartTimings measured compile %.0fns, tier-2 load %.0fns", c, l)
+		}
+		compile, load = min(compile, c), min(load, l)
+	}
+	t.Logf("direct@16x16: compile %.2fms, tier-2 load %.2fms", compile/1e6, load/1e6)
+	if compile >= maxCompileNs {
+		t.Errorf("direct@16x16 cold compile %.2fms, gate is <20ms", compile/1e6)
+	}
+	if load >= maxLoadNs {
+		t.Errorf("direct@16x16 tier-2 load %.2fms, gate is <2.5ms", load/1e6)
+	}
+
 	gf, err := os.Open(filepath.Join("..", "..", "BENCH_exec.json"))
 	if err != nil {
 		t.Fatalf("committed ledger: %v", err)
@@ -40,14 +76,14 @@ func TestColdStartLedgerGate(t *testing.T) {
 		}
 		found = true
 		if e.CompileParallelNs <= 0 {
-			t.Error("direct@16x16 has no compile_parallel_ns column")
-		} else if e.CompileParallelNs >= 20e6 {
-			t.Errorf("direct@16x16 cold compile %.2fms, gate is <20ms", e.CompileParallelNs/1e6)
+			t.Error("committed direct@16x16 has no compile_parallel_ns column")
+		} else if e.CompileParallelNs >= maxCompileNs {
+			t.Errorf("committed direct@16x16 cold compile %.2fms, gate is <20ms", e.CompileParallelNs/1e6)
 		}
 		if e.Tier2LoadNs <= 0 {
-			t.Error("direct@16x16 has no tier2_load_ns column")
-		} else if e.Tier2LoadNs >= 2.5e6 {
-			t.Errorf("direct@16x16 tier-2 load %.2fms, gate is <2.5ms", e.Tier2LoadNs/1e6)
+			t.Error("committed direct@16x16 has no tier2_load_ns column")
+		} else if e.Tier2LoadNs >= maxLoadNs {
+			t.Errorf("committed direct@16x16 tier-2 load %.2fms, gate is <2.5ms", e.Tier2LoadNs/1e6)
 		}
 	}
 	if !found {

@@ -18,7 +18,9 @@ import (
 // appends what it receives at the end — block.Buffer.TakeIf followed by
 // Add, the semantics the builders were written against. The scratch is
 // allocated once per schedule; each step's transfers and payloads get
-// one exact-size backing each.
+// one exact-size backing each. The payloads lie back to back in
+// transfer order, each slice's capacity reaching to the backing's end,
+// so exec.CompileStream adopts a large step's ids where they are.
 type rounds struct {
 	t      *topology.Torus
 	n      int
@@ -140,7 +142,7 @@ func (r *rounds) step(dist int, shared bool) schedule.Step {
 		st.Transfers = append(st.Transfers, schedule.Transfer{
 			Src: topology.NodeID(v), Dst: topology.NodeID(dst),
 			Dim: r.dim, Dir: topology.Pos, Hops: dist,
-			Blocks: int(hi - lo), Payload: payload[lo:hi:hi],
+			Blocks: int(hi - lo), Payload: payload[lo:hi],
 		})
 	}
 

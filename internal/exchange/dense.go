@@ -288,7 +288,10 @@ func (d *dense) arrange() {
 // flags, hops along its move, and every receiver inserts what it gets at
 // the position its own first sent block held (the end when it sent
 // none). The moves of a step pair every receiver with one sender. The
-// step's transfers and payloads each get one exact-size backing.
+// step's transfers and payloads each get one exact-size backing; the
+// payloads lie back to back in transfer order, each slice's capacity
+// reaching to the backing's end, so exec.CompileStream adopts a large
+// step's ids where they are.
 func (d *dense) step(hops int) schedule.Step {
 	n := d.n
 	w, senders := 0, 0
@@ -339,7 +342,7 @@ func (d *dense) step(hops int) schedule.Step {
 		st.Transfers = append(st.Transfers, schedule.Transfer{
 			Src: topology.NodeID(v), Dst: dst,
 			Dim: m.Dim, Dir: m.Dir, Hops: hops,
-			Blocks: int(hi - lo), Payload: payload[lo:hi:hi],
+			Blocks: int(hi - lo), Payload: payload[lo:hi],
 		})
 	}
 

@@ -1,6 +1,7 @@
 package exec_test
 
 import (
+	"runtime/metrics"
 	"slices"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"torusx/internal/baseline"
 	"torusx/internal/exec"
 	"torusx/internal/obs"
+	"torusx/internal/schedule"
 	"torusx/internal/topology"
 )
 
@@ -37,46 +39,74 @@ func cold16(b *testing.B) (*exec.Program, []byte) {
 }
 
 // BenchmarkColdCompile16 compiles each cold-start cell's 16x16
-// schedule, built once outside the timer. Each compile carries a
-// request, and the benchmark reports Compile's stages from it as
-// <stage>-ms/op; the request is opened and read outside the timer.
+// schedule two ways: "compile" runs Compile on the schedule, built once
+// outside the timer, and "stream" runs the builder into CompileStream,
+// BuildProgram's miss path without the cache. Only the stream row shows
+// adoption: Compile copies the payload ids its caller owns. Each compile
+// carries a request, and the benchmark reports the stages from it as
+// <stage>-ms/op (the builder's "plan" on the stream row, overlapping
+// the others); the request is opened and read outside the timer. Both
+// rows report the collections the compiles ran as gc-cycles/op, from
+// runtime/metrics.
 func BenchmarkColdCompile16(b *testing.B) {
 	tor := topology.MustNew(16, 16)
-	stages := []string{obs.StageLower, obs.StageReferenceReplay, obs.StagePlanDescriptors, obs.StageSeal}
+	stages := []string{obs.StageLower, obs.StageReferenceReplay, obs.StagePlanDescriptors, obs.StageSeal, obs.StagePlan}
 	for _, alg := range coldCells {
-		b.Run(alg, func(b *testing.B) {
-			bld, err := algorithm.For(alg)
-			if err != nil {
-				b.Fatal(err)
-			}
+		bld, err := algorithm.For(alg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(alg+"/compile", func(b *testing.B) {
 			sc, err := bld.BuildSchedule(tor)
 			if err != nil {
 				b.Fatal(err)
 			}
-			reg := obs.NewRegistry()
-			sum := make([]time.Duration, len(stages))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				req := reg.StartRequest(alg)
-				b.StartTimer()
-				if _, err := exec.Compile(sc, exec.Options{Request: req}); err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				for _, st := range req.Stages() {
-					if k := slices.Index(stages, st.Name); k >= 0 {
-						sum[k] += st.End - st.Start
-					}
-				}
-				b.StartTimer()
-			}
-			for k, name := range stages {
-				b.ReportMetric(float64(sum[k])/float64(time.Millisecond)/float64(b.N), name+"-ms/op")
-			}
+			benchCompile(b, alg, stages[:4], func(opt exec.Options) error {
+				_, err := exec.Compile(sc, opt)
+				return err
+			})
+		})
+		b.Run(alg+"/stream", func(b *testing.B) {
+			emit := func(s schedule.Sink) error { return bld.EmitSchedule(tor, s) }
+			benchCompile(b, alg, stages, func(opt exec.Options) error {
+				_, err := exec.CompileStream(tor, emit, opt)
+				return err
+			})
 		})
 	}
+}
+
+// benchCompile times compile b.N times, each with a fresh request, and
+// reports the request's stages named in stages and the collections run.
+func benchCompile(b *testing.B, alg string, stages []string, compile func(exec.Options) error) {
+	reg := obs.NewRegistry()
+	sum := make([]time.Duration, len(stages))
+	gc := []metrics.Sample{{Name: "/gc/cycles/total:gc-cycles"}}
+	metrics.Read(gc)
+	gc0 := gc[0].Value.Uint64()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		req := reg.StartRequest(alg)
+		b.StartTimer()
+		if err := compile(exec.Options{Request: req}); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		for _, st := range req.Stages() {
+			if k := slices.Index(stages, st.Name); k >= 0 {
+				sum[k] += st.End - st.Start
+			}
+		}
+		b.StartTimer()
+	}
+	b.StopTimer()
+	metrics.Read(gc)
+	for k, name := range stages {
+		b.ReportMetric(float64(sum[k])/float64(time.Millisecond)/float64(b.N), name+"-ms/op")
+	}
+	b.ReportMetric(float64(gc[0].Value.Uint64()-gc0)/float64(b.N), "gc-cycles/op")
 }
 
 func BenchmarkProgramEncode16(b *testing.B) {

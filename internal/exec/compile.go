@@ -87,6 +87,10 @@ type compiler struct {
 	n   int
 	p   *Program // under construction: step headers, measure, counts
 	ls  *lowerScratch
+	// adopt, set by CompileStream, which owns every step it takes, lets
+	// a large step keep its payload ids in the builder's backing (see
+	// adoptable); Compile copies, because its caller owns the schedule.
+	adopt bool
 
 	phases     []phaseRec
 	shared     []bool   // step si's Shared flag, for the digest
@@ -138,12 +142,13 @@ type phaseRec struct {
 // into the lowered tables once its batch is flushed.
 type batchStep struct {
 	s     schedule.Step
-	si    int // step ordinal in the schedule
-	links int // hops of its expanded routes
-	tLen  int // payload-carrying transfers
-	pLen  int // payload ids
-	tOff  int // first lowered transfer
-	pOff  int // first payload id (an idPages offset)
+	si    int     // step ordinal in the schedule
+	links int     // hops of its expanded routes
+	tLen  int     // payload-carrying transfers
+	pLen  int     // payload ids
+	ids   []int32 // the payload ids in the builder's backing, when adopted
+	tOff  int     // first lowered transfer
+	pOff  int     // first payload id (an idPages offset)
 }
 
 // lowerWork is one lowering worker's scratch, kept across batches.
@@ -193,8 +198,6 @@ var lowerScratchPool = sync.Pool{New: func() any { return new(lowerScratch) }}
 func newCompiler(f topology.Fabric, opt Options) *compiler {
 	n := f.Nodes()
 	ls := lowerScratchPool.Get().(*lowerScratch)
-	ls.transfers = ls.transfers[:0]
-	ls.pay.reset()
 	c := &compiler{
 		opt: opt, f: f, n: n, ls: ls,
 		p:          &Program{fab: f, n: n, numBlocks: n * n, maxSharing: 1},
@@ -228,8 +231,11 @@ func (c *compiler) sizeFor(phases, steps int) {
 	c.batch = make([]batchStep, 0, steps)
 }
 
-// release returns the pooled scratch.
+// release returns the pooled scratch, emptied, so a pooled
+// lowerScratch never holds an adopted backing.
 func (c *compiler) release() {
+	c.ls.transfers = c.ls.transfers[:0]
+	c.ls.pay.reset()
 	lowerScratchPool.Put(c.ls)
 	if c.rr != nil {
 		compileScratchPool.Put(c.rr.cs)
@@ -302,9 +308,41 @@ func (c *compiler) step(s schedule.Step) {
 	if c.lowerErr != nil || c.overflow {
 		return
 	}
+	if c.adopt && bs.pLen >= 1<<idPageBits {
+		bs.ids = adoptable(s.Transfers, bs.pLen)
+	}
 	c.batch = append(c.batch, bs)
 	c.batchT += bs.tLen
-	c.batchP += bs.pLen
+	if bs.ids == nil {
+		c.batchP += bs.pLen
+	}
+}
+
+// adoptable returns the m payload ids of trs as one slice of the
+// backing they share when the payload-carrying transfers' payloads lie
+// back to back in transfer order, the first one's capacity reaching
+// over the rest; nil otherwise. The slice is the builder's memory: the
+// compile checks the ids there and the reference replay rewrites them
+// in place, with no copy.
+func adoptable(trs []schedule.Transfer, m int) []int32 {
+	var ids []int32
+	off := 0
+	for i := range trs {
+		pay := trs[i].Payload
+		if len(pay) == 0 {
+			continue
+		}
+		if ids == nil {
+			if cap(pay) < m {
+				return nil
+			}
+			ids = pay[:m]
+		} else if &ids[off] != &pay[0] {
+			return nil
+		}
+		off += len(pay)
+	}
+	return ids
 }
 
 // flush lowers the queued steps and, unless an error already decides
@@ -326,27 +364,35 @@ func (c *compiler) flush() {
 	}
 	tBase := len(c.ls.transfers)
 	c.ls.transfers = grow(c.ls.transfers, batchT)
-	pOff := 0
+	pOff, ok := 0, true
 	if batchP > 0 {
-		var ok bool
-		if pOff, ok = c.ls.pay.reserve(batchP); !ok {
-			c.overflow = true
-			clear(b)
-			return
-		}
+		pOff, ok = c.ls.pay.reserve(batchP)
 	}
 	tOff := tBase
 	for i := range b {
 		c.stepT = append(c.stepT, int32(tOff))
-		b[i].tOff, b[i].pOff = tOff, pOff
+		b[i].tOff = tOff
 		tOff += b[i].tLen
-		pOff += b[i].pLen
+		if b[i].ids == nil {
+			b[i].pOff = pOff
+			pOff += b[i].pLen
+			continue
+		}
+		viewed := false
+		if b[i].pOff, viewed = c.ls.pay.view(b[i].ids, b[i].pLen); !viewed {
+			ok = false
+		}
+	}
+	if !ok {
+		c.overflow = true
+		clear(b)
+		return
 	}
 	c.stepHash = grow(c.stepHash, len(b))
 	c.buildRouteTables()
 	c.lowerBatch(b)
 	for i := range b {
-		b[i].s = schedule.Step{}
+		b[i].s, b[i].ids = schedule.Step{}, nil
 	}
 	if c.opt.Request != nil {
 		t0 = c.lowerClock.since(t0)
@@ -429,15 +475,16 @@ func (c *compiler) buildRouteTables() {
 }
 
 // lowerBatch is the lowering pass over one batch: route expansion,
-// each transfer's digest hash, per-step message maxima, the
-// link-sharing serialization factor of Shared steps (counted per
-// transfer while its freshly expanded link ids are still in L1), the
-// one-port/contention checks, and the transfer records and payload
-// ids' range check and copy — one parallel sweep over the batch's
-// steps, each worker with its own claim and link scratch. Steps write
-// disjoint regions of the lowered tables, so they fan out over the
-// worker pool. The error kept is the lowest-step one — exactly what a
-// serial left-to-right walk would have hit first.
+// per-step message maxima, the link-sharing serialization factor of
+// Shared steps (counted per transfer while its freshly expanded link
+// ids are still in L1), the one-port/contention checks, and each
+// transfer's digest hash with its payload ids' range check and copy
+// into the step's region of the lowered ids, in one loop
+// (lowerTransfer; an adopted step's ids are not copied) — one parallel
+// sweep over the batch's steps, each worker with its own claim and
+// link scratch. Steps write disjoint regions of the lowered tables, so
+// they fan out over the worker pool. The error kept is the lowest-step
+// one — exactly what a serial left-to-right walk would have hit first.
 func (c *compiler) lowerBatch(b []batchStep) {
 	f, n, numBlocks := c.f, c.n, c.p.numBlocks
 	replay, skip := c.p.replay, c.opt.SkipChecks
@@ -477,13 +524,30 @@ func (c *compiler) lowerBatch(b []batchStep) {
 			lend := wk.lend[:0]
 			lw := 0
 			tw, pOff := bs.tOff, int32(bs.pOff)
+			// Each transfer's digest hash and payload ids, in one loop
+			// (lowerTransfer): the ids are hashed, range-checked and,
+			// unless they were adopted, copied into the step's region of
+			// the lowered ids. bad is the first transfer whose payload
+			// breaks its declared Blocks or the id range, reported once
+			// the step's one-port and contention checks pass.
+			var region []int32
+			if bs.ids == nil {
+				region = c.ls.pay.at(bs.pOff, bs.pLen)
+			}
+			bad, sh := -1, uint64(digestSeed)
 			sharing := int32(ps.sharing)
-			sh := uint64(digestSeed)
 			for i := range s.Transfers {
 				tr := &s.Transfers[i]
 				linkBase := lw
 				segs := routeLegs(tr, &one)
-				sh = mix(sh, transferHash(tr, segs))
+				h, inRange := lowerTransfer(tr, segs, region, numBlocks)
+				sh = mix(sh, h)
+				if region != nil {
+					region = region[len(tr.Payload):]
+				}
+				if bad < 0 && (!inRange || len(tr.Payload) != tr.Blocks) {
+					bad = i
+				}
 				cur := tr.Src
 				for _, seg := range segs {
 					pair := seg.Dim * 2
@@ -557,43 +621,23 @@ func (c *compiler) lowerBatch(b []batchStep) {
 					return
 				}
 			}
-			// Payload ids, range-checked and copied into the step's
-			// region of the lowered ids. Payload/Blocks coherence only
-			// binds replayable programs — measure-only schedules declare
-			// Blocks for the cost terms and carry no payloads.
+			if bad < 0 {
+				continue
+			}
+			// Payload/Blocks coherence and the id range only bind
+			// replayable programs — measure-only schedules declare Blocks
+			// for the cost terms and carry no payloads.
 			if !replay {
-				if !pendOpen || pendFound {
-					continue
-				}
-				for i := range s.Transfers {
-					if tr := &s.Transfers[i]; tr.Blocks != 0 {
-						own := *tr
-						own.Segs = slices.Clone(own.Segs)
-						pend.Report(si, &coherenceError{phase: phase, step: ps.stepIndex, tr: own})
-						pendFound = true
-						break
-					}
+				if pendOpen && !pendFound {
+					own := s.Transfers[bad]
+					own.Segs = slices.Clone(own.Segs)
+					pend.Report(si, &coherenceError{phase: phase, step: ps.stepIndex, tr: own})
+					pendFound = true
 				}
 				continue
 			}
-			region := c.ls.pay.at(bs.pOff, bs.pLen)
-			pw := 0
-			for i := range s.Transfers {
-				tr := &s.Transfers[i]
-				if len(tr.Payload) != tr.Blocks {
-					ferr.Report(si, fmt.Errorf("exec: phase %q step %d transfer %v carries %d payload blocks, declares %d",
-						phase, ps.stepIndex, *tr, len(tr.Payload), tr.Blocks))
-					return
-				}
-				for _, id := range tr.Payload {
-					if id < 0 || int(id) >= numBlocks {
-						ferr.Report(si, fmt.Errorf("exec: phase %q step %d: transfer %v payload id %d outside [0, %d)",
-							phase, ps.stepIndex, *tr, id, numBlocks))
-						return
-					}
-				}
-				pw += copy(region[pw:], tr.Payload)
-			}
+			ferr.Report(si, payloadError(&s.Transfers[bad], phase, ps.stepIndex, numBlocks))
+			return
 		}
 	})
 	if err := ferr.Err(); err != nil {
@@ -602,6 +646,63 @@ func (c *compiler) lowerBatch(b []batchStep) {
 	if err := pend.Err(); err != nil {
 		c.pendErr, c.pendStep = err, pend.Index()
 	}
+}
+
+// lowerTransfer is the lowering of one transfer whose route legs are
+// segs, in one loop over its payload ids: it returns the transfer's
+// digest hash, copies the ids to dst unless dst is nil, and reports
+// whether every id lies in [0, numBlocks).
+func lowerTransfer(tr *schedule.Transfer, segs []schedule.Seg, dst []int32, numBlocks int) (uint64, bool) {
+	h := mix(digestSeed, uint64(uint32(tr.Src))<<32|uint64(uint32(tr.Dst)))
+	h = mix(h, uint64(tr.Blocks))
+	h = mix(h, uint64(len(segs)))
+	for _, sg := range segs {
+		h = mix(h, uint64(sg.Dim)<<40^uint64(sg.Dir)<<32^uint64(uint32(sg.Hops)))
+	}
+	pay := tr.Payload
+	h = mix(h, uint64(len(pay)))
+	lim, ok := uint32(numBlocks), true
+	if dst != nil {
+		dst = dst[:len(pay)]
+	}
+	i := 0
+	for ; i+1 < len(pay); i += 2 {
+		a, b := uint32(pay[i]), uint32(pay[i+1])
+		if a >= lim || b >= lim {
+			ok = false
+		}
+		h = mix(h, uint64(a)<<32|uint64(b))
+		if dst != nil {
+			dst[i], dst[i+1] = int32(a), int32(b)
+		}
+	}
+	if i < len(pay) {
+		a := uint32(pay[i])
+		if a >= lim {
+			ok = false
+		}
+		h = mix(h, uint64(a))
+		if dst != nil {
+			dst[i] = int32(a)
+		}
+	}
+	return h, ok
+}
+
+// payloadError is the error of a transfer whose payload breaks its
+// declared Blocks or carries an id outside [0, numBlocks).
+func payloadError(tr *schedule.Transfer, phase string, step, numBlocks int) error {
+	if len(tr.Payload) != tr.Blocks {
+		return fmt.Errorf("exec: phase %q step %d transfer %v carries %d payload blocks, declares %d",
+			phase, step, *tr, len(tr.Payload), tr.Blocks)
+	}
+	for _, id := range tr.Payload {
+		if id < 0 || int(id) >= numBlocks {
+			return fmt.Errorf("exec: phase %q step %d: transfer %v payload id %d outside [0, %d)",
+				phase, step, *tr, id, numBlocks)
+		}
+	}
+	return nil
 }
 
 // coherenceError is a step's payload/Blocks mismatch, held pending by
@@ -704,45 +805,47 @@ const idPageBits = 14
 
 // idPages is the lowered payload ids: a store of int32 ids addressed by
 // an int32 offset that grows batch by batch and never moves what it
-// holds. The offset space is cut into pages of 2^idPageBits ids; each
-// reservation is contiguous within one backing, and a backing spanning
-// several pages is viewed from each page's start, so at(off, n) is one
-// page lookup. A compile's first reservation is sized exactly (Compile
-// reserves its whole schedule at once); later ones take at least a
-// page. Backings are kept across compiles. A flat table grown by
-// doubling, as the transfer table is, copies and drops its ids as it
-// grows: for ring at 16×16 (nearly a million ids) that cost a cold
-// compile about 3 ms and 4 MiB of peak RSS on a 2-vCPU host.
+// holds. The offset space is cut into pages of 2^idPageBits ids. Each
+// backing starts at a page boundary and is viewed from each of its
+// pages' starts, so every region, contiguous within one backing, is
+// one page lookup away (at). Two kinds of backing share the space:
+//   - own backings, reused across compiles, which reserve fills with
+//     copied ids. A compile's first is sized exactly (Compile reserves
+//     its whole schedule at once); later ones take at least a page. A
+//     flat table grown by doubling, as the transfer table is, copies
+//     and drops its ids as it grows: for ring at 16×16 (nearly a
+//     million ids) that cost a cold compile about 3 ms and 4 MiB of
+//     peak RSS on a 2-vCPU host.
+//   - adopted backings: a streamed step's ids where its builder wrote
+//     them (view), checked and later rewritten in place, never copied.
+//     Each takes whole pages of the offset space, so only a step that
+//     fills at least a page is adopted; reset drops them.
 type idPages struct {
-	pages [][]int32 // page k views its backing from offset k<<idPageBits on
-	bufs  [][]int32 // backings, reused across compiles
-	nbuf  int       // backings in use by this compile
-	end   int       // next free offset
+	pages       [][]int32 // page k views its backing from offset k<<idPageBits on
+	bufs        [][]int32 // own backings, reused across compiles
+	nbuf        int       // own backings in use by this compile
+	free, limit int       // the current own backing's unreserved offsets
 }
 
+// reset empties the store for the next compile, dropping every view of
+// an adopted backing.
 func (s *idPages) reset() {
 	clear(s.pages)
 	s.pages = s.pages[:0]
-	s.nbuf, s.end = 0, 0
+	s.nbuf, s.free, s.limit = 0, 0, 0
 }
 
-// reserve returns the offset of m contiguous ids, false when the
-// offset space is exhausted.
+// reserve returns the offset of m contiguous ids in an own backing,
+// false when the offset space is exhausted.
 func (s *idPages) reserve(m int) (int, bool) {
-	const page = 1 << idPageBits
-	if k, o := s.end>>idPageBits, s.end&(page-1); k < len(s.pages) && o+m <= len(s.pages[k]) {
-		off := s.end
-		s.end += m
+	if s.free+m <= s.limit {
+		off := s.free
+		s.free += m
 		return off, true
-	}
-	// A new backing, from the next page boundary.
-	k := len(s.pages)
-	if k*page+m > math.MaxInt32 {
-		return 0, false
 	}
 	size := m
 	if s.nbuf > 0 {
-		size = max(m, page)
+		size = max(m, 1<<idPageBits)
 	}
 	var buf []int32
 	if s.nbuf < len(s.bufs) && cap(s.bufs[s.nbuf]) >= size {
@@ -755,13 +858,29 @@ func (s *idPages) reserve(m int) (int, bool) {
 			s.bufs = append(s.bufs, buf)
 		}
 	}
-	s.nbuf++
 	buf = buf[:cap(buf)]
-	for q := 0; q*page < len(buf); q++ {
-		s.pages = append(s.pages, buf[q*page:])
+	off, ok := s.view(buf, m)
+	if !ok {
+		return 0, false
 	}
-	s.end = k*page + m
-	return k * page, true
+	s.nbuf++
+	s.free, s.limit = off+m, min(off+len(buf), math.MaxInt32)
+	return off, true
+}
+
+// view appends the pages of buf, whose first m ids a region takes,
+// from the next page boundary, and returns the region's offset, false
+// when the offset space is exhausted. A streamed compile adopts a
+// builder's backing through it (see adoptable).
+func (s *idPages) view(buf []int32, m int) (int, bool) {
+	off := len(s.pages) << idPageBits
+	if off+m > math.MaxInt32 {
+		return 0, false
+	}
+	for q := 0; q<<idPageBits < len(buf); q++ {
+		s.pages = append(s.pages, buf[q<<idPageBits:])
+	}
+	return off, true
 }
 
 // at returns the n ids at off. An empty region's offset may lie past

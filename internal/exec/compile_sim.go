@@ -22,11 +22,22 @@ import (
 //
 // The walk rewrites every payload it moves in place as its blocks'
 // arrival stamps at the sender, in ascending order, which is all the
-// descriptor planner reads of it: the ids are never needed again.
+// descriptor planner reads of it: the ids are never needed again. On a
+// streamed compile a large payload is still in its builder's backing
+// (idPages adopts it), so the rewrite lands there, with no copy.
 // The same walk flags the first transfer that forwards a block within
 // the step that delivered it: a block whose stamp at the sender is at
 // least the sender's arrival count when the step began arrived during
 // that step, which the parallel replay cannot execute.
+//
+// A payload of several blocks between two nodes takes the one-touch
+// walk (moveOnce): each block's holder entry is read and written once,
+// in payload order. A self-transfer, whose blocks keep their holder,
+// takes the exact walk (exactWalk), which marks every block in flight
+// before it delivers any, so a block listed twice reads as not held.
+// The exact walk is also the error reporter: on any anomaly the
+// one-touch walk restores what it wrote, and the exact walk reruns the
+// transfer from the same state and names the error.
 //
 // Delivery is then read off the final holder table, and each node's
 // insert/extract events are laid out as per-node runs, which the
@@ -69,6 +80,7 @@ type compileScratch struct {
 	opBacking []opRec
 	keys, tmp []uint64
 	starts    []int32
+	side      []int32 // a word per payload block: moveOnce's ids, exactWalk's stamps
 }
 
 var compileScratchPool = sync.Pool{New: func() any { return new(compileScratch) }}
@@ -172,6 +184,10 @@ func (c *compiler) replayBatch(b []batchStep) error {
 		bs := &b[bi]
 		ps := &p.steps[bs.si]
 		sv := int32(bs.si) + 1
+		notHeld := func(src int, id int32) error {
+			return fmt.Errorf("exec: phase %q step %d: node %d transmits %v it does not hold",
+				c.phases[ps.phaseIndex].name, ps.stepIndex, src, block.FromID(id, n))
+		}
 		for _, pt := range c.ls.transfers[bs.tOff : bs.tOff+bs.tLen] {
 			pay := c.ls.pay.at(int(pt.payOff), int(pt.payLen))
 			src, dst := int(pt.src), int(pt.dst)
@@ -179,7 +195,7 @@ func (c *compiler) replayBatch(b []batchStep) error {
 			enterStep(dst, sv)
 			// fwd is the earliest-arrived block of this transfer that
 			// arrived at src within the current step, -1 when none.
-			fwd, fwdStamp := int32(-1), uint32(0)
+			fwd := int32(-1)
 			if len(pay) == 1 {
 				// Single-block transfer (the whole of a direct exchange):
 				// trivially in buffer order, no intra-payload duplicate
@@ -187,8 +203,7 @@ func (c *compiler) replayBatch(b []batchStep) error {
 				id := pay[0]
 				h := hs[id]
 				if int32(h>>32) != int32(src) {
-					return fmt.Errorf("exec: phase %q step %d: node %d transmits %v it does not hold",
-						c.phases[ps.phaseIndex].name, ps.stepIndex, src, block.FromID(id, n))
+					return notHeld(src, id)
 				}
 				if int32(uint32(h)) >= stepArr[src] {
 					fwd = id
@@ -197,45 +212,16 @@ func (c *compiler) replayBatch(b []batchStep) error {
 				hs[id] = uint64(uint32(dst))<<32 | uint64(uint32(arrivals[dst]))
 				arrivals[dst]++
 			} else {
-				// One walk checks the sender-holds chain, marks the blocks in
-				// flight, and detects out-of-buffer-order payloads (the
-				// extraction order is the payload sorted by arrival stamp at
-				// src; the round engine and direct list payloads in that
-				// order, while proposed-sim's receivers insert mid-buffer,
-				// so most of its payloads are rewritten).
-				// The loops keep the sender's step start and the receiver's
-				// arrival count in locals: the compiler would reload them
-				// from memory after every store to hs.
-				inOrder := true
-				prev, begun := int32(-1), stepArr[src]
-				for _, id := range pay {
-					h := hs[id]
-					if int32(h>>32) != int32(src) {
-						return fmt.Errorf("exec: phase %q step %d: node %d transmits %v it does not hold",
-							c.phases[ps.phaseIndex].name, ps.stepIndex, src, block.FromID(id, n))
-					}
-					st := int32(uint32(h))
-					if st < prev {
-						inOrder = false
-					} else {
-						prev = st
-					}
-					if st >= begun && (fwd < 0 || uint32(st) < fwdStamp) {
-						fwd, fwdStamp = id, uint32(st)
-					}
-					hs[id] = h&0xFFFFFFFF | hsInFlight
+				ok := false
+				if src != dst {
+					fwd, ok = rr.moveOnce(pay, pt.src, pt.dst)
 				}
-				holder, a := uint64(uint32(dst))<<32, arrivals[dst]
-				if inOrder {
-					for i, id := range pay {
-						pay[i] = int32(uint32(hs[id]))
-						hs[id] = holder | uint64(uint32(a))
-						a++
+				if !ok {
+					var miss int32
+					if fwd, miss = rr.exactWalk(pay, pt.src, pt.dst); miss >= 0 {
+						return notHeld(src, miss)
 					}
-				} else {
-					a = rr.stampOrder(pay, holder, a)
 				}
-				arrivals[dst] = a
 			}
 			if fwd >= 0 && p.parallelErr == nil {
 				p.parallelErr = fmt.Errorf("exec: phase %q step %d: node %d forwards %v within the step that delivered it; the one-barrier parallel replay cannot execute this schedule (run with Options.Serial)",
@@ -246,22 +232,137 @@ func (c *compiler) replayBatch(b []batchStep) error {
 	return nil
 }
 
-// stampOrder delivers pay, whose blocks are in flight from one sender
-// and listed out of arrival order, to holder in arrival-stamp order
-// from stamp a on, rewrites pay as their stamps at the sender in that
-// order, and returns the receiver's next stamp. Keys are stamp<<32|id;
-// stamps are unique per sender, so the key order is the stamp order. A
-// payload out of order is a concatenation of a few ascending stamp
-// runs (proposed-sim's average 2.7 at 16x16 and 4 at 32x32), which a
-// bottom-up merge orders in a pass per doubling of the run length;
-// past maxMergeRuns runs the keys are sorted instead.
-func (rr *refReplay) stampOrder(pay []int32, holder uint64, a int32) int32 {
-	cs := rr.cs
+// moveOnce moves pay, a payload of several blocks, from src to dst !=
+// src, reading and writing each block's holder entry once. In payload
+// order it reads the entry, checks that src holds the block and that
+// its stamp ascends, writes the new holder and stamp, and rewrites the
+// payload slot as the block's sender stamp, noting the id in scratch.
+// The round engine lists every payload in arrival order, so this is
+// its whole walk. From the first block out of arrival order on
+// (proposed-sim's receivers insert mid-buffer, so most of its payloads
+// have one), it reads the entries only; it then keys every block by
+// its stamp (stampKeys) and delivers in stamp order, writing each entry
+// once more. It returns the earliest-arrived block that arrived at src
+// within the current step, -1 when none. On an anomaly — a block src
+// does not hold, or one listed twice — it puts back every entry and
+// id it wrote, leaving the arrival count as it was, and reports false,
+// and exactWalk names the error.
+func (rr *refReplay) moveOnce(pay []int32, src, dst int32) (fwd int32, ok bool) {
+	hs, cs := rr.hs, rr.cs
+	ids := growI32(cs.side, len(pay))
+	cs.side = ids
+	// The loop keeps the sender's step start and the receiver's arrival
+	// count in locals: the compiler would reload them from memory after
+	// every store to hs.
+	holder, a := uint64(uint32(dst))<<32, rr.arrivals[dst]
+	begun, fwdStamp, prev := rr.stepArr[src], int32(0), int32(-1)
+	fwd = -1
+	moved := len(pay) // the blocks before the first one out of arrival order
+	for i, id := range pay {
+		h := hs[id]
+		if int32(h>>32) != src {
+			rr.putBack(pay[:i], ids[:i], min(i, moved), src)
+			return -1, false
+		}
+		st := int32(uint32(h))
+		if st >= begun && (fwd < 0 || st < fwdStamp) {
+			fwd, fwdStamp = id, st
+		}
+		ids[i], pay[i] = id, st
+		if moved == len(pay) {
+			if st < prev {
+				moved = i
+				continue
+			}
+			prev = st
+			hs[id] = holder | uint64(uint32(a))
+			a++
+		}
+	}
+	if moved < len(pay) {
+		keys := cs.stampKeys(ids, pay)
+		a = rr.arrivals[dst]
+		for i, k := range keys {
+			if i > 0 && k == keys[i-1] {
+				// A block listed twice after the moved prefix: put back
+				// every block's sender entry, the prefix's among them.
+				for _, k := range keys {
+					hs[uint32(k)] = uint64(uint32(src))<<32 | k>>32
+				}
+				rr.putBack(pay, ids, 0, src)
+				return -1, false
+			}
+			hs[uint32(k)] = holder | uint64(uint32(a))
+			a++
+		}
+		for i, k := range keys {
+			pay[i] = int32(k >> 32)
+		}
+	}
+	rr.arrivals[dst] = a
+	return fwd, true
+}
+
+// putBack undoes moveOnce's walk over pay, whose ids it noted in ids:
+// the first moved blocks go back to src at the sender stamps pay holds,
+// and pay gets its ids back.
+func (rr *refReplay) putBack(pay, ids []int32, moved int, src int32) {
+	sent := uint64(uint32(src)) << 32
+	for i, id := range ids[:moved] {
+		rr.hs[id] = sent | uint64(uint32(pay[i]))
+	}
+	copy(pay, ids)
+}
+
+// exactWalk moves pay from src to dst in two walks: the first checks
+// the sender-holds chain in payload order and marks each block in
+// flight, so a block listed twice reads as not held; the second
+// delivers the blocks in stamp order (stampKeys), rewriting pay as the
+// sender stamps. It is the walk of a self-transfer, whose blocks keep
+// their holder, and the error reporter of moveOnce's anomalies. It
+// returns the earliest-arrived block that arrived at src within the
+// current step (-1 none), and the first block src does not hold (-1
+// none), at which it stops.
+func (rr *refReplay) exactWalk(pay []int32, src, dst int32) (fwd, miss int32) {
+	hs, cs := rr.hs, rr.cs
+	stamps := growI32(cs.side, len(pay))
+	cs.side = stamps
+	begun, fwd, fwdStamp := rr.stepArr[src], int32(-1), int32(0)
+	for i, id := range pay {
+		h := hs[id]
+		if int32(h>>32) != src {
+			return -1, id
+		}
+		st := int32(uint32(h))
+		if st >= begun && (fwd < 0 || st < fwdStamp) {
+			fwd, fwdStamp = id, st
+		}
+		stamps[i] = st
+		hs[id] = h&0xFFFFFFFF | hsInFlight
+	}
+	holder, a := uint64(uint32(dst))<<32, rr.arrivals[dst]
+	for i, k := range cs.stampKeys(pay, stamps) {
+		pay[i] = int32(k >> 32)
+		hs[uint32(k)] = holder | uint64(uint32(a))
+		a++
+	}
+	rr.arrivals[dst] = a
+	return fwd, -1
+}
+
+// stampKeys keys pay's blocks by their stamps at the sender, as
+// stamp<<32|id, and returns the keys in stamp order; stamps are unique
+// per sender, so the key order is the stamp order. A payload out of
+// order is a concatenation of a few ascending stamp runs
+// (proposed-sim's average 2.7 at 16x16 and 4 at 32x32), which mergeRuns
+// orders in a pass per doubling of the run length; past maxMergeRuns
+// runs the keys are sorted instead.
+func (cs *compileScratch) stampKeys(pay, stamps []int32) []uint64 {
 	keys := growU64(cs.keys, len(pay))
 	cs.keys = keys
 	starts := cs.starts[:0]
-	for i, id := range pay {
-		k := uint64(uint32(rr.hs[id]))<<32 | uint64(uint32(id))
+	for i, st := range stamps {
+		k := uint64(uint32(st))<<32 | uint64(uint32(pay[i]))
 		if i == 0 || k < keys[i-1] {
 			starts = append(starts, int32(i))
 		}
@@ -270,16 +371,10 @@ func (rr *refReplay) stampOrder(pay []int32, holder uint64, a int32) int32 {
 	cs.starts = starts
 	if len(starts) > maxMergeRuns {
 		slices.Sort(keys)
-	} else {
-		cs.tmp = growU64(cs.tmp, len(pay))
-		keys = mergeRuns(keys, cs.tmp, starts)
+		return keys
 	}
-	for i, k := range keys {
-		pay[i] = int32(k >> 32)
-		rr.hs[uint32(k)] = holder | uint64(uint32(a))
-		a++
-	}
-	return a
+	cs.tmp = growU64(cs.tmp, len(keys))
+	return mergeRuns(keys, cs.tmp, starts)
 }
 
 // mergeRuns sorts keys, the concatenation of the ascending runs that

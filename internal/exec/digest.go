@@ -26,21 +26,7 @@ func mix(h, v uint64) uint64 {
 
 // transferHash hashes one transfer whose route legs are segs.
 func transferHash(tr *schedule.Transfer, segs []schedule.Seg) uint64 {
-	h := mix(digestSeed, uint64(uint32(tr.Src))<<32|uint64(uint32(tr.Dst)))
-	h = mix(h, uint64(tr.Blocks))
-	h = mix(h, uint64(len(segs)))
-	for _, sg := range segs {
-		h = mix(h, uint64(sg.Dim)<<40^uint64(sg.Dir)<<32^uint64(uint32(sg.Hops)))
-	}
-	pay := tr.Payload
-	h = mix(h, uint64(len(pay)))
-	for len(pay) >= 2 {
-		h = mix(h, uint64(uint32(pay[0]))<<32|uint64(uint32(pay[1])))
-		pay = pay[2:]
-	}
-	if len(pay) == 1 {
-		h = mix(h, uint64(uint32(pay[0])))
-	}
+	h, _ := lowerTransfer(tr, segs, nil, 0)
 	return h
 }
 

@@ -6,6 +6,11 @@ import (
 	"torusx/internal/schedule"
 )
 
+// IDPage is the size of a payload page: a streamed step whose payloads
+// lie back to back in one backing and fill at least this many ids is
+// compiled in the builder's memory instead of copied.
+const IDPage = 1 << idPageBits
+
 // CheckDescriptorPlan verifies a compiled program's descriptor plan
 // against its own transfer table — a test-only hook for the external
 // registry sweeps (the algorithm registry cannot be imported from

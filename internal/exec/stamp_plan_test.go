@@ -119,7 +119,7 @@ func TestStampPlannerDifferential(t *testing.T) {
 			}
 			restore := exec.StreamOneStep()
 			defer restore()
-			pg, err := exec.CompileStream(r.sc.Fabric, r.sc.Emit, opt)
+			pg, err := exec.CompileStream(r.sc.Fabric, cloneSchedule(r.sc).Emit, opt)
 			if err != nil {
 				t.Fatalf("CompileStream: %v", err)
 			}

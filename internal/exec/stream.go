@@ -40,6 +40,14 @@ func StreamOneStep() (restore func()) {
 // the steps sent so far, then lets the batch go. On a multi-core host
 // the builder's plan therefore overlaps Compile's serial passes.
 //
+// CompileStream owns every step emit sends (schedule.Sink), payload ids
+// included. A step whose payload-carrying transfers' payloads lie back
+// to back in transfer order, the first one's capacity reaching over the
+// rest, and fill at least a page of 2^14 ids is adopted: its ids are
+// checked where the builder wrote them and rewritten there, in place,
+// as the reference replay's arrival stamps. Other steps' ids are copied,
+// as Compile copies them all.
+//
 // The program, and the error of a rejected schedule, are those of
 // Compile(sc) on the schedule emit would build: a program-format error
 // stops the builder early (its sink refuses further steps), any other
@@ -56,6 +64,7 @@ func CompileStream(f topology.Fabric, emit func(schedule.Sink) error, opt Option
 		return nil, fmt.Errorf("exec: nil schedule")
 	}
 	c := newCompiler(f, opt)
+	c.adopt = true
 	defer c.release()
 	batch := streamSteps
 	if oneStep.Load() {

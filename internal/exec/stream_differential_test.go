@@ -81,9 +81,11 @@ func checkStreamRow(t *testing.T, r streamRow) {
 	sameForm(t, "one step per batch", want, compiledOf(t, stream))
 }
 
-// wholeRow streams a schedule that exists whole.
+// wholeRow streams a schedule that exists whole. Each stream emits a
+// deep copy, since a streamed compile may rewrite the payload ids it
+// takes, and the row's schedule is read again.
 func wholeRow(name string, sc *schedule.Schedule, opt exec.Options) streamRow {
-	return streamRow{name: name, sc: sc, emit: sc.Emit, opt: opt}
+	return streamRow{name: name, sc: sc, emit: func(s schedule.Sink) error { return cloneSchedule(sc).Emit(s) }, opt: opt}
 }
 
 // TestStreamedCompileDifferentialRegistry: every registry cell on the

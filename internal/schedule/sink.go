@@ -17,9 +17,12 @@ type Sink interface {
 	// (see Phase.Rearrange).
 	Phase(name string, rearrange int)
 	// Step appends s to the open phase; the sink owns s from then on,
-	// and the builder must not change anything s references. A non-nil
-	// error means the sink takes no more steps: the builder stops and
-	// returns it.
+	// and the builder must not change anything s references. A sink
+	// that owns a step may rewrite its payload ids in place
+	// (exec.CompileStream turns them into arrival stamps), so no two
+	// steps may share payload memory, and nothing may read a step's
+	// payloads once it is emitted. A non-nil error means the sink takes
+	// no more steps: the builder stops and returns it.
 	Step(s Step) error
 }
 
@@ -54,7 +57,9 @@ func Collect(f topology.Fabric, emit func(Sink) error) (*Schedule, error) {
 }
 
 // Emit sends sc's phases and steps to sink in order, stopping at the
-// first error a Step returns.
+// first error a Step returns. The sink owns every step it takes and may
+// rewrite its payload ids in place (see Sink.Step), so emit only a
+// schedule nobody reads afterwards.
 func (sc *Schedule) Emit(sink Sink) error {
 	for pi := range sc.Phases {
 		ph := &sc.Phases[pi]
