@@ -29,12 +29,13 @@ import (
 	"testing"
 
 	"torusx/internal/baseline"
-	"torusx/internal/collective"
 	"torusx/internal/costmodel"
 	"torusx/internal/eventsim"
 	"torusx/internal/exchange"
+	"torusx/internal/exec"
 	"torusx/internal/packetsim"
 	"torusx/internal/plan"
+	"torusx/internal/schedule"
 	"torusx/internal/simchan"
 	"torusx/internal/topology"
 	"torusx/internal/wormhole"
@@ -154,26 +155,35 @@ func BenchmarkCompletionSweep(b *testing.B) {
 			reportMeasure(b, m)
 		})
 		b.Run(fmt.Sprintf("ring/%dx%d", c, c), func(b *testing.B) {
-			var res *baseline.Result
-			for i := 0; i < b.N; i++ {
-				var err error
-				if res, err = baseline.Ring(topology.MustNew(dims...)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			reportMeasure(b, res.Measure)
+			reportMeasure(b, runBaseline(b, func(t *topology.Torus) (*schedule.Schedule, error) {
+				return baseline.RingSchedule(t), nil
+			}, dims))
 		})
 		b.Run(fmt.Sprintf("direct/%dx%d", c, c), func(b *testing.B) {
-			var res *baseline.Result
-			for i := 0; i < b.N; i++ {
-				var err error
-				if res, err = baseline.Direct(topology.MustNew(dims...)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			reportMeasure(b, res.Measure)
+			reportMeasure(b, runBaseline(b, func(t *topology.Torus) (*schedule.Schedule, error) {
+				return baseline.DirectSchedule(t), nil
+			}, dims))
 		})
 	}
+}
+
+// runBaseline builds, compiles and replays a baseline's schedule on
+// dims once per iteration, outside the program cache, and returns the
+// measure.
+func runBaseline(b *testing.B, build func(*topology.Torus) (*schedule.Schedule, error), dims []int) costmodel.Measure {
+	var m costmodel.Measure
+	for i := 0; i < b.N; i++ {
+		sc, err := build(topology.MustNew(dims...))
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := exec.Run(sc, exec.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		m = res.Measure
+	}
+	return m
 }
 
 // BenchmarkVirtualNodes regenerates the Section 6 extension: arbitrary
@@ -280,15 +290,7 @@ func BenchmarkNaiveSchedule(b *testing.B) {
 func BenchmarkLogTime(b *testing.B) {
 	for _, dims := range [][]int{{8, 8}, {16, 16}, {32, 32}} {
 		b.Run(topology.MustNew(dims...).String(), func(b *testing.B) {
-			var m costmodel.Measure
-			for i := 0; i < b.N; i++ {
-				res, err := baseline.LogTime(topology.MustNew(dims...))
-				if err != nil {
-					b.Fatal(err)
-				}
-				m = res.Measure
-			}
-			reportMeasure(b, m)
+			reportMeasure(b, runBaseline(b, baseline.LogTimeSchedule, dims))
 		})
 	}
 }
@@ -346,11 +348,11 @@ func BenchmarkCollectives(b *testing.B) {
 	b.Run("broadcast", func(b *testing.B) {
 		var m costmodel.Measure
 		for i := 0; i < b.N; i++ {
-			res, err := collective.Broadcast(tor, 0)
+			rep, err := Broadcast(tor, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
-			m = res.Measure
+			m = rep.Measure
 		}
 		reportMeasure(b, m)
 	})
@@ -368,22 +370,22 @@ func BenchmarkCollectives(b *testing.B) {
 	b.Run("allgather", func(b *testing.B) {
 		var m costmodel.Measure
 		for i := 0; i < b.N; i++ {
-			res, err := collective.AllGather(tor)
+			rep, err := AllGather(tor)
 			if err != nil {
 				b.Fatal(err)
 			}
-			m = res.Measure
+			m = rep.Measure
 		}
 		reportMeasure(b, m)
 	})
 	b.Run("allreduce", func(b *testing.B) {
 		var m costmodel.Measure
 		for i := 0; i < b.N; i++ {
-			res, err := collective.AllReduce(tor, contrib)
+			_, rep, err := AllReduce(tor, contrib)
 			if err != nil {
 				b.Fatal(err)
 			}
-			m = res.Measure
+			m = rep.Measure
 		}
 		reportMeasure(b, m)
 	})

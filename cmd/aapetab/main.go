@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"strings"
 
+	"torusx"
 	"torusx/internal/algorithm"
 	"torusx/internal/baseline"
 	"torusx/internal/cli"
@@ -198,6 +199,16 @@ func Table2(p costmodel.Params) string {
 	return render(tb)
 }
 
+// compare returns alg's verified measure on dims from its registry
+// program, served from the program cache (torusx.Compare).
+func compare(alg torusx.Algorithm, dims []int) costmodel.Measure {
+	m, err := torusx.Compare(alg, dims...)
+	if err != nil {
+		cli.Fatalf("aapetab: %v", err)
+	}
+	return m
+}
+
 // Sweep renders completion time against torus size for the proposed
 // algorithm and the executable baselines.
 func Sweep(p costmodel.Params) string {
@@ -210,24 +221,14 @@ func Sweep(p costmodel.Params) string {
 		if err != nil {
 			cli.Fatalf("aapetab: %v", err)
 		}
-		ring, err := baseline.Ring(topology.MustNew(dims...))
-		if err != nil {
-			cli.Fatalf("aapetab: %v", err)
-		}
-		dir, err := baseline.Direct(topology.MustNew(dims...))
-		if err != nil {
-			cli.Fatalf("aapetab: %v", err)
-		}
-		fac, err := baseline.Factored(topology.MustNew(dims...))
-		if err != nil {
-			cli.Fatalf("aapetab: %v", err)
-		}
+		ring := compare(torusx.Ring, dims)
+		dir := compare(torusx.Direct, dims)
 		row := []interface{}{
 			fmt.Sprintf("%dx%d", c, c),
 			stats.FmtUS(p.Completion(prop)),
-			stats.FmtUS(p.Completion(ring.Measure)),
-			stats.FmtUS(p.Completion(dir.Measure)),
-			stats.FmtUS(p.Completion(fac.Measure)),
+			stats.FmtUS(p.Completion(ring)),
+			stats.FmtUS(p.Completion(dir)),
+			stats.FmtUS(p.Completion(compare(torusx.Factored, dims))),
 		}
 		if c&(c-1) == 0 { // power of two: Table 2 models apply
 			d := 0
@@ -241,8 +242,8 @@ func Sweep(p costmodel.Params) string {
 			row = append(row, "-", "-")
 		}
 		row = append(row,
-			stats.Ratio(p.Completion(ring.Measure), p.Completion(prop)),
-			stats.Ratio(p.Completion(dir.Measure), p.Completion(prop)))
+			stats.Ratio(p.Completion(ring), p.Completion(prop)),
+			stats.Ratio(p.Completion(dir), p.Completion(prop)))
 		tb.AddRowf(row...)
 	}
 	return render(tb)
@@ -288,11 +289,7 @@ func Crossover(p costmodel.Params) string {
 		sy := costmodel.SuhYal2D(d)
 		row := []interface{}{d, fmt.Sprintf("%dx%d", a, a), crossTs(p, prop, sy)}
 		if a <= 32 {
-			lt, err := baseline.LogTime(topology.MustNew(a, a))
-			if err != nil {
-				cli.Fatalf("aapetab: %v", err)
-			}
-			row = append(row, crossTs(p, prop, lt.Measure))
+			row = append(row, crossTs(p, prop, compare(torusx.LogTime, []int{a, a})))
 		} else {
 			row = append(row, "(skipped)")
 		}

@@ -15,20 +15,24 @@ type CollectiveReport struct {
 
 // Broadcast replicates root's block to every node by bidirectional
 // pipelined flooding, one dimension at a time. Works on any torus
-// shape.
+// shape. The torus is translation-symmetric, so every root costs what
+// root 0 costs: Broadcast reports the registry's "broadcast" program,
+// built from root 0 and served from the program cache.
 func Broadcast(t *Torus, root int) (*CollectiveReport, error) {
-	r, err := nodeID(root, t.Nodes())
+	if _, err := nodeID(root, t.Nodes()); err != nil {
+		return nil, err
+	}
+	return replicationReport("broadcast", t)
+}
+
+// replicationReport reports alg's program on t, whose builder checked
+// that every node ends with its blocks.
+func replicationReport(alg string, t *Torus) (*CollectiveReport, error) {
+	pg, err := replayProgram(alg, t)
 	if err != nil {
 		return nil, err
 	}
-	res, err := collective.Broadcast(t, r)
-	if err != nil {
-		return nil, err
-	}
-	if err := collective.VerifyReplication(t, res.Have, []topology.NodeID{r}); err != nil {
-		return nil, err
-	}
-	return &CollectiveReport{Dims: t.Dims(), Nodes: t.Nodes(), Measure: res.Measure}, nil
+	return &CollectiveReport{Dims: t.Dims(), Nodes: t.Nodes(), Measure: pg.Measure()}, nil
 }
 
 // Scatter sends root's N personalized blocks to their destinations
@@ -72,29 +76,33 @@ func personalized(t *Torus, blocks []block.Block) (*CollectiveReport, error) {
 }
 
 // AllGather replicates every node's block to all nodes with the ring
-// algorithm per dimension. Works on any torus shape.
+// algorithm per dimension. Works on any torus shape. It reports the
+// registry's "allgather" program, served from the program cache.
 func AllGather(t *Torus) (*CollectiveReport, error) {
-	res, err := collective.AllGather(t)
-	if err != nil {
-		return nil, err
-	}
-	origins := make([]topology.NodeID, t.Nodes())
-	for i := range origins {
-		origins[i] = topology.NodeID(i)
-	}
-	if err := collective.VerifyReplication(t, res.Have, origins); err != nil {
-		return nil, err
-	}
-	return &CollectiveReport{Dims: t.Dims(), Nodes: t.Nodes(), Measure: res.Measure}, nil
+	return replicationReport("allgather", t)
 }
 
 // AllReduce sums each node's length-N contribution vector across all
 // nodes, leaving the full reduced vector everywhere, and returns the
-// result vector (identical at every node) with the cost report.
+// result vector (identical at every node) with the cost report: the
+// ring reduce-scatter followed by an allgather of the reduced slots,
+// whose cost is the "allgather" program's.
 func AllReduce(t *Torus, contrib [][]uint64) ([]uint64, *CollectiveReport, error) {
-	res, err := collective.AllReduce(t, contrib)
+	rs, err := collective.ReduceScatter(t, contrib)
 	if err != nil {
 		return nil, nil, err
 	}
-	return res.Values[0], &CollectiveReport{Dims: t.Dims(), Nodes: t.Nodes(), Measure: res.Measure}, nil
+	rep, err := replicationReport("allgather", t)
+	if err != nil {
+		return nil, nil, err
+	}
+	// The allgather leaves slot j, as reduced at its owner j, everywhere.
+	vals := make([]uint64, t.Nodes())
+	for j := range vals {
+		vals[j] = rs.Values[j][0]
+	}
+	rep.Measure.Steps += rs.Measure.Steps
+	rep.Measure.Blocks += rs.Measure.Blocks
+	rep.Measure.Hops += rs.Measure.Hops
+	return vals, rep, nil
 }

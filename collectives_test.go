@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"torusx/internal/block"
+	"torusx/internal/collective"
 	"torusx/internal/topology"
 )
 
@@ -159,5 +160,66 @@ func TestAllReduceAPI(t *testing.T) {
 	}
 	if _, _, err := AllReduce(tor, nil); err == nil {
 		t.Fatal("bad contrib should fail")
+	}
+}
+
+func TestAllReduce(t *testing.T) {
+	for _, dims := range [][]int{{4, 4}, {5, 3}, {4, 4, 4}} {
+		tor := topology.MustNew(dims...)
+		n := tor.Nodes()
+		contrib := make([][]uint64, n)
+		for i := range contrib {
+			contrib[i] = make([]uint64, n)
+			for j := range contrib[i] {
+				contrib[i][j] = uint64(i*1000003 + j)
+			}
+		}
+		vals, rep, err := AllReduce(tor, contrib)
+		if err != nil {
+			t.Fatalf("%v: %v", dims, err)
+		}
+		if len(vals) != n {
+			t.Fatalf("%v: %d slots, want %d", dims, len(vals), n)
+		}
+		for j := 0; j < n; j++ {
+			want := uint64(0)
+			for i := 0; i < n; i++ {
+				want += uint64(i*1000003 + j)
+			}
+			if vals[j] != want {
+				t.Fatalf("%v: slot %d = %d, want %d", dims, j, vals[j], want)
+			}
+		}
+		// Cost is the sum of both stages.
+		rs, err := collective.ReduceScatter(tor, contrib)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ag, err := AllGather(tor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := Measure{
+			Steps:  rs.Measure.Steps + ag.Measure.Steps,
+			Blocks: rs.Measure.Blocks + ag.Measure.Blocks,
+			Hops:   rs.Measure.Hops + ag.Measure.Hops,
+		}
+		if rep.Measure != want {
+			t.Fatalf("%v: measure %+v, want %+v", dims, rep.Measure, want)
+		}
+	}
+}
+
+func TestAllReducePropagatesValidation(t *testing.T) {
+	tor := topology.MustNew(4, 4)
+	if _, _, err := AllReduce(tor, nil); err == nil {
+		t.Fatal("missing vectors should fail")
+	}
+	short := make([][]uint64, tor.Nodes())
+	for i := range short {
+		short[i] = make([]uint64, tor.Nodes()-1)
+	}
+	if _, _, err := AllReduce(tor, short); err == nil {
+		t.Fatal("short vectors should fail")
 	}
 }

@@ -12,38 +12,29 @@
 //     and one-port compliant, but with ~4× the startups of the
 //     proposed algorithm and ~4× its transmitted volume on square
 //     tori, isolating what the stride-4 group schedule buys.
+//   - Factored and LogTime, the multiphase and power-of-two
+//     minimum-startup exchanges, in their own files.
 //
-// Every baseline emits a payload-annotated schedule.Schedule
-// (DirectSchedule, RingSchedule, and the Factored/LogTime builders in
-// their own files) and executes it through the shared executor in
-// internal/exec, which replays the block movement, verifies delivery,
+// Every baseline is a payload-annotated schedule builder: an Emit*
+// function the algorithm registry (internal/algorithm) streams into
+// the shared executor, and a *Schedule wrapper that collects the same
+// steps. The executor replays the block movement, verifies delivery,
 // and derives measured costs in the same units as the proposed
-// algorithm's counters — including the wormhole link-sharing
-// serialization of Direct's long id-shift worms, which the previous
-// hand-rolled loop did not model (its Blocks therefore rise relative
-// to earlier versions; see EXPERIMENTS.md).
+// algorithm's counters, including the wormhole link-sharing
+// serialization of Direct's long id-shift worms (see EXPERIMENTS.md).
 //
 // All baselines run on any torus shape (no multiple-of-four
-// restriction).
+// restriction) apart from LogTime, which needs power-of-two sizes.
 package baseline
 
 import (
 	"fmt"
 
-	"torusx/internal/block"
 	"torusx/internal/costmodel"
-	"torusx/internal/exec"
 	"torusx/internal/par"
 	"torusx/internal/schedule"
 	"torusx/internal/topology"
 )
-
-// Result is the outcome of a baseline run.
-type Result struct {
-	Torus   *topology.Torus
-	Buffers []*block.Buffer
-	Measure costmodel.Measure
-}
 
 // appendDirectRoute appends the dimension-ordered minimal route from a
 // to b to segs as schedule segments (one per dimension with a non-zero
@@ -145,16 +136,6 @@ func EmitDirect(t *topology.Torus, sink schedule.Sink) error {
 	return nil
 }
 
-// Direct executes the non-combining exchange through the shared
-// executor and returns the replayed buffers and measured costs.
-func Direct(t *topology.Torus) (*Result, error) {
-	res, err := exec.Run(DirectSchedule(t), exec.Options{})
-	if err != nil {
-		return nil, fmt.Errorf("baseline: direct schedule rejected: %w", err)
-	}
-	return &Result{Torus: t, Buffers: res.Buffers, Measure: res.Measure}, nil
-}
-
 // RingSchedule emits the dimension-ordered ring-scatter exchange as a
 // schedule: for each dimension k in order, dims[k]−1 steps in which
 // every node forwards to its +1 neighbour along k all blocks whose
@@ -187,16 +168,6 @@ func EmitRing(t *topology.Torus, sink schedule.Sink) error {
 		}
 	}
 	return nil
-}
-
-// Ring executes the ring-scatter exchange through the shared executor
-// and returns the replayed buffers and measured costs.
-func Ring(t *topology.Torus) (*Result, error) {
-	res, err := exec.Run(RingSchedule(t), exec.Options{})
-	if err != nil {
-		return nil, fmt.Errorf("baseline: ring schedule rejected: %w", err)
-	}
-	return &Result{Torus: t, Buffers: res.Buffers, Measure: res.Measure}, nil
 }
 
 // RingClosedForm returns the analytic measure of Ring on dims:
@@ -235,26 +206,4 @@ func SerializedGroups(dims []int) costmodel.Measure {
 	groupSteps := n * (a1/4 - 1)
 	m.Steps += 3 * groupSteps // each group step becomes 4
 	return m
-}
-
-// Verify checks that a baseline run delivered all blocks, returning a
-// descriptive error otherwise.
-func Verify(r *Result) error {
-	n := r.Torus.Nodes()
-	for i, buf := range r.Buffers {
-		if buf.Len() != n {
-			return fmt.Errorf("baseline: node %d holds %d blocks, want %d", i, buf.Len(), n)
-		}
-		seen := make([]bool, n)
-		for _, b := range buf.View() {
-			if b.Dest != topology.NodeID(i) {
-				return fmt.Errorf("baseline: node %d holds misdelivered %v", i, b)
-			}
-			if seen[b.Origin] {
-				return fmt.Errorf("baseline: node %d duplicate origin %d", i, b.Origin)
-			}
-			seen[b.Origin] = true
-		}
-	}
-	return nil
 }

@@ -3,21 +3,33 @@ package baseline
 import (
 	"testing"
 
-	"torusx/internal/block"
 	"torusx/internal/costmodel"
+	"torusx/internal/exec"
 	"torusx/internal/schedule"
 	"torusx/internal/topology"
+	"torusx/internal/verify"
 )
 
 var shapes = [][]int{{4, 4}, {8, 8}, {12, 8}, {6, 5}, {4, 4, 4}, {5, 3, 2}}
 
+// execute compiles and replays a built schedule once through the shared
+// executor, then checks independently that every node ends with
+// exactly the blocks addressed to it. It takes a builder's results
+// as they come: execute(FactoredSchedule(tor)).
+func execute(sc *schedule.Schedule, err error) (*exec.Result, error) {
+	if err != nil {
+		return nil, err
+	}
+	res, err := exec.Run(sc, exec.Options{})
+	if err != nil {
+		return nil, err
+	}
+	return res, verify.Delivered(sc.Fabric, res.Buffers)
+}
+
 func TestDirectDelivers(t *testing.T) {
 	for _, dims := range shapes {
-		res, err := Direct(topology.MustNew(dims...))
-		if err != nil {
-			t.Fatalf("%v: %v", dims, err)
-		}
-		if err := Verify(res); err != nil {
+		if _, err := execute(DirectSchedule(topology.MustNew(dims...)), nil); err != nil {
 			t.Fatalf("%v: %v", dims, err)
 		}
 	}
@@ -25,7 +37,7 @@ func TestDirectDelivers(t *testing.T) {
 
 func TestDirectMeasure(t *testing.T) {
 	tor := topology.MustNew(8, 8)
-	res, err := Direct(tor)
+	res, err := execute(DirectSchedule(tor), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +79,7 @@ func TestDirectMeasure(t *testing.T) {
 
 func TestRingDelivers(t *testing.T) {
 	for _, dims := range shapes {
-		res, err := Ring(topology.MustNew(dims...))
-		if err != nil {
-			t.Fatalf("%v: %v", dims, err)
-		}
-		if err := Verify(res); err != nil {
+		if _, err := execute(RingSchedule(topology.MustNew(dims...)), nil); err != nil {
 			t.Fatalf("%v: %v", dims, err)
 		}
 	}
@@ -79,7 +87,7 @@ func TestRingDelivers(t *testing.T) {
 
 func TestRingMeasureMatchesClosedForm(t *testing.T) {
 	for _, dims := range shapes {
-		res, err := Ring(topology.MustNew(dims...))
+		res, err := execute(RingSchedule(topology.MustNew(dims...)), nil)
 		if err != nil {
 			t.Fatalf("%v: %v", dims, err)
 		}
@@ -115,39 +123,5 @@ func TestSerializedGroupsAblation(t *testing.T) {
 	}
 	if ser.Blocks != prop.Blocks || ser.Hops != prop.Hops {
 		t.Fatal("ablation should only change startups")
-	}
-}
-
-func TestVerifyCatchesCorruption(t *testing.T) {
-	direct := func() *Result {
-		res, err := Direct(topology.MustNew(4, 4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	res := direct()
-	// Misdeliver: node 0 "holds" node 1's buffer.
-	res.Buffers[0] = res.Buffers[1]
-	if err := Verify(res); err == nil {
-		t.Fatal("Verify should fail on misdelivered blocks")
-	}
-
-	res = direct()
-	// Wrong count: drop a block from node 2.
-	res.Buffers[2].TakeIf(func(b block.Block) bool { return b.Origin == 3 })
-	if err := Verify(res); err == nil {
-		t.Fatal("Verify should fail on missing blocks")
-	}
-
-	res = direct()
-	// Duplicate origin: replace one block with a copy of another.
-	taken, _ := res.Buffers[2].TakeIf(func(b block.Block) bool { return b.Origin == 3 })
-	if len(taken) != 1 {
-		t.Fatalf("setup: took %d blocks", len(taken))
-	}
-	res.Buffers[2].Add(block.Block{Origin: 1, Dest: 2})
-	if err := Verify(res); err == nil {
-		t.Fatal("Verify should fail on duplicate origins")
 	}
 }

@@ -3,7 +3,6 @@ package baseline
 import (
 	"fmt"
 
-	"torusx/internal/exec"
 	"torusx/internal/schedule"
 	"torusx/internal/topology"
 )
@@ -80,20 +79,6 @@ func EmitFactored(t *topology.Torus, sink schedule.Sink) error {
 		}
 	}
 	return nil
-}
-
-// Factored executes the multiphase exchange through the shared
-// executor.
-func Factored(t *topology.Torus) (*LogTimeResult, error) {
-	sc, err := FactoredSchedule(t)
-	if err != nil {
-		return nil, err
-	}
-	res, err := exec.Run(sc, exec.Options{})
-	if err != nil {
-		return nil, err
-	}
-	return &LogTimeResult{Torus: t, Buffers: res.Buffers, Measure: res.Measure, Schedule: sc}, nil
 }
 
 // FactoredSteps returns the startup count of Factored on dims:

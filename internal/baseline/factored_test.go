@@ -32,11 +32,7 @@ func TestPrimeFactors(t *testing.T) {
 
 func TestFactoredDelivers(t *testing.T) {
 	for _, dims := range [][]int{{4, 4}, {12, 8}, {6, 5}, {9, 3}, {12, 12}, {5, 3, 2}} {
-		res, err := Factored(topology.MustNew(dims...))
-		if err != nil {
-			t.Fatalf("%v: %v", dims, err)
-		}
-		if err := Verify(&Result{Torus: res.Torus, Buffers: res.Buffers}); err != nil {
+		if _, err := execute(FactoredSchedule(topology.MustNew(dims...))); err != nil {
 			t.Fatalf("%v: %v", dims, err)
 		}
 	}
@@ -52,7 +48,7 @@ func TestFactoredStepCount(t *testing.T) {
 		{[]int{6, 5}, 7},   // (1+2) + 4
 		{[]int{9, 3}, 6},   // (2+2) + 2
 	} {
-		res, err := Factored(topology.MustNew(tc.dims...))
+		res, err := execute(FactoredSchedule(topology.MustNew(tc.dims...)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,11 +63,11 @@ func TestFactoredStepCount(t *testing.T) {
 
 func TestFactoredEqualsLogTimeOnPow2(t *testing.T) {
 	tor1 := topology.MustNew(16, 8)
-	f, err := Factored(tor1)
+	f, err := execute(FactoredSchedule(tor1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	lt, err := LogTime(topology.MustNew(16, 8))
+	lt, err := execute(LogTimeSchedule(topology.MustNew(16, 8)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +85,7 @@ func TestFactoredBeatsRingOnStartups(t *testing.T) {
 	// link contention itself (it is not contention-free, unlike the
 	// proposed schedule) and per-phase rearrangement.
 	dims := []int{12, 12}
-	f, err := Factored(topology.MustNew(dims...))
+	f, err := execute(FactoredSchedule(topology.MustNew(dims...)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,11 +107,7 @@ func TestFactoredBeatsRingOnStartups(t *testing.T) {
 }
 
 func TestFactoredSize1Dimension(t *testing.T) {
-	res, err := Factored(topology.MustNew(4, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Verify(&Result{Torus: res.Torus, Buffers: res.Buffers}); err != nil {
+	if _, err := execute(FactoredSchedule(topology.MustNew(4, 1))); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -3,9 +3,6 @@ package baseline
 import (
 	"fmt"
 
-	"torusx/internal/block"
-	"torusx/internal/costmodel"
-	"torusx/internal/exec"
 	"torusx/internal/schedule"
 	"torusx/internal/topology"
 )
@@ -31,14 +28,6 @@ import (
 // direction share links, so rounds with r >= 2 are not contention-free
 // under wormhole switching (TestLogTimeHasLinkContention); the
 // flit-level cost is measurable with wormhole.FromStep.
-
-// LogTimeResult is the outcome of a LogTime run.
-type LogTimeResult struct {
-	Torus    *topology.Torus
-	Buffers  []*block.Buffer
-	Measure  costmodel.Measure
-	Schedule *schedule.Schedule
-}
 
 // isPow2 reports whether v is a positive power of two.
 func isPow2(v int) bool { return v > 0 && v&(v-1) == 0 }
@@ -81,18 +70,4 @@ func EmitLogTime(t *topology.Torus, sink schedule.Sink) error {
 		}
 	}
 	return nil
-}
-
-// LogTime executes the logarithmic-startup exchange through the shared
-// executor.
-func LogTime(t *topology.Torus) (*LogTimeResult, error) {
-	sc, err := LogTimeSchedule(t)
-	if err != nil {
-		return nil, err
-	}
-	res, err := exec.Run(sc, exec.Options{})
-	if err != nil {
-		return nil, err
-	}
-	return &LogTimeResult{Torus: t, Buffers: res.Buffers, Measure: res.Measure, Schedule: sc}, nil
 }

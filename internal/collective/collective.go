@@ -9,34 +9,23 @@
 //     size, one-port compliant, contention-free).
 //   - AllGather (all-to-all broadcast): every node's block replicated
 //     to all nodes, by the classic ring algorithm per dimension.
+//   - ReduceScatter, and the Swing allreduce, which combine values in
+//     flight (reduce.go, swing.go).
 //
-// Every operation returns measured costs in the same units as the
-// exchange counters plus a structural schedule where applicable. The
-// personalized siblings, Scatter and Gather, are sparse cases of the
-// exchange itself and run through torusx's sparse path.
+// The replication builders check that every node ends with every
+// block it should hold, and emit structural schedules that the
+// algorithm registry (internal/algorithm) compiles and measures
+// through the shared executor. The personalized siblings, Scatter and
+// Gather, are sparse cases of the exchange itself and run through
+// torusx's sparse path.
 package collective
 
 import (
 	"fmt"
 
-	"torusx/internal/costmodel"
-	"torusx/internal/exec"
 	"torusx/internal/schedule"
 	"torusx/internal/topology"
 )
-
-// Result is the outcome of a collective operation.
-type Result struct {
-	Torus *topology.Torus
-	// Have[i] lists the origins whose block node i holds afterwards
-	// (replication collectives), in arbitrary order.
-	Have [][]topology.NodeID
-	// Measure is the cost measurement of the run.
-	Measure costmodel.Measure
-	// Schedule is the structural schedule (nil for operations executed
-	// through the exchange engine, which records its own).
-	Schedule *schedule.Schedule
-}
 
 // BroadcastSchedule emits the pipelined bidirectional-flood broadcast
 // schedule from root: one dimension at a time, the holders flood their
@@ -44,7 +33,8 @@ type Result struct {
 // most one message per step and each unidirectional link carries at
 // most one). Replication collectives copy blocks rather than move
 // them, so the schedule carries no payloads; the shared executor
-// checks and measures it structurally.
+// checks and measures it structurally. It returns an error if the
+// flood misses a node.
 func BroadcastSchedule(t *topology.Torus, root topology.NodeID) (*schedule.Schedule, error) {
 	sc, _, err := broadcastSchedule(t, root)
 	return sc, err
@@ -101,37 +91,21 @@ func broadcastSchedule(t *topology.Torus, root topology.NodeID) (*schedule.Sched
 		}
 		sc.Phases = append(sc.Phases, ph)
 	}
-	return sc, have, nil
-}
-
-// Broadcast replicates root's block to every node and measures the
-// schedule through the shared executor.
-func Broadcast(t *topology.Torus, root topology.NodeID) (*Result, error) {
-	sc, have, err := broadcastSchedule(t, root)
-	if err != nil {
-		return nil, err
-	}
-	ex, err := exec.Run(sc, exec.Options{})
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Torus: t, Schedule: sc, Measure: ex.Measure}
-	n := t.Nodes()
-	res.Have = make([][]topology.NodeID, n)
-	for i := 0; i < n; i++ {
-		if !have[i] {
-			return nil, fmt.Errorf("collective: node %d missed the broadcast", i)
+	for i, h := range have {
+		if !h {
+			return nil, nil, fmt.Errorf("collective: node %d missed the broadcast", i)
 		}
-		res.Have[i] = []topology.NodeID{root}
 	}
-	return res, nil
+	return sc, have, nil
 }
 
 // AllGatherSchedule emits the ring all-gather schedule: for each
 // dimension, a−1 pipelined steps in which every node forwards to its
 // +1 neighbour the set it received in the previous step (initially its
 // own accumulated set), so after the phase every node of a ring holds
-// the union of the ring. Replication schedules carry no payloads.
+// the union of the ring. Replication schedules carry no payloads. It
+// returns an error unless every node ends with every node's block
+// exactly once.
 func AllGatherSchedule(t *topology.Torus) (*schedule.Schedule, error) {
 	sc, _, err := allGatherSchedule(t)
 	return sc, err
@@ -176,43 +150,38 @@ func allGatherSchedule(t *topology.Torus) (*schedule.Schedule, [][]topology.Node
 		}
 		sc.Phases = append(sc.Phases, ph)
 	}
+	origins := make([]topology.NodeID, n)
+	for i := range origins {
+		origins[i] = topology.NodeID(i)
+	}
+	if err := VerifyReplication(t, have, origins); err != nil {
+		return nil, nil, err
+	}
 	return sc, have, nil
-}
-
-// AllGather replicates every node's block to all nodes and measures
-// the schedule through the shared executor.
-func AllGather(t *topology.Torus) (*Result, error) {
-	sc, have, err := allGatherSchedule(t)
-	if err != nil {
-		return nil, err
-	}
-	ex, err := exec.Run(sc, exec.Options{})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Torus: t, Schedule: sc, Measure: ex.Measure, Have: have}, nil
 }
 
 // VerifyReplication checks that every node ends with exactly one block
 // from every origin in origins.
 func VerifyReplication(t *topology.Torus, have [][]topology.NodeID, origins []topology.NodeID) error {
-	want := make(map[topology.NodeID]bool, len(origins))
+	n := t.Nodes()
+	want := make([]bool, n)
 	for _, o := range origins {
 		want[o] = true
 	}
+	seen := make([]int, n) // seen[o] == i+1 once node i holds origin o
+
 	for i, hs := range have {
-		seen := make(map[topology.NodeID]bool, len(hs))
 		for _, o := range hs {
-			if !want[o] {
+			if int(o) < 0 || int(o) >= n || !want[o] {
 				return fmt.Errorf("collective: node %d holds unexpected origin %d", i, o)
 			}
-			if seen[o] {
+			if seen[o] == i+1 {
 				return fmt.Errorf("collective: node %d holds origin %d twice", i, o)
 			}
-			seen[o] = true
+			seen[o] = i + 1
 		}
-		if len(seen) != len(origins) {
-			return fmt.Errorf("collective: node %d holds %d origins, want %d", i, len(seen), len(origins))
+		if len(hs) != len(origins) {
+			return fmt.Errorf("collective: node %d holds %d origins, want %d", i, len(hs), len(origins))
 		}
 	}
 	return nil

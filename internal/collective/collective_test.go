@@ -3,6 +3,9 @@ package collective
 import (
 	"testing"
 
+	"torusx/internal/costmodel"
+	"torusx/internal/exec"
+	"torusx/internal/schedule"
 	"torusx/internal/topology"
 )
 
@@ -14,18 +17,38 @@ func allOrigins(t *topology.Torus) []topology.NodeID {
 	return out
 }
 
+// measure runs a built schedule once through the shared executor and
+// returns its measure. It takes a builder's results as they come:
+// measure(AllGatherSchedule(tor)).
+func measure(sc *schedule.Schedule, err error) (costmodel.Measure, error) {
+	if err != nil {
+		return costmodel.Measure{}, err
+	}
+	res, err := exec.Run(sc, exec.Options{})
+	if err != nil {
+		return costmodel.Measure{}, err
+	}
+	return res.Measure, nil
+}
+
 func TestBroadcastReachesAll(t *testing.T) {
 	for _, dims := range [][]int{{8, 8}, {12, 8}, {5, 3}, {6, 5, 4}, {7, 7}} {
 		tor := topology.MustNew(dims...)
 		for _, root := range []topology.NodeID{0, topology.NodeID(tor.Nodes() / 2)} {
-			res, err := Broadcast(tor, root)
+			sc, have, err := broadcastSchedule(tor, root)
 			if err != nil {
 				t.Fatalf("%v root %d: %v", dims, root, err)
 			}
-			if err := VerifyReplication(tor, res.Have, []topology.NodeID{root}); err != nil {
+			held := make([][]topology.NodeID, len(have))
+			for i, h := range have {
+				if h {
+					held[i] = []topology.NodeID{root}
+				}
+			}
+			if err := VerifyReplication(tor, held, []topology.NodeID{root}); err != nil {
 				t.Fatalf("%v root %d: %v", dims, root, err)
 			}
-			if err := res.Schedule.Check(); err != nil {
+			if err := sc.Check(); err != nil {
 				t.Fatalf("%v root %d: %v", dims, root, err)
 			}
 		}
@@ -36,28 +59,59 @@ func TestBroadcastStepCount(t *testing.T) {
 	// A ring of size a floods in ceil(a/2) + (a even ? 1 : 0) - ...
 	// measured bound: at most a/2 + 1 steps per dimension.
 	for _, dims := range [][]int{{8, 8}, {12, 12}, {16, 4}} {
-		tor := topology.MustNew(dims...)
-		res, err := Broadcast(tor, 0)
+		m, err := measure(BroadcastSchedule(topology.MustNew(dims...), 0))
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%v: %v", dims, err)
 		}
 		bound := 0
 		for _, d := range dims {
 			bound += d/2 + 1
 		}
-		if res.Measure.Steps > bound {
-			t.Fatalf("%v: %d steps exceeds bound %d", dims, res.Measure.Steps, bound)
+		if m.Steps > bound {
+			t.Fatalf("%v: %d steps exceeds bound %d", dims, m.Steps, bound)
 		}
 		// Far fewer startups than a scatter (which moves N distinct
 		// blocks).
-		if res.Measure.Blocks != res.Measure.Steps {
+		if m.Blocks != m.Steps {
 			t.Fatalf("%v: broadcast moves one block per step", dims)
 		}
 	}
 }
 
+// TestBroadcastMeasureRootInvariant: the torus is translation-
+// symmetric, so the flood from any root costs what the flood from
+// node 0 costs. This is what lets torusx.Broadcast report the
+// registry's root-0 program for every root.
+func TestBroadcastMeasureRootInvariant(t *testing.T) {
+	for _, dims := range [][]int{
+		{8, 8}, {12, 8}, {5, 3}, {6, 5, 4}, {7, 7}, {4, 4}, {3},
+		{2, 2}, {16, 16}, {4, 1}, {1, 4}, {2, 3, 2}, {9, 6},
+	} {
+		tor := topology.MustNew(dims...)
+		run := func(root topology.NodeID) *exec.Result {
+			sc, err := BroadcastSchedule(tor, root)
+			if err != nil {
+				t.Fatalf("%v root %d: %v", dims, root, err)
+			}
+			res, err := exec.Run(sc, exec.Options{})
+			if err != nil {
+				t.Fatalf("%v root %d: %v", dims, root, err)
+			}
+			return res
+		}
+		want := run(0)
+		for r := 1; r < tor.Nodes(); r++ {
+			got := run(topology.NodeID(r))
+			if got.Measure != want.Measure || got.MaxSharing != want.MaxSharing {
+				t.Fatalf("%v root %d: measure %+v sharing %d, root 0: %+v sharing %d",
+					dims, r, got.Measure, got.MaxSharing, want.Measure, want.MaxSharing)
+			}
+		}
+	}
+}
+
 func TestBroadcastValidation(t *testing.T) {
-	if _, err := Broadcast(topology.MustNew(4, 4), 99); err == nil {
+	if _, err := BroadcastSchedule(topology.MustNew(4, 4), 99); err == nil {
 		t.Fatal("out-of-range root should fail")
 	}
 }
@@ -65,14 +119,14 @@ func TestBroadcastValidation(t *testing.T) {
 func TestAllGatherReplicatesEverything(t *testing.T) {
 	for _, dims := range [][]int{{4, 4}, {8, 8}, {5, 3}, {4, 4, 4}, {6, 5}} {
 		tor := topology.MustNew(dims...)
-		res, err := AllGather(tor)
+		sc, have, err := allGatherSchedule(tor)
 		if err != nil {
 			t.Fatalf("%v: %v", dims, err)
 		}
-		if err := VerifyReplication(tor, res.Have, allOrigins(tor)); err != nil {
+		if err := VerifyReplication(tor, have, allOrigins(tor)); err != nil {
 			t.Fatalf("%v: %v", dims, err)
 		}
-		if err := res.Schedule.Check(); err != nil {
+		if err := sc.Check(); err != nil {
 			t.Fatalf("%v: %v", dims, err)
 		}
 	}
@@ -81,31 +135,29 @@ func TestAllGatherReplicatesEverything(t *testing.T) {
 func TestAllGatherCosts(t *testing.T) {
 	// Ring allgather: sum(ai-1) steps; the last dimension's steps move
 	// the largest sets.
-	tor := topology.MustNew(8, 8)
-	res, err := AllGather(tor)
+	m, err := measure(AllGatherSchedule(topology.MustNew(8, 8)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Measure.Steps != 7+7 {
-		t.Fatalf("steps = %d, want 14", res.Measure.Steps)
+	if m.Steps != 7+7 {
+		t.Fatalf("steps = %d, want 14", m.Steps)
 	}
 	// Dim-0 steps carry 1 block; dim-1 steps carry 8.
-	if res.Measure.Blocks != 7*1+7*8 {
-		t.Fatalf("blocks = %d, want 63", res.Measure.Blocks)
+	if m.Blocks != 7*1+7*8 {
+		t.Fatalf("blocks = %d, want 63", m.Blocks)
 	}
 }
 
 func TestAllGatherSize1Dimension(t *testing.T) {
 	tor := topology.MustNew(4, 1)
-	res, err := AllGather(tor)
+	_, have, err := allGatherSchedule(tor)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyReplication(tor, res.Have, allOrigins(tor)); err != nil {
+	if err := VerifyReplication(tor, have, allOrigins(tor)); err != nil {
 		t.Fatal(err)
 	}
 }
-
 func TestVerifyReplicationRejects(t *testing.T) {
 	tor := topology.MustNew(4, 4)
 	have := make([][]topology.NodeID, tor.Nodes())

@@ -17,13 +17,14 @@ import (
 // starts at node j+1 and travels +1 each step, accumulating each
 // visited node's contribution, arriving complete at its owner after
 // a−1 steps. Dimension-ordered application reduces over the whole
-// torus. AllReduce is ReduceScatter followed by AllGather.
+// torus. The ring allreduce (torusx.AllReduce) is ReduceScatter
+// followed by the allgather program.
 
 // ReduceResult is the outcome of a reduction collective.
 type ReduceResult struct {
 	Torus *topology.Torus
 	// Values[i] holds node i's final values: after ReduceScatter a
-	// single slot (its own), after AllReduce all N slots.
+	// single slot (its own), after SwingAllReduce all N slots.
 	Values [][]uint64
 	// Owner[i] lists which slots Values[i] covers, in order.
 	Owner [][]topology.NodeID
@@ -35,7 +36,9 @@ type ReduceResult struct {
 
 // ReduceScatter sums, across all nodes, each node's contribution
 // vector contrib[i] (length N, slot j owned by node j); afterwards
-// node i holds the single fully reduced slot i.
+// node i holds the single fully reduced slot i. Its Measure is counted
+// here by hand, step by step, not derived by the shared executor: it
+// is the one collective cost that still bypasses the compiled path.
 func ReduceScatter(t *topology.Torus, contrib [][]uint64) (*ReduceResult, error) {
 	n := t.Nodes()
 	if len(contrib) != n {
@@ -135,47 +138,5 @@ func ReduceScatter(t *topology.Torus, contrib [][]uint64) (*ReduceResult, error)
 		res.Values[i] = []uint64{partial[i][i]}
 		res.Owner[i] = []topology.NodeID{topology.NodeID(i)}
 	}
-	return res, nil
-}
-
-// AllReduce sums each node's contribution vector across all nodes and
-// leaves the complete reduced vector at every node: ReduceScatter
-// followed by an AllGather of the reduced slots.
-func AllReduce(t *topology.Torus, contrib [][]uint64) (*ReduceResult, error) {
-	rs, err := ReduceScatter(t, contrib)
-	if err != nil {
-		return nil, err
-	}
-	ag, err := AllGather(t)
-	if err != nil {
-		return nil, err
-	}
-	n := t.Nodes()
-	// The AllGather run tells us the replication pattern is correct;
-	// assemble the gathered vectors accordingly: every node ends with
-	// slot j = reduced value owned by node j.
-	full := make([]uint64, n)
-	for j := 0; j < n; j++ {
-		full[j] = rs.Values[j][0]
-	}
-	res := &ReduceResult{
-		Torus:    t,
-		Values:   make([][]uint64, n),
-		Owner:    make([][]topology.NodeID, n),
-		Schedule: &schedule.Schedule{Fabric: t},
-	}
-	owners := make([]topology.NodeID, n)
-	for j := range owners {
-		owners[j] = topology.NodeID(j)
-	}
-	for i := 0; i < n; i++ {
-		res.Values[i] = append([]uint64(nil), full...)
-		res.Owner[i] = owners
-	}
-	res.Measure.Steps = rs.Measure.Steps + ag.Measure.Steps
-	res.Measure.Blocks = rs.Measure.Blocks + ag.Measure.Blocks
-	res.Measure.Hops = rs.Measure.Hops + ag.Measure.Hops
-	res.Schedule.Phases = append(res.Schedule.Phases, rs.Schedule.Phases...)
-	res.Schedule.Phases = append(res.Schedule.Phases, ag.Schedule.Phases...)
 	return res, nil
 }

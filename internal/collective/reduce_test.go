@@ -78,34 +78,3 @@ func TestReduceScatterStepCount(t *testing.T) {
 		t.Fatalf("blocks = %d, want 63", res.Measure.Blocks)
 	}
 }
-
-func TestAllReduce(t *testing.T) {
-	for _, dims := range [][]int{{4, 4}, {5, 3}, {4, 4, 4}} {
-		tor := topology.MustNew(dims...)
-		n := tor.Nodes()
-		res, err := AllReduce(tor, contribFn(n))
-		if err != nil {
-			t.Fatalf("%v: %v", dims, err)
-		}
-		for i := 0; i < n; i++ {
-			if len(res.Values[i]) != n {
-				t.Fatalf("%v: node %d holds %d slots", dims, i, len(res.Values[i]))
-			}
-			for j := 0; j < n; j++ {
-				if got, want := res.Values[i][j], wantSum(n, j); got != want {
-					t.Fatalf("%v: node %d slot %d = %d, want %d", dims, i, j, got, want)
-				}
-			}
-		}
-		// Cost is the sum of both stages.
-		if res.Measure.Steps == 0 || len(res.Schedule.Phases) == 0 {
-			t.Fatalf("%v: missing cost/schedule", dims)
-		}
-	}
-}
-
-func TestAllReducePropagatesValidation(t *testing.T) {
-	if _, err := AllReduce(topology.MustNew(4, 4), nil); err == nil {
-		t.Fatal("bad input should fail")
-	}
-}

@@ -92,11 +92,10 @@ type Result struct {
 }
 
 // Run executes sc once: Compile followed by a replay on a one-shot
-// arena, for one-shot callers such as the baselines' closed-form checks
-// and the collectives; replay-many callers compile once (usually
-// through the program cache) and reuse arenas instead. The program
-// records sc as its schedule source, and the Result reports sc itself
-// as its Schedule.
+// arena, for tests that need a one-shot compile; production code
+// builds through the program cache (algorithm.BuildProgram) and reuses
+// arenas instead. The program records sc as its schedule source, and
+// the Result reports sc itself as its Schedule.
 func Run(sc *schedule.Schedule, opt Options) (*Result, error) {
 	pg, err := Compile(sc, opt)
 	if err != nil {
