@@ -83,14 +83,14 @@ func run(args []string, w io.Writer) error {
 		// planner pick the cheapest algorithm for the matrix.
 		switch alg {
 		case "proposed", "concurrent", "virtual":
-			return fmt.Errorf("-traffic needs a sparse-capable executor algorithm (auto, %s); %q is a dense simulator path",
+			return fmt.Errorf("-traffic needs a sparse-capable executor algorithm (auto, %s); %q runs only the full exchange",
 				strings.Join(algorithm.SparseSupporting(fab), ", "), alg)
 		}
 		return runSparse(w, tel, alg, fab, *trafficFlag, params, execOpt)
 	}
 	if _, isTorus := fab.(*topology.Torus); !isTorus {
 		// Non-torus fabrics resolve through the registry only; the
-		// simulator-specific paths below are torus algorithms.
+		// library paths below are torus algorithms.
 		switch alg {
 		case "proposed", "concurrent", "virtual":
 			return fmt.Errorf("algorithm %q is torus-only; on %s use one of %s",

@@ -68,11 +68,11 @@ func Gather(t *Torus, root int) (*CollectiveReport, error) {
 // personalized runs a one-to-all or all-to-one personalized collective
 // through the shared sparse path.
 func personalized(t *Torus, blocks []block.Block) (*CollectiveReport, error) {
-	res, err := sparseExchange(t, t, blocks)
+	rep, err := sparseReport(t, t, blocks)
 	if err != nil {
 		return nil, err
 	}
-	return &CollectiveReport{Dims: t.Dims(), Nodes: t.Nodes(), Measure: measureOf(res)}, nil
+	return &CollectiveReport{Dims: rep.Dims, Nodes: rep.Nodes, Measure: rep.Measure}, nil
 }
 
 // AllGather replicates every node's block to all nodes with the ring

@@ -7,6 +7,7 @@ import (
 
 	"torusx/internal/block"
 	"torusx/internal/collective"
+	"torusx/internal/exec"
 	"torusx/internal/topology"
 )
 
@@ -26,11 +27,15 @@ func TestBroadcastAPI(t *testing.T) {
 
 func TestScatterGatherAPI(t *testing.T) {
 	tor, _ := NewTorus(8, 8)
-	// holds runs blocks through the shared sparse path and checks that
-	// node v ends with exactly want(v).
+	// holds runs blocks through the shared sparse path, replays the
+	// report's program and checks that node v ends with exactly want(v).
 	holds := func(t *testing.T, tor *Torus, blocks []block.Block, want func(v int) []block.Block) {
 		t.Helper()
-		res, err := sparseExchange(tor, tor, blocks)
+		rep, err := sparseReport(tor, tor, blocks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := rep.prog.Run(exec.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

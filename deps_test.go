@@ -36,14 +36,22 @@ func TestLibraryLinksNoNetworkStack(t *testing.T) {
 }
 
 // TestNoProductionExecRun: every production schedule reaches the
-// executor through the algorithm registry (algorithm.BuildProgram), so
-// it is cached, stored on the disk tier and timed in stages. exec.Run,
-// which compiles afresh outside all of that, is for tests only. The
-// test parses every non-test file of the module (other modules, such as
-// benchmark/, testdata and internal/exec itself excluded) and fails on
-// any call of Run on an import of torusx/internal/exec.
+// executor through the algorithm registry (algorithm.BuildProgram or
+// BuildSparseProgram), so it is cached, stored on the disk tier and
+// timed in stages. The calls in banned bypass all of that and are for
+// tests only: exec.Run compiles afresh, and the block-level simulator's
+// RunSparse and RunWithBuffers are the reference the compiled programs
+// are held to. (exchange.Run, the paper's reference run, stays allowed.)
+// The test parses every non-test file of the module (other modules,
+// such as benchmark/, and testdata excluded) and fails on any call of a
+// banned function through an import of its package; a package's calls
+// of its own functions are unqualified and never match.
 func TestNoProductionExecRun(t *testing.T) {
-	const execPath = "torusx/internal/exec"
+	banned := []struct{ pkg, fn, use string }{
+		{"torusx/internal/exec", "Run", "build through algorithm.BuildProgram"},
+		{"torusx/internal/exchange", "RunSparse", "replay algorithm.BuildSparseProgram"},
+		{"torusx/internal/exchange", "RunWithBuffers", "replay algorithm.BuildSparseProgram"},
+	}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -53,7 +61,7 @@ func TestNoProductionExecRun(t *testing.T) {
 			if path == "." {
 				return nil
 			}
-			if strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || path == filepath.Join("internal", "exec") {
+			if strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" {
 				return filepath.SkipDir
 			}
 			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
@@ -68,26 +76,31 @@ func TestNoProductionExecRun(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		local := ""
+		local := map[string]string{} // import name in this file -> package path
 		for _, imp := range f.Imports {
-			if p, _ := strconv.Unquote(imp.Path.Value); p == execPath {
-				local = "exec"
-				if imp.Name != nil {
-					local = imp.Name.Name
-				}
+			p, _ := strconv.Unquote(imp.Path.Value)
+			name := p[strings.LastIndex(p, "/")+1:]
+			if imp.Name != nil {
+				name = imp.Name.Name
 			}
-		}
-		if local == "" {
-			return nil
+			local[name] = p
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
 			}
-			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Run" {
-				if id, ok := sel.X.(*ast.Ident); ok && id.Name == local {
-					t.Errorf("%s: production call of %s.Run; build through algorithm.BuildProgram", fset.Position(call.Pos()), execPath)
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			id, ok := sel.X.(*ast.Ident)
+			if !ok {
+				return true
+			}
+			for _, b := range banned {
+				if local[id.Name] == b.pkg && sel.Sel.Name == b.fn {
+					t.Errorf("%s: production call of %s.%s; %s", fset.Position(call.Pos()), b.pkg, b.fn, b.use)
 				}
 			}
 			return true

@@ -1,8 +1,10 @@
 package algorithm
 
 import (
+	"os"
 	"runtime"
 	"slices"
+	"strconv"
 	"testing"
 
 	"torusx/internal/costmodel"
@@ -141,5 +143,53 @@ func TestMissPathAllocBudget(t *testing.T) {
 				t.Fatalf("cold BuildProgram(%s@16x16) allocates %.2f MiB, budget %.2f MiB", alg, got, budget)
 			}
 		})
+	}
+}
+
+// TestSparseProgramSkipsDiskTier: sparse programs never touch the disk
+// tier, because BuildSparseProgram gives the cache no fabric to decode
+// a file against. So a file under a sparse program's key, such as one
+// holding an earlier rearrangement charge, is never served, and no
+// sparse program is written.
+func TestSparseProgramSkipsDiskTier(t *testing.T) {
+	withColdTier(t)
+	tor := topology.MustNew(8, 8)
+	m, err := traffic.ParseSpec("hotspot:k=2,seed=1", tor.Nodes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := For("proposed-sim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := SparseSchedule(b, tor, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sc.RearrangedBlocks()
+	for i := range sc.Phases {
+		sc.Phases[i].Rearrange = 1
+	}
+	stale, err := exec.Compile(sc, exec.Options{Traffic: m.Blocks()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := progcache.Key("proposed-sim+sparse:"+strconv.FormatUint(m.Fingerprint(), 16), tor, 0)
+	if err := cache.Tier2().Store(key, stale, 0); err != nil {
+		t.Fatal(err)
+	}
+	pg, err := BuildSparseProgram(b, tor, m, exec.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := pg.Measure().RearrangedBlocks; got != want || got == stale.Measure().RearrangedBlocks {
+		t.Fatalf("sparse program charges %d rearranged blocks, want %d (the planted file's %d)",
+			got, want, stale.Measure().RearrangedBlocks)
+	}
+	if st := cache.Stats(); st.Tier2Hits != 0 || st.Tier2Stores != 0 {
+		t.Fatalf("sparse build used the disk tier: %v", st)
+	}
+	if files, err := os.ReadDir(cache.Tier2().Dir()); err != nil || len(files) != 1 {
+		t.Fatalf("disk tier holds %d files (%v), want only the planted one", len(files), err)
 	}
 }

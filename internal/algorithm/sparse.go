@@ -64,8 +64,8 @@ func SparseSupporting(f topology.Fabric) []string {
 // blocks of m: natively for the builders with many-to-many
 // construction, and by pruning the full schedule for the rest. The
 // result always passes through traffic.Prune, which compacts empty
-// transfers/steps/phases, density-scales Rearrange annotations, and
-// proves every non-self block of m is carried.
+// transfers/steps/phases, charges each Rearrange annotation to the
+// busiest node, and proves every non-self block of m is carried.
 func SparseSchedule(b Builder, f topology.Fabric, m traffic.Matrix) (*schedule.Schedule, error) {
 	return sparseSchedule(b, f, m, nil)
 }
@@ -173,7 +173,7 @@ type Plan struct {
 // numbers the executor reports when the program runs — so the pick's
 // measured completion is within costmodel.PlannerModelError of the
 // best candidate by construction; the slack budgets only the
-// density-scaled Rearrange annotation of pruned schedules and
+// busiest-node Rearrange annotation of pruned schedules and
 // tie-breaks. Ties in completion break lexicographically by name, so
 // a plan is deterministic for a (fabric, matrix, params) triple.
 // Candidate programs (winner included) are served by the process-wide

@@ -12,9 +12,10 @@ package costmodel
 // completion time must be within (1+PlannerModelError) of the best
 // candidate's. The planner scores candidates with the executor's own
 // Measure, so the ranking itself is exact; the budget covers the two
-// modelled quantities that are not — density-scaled Rearrange
-// annotations on pruned schedules (see traffic.Prune) and tie-breaks
-// between candidates whose completions differ below this slack.
+// modelled quantities that are not — the Rearrange annotations of
+// pruned schedules, which charge each phase boundary with the blocks
+// its busiest node holds (see traffic.Prune), and tie-breaks between
+// candidates whose completions differ below this slack.
 const PlannerModelError = 0.05
 
 // SparseFloor returns a lower bound, in transmitted blocks along the

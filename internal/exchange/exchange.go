@@ -144,7 +144,7 @@ func Run(t *topology.Torus, opt Options) (*Result, error) {
 
 // RunWithBuffers is Run over caller-provided initial buffers (one per
 // node, blocks with arbitrary origin/dest pairs whose dest determines
-// routing). Used by the virtual-node extension and by tests.
+// routing). RunSparse and tests use it.
 func RunWithBuffers(t *topology.Torus, bufs []*block.Buffer, opt Options) (*Result, error) {
 	if err := t.ValidateForExchange(); err != nil {
 		return nil, err

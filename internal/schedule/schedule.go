@@ -193,7 +193,12 @@ type Phase struct {
 	// Rearrange is the number of blocks every node rearranges in the
 	// data-rearrangement step associated with this phase (0 = none).
 	// The executor sums it into Measure.RearrangedBlocks, which is how
-	// the paper's (n+1)·N rearrangement accounting rides the IR.
+	// the paper's (n+1)·N rearrangement accounting rides the IR. A
+	// phase may carry a charge and no steps: a sparse schedule
+	// (traffic.Prune) keeps such a phase, because its nodes still
+	// re-sort the blocks they hold, but drops every step left with no
+	// transfer, which costs no startup because a compiled schedule
+	// knows in advance that the step is empty.
 	Rearrange int
 }
 

@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"fmt"
+	"slices"
 
 	"torusx/internal/schedule"
 )
@@ -11,21 +12,24 @@ import (
 // IR. Every transfer's payload is filtered to the blocks m contains;
 // transfers left empty are dropped, steps left without transfers are
 // dropped (each dropped step is one startup saved), and phases left
-// without steps vanish. Because a block's journey through a schedule
-// is exactly the subsequence of transfers whose payload lists it,
-// filtering by block identity preserves every kept block's full
+// without steps or charge vanish. Because a block's journey through a
+// schedule is exactly the subsequence of transfers whose payload lists
+// it, filtering by block identity preserves every kept block's full
 // relay chain — the pruned schedule replays and delivery-verifies
 // against m through the unmodified executor. Validity is monotone
 // under pruning: a subset of a step's transfers cannot introduce a
 // one-port or contention violation, and a Shared step's serialization
 // factor can only shrink.
 //
-// Per-phase Rearrange annotations are scaled by the matrix density
-// (rounded up): the paper charges each node for rearranging the blocks
-// it holds in a phase, and under a sparse matrix each node holds, in
-// expectation, the density fraction of its dense working set. This is
-// the one modelled (rather than measured) quantity a pruned schedule
-// carries; costmodel.PlannerModelError budgets for it.
+// Per-phase Rearrange annotations are charged to the busiest node:
+// every node starts holding its row of m (self blocks included), the
+// payloads the prune keeps move those counts, and a phase opening
+// while the busiest node holds h blocks is charged
+// ceil(Rearrange·h/N). On the proposed exchange, whose phases carry
+// Rearrange = N, that is exactly h, the blocks the busiest node
+// re-sorts at the boundary. A phase with a nonzero charge is kept even
+// when pruning left it no steps; empty steps are dropped all the same
+// (see schedule.Phase.Rearrange).
 //
 // The source schedule must carry complete payload annotations
 // (sc.HasPayload) and cover every block of m — pruning an all-to-all
@@ -50,16 +54,18 @@ func Prune(sc *schedule.Schedule, m Matrix) (*schedule.Schedule, error) {
 		keep[b.ID(n)] = true
 	}
 	carried := make([]bool, n*n)
+	// held[v] is the blocks node v holds between the kept steps.
+	held := make([]int, n)
+	for _, b := range m.Blocks() {
+		held[b.Origin]++
+	}
 
 	out := &schedule.Schedule{Fabric: sc.Fabric}
-	denseBlocks := n * n
 	for pi := range sc.Phases {
 		ph := &sc.Phases[pi]
 		np := schedule.Phase{Name: ph.Name}
-		if ph.Rearrange > 0 && m.Len() > 0 {
-			// ceil(Rearrange * |m| / n²): density-scaled, never rounded
-			// to zero while any traffic remains.
-			np.Rearrange = (ph.Rearrange*m.Len() + denseBlocks - 1) / denseBlocks
+		if ph.Rearrange > 0 {
+			np.Rearrange = (ph.Rearrange*slices.Max(held) + n - 1) / n
 		}
 		for si := range ph.Steps {
 			s := &ph.Steps[si]
@@ -74,6 +80,11 @@ func Prune(sc *schedule.Schedule, m Matrix) (*schedule.Schedule, error) {
 				if len(kept) == 0 {
 					continue
 				}
+				if uint(tr.Src) >= uint(n) || uint(tr.Dst) >= uint(n) {
+					return nil, fmt.Errorf("traffic: phase %q step %d transfer %v has an endpoint outside %d nodes", ph.Name, si, tr, n)
+				}
+				held[tr.Src] -= len(kept)
+				held[tr.Dst] += len(kept)
 				ntr := *tr
 				ntr.Payload = kept
 				ntr.Blocks = len(kept)
@@ -85,7 +96,7 @@ func Prune(sc *schedule.Schedule, m Matrix) (*schedule.Schedule, error) {
 			ns.Shared = s.Shared
 			np.Steps = append(np.Steps, ns)
 		}
-		if len(np.Steps) > 0 {
+		if len(np.Steps) > 0 || np.Rearrange > 0 {
 			out.Phases = append(out.Phases, np)
 		}
 	}

@@ -109,44 +109,6 @@ func DeliveredMatrix(f topology.Fabric, bufs []*block.Buffer, traffic []block.Bl
 	return nil
 }
 
-// DeliveredSubset checks delivery when only a subset of (origin, dest)
-// pairs participates (e.g. the virtual-node extension, where only real
-// nodes exchange): node i must hold exactly one block from each origin
-// in origins destined to i, and nothing else; nodes not in the
-// destination set must hold nothing.
-func DeliveredSubset(_ topology.Fabric, bufs []*block.Buffer, participants []topology.NodeID) error {
-	inSet := make(map[topology.NodeID]bool, len(participants))
-	for _, id := range participants {
-		inSet[id] = true
-	}
-	for i, buf := range bufs {
-		id := topology.NodeID(i)
-		if !inSet[id] {
-			if buf.Len() != 0 {
-				return fmt.Errorf("verify: non-participant %d holds %d blocks", i, buf.Len())
-			}
-			continue
-		}
-		if buf.Len() != len(participants) {
-			return fmt.Errorf("verify: node %d holds %d blocks, want %d", i, buf.Len(), len(participants))
-		}
-		seen := make(map[topology.NodeID]bool, len(participants))
-		for _, b := range buf.View() {
-			if b.Dest != id {
-				return fmt.Errorf("verify: node %d holds misdelivered block %v", i, b)
-			}
-			if !inSet[b.Origin] {
-				return fmt.Errorf("verify: node %d holds block from non-participant %v", i, b)
-			}
-			if seen[b.Origin] {
-				return fmt.Errorf("verify: node %d holds duplicate from origin %d", i, b.Origin)
-			}
-			seen[b.Origin] = true
-		}
-	}
-	return nil
-}
-
 // ProxyPlacement checks the invariant that holds after the n group
 // phases: every node q holds exactly the blocks originated in q's
 // group whose destinations lie in q's 4×…×4 submesh.

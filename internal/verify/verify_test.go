@@ -117,35 +117,6 @@ func TestDeliveredRejectsDuplicateOrigin(t *testing.T) {
 	}
 }
 
-func TestDeliveredSubset(t *testing.T) {
-	tor := topology.MustNew(4, 4)
-	participants := []topology.NodeID{0, 1, 5}
-	bufs := make([]*block.Buffer, tor.Nodes())
-	for i := range bufs {
-		bufs[i] = block.NewBuffer(0)
-	}
-	for _, i := range participants {
-		for _, j := range participants {
-			bufs[i].Add(block.Block{Origin: j, Dest: i})
-		}
-	}
-	if err := DeliveredSubset(tor, bufs, participants); err != nil {
-		t.Fatal(err)
-	}
-	// A non-participant holding anything fails.
-	bufs[9].Add(block.Block{Origin: 0, Dest: 9})
-	if err := DeliveredSubset(tor, bufs, participants); err == nil {
-		t.Fatal("non-participant holdings should fail")
-	}
-	bufs[9] = block.NewBuffer(0)
-	// A block from outside the participant set fails.
-	bufs[0].TakeIf(func(b block.Block) bool { return b.Origin == 5 })
-	bufs[0].Add(block.Block{Origin: 9, Dest: 0})
-	if err := DeliveredSubset(tor, bufs, participants); err == nil {
-		t.Fatal("foreign origin should fail")
-	}
-}
-
 func TestProxyPlacementRejectsForeign(t *testing.T) {
 	tor := topology.MustNew(8, 8)
 	n := tor.Nodes()

@@ -6,12 +6,15 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 
 	"torusx/internal/baseline"
+	"torusx/internal/block"
 	"torusx/internal/exchange"
 	"torusx/internal/obs"
+	"torusx/internal/topology"
 )
 
 func TestAllToAllReport(t *testing.T) {
@@ -83,10 +86,18 @@ func TestAllToAllMatchesSimulator(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", dims, err)
 		}
-		want := reportFrom(sim)
+		c := sim.Counters
+		want := &Report{
+			Dims:  dims,
+			Nodes: tor.Nodes(),
+			Measure: Measure{Steps: c.Steps, Blocks: c.SumMaxBlocks, Hops: c.SumMaxHops,
+				RearrangedBlocks: c.RearrangedBlocksMaxPerNode},
+			Phases:             c.Phases,
+			NonContiguousSends: c.NonContiguousSends,
+		}
 		if rep.Measure != want.Measure || rep.Phases != want.Phases ||
 			rep.NonContiguousSends != want.NonContiguousSends ||
-			rep.Schedule().NumSteps() != sim.Counters.Steps {
+			rep.Schedule().NumSteps() != c.Steps {
 			t.Fatalf("%v: AllToAll %+v (%d steps), simulator %+v (%d steps)",
 				dims, rep, rep.Schedule().NumSteps(), want, sim.Counters.Steps)
 		}
@@ -322,6 +333,34 @@ func TestAllGatherAndArbitraryErrorPaths(t *testing.T) {
 	if _, err := AllToAllArbitrary(6); err == nil {
 		t.Fatal("1D should fail")
 	}
+	if _, err := AllToAllArbitrary(9); err == nil {
+		t.Fatal("1D should fail after padding too")
+	}
+	if _, err := AllToAllArbitrary(6, 0); err == nil {
+		t.Fatal("zero-size dim should fail")
+	}
+}
+
+// TestAllToAllArbitraryDelivers runs the virtual-node exchange on
+// shapes that pad in one, two and three dimensions. Its replay verifies
+// that every real node receives exactly the block of every real origin.
+func TestAllToAllArbitraryDelivers(t *testing.T) {
+	for _, dims := range [][]int{{6, 5}, {7, 7}, {10, 6}, {5, 4, 3}, {6, 6, 6}} {
+		rep, err := AllToAllArbitrary(dims...)
+		if err != nil {
+			t.Fatalf("%v: %v", dims, err)
+		}
+		wantReal := 1
+		for _, d := range dims {
+			wantReal *= d
+		}
+		if rep.RealNodes != wantReal || rep.Nodes != wantReal {
+			t.Fatalf("%v: %d real nodes (report %d), want %d", dims, rep.RealNodes, rep.Nodes, wantReal)
+		}
+		if rep.Phases != len(dims)+2 {
+			t.Fatalf("%v: Phases = %d, want %d", dims, rep.Phases, len(dims)+2)
+		}
+	}
 }
 
 func TestScheduleFor(t *testing.T) {
@@ -501,7 +540,51 @@ func FuzzAllToAllSparse(f *testing.F) {
 		if valid && rep == nil {
 			t.Fatal("valid exchange returned nil report")
 		}
+		if valid {
+			if want := simulatorMeasure(t, dims, pairs); rep.Measure != want {
+				t.Fatalf("pairs %v on %v: measure %+v, simulator rules %+v", pairs, dims, rep.Measure, want)
+			}
+		}
 	})
+}
+
+// simulatorMeasure runs pairs on the real torus dims through the
+// block-level simulator on its padding (exchange.RunSparse) and returns
+// the measure the compiled sparse program must report under the rules
+// TestSparseProgramMatchesSimulator (internal/algorithm) holds it to:
+// the simulator's blocks and hops, its steps less the empty ones, and
+// per charged phase boundary the blocks the busiest node holds.
+func simulatorMeasure(t *testing.T, dims []int, pairs []Pair) Measure {
+	t.Helper()
+	real := topology.MustNew(dims...)
+	padded := topology.MustNew(exchange.PadDims(dims)...)
+	held := make([]int, padded.Nodes())
+	var blocks []block.Block
+	for _, pr := range pairs {
+		o := padded.ID(real.CoordOf(topology.NodeID(pr.Src)))
+		blocks = append(blocks, block.Block{Origin: o, Dest: padded.ID(real.CoordOf(topology.NodeID(pr.Dst)))})
+		held[o]++
+	}
+	res, err := exchange.RunSparse(padded, blocks, exchange.Options{CheckSteps: true})
+	if err != nil {
+		t.Fatalf("simulator: %v", err)
+	}
+	m := Measure{Steps: res.Counters.Steps, Blocks: res.Counters.SumMaxBlocks, Hops: res.Counters.SumMaxHops}
+	for _, ph := range res.Schedule.Phases {
+		if ph.Rearrange > 0 {
+			m.RearrangedBlocks += (ph.Rearrange*slices.Max(held) + len(held) - 1) / len(held)
+		}
+		for _, st := range ph.Steps {
+			if len(st.Transfers) == 0 {
+				m.Steps--
+			}
+			for _, tr := range st.Transfers {
+				held[tr.Src] -= tr.Blocks
+				held[tr.Dst] += tr.Blocks
+			}
+		}
+	}
+	return m
 }
 
 // TestAllToAllArenaOutlivesGC checks the public path's memory contract:
