@@ -33,10 +33,10 @@ import (
 	"torusx/internal/eventsim"
 	"torusx/internal/exchange"
 	"torusx/internal/exec"
+	"torusx/internal/oracle"
 	"torusx/internal/packetsim"
 	"torusx/internal/plan"
 	"torusx/internal/schedule"
-	"torusx/internal/simchan"
 	"torusx/internal/topology"
 	"torusx/internal/wormhole"
 )
@@ -55,7 +55,7 @@ func runProposed(b *testing.B, dims ...int) costmodel.Measure {
 	b.Helper()
 	var m costmodel.Measure
 	for i := 0; i < b.N; i++ {
-		res, err := exchange.Run(topology.MustNew(dims...), exchange.Options{})
+		res, err := oracle.Run(topology.MustNew(dims...), oracle.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -214,7 +214,7 @@ func BenchmarkChannelBackend(b *testing.B) {
 		b.Run(topology.MustNew(dims...).String(), func(b *testing.B) {
 			var msgs int
 			for i := 0; i < b.N; i++ {
-				res, err := simchan.Run(topology.MustNew(dims...))
+				res, err := oracle.RunSPMD(topology.MustNew(dims...))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -229,7 +229,7 @@ func BenchmarkChannelBackend(b *testing.B) {
 // group step of a 16×16 exchange (the heaviest step of the schedule),
 // confirming hops+flits completion.
 func BenchmarkWormholeStep(b *testing.B) {
-	res, err := exchange.Run(topology.MustNew(16, 16), exchange.Options{})
+	res, err := oracle.Run(topology.MustNew(16, 16), oracle.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func BenchmarkNaiveSchedule(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	naive, err := exchange.GenerateNaive(tor)
+	naive, err := oracle.GenerateNaive(tor)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func BenchmarkLogTime(b *testing.B) {
 // simulation and reports the slack over the synchronous model.
 func BenchmarkEventSim(b *testing.B) {
 	for _, dims := range [][]int{{12, 12}, {16, 8}} {
-		res, err := exchange.Run(topology.MustNew(dims...), exchange.Options{})
+		res, err := oracle.Run(topology.MustNew(dims...), oracle.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -319,7 +319,7 @@ func BenchmarkEventSim(b *testing.B) {
 // flit level with the two-VC dateline scheme, reporting total cycles
 // (which must equal the sum of hops+flits per step — zero stalls).
 func BenchmarkScheduleFlitLevel(b *testing.B) {
-	res, err := exchange.Run(topology.MustNew(8, 8), exchange.Options{})
+	res, err := oracle.Run(topology.MustNew(8, 8), oracle.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -395,7 +395,7 @@ func BenchmarkCollectives(b *testing.B) {
 // exchange under store-and-forward switching, next to its wormhole
 // cycle count — the switching-mode comparison of the conclusions.
 func BenchmarkPacketSwitchedStep(b *testing.B) {
-	res, err := exchange.Run(topology.MustNew(8, 8), exchange.Options{})
+	res, err := oracle.Run(topology.MustNew(8, 8), oracle.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -3,12 +3,11 @@
 //
 // Usage:
 //
-//	aape -dims 12x12 [-fabric torus|dragonfly] [-alg proposed|direct|ring|factored|logtime|concurrent|virtual] [-m 64] [-ts 25 -tc 0.01 -tl 0.05 -rho 0.005] [-parallel=true] [-workers N] [-telemetry ev.jsonl] [-trace-out t.json] [-heatmap]
+//	aape -dims 12x12 [-fabric torus|dragonfly] [-alg proposed|direct|ring|factored|logtime|virtual] [-m 64] [-ts 25 -tc 0.01 -tl 0.05 -rho 0.005] [-parallel=true] [-workers N] [-telemetry ev.jsonl] [-trace-out t.json] [-heatmap]
 //
 // Examples:
 //
 //	aape -dims 12x12                 # proposed algorithm, lock-step, checked
-//	aape -dims 16x16x8 -alg concurrent
 //	aape -dims 6x5 -alg virtual      # non-multiple-of-four torus
 //	aape -dims 8x8 -alg direct       # non-combining baseline
 //	aape -dims 16x16 -alg logtime    # minimum-startup baseline
@@ -50,7 +49,7 @@ func run(args []string, w io.Writer) error {
 	var (
 		fabricFlag   = fs.String("fabric", "torus", "fabric kind: torus or dragonfly (D3(K,M), shape KxM)")
 		dimsFlag     = fs.String("dims", "12x12", "fabric shape: torus dimensions like 12x8x4, or KxM for -fabric dragonfly")
-		algFlag      = fs.String("alg", "proposed", "algorithm: proposed, direct, ring, factored, logtime, concurrent, virtual, auto (cost-model planner, needs or implies -traffic), or any registered name ("+strings.Join(algorithm.Names(), ", ")+")")
+		algFlag      = fs.String("alg", "proposed", "algorithm: proposed, direct, ring, factored, logtime, virtual, auto (cost-model planner, needs or implies -traffic), or any registered name ("+strings.Join(algorithm.Names(), ", ")+")")
 		mFlag        = fs.Int("m", 64, "block size in bytes")
 		tsFlag       = fs.Float64("ts", 25, "startup time per message (us)")
 		tcFlag       = fs.Float64("tc", 0.01, "transmission time per byte (us)")
@@ -82,7 +81,7 @@ func run(args []string, w io.Writer) error {
 		// natively sparse) schedule, and -alg auto lets the cost-model
 		// planner pick the cheapest algorithm for the matrix.
 		switch alg {
-		case "proposed", "concurrent", "virtual":
+		case "proposed", "virtual":
 			return fmt.Errorf("-traffic needs a sparse-capable executor algorithm (auto, %s); %q runs only the full exchange",
 				strings.Join(algorithm.SparseSupporting(fab), ", "), alg)
 		}
@@ -92,7 +91,7 @@ func run(args []string, w io.Writer) error {
 		// Non-torus fabrics resolve through the registry only; the
 		// library paths below are torus algorithms.
 		switch alg {
-		case "proposed", "concurrent", "virtual":
+		case "proposed", "virtual":
 			return fmt.Errorf("algorithm %q is torus-only; on %s use one of %s",
 				alg, fab, strings.Join(algorithm.Supporting(fab), ", "))
 		}
@@ -110,7 +109,7 @@ func run(args []string, w io.Writer) error {
 			// builder emits the same schedule through the instrumented
 			// executor.
 			return runExecutor(w, tel, alg, fab, params, execOpt)
-		case "concurrent", "virtual":
+		case "virtual":
 			return fmt.Errorf("telemetry is only available for executor-backed algorithms, not %q", alg)
 		}
 	}
@@ -128,18 +127,6 @@ func run(args []string, w io.Writer) error {
 		printReport(w, "proposed (lock-step, contention-checked, delivery-verified)", rep.Measure, params)
 		fmt.Fprintf(w, "phases: %d  non-contiguous sends: %d\n", rep.Phases, rep.NonContiguousSends)
 
-	case "concurrent":
-		tor, err := torusx.NewTorus(dims...)
-		if err != nil {
-			return err
-		}
-		rep, err := torusx.AllToAllConcurrent(tor)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "concurrent SPMD run on %v: delivery verified\n", dims)
-		fmt.Fprintf(w, "nodes: %d  messages sent: %d\n", rep.Nodes, rep.MessagesSent)
-
 	case "virtual":
 		rep, err := torusx.AllToAllArbitrary(dims...)
 		if err != nil {
@@ -155,7 +142,7 @@ func run(args []string, w io.Writer) error {
 		// runs through the shared executor, parallel unless
 		// -parallel=false.
 		if _, err := algorithm.For(alg); err != nil {
-			return fmt.Errorf("unknown algorithm %q (expected concurrent, virtual, or one of %s)",
+			return fmt.Errorf("unknown algorithm %q (expected virtual or one of %s)",
 				alg, strings.Join(algorithm.Names(), ", "))
 		}
 		return runExecutor(w, tel, alg, fab, params, execOpt)

@@ -25,13 +25,6 @@ func TestRunProposed(t *testing.T) {
 	}
 }
 
-func TestRunConcurrent(t *testing.T) {
-	out := runOut(t, "-dims", "8x8", "-alg", "concurrent")
-	if !strings.Contains(out, "messages sent: 384") {
-		t.Fatalf("output:\n%s", out)
-	}
-}
-
 func TestRunVirtualAlg(t *testing.T) {
 	out := runOut(t, "-dims", "6x5", "-alg", "virtual")
 	for _, want := range []string{"real nodes: 30", "padded shape: [8 8]", "max host load"} {
@@ -103,10 +96,11 @@ func TestTelemetryFlags(t *testing.T) {
 	if fi, err := os.Stat(tracePath); err != nil || fi.Size() == 0 {
 		t.Fatalf("trace file missing or empty: %v", err)
 	}
-	// Block-level simulators bypass the executor, so telemetry on them
-	// is an explicit error rather than a silent no-op.
+	// The virtual-node exchange replays inside torusx, which records no
+	// timeline, so telemetry on it is an explicit error rather than a
+	// silent no-op.
 	var b strings.Builder
-	if err := run([]string{"-dims", "8x8", "-alg", "concurrent", "-heatmap"}, &b); err == nil {
+	if err := run([]string{"-dims", "8x8", "-alg", "virtual", "-heatmap"}, &b); err == nil {
 		t.Fatal("telemetry on a non-executor algorithm should error")
 	}
 }

@@ -28,9 +28,9 @@ import (
 	"torusx/internal/cli"
 	"torusx/internal/costmodel"
 	"torusx/internal/eventsim"
-	"torusx/internal/exchange"
 	"torusx/internal/exec"
 	"torusx/internal/obs"
+	"torusx/internal/oracle"
 	"torusx/internal/packetsim"
 	"torusx/internal/schedule"
 	"torusx/internal/stats"
@@ -118,18 +118,21 @@ var table1Shapes = [][]int{
 	{8, 8, 4, 4},
 }
 
-// measureCache memoizes simulation runs: the executor is
+// measureCache memoizes simulation runs: the simulator is
 // deterministic, so each shape needs to run once per process.
 var measureCache = map[string]costmodel.Measure{}
 
-// measure runs the proposed algorithm and returns its counters as a
-// cost-model measure.
+// measure runs the proposed algorithm on the paper-following block
+// simulator and returns its counters as a cost-model measure. Table 1's
+// measured column comes from that simulator, not from the compiled
+// program production replays, so the column is an independent check of
+// the closed forms.
 func measure(dims []int) (costmodel.Measure, error) {
 	key := fmt.Sprint(dims)
 	if m, ok := measureCache[key]; ok {
 		return m, nil
 	}
-	res, err := exchange.Run(topology.MustNew(dims...), exchange.Options{})
+	res, err := oracle.Run(topology.MustNew(dims...), oracle.Options{})
 	if err != nil {
 		return costmodel.Measure{}, err
 	}

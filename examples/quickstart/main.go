@@ -38,14 +38,5 @@ func main() {
 	params := torusx.T3DParams(64)
 	fmt.Printf("\ncompletion time with %v: %.1f us\n", params, rep.Completion(params))
 
-	// The same exchange as a concurrent SPMD program: one goroutine
-	// per node, channels as consumption ports.
-	crep, err := torusx.AllToAllConcurrent(tor)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nconcurrent backend: %d point-to-point messages, delivery verified\n",
-		crep.MessagesSent)
-
 	fmt.Printf("\nschedule overview:\n%s", rep.Summary())
 }

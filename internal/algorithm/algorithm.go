@@ -187,7 +187,7 @@ func init() {
 	// The proposed exchange with every transfer's payload, so the
 	// shared executor can replay and delivery-verify it end to end. The
 	// dense builder emits the schedule the block-level simulator
-	// (exchange.Run with RecordPayloads) records, which its tests hold
+	// (oracle.Run with RecordPayloads) records, which its tests hold
 	// it to.
 	registerTorus("proposed-sim", exchange.EmitPayload)
 	// The direct (id-shift) exchange exists on both fabrics: N−1 steps

@@ -90,7 +90,7 @@ func sparseSchedule(b Builder, f topology.Fabric, m traffic.Matrix, req *obs.Req
 	case b.Name() == "proposed-sim":
 		// Native: the n+2 phases route every block by its destination
 		// alone, so the matrix's blocks ride the schedule directly and
-		// the payloads are exact — the schedule exchange.RunSparse
+		// the payloads are exact — the schedule oracle.RunSparse
 		// records.
 		t, ok := f.(*topology.Torus)
 		if !ok {

@@ -10,6 +10,7 @@ import (
 	"torusx/internal/costmodel"
 	"torusx/internal/exchange"
 	"torusx/internal/exec"
+	"torusx/internal/oracle"
 	"torusx/internal/topology"
 	"torusx/internal/traffic"
 )
@@ -24,7 +25,7 @@ import (
 //   - RearrangedBlocks sums, over the charged phase boundaries of the
 //     recorded schedule, the blocks the busiest node holds there, each
 //     node starting with its row of blocks.
-func simulatorRules(res *exchange.Result, blocks []block.Block) (costmodel.Measure, int) {
+func simulatorRules(res *oracle.Result, blocks []block.Block) (costmodel.Measure, int) {
 	held := make([]int, res.Torus.Nodes())
 	for _, b := range blocks {
 		held[b.Origin]++
@@ -129,7 +130,7 @@ func mustMatrix(t *testing.T, n int, blocks []block.Block) traffic.Matrix {
 func TestSparseProgramMatchesSimulator(t *testing.T) {
 	b := builderFor(t, "proposed-sim")
 	for _, c := range parityCases(t) {
-		res, err := exchange.RunSparse(c.padded, c.blocks, exchange.Options{CheckSteps: true})
+		res, err := oracle.RunSparse(c.padded, c.blocks, oracle.Options{CheckSteps: true})
 		if err != nil {
 			t.Fatalf("%s: simulator: %v", c.name, err)
 		}

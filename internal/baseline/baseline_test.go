@@ -5,9 +5,9 @@ import (
 
 	"torusx/internal/costmodel"
 	"torusx/internal/exec"
+	"torusx/internal/oracle"
 	"torusx/internal/schedule"
 	"torusx/internal/topology"
-	"torusx/internal/verify"
 )
 
 var shapes = [][]int{{4, 4}, {8, 8}, {12, 8}, {6, 5}, {4, 4, 4}, {5, 3, 2}}
@@ -24,7 +24,7 @@ func execute(sc *schedule.Schedule, err error) (*exec.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return res, verify.Delivered(sc.Fabric, res.Buffers)
+	return res, oracle.Delivered(sc.Fabric, res.Buffers)
 }
 
 func TestDirectDelivers(t *testing.T) {

@@ -15,7 +15,7 @@ import (
 //
 // Buffers hold dense block ids (origin*n + dest), every node's in one
 // flat array. A round keeps each node's unsent blocks in order and
-// appends what it receives at the end — block.Buffer.TakeIf followed by
+// appends what it receives at the end — oracle.Buffer.TakeIf followed by
 // Add, the semantics the builders were written against. The scratch is
 // allocated once per schedule; each step's transfers and payloads get
 // one exact-size backing each. The payloads lie back to back in
@@ -41,7 +41,7 @@ type rounds struct {
 	from         []int32 // node -> the node it receives from this round, -1 none
 }
 
-// newRounds returns the engine holding block.Initial(t)'s buffers: node
+// newRounds returns the engine holding oracle.Initial(t)'s buffers: node
 // i holds B[i,0..N-1] in destination order.
 func newRounds(t *topology.Torus) *rounds {
 	n := t.Nodes()

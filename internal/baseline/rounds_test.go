@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"torusx/internal/block"
+	"torusx/internal/oracle"
 	"torusx/internal/schedule"
 	"torusx/internal/topology"
 )
@@ -20,7 +21,7 @@ type refRound struct {
 }
 
 // refCombining is the reference simulator for the three combining
-// baselines, on block.Buffer.TakeIf semantics: each round takes every
+// baselines, on oracle.Buffer.TakeIf semantics: each round takes every
 // selected block out of each node's buffer in buffer order, then appends
 // the taken blocks at their receiver. Phases for size-1 dimensions are
 // skipped when skipSize1 is set, and empty steps dropped when dropEmpty
@@ -28,7 +29,7 @@ type refRound struct {
 func refCombining(t *topology.Torus, prefix string, rearrange int, skipSize1, dropEmpty bool,
 	roundsOf func(size int) []refRound) *schedule.Schedule {
 	n := t.Nodes()
-	bufs := block.Initial(t)
+	bufs := oracle.Initial(t)
 	coords := make([]topology.Coord, n)
 	for i := range coords {
 		coords[i] = t.CoordOf(topology.NodeID(i))

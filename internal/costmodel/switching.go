@@ -40,22 +40,6 @@ func (s Switching) String() string {
 	}
 }
 
-// ParseSwitching converts a flag value into a Switching mode.
-func ParseSwitching(s string) (Switching, error) {
-	switch s {
-	case "wormhole", "wh":
-		return Wormhole, nil
-	case "vct", "cut-through":
-		return VirtualCutThrough, nil
-	case "saf", "store-and-forward", "packet":
-		return StoreAndForward, nil
-	case "circuit", "cs":
-		return Circuit, nil
-	default:
-		return Wormhole, fmt.Errorf("costmodel: unknown switching mode %q", s)
-	}
-}
-
 // StepTime returns the duration of one communication step carrying
 // blocks m-byte blocks over hops hops under the given switching mode.
 func (p Params) StepTime(sw Switching, blocks, hops int) float64 {

@@ -5,23 +5,6 @@ import (
 	"testing"
 )
 
-func TestParseSwitching(t *testing.T) {
-	for in, want := range map[string]Switching{
-		"wormhole": Wormhole, "wh": Wormhole,
-		"vct": VirtualCutThrough, "cut-through": VirtualCutThrough,
-		"saf": StoreAndForward, "packet": StoreAndForward, "store-and-forward": StoreAndForward,
-		"circuit": Circuit, "cs": Circuit,
-	} {
-		got, err := ParseSwitching(in)
-		if err != nil || got != want {
-			t.Fatalf("ParseSwitching(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := ParseSwitching("bogus"); err == nil {
-		t.Fatal("bogus mode should fail")
-	}
-}
-
 func TestSwitchingString(t *testing.T) {
 	if Wormhole.String() != "wormhole" || StoreAndForward.String() != "store-and-forward" {
 		t.Fatal("String mismatch")

@@ -5,13 +5,13 @@ import (
 	"testing"
 
 	"torusx/internal/costmodel"
-	"torusx/internal/exchange"
+	"torusx/internal/oracle"
 	"torusx/internal/topology"
 )
 
-func run(t *testing.T, dims ...int) (*exchange.Result, *Result) {
+func run(t *testing.T, dims ...int) (*oracle.Result, *Result) {
 	t.Helper()
-	res, err := exchange.Run(topology.MustNew(dims...), exchange.Options{})
+	res, err := oracle.Run(topology.MustNew(dims...), oracle.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestPerNodeFinishTimesSymmetricOnSquare(t *testing.T) {
 }
 
 func TestRunSkewedZeroMatchesRun(t *testing.T) {
-	res, err := exchange.Run(topology.MustNew(12, 8), exchange.Options{})
+	res, err := oracle.Run(topology.MustNew(12, 8), oracle.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestRunSkewedZeroMatchesRun(t *testing.T) {
 }
 
 func TestRunSkewedConstantShiftsBoth(t *testing.T) {
-	res, err := exchange.Run(topology.MustNew(8, 8), exchange.Options{})
+	res, err := oracle.Run(topology.MustNew(8, 8), oracle.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestRunSkewedNoiseAmplification(t *testing.T) {
 	// straggler every step, while barrier-free execution lets
 	// uncorrelated noise overlap — slack must appear and the makespan
 	// must stay between the noise-free time and the synchronous bound.
-	res, err := exchange.Run(topology.MustNew(8, 8), exchange.Options{})
+	res, err := oracle.Run(topology.MustNew(8, 8), oracle.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,3 +1,31 @@
+// Package exchange builds the Suh–Shin all-to-all personalized
+// exchange schedules for n-dimensional tori (ICPP'98), n >= 2.
+//
+// The algorithm runs in n+2 phases on an a1×…×an torus whose
+// dimensions are multiples of four with a1 >= … >= an:
+//
+//   - Phases 1..n (group phases): the 4^n node groups — subtori of
+//     stride 4 — each perform an internal all-to-all by ring scatters,
+//     one dimension per phase, with the dimension order and direction
+//     assigned by package plan so that all groups proceed in parallel
+//     without channel contention. Every message travels exactly 4 hops
+//     and each phase has a1/4 − 1 steps. A block destined for node d
+//     is routed to its proxy: the node of the originator's group that
+//     sits in d's 4×…×4 submesh.
+//   - Phase n+1 (quad phase): n steps of distance-2 pairwise exchanges
+//     move blocks to the correct 2×…×2 submesh inside each 4×…×4
+//     submesh.
+//   - Phase n+2 (bit phase): n steps of distance-1 pairwise exchanges
+//     deliver blocks to their final destination inside each 2×…×2
+//     submesh.
+//
+// Between consecutive phases (n+1 boundaries) every node rearranges
+// its data array once. The package holds the builders only: the dense
+// and sparse payload schedules (PayloadSchedule, EmitPayload,
+// SparsePayloadSchedule), the structural schedule (GenerateStructural)
+// and the virtual-node extension's helpers (VirtualTori, PadDims,
+// HostLoads). The paper-following block simulator their tests hold
+// them to is oracle.Run.
 package exchange
 
 import (
@@ -21,15 +49,16 @@ import (
 // Buffers hold dense block ids (origin*n + dest), every node's in one
 // flat array, double-buffered. Each boundary is a stable counting sort by
 // the node's key table, which keeps equal keys in array order as
-// block.Buffer.SortByKey does; each step takes the selected blocks in
+// oracle.Buffer.SortByKey does; each step takes the selected blocks in
 // array order and lands the received ones at the position the
-// receiver's first taken block vacated, as block.Buffer.TakeIfAt and
-// InsertAt do. The result is the schedule Run records with
+// receiver's first taken block vacated, as oracle.Buffer.TakeIfAt and
+// InsertAt do. The result is the schedule oracle.Run records with
 // RecordPayloads, which TestPayloadScheduleMatchesRun holds it to.
 
 // PayloadSchedule returns the complete exchange's schedule on t with
-// every transfer's payload: the schedule of Run(t, Options{RecordPayloads:
-// true}), built without the block-level simulator.
+// every transfer's payload: the schedule of oracle.Run(t,
+// oracle.Options{RecordPayloads: true}), built without the block-level
+// simulator.
 func PayloadSchedule(t *topology.Torus) (*schedule.Schedule, error) {
 	return schedule.Collect(t, func(s schedule.Sink) error { return EmitPayload(t, s) })
 }
@@ -53,7 +82,8 @@ func EmitPayload(t *topology.Torus, sink schedule.Sink) error {
 
 // SparsePayloadSchedule is PayloadSchedule carrying only blocks, every
 // node starting with its own blocks in input order: the schedule of
-// RunSparse(t, blocks, Options{RecordPayloads: true}), errors included.
+// oracle.RunSparse(t, blocks, oracle.Options{RecordPayloads: true}),
+// errors included.
 func SparsePayloadSchedule(t *topology.Torus, blocks []block.Block) (*schedule.Schedule, error) {
 	n := t.Nodes()
 	for _, b := range blocks {

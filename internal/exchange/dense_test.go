@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"torusx/internal/block"
+	"torusx/internal/oracle"
 	"torusx/internal/schedule"
 	"torusx/internal/topology"
 	"torusx/internal/traffic"
@@ -25,7 +26,7 @@ func TestPayloadScheduleMatchesRun(t *testing.T) {
 	for _, dims := range append(shapes, bigShapes...) {
 		t.Run(fmt.Sprint(dims), func(t *testing.T) {
 			tor := topology.MustNew(dims...)
-			want, err := Run(tor, Options{RecordPayloads: true})
+			want, err := oracle.Run(tor, oracle.Options{RecordPayloads: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -64,7 +65,7 @@ func firstScheduleDiff(got, want *schedule.Schedule) string {
 func TestPayloadScheduleErrorsMatchRun(t *testing.T) {
 	for _, dims := range [][]int{{10, 10}, {8, 12}, {16}} {
 		tor := topology.MustNew(dims...)
-		_, want := Run(tor, Options{RecordPayloads: true})
+		_, want := oracle.Run(tor, oracle.Options{RecordPayloads: true})
 		_, got := PayloadSchedule(tor)
 		if want == nil || got == nil || got.Error() != want.Error() {
 			t.Errorf("%v: got error %v, want %v", dims, got, want)
@@ -72,11 +73,11 @@ func TestPayloadScheduleErrorsMatchRun(t *testing.T) {
 	}
 }
 
-// sparseParity checks SparsePayloadSchedule against RunSparse on one
+// sparseParity checks SparsePayloadSchedule against oracle.RunSparse on one
 // block list: equal schedules, or equal errors.
 func sparseParity(t *testing.T, tor *topology.Torus, blocks []block.Block) {
 	t.Helper()
-	want, werr := RunSparse(tor, blocks, Options{RecordPayloads: true})
+	want, werr := oracle.RunSparse(tor, blocks, oracle.Options{RecordPayloads: true})
 	got, gerr := SparsePayloadSchedule(tor, blocks)
 	if werr != nil || gerr != nil {
 		if werr == nil || gerr == nil || gerr.Error() != werr.Error() {
@@ -117,8 +118,8 @@ var fuzzTorusShapes = [][]int{
 
 // TestSparsePayloadScheduleFuzzCorpus runs the parity check on every
 // seed of FuzzTorusSparseTraffic: invalid shapes and out-of-range
-// blocks must fail with RunSparse's error, and duplicate blocks ride the
-// exchange as RunSparse carries them.
+// blocks must fail with oracle.RunSparse's error, and duplicate blocks ride the
+// exchange as oracle.RunSparse carries them.
 func TestSparsePayloadScheduleFuzzCorpus(t *testing.T) {
 	dir := filepath.Join("..", "traffic", "testdata", "fuzz", "FuzzTorusSparseTraffic")
 	entries, err := os.ReadDir(dir)
@@ -192,7 +193,7 @@ func BenchmarkProposedSchedule16(b *testing.B) {
 	}{
 		{"dense", func() (*schedule.Schedule, error) { return PayloadSchedule(tor) }},
 		{"run", func() (*schedule.Schedule, error) {
-			res, err := Run(tor, Options{RecordPayloads: true})
+			res, err := oracle.Run(tor, oracle.Options{RecordPayloads: true})
 			if err != nil {
 				return nil, err
 			}

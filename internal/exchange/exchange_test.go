@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"torusx/internal/costmodel"
+	"torusx/internal/oracle"
 	"torusx/internal/topology"
-	"torusx/internal/verify"
 )
 
 // shapes2to5D are valid exchange tori used across the correctness tests.
@@ -24,50 +24,50 @@ var shapes2to5D = [][]int{
 	{4, 4, 4, 4, 4},
 }
 
-func mustRun(t *testing.T, dims []int, opt Options) *Result {
+func mustRun(t *testing.T, dims []int, opt oracle.Options) *oracle.Result {
 	t.Helper()
 	tor := topology.MustNew(dims...)
-	res, err := Run(tor, opt)
+	res, err := oracle.Run(tor, opt)
 	if err != nil {
-		t.Fatalf("%v: Run: %v", dims, err)
+		t.Fatalf("%v: oracle.Run: %v", dims, err)
 	}
 	return res
 }
 
 // runCache memoizes default-option runs: the executor is deterministic,
 // so read-only tests can share one result per shape.
-var runCache = map[string]*Result{}
+var runCache = map[string]*oracle.Result{}
 
-func cachedRun(t *testing.T, dims []int) *Result {
+func cachedRun(t *testing.T, dims []int) *oracle.Result {
 	t.Helper()
 	key := fmt.Sprint(dims)
 	if res, ok := runCache[key]; ok {
 		return res
 	}
-	res := mustRun(t, dims, Options{})
+	res := mustRun(t, dims, oracle.Options{})
 	runCache[key] = res
 	return res
 }
 
 func TestRunRejectsInvalidTori(t *testing.T) {
-	if _, err := Run(topology.MustNew(16), Options{}); err == nil {
+	if _, err := oracle.Run(topology.MustNew(16), oracle.Options{}); err == nil {
 		t.Fatal("1D torus should be rejected")
 	}
-	if _, err := Run(topology.MustNew(10, 8), Options{}); err == nil {
+	if _, err := oracle.Run(topology.MustNew(10, 8), oracle.Options{}); err == nil {
 		t.Fatal("non-multiple-of-four torus should be rejected")
 	}
-	if _, err := Run(topology.MustNew(8, 12), Options{}); err == nil {
+	if _, err := oracle.Run(topology.MustNew(8, 12), oracle.Options{}); err == nil {
 		t.Fatal("increasing dims should be rejected")
 	}
 }
 
 func TestRunDeliversAllBlocks(t *testing.T) {
 	for _, dims := range shapes2to5D {
-		res := mustRun(t, dims, Options{CheckSteps: true})
-		if err := verify.Conservation(res.Torus, res.Buffers); err != nil {
+		res := mustRun(t, dims, oracle.Options{CheckSteps: true})
+		if err := oracle.Conservation(res.Torus, res.Buffers); err != nil {
 			t.Fatalf("%v: %v", dims, err)
 		}
-		if err := verify.Delivered(res.Torus, res.Buffers); err != nil {
+		if err := oracle.Delivered(res.Torus, res.Buffers); err != nil {
 			t.Fatalf("%v: %v", dims, err)
 		}
 	}
@@ -75,8 +75,8 @@ func TestRunDeliversAllBlocks(t *testing.T) {
 
 func TestProxyPlacementAfterGroupPhases(t *testing.T) {
 	for _, dims := range shapes2to5D {
-		res := mustRun(t, dims, Options{StopAfter: StageGroup})
-		if err := verify.ProxyPlacement(res.Torus, res.Buffers); err != nil {
+		res := mustRun(t, dims, oracle.Options{StopAfter: oracle.StageGroup})
+		if err := oracle.ProxyPlacement(res.Torus, res.Buffers); err != nil {
 			t.Fatalf("%v: %v", dims, err)
 		}
 	}
@@ -86,7 +86,7 @@ func TestQuadPlacementAfterQuadPhase(t *testing.T) {
 	// After phase n+1 every node holds only blocks destined for its
 	// own 2x...x2 submesh.
 	for _, dims := range [][]int{{12, 8}, {8, 8, 8}} {
-		res := mustRun(t, dims, Options{StopAfter: StageQuad})
+		res := mustRun(t, dims, oracle.Options{StopAfter: oracle.StageQuad})
 		tor := res.Torus
 		for i, buf := range res.Buffers {
 			self := tor.CoordOf(topology.NodeID(i))
@@ -296,43 +296,42 @@ func TestShorterDimensionGroupsIdleEarly(t *testing.T) {
 
 func TestRunWithBuffersValidation(t *testing.T) {
 	tor := topology.MustNew(8, 8)
-	if _, err := RunWithBuffers(tor, nil, Options{}); err == nil {
+	if _, err := oracle.RunWithBuffers(tor, nil, oracle.Options{}); err == nil {
 		t.Fatal("wrong buffer count should be rejected")
 	}
-	if _, err := RunWithBuffers(topology.MustNew(16), nil, Options{}); err == nil {
+	if _, err := oracle.RunWithBuffers(topology.MustNew(16), nil, oracle.Options{}); err == nil {
 		t.Fatal("1D should be rejected")
 	}
-	if _, err := RunWithBuffers(topology.MustNew(10, 4), nil, Options{}); err == nil {
+	if _, err := oracle.RunWithBuffers(topology.MustNew(10, 4), nil, oracle.Options{}); err == nil {
 		t.Fatal("invalid shape should be rejected")
 	}
 }
 
 func TestSkipRearrangeCharges(t *testing.T) {
-	res := mustRun(t, []int{8, 8}, Options{SkipRearrangeCharges: true})
+	res := mustRun(t, []int{8, 8}, oracle.Options{SkipRearrangeCharges: true})
 	if res.Counters.RearrangedBlocksMaxPerNode != 0 {
 		t.Fatalf("charges not skipped: %d", res.Counters.RearrangedBlocksMaxPerNode)
 	}
 	// Correctness must be unaffected.
-	if err := verify.Delivered(res.Torus, res.Buffers); err != nil {
+	if err := oracle.Delivered(res.Torus, res.Buffers); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestGrayRank: maskGrayRank places a bit mask, read along a dimension
+// order with the first dimension most significant, at its position in
+// the binary-reflected Gray sequence.
 func TestGrayRank(t *testing.T) {
-	// Binary-reflected Gray sequence for 2 bits: 00,01,11,10.
-	want := map[[2]int]int{
-		{0, 0}: 0, {0, 1}: 1, {1, 1}: 2, {1, 0}: 3,
-	}
-	for bits, rank := range want {
-		if got := grayRank(bits[:]); got != rank {
-			t.Fatalf("grayRank(%v) = %d, want %d", bits, got, rank)
+	// 2 bits in order (0, 1): 00,01,11,10 (dimension 0 is the high bit).
+	for mask, rank := range map[int32]int32{0b00: 0, 0b10: 1, 0b11: 2, 0b01: 3} {
+		if got := maskGrayRank(mask, []int{0, 1}); got != rank {
+			t.Fatalf("maskGrayRank(%02b, [0 1]) = %d, want %d", mask, got, rank)
 		}
 	}
-	// 3 bits: positions of 000..111 in BRGC order.
-	seq := [][]int{{0, 0, 0}, {0, 0, 1}, {0, 1, 1}, {0, 1, 0}, {1, 1, 0}, {1, 1, 1}, {1, 0, 1}, {1, 0, 0}}
-	for pos, bits := range seq {
-		if got := grayRank(bits); got != pos {
-			t.Fatalf("grayRank(%v) = %d, want %d", bits, got, pos)
+	// 3 bits: positions of 000..111 in BRGC order, read in order (2, 1, 0).
+	for pos, mask := range []int32{0b000, 0b001, 0b011, 0b010, 0b110, 0b111, 0b101, 0b100} {
+		if got := maskGrayRank(mask, []int{2, 1, 0}); got != int32(pos) {
+			t.Fatalf("maskGrayRank(%03b, [2 1 0]) = %d, want %d", mask, got, pos)
 		}
 	}
 }

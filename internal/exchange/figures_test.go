@@ -3,9 +3,9 @@ package exchange
 import (
 	"testing"
 
+	"torusx/internal/oracle"
 	"torusx/internal/plan"
 	"torusx/internal/topology"
-	"torusx/internal/verify"
 )
 
 // TestFigure1Walkthrough reproduces the 12x12 walk-through of Figure 1:
@@ -57,8 +57,8 @@ func TestFigure1Walkthrough(t *testing.T) {
 	// Figure 1(h): after phases 1-2, all blocks gathered in each group
 	// 00 node have "the same marking": origins in group 00, destinations
 	// in the node's own submesh.
-	mid := mustRun(t, []int{12, 12}, Options{StopAfter: StageGroup})
-	if err := verify.ProxyPlacement(mid.Torus, mid.Buffers); err != nil {
+	mid := mustRun(t, []int{12, 12}, oracle.Options{StopAfter: oracle.StageGroup})
+	if err := oracle.ProxyPlacement(mid.Torus, mid.Buffers); err != nil {
 		t.Fatal(err)
 	}
 	// Specifically for P(0,0): 144 blocks, 16 per group-00 member.

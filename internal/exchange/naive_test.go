@@ -5,12 +5,13 @@ import (
 	"testing"
 
 	"torusx/internal/block"
+	"torusx/internal/oracle"
 	"torusx/internal/schedule"
 	"torusx/internal/topology"
 )
 
 func TestGenerateNaiveHasContention(t *testing.T) {
-	sc, err := GenerateNaive(topology.MustNew(12, 12))
+	sc, err := oracle.GenerateNaive(topology.MustNew(12, 12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func TestGenerateNaiveSameVolumes(t *testing.T) {
 	// The ablation changes only link usage, not the amount of data
 	// moved or the number of steps (for square tori where all ring
 	// lengths coincide).
-	naive, err := GenerateNaive(topology.MustNew(12, 12))
+	naive, err := oracle.GenerateNaive(topology.MustNew(12, 12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,10 +57,10 @@ func TestGenerateNaiveSameVolumes(t *testing.T) {
 }
 
 func TestGenerateNaiveValidation(t *testing.T) {
-	if _, err := GenerateNaive(topology.MustNew(16)); err == nil {
+	if _, err := oracle.GenerateNaive(topology.MustNew(16)); err == nil {
 		t.Fatal("1D should be rejected")
 	}
-	if _, err := GenerateNaive(topology.MustNew(10, 8)); err == nil {
+	if _, err := oracle.GenerateNaive(topology.MustNew(10, 8)); err == nil {
 		t.Fatal("bad shape should be rejected")
 	}
 }
@@ -73,9 +74,9 @@ func TestUniversalRouting(t *testing.T) {
 	n := tor.Nodes()
 	// Build buffers where block (o, d) starts at node (o*13+d*7) mod n
 	// instead of at its origin o.
-	bufs := make([]*block.Buffer, n)
+	bufs := make([]*oracle.Buffer, n)
 	for i := range bufs {
-		bufs[i] = block.NewBuffer(0)
+		bufs[i] = oracle.NewBuffer(0)
 	}
 	for o := 0; o < n; o++ {
 		for d := 0; d < n; d++ {
@@ -83,7 +84,7 @@ func TestUniversalRouting(t *testing.T) {
 			bufs[holder].Add(block.Block{Origin: topology.NodeID(o), Dest: topology.NodeID(d)})
 		}
 	}
-	res, err := RunWithBuffers(tor, bufs, Options{CheckSteps: true})
+	res, err := oracle.RunWithBuffers(tor, bufs, oracle.Options{CheckSteps: true})
 	if err != nil {
 		t.Fatal(err)
 	}

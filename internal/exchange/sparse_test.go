@@ -5,24 +5,25 @@ import (
 	"testing"
 
 	"torusx/internal/block"
+	"torusx/internal/oracle"
 	"torusx/internal/topology"
 )
 
 func TestRunSparseValidation(t *testing.T) {
 	tor := topology.MustNew(8, 8)
-	if _, err := RunSparse(tor, []block.Block{{Origin: 0, Dest: 999}}, Options{}); err == nil {
+	if _, err := oracle.RunSparse(tor, []block.Block{{Origin: 0, Dest: 999}}, oracle.Options{}); err == nil {
 		t.Fatal("out-of-range dest should fail")
 	}
-	if _, err := RunSparse(tor, []block.Block{{Origin: -1, Dest: 0}}, Options{}); err == nil {
+	if _, err := oracle.RunSparse(tor, []block.Block{{Origin: -1, Dest: 0}}, oracle.Options{}); err == nil {
 		t.Fatal("out-of-range origin should fail")
 	}
-	if _, err := RunSparse(topology.MustNew(10, 4), nil, Options{}); err == nil {
+	if _, err := oracle.RunSparse(topology.MustNew(10, 4), nil, oracle.Options{}); err == nil {
 		t.Fatal("invalid torus should fail")
 	}
 }
 
 func TestRunSparseEmpty(t *testing.T) {
-	res, err := RunSparse(topology.MustNew(8, 8), nil, Options{CheckSteps: true})
+	res, err := oracle.RunSparse(topology.MustNew(8, 8), nil, oracle.Options{CheckSteps: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func TestRunSparseEmpty(t *testing.T) {
 func TestRunSparseSinglePair(t *testing.T) {
 	tor := topology.MustNew(12, 8)
 	b := block.Block{Origin: 7, Dest: 53}
-	res, err := RunSparse(tor, []block.Block{b}, Options{CheckSteps: true})
+	res, err := oracle.RunSparse(tor, []block.Block{b}, oracle.Options{CheckSteps: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestRunSparseRandomTraffic(t *testing.T) {
 				blocks = append(blocks, b)
 			}
 		}
-		res, err := RunSparse(tor, blocks, Options{CheckSteps: true})
+		res, err := oracle.RunSparse(tor, blocks, oracle.Options{CheckSteps: true})
 		if err != nil {
 			t.Fatalf("%v: %v", dims, err)
 		}
@@ -101,7 +102,7 @@ func TestRunSparseMultisetTraffic(t *testing.T) {
 	// block, not per pair).
 	tor := topology.MustNew(8, 8)
 	b := block.Block{Origin: 3, Dest: 60}
-	res, err := RunSparse(tor, []block.Block{b, b, b}, Options{CheckSteps: true})
+	res, err := oracle.RunSparse(tor, []block.Block{b, b, b}, oracle.Options{CheckSteps: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestRunSparseSelfTraffic(t *testing.T) {
 	// Blocks destined to their own origin never move.
 	tor := topology.MustNew(8, 8)
 	b := block.Block{Origin: 9, Dest: 9}
-	res, err := RunSparse(tor, []block.Block{b}, Options{CheckSteps: true})
+	res, err := oracle.RunSparse(tor, []block.Block{b}, oracle.Options{CheckSteps: true})
 	if err != nil {
 		t.Fatal(err)
 	}

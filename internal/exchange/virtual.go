@@ -3,7 +3,6 @@ package exchange
 import (
 	"fmt"
 
-	"torusx/internal/block"
 	"torusx/internal/schedule"
 	"torusx/internal/topology"
 )
@@ -21,27 +20,6 @@ import (
 // messages (its own plus its virtual tenants'), which on a one-port
 // machine serializes. HostLoads counts the resulting steps after
 // serialization, a faithful upper-bound cost for the extension.
-
-// RunSparse executes the exchange carrying an arbitrary set of blocks
-// (a many-to-many personalized exchange): the routing predicates act
-// per block, so any traffic matrix rides the same n+2-phase schedule.
-// Each block starts at its Origin and is delivered to its Dest;
-// RunWithBuffers checks the torus. It is the test reference the
-// compiled sparse program (SparsePayloadSchedule, pruned) is held to;
-// production code replays that program instead.
-func RunSparse(t *topology.Torus, blocks []block.Block, opt Options) (*Result, error) {
-	bufs := make([]*block.Buffer, t.Nodes())
-	for i := range bufs {
-		bufs[i] = block.NewBuffer(0)
-	}
-	for _, b := range blocks {
-		if int(b.Origin) < 0 || int(b.Origin) >= t.Nodes() || int(b.Dest) < 0 || int(b.Dest) >= t.Nodes() {
-			return nil, fmt.Errorf("exchange: block %v out of range", b)
-		}
-		bufs[b.Origin].Add(b)
-	}
-	return RunWithBuffers(t, bufs, opt)
-}
 
 // PadDims rounds every dimension up to the next multiple of four
 // (minimum 4).

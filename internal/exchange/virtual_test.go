@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"torusx/internal/block"
+	"torusx/internal/oracle"
 	"torusx/internal/schedule"
 	"torusx/internal/topology"
 )
@@ -46,7 +47,7 @@ func TestRunVirtualValidation(t *testing.T) {
 }
 
 // realSchedule returns the real-node torus of dims, its padding, and
-// the schedule RunSparse records for the real nodes' full matrix on
+// the schedule oracle.RunSparse records for the real nodes' full matrix on
 // the padded torus.
 func realSchedule(t *testing.T, dims ...int) (real, padded *topology.Torus, sc *schedule.Schedule) {
 	t.Helper()
@@ -58,7 +59,7 @@ func realSchedule(t *testing.T, dims ...int) (real, padded *topology.Torus, sc *
 			blocks = append(blocks, block.Block{Origin: padded.ID(o), Dest: padded.ID(d)})
 		})
 	})
-	res, err := RunSparse(padded, blocks, Options{CheckSteps: true})
+	res, err := oracle.RunSparse(padded, blocks, oracle.Options{CheckSteps: true})
 	if err != nil {
 		t.Fatalf("%v: %v", dims, err)
 	}

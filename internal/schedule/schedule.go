@@ -56,10 +56,11 @@ type Transfer struct {
 
 	// Payload lists the dense ids (origin*n + dest, n =
 	// Fabric.Nodes()) of the blocks this transfer moves, when the
-	// emitting algorithm recorded them (len(Payload) == Blocks). A
+	// emitting builder recorded them (len(Payload) == Blocks). A
 	// schedule whose transfers all carry payloads can be replayed and
-	// delivery-verified by internal/exec; structural schedules (e.g.
-	// exchange.GenerateStructural at scale) leave it nil.
+	// delivery-verified by internal/exec; structural schedules (the
+	// registry's "proposed", exchange.GenerateStructural) leave it nil
+	// and are measured without a replay.
 	Payload []int32
 }
 

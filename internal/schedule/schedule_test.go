@@ -209,9 +209,23 @@ func TestDestinationChanges(t *testing.T) {
 	}
 }
 
+// TestTransferString pins the textual form: endpoints, the route as
+// one leg per segment, and the block count. Payloads are not printed.
 func TestTransferString(t *testing.T) {
-	tr := Transfer{Src: 1, Dst: 5, Dim: 0, Dir: topology.Pos, Hops: 4, Blocks: 12}
-	if got := tr.String(); !strings.Contains(got, "1->5") || !strings.Contains(got, "b12") {
-		t.Fatalf("String = %q", got)
+	for _, c := range []struct {
+		tr   Transfer
+		want string
+	}{
+		{Transfer{Src: 1, Dst: 5, Dim: 0, Dir: topology.Pos, Hops: 4, Blocks: 12}, "1->5 dim0+h4 b12"},
+		{Transfer{Src: 9, Dst: 1, Dim: 1, Dir: topology.Neg, Hops: 1, Blocks: 3, Payload: []int32{4, 7, 9}}, "9->1 dim1-h1 b3"},
+		{Transfer{Src: 2, Dst: 2, Dim: 0, Dir: topology.Pos, Hops: 0, Blocks: 1}, "2->2 dim0+h0 b1"},
+		{Transfer{Src: 3, Dst: 9, Dim: 1, Dir: topology.Neg, Hops: 2, Blocks: 4,
+			Segs: []Seg{{Dim: 1, Dir: topology.Neg, Hops: 2}, {Dim: 0, Dir: topology.Pos, Hops: 1}}}, "3->9 dim1-h2,dim0+h1 b4"},
+		{Transfer{Src: 0, Dst: 7, Dim: 0, Dir: topology.Pos, Hops: 3, Blocks: 2,
+			Segs: []Seg{{Dim: 0, Dir: topology.Pos, Hops: 3}, {Dim: 1, Dir: topology.Pos, Hops: 2}, {Dim: 2, Dir: topology.Neg, Hops: 1}}}, "0->7 dim0+h3,dim1+h2,dim2-h1 b2"},
+	} {
+		if got := c.tr.String(); got != c.want {
+			t.Errorf("String = %q, want %q", got, c.want)
+		}
 	}
 }

@@ -4,13 +4,13 @@ import (
 	"strings"
 	"testing"
 
-	"torusx/internal/exchange"
+	"torusx/internal/oracle"
 	"torusx/internal/topology"
 )
 
-func sched(t *testing.T) *exchange.Result {
+func sched(t *testing.T) *oracle.Result {
 	t.Helper()
-	res, err := exchange.Run(topology.MustNew(8, 8), exchange.Options{})
+	res, err := oracle.Run(topology.MustNew(8, 8), oracle.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

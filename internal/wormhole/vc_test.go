@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"torusx/internal/exchange"
+	"torusx/internal/oracle"
 	"torusx/internal/topology"
 )
 
@@ -128,7 +129,7 @@ func TestNaiveScheduleEndToEndPenalty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := exchange.GenerateNaive(tor)
+	naive, err := oracle.GenerateNaive(tor)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func TestSimulateScheduleVCOnProposed(t *testing.T) {
 	// dateline scheme, completes without stalls: the schedule needs no
 	// virtual channels at all, and the total equals the sum of
 	// hops+flits per step.
-	res, err := exchange.Run(topology.MustNew(8, 8), exchange.Options{})
+	res, err := oracle.Run(topology.MustNew(8, 8), oracle.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"torusx/internal/exchange"
+	"torusx/internal/oracle"
 	"torusx/internal/topology"
 )
 
@@ -114,7 +114,7 @@ func TestProposedStepIsContentionFreeAtFlitLevel(t *testing.T) {
 	// Every step of the proposed schedule must complete in exactly
 	// hops + flits cycles for every message — the flit-level proof of
 	// the paper's contention-freedom claim.
-	res, err := exchange.Run(topology.MustNew(12, 8), exchange.Options{})
+	res, err := oracle.Run(topology.MustNew(12, 8), oracle.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,6 @@
 //     compiled program (contention- and one-port-checked at compile,
 //     delivery-verified on replay), returning measured costs in the
 //     paper's units.
-//   - AllToAllConcurrent:  run the same exchange as a goroutine-per-node
-//     SPMD program communicating over channels.
 //   - AllToAllArbitrary:   run on tori whose dimensions are not
 //     multiples of four, via the paper's virtual-node extension.
 //   - AllToAllSparse:      route an arbitrary traffic matrix through
@@ -54,11 +52,9 @@ import (
 	"torusx/internal/exchange"
 	"torusx/internal/exec"
 	"torusx/internal/schedule"
-	"torusx/internal/simchan"
 	"torusx/internal/topology"
 	"torusx/internal/trace"
 	"torusx/internal/traffic"
-	"torusx/internal/verify"
 )
 
 // Torus is an n-dimensional wrap-around network; see NewTorus.
@@ -105,18 +101,15 @@ type Report struct {
 	// EXPERIMENTS.md for the n >= 3 finding). Only AllToAll fills it;
 	// sparse reports leave it zero.
 	NonContiguousSends int
-	// MessagesSent is filled by the concurrent backend only.
-	MessagesSent int
 
 	// prog is the replayed program, whose schedule is re-planned on the
-	// first Schedule or Summary call (nil for the concurrent backend).
+	// first Schedule or Summary call (nil in a Report no run returned).
 	prog *exec.Program
 }
 
-// Schedule returns the communication schedule of the run (nil for the
-// concurrent backend, which records no global schedule). For a compiled
-// program it is re-planned on the first call (exec.Program.Schedule),
-// and nil if that fails; Summary reports the error.
+// Schedule returns the communication schedule of the run, re-planned
+// on the first call (exec.Program.Schedule), and nil if that fails;
+// Summary reports the error.
 func (r *Report) Schedule() *Schedule {
 	if r.prog == nil {
 		return nil
@@ -189,25 +182,6 @@ func AllToAll(t *Torus) (*Report, error) {
 		Measure:            pg.Measure(),
 		NonContiguousSends: costmodel.ProposedNonContiguousSends(t.Dims()),
 		prog:               pg,
-	}, nil
-}
-
-// AllToAllConcurrent executes the exchange as one goroutine per node
-// communicating over channels (one-port model), verifies delivery,
-// and returns the report. No global schedule is recorded.
-func AllToAllConcurrent(t *Torus) (*Report, error) {
-	res, err := simchan.Run(t)
-	if err != nil {
-		return nil, err
-	}
-	if err := verify.Delivered(res.Torus, res.Buffers); err != nil {
-		return nil, err
-	}
-	return &Report{
-		Dims:         t.Dims(),
-		Nodes:        t.Nodes(),
-		Phases:       t.NDims() + 2,
-		MessagesSent: res.MessagesSent,
 	}, nil
 }
 

@@ -14,6 +14,7 @@ import (
 	"torusx/internal/block"
 	"torusx/internal/exchange"
 	"torusx/internal/obs"
+	"torusx/internal/oracle"
 	"torusx/internal/topology"
 )
 
@@ -41,6 +42,11 @@ func TestAllToAllReport(t *testing.T) {
 	}
 	if c := rep.Completion(T3DParams(64)); c <= 0 {
 		t.Fatalf("completion = %g", c)
+	}
+	// A Report no run returned has no program to re-plan.
+	var zero Report
+	if zero.Schedule() != nil || zero.Summary() != "(no schedule recorded)" {
+		t.Fatalf("zero Report: schedule %v, summary %q", zero.Schedule(), zero.Summary())
 	}
 }
 
@@ -82,7 +88,7 @@ func TestAllToAllMatchesSimulator(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", dims, err)
 		}
-		sim, err := exchange.Run(tor, exchange.Options{CheckSteps: true})
+		sim, err := oracle.Run(tor, oracle.Options{CheckSteps: true})
 		if err != nil {
 			t.Fatalf("%v: %v", dims, err)
 		}
@@ -108,23 +114,6 @@ func TestAllToAllRejectsBadShapes(t *testing.T) {
 	tor, _ := NewTorus(10, 8)
 	if _, err := AllToAll(tor); err == nil {
 		t.Fatal("10x8 should be rejected")
-	}
-}
-
-func TestAllToAllConcurrentReport(t *testing.T) {
-	tor, _ := NewTorus(8, 8)
-	rep, err := AllToAllConcurrent(tor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.MessagesSent != 6*64 {
-		t.Fatalf("MessagesSent = %d", rep.MessagesSent)
-	}
-	if rep.Schedule() != nil {
-		t.Fatal("concurrent backend records no schedule")
-	}
-	if rep.Summary() != "(no schedule recorded)" {
-		t.Fatalf("summary: %q", rep.Summary())
 	}
 }
 
@@ -316,13 +305,6 @@ func TestLowStartupParams(t *testing.T) {
 	m := Predict(16, 16)
 	if low.Completion(m) >= t3d.Completion(m) {
 		t.Fatal("lower startup must lower completion")
-	}
-}
-
-func TestAllToAllConcurrentRejectsBadShape(t *testing.T) {
-	tor, _ := NewTorus(10, 8)
-	if _, err := AllToAllConcurrent(tor); err == nil {
-		t.Fatal("10x8 should be rejected")
 	}
 }
 
@@ -549,7 +531,7 @@ func FuzzAllToAllSparse(f *testing.F) {
 }
 
 // simulatorMeasure runs pairs on the real torus dims through the
-// block-level simulator on its padding (exchange.RunSparse) and returns
+// block-level simulator on its padding (oracle.RunSparse) and returns
 // the measure the compiled sparse program must report under the rules
 // TestSparseProgramMatchesSimulator (internal/algorithm) holds it to:
 // the simulator's blocks and hops, its steps less the empty ones, and
@@ -565,7 +547,7 @@ func simulatorMeasure(t *testing.T, dims []int, pairs []Pair) Measure {
 		blocks = append(blocks, block.Block{Origin: o, Dest: padded.ID(real.CoordOf(topology.NodeID(pr.Dst)))})
 		held[o]++
 	}
-	res, err := exchange.RunSparse(padded, blocks, exchange.Options{CheckSteps: true})
+	res, err := oracle.RunSparse(padded, blocks, oracle.Options{CheckSteps: true})
 	if err != nil {
 		t.Fatalf("simulator: %v", err)
 	}
