@@ -492,16 +492,16 @@ func registrySmoke(w io.Writer, opt exec.Options) error {
 }
 
 // replayShape renders a program's replay-plan shape for the smoke
-// report: its descriptor count, and whether it has no log moves — its
-// whole replay is the delivery pass (a registration silently losing
-// that property would show here before it shows in ReplayInto's
-// allocations).
+// report: its descriptor count, its block log's slots, and whether it
+// has no log moves — its whole replay is the delivery pass (a
+// registration silently losing that property would show here before it
+// shows in ReplayInto's allocations).
 func replayShape(pg *exec.Program) string {
 	st := pg.Stats()
 	if !st.Replayable {
 		return "structural"
 	}
-	mode := fmt.Sprintf("desc=%d", st.DescCount)
+	mode := fmt.Sprintf("desc=%d log=%d", st.DescCount, st.LogSlots)
 	if st.LastHopOnly {
 		mode += " no-log-moves"
 	}

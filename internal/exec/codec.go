@@ -2,12 +2,14 @@ package exec
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 	"unsafe"
 
 	"torusx/internal/schedule"
@@ -612,17 +614,21 @@ func viewRecords[T logMove | xdesc](b []byte, n int) []T {
 
 // checkPlan proves a replay plan safe to execute with unchecked
 // gathers, whatever its tables hold, so a decoded plan cannot make a
-// replay read or write out of bounds however the file was corrupted:
+// replay read or write out of bounds however the file was corrupted,
+// nor make the parallel replay race:
 //
 //   - every descriptor reads inside the log;
 //   - every log move's descriptors expand to its payload size and read
 //     only its sender's log region — the sender shard the parallel
 //     replay's race-freedom rests on;
 //   - every insert window lies inside one node's log region, after that
-//     node's initial contents and after every earlier window there, so
-//     insert windows are pairwise disjoint and every log slot is written
-//     at most once per replay — the invariant that lets the delivery
-//     pass read last-hop blocks after the last step;
+//     node's initial contents, so the initial blocks a replay never
+//     rewrites stay as the arena wrote them;
+//   - the insert windows of one step are pairwise disjoint, and unless
+//     the program forwards within a step (parallelErr, whose replay is
+//     serial) no log move of a step reads a slot a window of that step
+//     writes — so the one barrier per step orders every write before
+//     every read of it;
 //   - node v's delivery descriptors expand to exactly its delivery
 //     count, so the delivery pass writes every slot of the layout once.
 //
@@ -633,7 +639,7 @@ func (p *Program) checkPlan() error {
 	descBase, descs := p.descBase, p.descBacking
 	logSize := int64(descBase[n])
 	// initEnd[v] ends node v's initial contents (n blocks each under
-	// the full matrix); cur[v] ends its last insert window so far.
+	// the full matrix).
 	initEnd := make([]int32, n)
 	if p.fullTraffic {
 		for v := range initEnd {
@@ -656,15 +662,12 @@ func (p *Program) checkPlan() error {
 		}
 		initEnd[v] += descBase[v]
 	}
-	cur := append([]int32(nil), initEnd...)
 	for i := range descs {
 		d := &descs[i]
 		if d.count < 1 || d.blocklen < 1 || d.count > 1 && d.stride == 0 {
 			return fmt.Errorf("descriptor %d malformed", i)
 		}
-		first := int64(d.start)
-		last := first + int64(d.count-1)*int64(d.stride)
-		if min(first, last) < 0 || max(first, last)+int64(d.blocklen) > logSize {
+		if lo, hi := d.span(); lo < 0 || hi > logSize {
 			return fmt.Errorf("descriptor %d reads outside the log", i)
 		}
 	}
@@ -678,46 +681,118 @@ func (p *Program) checkPlan() error {
 			return fmt.Errorf("step move offsets not monotone at step %d", si)
 		}
 	}
+	// winStep[v] is 1 + the last step with a window into node v, and
+	// winAt[v] the first such window's move. A step with two windows
+	// into one node (no one-port schedule has one) is checked through
+	// its windows sorted by position instead.
+	// reads[i-lo] is the span [lo, hi) that move i of the step reads.
+	winStep := make([]int32, n)
+	winAt := make([]int32, n)
+	var sorted []int32
+	var reads [][2]int64
 	v := -1 // the previous move's insert node
-	for i := range p.moves {
-		m := &p.moves[i]
-		if m.src < 0 || int(m.src) >= n || m.payLen < 1 || m.descOff < 0 || m.descLen < 1 ||
-			int64(m.descOff)+int64(m.descLen) > int64(len(descs)) {
-			return fmt.Errorf("log move %d malformed", i)
-		}
-		md := descs[m.descOff : m.descOff+m.descLen]
-		if expandedLen(md) != int64(m.payLen) {
-			return fmt.Errorf("log move %d descriptors expand to the wrong payload size", i)
-		}
-		lo, hi := int64(descBase[m.src]), int64(descBase[m.src+1])
-		for _, d := range md {
-			first := int64(d.start)
-			last := first + int64(d.count-1)*int64(d.stride)
-			if min(first, last) < lo || max(first, last)+int64(d.blocklen) > hi {
-				return fmt.Errorf("log move %d reads outside its sender node %d's log region", i, m.src)
+	for si := 0; si < numSteps; si++ {
+		lo, hi := p.moveOff[si], p.moveOff[si+1]
+		shared := false
+		reads = reads[:0]
+		for i := lo; i < hi; i++ {
+			m := &p.moves[i]
+			if m.src < 0 || int(m.src) >= n || m.payLen < 1 || m.descOff < 0 || m.descLen < 1 ||
+				int64(m.descOff)+int64(m.descLen) > int64(len(descs)) {
+				return fmt.Errorf("log move %d malformed", i)
 			}
+			md := descs[m.descOff : m.descOff+m.descLen]
+			if expandedLen(md) != int64(m.payLen) {
+				return fmt.Errorf("log move %d descriptors expand to the wrong payload size", i)
+			}
+			rlo, rhi := int64(descBase[m.src]), int64(descBase[m.src+1])
+			span := [2]int64{rhi, rlo}
+			for _, d := range md {
+				lo, hi := d.span()
+				if lo < rlo || hi > rhi {
+					return fmt.Errorf("log move %d reads outside its sender node %d's log region", i, m.src)
+				}
+				span = [2]int64{min(span[0], lo), max(span[1], hi)}
+			}
+			reads = append(reads, span)
+			// The window's node owns the non-empty region holding insPos.
+			// Moves mostly insert at the node after the previous move's, so
+			// that one is tried before a binary search over the prefix.
+			ins, end := int64(m.insPos), int64(m.insPos)+int64(m.payLen)
+			if v++; v >= n || int64(descBase[v]) > ins || ins >= int64(descBase[v+1]) {
+				v = 0
+				for size := n; size > 1; size -= size / 2 {
+					if int64(descBase[v+size/2]) <= ins {
+						v += size / 2
+					}
+				}
+			}
+			switch {
+			case ins < 0 || end > int64(descBase[v+1]):
+				return fmt.Errorf("log move %d inserts at [%d,%d), outside any node's log region", i, ins, end)
+			case ins < int64(initEnd[v]):
+				return fmt.Errorf("log move %d inserts at [%d,%d), over node %d's initial contents", i, ins, end, v)
+			}
+			if winStep[v] == int32(si+1) {
+				shared = true
+				continue
+			}
+			winStep[v], winAt[v] = int32(si+1), i
 		}
-		// The window's node owns the non-empty region holding insPos.
-		// Moves mostly insert at the node after the previous move's, so
-		// that one is tried before a binary search over the prefix.
-		ins, end := int64(m.insPos), int64(m.insPos)+int64(m.payLen)
-		if v++; v >= n || int64(descBase[v]) > ins || ins >= int64(descBase[v+1]) {
-			v = 0
-			for size := n; size > 1; size -= size / 2 {
-				if int64(descBase[v+size/2]) <= ins {
-					v += size / 2
+		if shared {
+			sorted = sorted[:0]
+			for i := lo; i < hi; i++ {
+				sorted = append(sorted, i)
+			}
+			slices.SortFunc(sorted, func(a, b int32) int { return cmp.Compare(p.moves[a].insPos, p.moves[b].insPos) })
+			for k := 1; k < len(sorted); k++ {
+				a, b := &p.moves[sorted[k-1]], &p.moves[sorted[k]]
+				if a.insPos+a.payLen > b.insPos {
+					return fmt.Errorf("log move %d inserts at [%d,%d), overlapping log move %d's insert window in step %d",
+						max(sorted[k-1], sorted[k]), b.insPos, b.insPos+b.payLen, min(sorted[k-1], sorted[k]), si)
 				}
 			}
 		}
-		switch {
-		case ins < 0 || end > int64(descBase[v+1]):
-			return fmt.Errorf("log move %d inserts at [%d,%d), outside any node's log region", i, ins, end)
-		case ins < int64(initEnd[v]):
-			return fmt.Errorf("log move %d inserts at [%d,%d), over node %d's initial contents", i, ins, end, v)
-		case ins < int64(cur[v]):
-			return fmt.Errorf("log move %d inserts at [%d,%d), overlapping an earlier insert window of node %d", i, ins, end, v)
+		if p.parallelErr != nil {
+			continue
 		}
-		cur[v] = int32(end)
+		for i := lo; i < hi; i++ {
+			m := &p.moves[i]
+			if !shared {
+				// A move that reads nowhere near its sender's window of
+				// the step, as in every append-only program, is clear.
+				if winStep[m.src] != int32(si+1) {
+					continue
+				}
+				x := &p.moves[winAt[m.src]]
+				if r := reads[i-lo]; r[1] <= int64(x.insPos) || r[0] >= int64(x.insPos)+int64(x.payLen) {
+					continue
+				}
+			}
+			for _, d := range descs[m.descOff : m.descOff+m.descLen] {
+				w := int32(-1)
+				switch {
+				case shared:
+					lo, hi := d.span()
+					k, _ := slices.BinarySearchFunc(sorted, lo, func(x int32, lo int64) int {
+						return cmp.Compare(int64(p.moves[x].insPos)+int64(p.moves[x].payLen), lo+1)
+					})
+					for ; k < len(sorted) && int64(p.moves[sorted[k]].insPos) < hi; k++ {
+						if x := &p.moves[sorted[k]]; d.reads(x.insPos, x.insPos+x.payLen) {
+							w = sorted[k]
+							break
+						}
+					}
+				case winStep[m.src] == int32(si+1):
+					if x := &p.moves[winAt[m.src]]; d.reads(x.insPos, x.insPos+x.payLen) {
+						w = winAt[m.src]
+					}
+				}
+				if w >= 0 {
+					return fmt.Errorf("log move %d reads node %d's log where log move %d inserts in the same step %d", i, m.src, w, si)
+				}
+			}
+		}
 	}
 
 	off := p.deliverOff
@@ -733,6 +808,30 @@ func (p *Program) checkPlan() error {
 		}
 	}
 	return nil
+}
+
+// span returns the log positions [lo, hi) d's windows lie between.
+func (d *xdesc) span() (lo, hi int64) {
+	first := int64(d.start)
+	last := first + int64(d.count-1)*int64(d.stride)
+	return min(first, last), max(first, last) + int64(d.blocklen)
+}
+
+// reads reports whether one of d's windows reads a slot of [a, b). Its
+// windows start every |stride| slots from the lowest.
+func (d *xdesc) reads(a, b int32) bool {
+	lo, hi := d.span()
+	if hi <= int64(a) || lo >= int64(b) {
+		return false
+	}
+	st, bl := int64(d.stride), int64(d.blocklen)
+	st = max(st, -st)
+	if d.count == 1 || st <= bl {
+		return true
+	}
+	// The first window that ends after a, if any, starts before b.
+	k := max(0, (int64(a)-bl-lo)/st+1)
+	return k < int64(d.count) && lo+k*st < int64(b)
 }
 
 // expandedLen returns the element count descs expand to, or -1 once it

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"flag"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -320,11 +321,10 @@ func TestProgramDecodeRejects(t *testing.T) {
 			}
 		})
 	})
-	// The proofs the delivery pass's deferral and the parallel replay's
-	// sender shards rest on, on a program with log moves: insert windows
-	// clear of the initial contents and of each other, so every log slot
-	// is written at most once, and every move reading only its sender's
-	// region.
+	// The proofs the parallel replay's sender shards rest on, on a
+	// program with log moves: insert windows clear of the initial
+	// contents and of each other's in their step, and every move reading
+	// only its sender's region.
 	t.Run("log-moves", func(t *testing.T) {
 		fb, err := algorithm.For("factored")
 		if err != nil {
@@ -351,14 +351,15 @@ func TestProgramDecodeRejects(t *testing.T) {
 					}
 				}
 			}},
-			{"insert-windows-overlap", "overlapping an earlier insert window", func(moves []exec.MoveRec, _ []int32) {
+			{"insert-windows-overlap-in-step", "overlapping log move", func(moves []exec.MoveRec, _ []int32) {
+				steps := exec.MoveSteps(fpg)
 				for j := 1; j < len(moves); j++ {
-					if moves[j].Len <= moves[0].Len {
+					if steps[j] == steps[0] && moves[j].Len <= moves[0].Len {
 						moves[j].InsPos = moves[0].InsPos
 						return
 					}
 				}
-				t.Fatal("no log move fits over the first one's window")
+				t.Fatal("no log move of the first one's step fits over its window")
 			}},
 			{"read-outside-sender", "outside its sender", func(moves []exec.MoveRec, _ []int32) {
 				moves[0].Src = (moves[0].Src + 1) % int32(tor.Nodes())
@@ -388,18 +389,119 @@ func TestProgramDecodeRejects(t *testing.T) {
 	})
 }
 
+// recycledProgram compiles ring@16x2, a program whose block log lays
+// insert windows over dead ones, and checks that it does.
+func recycledProgram(t *testing.T) (*exec.Program, topology.Fabric) {
+	t.Helper()
+	tor := topology.MustNew(16, 2)
+	b, err := algorithm.For("ring")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := b.BuildSchedule(tor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg, err := exec.Compile(sc, exec.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !exec.ReusesWindows(pg) {
+		t.Fatalf("ring@%s keeps an append-only block log", tor)
+	}
+	return pg, tor
+}
+
+// regionOf returns the node whose log region, in the descBase prefix,
+// holds position pos.
+func regionOf(descBase []int32, pos int32) int32 {
+	v, _ := slices.BinarySearch(descBase, pos+1)
+	return int32(v - 1)
+}
+
+// rejectsPlanEdit encodes pg with edit applied to its plan and requires
+// the decoder to reject the file with an error mentioning want, and the
+// unedited file to decode.
+func rejectsPlanEdit(t *testing.T, pg *exec.Program, tor topology.Fabric, want string, edit func(moves []exec.MoveRec, descBase []int32, descs []exec.DescRec) bool) {
+	t.Helper()
+	edited := false
+	bad, err := exec.EncodeWithPlanEdit(pg, 1, func(moves []exec.MoveRec, _, descBase []int32, descs []exec.DescRec) {
+		edited = edit(moves, descBase, descs)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !edited {
+		t.Fatal("the program has no log move to edit")
+	}
+	if _, err := exec.DecodeProgram(bad, tor, 1); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %v, want a log-move error mentioning %q", err, want)
+	}
+	good, err := exec.EncodeProgram(pg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := exec.DecodeProgram(good, tor, 1); err != nil {
+		t.Fatalf("unedited file no longer decodes: %v", err)
+	}
+}
+
+// TestProgramDecodeRejectsSameStepRead: on a program whose windows
+// reuse dead ones, an insert window moved over slots a log move of the
+// same step reads — a write the parallel replay's one barrier per step
+// would race with — fails decode.
+func TestProgramDecodeRejectsSameStepRead(t *testing.T) {
+	pg, tor := recycledProgram(t)
+	steps := exec.MoveSteps(pg)
+	initial := int32(tor.Nodes()) // every node's blocks under the full matrix
+	rejectsPlanEdit(t, pg, tor, "inserts in the same step", func(moves []exec.MoveRec, descBase []int32, descs []exec.DescRec) bool {
+		for i, m := range moves {
+			x := m.Src
+			for _, d := range descs[m.DescOff : m.DescOff+m.DescLen] {
+				if d.Start < descBase[x]+initial {
+					continue
+				}
+				for j, w := range moves {
+					if steps[j] == steps[i] && regionOf(descBase, w.InsPos) == x && d.Start+w.Len <= descBase[x+1] {
+						moves[j].InsPos = d.Start
+						return true
+					}
+				}
+			}
+		}
+		return false
+	})
+}
+
+// TestProgramDecodeRejectsInitialOverwrite: on a program whose windows
+// reuse dead ones, an insert window moved over its node's initial
+// contents, which no layout may reuse, fails decode.
+func TestProgramDecodeRejectsInitialOverwrite(t *testing.T) {
+	pg, tor := recycledProgram(t)
+	rejectsPlanEdit(t, pg, tor, "initial contents", func(moves []exec.MoveRec, descBase []int32, _ []exec.DescRec) bool {
+		m := &moves[len(moves)-1]
+		m.InsPos = descBase[regionOf(descBase, m.InsPos)]
+		return true
+	})
+}
+
 // TestProgramCodecGolden pins the v7 byte format: the committed
-// golden files must decode, and re-encoding the 4x4 programs must
+// golden files must decode, and re-encoding the programs must
 // reproduce them bit-for-bit. A diff here means the format changed —
 // bump CodecVersion rather than silently breaking every cached
 // program on disk. Regenerate with -update after a deliberate version
-// bump. Two shapes are pinned: the direct exchange, and the factored
+// bump. Three programs are pinned: the direct exchange, the factored
 // algorithm whose multi-phase program exercises the descriptor
 // section (log moves, delivery descriptors over several regions) most
-// heavily.
+// heavily, and ring@16x2, whose recycled block log lays windows over
+// dead ones.
 func TestProgramCodecGolden(t *testing.T) {
-	tor := topology.MustNew(4, 4)
-	for _, alg := range []string{"direct", "factored"} {
+	for _, c := range []struct {
+		alg  string
+		dims []int
+	}{{"direct", []int{4, 4}}, {"factored", []int{4, 4}}, {"ring", []int{16, 2}}} {
+		alg, tor := c.alg, topology.MustNew(c.dims...)
+		name := fmt.Sprintf("%s%dx%d", alg, c.dims[0], c.dims[1])
 		t.Run(alg, func(t *testing.T) {
 			b, err := algorithm.For(alg)
 			if err != nil {
@@ -413,11 +515,14 @@ func TestProgramCodecGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if reuses := exec.ReusesWindows(pg); reuses != (alg == "ring") {
+				t.Fatalf("%s reuses insert windows: %v", name, reuses)
+			}
 			enc, err := exec.EncodeProgram(pg, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join("testdata", "program_v7_"+alg+"4x4.bin")
+			path := filepath.Join("testdata", "program_v7_"+name+".bin")
 			if *updateGolden {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {
 					t.Fatal(err)

@@ -774,7 +774,7 @@ func (c *compiler) finish() (*Program, error) {
 		if err != nil {
 			return nil, err
 		}
-		// The descriptor replay plan (the append-only log layout, the log
+		// The descriptor replay plan (the block log's layout, the log
 		// moves' strided gathers and the per-node delivery descriptors),
 		// built from the reference replay's artifacts. See descriptor.go.
 		psp := req.Stage(obs.StagePlanDescriptors)

@@ -1,7 +1,10 @@
 package exec
 
 import (
+	"cmp"
+	"math"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"torusx/internal/par"
@@ -9,14 +12,14 @@ import (
 
 // Zero-copy strided-datatype replay: the descriptor plan.
 //
-// Every node's holdings live in an append-only block log: a block's
-// physical position is the log slot its arrival was assigned, fixed
-// forever and fully computable at compile time from the reference
-// replay's arrival stamps (compile_sim.go). Nothing ever compacts and
-// every slot is written once per replay, so a slot read at the end of
-// the replay holds what it held at any step after it was written.
+// Every node's holdings live in a block log: a per-node region whose
+// first slots hold the node's initial blocks in matrix order, followed
+// by one insert window per log move into the node. Every position is
+// fixed at compile time from the reference replay's arrival stamps
+// (compile_sim.go), so a replay needs no reset: each run writes every
+// window with the values the last run wrote there.
 //
-// A replay therefore has two parts:
+// A replay has two parts:
 //
 //   - Log moves. Only a transfer that carries at least one block some
 //     later transfer moves again writes the log: at its own step, one
@@ -35,14 +38,39 @@ import (
 //     DecodeProgram proves. A program without log moves replays
 //     without writing arena scratch at all.
 //
+// A window has one of two layouts, chosen per program:
+//
+//   - Append-only: windows follow each other in arrival order after the
+//     initial blocks, each in arrival-stamp order, and no slot is
+//     written twice in a replay.
+//   - Recycled: a window's blocks are in death order — sorted, stably,
+//     by the step of the transfer that takes them from the receiver,
+//     with its final holdings last — so a window dies from its front.
+//     A block a last-hop send takes keeps its step's place but never
+//     dies, as the delivery pass reads it after the last step. Each
+//     window is placed whole, first fit, in space whose blocks all died
+//     strictly before the window's step, or else at the end of the
+//     region (see place). The initial blocks are never overwritten, and
+//     no window is split, so the log moves are the append-only
+//     layout's. A program takes this layout only when it shrinks the
+//     log by recycleShrink or more, and never when it forwards within
+//     a step (Program.parallelErr: its serial replay reads a window in
+//     the step that writes it).
+//
+// Either way no window overlaps another window or a log move's read in
+// its own step, which checkPlan proves: the parallel replay's one
+// barrier per step rests on it.
+//
 // The planner works on arrival stamps, never on block ids. The
 // reference replay leaves every payload as its blocks' stamps at the
 // sender, ascending, and each arrival at a node is one contiguous stamp
-// segment there. A log-move segment takes log slots, a last-hop
-// segment none, so a block's slot at a node is its stamp there less
-// the last-hop arrivals before it: within a segment, consecutive
-// stamps are consecutive slots, and each gather is converted a run at
-// a time and coalesced run-wise (planDescriptors).
+// segment there. A log-move segment takes log slots, a last-hop segment
+// none. Append-only, a block's slot at a node is its stamp there less
+// the last-hop arrivals before it: within a segment, consecutive stamps
+// are consecutive slots (stampPlan.runs). Recycled, each transfer's
+// take from a window is a run of consecutive slots (planRecycled).
+// Either way each gather is converted a run at a time and coalesced
+// run-wise (planDescriptors).
 
 // xdesc is one strided datatype descriptor: count windows of blocklen
 // consecutive log slots, window starts stride apart. count == 1 is a
@@ -174,15 +202,66 @@ func coalesceRuns(dst []xdesc, rs []run) []xdesc {
 // first (the worker buffers are refilled from empty and read only
 // through the recorded offsets and counts), so reuse needs no zeroing.
 type descScratch struct {
-	segStamp  []int32     // arrival -> its first stamp at the receiver
-	segG      []int32     // arrival -> transfer ordinal
-	isLast    []uint8     // ordinal -> no block it carries moves again
-	dInsLocal []int32     // ordinal -> node-local insert position
-	dDescOff  []int32     // ordinal -> first descriptor in its sender's worker buffer
-	dDescCnt  []int32     // ordinal -> descriptor count
-	finals    []int32     // each node's final stamps, ascending, at its finalBase offset
-	wdescs    []descStore // worker -> its nodes' log-move and delivery descriptors
+	segStamp  []int32 // arrival -> its first stamp at the receiver
+	segG      []int32 // arrival -> transfer ordinal
+	isLast    []uint8 // ordinal -> no block it carries moves again
+	dInsLocal []int32 // ordinal -> node-local insert position, append-only
+	dInsRec   []int32 // ordinal -> node-local insert position, recycled
+	step      []int32 // ordinal -> its step
+	dDescOff  []int32 // ordinal -> first descriptor in its worker buffer
+	dDescCnt  []int32 // ordinal -> descriptor count
+	// takeAt maps an ordinal to the first of its takes in its sender's
+	// worker's takes, unless the program forwards within a step. An
+	// ordinal that takes from no window keeps a stale entry, which its
+	// readers see past: no take there is its.
+	takeAt []int32
+	finals []int32    // each node's final stamps, ascending, at its finalBase offset
+	work   []planWork // worker -> its nodes' plan and scratch
 }
+
+// planWork is a planner worker's buffers: what it plans for its nodes,
+// which the compaction and the other workers' later passes read, and
+// scratch it refills for each node.
+type planWork struct {
+	descs descStore // log moves' and deliveries' descriptors
+	takes takeStore // its nodes' takes, in walk order
+	byWin []int32   // its nodes' takes by window, in death order
+
+	count  []int32  // arrival -> its window's takes (bucketTakes)
+	region region   // a node's region (place)
+	prof   []extent // a window's death groups (place)
+	held   []int32  // a node's arrival -> its window's first final slot
+	pieces []piece  // a log move's sender's takes (planRecycled)
+}
+
+// piece is a sender's take as planRecycled maps it: window positions
+// [i, i+n) lie at slots from i+base on.
+type piece struct{ i, n, base int32 }
+
+// take is a transfer g taking payload positions [i, i+n) from the
+// window of arrival a at its sender, in stamp order; off is their first
+// position in the window's death order.
+type take struct{ a, g, i, n, off int32 }
+
+// takeChunk is the take count of one takeStore chunk (80 KiB).
+const takeChunk = 1 << 12
+
+// takeStore is a planner worker's takes, in fixed-size chunks for the
+// reason descStore's are: take k is chunks[k/takeChunk][k%takeChunk].
+type takeStore struct {
+	chunks [][]take
+	n      int32
+}
+
+func (ts *takeStore) add(t take) {
+	if c := int(ts.n / takeChunk); c == len(ts.chunks) {
+		ts.chunks = append(ts.chunks, make([]take, takeChunk))
+	}
+	ts.chunks[ts.n/takeChunk][ts.n%takeChunk] = t
+	ts.n++
+}
+
+func (ts *takeStore) at(k int32) *take { return &ts.chunks[k/takeChunk][k%takeChunk] }
 
 // descChunk is the descriptor count of one descStore chunk (16 KiB).
 const descChunk = 1 << 10
@@ -257,7 +336,7 @@ func segAt(segStamp []int32, from, to, s int32) int32 {
 }
 
 // stampPlan maps arrival stamps to log slots once every node's region
-// is laid out.
+// is laid out append-only.
 type stampPlan struct {
 	*lowered
 	segStamp, segG      []int32
@@ -304,22 +383,168 @@ func (sp *stampPlan) runs(rs []run, u int, base int32, stamps []int32) []run {
 	return rs
 }
 
+// recycleShrink is how much the recycled layout must shrink a
+// program's block log for the program to take it: to at most
+// 1/recycleShrink of the append-only log. A smaller gain is not worth
+// the descriptors death order adds to the log moves. Set from the
+// sweep in EXPERIMENTS.md ("Block logs that recycle dead windows").
+const recycleShrink = 2
+
+// extent is a run of slots in a node's region, after its initial
+// blocks: free, or holding blocks no log move reads after step death.
+type extent struct{ start, n, death int32 }
+
+// never is the death of blocks the delivery pass reads.
+const never = math.MaxInt32
+
+// region is a node's region after its initial blocks, as place lays
+// windows into it: its free runs by address, none adjacent to another,
+// its runs of blocks that die, in any order, and its end. Slots in
+// neither list hold blocks the delivery pass reads, which never die.
+type region struct {
+	free, dying []extent
+	end         int32
+}
+
+// place lays a window of size slots, whose death groups prof lists in
+// window order, into the region at step: first fit into the space free
+// before step, else over free space that ends the region and on past
+// its end, else at the end. It returns the window's position.
+func (r *region) place(step, size int32, prof []extent) int32 {
+	for k := 0; k < len(r.dying); {
+		if d := r.dying[k]; d.death < step {
+			r.free = addFree(r.free, d.start, d.n)
+			r.dying[k] = r.dying[len(r.dying)-1]
+			r.dying = r.dying[:len(r.dying)-1]
+			continue
+		}
+		k++
+	}
+	i := 0
+	for i < len(r.free) && r.free[i].n < size {
+		i++
+	}
+	var pos int32
+	last := len(r.free) - 1
+	switch {
+	case i <= last:
+		pos = r.free[i].start
+		if r.free[i].n == size {
+			r.free = slices.Delete(r.free, i, i+1)
+		} else {
+			r.free[i].start += size
+			r.free[i].n -= size
+		}
+	case last >= 0 && r.free[last].start+r.free[last].n == r.end:
+		pos = r.free[last].start
+		r.end = pos + size
+		r.free = r.free[:last]
+	default:
+		pos = r.end
+		r.end += size
+	}
+	at := pos
+	for _, e := range prof {
+		if e.death != never {
+			r.dying = append(r.dying, extent{start: at, n: e.n, death: e.death})
+		}
+		at += e.n
+	}
+	return pos
+}
+
+// addFree adds the run [start, start+n) to free, runs by address,
+// merging it with the runs it touches.
+func addFree(free []extent, start, n int32) []extent {
+	i, _ := slices.BinarySearchFunc(free, start, func(e extent, s int32) int { return cmp.Compare(e.start, s) })
+	if i > 0 && free[i-1].start+free[i-1].n == start {
+		free[i-1].n += n
+		if i < len(free) && start+n == free[i].start {
+			free[i-1].n += free[i].n
+			free = slices.Delete(free, i, i+1)
+		}
+		return free
+	}
+	if i < len(free) && start+n == free[i].start {
+		free[i].start = start
+		free[i].n += n
+		return free
+	}
+	return slices.Insert(free, i, extent{start: start, n: n})
+}
+
+// bucketTakes sorts the worker's takes by the window they take from —
+// its nodes' arrivals are [a0, a1) — into byWin, stably, so each
+// window's takes come in schedule order: its death order, as a block
+// leaves its node when it is taken (the reference replay's holder
+// chain), so every stamp is taken at most once. Each take's off is its
+// first position in that order; the window's final holdings come after
+// its last take.
+func (pw *planWork) bucketTakes(a0, a1 int32) {
+	if pw.takes.n == 0 {
+		pw.byWin = pw.byWin[:0]
+		return
+	}
+	count := growI32(pw.count, int(a1-a0)+1)
+	pw.count = count
+	clear(count)
+	ts := &pw.takes
+	for k := int32(0); k < ts.n; k++ {
+		count[ts.at(k).a-a0+1]++
+	}
+	for i := 1; i < len(count); i++ {
+		count[i] += count[i-1]
+	}
+	byWin := growI32(pw.byWin, int(ts.n))
+	pw.byWin = byWin
+	for k := int32(0); k < ts.n; k++ {
+		a := ts.at(k).a - a0
+		byWin[count[a]] = k
+		count[a]++
+	}
+	off, a := int32(0), int32(-1)
+	for _, k := range byWin {
+		t := ts.at(k)
+		if t.a != a {
+			off, a = 0, t.a
+		}
+		t.off = off
+		off += t.n
+	}
+}
+
 // planDescriptors lowers the replay to the descriptor plan and writes
 // the program's core from low, the lowered tables and the reference
-// replay's artifacts. Must run after delivery was verified. Two passes
-// parallel over nodes build the plan, and a serial compaction writes
-// it into the core:
+// replay's artifacts. Must run after delivery was verified. Passes
+// parallel over nodes build the plan, and a compaction writes it into
+// the core:
 //
 //  1. Per node, in event order, each arrival is recorded as a stamp
 //     segment flagged last-hop, and each extraction's stamps clear the
 //     flag of every segment they fall in and are marked taken. The
-//     node's region is then laid out: initial slots, then each log
-//     move's segment (dInsLocal). The stamps never taken are the
-//     node's final holdings, in final-stamp order.
-//  2. Per node, each log move's sender stamps and then the node's
+//     node's region is then laid out append-only: initial slots, then
+//     each log move's segment (dInsLocal). The stamps never taken are
+//     the node's final holdings, in final-stamp order. Unless the
+//     program forwards within a step, each extraction also records one
+//     take per window it takes from, and the node's takes are sorted
+//     by window (bucketTakes).
+//  2. Unless the program forwards within a step, the recycled layout:
+//     per node, each window placed in arrival order (place), each of
+//     its takes dying at its transfer's step, or never if that is a
+//     last-hop send, and its final holdings never. The program takes
+//     it if that shrinks its log by recycleShrink.
+//
+// Append-only:
+//
+//  3. Per node, each log move's sender stamps and then the node's
 //     final stamps are converted to slots (stampPlan.runs) and
 //     coalesced: the log moves' over node-local slots, the deliveries'
 //     over absolute ones.
+//
+// Recycled:
+//
+//  3. Per node, each log move into it and then the node's deliveries
+//     (planRecycled).
 func (p *Program) planDescriptors(low *lowered) error {
 	n := p.n
 	pay, numT := low.pay, len(low.transfers)
@@ -340,14 +565,18 @@ func (p *Program) planDescriptors(low *lowered) error {
 	ds.dDescCnt = dDescCnt
 	finals := growI32(ds.finals, len(p.trafficIDs))
 	ds.finals = finals
-	// Both node passes split the nodes into the same chunks; worker w
-	// appends its nodes' descriptors to wdescs[w], and nodeW records
-	// each node's worker for the compaction.
-	workers := par.Workers()
-	for len(ds.wdescs) < par.Width(workers, n) {
-		ds.wdescs = append(ds.wdescs, descStore{})
+	recycle := p.parallelErr == nil
+	if recycle {
+		ds.takeAt = growI32(ds.takeAt, numT)
 	}
-	wdescs := ds.wdescs
+	// Every node pass splits the nodes into the same chunks; worker w
+	// plans its nodes into work[w], and nodeW records each node's
+	// worker for the compaction and the later passes.
+	workers := par.Workers()
+	for len(ds.work) < par.Width(workers, n) {
+		ds.work = append(ds.work, planWork{})
+	}
+	work := ds.work
 	nodeW := make([]int32, n)
 
 	// Final delivery layout: node v's blocks occupy
@@ -356,15 +585,18 @@ func (p *Program) planDescriptors(low *lowered) error {
 	finalBase := p.finalBase
 
 	// First pass. A node's worker writes only its own arrivals' entries
-	// and the flags of the transfers into it.
+	// and the flags and takes of the transfers into and out of it.
 	nodeLog := make([]int32, n)
 	par.ForEachWorker(workers, n, func(w, lo, hi int) {
+		pw := &work[w]
+		pw.takes.n = 0
 		maxS := int32(0)
 		for v := lo; v < hi; v++ {
 			maxS = max(maxS, low.arrivals[v])
 		}
 		taken := make([]uint64, (maxS+63)/64)
 		for v := lo; v < hi; v++ {
+			nodeW[v] = int32(w)
 			init, next, total := low.init[v], low.init[v], low.arrivals[v]
 			base, k := low.arrOff[v], low.arrOff[v]
 			words := taken[:(total+63)/64]
@@ -373,8 +605,10 @@ func (p *Program) planDescriptors(low *lowered) error {
 				g := int32(gr >> opFlagBits)
 				pt := &low.transfers[g]
 				if gr&opExtract != 0 {
+					src := pay.at(int(pt.payOff), int(pt.payLen))
+					first := pw.takes.n
 					a, end := base, init
-					for _, s := range pay.at(int(pt.payOff), int(pt.payLen)) {
+					for i, s := range src {
 						words[s>>6] |= 1 << (s & 63)
 						if s < end {
 							continue
@@ -384,6 +618,20 @@ func (p *Program) planDescriptors(low *lowered) error {
 						end = next
 						if a+1 < k {
 							end = segStamp[a+1]
+						}
+						if recycle {
+							pw.takes.add(take{a: a, g: g, i: int32(i)})
+						}
+					}
+					if recycle && first < pw.takes.n {
+						ds.takeAt[g] = first
+						for j := first; j < pw.takes.n; j++ {
+							end := pt.payLen
+							if j+1 < pw.takes.n {
+								end = pw.takes.at(j + 1).i
+							}
+							t := pw.takes.at(j)
+							t.n = end - t.i
 						}
 					}
 				}
@@ -415,93 +663,336 @@ func (p *Program) planDescriptors(low *lowered) error {
 				}
 			}
 		}
+		if recycle {
+			pw.bucketTakes(low.arrOff[lo], low.arrOff[hi])
+		}
 	})
+
+	numMoves := 0
+	for g := range low.transfers {
+		if isLast[g] == 0 {
+			numMoves++
+		}
+	}
+	// Second pass, the recycled layout. A node's worker writes only the
+	// insert positions of the log moves into it.
+	recycled := false
+	if recycle && numMoves > 0 {
+		dInsRec := growI32(ds.dInsRec, numT)
+		ds.dInsRec = dInsRec
+		step := growI32(ds.step, numT)
+		ds.step = step
+		for si := range p.steps {
+			for g := low.stepT[si]; g < low.stepT[si+1]; g++ {
+				step[g] = int32(si)
+			}
+		}
+		recLog := make([]int32, n)
+		par.ForEachWorker(workers, n, func(w, lo, hi int) {
+			pw := &work[w]
+			bw := pw.byWin
+			for v := lo; v < hi; v++ {
+				r := &pw.region
+				r.free, r.dying, r.end = r.free[:0], r.dying[:0], low.init[v]
+				for a := low.arrOff[v]; a < low.arrOff[v+1]; a++ {
+					g := segG[a]
+					if isLast[g] != 0 {
+						continue
+					}
+					prof, held := pw.prof[:0], low.transfers[g].payLen
+					for ; len(bw) > 0; bw = bw[1:] {
+						t := pw.takes.at(bw[0])
+						if t.a != a {
+							break
+						}
+						death := int32(never)
+						if isLast[t.g] == 0 {
+							death = step[t.g]
+						}
+						prof = append(prof, extent{n: t.n, death: death})
+						held -= t.n
+					}
+					if held > 0 {
+						prof = append(prof, extent{n: held, death: never})
+					}
+					pw.prof = prof
+					dInsRec[g] = r.place(step[g], low.transfers[g].payLen, prof)
+				}
+				recLog[v] = r.end
+			}
+		})
+		var app, rec int64
+		for v := 0; v < n; v++ {
+			app += int64(nodeLog[v])
+			rec += int64(recLog[v])
+		}
+		if rec*recycleShrink <= app {
+			recycled = true
+			dInsLocal, nodeLog = dInsRec, recLog
+		}
+	}
 
 	// Per-node log regions via the descBase prefix.
 	descBase := make([]int32, n+1)
 	for v := 0; v < n; v++ {
 		descBase[v+1] = descBase[v] + nodeLog[v]
 	}
-	sp := &stampPlan{lowered: low, segStamp: segStamp, segG: segG, isLast: isLast,
-		dInsLocal: dInsLocal, descBase: descBase}
-
-	// Second pass.
 	deliverAt := make([]int32, n)
 	deliverCnt := make([]int32, n)
-	par.ForEachWorker(workers, n, func(w, lo, hi int) {
-		descs := &wdescs[w]
-		descs.n = 0
-		for v := lo; v < hi; v++ {
-			nodeW[v] = int32(w)
-			for _, gr := range low.ops[low.opOff[v]:low.opOff[v+1]] {
-				g := gr >> opFlagBits
-				if gr&opExtract == 0 || isLast[g] != 0 {
-					continue
+	if recycled {
+		p.planRecycled(low, ds, workers, nodeW, descBase, deliverAt, deliverCnt)
+	} else {
+		sp := &stampPlan{lowered: low, segStamp: segStamp, segG: segG, isLast: isLast,
+			dInsLocal: dInsLocal, descBase: descBase}
+		par.ForEachWorker(workers, n, func(w, lo, hi int) {
+			descs := &work[w].descs
+			descs.n = 0
+			for v := lo; v < hi; v++ {
+				for _, gr := range low.ops[low.opOff[v]:low.opOff[v+1]] {
+					g := gr >> opFlagBits
+					if gr&opExtract == 0 || isLast[g] != 0 {
+						continue
+					}
+					pt := &low.transfers[g]
+					descs.runs = sp.runs(descs.runs[:0], v, 0, pay.at(int(pt.payOff), int(pt.payLen)))
+					dDescOff[g], dDescCnt[g] = descs.appendRuns(descs.runs)
 				}
-				pt := &low.transfers[g]
-				descs.runs = sp.runs(descs.runs[:0], v, 0, pay.at(int(pt.payOff), int(pt.payLen)))
-				dDescOff[g], dDescCnt[g] = descs.appendRuns(descs.runs)
+				descs.runs = sp.runs(descs.runs[:0], v, descBase[v], finals[finalBase[v]:finalBase[v+1]])
+				deliverAt[v], deliverCnt[v] = descs.appendRuns(descs.runs)
 			}
-			descs.runs = sp.runs(descs.runs[:0], v, descBase[v], finals[finalBase[v]:finalBase[v+1]])
-			deliverAt[v], deliverCnt[v] = descs.appendRuns(descs.runs)
-		}
-	})
+		})
+	}
 
-	// Serial compaction straight into the program's exact-size core:
-	// the log moves in step order with descriptors rebased to absolute
-	// log positions, then every node's delivery descriptors.
-	total, numMoves := 0, 0
-	for g := range low.transfers {
-		if isLast[g] == 0 {
-			total += int(dDescCnt[g])
-			numMoves++
+	// Compaction straight into the program's exact-size core: the log
+	// moves in step order with descriptors rebased to absolute log
+	// positions, then every node's delivery descriptors. A log move's
+	// descriptors are its sender's worker's, or under the recycled
+	// layout its receiver's. A serial prefix places each step's moves
+	// and descriptors and each node's deliveries, and the copies run in
+	// parallel over steps and then nodes.
+	numSteps := len(p.steps)
+	stepMove := make([]int32, numSteps+1)
+	stepDesc := make([]int32, numSteps+1)
+	mi, total := int32(0), int32(0)
+	for si := 0; si < numSteps; si++ {
+		stepMove[si], stepDesc[si] = mi, total
+		for g := low.stepT[si]; g < low.stepT[si+1]; g++ {
+			if isLast[g] == 0 {
+				mi++
+				total += dDescCnt[g]
+			}
 		}
 	}
+	stepMove[numSteps], stepDesc[numSteps] = mi, total
+	nodeDesc := make([]int32, n+1)
 	for v := 0; v < n; v++ {
-		total += int(deliverCnt[v])
+		nodeDesc[v] = total
+		total += deliverCnt[v]
 	}
+	nodeDesc[n] = total
 	p.descBase = descBase
-	lay, err := p.newCore(numMoves, total)
+	lay, err := p.newCore(numMoves, int(total))
 	if err != nil {
 		return err
 	}
 	core := p.core
-	mi, di := 0, 0
-	g := 0
-	for si := range p.steps {
-		putI32(core, lay.moveOff+4*si, int32(mi))
-		for ; g < int(low.stepT[si+1]); g++ {
-			pt := &low.transfers[g]
-			if isLast[g] != 0 {
-				continue
+	par.ForEachWorker(workers, numSteps, func(_, lo, hi int) {
+		for si := lo; si < hi; si++ {
+			putI32(core, lay.moveOff+4*si, stepMove[si])
+			mi, di := stepMove[si], stepDesc[si]
+			for g := low.stepT[si]; g < low.stepT[si+1]; g++ {
+				pt := &low.transfers[g]
+				if isLast[g] != 0 {
+					continue
+				}
+				off := di
+				planner := pt.src
+				if recycled {
+					planner = pt.dst
+				}
+				descs := &work[nodeW[planner]].descs
+				for i := dDescOff[g]; i < dDescOff[g]+dDescCnt[g]; i++ {
+					d := descs.at(i)
+					d.start += descBase[pt.src]
+					putRecord(core, lay.descs+16*int(di), d)
+					di++
+				}
+				putRecord(core, lay.moves+20*int(mi), logMove{
+					src: pt.src, payLen: pt.payLen,
+					descOff: off, descLen: dDescCnt[g],
+					insPos: descBase[pt.dst] + dInsLocal[g],
+				})
+				mi++
 			}
-			off := di
-			descs := &wdescs[nodeW[pt.src]]
-			for i := dDescOff[g]; i < dDescOff[g]+dDescCnt[g]; i++ {
-				d := descs.at(i)
-				d.start += descBase[pt.src]
-				putRecord(core, lay.descs+16*di, d)
+		}
+	})
+	putI32(core, lay.moveOff+4*numSteps, stepMove[numSteps])
+	par.ForEachWorker(workers, n, func(_, lo, hi int) {
+		for v := lo; v < hi; v++ {
+			putI32(core, lay.deliverOff+4*v, nodeDesc[v])
+			descs := &work[nodeW[v]].descs
+			di := int(nodeDesc[v])
+			for i := deliverAt[v]; i < deliverAt[v]+deliverCnt[v]; i++ {
+				putRecord(core, lay.descs+16*di, descs.at(i))
 				di++
 			}
-			putRecord(core, lay.moves+20*mi, logMove{
-				src: pt.src, payLen: pt.payLen,
-				descOff: int32(off), descLen: dDescCnt[g],
-				insPos: descBase[pt.dst] + dInsLocal[g],
-			})
-			mi++
 		}
-	}
-	putI32(core, lay.moveOff+4*len(p.steps), int32(mi))
-	for v := 0; v < n; v++ {
-		putI32(core, lay.deliverOff+4*v, int32(di))
-		descs := &wdescs[nodeW[v]]
-		for i := deliverAt[v]; i < deliverAt[v]+deliverCnt[v]; i++ {
-			putRecord(core, lay.descs+16*di, descs.at(i))
-			di++
-		}
-	}
-	putI32(core, lay.deliverOff+4*n, int32(di))
+	})
+	putI32(core, lay.deliverOff+4*n, nodeDesc[n])
 	return nil
+}
+
+// planRecycled plans the log moves' and deliveries' descriptors of a
+// program that takes the recycled layout, whose insert positions are
+// ds.dInsRec, in one pass over the nodes. Under it every slot is found
+// run-wise from the takes: a take's blocks lie at consecutive slots
+// from its window's insert position plus its off, and a window's final
+// holdings at consecutive slots after its last take; a sender's
+// initial blocks lie at their stamps. Per node:
+//
+//   - each log move into it, in its window's death order: the node's
+//     takes from the window and then its final stamps there give the
+//     window's positions, which the sender's takes map to the sender's
+//     slots (senderSlots);
+//   - its deliveries, in final-stamp order: its initial and window
+//     slots, and each last-hop arrival's whole payload at its sender's
+//     slots.
+func (p *Program) planRecycled(low *lowered, ds *descScratch, workers int, nodeW, descBase, deliverAt, deliverCnt []int32) {
+	n, pay, dIns := p.n, low.pay, ds.dInsRec
+	finals, finalBase := ds.finals, p.finalBase
+	work := ds.work
+	// senderPieces returns the takes of transfer g at its sender as
+	// pieces, in position order, in pw's scratch.
+	senderPieces := func(pw *planWork, g int32) []piece {
+		pieces := pw.pieces[:0]
+		takes := &work[nodeW[low.transfers[g].src]].takes
+		for k := ds.takeAt[g]; k < takes.n && takes.at(k).g == g; k++ {
+			t := takes.at(k)
+			pieces = append(pieces, piece{t.i, t.n, dIns[ds.segG[t.a]] + t.off - t.i})
+		}
+		pw.pieces = pieces
+		return pieces
+	}
+	par.ForEachWorker(workers, n, func(w, lo, hi int) {
+		pw := &work[w]
+		st := &pw.descs
+		st.n = 0
+		bw := pw.byWin
+		for v := lo; v < hi; v++ {
+			a0, a1 := low.arrOff[v], low.arrOff[v+1]
+			held := finals[finalBase[v]:finalBase[v+1]]
+			firstHeld := growI32(pw.held, int(a1-a0))
+			pw.held = firstHeld
+			fi := 0
+			for a := a0; a < a1; a++ {
+				g := ds.segG[a]
+				if ds.isLast[g] != 0 {
+					continue
+				}
+				pieces := senderPieces(pw, g)
+				src := pay.at(int(low.transfers[g].payOff), int(low.transfers[g].payLen))
+				s0 := ds.segStamp[a]
+				rs := st.runs[:0]
+				// positions appends the sender's slots of the window
+				// positions of stamps, ascending, run-wise. A sender that
+				// holds the whole payload in one take, the common case,
+				// maps them by one offset.
+				whole := len(pieces) == 1 && pieces[0].i == 0
+				positions := func(rs []run, stamps []int32) []run {
+					k := 0
+					for i := 0; i < len(stamps); {
+						e := i + 1
+						for e < len(stamps) && stamps[e] == stamps[e-1]+1 {
+							e++
+						}
+						if whole {
+							rs = appendRun(rs, pieces[0].base+stamps[i]-s0, int32(e-i))
+						} else {
+							rs = senderSlots(rs, 0, pieces, &k, src, stamps[i]-s0, int32(e-i))
+						}
+						i = e
+					}
+					return rs
+				}
+				next := dIns[g]
+				for ; len(bw) > 0; bw = bw[1:] {
+					t := pw.takes.at(bw[0])
+					if t.a != a {
+						break
+					}
+					tt := &low.transfers[t.g]
+					rs = positions(rs, pay.at(int(tt.payOff), int(tt.payLen))[t.i:t.i+t.n])
+					next = dIns[g] + t.off + t.n
+				}
+				firstHeld[a-a0] = next
+				for fi < len(held) && held[fi] < s0 {
+					fi++
+				}
+				f0 := fi
+				for fi < len(held) && held[fi] < s0+low.transfers[g].payLen {
+					fi++
+				}
+				rs = positions(rs, held[f0:fi])
+				st.runs = rs
+				ds.dDescOff[g], ds.dDescCnt[g] = st.appendRuns(rs)
+			}
+			init, base := low.init[v], descBase[v]
+			rs, a, end, slot := st.runs[:0], a0, init, int32(0)
+			for i := 0; i < len(held); {
+				s := held[i]
+				if s >= end {
+					a = segAt(ds.segStamp, a, a1, s)
+					g := ds.segG[a]
+					end = low.arrivals[v]
+					if a+1 < a1 {
+						end = ds.segStamp[a+1]
+					}
+					if ds.isLast[g] != 0 {
+						pt := &low.transfers[g]
+						k := 0
+						rs = senderSlots(rs, descBase[pt.src], senderPieces(pw, g), &k,
+							pay.at(int(pt.payOff), int(pt.payLen)), 0, pt.payLen)
+						i += int(pt.payLen)
+						continue
+					}
+					slot = firstHeld[a-a0]
+				}
+				if s < init {
+					rs = appendRun(rs, base+s, 1)
+				} else {
+					rs = appendRun(rs, base+slot, 1)
+					slot++
+				}
+				i++
+			}
+			st.runs = rs
+			deliverAt[v], deliverCnt[v] = st.appendRuns(rs)
+		}
+	})
+}
+
+// senderSlots appends to rs, offset by base, the slots at which a
+// sender holds payload positions [j, j+m) of a transfer whose takes at
+// the sender are pieces and whose payload is src, the sender's stamps:
+// a position before the first piece lies at its stamp, an initial slot,
+// and one in a piece at the piece's slots. Positions come ascending
+// across calls that share the piece cursor k.
+func senderSlots(rs []run, base int32, pieces []piece, k *int, src []int32, j, m int32) []run {
+	for m > 0 {
+		for *k < len(pieces) && pieces[*k].i <= j {
+			*k++
+		}
+		if *k == 0 {
+			rs = appendRun(rs, base+src[j], 1)
+			j, m = j+1, m-1
+			continue
+		}
+		pc := &pieces[*k-1]
+		c := min(m, pc.i+pc.n-j)
+		rs = appendRun(rs, base+pc.base+j, c)
+		j, m = j+c, m-c
+	}
+	return rs
 }
 
 // deriveReplayStats derives, whenever a program is viewed, each step's

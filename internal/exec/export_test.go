@@ -1,7 +1,9 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"torusx/internal/schedule"
 )
@@ -163,13 +165,31 @@ func EncodeWithPlanEdit(p *Program, optFP uint64, edit func(moves []MoveRec, del
 	return enc, nil
 }
 
-// LogSlots returns the length of p's block log: the int32 slots every
-// arena of p allocates.
-func LogSlots(p *Program) int {
-	if p.descBase == nil {
-		return 0
+// MoveSteps returns the step of each of p's log moves, in their order.
+func MoveSteps(p *Program) []int {
+	steps := make([]int, len(p.moves))
+	for si := range p.steps {
+		for i := p.moveOff[si]; i < p.moveOff[si+1]; i++ {
+			steps[i] = si
+		}
 	}
-	return int(p.descBase[p.n])
+	return steps
+}
+
+// ReusesWindows reports whether some insert window of p overlaps
+// another: whether p takes the recycled layout.
+func ReusesWindows(p *Program) bool {
+	ws := make([][2]int32, len(p.moves))
+	for i, m := range p.moves {
+		ws[i] = [2]int32{m.insPos, m.insPos + m.payLen}
+	}
+	slices.SortFunc(ws, func(a, b [2]int32) int { return cmp.Compare(a[0], b[0]) })
+	for i := 1; i < len(ws); i++ {
+		if ws[i][0] < ws[i-1][1] {
+			return true
+		}
+	}
+	return false
 }
 
 // DeliverPass runs the serial delivery pass alone over a's block log,

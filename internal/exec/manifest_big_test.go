@@ -4,6 +4,7 @@ package exec_test
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -19,11 +20,13 @@ import (
 // bigManifestPath pins the 32x32 payload cells' program files.
 var bigManifestPath = filepath.Join("testdata", "program_v7_sha256_32x32.txt")
 
-// TestProgramByteManifest32x32 pins the encoded file of every payload
-// cell at 32x32, the replay-32x32 benchmark shape, where each program's
-// plan is far larger than at the 16x16 rows TestProgramByteManifest
-// covers. Only the file is hashed: a replay there moves up to 124 MiB.
-// Regenerate with -update only for a deliberate format change. Run with:
+// TestProgramByteManifest32x32 pins every payload cell at 32x32, the
+// replay-32x32 benchmark shape, where each program's plan is far larger
+// than at the 16x16 rows TestProgramByteManifest covers: the encoded
+// file, its block log's slots, and the SHA-256 of what ReplayInto
+// delivers, so a layout change shows as a size and must keep the
+// delivery. Regenerate with -update only for a deliberate change. Run
+// with:
 //
 //	go test -tags bigshapes -run TestProgramByteManifest32x32 ./internal/exec
 func TestProgramByteManifest32x32(t *testing.T) {
@@ -46,7 +49,16 @@ func TestProgramByteManifest32x32(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: encode: %v", alg, err)
 		}
-		got = append(got, fmt.Sprintf("%s@%s %x bytes=%d", alg, tor.Fingerprint(), sha256.Sum256(enc), len(enc)))
+		dst := make([]int32, pg.DeliverySize())
+		if err := pg.ReplayInto(pg.NewArena(), dst, exec.Options{}); err != nil {
+			t.Fatalf("%s: ReplayInto: %v", alg, err)
+		}
+		delivery := sha256.New()
+		if err := binary.Write(delivery, binary.LittleEndian, dst); err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, fmt.Sprintf("%s@%s %x bytes=%d log=%d delivery=%x", alg, tor.Fingerprint(),
+			sha256.Sum256(enc), len(enc), pg.Stats().LogSlots, delivery.Sum(nil)[:16]))
 	}
 	if *updateGolden {
 		if err := os.WriteFile(bigManifestPath, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {

@@ -211,6 +211,7 @@ func (p *Program) BytesMoved() int64 { return int64(p.numPayload) * 4 }
 type ReplayStats struct {
 	Replayable bool
 	DescCount  int // strided descriptors across log moves and deliveries
+	LogSlots   int // int32 slots of the block log every arena allocates
 	// LastHopOnly: the program has no log moves — every payload
 	// transfer is the final mover of all it carries, so the whole
 	// replay is the delivery pass and ReplayInto writes no arena
@@ -223,8 +224,18 @@ func (p *Program) Stats() ReplayStats {
 	return ReplayStats{
 		Replayable:  p.replay,
 		DescCount:   len(p.descBacking),
+		LogSlots:    p.logSlots(),
 		LastHopOnly: p.replay && len(p.moves) == 0,
 	}
+}
+
+// logSlots returns the length of the block log: the descBase prefix's
+// last entry, or 0 on a measure-only program.
+func (p *Program) logSlots() int {
+	if p.descBase == nil {
+		return 0
+	}
+	return int(p.descBase[p.n])
 }
 
 // DeliverySize returns the element count of the flat delivery layout —
@@ -351,11 +362,13 @@ type Arena struct {
 	// finalizable), and a released arena is refused until re-acquired.
 	prog *Program
 
-	// log is the append-only block log: per-node regions at the
-	// program's descBase offsets, each node's initial blocks written
-	// once at allocation and never overwritten (a block's physical
-	// position is fixed at compile time, so repeat replays rewrite every
-	// window with identical values — no per-run reset).
+	// log is the block log: per-node regions at the program's descBase
+	// offsets, each node's initial blocks written at allocation and
+	// never overwritten, then its insert windows, which a recycled
+	// layout lays over windows that died (see descriptor.go). Every
+	// position is fixed at compile time and every read follows the
+	// write it reads in the same replay, so repeat replays rewrite each
+	// window with the values it held — no per-run reset.
 	log []int32
 	// out are the Result.Buffers RunArena materializes into, carved
 	// from one backing on the arena's first RunArena. scratch holds
@@ -375,14 +388,15 @@ type Arena struct {
 	srcBuckets    [][][]int
 }
 
-// NewArena returns a fresh scratch arena for p.
+// NewArena returns a fresh scratch arena for p: its block log of
+// Stats().LogSlots slots, with every node's initial blocks written.
 func (p *Program) NewArena() *Arena {
 	arenaCreates.Add(1)
 	a := &Arena{prog: p}
 	if !p.replay {
 		return a
 	}
-	a.log = make([]int32, p.descBase[p.n])
+	a.log = make([]int32, p.logSlots())
 	adviseHugePages(a.log)
 	if p.fullTraffic {
 		// Node o starts with ids o*n .. o*n+n-1, in matrix order.
@@ -536,9 +550,9 @@ var fanOutElems = 1 << 18
 // caller. Otherwise a step whose log moves copy at least fanOutElems
 // elements is sharded by sender — a move reads its sender's region
 // (conflict-free by the sender shard) and writes an insert window no
-// other move touches, so one barrier per step suffices — and so is a
-// delivery pass of at least fanOutElems elements, by node; smaller work
-// runs inline.
+// other move of its step reads or writes (checkPlan), so one barrier
+// per step suffices — and so is a delivery pass of at least fanOutElems
+// elements, by node; smaller work runs inline.
 // Intra-step forwarders were flagged at compile time and are refused
 // whenever Serial is false, fanned-out step or not. No per-run reset:
 // every slot's contents are identical run over run.

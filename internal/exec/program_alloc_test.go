@@ -131,14 +131,14 @@ func TestFirstReplayBytes(t *testing.T) {
 	for _, alg := range []string{"direct", "proposed-sim", "ring"} {
 		t.Run(alg, func(t *testing.T) {
 			pg := decodedProgram(t, alg, tor)
-			want := 4*exec.LogSlots(pg) + 8*pg.DeliverySize() + firstReplaySlack
+			want := 4*pg.Stats().LogSlots + 8*pg.DeliverySize() + firstReplaySlack
 			got := bytesPerRun(5, func() {
 				if _, err := pg.RunArena(pg.NewArena(), exec.Options{}); err != nil {
 					t.Fatal(err)
 				}
 			})
 			t.Logf("NewArena + first RunArena of decoded %s@16x16: %d bytes (log %d slots, delivery %d blocks)",
-				alg, got, exec.LogSlots(pg), pg.DeliverySize())
+				alg, got, pg.Stats().LogSlots, pg.DeliverySize())
 			if got > want {
 				t.Fatalf("NewArena + first RunArena of decoded %s@16x16: %d bytes, want <= %d", alg, got, want)
 			}
