@@ -13,6 +13,7 @@ import (
 	"torusx/internal/algorithm"
 	"torusx/internal/exec"
 	"torusx/internal/progcache"
+	"torusx/internal/schedule"
 	"torusx/internal/topology"
 	"torusx/internal/traffic"
 )
@@ -34,11 +35,8 @@ func manifestFabrics() []topology.Fabric {
 	}
 }
 
-// manifestLine compiles one row and renders its manifest line: the
-// SHA-256 of its encoded file under the production options fingerprint,
-// the SHA-256 of its ReplayInto delivery layout, and its Measure,
-// MaxSharing and BytesMoved. The RunArena buffers are checked against
-// the ReplayInto layout here, so the one digest pins both entry points.
+// manifestLine compiles one registry row and renders its manifest line
+// (see programLine).
 func manifestLine(t *testing.T, name string, f topology.Fabric, alg string, spec string) (string, bool) {
 	t.Helper()
 	b, err := algorithm.For(alg)
@@ -46,28 +44,34 @@ func manifestLine(t *testing.T, name string, f topology.Fabric, alg string, spec
 		t.Fatal(err)
 	}
 	opt := exec.Options{}
-	var pg *exec.Program
+	var sc *schedule.Schedule
 	if spec == "full" {
-		sc, err := b.BuildSchedule(f)
-		if err != nil {
+		if sc, err = b.BuildSchedule(f); err != nil {
 			return "", false // shape precondition, e.g. logtime on 12x8
-		}
-		if pg, err = exec.Compile(sc, opt); err != nil {
-			t.Fatalf("%s: compile: %v", name, err)
 		}
 	} else {
 		m, err := traffic.ParseSpec(spec, f.Nodes())
 		if err != nil {
 			t.Fatal(err)
 		}
-		sc, err := algorithm.SparseSchedule(b, f, m)
-		if err != nil {
+		if sc, err = algorithm.SparseSchedule(b, f, m); err != nil {
 			return "", false
 		}
 		opt.Traffic = m.Blocks()
-		if pg, err = exec.Compile(sc, opt); err != nil {
-			t.Fatalf("%s: compile: %v", name, err)
-		}
+	}
+	return programLine(t, name, sc, opt), true
+}
+
+// programLine compiles sc under opt and renders its manifest line: the
+// SHA-256 of its encoded file under the production options fingerprint,
+// the SHA-256 of its ReplayInto delivery layout, and its Measure,
+// MaxSharing and BytesMoved. The RunArena buffers are checked against
+// the ReplayInto layout here, so the one digest pins both entry points.
+func programLine(t *testing.T, name string, sc *schedule.Schedule, opt exec.Options) string {
+	t.Helper()
+	pg, err := exec.Compile(sc, opt)
+	if err != nil {
+		t.Fatalf("%s: compile: %v", name, err)
 	}
 	enc, err := exec.EncodeProgram(pg, progcache.Fingerprint(opt))
 	if err != nil {
@@ -93,12 +97,15 @@ func manifestLine(t *testing.T, name string, f topology.Fabric, alg string, spec
 	m := pg.Measure()
 	return fmt.Sprintf("%s %x %x steps=%d blocks=%d hops=%d rearranged=%d sharing=%d moved=%d",
 		name, sha256.Sum256(enc), replay.Sum(nil)[:16], m.Steps, m.Blocks, m.Hops, m.RearrangedBlocks,
-		pg.MaxSharing(), pg.BytesMoved()), true
+		pg.MaxSharing(), pg.BytesMoved())
 }
 
 // manifestLines lists every manifest row in a fixed order: fabrics as
 // manifestFabrics lists them, algorithms by name, the full matrix and
-// then the canned sparse matrices of the sparse-capable algorithms.
+// then the canned sparse matrices of the sparse-capable algorithms;
+// then the hand-built planner rows (stampPlannerRows, interleaveRow and
+// rho-ring@8), which pin last-hop self copies, straddling stamps,
+// partial forwards and empty nodes.
 func manifestLines(t *testing.T) []string {
 	t.Helper()
 	var lines []string
@@ -115,6 +122,10 @@ func manifestLines(t *testing.T) []string {
 				}
 			}
 		}
+	}
+	hand := append(stampPlannerRows(t), interleaveRow(), wallRow{name: "rho-ring@8", sc: rhoRingSchedule(t)})
+	for _, r := range hand {
+		lines = append(lines, programLine(t, r.name, r.sc, exec.Options{Traffic: r.traffic}))
 	}
 	return lines
 }
