@@ -20,7 +20,7 @@
 //
 //	aapebench                                  # default grid, BENCH_exec.json
 //	aapebench -dims 8x8,16x16,4x4x4 -algs proposed,direct
-//	aapebench -serial                          # time the serial replay
+//	aapebench -parallel=false                  # time the serial replay
 //	aapebench -quick -out -                    # one run per cell, stdout only
 //	aapebench -samples 10                      # spread columns from 10 repeats
 //	aapebench -shapes 16                       # warm-cache sweep from 16 tenants
@@ -81,8 +81,7 @@ func run(args []string, w io.Writer) error {
 		dimsFlag     = fs.String("dims", "8x8,16x16,4x4x4", "comma-separated fabric shapes to sweep")
 		algsFlag     = fs.String("algs", "", "comma-separated algorithms (default: every registered algorithm: "+strings.Join(algorithm.Names(), ", ")+")")
 		outFlag      = fs.String("out", "BENCH_exec.json", "ledger path ('-' = stdout only)")
-		serialFlag   = fs.Bool("serial", false, "time the serial replay instead of the parallel one")
-		parallelFlag = fs.Bool("parallel", true, "run the executor's parallel fan-out path (overridden by -serial)")
+		parallelFlag = fs.Bool("parallel", true, "run the executor's parallel fan-out path (false: time the serial replay)")
 		workersFlag  = fs.Int("workers", 0, "parallel executor worker count (0 = GOMAXPROCS)")
 		quickFlag    = fs.Bool("quick", false, "single timed run per cell instead of a full benchmark (for tests and smoke runs)")
 		samplesFlag  = fs.Int("samples", 5, "repeat timings per cell behind the ns_min/ns_max/ns_stddev ledger columns (<2 disables)")
@@ -138,8 +137,7 @@ func run(args []string, w io.Writer) error {
 	if *algsFlag != "" {
 		algs = strings.Split(*algsFlag, ",")
 	}
-	serial := *serialFlag || !*parallelFlag
-	opt := exec.Options{Serial: serial, Workers: *workersFlag}
+	opt := exec.Options{Serial: !*parallelFlag, Workers: *workersFlag}
 	if *prewarmFlag {
 		if *cacheDirFlag == "" {
 			return fmt.Errorf("-prewarm needs -progcache-dir")
@@ -519,7 +517,7 @@ func trafficSpecs(flag string) []string {
 
 // parallelLabel is a ledger entry's parallel label: the replay ran its
 // fan-out path on more than one core. At GOMAXPROCS 1 every fan-out runs
-// inline, so no cell is labelled parallel there, -serial or not.
+// inline, so no cell is labelled parallel there, serial replay or not.
 func parallelLabel(opt exec.Options) bool {
 	return !opt.Serial && runtime.GOMAXPROCS(0) > 1
 }

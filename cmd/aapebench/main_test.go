@@ -115,7 +115,7 @@ func TestBenchSerialMatchesParallelCounters(t *testing.T) {
 		return ledger
 	}
 	par := sweep()
-	ser := sweep("-serial")
+	ser := sweep("-parallel=false")
 	serBy := ser.ByKey()
 	for _, pe := range par.Entries {
 		se := serBy[pe.Key()]
@@ -292,7 +292,7 @@ func TestBenchSampleEnvelope(t *testing.T) {
 
 // TestBenchParallelLabelFollowsCores: a one-cell sweep at GOMAXPROCS 1
 // runs every fan-out inline, so its entry is not labelled parallel; the
-// same sweep on two cores is, and -serial never is.
+// same sweep on two cores is, and -parallel=false never is.
 func TestBenchParallelLabelFollowsCores(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, tc := range []struct {
@@ -302,7 +302,7 @@ func TestBenchParallelLabelFollowsCores(t *testing.T) {
 	}{
 		{1, nil, false},
 		{2, nil, true},
-		{2, []string{"-serial"}, false},
+		{2, []string{"-parallel=false"}, false},
 	} {
 		runtime.GOMAXPROCS(tc.procs)
 		out := filepath.Join(t.TempDir(), "b.json")

@@ -104,12 +104,12 @@ func TestBuildProgramDistinctOptionsDistinctPrograms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := algorithm.BuildProgram(b, tor, exec.Options{SkipChecks: true})
+	p2, err := algorithm.BuildProgram(b, tor, exec.Options{Traffic: exec.FullTraffic(tor)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p1 == p2 {
-		t.Error("SkipChecks compile aliased the checked compile in the cache")
+		t.Error("a declared traffic matrix aliased the implicit one in the cache")
 	}
 	// Runtime-only options share the compiled program.
 	p3, err := algorithm.BuildProgram(b, tor, exec.Options{Serial: true, Workers: 3})

@@ -128,12 +128,8 @@ func sparseSchedule(b Builder, f topology.Fabric, m traffic.Matrix, req *obs.Req
 // the program's schedule source.
 func BuildSparseProgram(b Builder, f topology.Fabric, m traffic.Matrix, opt exec.Options) (*exec.Program, error) {
 	opt.Traffic = m.Blocks()
-	var optBits uint64
-	if opt.SkipChecks {
-		optBits = 1
-	}
 	name := b.Name() + "+sparse:" + strconv.FormatUint(m.Fingerprint(), 16)
-	key := progcache.Key(name, f, optBits)
+	key := progcache.Key(name, f, 0)
 	source := func() (*schedule.Schedule, error) { return sparseSchedule(b, f, m, nil) }
 	return cache.GetOrCompileTiered(key, nil, 0, opt.Request, source, func() (*exec.Program, error) {
 		sc, err := sparseSchedule(b, f, m, opt.Request)

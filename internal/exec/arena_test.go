@@ -9,6 +9,7 @@ import (
 
 	"torusx/internal/exec"
 	"torusx/internal/obs"
+	"torusx/internal/topology"
 )
 
 // arenaCreates reads the process-wide exec.arena.creates counter
@@ -52,32 +53,43 @@ func TestArenaSurvivesGC(t *testing.T) {
 }
 
 // TestArenaPoisonedNotRetained checks that an arena whose run errored
-// is never kept: the parallel replay refuses an intra-step forwarder,
-// and the next AcquireArena must build a fresh arena rather than hand
-// the poisoned one back.
+// is never kept: a decoded direct program whose plan misdelivers — node
+// 0's delivery descriptor shifted one slot, onto blocks addressed to
+// node 1 — fails its replay's delivery check, and the next AcquireArena
+// must build a fresh arena rather than hand the poisoned one back.
 func TestArenaPoisonedNotRetained(t *testing.T) {
-	row := forwardMixedRow()
-	pg, err := exec.Compile(row.sc, exec.Options{Traffic: row.traffic})
+	pg := compileDirect8x8(t)
+	enc, err := exec.EncodeWithPlanEdit(pg, 0, func(_ []exec.MoveRec, deliverOff, _ []int32, descs []exec.DescRec) {
+		descs[deliverOff[0]].Start++
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := pg.AcquireArena()
-	if _, err := pg.RunArena(a, exec.Options{}); err == nil {
-		t.Fatal("parallel replay of an intra-step forwarder succeeded")
+	bad, err := exec.DecodeProgram(enc, topology.MustNew(8, 8), 0)
+	if err != nil {
+		t.Fatalf("the misdelivering plan does not decode: %v", err)
 	}
-	pg.ReleaseArena(a)
+	a := bad.AcquireArena()
+	if _, err := bad.RunArena(a, exec.Options{}); err == nil {
+		t.Fatal("replay of a misdelivering plan succeeded")
+	}
+	bad.ReleaseArena(a)
 
 	before := arenaCreates()
-	b := pg.AcquireArena()
+	b := bad.AcquireArena()
 	if b == a {
 		t.Fatal("AcquireArena returned the arena whose run errored")
 	}
 	if got := arenaCreates(); got != before+1 {
 		t.Fatalf("exec.arena.creates moved by %d, want 1 fresh arena", got-before)
 	}
-	replayOnce(t, pg, b)
-	pg.ReleaseArena(b)
-	if c := pg.AcquireArena(); c != b {
+	bad.ReleaseArena(b)
+
+	// A healthy arena is retained.
+	c := pg.AcquireArena()
+	replayOnce(t, pg, c)
+	pg.ReleaseArena(c)
+	if d := pg.AcquireArena(); d != c {
 		t.Fatal("the healthy arena was not retained")
 	}
 }

@@ -36,8 +36,8 @@ import (
 // against that digest.
 //
 // The header carries the fabric fingerprint and the compile-options
-// fingerprint (progcache.Fingerprint: SkipChecks + the traffic
-// matrix); Compile writes 0 there and the writers reseal it.
+// fingerprint (progcache.Fingerprint: the traffic matrix); Compile
+// writes 0 there and the writers reseal it.
 // DecodeProgram rejects short, truncated, corrupted, version- or
 // fingerprint-mismatched input with descriptive errors and proves every
 // index a replay would follow (checkPlan), so a file that decodes
@@ -52,7 +52,6 @@ import (
 //	u32 x6: n, numSteps, numPhases, maxSharing, numTraffic, numPayload
 //	u64 x4: measure steps, blocks, hops, rearranged
 //	steps     numSteps x 5 u32 (phaseIndex stepIndex sharing maxBlocks maxHops)
-//	parallelErr u32 len + bytes, padded   | only when flagParallelErr
 //	replay section                         | only when flagReplay:
 //	  perDest    n x i32
 //	  traffic    numTraffic x i32          | only when not flagFullTraffic
@@ -91,8 +90,7 @@ const codecMagic = "TXPG"
 const (
 	flagReplay      = 1 << 0
 	flagFullTraffic = 1 << 1
-	flagParallelErr = 1 << 2
-	flagKnown       = flagReplay | flagFullTraffic | flagParallelErr
+	flagKnown       = flagReplay | flagFullTraffic
 )
 
 // maxDecodeBlocks bounds the dense block-id space (n*n) a decoder will
@@ -149,23 +147,19 @@ func asInt32s(b []byte) []int32 {
 // derived from the counts alone; end is the file's length, CRC
 // included.
 type coreLayout struct {
-	steps, parallelErr, perDest, traffic, counts int
-	moveOff, moves, descBase, descs, deliverOff  int
-	end                                          int
+	steps, perDest, traffic, counts             int
+	moveOff, moves, descBase, descs, deliverOff int
+	end                                         int
 }
 
-// layoutCore lays out a file with fpLen bytes of fabric fingerprint,
-// numSteps steps and, when errLen >= 0, a parallelErr message of errLen
-// bytes; replay adds the replay section for n nodes, numTraffic sparse
-// traffic ids, numMoves log moves and numDesc descriptors.
-func layoutCore(fpLen, numSteps, errLen int, replay bool, n, numTraffic, numMoves, numDesc int) coreLayout {
+// layoutCore lays out a file with fpLen bytes of fabric fingerprint and
+// numSteps steps; replay adds the replay section for n nodes,
+// numTraffic sparse traffic ids, numMoves log moves and numDesc
+// descriptors.
+func layoutCore(fpLen, numSteps int, replay bool, n, numTraffic, numMoves, numDesc int) coreLayout {
 	var l coreLayout
 	l.steps = 32 + padded4(fpLen) + 6*4 + 4*8
-	l.parallelErr = l.steps + numSteps*20
-	off := l.parallelErr
-	if errLen >= 0 {
-		off += 4 + padded4(errLen)
-	}
+	off := l.steps + numSteps*20
 	if replay {
 		l.perDest = off
 		l.traffic = l.perDest + 4*n
@@ -226,12 +220,6 @@ func seal(file []byte) {
 func (p *Program) newCore(numMoves, numDesc int) (coreLayout, error) {
 	fp := p.fab.Fingerprint()
 	var flags byte
-	errLen, errMsg := -1, ""
-	if p.parallelErr != nil {
-		flags |= flagParallelErr
-		errMsg = p.parallelErr.Error()
-		errLen = len(errMsg)
-	}
 	numTraffic := 0
 	if p.replay {
 		flags |= flagReplay
@@ -241,7 +229,7 @@ func (p *Program) newCore(numMoves, numDesc int) (coreLayout, error) {
 			numTraffic = len(p.trafficIDs)
 		}
 	}
-	l := layoutCore(len(fp), len(p.steps), errLen, p.replay, p.n, numTraffic, numMoves, numDesc)
+	l := layoutCore(len(fp), len(p.steps), p.replay, p.n, numTraffic, numMoves, numDesc)
 	if int64(l.end) > math.MaxUint32 {
 		return l, fmt.Errorf("exec: a %d-byte program exceeds the program format's 4 GiB limit", l.end)
 	}
@@ -269,10 +257,6 @@ func (p *Program) newCore(numMoves, numDesc int) (coreLayout, error) {
 		for k, v := range [...]int{ps.phaseIndex, ps.stepIndex, ps.sharing, ps.maxBlocks, ps.maxHops} {
 			putU32(b, l.steps+20*si+4*k, uint32(v))
 		}
-	}
-	if errLen >= 0 {
-		putU32(b, l.parallelErr, uint32(errLen))
-		copy(b[l.parallelErr+4:], errMsg)
 	}
 	if p.replay {
 		putI32s(b, l.perDest, p.perDest)
@@ -502,13 +486,6 @@ func newProgram(core []byte, f topology.Fabric, compiled bool) (*Program, error)
 	p.measure.RearrangedBlocks = int(mRearr)
 
 	stepHdr := asInt32s(r.take(numSteps * 20))
-	if flags&flagParallelErr != 0 {
-		msg := r.take(r.count(1))
-		r.pad4()
-		if r.err == nil {
-			p.parallelErr = errors.New(string(msg))
-		}
-	}
 	var (
 		perDest, trafficIDs, moveOff, descBase, deliverOff []int32
 		numDesc, numMoves, logSize                         int
@@ -624,11 +601,11 @@ func viewRecords[T logMove | xdesc](b []byte, n int) []T {
 //   - every insert window lies inside one node's log region, after that
 //     node's initial contents, so the initial blocks a replay never
 //     rewrites stay as the arena wrote them;
-//   - the insert windows of one step are pairwise disjoint, and unless
-//     the program forwards within a step (parallelErr, whose replay is
-//     serial) no log move of a step reads a slot a window of that step
-//     writes — so the one barrier per step orders every write before
-//     every read of it;
+//   - the insert windows of one step are pairwise disjoint, and no log
+//     move of a step reads a slot a window of that step writes — so the
+//     one barrier per step orders every write before every read of it,
+//     and the serial replay, which runs a step's moves in order, reads
+//     what the parallel one reads;
 //   - node v's delivery descriptors expand to exactly its delivery
 //     count, so the delivery pass writes every slot of the layout once.
 //
@@ -752,9 +729,6 @@ func (p *Program) checkPlan() error {
 						max(sorted[k-1], sorted[k]), b.insPos, b.insPos+b.payLen, min(sorted[k-1], sorted[k]), si)
 				}
 			}
-		}
-		if p.parallelErr != nil {
-			continue
 		}
 		for i := lo; i < hi; i++ {
 			m := &p.moves[i]

@@ -48,11 +48,10 @@ func codecCells() []codecCell {
 }
 
 // codecRows are the codec cells plus one row for each variable-length
-// part of the cold section the cells leave uncovered: a parallelErr
-// message (forward-mixed), non-torus multi-leg routes (the dragonfly
-// direct exchange's two- and three-leg routes; dimexchange sends only
-// single hops), a sparse traffic-id table and an empty phase (logtime
-// on 8x1, whose size-1 dimension has no rounds).
+// part of the file the cells leave uncovered: non-torus multi-leg
+// routes (the dragonfly direct exchange's two- and three-leg routes;
+// dimexchange sends only single hops), a sparse traffic-id table and an
+// empty phase (logtime on 8x1, whose size-1 dimension has no rounds).
 func codecRows(t *testing.T) []wallRow {
 	t.Helper()
 	var rows []wallRow
@@ -63,7 +62,6 @@ func codecRows(t *testing.T) []wallRow {
 		}
 		rows = append(rows, row)
 	}
-	rows = append(rows, forwardMixedRow())
 	for _, c := range []struct {
 		name, alg, gen string
 		fab            topology.Fabric
@@ -256,6 +254,11 @@ func TestProgramDecodeRejects(t *testing.T) {
 		}
 		if _, err := exec.DecodeProgram(reseal(func(b []byte) { b[6] |= 0x80 }), tor, 1); err == nil {
 			t.Fatal("unknown flag accepted")
+		}
+		// Bit 2 marked a program that forwards within a step, which
+		// Compile now rejects: such a file is a miss, not a misread.
+		if _, err := exec.DecodeProgram(reseal(func(b []byte) { b[6] |= 1 << 2 }), tor, 1); err == nil || !strings.Contains(err.Error(), "unknown flags 0x4") {
+			t.Fatalf("retired flag bit 2: err = %v, want unknown flags", err)
 		}
 		// A 4x4 program relabelled as a 3x3 one (the fingerprints have
 		// the same length) names the fabric it is decoded on, but its
@@ -727,7 +730,7 @@ func TestScheduleSource(t *testing.T) {
 	if _, terr := pg.RunArena(pg.NewArena(), traced); terr == nil || !errors.Is(terr, err) {
 		t.Fatalf("traced run: err = %v, want %v", terr, err)
 	}
-	want, err := oracleRun(direct, nil, false)
+	want, err := oracleRun(direct, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,30 +14,31 @@ import (
 	"torusx/internal/topology"
 )
 
-// Compile validates sc once — one-port and contention checks (honoring
-// opt.SkipChecks), payload/Blocks coherence, the full sender-holds
-// replay chain and final delivery against the declared traffic matrix
-// (opt.Traffic, nil meaning all-to-all), and the program format's
-// limits — and writes it as a program file, which it then views as the
-// Program, just as DecodeProgram views a stored one: the result holds
-// the file's exact-size bytes, with the schedule's digest, and nothing
-// of sc. A rejected schedule fails here, at compile time; a compiled
-// program's runs cannot fail, except that the parallel replay refuses
-// intra-step forwarding. Compile reads sc only while lowering it: the
-// later passes read what lowering kept in pooled scratch, so a caller
-// that drops its own reference lets the collector reuse the schedule's
-// pages for the planner's tables. The program has no schedule source
-// (see SetSource). Options.Serial, Workers and Telemetry are run-time
-// choices and are ignored by Compile; Options.Request receives the
-// stages of its passes (obs.StageLower, StageReferenceReplay,
-// StagePlanDescriptors, StageSeal).
+// Compile validates sc once — one-port and contention checks,
+// payload/Blocks coherence, the full sender-holds replay chain (a block
+// that arrives in a step leaves no earlier than the next step), final
+// delivery against the declared traffic matrix (opt.Traffic, nil
+// meaning all-to-all), and the program format's limits — and writes it
+// as a program file, which it then views as the Program, just as
+// DecodeProgram views a stored one: the result holds the file's
+// exact-size bytes, with the schedule's digest, and nothing of sc. A
+// rejected schedule fails here, at compile time; a compiled program's
+// runs cannot fail, serial or parallel. Compile reads sc only while
+// lowering it: the later passes read what lowering kept in pooled
+// scratch, so a caller that drops its own reference lets the collector
+// reuse the schedule's pages for the planner's tables. The program has
+// no schedule source (see SetSource). Options.Serial, Workers and
+// Telemetry are run-time choices and are ignored by Compile;
+// Options.Request receives the stages of its passes (obs.StageLower,
+// StageReferenceReplay, StagePlanDescriptors, StageSeal).
 //
 // Compile is the consumer CompileStream runs, fed the whole schedule as
 // one batch. When a schedule breaks several rules, the error reported
 // is the first of: a program-format limit, in schedule order; a
 // lowering error (one-port, contention, payload coherence or range),
 // at the lowest step; a reference-replay error (traffic matrix, then
-// sender-holds), at the lowest step; a delivery error.
+// sender-holds or intra-step forwarding), at the lowest step; a
+// delivery error.
 func Compile(sc *schedule.Schedule, opt Options) (*Program, error) {
 	if sc == nil || sc.Fabric == nil {
 		return nil, fmt.Errorf("exec: nil schedule")
@@ -487,7 +488,7 @@ func (c *compiler) buildRouteTables() {
 // one — exactly what a serial left-to-right walk would have hit first.
 func (c *compiler) lowerBatch(b []batchStep) {
 	f, n, numBlocks := c.f, c.n, c.p.numBlocks
-	replay, skip := c.p.replay, c.opt.SkipChecks
+	replay := c.p.replay
 	tabNL, usedDims, domainTab := c.tabNL, c.usedDims, c.domainTab
 	transfers := c.ls.transfers
 	if w := par.Width(0, len(b)); len(c.work) < w {
@@ -508,7 +509,7 @@ func (c *compiler) lowerBatch(b []batchStep) {
 			ps := &c.p.steps[si]
 			phase := c.phases[ps.phaseIndex].name
 			s := &bs.s
-			if !skip && wk.linkClaim == nil {
+			if wk.linkClaim == nil {
 				wk.linkClaim = make([]int32, c.numDomains)
 			}
 			// shareClaim counts a Shared step's per-domain uses as
@@ -611,15 +612,13 @@ func (c *compiler) lowerBatch(b []batchStep) {
 			if s.Shared {
 				ps.sharing = int(sharing)
 			}
-			if !skip {
-				if wk.sendClaim == nil {
-					wk.sendClaim = make([]int32, n) // node -> transfer index + 1
-					wk.recvClaim = make([]int32, n) // node -> transfer index + 1
-				}
-				if err := checkStep(f, domainTab, s, phase, ps.stepIndex, links, lend, wk.sendClaim, wk.recvClaim, wk.linkClaim, &wk.touched); err != nil {
-					ferr.Report(si, err)
-					return
-				}
+			if wk.sendClaim == nil {
+				wk.sendClaim = make([]int32, n) // node -> transfer index + 1
+				wk.recvClaim = make([]int32, n) // node -> transfer index + 1
+			}
+			if err := checkStep(f, domainTab, s, phase, ps.stepIndex, links, lend, wk.sendClaim, wk.recvClaim, wk.linkClaim, &wk.touched); err != nil {
+				ferr.Report(si, err)
+				return
 			}
 			if bad < 0 {
 				continue

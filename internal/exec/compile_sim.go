@@ -25,10 +25,11 @@ import (
 // descriptor planner reads of it: the ids are never needed again. On a
 // streamed compile a large payload is still in its builder's backing
 // (idPages adopts it), so the rewrite lands there, with no copy.
-// The same walk flags the first transfer that forwards a block within
+// The same walk rejects the first transfer that forwards a block within
 // the step that delivered it: a block whose stamp at the sender is at
 // least the sender's arrival count when the step began arrived during
-// that step, which the parallel replay cannot execute.
+// that step, and every transfer of a step moves at once, so a block can
+// leave no earlier than the step after its arrival.
 //
 // A payload of several blocks between two nodes takes the one-touch
 // walk (moveOnce): each block's holder entry is read and written once,
@@ -46,9 +47,8 @@ import (
 // Error parity: coherence errors surface at exactly the point a serial
 // walk would hit them (first transfer in schedule order, first block in
 // payload order); delivery errors name the lowest node, and within it
-// the earliest-arrived misdelivered block; the forwarding verdict names
-// the lowest transfer ordinal and, within it, the earliest-arrived
-// block.
+// the earliest-arrived misdelivered block; a forwarding error names the
+// lowest transfer ordinal and, within it, the earliest-arrived block.
 
 // opRec is one insert/extract event in a node's event run: the
 // transfer ordinal and two event flags (a self-transfer extracts and
@@ -223,8 +223,8 @@ func (c *compiler) replayBatch(b []batchStep) error {
 					}
 				}
 			}
-			if fwd >= 0 && p.parallelErr == nil {
-				p.parallelErr = fmt.Errorf("exec: phase %q step %d: node %d forwards %v within the step that delivered it; the one-barrier parallel replay cannot execute this schedule (run with Options.Serial)",
+			if fwd >= 0 {
+				return fmt.Errorf("exec: phase %q step %d: node %d forwards %v within the step that delivered it",
 					c.phases[ps.phaseIndex].name, ps.stepIndex, src, block.FromID(fwd, n))
 			}
 		}

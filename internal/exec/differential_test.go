@@ -11,9 +11,8 @@
 // — same blocks, same per-node order. The rows are small enough that no
 // step reaches the production threshold, so the fanned-out modes are
 // what puts the sender buckets and barriers under the race detector.
-// Schedules the parallel replay cannot execute (intra-step forwarding)
-// must be accepted serially and refused in parallel; schedules the
-// oracle rejects must fail Compile with the same error.
+// Schedules the oracle rejects must fail Compile with the same error.
+// Compile also rejects intra-step forwarding, which the oracle accepts.
 //
 // The test functions only choose rows. They keep the names of the
 // suites the wall replaced and split the rows between them, so no row
@@ -27,7 +26,7 @@
 //	TestCompiledSparseTraffic               sparse-capable pairs on a dragonfly
 //	TestDifferentialWorkerCounts            dense rows at many parallel widths
 //	TestCompiledDifferentialWorkerCounts    hotspot rows at many parallel widths
-//	TestIntraStepForwardingVerdicts         serial-accept, parallel-reject
+//	TestIntraStepForwardingVerdicts         Compile and CompileStream reject, the oracle accepts
 //	TestCompiledDifferentialRejects, TestDifferentialRejectsSameSchedules  reject parity
 package exec_test
 
@@ -74,9 +73,6 @@ type wallRow struct {
 	name    string
 	sc      *schedule.Schedule
 	traffic []block.Block // nil: the full all-to-all matrix
-	// serialOnly marks a schedule that forwards a block within the step
-	// that delivered it: the parallel modes must refuse it.
-	serialOnly bool
 }
 
 // registryRow builds alg on fab and specializes it to the traffic
@@ -155,7 +151,7 @@ func runWall(t *testing.T, rows []wallRow, widths []int) {
 // to the oracle.
 func checkRow(t *testing.T, r wallRow, widths []int) {
 	t.Helper()
-	want, err := oracleRun(r.sc, r.traffic, false)
+	want, err := oracleRun(r.sc, r.traffic)
 	if err != nil {
 		t.Fatalf("oracle: %v", err)
 	}
@@ -214,54 +210,34 @@ func checkProgram(t *testing.T, r wallRow, want *exec.Result, pg *exec.Program, 
 		for _, m := range modes {
 			func() {
 				label := src.label + "/" + m.label
-				refuse := r.serialOnly && !m.opt.Serial
 				if m.fanAll {
 					prev := exec.SetFanOutElems(0)
 					defer exec.SetFanOutElems(prev)
 				}
 				res, err := src.pg.RunArena(arena, m.opt)
-				if refuse {
-					wantForwardRefusal(t, label+"/RunArena", err)
-				} else {
-					if err != nil {
-						t.Fatalf("%s/RunArena: %v", label, err)
-					}
-					if res.Measure != want.Measure || res.MaxSharing != want.MaxSharing || res.Replayed != want.Replayed {
-						t.Fatalf("%s/RunArena: Measure %+v sharing %d replayed %v, oracle %+v %d %v", label,
-							res.Measure, res.MaxSharing, res.Replayed, want.Measure, want.MaxSharing, want.Replayed)
-					}
-					if res.BytesMoved != src.pg.BytesMoved() {
-						t.Fatalf("%s/RunArena: BytesMoved %d, program reports %d", label, res.BytesMoved, src.pg.BytesMoved())
-					}
-					sameBuffers(t, want.Buffers, res.Buffers)
+				if err != nil {
+					t.Fatalf("%s/RunArena: %v", label, err)
 				}
+				if res.Measure != want.Measure || res.MaxSharing != want.MaxSharing || res.Replayed != want.Replayed {
+					t.Fatalf("%s/RunArena: Measure %+v sharing %d replayed %v, oracle %+v %d %v", label,
+						res.Measure, res.MaxSharing, res.Replayed, want.Measure, want.MaxSharing, want.Replayed)
+				}
+				if res.BytesMoved != src.pg.BytesMoved() {
+					t.Fatalf("%s/RunArena: BytesMoved %d, program reports %d", label, res.BytesMoved, src.pg.BytesMoved())
+				}
+				sameBuffers(t, want.Buffers, res.Buffers)
 				if !want.Replayed {
 					return
 				}
 				for i := range dst {
 					dst[i] = -1
 				}
-				err = src.pg.ReplayInto(arena, dst, m.opt)
-				if refuse {
-					wantForwardRefusal(t, label+"/ReplayInto", err)
-					return
-				}
-				if err != nil {
+				if err := src.pg.ReplayInto(arena, dst, m.opt); err != nil {
 					t.Fatalf("%s/ReplayInto: %v", label, err)
 				}
 				sameIDs(t, label+"/ReplayInto", wantIDs, dst)
 			}()
 		}
-	}
-}
-
-func wantForwardRefusal(t *testing.T, label string, err error) {
-	t.Helper()
-	if err == nil {
-		t.Fatalf("%s: parallel replay accepted an intra-step forward", label)
-	}
-	if !strings.Contains(err.Error(), "forwards") || !strings.Contains(err.Error(), "Options.Serial") {
-		t.Fatalf("%s: error %q should name the forward and the serial remedy", label, err)
 	}
 }
 
@@ -426,8 +402,8 @@ func TestCompiledDifferentialWorkerCounts(t *testing.T) {
 }
 
 // forwardMixedRow is the first schedule TestIntraStepForwardingVerdicts
-// checks: node 0's log move carries B[0,2] and B[0,1], and node 1's last
-// hop forwards B[0,2] in the same step together with B[1,2].
+// checks: node 0's move carries B[0,2] and B[0,1], and node 1 forwards
+// B[0,2] in the same step together with B[1,2].
 func forwardMixedRow() wallRow {
 	b01, b02, b12 := block.Block{Origin: 0, Dest: 1}, block.Block{Origin: 0, Dest: 2}, block.Block{Origin: 1, Dest: 2}
 	mixed := &schedule.Schedule{
@@ -442,25 +418,22 @@ func forwardMixedRow() wallRow {
 			}},
 		}},
 	}
-	return wallRow{name: "forward-mixed", sc: mixed, traffic: []block.Block{b01, b02, b12}, serialOnly: true}
+	return wallRow{name: "forward-mixed", sc: mixed, traffic: []block.Block{b01, b02, b12}}
 }
 
 // TestIntraStepForwardingVerdicts pins the verdicts on schedules where
 // a transfer forwards a block delivered earlier in the same step: node
 // 0 sends B[0,2] to node 1, and node 1 forwards it to node 2 within one
-// step. Serial interleaved semantics (and the oracle) accept them; the
-// one-barrier parallel replay cannot express them, so its parallel
-// modes must refuse — from a verdict precomputed by Compile and carried
-// through the codec — without poisoning later serial replays. In both,
-// node 1's forward is a last-hop transfer reading a log slot node 0's
-// log move wrote earlier in the step, which the delivery pass reads
-// only after the last step. In the second, node 0's move also carries
-// B[0,1], delivered from node 1's insert window, and node 1's last hop
-// also carries B[1,2], read from its initial contents.
+// step. A step is a synchronous round, in which a block that arrives
+// leaves no earlier than the next step, so Compile rejects both, whole
+// and streamed one step per batch, with one error naming the phase,
+// step, node and block. The oracle, a serial walk that moves each
+// transfer before the next, accepts them and delivers every block; that
+// divergence is deliberate, as no builder emits such a schedule and the
+// replay engines need not execute one.
 func TestIntraStepForwardingVerdicts(t *testing.T) {
-	checkRow(t, forwardMixedRow(), defaultWidths)
 	b02 := block.Block{Origin: 0, Dest: 2}
-	sc := &schedule.Schedule{
+	single := wallRow{name: "forward", traffic: []block.Block{b02}, sc: &schedule.Schedule{
 		Fabric: topology.MustNew(4),
 		Phases: []schedule.Phase{{
 			Name: "p",
@@ -471,8 +444,24 @@ func TestIntraStepForwardingVerdicts(t *testing.T) {
 				},
 			}},
 		}},
+	}}
+	const want = `exec: phase "p" step 0: node 1 forwards B[0,2] within the step that delivered it`
+	for _, r := range []wallRow{forwardMixedRow(), single} {
+		t.Run(r.name, func(t *testing.T) {
+			if _, err := oracleRun(r.sc, r.traffic); err != nil {
+				t.Fatalf("oracle: %v", err)
+			}
+			opt := exec.Options{Traffic: r.traffic}
+			if _, err := exec.Compile(r.sc, opt); err == nil || err.Error() != want {
+				t.Fatalf("Compile: error %v, want %q", err, want)
+			}
+			restore := exec.StreamOneStep()
+			defer restore()
+			if _, err := exec.CompileStream(r.sc.Fabric, cloneSchedule(r.sc).Emit, opt); err == nil || err.Error() != want {
+				t.Fatalf("CompileStream: error %v, want %q", err, want)
+			}
+		})
 	}
-	checkRow(t, wallRow{name: "forward", sc: sc, traffic: []block.Block{b02}, serialOnly: true}, defaultWidths)
 }
 
 // structuralRejects are schedules that break the one-port model or
@@ -505,8 +494,8 @@ func structuralRejects() []struct {
 	}
 }
 
-// formatLimitRejects are schedules Compile rejects, whatever
-// SkipChecks says, because the program format cannot hold them: more
+// formatLimitRejects are schedules Compile rejects because the program
+// format cannot hold them: more
 // than 255 route legs, a leg of more than 65,535 hops or on a dimension
 // above 255, or a block count above 2^32-1. Each is one transfer on a
 // 4x4 torus whose route ends where it starts.
@@ -532,10 +521,9 @@ func formatLimitRejects() []struct {
 
 // TestCompiledDifferentialRejects: one-port and contention violations
 // are rejected by the oracle and by Compile with the same error (both
-// reuse the schedule package's error types and check order), and
-// SkipChecks lets the same structural schedules through on both. A
-// schedule past the program format's limits fails Compile, with and
-// without SkipChecks, naming the transfer.
+// reuse the schedule package's error types and check order). A
+// schedule past the program format's limits fails Compile, naming the
+// transfer.
 func TestCompiledDifferentialRejects(t *testing.T) {
 	tor := topology.MustNew(4, 4)
 	for _, tc := range formatLimitRejects() {
@@ -546,29 +534,21 @@ func TestCompiledDifferentialRejects(t *testing.T) {
 			sc := &schedule.Schedule{Fabric: tor, Phases: []schedule.Phase{{
 				Name: "limit", Steps: []schedule.Step{{Transfers: []schedule.Transfer{tc.tr}}},
 			}}}
-			for _, skip := range []bool{false, true} {
-				_, err := exec.Compile(sc, exec.Options{SkipChecks: skip})
-				if err == nil || !strings.Contains(err.Error(), "program format") || !strings.Contains(err.Error(), tc.tr.String()) {
-					t.Fatalf("SkipChecks=%v: Compile err = %v, want a program format error naming %v", skip, err, tc.tr)
-				}
+			_, err := exec.Compile(sc, exec.Options{})
+			if err == nil || !strings.Contains(err.Error(), "program format") || !strings.Contains(err.Error(), tc.tr.String()) {
+				t.Fatalf("Compile err = %v, want a program format error naming %v", err, tc.tr)
 			}
 		})
 	}
 	for _, tc := range structuralRejects() {
 		t.Run(tc.name, func(t *testing.T) {
-			_, refErr := oracleRun(tc.sc, nil, false)
+			_, refErr := oracleRun(tc.sc, nil)
 			_, cErr := exec.Compile(tc.sc, exec.Options{})
 			if refErr == nil || cErr == nil {
 				t.Fatalf("accepted: oracle=%v compiled=%v", refErr, cErr)
 			}
 			if refErr.Error() != cErr.Error() {
 				t.Errorf("error mismatch:\noracle:   %v\ncompiled: %v", refErr, cErr)
-			}
-			if _, err := oracleRun(tc.sc, nil, true); err != nil {
-				t.Errorf("SkipChecks oracle: %v", err)
-			}
-			if _, err := exec.Compile(tc.sc, exec.Options{SkipChecks: true}); err != nil {
-				t.Errorf("SkipChecks compile: %v", err)
 			}
 		})
 	}
@@ -621,7 +601,7 @@ func TestDifferentialRejectsSameSchedules(t *testing.T) {
 		{"payload-id-negative", hopIDs(1, -1), []block.Block{b0}, true},
 		{"payload-id-n2", hopIDs(1, int32(n*n)), []block.Block{b0}, true},
 	} {
-		_, refErr := oracleRun(tc.sc, tc.traffic, false)
+		_, refErr := oracleRun(tc.sc, tc.traffic)
 		_, cErr := exec.Compile(tc.sc, exec.Options{Traffic: tc.traffic})
 		if refErr == nil || cErr == nil {
 			t.Fatalf("%s accepted: oracle=%v compiled=%v", tc.name, refErr, cErr)

@@ -36,9 +36,6 @@ type Options struct {
 	// matrix (every node sends one block to every node, itself
 	// included), which is what the four exchange algorithms carry.
 	Traffic []block.Block
-	// SkipChecks disables the per-step one-port and contention
-	// validation (for schedules already checked by their builder).
-	SkipChecks bool
 	// Serial replays a compiled program's log moves in schedule order
 	// and then its delivery pass, all on the calling goroutine. The
 	// default (false) is the parallel replay: a step whose log moves
@@ -46,11 +43,11 @@ type Options struct {
 	// set from a measured crossover) is sharded by sender over a
 	// par.Workers()-wide pool with one barrier after it, a delivery pass
 	// of at least as many elements is sharded by node, and everything
-	// smaller runs inline on the caller, in order. The parallel replay
-	// rejects schedules that forward a block within the step that
-	// delivered it, whether or not anything fans out. Both modes are
-	// differentially tested to deliver identical matrices. Replay only:
-	// Compile ignores it.
+	// smaller runs inline on the caller, in order. Both modes accept
+	// every compiled program, since Compile rejects a block forwarded
+	// within the step that delivered it, and both are differentially
+	// tested to deliver identical matrices. Replay only: Compile ignores
+	// it.
 	Serial bool
 	// Workers overrides the fan-out width of the parallel replay's big
 	// steps and delivery pass (0 = runtime.GOMAXPROCS). Ignored when

@@ -156,10 +156,6 @@ func TestRunContentionPolicy(t *testing.T) {
 	if _, err := exec.Run(twoWormStep(tor, false), exec.Options{}); err == nil {
 		t.Fatal("overlapping worms without Shared should be rejected")
 	}
-	// ...unless checks are explicitly skipped...
-	if _, err := exec.Run(twoWormStep(tor, false), exec.Options{SkipChecks: true}); err != nil {
-		t.Fatalf("SkipChecks run: %v", err)
-	}
 	// ...while a declared Shared step passes and is priced by its
 	// serialization factor: two worms on one link double the step's
 	// transmission charge.

@@ -139,11 +139,7 @@ func EncodeWithPlanEdit(p *Program, optFP uint64, edit func(moves []MoveRec, del
 	if !p.fullTraffic {
 		numTraffic = len(p.trafficIDs)
 	}
-	errLen := -1
-	if p.parallelErr != nil {
-		errLen = len(p.parallelErr.Error())
-	}
-	lay := layoutCore(len(p.fab.Fingerprint()), len(p.steps), errLen, p.replay, p.n, numTraffic, len(p.moves), len(p.descBacking))
+	lay := layoutCore(len(p.fab.Fingerprint()), len(p.steps), p.replay, p.n, numTraffic, len(p.moves), len(p.descBacking))
 	recs := make([]MoveRec, len(p.moves))
 	for i, m := range p.moves {
 		recs[i] = MoveRec{m.src, m.payLen, m.descOff, m.descLen, m.insPos}

@@ -19,7 +19,7 @@ import (
 // transmit what it holds; delivery is verified by internal/oracle.
 // traffic nil means the full all-to-all matrix. The oracle emits no
 // telemetry.
-func oracleRun(sc *schedule.Schedule, traffic []block.Block, skipChecks bool) (*exec.Result, error) {
+func oracleRun(sc *schedule.Schedule, traffic []block.Block) (*exec.Result, error) {
 	if sc == nil || sc.Fabric == nil {
 		return nil, fmt.Errorf("exec: nil schedule")
 	}
@@ -72,17 +72,15 @@ func oracleRun(sc *schedule.Schedule, traffic []block.Block, skipChecks bool) (*
 		}
 		// (1) Validity: one-port always; link-disjointness unless the
 		// step declares link time-sharing.
-		if !skipChecks {
-			var err error
-			if s.Shared {
-				err = schedule.CheckStepOnePort(p.Name, si, s)
-			} else {
-				err = schedule.CheckStep(f, p.Name, si, s)
-			}
-			if err != nil {
-				firstErr = err
-				return
-			}
+		var err error
+		if s.Shared {
+			err = schedule.CheckStepOnePort(p.Name, si, s)
+		} else {
+			err = schedule.CheckStep(f, p.Name, si, s)
+		}
+		if err != nil {
+			firstErr = err
+			return
 		}
 		// (2) Cost: a step lasts as long as its largest message,
 		// serialized by the worst per-link sharing when links are

@@ -73,12 +73,6 @@ type Program struct {
 	trafficIDs []int32 // declared traffic as dense ids, in matrix order
 	perDest    []int32 // blocks each node must finally hold
 
-	// parallelErr, when non-nil, records that the schedule forwards a
-	// block within the step that delivered it (serial semantics accept
-	// this; the one-barrier parallel replay cannot execute it). The
-	// parallel replay path returns it verbatim.
-	parallelErr error
-
 	// fullTraffic records that the program was compiled against the
 	// implicit all-to-all matrix (Options.Traffic nil); neither the
 	// program nor its file keeps an id table then, and arenas write the
@@ -491,10 +485,9 @@ func (p *Program) Run(opt Options) (*Result, error) {
 // ids into a node-sized arena scratch and, right after checking that
 // each is addressed to its node, writes the node's blocks into the
 // arena's reused Result.Buffers. Options.Serial and Options.Workers
-// choose the replay path; Options.Traffic and Options.SkipChecks were
-// compiled in and are ignored here. A warm arena allocates only the
-// Result; the arena's first run also carves the delivery buffers from
-// one backing.
+// choose the replay path; Options.Traffic was compiled in and is
+// ignored here. A warm arena allocates only the Result; the arena's
+// first run also carves the delivery buffers from one backing.
 func (p *Program) RunArena(a *Arena, opt Options) (*Result, error) {
 	if a == nil || a.prog != p {
 		return nil, fmt.Errorf("exec: arena does not belong to this program, or was released")
@@ -552,17 +545,12 @@ var fanOutElems = 1 << 18
 // (conflict-free by the sender shard) and writes an insert window no
 // other move of its step reads or writes (checkPlan), so one barrier
 // per step suffices — and so is a delivery pass of at least fanOutElems
-// elements, by node; smaller work runs inline.
-// Intra-step forwarders were flagged at compile time and are refused
-// whenever Serial is false, fanned-out step or not. No per-run reset:
-// every slot's contents are identical run over run.
+// elements, by node; smaller work runs inline. No per-run reset: every
+// slot's contents are identical run over run.
 func (a *Arena) replay(opt Options, dst []int32, out []*block.Buffer) error {
 	p := a.prog
 	var buckets [][][]int
 	if !opt.Serial {
-		if err := p.parallelErr; err != nil {
-			return err
-		}
 		buckets = a.stepBuckets(opt.Workers)
 	}
 	for si := range p.steps {

@@ -38,7 +38,7 @@ func TestRecycledLogParallelDifferential(t *testing.T) {
 				}
 				recycled++
 				t.Run(name, func(t *testing.T) {
-					want, err := oracleRun(r.sc, r.traffic, false)
+					want, err := oracleRun(r.sc, r.traffic)
 					if err != nil {
 						t.Fatalf("oracle: %v", err)
 					}

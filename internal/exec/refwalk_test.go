@@ -15,8 +15,7 @@ import (
 // moved, self-transfers, and blocks forwarded within the step that
 // delivered them, in payloads listed in and out of arrival order. Each
 // row compiles whole and streamed one step per batch to the same
-// outcome, and its error, or its parallel replay's verdict, is the text
-// pinned here.
+// error, the text pinned here.
 func TestReferenceWalkDifferential(t *testing.T) {
 	pos := topology.Pos
 	const n = 8
@@ -41,9 +40,8 @@ func TestReferenceWalkDifferential(t *testing.T) {
 		)
 	}
 	for _, tc := range []struct {
-		row      wallRow
-		err      string // the compile's error
-		parallel string // the parallel replay's verdict on a compiled program
+		row wallRow
+		err string // the compile's error
 	}{
 		{
 			row: ringRow("adjacent-duplicate", n, traffic, []schedule.Transfer{hop(blk(1, 1), blk(1, 2), blk(1, 2), blk(1, 3))}),
@@ -70,29 +68,20 @@ func TestReferenceWalkDifferential(t *testing.T) {
 			err: `exec: phase "self-duplicate" step 0: node 1 transmits B[1,1] it does not hold`,
 		},
 		{
-			row:      fwd("forward-in-order", blk(1, 2), blk(0, 2), blk(0, 3)),
-			parallel: `exec: phase "forward-in-order" step 0: node 1 forwards B[0,2] within the step that delivered it; the one-barrier parallel replay cannot execute this schedule (run with Options.Serial)`,
+			row: fwd("forward-in-order", blk(1, 2), blk(0, 2), blk(0, 3)),
+			err: `exec: phase "forward-in-order" step 0: node 1 forwards B[0,2] within the step that delivered it`,
 		},
 		{
-			row:      fwd("forward-out-of-order", blk(0, 3), blk(1, 2), blk(0, 2)),
-			parallel: `exec: phase "forward-out-of-order" step 0: node 1 forwards B[0,2] within the step that delivered it; the one-barrier parallel replay cannot execute this schedule (run with Options.Serial)`,
+			row: fwd("forward-out-of-order", blk(0, 3), blk(1, 2), blk(0, 2)),
+			err: `exec: phase "forward-out-of-order" step 0: node 1 forwards B[0,2] within the step that delivered it`,
 		},
 	} {
 		r := tc.row
 		t.Run(r.name, func(t *testing.T) {
 			opt := exec.Options{Traffic: r.traffic}
 			whole := compiledOf(t, func() (*exec.Program, error) { return exec.Compile(r.sc, opt) })
-			if whole.err != tc.err || whole.parallel != tc.parallel {
-				t.Fatalf("Compile: error %q, parallel verdict %q; want %q, %q", whole.err, whole.parallel, tc.err, tc.parallel)
-			}
-			if tc.err == "" {
-				pg, err := exec.Compile(r.sc, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := pg.Run(exec.Options{Serial: true}); err != nil {
-					t.Fatalf("serial replay: %v", err)
-				}
+			if whole.err != tc.err {
+				t.Fatalf("Compile: error %q, want %q", whole.err, tc.err)
 			}
 			restore := exec.StreamOneStep()
 			defer restore()

@@ -113,7 +113,7 @@ func TestStampPlannerDifferential(t *testing.T) {
 			checkRow(t, r, defaultWidths)
 			opt := exec.Options{Traffic: r.traffic}
 			checkStreamRow(t, wholeRow(r.name, r.sc, opt))
-			want, err := oracleRun(r.sc, r.traffic, false)
+			want, err := oracleRun(r.sc, r.traffic)
 			if err != nil {
 				t.Fatalf("oracle: %v", err)
 			}

@@ -124,7 +124,7 @@ func TestCompiledDifferentialTelemetry(t *testing.T) {
 				continue // shape precondition
 			}
 			t.Run(alg+"/"+tor.String(), func(t *testing.T) {
-				ref, err := oracleRun(sc, nil, false)
+				ref, err := oracleRun(sc, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

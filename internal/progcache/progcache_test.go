@@ -117,9 +117,6 @@ func TestFingerprint(t *testing.T) {
 	if fp := progcache.Fingerprint(exec.Options{}); fp != 0 {
 		t.Errorf("zero options fingerprint = %#x, want 0", fp)
 	}
-	if fp := progcache.Fingerprint(exec.Options{SkipChecks: true}); fp != 1 {
-		t.Errorf("SkipChecks fingerprint = %#x, want 1", fp)
-	}
 	// Runtime-only options never split the cache.
 	if fp := progcache.Fingerprint(exec.Options{Serial: true, Workers: 7}); fp != 0 {
 		t.Errorf("runtime options fingerprint = %#x, want 0", fp)
