@@ -38,3 +38,27 @@ func TestAllToAll32x32MemoryHit(t *testing.T) {
 		t.Fatalf("second AllToAll on 32x32 took %v, want under 50ms", took)
 	}
 }
+
+// TestScheduleForAtScale: ScheduleFor builds and checks the proposed
+// schedule at 65,536 nodes (16^4) and on the 100x96 torus, and the
+// checked schedule costs what Table 1's closed form predicts. Run
+// with:
+//
+//	go test -tags bigshapes -run TestScheduleForAtScale .
+func TestScheduleForAtScale(t *testing.T) {
+	for _, dims := range [][]int{{16, 16, 16, 16}, {100, 96}} {
+		tor, err := NewTorus(dims...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc, err := ScheduleFor(tor)
+		if err != nil {
+			t.Fatalf("%v: %v", dims, err)
+		}
+		want := Predict(dims...)
+		if sc.NumSteps() != want.Steps || sc.SumMaxBlocks() != want.Blocks || sc.SumMaxHops() != want.Hops {
+			t.Fatalf("%v: schedule costs %d/%d/%d, want %d/%d/%d", dims,
+				sc.NumSteps(), sc.SumMaxBlocks(), sc.SumMaxHops(), want.Steps, want.Blocks, want.Hops)
+		}
+	}
+}

@@ -86,9 +86,13 @@ func AllGather(t *Torus) (*CollectiveReport, error) {
 // nodes, leaving the full reduced vector everywhere, and returns the
 // result vector (identical at every node) with the cost report: the
 // ring reduce-scatter followed by an allgather of the reduced slots,
-// whose cost is the "allgather" program's.
+// whose costs are the cached "reducescatter" and "allgather" programs'.
 func AllReduce(t *Torus, contrib [][]uint64) ([]uint64, *CollectiveReport, error) {
 	rs, err := collective.ReduceScatter(t, contrib)
+	if err != nil {
+		return nil, nil, err
+	}
+	scatter, err := replayProgram("reducescatter", t)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -101,8 +105,9 @@ func AllReduce(t *Torus, contrib [][]uint64) ([]uint64, *CollectiveReport, error
 	for j := range vals {
 		vals[j] = rs.Values[j][0]
 	}
-	rep.Measure.Steps += rs.Measure.Steps
-	rep.Measure.Blocks += rs.Measure.Blocks
-	rep.Measure.Hops += rs.Measure.Hops
+	m := scatter.Measure()
+	rep.Measure.Steps += m.Steps
+	rep.Measure.Blocks += m.Blocks
+	rep.Measure.Hops += m.Hops
 	return vals, rep, nil
 }

@@ -200,6 +200,9 @@ func init() {
 		return collective.BroadcastSchedule(t, 0)
 	}))
 	registerTorus("allgather", whole(collective.AllGatherSchedule))
+	// The ring reduce-scatter, a−1 distance-1 steps per dimension:
+	// torusx.AllReduce's cost is this program's plus allgather's.
+	registerTorus("reducescatter", whole(collective.ReduceScatterSchedule))
 	// The Swing allreduce: swung-distance recursive halving per
 	// dimension, power-of-two tori only.
 	registerTorus("swing", whole(collective.SwingSchedule))

@@ -8,6 +8,7 @@ import (
 
 	"torusx/internal/algorithm"
 	"torusx/internal/exec"
+	"torusx/internal/oracle"
 	"torusx/internal/topology"
 )
 
@@ -16,7 +17,7 @@ func TestForAndNames(t *testing.T) {
 	if !sort.StringsAreSorted(names) {
 		t.Fatalf("Names() not sorted: %v", names)
 	}
-	want := []string{"allgather", "broadcast", "dimexchange", "direct", "factored", "logtime", "proposed", "proposed-sim", "ring", "swing"}
+	want := []string{"allgather", "broadcast", "dimexchange", "direct", "factored", "logtime", "proposed", "proposed-sim", "reducescatter", "ring", "swing"}
 	if !reflect.DeepEqual(names, want) {
 		t.Fatalf("Names() = %v, want %v", names, want)
 	}
@@ -37,7 +38,7 @@ func TestForAndNames(t *testing.T) {
 func TestEveryBuilderChecksAndExecutes(t *testing.T) {
 	// The acceptance bar of the universal-IR refactor, now per fabric:
 	// every registered algorithm supporting a fabric emits a schedule
-	// that passes schedule.Check() and runs through the shared executor.
+	// that passes oracle.Check and runs through the shared executor.
 	// 8x8 satisfies every torus builder's preconditions (multiple-of-four
 	// for proposed, power-of-two for logtime and swing); D3(2,3) covers
 	// both dragonfly builders.
@@ -62,7 +63,7 @@ func TestEveryBuilderChecksAndExecutes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s on %s: BuildSchedule: %v", name, f.Fingerprint(), err)
 			}
-			if err := sc.Check(); err != nil {
+			if err := oracle.Check(sc); err != nil {
 				t.Fatalf("%s on %s: Check: %v", name, f.Fingerprint(), err)
 			}
 			res, err := exec.Run(sc, exec.Options{})

@@ -7,6 +7,7 @@ import (
 	"torusx/internal/algorithm"
 	"torusx/internal/exec"
 	"torusx/internal/topology"
+	"torusx/internal/traffic"
 )
 
 func builderFor(t *testing.T, name string) algorithm.Builder {
@@ -104,7 +105,7 @@ func TestBuildProgramDistinctOptionsDistinctPrograms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := algorithm.BuildProgram(b, tor, exec.Options{Traffic: exec.FullTraffic(tor)})
+	p2, err := algorithm.BuildProgram(b, tor, exec.Options{Traffic: traffic.Full(tor.Nodes()).Blocks()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,13 +47,13 @@ func TestDirectMeasure(t *testing.T) {
 	// Every step sends single blocks (MaxBlocks = 1), but the
 	// simultaneous worms of an id-shift overlap on the ring links, so
 	// the executor charges each step its link-sharing serialization
-	// factor. The per-step factor equals Step.SharingFactor; their sum
+	// factor. The per-step factor equals oracle.SharingFactor; their sum
 	// is the closed form for Blocks. (Before the shared executor this
 	// contention was not modelled and Blocks was the step count, 63.)
 	wantBlocks := 0
 	sc := DirectSchedule(tor)
 	sc.EachStep(func(_ *schedule.Phase, _ int, st *schedule.Step) {
-		wantBlocks += st.MaxBlocks() * st.SharingFactor(tor)
+		wantBlocks += st.MaxBlocks() * oracle.SharingFactor(tor, st)
 	})
 	if res.Measure.Blocks != wantBlocks {
 		t.Fatalf("blocks = %d, want sum of sharing factors %d", res.Measure.Blocks, wantBlocks)

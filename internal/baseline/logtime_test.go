@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"torusx/internal/costmodel"
+	"torusx/internal/oracle"
 	"torusx/internal/schedule"
 	"torusx/internal/topology"
 )
@@ -87,7 +88,7 @@ func TestLogTimeHasLinkContention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Schedule.Check(); err != nil {
+	if err := oracle.Check(res.Schedule); err != nil {
 		t.Fatalf("shared steps should pass the one-port check: %v", err)
 	}
 	contended, maxSharing := 0, 1
@@ -96,10 +97,10 @@ func TestLogTimeHasLinkContention(t *testing.T) {
 			return
 		}
 		contended++
-		if err := schedule.CheckStep(tor, p.Name, si, st); err == nil {
+		if err := oracle.CheckStep(tor, p.Name, si, st); err == nil {
 			t.Fatalf("%s step %d: declared Shared but is link-disjoint", p.Name, si)
 		}
-		if f := st.SharingFactor(tor); f > maxSharing {
+		if f := oracle.SharingFactor(tor, st); f > maxSharing {
 			maxSharing = f
 		}
 	})

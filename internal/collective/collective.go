@@ -13,11 +13,14 @@
 //     flight (reduce.go, swing.go).
 //
 // The replication builders check that every node ends with every
-// block it should hold, and emit structural schedules that the
-// algorithm registry (internal/algorithm) compiles and measures
-// through the shared executor. The personalized siblings, Scatter and
-// Gather, are sparse cases of the exchange itself and run through
-// torusx's sparse path.
+// block it should hold, and the reductions that every node ends with
+// exactly its reduced slots. All of them emit structural schedules and
+// none checks or measures a step: the algorithm registry
+// (internal/algorithm) compiles each one, as the "broadcast",
+// "allgather", "reducescatter" and "swing" cells, and exec.Compile
+// checks every step and derives the cost. The personalized siblings,
+// Scatter and Gather, are sparse cases of the exchange itself and run
+// through torusx's sparse path.
 package collective
 
 import (

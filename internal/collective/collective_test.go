@@ -5,6 +5,7 @@ import (
 
 	"torusx/internal/costmodel"
 	"torusx/internal/exec"
+	"torusx/internal/oracle"
 	"torusx/internal/schedule"
 	"torusx/internal/topology"
 )
@@ -48,7 +49,7 @@ func TestBroadcastReachesAll(t *testing.T) {
 			if err := VerifyReplication(tor, held, []topology.NodeID{root}); err != nil {
 				t.Fatalf("%v root %d: %v", dims, root, err)
 			}
-			if err := sc.Check(); err != nil {
+			if err := oracle.Check(sc); err != nil {
 				t.Fatalf("%v root %d: %v", dims, root, err)
 			}
 		}
@@ -126,7 +127,7 @@ func TestAllGatherReplicatesEverything(t *testing.T) {
 		if err := VerifyReplication(tor, have, allOrigins(tor)); err != nil {
 			t.Fatalf("%v: %v", dims, err)
 		}
-		if err := sc.Check(); err != nil {
+		if err := oracle.Check(sc); err != nil {
 			t.Fatalf("%v: %v", dims, err)
 		}
 	}

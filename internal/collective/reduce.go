@@ -3,7 +3,6 @@ package collective
 import (
 	"fmt"
 
-	"torusx/internal/costmodel"
 	"torusx/internal/schedule"
 	"torusx/internal/topology"
 )
@@ -28,17 +27,14 @@ type ReduceResult struct {
 	Values [][]uint64
 	// Owner[i] lists which slots Values[i] covers, in order.
 	Owner [][]topology.NodeID
-	// Measure is the cost measurement.
-	Measure costmodel.Measure
 	// Schedule is the structural schedule.
 	Schedule *schedule.Schedule
 }
 
 // ReduceScatter sums, across all nodes, each node's contribution
 // vector contrib[i] (length N, slot j owned by node j); afterwards
-// node i holds the single fully reduced slot i. Its Measure is counted
-// here by hand, step by step, not derived by the shared executor: it
-// is the one collective cost that still bypasses the compiled path.
+// node i holds the single fully reduced slot i. Its cost is the
+// registry's "reducescatter" program's Measure.
 func ReduceScatter(t *topology.Torus, contrib [][]uint64) (*ReduceResult, error) {
 	n := t.Nodes()
 	if len(contrib) != n {
@@ -80,7 +76,6 @@ func ReduceScatter(t *topology.Torus, contrib [][]uint64) (*ReduceResult, error)
 				sums  []uint64
 			}
 			var msgs []msg
-			maxB := 0
 			for i := 0; i < n; i++ {
 				// Send the partials of the chunk whose dim-coordinate is
 				// (own - s) mod size, restricted to slots still held.
@@ -103,9 +98,6 @@ func ReduceScatter(t *topology.Torus, contrib [][]uint64) (*ReduceResult, error)
 					Src: topology.NodeID(i), Dst: topology.NodeID(dst),
 					Dim: dim, Dir: topology.Pos, Hops: 1, Blocks: len(slots),
 				})
-				if len(slots) > maxB {
-					maxB = len(slots)
-				}
 			}
 			for _, m := range msgs {
 				for k, j := range m.slots {
@@ -113,13 +105,7 @@ func ReduceScatter(t *topology.Torus, contrib [][]uint64) (*ReduceResult, error)
 					held[m.dst][j] = true
 				}
 			}
-			if err := schedule.CheckStep(t, ph.Name, s-1, &step); err != nil {
-				return nil, err
-			}
 			ph.Steps = append(ph.Steps, step)
-			res.Measure.Steps++
-			res.Measure.Blocks += maxB
-			res.Measure.Hops++
 		}
 		res.Schedule.Phases = append(res.Schedule.Phases, ph)
 	}
@@ -139,4 +125,28 @@ func ReduceScatter(t *topology.Torus, contrib [][]uint64) (*ReduceResult, error)
 		res.Owner[i] = []topology.NodeID{topology.NodeID(i)}
 	}
 	return res, nil
+}
+
+// ReduceScatterSchedule is the registry adapter: it runs ReduceScatter
+// on a synthetic contribution matrix, exercising every internal
+// invariant check, and returns the structural schedule.
+func ReduceScatterSchedule(t *topology.Torus) (*schedule.Schedule, error) {
+	res, err := ReduceScatter(t, syntheticContrib(t.Nodes()))
+	if err != nil {
+		return nil, err
+	}
+	return res.Schedule, nil
+}
+
+// syntheticContrib is the registry adapters' contribution matrix:
+// every slot of every node distinct.
+func syntheticContrib(n int) [][]uint64 {
+	contrib := make([][]uint64, n)
+	for i := range contrib {
+		contrib[i] = make([]uint64, n)
+		for j := range contrib[i] {
+			contrib[i][j] = uint64(i*n + j + 1)
+		}
+	}
+	return contrib
 }

@@ -112,7 +112,8 @@ func DimExchangeSchedule(d *topology.Dragonfly) (*schedule.Schedule, error) {
 //     block from its landing router to its destination router.
 //
 // Every step is contention-free (each transfer occupies exactly the
-// sender's own out-channel) and one-port compliant by construction;
+// sender's own out-channel) and one-port compliant by construction,
+// which exec.Compile checks when the registry compiles the schedule;
 // the builder replays the block movement while emitting, so every
 // transfer carries its exact payload. Traffic must be duplicate-free
 // and in range.
@@ -137,7 +138,7 @@ func SparseSchedule(d *topology.Dragonfly, traffic []block.Block) (*schedule.Sch
 	// transfer over the route's segments. Selected blocks move before
 	// the next step is formed (synchronous-step semantics: selectors
 	// only look at blocks held when the step began).
-	moveStep := func(name string, stepIdx int, dst func(i int) topology.NodeID, pick func(i int, b block.Block) bool) (schedule.Step, error) {
+	moveStep := func(dst func(i int) topology.NodeID, pick func(i int, b block.Block) bool) schedule.Step {
 		var step schedule.Step
 		type move struct {
 			to      topology.NodeID
@@ -172,16 +173,13 @@ func SparseSchedule(d *topology.Dragonfly, traffic []block.Block) (*schedule.Sch
 		for _, mv := range moves {
 			bufs[mv.to] = append(bufs[mv.to], mv.payload...)
 		}
-		if err := schedule.CheckStep(d, name, stepIdx, &step); err != nil {
-			return step, err
-		}
-		return step, nil
+		return step
 	}
 
 	// Phase 1: local scatter to entry (or destination) routers.
 	scatter := schedule.Phase{Name: "local-scatter"}
 	for o := 1; o < m; o++ {
-		step, err := moveStep(scatter.Name, o-1,
+		scatter.Steps = append(scatter.Steps, moveStep(
 			func(i int) topology.NodeID {
 				g, r := d.Group(topology.NodeID(i)), d.Router(topology.NodeID(i))
 				return d.ID(g, (r+o)%m)
@@ -189,11 +187,7 @@ func SparseSchedule(d *topology.Dragonfly, traffic []block.Block) (*schedule.Sch
 			func(i int, b block.Block) bool {
 				g, r := d.Group(topology.NodeID(i)), d.Router(topology.NodeID(i))
 				return entryRouter(d, g, b.Dest) == (r+o)%m
-			})
-		if err != nil {
-			return nil, err
-		}
-		scatter.Steps = append(scatter.Steps, step)
+			}))
 	}
 	if m > 1 {
 		sc.Phases = append(sc.Phases, scatter)
@@ -203,7 +197,7 @@ func SparseSchedule(d *topology.Dragonfly, traffic []block.Block) (*schedule.Sch
 	global := schedule.Phase{Name: "global"}
 	for kp := 0; kp < k; kp++ {
 		for j := 0; j < k; j++ {
-			step, err := moveStep(global.Name, kp*k+j,
+			global.Steps = append(global.Steps, moveStep(
 				func(i int) topology.NodeID {
 					g, r := d.Group(topology.NodeID(i)), d.Router(topology.NodeID(i))
 					tg := kp*m + r
@@ -215,11 +209,7 @@ func SparseSchedule(d *topology.Dragonfly, traffic []block.Block) (*schedule.Sch
 				func(i int, b block.Block) bool {
 					r := d.Router(topology.NodeID(i))
 					return d.Group(b.Dest) == kp*m+r
-				})
-			if err != nil {
-				return nil, err
-			}
-			global.Steps = append(global.Steps, step)
+				}))
 		}
 	}
 	sc.Phases = append(sc.Phases, global)
@@ -227,7 +217,7 @@ func SparseSchedule(d *topology.Dragonfly, traffic []block.Block) (*schedule.Sch
 	// Phase 3: local delivery within the destination groups.
 	deliver := schedule.Phase{Name: "local-deliver"}
 	for o := 1; o < m; o++ {
-		step, err := moveStep(deliver.Name, o-1,
+		deliver.Steps = append(deliver.Steps, moveStep(
 			func(i int) topology.NodeID {
 				g, r := d.Group(topology.NodeID(i)), d.Router(topology.NodeID(i))
 				return d.ID(g, (r+o)%m)
@@ -235,11 +225,7 @@ func SparseSchedule(d *topology.Dragonfly, traffic []block.Block) (*schedule.Sch
 			func(i int, b block.Block) bool {
 				g, r := d.Group(topology.NodeID(i)), d.Router(topology.NodeID(i))
 				return d.Group(b.Dest) == g && d.Router(b.Dest) == (r+o)%m
-			})
-		if err != nil {
-			return nil, err
-		}
-		deliver.Steps = append(deliver.Steps, step)
+			}))
 	}
 	if m > 1 {
 		sc.Phases = append(sc.Phases, deliver)

@@ -8,6 +8,7 @@ import (
 	"torusx/internal/block"
 	"torusx/internal/dfly"
 	"torusx/internal/exec"
+	"torusx/internal/oracle"
 	"torusx/internal/topology"
 )
 
@@ -22,7 +23,7 @@ func TestDirectSchedule(t *testing.T) {
 	for _, sh := range shapes {
 		d := topology.MustNewDragonfly(sh.k, sh.m)
 		sc := dfly.DirectSchedule(d)
-		if err := sc.Check(); err != nil {
+		if err := oracle.Check(sc); err != nil {
 			t.Fatalf("D3(%d,%d): %v", sh.k, sh.m, err)
 		}
 		if got, want := len(sc.Phases[0].Steps), d.Nodes()-1; got != want {
@@ -42,9 +43,10 @@ func TestDirectSchedule(t *testing.T) {
 }
 
 // TestDimExchangeSchedule: the port-ordered exchange is contention-free
-// (full CheckStep already ran inside the builder), has exactly
-// 2(M−1) + K² steps, and the executor replays and delivery-verifies
-// the complete all-to-all on every shape.
+// (oracle.Check holds every step to the full contention check, and the
+// executor's compile checks it again), has exactly 2(M−1) + K² steps,
+// and the executor replays and delivery-verifies the complete
+// all-to-all on every shape.
 func TestDimExchangeSchedule(t *testing.T) {
 	for _, sh := range shapes {
 		d := topology.MustNewDragonfly(sh.k, sh.m)
@@ -52,7 +54,7 @@ func TestDimExchangeSchedule(t *testing.T) {
 		if err != nil {
 			t.Fatalf("D3(%d,%d): %v", sh.k, sh.m, err)
 		}
-		if err := sc.Check(); err != nil {
+		if err := oracle.Check(sc); err != nil {
 			t.Fatalf("D3(%d,%d): %v", sh.k, sh.m, err)
 		}
 		steps := 0
@@ -97,7 +99,7 @@ func TestSparseSchedule(t *testing.T) {
 			if err != nil {
 				t.Fatalf("D3(%d,%d) trial %d: %v", sh.k, sh.m, trial, err)
 			}
-			if err := sc.Check(); err != nil {
+			if err := oracle.Check(sc); err != nil {
 				t.Fatalf("D3(%d,%d) trial %d: %v", sh.k, sh.m, trial, err)
 			}
 			res, err := exec.Run(sc, exec.Options{Traffic: traffic})

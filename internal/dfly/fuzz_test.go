@@ -6,6 +6,7 @@ import (
 	"torusx/internal/block"
 	"torusx/internal/dfly"
 	"torusx/internal/exec"
+	"torusx/internal/oracle"
 	"torusx/internal/topology"
 )
 
@@ -75,7 +76,7 @@ func FuzzDragonflySparse(f *testing.F) {
 			}
 			return
 		}
-		if err := sc.Check(); err != nil {
+		if err := oracle.Check(sc); err != nil {
 			t.Fatalf("traffic %v on %s: built schedule fails checks: %v", traffic, d, err)
 		}
 		if _, err := exec.Run(sc, exec.Options{Traffic: traffic}); err != nil {

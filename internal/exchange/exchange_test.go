@@ -107,7 +107,7 @@ func TestContentionFreedomAllShapes(t *testing.T) {
 	// schedule end-to-end as an independent pass.
 	for _, dims := range shapes2to5D {
 		res := cachedRun(t, dims)
-		if err := res.Schedule.Check(); err != nil {
+		if err := oracle.Check(res.Schedule); err != nil {
 			t.Fatalf("%v: %v", dims, err)
 		}
 	}

@@ -15,7 +15,7 @@ func TestGenerateNaiveHasContention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = sc.Check()
+	err = oracle.Check(sc)
 	var ce *schedule.ContentionError
 	if !errors.As(err, &ce) {
 		t.Fatalf("naive schedule should have link contention, got %v", err)
@@ -25,7 +25,7 @@ func TestGenerateNaiveHasContention(t *testing.T) {
 	for _, ph := range sc.Phases {
 		if ph.Name == "naive-quad" || ph.Name == "naive-bit" {
 			for si := range ph.Steps {
-				if err := schedule.CheckStep(sc.Fabric, ph.Name, si, &ph.Steps[si]); err != nil {
+				if err := oracle.CheckStep(sc.Fabric, ph.Name, si, &ph.Steps[si]); err != nil {
 					t.Fatalf("%s should be contention-free: %v", ph.Name, err)
 				}
 			}

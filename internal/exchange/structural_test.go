@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"torusx/internal/costmodel"
+	"torusx/internal/oracle"
 	"torusx/internal/schedule"
 	"torusx/internal/topology"
 )
@@ -123,7 +124,7 @@ func TestStructuralRandomShapesProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", dims, err)
 		}
-		if err := sc.Check(); err != nil {
+		if err := oracle.Check(sc); err != nil {
 			t.Fatalf("%v: %v", dims, err)
 		}
 		cf := costmodel.ProposedND(dims)
@@ -152,7 +153,7 @@ func TestStructuralContentionFreeAtScale(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", dims, err)
 		}
-		if err := sc.Check(); err != nil {
+		if err := oracle.Check(sc); err != nil {
 			t.Fatalf("%v: %v", dims, err)
 		}
 	}

@@ -14,6 +14,7 @@ import (
 	"torusx/internal/baseline"
 	"torusx/internal/block"
 	"torusx/internal/exec"
+	"torusx/internal/oracle"
 	"torusx/internal/schedule"
 	"torusx/internal/topology"
 )
@@ -181,7 +182,7 @@ func TestAdoptedPayloadDifferential(t *testing.T) {
 			if ids != tc.ids {
 				t.Fatalf("the round trip's first step carries %d ids, want %d", ids, tc.ids)
 			}
-			if err := sc.Check(); err != nil {
+			if err := oracle.Check(sc); err != nil {
 				t.Fatalf("schedule invalid: %v", err)
 			}
 			want := compiledOf(t, func() (*exec.Program, error) { return exec.Compile(cloneSchedule(sc), exec.Options{}) })

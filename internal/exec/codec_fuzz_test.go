@@ -173,7 +173,7 @@ func corpusSeeds() []corpusSeed {
 			}
 			opt.Traffic = m.Blocks()
 		case "explicit":
-			opt.Traffic = exec.FullTraffic(fab)
+			opt.Traffic = trafficpkg.Full(fab.Nodes()).Blocks()
 		}
 		pg, err := exec.Compile(sc, opt)
 		if err != nil {

@@ -95,7 +95,7 @@ func registryRow(t *testing.T, name, alg string, fab topology.Fabric, gen string
 		return row, true
 	}
 	if gen == "full" {
-		row.traffic = exec.FullTraffic(fab)
+		row.traffic = traffic.Full(fab.Nodes()).Blocks()
 		return row, true
 	}
 	m, err := traffic.ParseSpec(gen, fab.Nodes())
@@ -669,7 +669,7 @@ func rhoRingSchedule(t *testing.T) *schedule.Schedule {
 		}
 	}
 	sc.Phases = append(sc.Phases, ring)
-	if err := sc.Check(); err != nil {
+	if err := oracle.Check(sc); err != nil {
 		t.Fatalf("rho-ring schedule invalid: %v", err)
 	}
 	return sc

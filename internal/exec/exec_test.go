@@ -13,23 +13,50 @@ import (
 	"torusx/internal/exec"
 	"torusx/internal/schedule"
 	"torusx/internal/topology"
+	"torusx/internal/traffic"
 )
 
+// TestFullTraffic: a nil Options.Traffic is the full all-to-all matrix.
+// A program compiled against the explicit matrix delivers exactly what
+// the default program delivers, at the same cost, and only the default
+// records full traffic instead of listing it.
 func TestFullTraffic(t *testing.T) {
 	tor := topology.MustNew(4, 4)
-	traffic := exec.FullTraffic(tor)
-	n := tor.Nodes()
-	if len(traffic) != n*n {
-		t.Fatalf("traffic size = %d, want %d", len(traffic), n*n)
+	sc := baseline.RingSchedule(tor)
+	full := traffic.Full(tor.Nodes()).Blocks()
+	implicit, err := exec.Compile(sc, exec.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	perOrigin := make(map[topology.NodeID]int)
-	for _, b := range traffic {
-		perOrigin[b.Origin]++
+	explicit, err := exec.Compile(sc, exec.Options{Traffic: full})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for id, count := range perOrigin {
-		if count != n {
-			t.Fatalf("origin %d sends %d blocks, want %d", id, count, n)
+	if implicit.Measure() != explicit.Measure() || implicit.BytesMoved() != explicit.BytesMoved() {
+		t.Fatalf("implicit %+v moved %d, explicit %+v moved %d",
+			implicit.Measure(), implicit.BytesMoved(), explicit.Measure(), explicit.BytesMoved())
+	}
+	var got [2][]int32
+	for i, pg := range []*exec.Program{implicit, explicit} {
+		got[i] = make([]int32, pg.DeliverySize())
+		if err := pg.ReplayInto(pg.NewArena(), got[i], exec.Options{}); err != nil {
+			t.Fatal(err)
 		}
+	}
+	sameIDs(t, "explicit full traffic", got[0], got[1])
+	if len(got[0]) != len(full) {
+		t.Fatalf("delivered %d blocks, want %d", len(got[0]), len(full))
+	}
+	a, err := exec.EncodeProgram(implicit, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := exec.EncodeProgram(explicit, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a) >= len(b) {
+		t.Fatalf("implicit file %d bytes, explicit %d: the full matrix was listed", len(a), len(b))
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"torusx/internal/algorithm"
 	"torusx/internal/exchange"
 	"torusx/internal/exec"
+	"torusx/internal/oracle"
 	"torusx/internal/par"
 	"torusx/internal/schedule"
 	"torusx/internal/topology"
@@ -71,7 +72,7 @@ func TestProposedStepInvariantsParallel(t *testing.T) {
 					// link-disjointness, regardless of any Shared
 					// declaration — the proposed schedule must be
 					// contention-free outright.
-					ferr.Report(i, schedule.CheckStep(tor, names[i], indices[i], steps[i]))
+					ferr.Report(i, oracle.CheckStep(tor, names[i], indices[i], steps[i]))
 				}
 			})
 			if err := ferr.Err(); err != nil {
@@ -113,7 +114,7 @@ func TestOnePortHoldsOnSharedStepsParallel(t *testing.T) {
 			var ferr par.FirstError
 			par.ForEach(4, len(steps), func(lo, hi int) {
 				for i := lo; i < hi; i++ {
-					ferr.Report(i, schedule.CheckStepOnePort(names[i], indices[i], steps[i]))
+					ferr.Report(i, oracle.CheckStepOnePort(names[i], indices[i], steps[i]))
 				}
 			})
 			if err := ferr.Err(); err != nil {

@@ -7,11 +7,11 @@ import (
 )
 
 // Process-wide observability of the executor's shared state: the
-// arenas' acquire/release/create traffic and the FullTraffic LRU's
+// arenas' acquire/release/create traffic and the replay and compile
 // counters, exported as pull-based metrics on the default obs
 // registry. Registration happens once at init; the hooks read live
-// atomics (or take the LRU's snapshot lock) only when a dump or
-// scrape asks, so the replay paths stay untouched.
+// atomics only when a dump or scrape asks, so the replay paths stay
+// untouched.
 
 // arenaAcquires and arenaReleases count AcquireArena/ReleaseArena
 // calls across every program in the process; a widening gap means
@@ -48,9 +48,4 @@ func init() {
 	reg.CounterFunc("exec.replay.desc_runs", replayDescRuns.Load)
 	reg.CounterFunc("exec.replay.bytes_moved", replayBytesMoved.Load)
 	reg.CounterFunc("exec.compile.desc_programs", compileDescPrograms.Load)
-	reg.CounterFunc("exec.fulltraffic.hits", func() int64 { return FullTrafficCacheStats().Hits })
-	reg.CounterFunc("exec.fulltraffic.misses", func() int64 { return FullTrafficCacheStats().Misses })
-	reg.CounterFunc("exec.fulltraffic.evictions", func() int64 { return FullTrafficCacheStats().Evictions })
-	reg.GaugeFunc("exec.fulltraffic.entries", func() float64 { return float64(FullTrafficCacheStats().Entries) })
-	reg.GaugeFunc("exec.fulltraffic.bytes", func() float64 { return float64(FullTrafficCacheStats().Bytes) })
 }

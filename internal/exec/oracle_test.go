@@ -7,12 +7,13 @@ import (
 	"torusx/internal/exec"
 	"torusx/internal/oracle"
 	"torusx/internal/schedule"
+	trafficpkg "torusx/internal/traffic"
 )
 
 // oracleRun is the differential wall's reference: a deliberately naive
 // serial executor that shares nothing with Compile's lowering or the
 // descriptor replay. Steps are walked strictly in order and checked
-// through the schedule package's own one-port and contention checks;
+// through internal/oracle's own one-port and contention checks;
 // the cost terms come from the schedule's own accessors; blocks move
 // between per-node block.Buffers, membership tested against the
 // buffers themselves (TakeIf extraction counts), so a node can only
@@ -41,7 +42,7 @@ func oracleRun(sc *schedule.Schedule, traffic []block.Block) (*exec.Result, erro
 	var bufs []*oracle.Buffer
 	if replay {
 		if traffic == nil {
-			traffic = exec.FullTraffic(f)
+			traffic = trafficpkg.Full(f.Nodes()).Blocks()
 		}
 		n := f.Nodes()
 		perOrigin := make([]int, n)
@@ -74,9 +75,9 @@ func oracleRun(sc *schedule.Schedule, traffic []block.Block) (*exec.Result, erro
 		// step declares link time-sharing.
 		var err error
 		if s.Shared {
-			err = schedule.CheckStepOnePort(p.Name, si, s)
+			err = oracle.CheckStepOnePort(p.Name, si, s)
 		} else {
-			err = schedule.CheckStep(f, p.Name, si, s)
+			err = oracle.CheckStep(f, p.Name, si, s)
 		}
 		if err != nil {
 			firstErr = err
@@ -87,7 +88,7 @@ func oracleRun(sc *schedule.Schedule, traffic []block.Block) (*exec.Result, erro
 		// time-shared.
 		sharing := 1
 		if s.Shared {
-			sharing = s.SharingFactor(f)
+			sharing = oracle.SharingFactor(f, s)
 			if sharing > res.MaxSharing {
 				res.MaxSharing = sharing
 			}

@@ -5,6 +5,7 @@ import (
 
 	"torusx/internal/block"
 	"torusx/internal/exec"
+	"torusx/internal/oracle"
 	"torusx/internal/schedule"
 	"torusx/internal/topology"
 )
@@ -107,7 +108,7 @@ func TestStampPlannerDifferential(t *testing.T) {
 	for _, r := range stampPlannerRows(t) {
 		r := r
 		t.Run(r.name, func(t *testing.T) {
-			if err := r.sc.Check(); err != nil {
+			if err := oracle.Check(r.sc); err != nil {
 				t.Fatalf("schedule invalid: %v", err)
 			}
 			checkRow(t, r, defaultWidths)

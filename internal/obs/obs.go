@@ -95,7 +95,7 @@ func NewRegistry() *Registry {
 }
 
 // defaultRegistry is the process-wide registry every subsystem
-// (progcache, exec's arenas and FullTraffic LRU, the cmd tools)
+// (progcache, exec's arenas and replay counters, the cmd tools)
 // registers into.
 var defaultRegistry = NewRegistry()
 

@@ -498,7 +498,7 @@ func (ex *executor) execStep(phase string, index int, assign func(i int) (plan.M
 		buf.InsertAt(pos, d.blocks)
 	}
 	if ex.opt.CheckSteps {
-		if err := schedule.CheckStep(ex.t, phase, index, &step); err != nil {
+		if err := CheckStep(ex.t, phase, index, &step); err != nil {
 			return step, err
 		}
 	}

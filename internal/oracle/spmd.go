@@ -20,7 +20,7 @@ import (
 // real torus machine would have. Intermediate nodes do not participate
 // in forwarding because wormhole routing moves flits through router
 // hardware without involving the processors; link-level contention is
-// a schedule property already validated by schedule.Check.
+// a schedule property already validated by Check.
 //
 // It demonstrates that the published schedule is executable under
 // asynchronous message passing with bounded channel capacity and no

@@ -122,9 +122,10 @@ func (tr Transfer) String() string {
 }
 
 // Step is one communication step. A step is either contention-free
-// (the default, enforced by Check) or declared Shared, meaning its
-// transfers may time-share physical links and the step's transmission
-// time is serialized by SharingFactor.
+// (the default, enforced by exec.Compile) or declared Shared, meaning
+// its transfers may time-share physical links and the step's
+// transmission time is serialized by its sharing factor: the most
+// transfers that cross any one contention domain.
 type Step struct {
 	Transfers []Transfer
 	// Shared declares that transfers in this step are allowed to
@@ -156,26 +157,6 @@ func (s *Step) MaxHops() int {
 		}
 	}
 	return h
-}
-
-// SharingFactor returns the largest number of transfers in the step
-// that traverse any single contention domain — the wormhole
-// serialization factor of the step (1 when the step is link-disjoint).
-// On fabrics where every link is its own domain (torus, dragonfly)
-// this is per-link sharing.
-func (s *Step) SharingFactor(f topology.Fabric) int {
-	use := make(map[int]int)
-	max := 1
-	for _, tr := range s.Transfers {
-		for _, l := range tr.PathLinks(f) {
-			d := f.ContentionDomain(f.LinkID(l))
-			use[d]++
-			if use[d] > max {
-				max = use[d]
-			}
-		}
-	}
-	return max
 }
 
 // TotalBlocks sums the block counts of all transfers in the step.
@@ -363,71 +344,4 @@ type OnePortError struct {
 func (e *OnePortError) Error() string {
 	return fmt.Sprintf("schedule: one-port violation in phase %q step %d: node %d %ss twice ([%v] and [%v])",
 		e.Phase, e.Step, e.Node, e.Role, e.A, e.B)
-}
-
-// CheckStepOnePort validates the one-port model for a single step: no
-// node sends or receives more than one message. It returns the first
-// violation found, or nil.
-func CheckStepOnePort(phase string, stepIndex int, s *Step) error {
-	senders := make(map[topology.NodeID]Transfer)
-	receivers := make(map[topology.NodeID]Transfer)
-	for _, tr := range s.Transfers {
-		if prev, dup := senders[tr.Src]; dup {
-			return &OnePortError{Phase: phase, Step: stepIndex, Node: tr.Src, Role: "send", A: prev, B: tr}
-		}
-		senders[tr.Src] = tr
-		if prev, dup := receivers[tr.Dst]; dup {
-			return &OnePortError{Phase: phase, Step: stepIndex, Node: tr.Dst, Role: "receive", A: prev, B: tr}
-		}
-		receivers[tr.Dst] = tr
-	}
-	return nil
-}
-
-// CheckStep validates contention-freedom and the one-port model for a
-// single step, ignoring the step's Shared declaration. It returns the
-// first violation found, or nil. Contention is checked per contention
-// domain, which on the torus and the dragonfly is per link.
-func CheckStep(f topology.Fabric, phase string, stepIndex int, s *Step) error {
-	if err := CheckStepOnePort(phase, stepIndex, s); err != nil {
-		return err
-	}
-	type claim struct {
-		l  topology.Link
-		tr Transfer
-	}
-	domains := make(map[int]claim)
-	for _, tr := range s.Transfers {
-		for _, l := range tr.PathLinks(f) {
-			d := f.ContentionDomain(f.LinkID(l))
-			if prev, dup := domains[d]; dup {
-				return &ContentionError{Phase: phase, Step: stepIndex, Link: l, A: prev.tr, B: tr}
-			}
-			domains[d] = claim{l: l, tr: tr}
-		}
-	}
-	return nil
-}
-
-// Check validates every step of the schedule, returning the first
-// violation found, or nil. Steps declared Shared are held to the
-// one-port model only (their link time-sharing is priced, not
-// forbidden); all other steps must additionally be link-disjoint.
-func (sc *Schedule) Check() error {
-	var firstErr error
-	sc.EachStep(func(p *Phase, si int, s *Step) {
-		if firstErr != nil {
-			return
-		}
-		var err error
-		if s.Shared {
-			err = CheckStepOnePort(p.Name, si, s)
-		} else {
-			err = CheckStep(sc.Fabric, p.Name, si, s)
-		}
-		if err != nil {
-			firstErr = err
-		}
-	})
-	return firstErr
 }

@@ -6,6 +6,7 @@ import (
 	"torusx/internal/baseline"
 	"torusx/internal/block"
 	"torusx/internal/exec"
+	"torusx/internal/oracle"
 	"torusx/internal/topology"
 )
 
@@ -80,7 +81,7 @@ func FuzzTorusSparseTraffic(f *testing.F) {
 		if err != nil {
 			t.Fatalf("%s on %s: prune rejected: %v", m, tor, err)
 		}
-		if err := pruned.Check(); err != nil {
+		if err := oracle.Check(pruned); err != nil {
 			t.Fatalf("%s on %s: pruned schedule fails checks: %v", m, tor, err)
 		}
 		res, err := exec.Run(pruned, exec.Options{Traffic: m.Blocks()})

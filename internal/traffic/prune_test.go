@@ -7,6 +7,7 @@ import (
 	"torusx/internal/baseline"
 	"torusx/internal/block"
 	"torusx/internal/exec"
+	"torusx/internal/oracle"
 	"torusx/internal/schedule"
 	"torusx/internal/topology"
 )
@@ -20,7 +21,7 @@ func pruneAndReplay(t *testing.T, sc *schedule.Schedule, m Matrix) *exec.Program
 	if err != nil {
 		t.Fatalf("prune: %v", err)
 	}
-	if err := pruned.Check(); err != nil {
+	if err := oracle.Check(pruned); err != nil {
 		t.Fatalf("pruned schedule fails validity checks: %v", err)
 	}
 	pg, err := exec.Compile(pruned, exec.Options{Traffic: m.Blocks()})

@@ -213,7 +213,7 @@ func TestCompareMatchesClosedForms(t *testing.T) {
 
 func TestCompareAllRouteThroughExecutor(t *testing.T) {
 	// Every registered exchange algorithm must emit a schedule the
-	// shared executor accepts — including schedule.Check() on the
+	// shared executor accepts — including its step checks on the
 	// emitted IR — and Algorithms lists them all.
 	algs := Algorithms()
 	if len(algs) < 6 {
