@@ -341,7 +341,7 @@ func compareBaseline(w io.Writer, path string, ledger *benchfmt.File, toleranceP
 	if err != nil {
 		return fmt.Errorf("baseline %s: %v", path, err)
 	}
-	deltas, regressed := benchfmt.Compare(base, ledger, tolerancePct)
+	deltas, ungated, regressed := benchfmt.Compare(base, ledger, tolerancePct)
 	if len(deltas) == 0 {
 		return fmt.Errorf("baseline %s: no overlapping cells to compare", path)
 	}
@@ -357,6 +357,12 @@ func compareBaseline(w io.Writer, path string, ledger *benchfmt.File, toleranceP
 		fmt.Fprintf(w, "%-24s %14.0f %+13.1f%% %12d %+11.1f%% %12d %+11.1f%%%s\n",
 			d.Key, d.New.NsPerOp, d.NsDeltaPct, d.New.AllocsPerOp, d.AllocsDeltaPct,
 			d.New.BytesMoved, d.BytesDeltaPct, mark)
+	}
+	if len(ungated) > 0 {
+		fmt.Fprintf(w, "\nungated (no row in %s):\n", path)
+		for _, k := range ungated {
+			fmt.Fprintf(w, "  %s\n", k)
+		}
 	}
 	if regressed {
 		return fmt.Errorf("allocs/op or bytes moved regressed beyond %.0f%% tolerance in: %s",

@@ -14,13 +14,13 @@ var builders = []struct {
 	name  string
 	build func(*topology.Torus) (*schedule.Schedule, error)
 	// maxMiB pins the bytes one build allocates at 16x16: the measured
-	// 9.24, 2.22, 2.22 and 5.54 MiB (linux/amd64) plus 25%.
+	// 9.24, 1.21, 1.21 and 4.48 MiB (linux/amd64) plus 25%.
 	maxMiB float64
 }{
 	{"direct", func(t *topology.Torus) (*schedule.Schedule, error) { return DirectSchedule(t), nil }, 11.6},
-	{"factored", FactoredSchedule, 2.8},
-	{"logtime", LogTimeSchedule, 2.8},
-	{"ring", func(t *topology.Torus) (*schedule.Schedule, error) { return RingSchedule(t), nil }, 6.9},
+	{"factored", FactoredSchedule, 1.52},
+	{"logtime", LogTimeSchedule, 1.52},
+	{"ring", func(t *topology.Torus) (*schedule.Schedule, error) { return RingSchedule(t), nil }, 5.61},
 }
 
 var schedSink *schedule.Schedule

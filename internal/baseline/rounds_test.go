@@ -143,10 +143,11 @@ func refDirect(t *topology.Torus) *schedule.Schedule {
 // TestRoundEngineMatchesReference holds the dense round engine behind
 // ring, factored and logtime to the TakeIf reference, transfer for
 // transfer and block for block, on square, rectangular, cubic and
-// virtual-node (size-1 dimension) tori. LogTime must reject exactly the
+// virtual-node (size-1 dimension) tori, a ring, and odd and mixed sizes
+// with a size-1 dimension between others. LogTime must reject exactly the
 // shapes the reference rejects.
 func TestRoundEngineMatchesReference(t *testing.T) {
-	shapes := [][]int{{4, 4}, {8, 8}, {16, 16}, {12, 8}, {6, 10}, {4, 4, 4}, {2, 2, 2}, {1, 8}, {8, 1}}
+	shapes := [][]int{{4, 4}, {8, 8}, {16, 16}, {12, 8}, {6, 10}, {4, 4, 4}, {2, 2, 2}, {1, 8}, {8, 1}, {9}, {3, 5, 2}, {2, 1, 6}, {4, 1, 4}, {4, 2, 8}}
 	cells := []struct {
 		name       string
 		build, ref func(*topology.Torus) (*schedule.Schedule, error)

@@ -330,13 +330,16 @@ type Delta struct {
 // reported but never gated (they are host-dependent). Cells absent
 // from the baseline, or whose baseline predates the bytes_moved
 // column, are not gated on the missing figure — a new algorithm,
-// shape or column is not a regression.
-func Compare(old, cur *File, tolerancePct float64) (deltas []Delta, regressed bool) {
+// shape or column is not a regression. Compare returns the keys of the
+// cells absent from the baseline, in cur's entry order, as ungated, so
+// that a caller names them rather than skipping them silently.
+func Compare(old, cur *File, tolerancePct float64) (deltas []Delta, ungated []string, regressed bool) {
 	oldBy := old.ByKey()
 	for i := range cur.Entries {
 		e := &cur.Entries[i]
 		o, ok := oldBy[e.Key()]
 		if !ok {
+			ungated = append(ungated, e.Key())
 			continue
 		}
 		d := Delta{Key: e.Key(), Old: o, New: e,
@@ -355,7 +358,7 @@ func Compare(old, cur *File, tolerancePct float64) (deltas []Delta, regressed bo
 		}
 		deltas = append(deltas, d)
 	}
-	return deltas, regressed
+	return deltas, ungated, regressed
 }
 
 func pctDelta(old, cur float64) float64 {

@@ -2,6 +2,7 @@ package benchfmt
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -154,9 +155,9 @@ func TestCompare(t *testing.T) {
 	cur.Entries[0].NsPerOp = 617.25 // -50%
 	// Within slack: +10 allocs on a 1-alloc baseline stays under 1*1.25+16.
 	cur.Entries[1].AllocsPerOp = 11
-	deltas, regressed := Compare(old, cur, 25)
-	if regressed {
-		t.Fatalf("unexpected regression: %+v", deltas)
+	deltas, ungated, regressed := Compare(old, cur, 25)
+	if regressed || len(ungated) != 0 {
+		t.Fatalf("unexpected regression or ungated cells: %+v %v", deltas, ungated)
 	}
 	if len(deltas) != 2 {
 		t.Fatalf("got %d deltas, want 2", len(deltas))
@@ -171,7 +172,7 @@ func TestCompare(t *testing.T) {
 	// Beyond tolerance + slack: regression.
 	cur = valid()
 	cur.Entries[0].AllocsPerOp = 100 // baseline 10: limit 10*1.25+16 = 28.5
-	deltas, regressed = Compare(old, cur, 25)
+	deltas, _, regressed = Compare(old, cur, 25)
 	if !regressed || !deltas[0].Regressed {
 		t.Fatalf("alloc regression not flagged: %+v", deltas)
 	}
@@ -179,11 +180,19 @@ func TestCompare(t *testing.T) {
 		t.Fatalf("unchanged cell flagged: %+v", deltas[1])
 	}
 
-	// Cells missing from the baseline are skipped, not regressions.
+	// Cells missing from the baseline are skipped, not regressions,
+	// and named as ungated in the current ledger's order, whatever
+	// their alloc count.
 	cur = valid()
 	cur.Entries[0].Alg = "brand-new"
-	deltas, regressed = Compare(old, cur, 25)
+	extra := cur.Entries[1]
+	extra.Alg, extra.AllocsPerOp = "reducescatter", 1000
+	cur.Entries = append(cur.Entries, extra)
+	deltas, ungated, regressed = Compare(old, cur, 25)
 	if regressed || len(deltas) != 1 {
 		t.Fatalf("new cell mishandled: regressed=%v deltas=%+v", regressed, deltas)
+	}
+	if want := []string{cur.Entries[0].Key(), extra.Key()}; !reflect.DeepEqual(ungated, want) {
+		t.Fatalf("ungated %v, want %v", ungated, want)
 	}
 }

@@ -62,6 +62,29 @@ func FromID(id int32, n int) Block {
 	return Block{Origin: topology.NodeID(o), Dest: topology.NodeID(int(id) - o*n)}
 }
 
+// DestOf returns the destination of dense ids in an n-node exchange
+// (id mod n) by a multiply and a shift in place of a division, for a
+// builder that classifies every block by its destination at each phase
+// boundary. recip = ceil(2^48 / n) gives id*recip >> 48 == id / n for
+// every id in [0, n²) whenever n² ids fit an int32 (n < 46341): with
+// recip*n = 2^48 + e, 0 <= e < n, the excess id*e / (n * 2^48) stays
+// below 1/n because id*e < n³ < 2^48, and id*recip stays below 2^64.
+type DestOf struct {
+	n     int32
+	recip uint64
+}
+
+// NewDestOf returns DestOf for an n-node exchange, n >= 1.
+func NewDestOf(n int) DestOf {
+	return DestOf{n: int32(n), recip: (1<<48 + uint64(n) - 1) / uint64(n)}
+}
+
+// Dest returns the destination node of dense id, which must lie in
+// [0, n²).
+func (d DestOf) Dest(id int32) int32 {
+	return id - int32(uint64(uint32(id))*d.recip>>48)*d.n
+}
+
 // Checksum returns a deterministic payload fingerprint for b, standing
 // in for the m-byte payload of the paper's model. FNV-1a over the two
 // ids.

@@ -1,6 +1,7 @@
 package block
 
 import (
+	"math/rand"
 	"testing"
 
 	"torusx/internal/topology"
@@ -107,5 +108,42 @@ func TestNewBuffersWindows(t *testing.T) {
 	}
 	if bufs[0].Len() != 3 || bufs[0].View()[2] != (Block{Origin: 9, Dest: 9}) {
 		t.Fatalf("Add past the window lost blocks: %v", bufs[0].View())
+	}
+}
+
+// TestDestOfExact holds DestOf to id mod n: every id for n <= 64, and
+// above that, up to the largest n whose n² ids fit an int32, the ids
+// around the multiples of n that can go wrong first, the ends of the
+// range and random ids.
+func TestDestOfExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	ns := []int{1000, 1024, 4096, 8192, 46339, 46340}
+	for n := 1; n <= 64; n++ {
+		ns = append(ns, n)
+	}
+	for _, n := range ns {
+		d := NewDestOf(n)
+		top := int64(n) * int64(n)
+		check := func(id int64) {
+			if got, want := d.Dest(int32(id)), int32(id%int64(n)); got != want {
+				t.Fatalf("n=%d id=%d: Dest %d, want %d", n, id, got, want)
+			}
+		}
+		if n <= 64 {
+			for id := int64(0); id < top; id++ {
+				check(id)
+			}
+			continue
+		}
+		for _, k := range []int64{1, 2, int64(n) / 2, int64(n) - 1} {
+			check(k*int64(n) - 1)
+			check(k * int64(n))
+			check(k*int64(n) + 1)
+		}
+		check(0)
+		check(top - 1)
+		for i := 0; i < 1000; i++ {
+			check(rng.Int63n(top))
+		}
 	}
 }

@@ -163,9 +163,9 @@ func TestSparsePayloadScheduleFuzzCorpus(t *testing.T) {
 }
 
 // TestPayloadScheduleAllocBudget pins the bytes one 16x16 build
-// allocates: the measured 2.57 MiB (linux/amd64) plus 25%.
+// allocates: the measured 2.07 MiB (linux/amd64) plus 25%.
 func TestPayloadScheduleAllocBudget(t *testing.T) {
-	const maxMiB = 3.2
+	const maxMiB = 2.6
 	tor := topology.MustNew(16, 16)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -210,5 +210,30 @@ func BenchmarkProposedSchedule16(b *testing.B) {
 				scheduleSink = sc
 			}
 		})
+	}
+}
+
+// TestSparseScatterAllocatesBlocks pins what a sparse build allocates
+// to O(n + blocks): a root-0 scatter on 64x64 carries 4,095 blocks,
+// and its build, schedule included, must stay under 2 MiB. A builder
+// with a table indexed by block id allocates n² entries (64 MiB here)
+// whatever the block count.
+func TestSparseScatterAllocatesBlocks(t *testing.T) {
+	const maxMiB = 2.0
+	tor := topology.MustNew(64, 64)
+	blocks := make([]block.Block, 0, tor.Nodes()-1)
+	for d := 1; d < tor.Nodes(); d++ {
+		blocks = append(blocks, block.Block{Origin: 0, Dest: topology.NodeID(d)})
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sc, err := SparsePayloadSchedule(tor, blocks)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scheduleSink = sc
+	if got := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); got > maxMiB {
+		t.Fatalf("64x64 scatter allocates %.2f MiB, budget %.2f MiB", got, maxMiB)
 	}
 }

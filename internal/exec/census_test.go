@@ -1,0 +1,35 @@
+package exec_test
+
+import (
+	"testing"
+
+	"torusx/internal/baseline"
+	"torusx/internal/exec"
+	"torusx/internal/topology"
+)
+
+// ringCensus compiles ring on dims and returns its descriptor census
+// and whether its block log recycles dead windows.
+func ringCensus(t *testing.T, dims ...int) (exec.Census, bool) {
+	t.Helper()
+	pg, err := exec.Compile(baseline.RingSchedule(topology.MustNew(dims...)), exec.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := exec.DescriptorCensus(pg)
+	t.Logf("ring@%v recycled=%v: %+v", dims, exec.ReusesWindows(pg), c)
+	return c, exec.ReusesWindows(pg)
+}
+
+// TestRingDescriptorCensus16 pins ring@16x16's descriptors by shape,
+// the census ROADMAP item 13 shrinks the recycled layout from (see
+// EXPERIMENTS.md, "Blocks in flight"). The program file is pinned
+// byte for byte by TestProgramByteManifest; this names what its
+// descriptors are.
+func TestRingDescriptorCensus16(t *testing.T) {
+	got, recycled := ringCensus(t, 16, 16)
+	want := exec.Census{Moves: 33250, MovesCount1: 23335, MovesBlocklen1: 10355, Deliveries: 4096, DeliveriesBlocklen1: 2048}
+	if !recycled || got != want {
+		t.Fatalf("ring@16x16 census %+v (recycled %v), want %+v recycled", got, recycled, want)
+	}
+}

@@ -47,7 +47,9 @@ func cold16(b *testing.B) (*exec.Program, []byte) {
 // <stage>-ms/op (the builder's "plan" on the stream row, overlapping
 // the others); the request is opened and read outside the timer. Both
 // rows report the collections the compiles ran as gc-cycles/op, from
-// runtime/metrics.
+// runtime/metrics, and where getrusage exists the process's CPU time
+// (user and system, every thread) as cpu-ms/op and its minor page
+// faults as minor-faults/op.
 func BenchmarkColdCompile16(b *testing.B) {
 	tor := topology.MustNew(16, 16)
 	stages := []string{obs.StageLower, obs.StageReferenceReplay, obs.StagePlanDescriptors, obs.StageSeal, obs.StagePlan}
@@ -84,6 +86,7 @@ func benchCompile(b *testing.B, alg string, stages []string, compile func(exec.O
 	gc := []metrics.Sample{{Name: "/gc/cycles/total:gc-cycles"}}
 	metrics.Read(gc)
 	gc0 := gc[0].Value.Uint64()
+	cpu0, faults0, haveRusage := rusage()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -107,6 +110,10 @@ func benchCompile(b *testing.B, alg string, stages []string, compile func(exec.O
 		b.ReportMetric(float64(sum[k])/float64(time.Millisecond)/float64(b.N), name+"-ms/op")
 	}
 	b.ReportMetric(float64(gc[0].Value.Uint64()-gc0)/float64(b.N), "gc-cycles/op")
+	if cpu1, faults1, _ := rusage(); haveRusage {
+		b.ReportMetric(float64(cpu1-cpu0)/float64(time.Millisecond)/float64(b.N), "cpu-ms/op")
+		b.ReportMetric(float64(faults1-faults0)/float64(b.N), "minor-faults/op")
+	}
 }
 
 func BenchmarkProgramEncode16(b *testing.B) {

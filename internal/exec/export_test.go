@@ -205,3 +205,35 @@ func DeliverPass(p *Program, a *Arena, dst []int32, untiled bool) error {
 	}
 	return deliver(a.log, dst, nil, 0, p.n)
 }
+
+// Census counts a program's descriptors by shape: its log moves'
+// descriptors, how many of them read one window (count 1) and how many
+// read single blocks (blocklen 1), and its delivery descriptors, with
+// how many of them read single blocks.
+type Census struct {
+	Moves, MovesCount1, MovesBlocklen1 int
+	Deliveries, DeliveriesBlocklen1    int
+}
+
+// DescriptorCensus takes p's census.
+func DescriptorCensus(p *Program) Census {
+	var c Census
+	for _, m := range p.moves {
+		for _, d := range p.descBacking[m.descOff : m.descOff+m.descLen] {
+			c.Moves++
+			if d.count == 1 {
+				c.MovesCount1++
+			}
+			if d.blocklen == 1 {
+				c.MovesBlocklen1++
+			}
+		}
+	}
+	for _, d := range p.descBacking[p.deliverOff[0]:p.deliverOff[p.n]] {
+		c.Deliveries++
+		if d.blocklen == 1 {
+			c.DeliveriesBlocklen1++
+		}
+	}
+	return c
+}
