@@ -149,25 +149,36 @@ func RingSchedule(t *topology.Torus) *schedule.Schedule {
 }
 
 // EmitRing emits RingSchedule's phases and steps into sink.
+//
+// Every node does what node 0 does, translated, so the schedule
+// declares the lattice of period 1 in every dimension.
 func EmitRing(t *topology.Torus, sink schedule.Sink) error {
+	sink.Lattice(1)
 	r := newRounds(t)
 	for dim := 0; dim < t.NDims(); dim++ {
 		size := t.Dim(dim)
 		if size == 1 {
 			continue
 		}
-		send := r.setDim(dim)
+		send, err := r.setDim(dim)
+		if err != nil {
+			return err
+		}
 		for off := range send {
 			send[off] = off > 0
 		}
 		sink.Phase(fmt.Sprintf("ring-dim%d", dim), 0)
 		for s := 1; s < size; s++ {
-			if err := sink.Step(r.step(1, false)); err != nil {
+			st, err := r.step(1, false)
+			if err != nil {
+				return err
+			}
+			if err := sink.Step(st); err != nil {
 				return err
 			}
 		}
 	}
-	return nil
+	return r.settled()
 }
 
 // RingClosedForm returns the analytic measure of Ring on dims:

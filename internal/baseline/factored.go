@@ -46,13 +46,15 @@ func FactoredSchedule(t *topology.Torus) (*schedule.Schedule, error) {
 	return schedule.Collect(t, func(s schedule.Sink) error { return EmitFactored(t, s) })
 }
 
-// EmitFactored emits FactoredSchedule's phases and steps into sink.
+// EmitFactored emits FactoredSchedule's phases and steps into sink,
+// under the lattice of period 1 in every dimension (see EmitRing).
 func EmitFactored(t *topology.Torus, sink schedule.Sink) error {
 	for d := 0; d < t.NDims(); d++ {
 		if t.Dim(d) < 1 {
 			return fmt.Errorf("baseline: bad dimension %d", t.Dim(d))
 		}
 	}
+	sink.Lattice(1)
 	n := t.Nodes()
 	r := newRounds(t)
 	for dim := 0; dim < t.NDims(); dim++ {
@@ -60,7 +62,10 @@ func EmitFactored(t *topology.Torus, sink schedule.Sink) error {
 		if size == 1 {
 			continue
 		}
-		send := r.setDim(dim)
+		send, err := r.setDim(dim)
+		if err != nil {
+			return err
+		}
 		sink.Phase(fmt.Sprintf("factored-dim%d", dim), n)
 		place := 1
 		for _, f := range primeFactors(size) {
@@ -69,7 +74,11 @@ func EmitFactored(t *topology.Torus, sink schedule.Sink) error {
 					send[off] = (off/place)%f == v
 				}
 				dist := v * place
-				if st := r.step(dist, dist > 1); len(st.Transfers) > 0 {
+				st, err := r.step(dist, dist > 1)
+				if err != nil {
+					return err
+				}
+				if len(st.Transfers) > 0 {
 					if err := sink.Step(st); err != nil {
 						return err
 					}
@@ -78,7 +87,7 @@ func EmitFactored(t *topology.Torus, sink schedule.Sink) error {
 			place *= f
 		}
 	}
-	return nil
+	return r.settled()
 }
 
 // FactoredSteps returns the startup count of Factored on dims:

@@ -44,17 +44,22 @@ func LogTimeSchedule(t *topology.Torus) (*schedule.Schedule, error) {
 	return schedule.Collect(t, func(s schedule.Sink) error { return EmitLogTime(t, s) })
 }
 
-// EmitLogTime emits LogTimeSchedule's phases and steps into sink.
+// EmitLogTime emits LogTimeSchedule's phases and steps into sink,
+// under the lattice of period 1 in every dimension (see EmitRing).
 func EmitLogTime(t *topology.Torus, sink schedule.Sink) error {
 	for d := 0; d < t.NDims(); d++ {
 		if !isPow2(t.Dim(d)) {
 			return fmt.Errorf("baseline: logtime requires power-of-two dimensions, got %s", t)
 		}
 	}
+	sink.Lattice(1)
 	n := t.Nodes()
 	rs := newRounds(t)
 	for dim := 0; dim < t.NDims(); dim++ {
-		send := rs.setDim(dim)
+		send, err := rs.setDim(dim)
+		if err != nil {
+			return err
+		}
 		sink.Phase(fmt.Sprintf("logtime-dim%d", dim), n)
 		for r := 1; r < t.Dim(dim); r <<= 1 {
 			// The Bruck criterion: send every block whose remaining ring
@@ -62,12 +67,16 @@ func EmitLogTime(t *topology.Torus, sink schedule.Sink) error {
 			for off := range send {
 				send[off] = off&r != 0
 			}
-			if st := rs.step(r, r > 1); len(st.Transfers) > 0 {
+			st, err := rs.step(r, r > 1)
+			if err != nil {
+				return err
+			}
+			if len(st.Transfers) > 0 {
 				if err := sink.Step(st); err != nil {
 					return err
 				}
 			}
 		}
 	}
-	return nil
+	return rs.settled()
 }

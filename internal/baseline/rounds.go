@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"errors"
 	"slices"
 
 	"torusx/internal/schedule"
@@ -11,8 +12,11 @@ import (
 // baselines (Ring, Factored, LogTime). Each of their rounds moves, from
 // every node to the node dist ahead along one dimension, the blocks
 // whose remaining ring offset along that dimension passes a fixed digit
-// rule. The builder fills send[off] for every offset. send[0] is false,
-// so a block at its coordinate never moves again in the phase.
+// rule. The builder fills send[off] for every offset. send[0] must be
+// false, so a block at its coordinate never moves again in the phase: a
+// round whose table sends it returns errSendsSettled, and a phase that
+// ends with blocks in flight errInFlight, so a builder's bad table is an
+// error its emitter returns, never a panic.
 //
 // The rounds follow oracle.Buffer.TakeIf followed by Add, the semantics
 // the builders were written against: a round keeps each node's unsent
@@ -89,12 +93,26 @@ func newRounds(t *topology.Torus) *rounds {
 	return r
 }
 
+var (
+	errInFlight     = errors.New("baseline: a phase of rounds ended with blocks in flight")
+	errSendsSettled = errors.New("baseline: a round sends blocks at their coordinate")
+)
+
+// settled returns errInFlight unless the phase along the current
+// dimension has settled every block.
+func (r *rounds) settled() error {
+	if len(r.segs) > 0 {
+		return errInFlight
+	}
+	return nil
+}
+
 // setDim points the engine's rounds at dimension dim, after the phase
 // along the previous dimension has settled every block, and returns
 // its send table, one entry per ring offset, for the builder to fill.
-func (r *rounds) setDim(dim int) []bool {
-	if len(r.segs) > 0 {
-		panic("baseline: a phase of rounds ended with blocks in flight")
+func (r *rounds) setDim(dim int) ([]bool, error) {
+	if err := r.settled(); err != nil {
+		return nil, err
 	}
 	if r.held != nil {
 		r.rows, r.nrows, r.held = r.held, r.nrows*r.size, nil
@@ -106,7 +124,7 @@ func (r *rounds) setDim(dim int) []bool {
 	}
 	r.send = make([]bool, r.size)
 	if r.size == 1 {
-		return r.send
+		return r.send, nil
 	}
 	for v := range r.coord {
 		r.coord[v] = int32(v / r.stride % r.size)
@@ -123,7 +141,7 @@ func (r *rounds) setDim(dim int) []bool {
 			r.settle(v, r.rowsOf(v, 0))
 		}
 	}
-	return r.send
+	return r.send, nil
 }
 
 // rowsOf returns the rows node v holds in a segment of shift shift: the
@@ -159,10 +177,10 @@ func (r *rounds) settle(v int, rows []int32) {
 // (0 < dist < size). It returns the round as a step — Transfers nil
 // when no node sends — and leaves the segments as they are after the
 // round.
-func (r *rounds) step(dist int, shared bool) schedule.Step {
+func (r *rounds) step(dist int, shared bool) (schedule.Step, error) {
 	n, size := r.n, r.size
 	if r.send[0] {
-		panic("baseline: a round sends blocks at their coordinate")
+		return schedule.Step{}, errSendsSettled
 	}
 	// Split every segment into its kept and sent offsets. The sent ones
 	// arrive dist closer, and the one at offset dist, now 0, settles.
@@ -193,7 +211,7 @@ func (r *rounds) step(dist int, shared bool) schedule.Step {
 	}
 	st := schedule.Step{Shared: shared}
 	if m == 0 {
-		return st
+		return st, nil
 	}
 
 	payload := make([]int32, n*m)
@@ -234,7 +252,7 @@ func (r *rounds) step(dist int, shared bool) schedule.Step {
 		}
 	}
 	r.segs = append(kept, arrived...)
-	return st
+	return st, nil
 }
 
 // rotated appends to dst each of the ascending offsets offs moved on by

@@ -165,6 +165,12 @@ func TestRoundEngineMatchesReference(t *testing.T) {
 				if (err != nil) != (refErr != nil) {
 					t.Fatalf("builder error %v, reference error %v", err, refErr)
 				}
+				if want != nil {
+					// Every node does what node 0 does: the builders
+					// declare the lattice of period 1, which the
+					// reference does not record.
+					want.Lattice = 1
+				}
 				if !reflect.DeepEqual(got, want) {
 					t.Fatal("schedule differs from the TakeIf reference")
 				}
@@ -181,5 +187,39 @@ func TestDirectScheduleMatchesReference(t *testing.T) {
 		if !reflect.DeepEqual(DirectSchedule(tor), refDirect(tor)) {
 			t.Fatalf("%s: schedule differs from the append-built reference", tor)
 		}
+	}
+}
+
+// TestRoundEngineBadTables: a send table that sends blocks at their
+// coordinate, and a phase that ends with blocks in flight, are errors
+// the engine returns — through the emitters, from EmitSchedule — never
+// panics.
+func TestRoundEngineBadTables(t *testing.T) {
+	tor := topology.MustNew(4, 4)
+	r := newRounds(tor)
+	send, err := r.setDim(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for off := range send {
+		send[off] = true
+	}
+	if _, err := r.step(1, false); err != errSendsSettled {
+		t.Fatalf("send[0] set: err = %v, want %v", err, errSendsSettled)
+	}
+
+	r = newRounds(tor)
+	if send, err = r.setDim(0); err != nil {
+		t.Fatal(err)
+	}
+	send[2] = true // offsets 1 and 3 never move
+	if _, err := r.step(2, true); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.setDim(1); err != errInFlight {
+		t.Fatalf("next phase after blocks left in flight: err = %v, want %v", err, errInFlight)
+	}
+	if err := r.settled(); err != errInFlight {
+		t.Fatalf("last phase with blocks in flight: err = %v, want %v", err, errInFlight)
 	}
 }

@@ -68,11 +68,14 @@ func PayloadSchedule(t *topology.Torus) (*schedule.Schedule, error) {
 }
 
 // EmitPayload emits PayloadSchedule's phases and steps into sink, each
-// step as soon as it is built.
+// step as soon as it is built. The paper proves one node group
+// contention-free and carries the proof to every node by (r+c) mod 4:
+// the schedule declares the lattice of period 4 in every dimension.
 func EmitPayload(t *topology.Torus, sink schedule.Sink) error {
 	if err := t.ValidateForExchange(); err != nil {
 		return err
 	}
+	sink.Lattice(topology.GroupStride)
 	n := t.Nodes()
 	off := make([]int32, n+1)
 	for v := range off {

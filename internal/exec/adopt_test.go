@@ -25,7 +25,7 @@ import (
 // them out: streaming the copy compiles what streaming sc would, and
 // may rewrite the copy's ids, never sc's.
 func cloneSchedule(sc *schedule.Schedule) *schedule.Schedule {
-	out := &schedule.Schedule{Fabric: sc.Fabric, Phases: make([]schedule.Phase, len(sc.Phases))}
+	out := &schedule.Schedule{Fabric: sc.Fabric, Lattice: sc.Lattice, Phases: make([]schedule.Phase, len(sc.Phases))}
 	for pi, ph := range sc.Phases {
 		steps := make([]schedule.Step, len(ph.Steps))
 		for si, s := range ph.Steps {

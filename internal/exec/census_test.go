@@ -23,12 +23,13 @@ func ringCensus(t *testing.T, dims ...int) (exec.Census, bool) {
 
 // TestRingDescriptorCensus16 pins ring@16x16's descriptors by shape,
 // the census ROADMAP item 13 shrinks the recycled layout from (see
-// EXPERIMENTS.md, "Blocks in flight"). The program file is pinned
-// byte for byte by TestProgramByteManifest; this names what its
+// EXPERIMENTS.md, "Blocks in flight" and "Compile a node class once"):
+// under relative order, compiled as one node class. The program file is
+// pinned byte for byte by TestProgramByteManifest; this names what its
 // descriptors are.
 func TestRingDescriptorCensus16(t *testing.T) {
 	got, recycled := ringCensus(t, 16, 16)
-	want := exec.Census{Moves: 33250, MovesCount1: 23335, MovesBlocklen1: 10355, Deliveries: 4096, DeliveriesBlocklen1: 2048}
+	want := exec.Census{Moves: 22016, MovesCount1: 11264, MovesBlocklen1: 9472, Deliveries: 4096, DeliveriesBlocklen1: 2048, Classes: 1}
 	if !recycled || got != want {
 		t.Fatalf("ring@16x16 census %+v (recycled %v), want %+v recycled", got, recycled, want)
 	}

@@ -45,7 +45,9 @@ import (
 //
 // Format v7, all integers little-endian, 4-byte aligned:
 //
-//	magic "TXPG" | u16 version | u8 flags | u8 reserved | u64 optFP
+//	magic "TXPG" | u16 version | u8 flags | u8 period | u64 optFP
+//	  flags: 1 replay, 2 full traffic, 8 relative order (4 is retired);
+//	  period: the lattice period of relative order, else reserved (0)
 //	u64 digest (the schedule digest, see digest.go)
 //	u32 fileLen
 //	u32 len + fabric fingerprint string, padded to 4
@@ -87,10 +89,15 @@ const CodecVersion = 7
 
 const codecMagic = "TXPG"
 
+// flagRelative marks a full-traffic torus program whose initial blocks
+// lie in relative order (classes.go) under the lattice whose period
+// header byte 7 holds. It leaves the layout as it is, so a file without
+// it reads as it always did.
 const (
 	flagReplay      = 1 << 0
 	flagFullTraffic = 1 << 1
-	flagKnown       = flagReplay | flagFullTraffic
+	flagRelative    = 1 << 3
+	flagKnown       = flagReplay | flagFullTraffic | flagRelative
 )
 
 // maxDecodeBlocks bounds the dense block-id space (n*n) a decoder will
@@ -225,6 +232,9 @@ func (p *Program) newCore(numMoves, numDesc int) (coreLayout, error) {
 		flags |= flagReplay
 		if p.fullTraffic {
 			flags |= flagFullTraffic
+			if p.period > 0 {
+				flags |= flagRelative
+			}
 		} else {
 			numTraffic = len(p.trafficIDs)
 		}
@@ -236,7 +246,7 @@ func (p *Program) newCore(numMoves, numDesc int) (coreLayout, error) {
 	b := make([]byte, l.end)
 	copy(b, codecMagic)
 	binary.LittleEndian.PutUint16(b[4:], CodecVersion)
-	b[6] = flags
+	b[6], b[7] = flags, byte(p.period)
 	binary.LittleEndian.PutUint64(b[16:], p.digest)
 	putU32(b, 24, uint32(l.end))
 	putU32(b, 28, uint32(len(fp)))
@@ -466,6 +476,13 @@ func newProgram(core []byte, f topology.Fabric, compiled bool) (*Program, error)
 	if fullTraffic && !replay || numTraffic != 0 && (!replay || fullTraffic) || numPayload != 0 && !replay {
 		return nil, fmt.Errorf("inconsistent traffic flags")
 	}
+	period := 0
+	if flags&flagRelative != 0 {
+		period = int(core[7])
+		if _, ok := validLattice(f, period); !ok || !fullTraffic {
+			return nil, fmt.Errorf("relative order of period %d on a program that is not a full-traffic torus program of that lattice", period)
+		}
+	}
 	if numPayload < 0 {
 		return nil, fmt.Errorf("payload count %d invalid", numPayload)
 	}
@@ -474,6 +491,7 @@ func newProgram(core []byte, f topology.Fabric, compiled bool) (*Program, error)
 		fab: f, n: n, numBlocks: n * n,
 		replay:      replay,
 		fullTraffic: fullTraffic,
+		period:      period,
 		maxSharing:  maxSharing,
 		numPayload:  numPayload,
 		numPhases:   numPhases,

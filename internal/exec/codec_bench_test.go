@@ -49,7 +49,8 @@ func cold16(b *testing.B) (*exec.Program, []byte) {
 // rows report the collections the compiles ran as gc-cycles/op, from
 // runtime/metrics, and where getrusage exists the process's CPU time
 // (user and system, every thread) as cpu-ms/op and its minor page
-// faults as minor-faults/op.
+// faults as minor-faults/op, and both the node classes the program was
+// compiled with as classes/op (see exec.ReplayStats.Classes).
 func BenchmarkColdCompile16(b *testing.B) {
 	tor := topology.MustNew(16, 16)
 	stages := []string{obs.StageLower, obs.StageReferenceReplay, obs.StagePlanDescriptors, obs.StageSeal, obs.StagePlan}
@@ -63,39 +64,41 @@ func BenchmarkColdCompile16(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			benchCompile(b, alg, stages[:4], func(opt exec.Options) error {
-				_, err := exec.Compile(sc, opt)
-				return err
+			benchCompile(b, alg, stages[:4], func(opt exec.Options) (*exec.Program, error) {
+				return exec.Compile(sc, opt)
 			})
 		})
 		b.Run(alg+"/stream", func(b *testing.B) {
 			emit := func(s schedule.Sink) error { return bld.EmitSchedule(tor, s) }
-			benchCompile(b, alg, stages, func(opt exec.Options) error {
-				_, err := exec.CompileStream(tor, emit, opt)
-				return err
+			benchCompile(b, alg, stages, func(opt exec.Options) (*exec.Program, error) {
+				return exec.CompileStream(tor, emit, opt)
 			})
 		})
 	}
 }
 
 // benchCompile times compile b.N times, each with a fresh request, and
-// reports the request's stages named in stages and the collections run.
-func benchCompile(b *testing.B, alg string, stages []string, compile func(exec.Options) error) {
+// reports the request's stages named in stages, the collections run and
+// the program's node classes.
+func benchCompile(b *testing.B, alg string, stages []string, compile func(exec.Options) (*exec.Program, error)) {
 	reg := obs.NewRegistry()
 	sum := make([]time.Duration, len(stages))
 	gc := []metrics.Sample{{Name: "/gc/cycles/total:gc-cycles"}}
 	metrics.Read(gc)
 	gc0 := gc[0].Value.Uint64()
 	cpu0, faults0, haveRusage := rusage()
+	classes := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		req := reg.StartRequest(alg)
 		b.StartTimer()
-		if err := compile(exec.Options{Request: req}); err != nil {
+		pg, err := compile(exec.Options{Request: req})
+		if err != nil {
 			b.Fatal(err)
 		}
+		classes = pg.Stats().Classes
 		b.StopTimer()
 		for _, st := range req.Stages() {
 			if k := slices.Index(stages, st.Name); k >= 0 {
@@ -110,6 +113,7 @@ func benchCompile(b *testing.B, alg string, stages []string, compile func(exec.O
 		b.ReportMetric(float64(sum[k])/float64(time.Millisecond)/float64(b.N), name+"-ms/op")
 	}
 	b.ReportMetric(float64(gc[0].Value.Uint64()-gc0)/float64(b.N), "gc-cycles/op")
+	b.ReportMetric(float64(classes), "classes/op")
 	if cpu1, faults1, _ := rusage(); haveRusage {
 		b.ReportMetric(float64(cpu1-cpu0)/float64(time.Millisecond)/float64(b.N), "cpu-ms/op")
 		b.ReportMetric(float64(faults1-faults0)/float64(b.N), "minor-faults/op")

@@ -208,6 +208,11 @@ func corpusSeeds() []corpusSeed {
 		}
 	}
 	return append(seeds,
+		// Ring lays every node's initial blocks out in relative order
+		// (flag bit 3), as every program of a declared lattice does.
+		corpusSeed{"FuzzProgramDecode", "relative_order_ring4x4", true, func(t *testing.T) []byte {
+			return encode(t, program(t, tor, "ring", ""))
+		}},
 		// A decoded program may report any phase count its step headers
 		// fall below; it sizes nothing.
 		corpusSeed{"FuzzProgramDecode", "phase_count_past_cold_section", true, func(t *testing.T) []byte {

@@ -260,6 +260,35 @@ func TestProgramDecodeRejects(t *testing.T) {
 		if _, err := exec.DecodeProgram(reseal(func(b []byte) { b[6] |= 1 << 2 }), tor, 1); err == nil || !strings.Contains(err.Error(), "unknown flags 0x4") {
 			t.Fatalf("retired flag bit 2: err = %v, want unknown flags", err)
 		}
+		// Relative order (flag bit 3) is a full-traffic torus layout: on
+		// a sparse-traffic file or a dragonfly file it is rejected.
+		for _, c := range []struct {
+			name, alg, spec string
+			fab             topology.Fabric
+		}{
+			{"sparse", "proposed-sim", "uniform:p=0.25,seed=1", tor},
+			{"dragonfly", "direct", "", topology.MustNewDragonfly(2, 3)},
+		} {
+			row, ok := registryRow(t, c.name, c.alg, c.fab, c.spec)
+			if !ok {
+				t.Fatalf("%s: builder rejected the shape", c.name)
+			}
+			pg, err := exec.Compile(row.sc, exec.Options{Traffic: row.traffic})
+			if err != nil {
+				t.Fatal(err)
+			}
+			file, err := exec.EncodeProgram(pg, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := exec.DecodeProgram(file, c.fab, 1); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			file[6] |= 1 << 3
+			if _, err := exec.DecodeProgram(resealProgram(file), c.fab, 1); err == nil || !strings.Contains(err.Error(), "relative order") {
+				t.Fatalf("%s with the relative flag: err = %v, want a relative-order error", c.name, err)
+			}
+		}
 		// A 4x4 program relabelled as a 3x3 one (the fingerprints have
 		// the same length) names the fabric it is decoded on, but its
 		// node ids run past that fabric's.
@@ -497,7 +526,9 @@ func TestProgramDecodeRejectsInitialOverwrite(t *testing.T) {
 // algorithm whose multi-phase program exercises the descriptor
 // section (log moves, delivery descriptors over several regions) most
 // heavily, and ring@16x2, whose recycled block log lays windows over
-// dead ones.
+// dead ones. The factored and ring files lay their initial blocks out
+// in relative order (classes.go); TestProgramMatrixOrderGolden keeps
+// factored's matrix-order file as the format wrote it before.
 func TestProgramCodecGolden(t *testing.T) {
 	for _, c := range []struct {
 		alg  string
@@ -575,6 +606,68 @@ func TestProgramCodecGolden(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestProgramMatrixOrderGolden: a file written before relative order
+// (classes.go) — factored@4x4 with every node's initial blocks in
+// matrix order and no relative flag, as the parent build wrote it —
+// still decodes and replays, serial and parallel, delivering exactly
+// what a fresh compile, now in relative order, delivers. Program files
+// already on disk stay valid.
+func TestProgramMatrixOrderGolden(t *testing.T) {
+	tor := topology.MustNew(4, 4)
+	data, err := os.ReadFile(filepath.Join("testdata", "program_v7_factored4x4_matrix.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data[6] != 0x03 {
+		t.Fatalf("golden flags %#x, want replay and full traffic only", data[6])
+	}
+	dec, err := exec.DecodeProgram(data, tor, 0)
+	if err != nil {
+		t.Fatalf("matrix-order golden decode: %v", err)
+	}
+	b, err := algorithm.For("factored")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := b.BuildSchedule(tor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg, err := exec.Compile(sc, exec.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if enc, _ := exec.EncodeProgram(pg, 0); bytes.Equal(enc, data) {
+		t.Fatal("a fresh compile still writes the matrix-order file")
+	}
+	if dec.Measure() != pg.Measure() || dec.BytesMoved() != pg.BytesMoved() || dec.Stats().LogSlots != pg.Stats().LogSlots {
+		t.Fatalf("golden measure %+v moved %d log %d, compile %+v moved %d log %d", dec.Measure(), dec.BytesMoved(),
+			dec.Stats().LogSlots, pg.Measure(), pg.BytesMoved(), pg.Stats().LogSlots)
+	}
+	ref, err := pg.Run(exec.Options{Serial: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opt := range []exec.Options{{Serial: true}, {Workers: 2}} {
+		got, err := dec.Run(opt)
+		if err != nil {
+			t.Fatalf("matrix-order golden replay %+v: %v", opt, err)
+		}
+		sameBuffers(t, ref.Buffers, got.Buffers)
+	}
+	dst := make([]int32, dec.DeliverySize())
+	if err := dec.ReplayInto(dec.NewArena(), dst, exec.Options{Serial: true}); err != nil {
+		t.Fatalf("matrix-order golden ReplayInto: %v", err)
+	}
+	for v := 0; v < tor.Nodes(); v++ {
+		for i, bl := range ref.Buffers[v].View() {
+			if got := dst[dec.DeliveryOffset(v)+i]; got != bl.ID(tor.Nodes()) {
+				t.Fatalf("node %d block %d: ReplayInto %d, want %d", v, i, got, bl.ID(tor.Nodes()))
+			}
+		}
 	}
 }
 

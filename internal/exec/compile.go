@@ -45,6 +45,9 @@ func Compile(sc *schedule.Schedule, opt Options) (*Program, error) {
 	}
 	c := newCompiler(sc.Fabric, opt)
 	defer c.release()
+	if sc.Lattice > 0 {
+		c.declare(sc.Lattice)
+	}
 	c.sizeFor(len(sc.Phases), sc.NumSteps())
 	for pi := range sc.Phases {
 		ph := &sc.Phases[pi]
@@ -125,6 +128,20 @@ type compiler struct {
 	pendStep  int
 	replayErr error
 	rr        *refReplay
+	// replayedTo is the steps the reference replay has walked.
+	replayedTo int
+
+	// The declared lattice (classes.go): a positive period lays out
+	// every node's initial blocks in relative order on a torus of shape
+	// shape; cls is the node classes the reference replay and the
+	// planner run one representative of, nil for singleton classes.
+	// latBroken is set by a lowering worker whose step fails the lattice
+	// check.
+	period    int
+	shape     torusShape
+	cls       *classes
+	latBroken atomic.Bool
+	recip     uint64 // reciprocal(n), see divRecip
 
 	// Summed stage times, kept only for a traced request: a streamed
 	// compile lowers and replays batch by batch, and each stage is
@@ -161,6 +178,7 @@ type lowerWork struct {
 	touched    []int32
 	links      []int32 // the step's expanded routes
 	lend       []int32 // transfer i's routes end at links[lend[i]]
+	lat        latticeWork
 }
 
 // stageClock sums one stage's time over the batches it runs in.
@@ -203,6 +221,7 @@ func newCompiler(f topology.Fabric, opt Options) *compiler {
 		opt: opt, f: f, n: n, ls: ls,
 		p:          &Program{fab: f, n: n, numBlocks: n * n, maxSharing: 1},
 		numDomains: f.NumContentionDomains(),
+		recip:      reciprocal(n),
 	}
 	if nd := f.NDims(); nd > 0 {
 		c.usedDims = make([]bool, nd*2)
@@ -404,15 +423,42 @@ func (c *compiler) flush() {
 	if c.lowerErr != nil || !c.p.replay || c.replayErr != nil {
 		return
 	}
-	if c.rr == nil {
-		c.replayErr = c.startReplay()
-	}
-	if c.replayErr == nil {
-		c.replayErr = c.replayBatch(b)
-	}
+	c.replay(b[0].si, b[len(b)-1].si+1)
 	if c.opt.Request != nil {
 		c.replayClock.since(t0)
 	}
+}
+
+// replay runs the reference replay over lowered steps [s0, s1): the
+// class replay while the classes hold, else the replay over every node.
+func (c *compiler) replay(s0, s1 int) {
+	if c.cls != nil && c.latBroken.Load() {
+		c.dropClasses()
+	}
+	if c.rr == nil && c.replayErr == nil {
+		c.replayErr = c.startReplay()
+	}
+	if c.replayErr != nil {
+		return
+	}
+	if c.cls != nil && !c.replayClassSteps(s0, s1) {
+		c.dropClasses()
+		if c.replayErr != nil {
+			return
+		}
+	}
+	if c.cls == nil {
+		c.replayErr = c.replaySteps(s0, s1)
+	}
+	c.replayedTo = s1
+}
+
+// stepEnd returns the end of lowered step si's transfers.
+func (c *compiler) stepEnd(si int) int {
+	if si+1 < len(c.stepT) {
+		return int(c.stepT[si+1])
+	}
+	return len(c.ls.transfers)
 }
 
 // grow extends s by n elements, at least doubling its capacity when it
@@ -491,6 +537,7 @@ func (c *compiler) lowerBatch(b []batchStep) {
 	replay := c.p.replay
 	tabNL, usedDims, domainTab := c.tabNL, c.usedDims, c.domainTab
 	transfers := c.ls.transfers
+	cls, recip := c.cls, c.recip
 	if w := par.Width(0, len(b)); len(c.work) < w {
 		c.work = append(c.work, make([]lowerWork, w-len(c.work))...)
 	}
@@ -621,6 +668,9 @@ func (c *compiler) lowerBatch(b []batchStep) {
 				return
 			}
 			if bad < 0 {
+				if cls != nil && !c.latBroken.Load() && !cls.checkStep(s.Transfers, &wk.lat, recip) {
+					c.latBroken.Store(true)
+				}
 				continue
 			}
 			// Payload/Blocks coherence and the id range only bind
@@ -795,6 +845,10 @@ func (c *compiler) finish() (*Program, error) {
 	pg, err := newProgram(p.core, p.fab, true)
 	if err != nil {
 		return nil, fmt.Errorf("exec: compile wrote a program it cannot prove: %w", err)
+	}
+	pg.classes = c.n
+	if c.cls != nil {
+		pg.classes = len(c.cls.reps)
 	}
 	return pg, nil
 }

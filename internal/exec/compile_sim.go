@@ -17,8 +17,10 @@ import (
 // extraction order — the order its blocks arrive at the destination —
 // is its payload sorted by stamp, with no buffers materialized at all.
 // Node v's initial contents take stamps [0, init[v]) in matrix order,
+// or, under a declared lattice, in relative order (classes.go),
 // and each transfer into v takes the next payLen stamps there: one
-// contiguous stamp segment per arrival.
+// contiguous stamp segment per arrival. With node classes the walk
+// covers the representatives only (replayClassSteps).
 //
 // The walk rewrites every payload it moves in place as its blocks'
 // arrival stamps at the sender, in ascending order, which is all the
@@ -77,6 +79,7 @@ const maxMergeRuns = 64
 // before use), so reuse needs no zeroing.
 type compileScratch struct {
 	hs        []uint64
+	ch        []uint32 // the class replay's holder table (see holder)
 	opBacking []opRec
 	keys, tmp []uint64
 	starts    []int32
@@ -100,6 +103,18 @@ type refReplay struct {
 	// block held at stamp >= stepArr arrived during the current step.
 	nodeStep, stepArr []int32
 	init              []int32 // per-node initial block count
+
+	// ch is the class replay's holder table (see holder), in place of
+	// hs. The class replay's tables (replayClassSteps), per transfer
+	// ordinal: canon and rcanon name the transfer of the sender's and of
+	// the receiver's representative in its step, and stampAt the offset
+	// of the sender stamps of its canon transfer in stamps. ord holds the
+	// current step's representative sends' ids in stamp order, a send's
+	// at ordAt. sendAt and recvAt are per-node scratch.
+	ch                            []uint32
+	canon, rcanon, stampAt, ordAt []int32
+	stamps, ord                   []int32
+	sendAt, recvAt                []int32
 }
 
 const (
@@ -115,34 +130,52 @@ func (c *compiler) startReplay() error {
 	cs := compileScratchPool.Get().(*compileScratch)
 	rr := &refReplay{cs: cs}
 	c.rr = rr
-	if cap(cs.hs) < p.numBlocks {
-		cs.hs = make([]uint64, p.numBlocks)
-	}
-	hs := cs.hs[:p.numBlocks]
-	rr.hs = hs
 	p.perDest = make([]int32, n)
 	rr.arrivals = make([]int32, n)
 	rr.nodeStep = make([]int32, n)
 	rr.stepArr = make([]int32, n)
 	arrivals := rr.arrivals
 	traffic := c.opt.Traffic
+	if traffic == nil && c.cls != nil {
+		p.fullTraffic, p.period = true, c.period
+		for v := range arrivals {
+			p.perDest[v], arrivals[v] = int32(n), int32(n)
+		}
+		rr.init = slices.Clone(arrivals)
+		c.startClassReplay()
+		return nil
+	}
+	if cap(cs.hs) < p.numBlocks {
+		cs.hs = make([]uint64, p.numBlocks)
+	}
+	hs := cs.hs[:p.numBlocks]
+	rr.hs = hs
 	if traffic == nil {
 		// Full all-to-all: the matrix is every dense id in order, so
 		// the resolution tables are pure arithmetic — no Block walk, no
 		// duplicate or range checks, and the holder table fills with
 		// streaming writes (every id is present, so no absent-fill).
-		p.fullTraffic = true
-		ids := make([]int32, p.numBlocks)
-		for i := range ids {
-			ids[i] = int32(i)
+		// Under a lattice, node v's block of rank k is B[v, t_v+k], t_v
+		// its lattice vector.
+		p.fullTraffic, p.period = true, c.period
+		var row []int32
+		if c.period > 0 {
+			row = make([]int32, n)
 		}
-		p.trafficIDs = ids
 		for v := 0; v < n; v++ {
 			p.perDest[v] = int32(n)
 			arrivals[v] = int32(n)
 			base, hv := v*n, uint64(uint32(v))<<32
-			for j := 0; j < n; j++ {
-				hs[base+j] = hv | uint64(uint32(j))
+			switch {
+			case c.period > 0:
+				c.shape.addRow(c.shape.latVec(v, c.period), 0, row)
+				for k, d := range row {
+					hs[base+int(d)] = hv | uint64(uint32(k))
+				}
+			default:
+				for j := 0; j < n; j++ {
+					hs[base+j] = hv | uint64(uint32(j))
+				}
 			}
 		}
 		rr.init = slices.Clone(arrivals)
@@ -170,8 +203,9 @@ func (c *compiler) startReplay() error {
 	return nil
 }
 
-// replayBatch walks one lowered batch's transfers in schedule order.
-func (c *compiler) replayBatch(b []batchStep) error {
+// replaySteps walks lowered steps [s0, s1)' transfers in schedule
+// order, over every node.
+func (c *compiler) replaySteps(s0, s1 int) error {
 	p, n, rr := c.p, c.n, c.rr
 	hs, arrivals, nodeStep, stepArr := rr.hs, rr.arrivals, rr.nodeStep, rr.stepArr
 	enterStep := func(v int, sv int32) {
@@ -180,15 +214,14 @@ func (c *compiler) replayBatch(b []batchStep) error {
 			stepArr[v] = arrivals[v]
 		}
 	}
-	for bi := range b {
-		bs := &b[bi]
-		ps := &p.steps[bs.si]
-		sv := int32(bs.si) + 1
+	for si := s0; si < s1; si++ {
+		ps := &p.steps[si]
+		sv := int32(si) + 1
 		notHeld := func(src int, id int32) error {
 			return fmt.Errorf("exec: phase %q step %d: node %d transmits %v it does not hold",
 				c.phases[ps.phaseIndex].name, ps.stepIndex, src, block.FromID(id, n))
 		}
-		for _, pt := range c.ls.transfers[bs.tOff : bs.tOff+bs.tLen] {
+		for _, pt := range c.ls.transfers[c.stepT[si]:c.stepEnd(si)] {
 			pay := c.ls.pay.at(int(pt.payOff), int(pt.payLen))
 			src, dst := int(pt.src), int(pt.dst)
 			enterStep(src, sv)
@@ -428,6 +461,15 @@ func growU64(s []uint64, n int) []uint64 {
 // per-node runs the descriptor planner walks. It returns the planner's
 // view of the lowered tables.
 func (c *compiler) finishReplay() (*lowered, error) {
+	if c.cls != nil && !c.classDelivered() {
+		c.dropClasses()
+		if c.replayErr != nil {
+			return nil, c.replayErr
+		}
+	}
+	if c.cls != nil {
+		return c.layOut(), nil
+	}
 	p, n, rr := c.p, c.n, c.rr
 	// Delivery: every node must end up holding exactly its share of the
 	// matrix, every block addressed to it. hs holds each block's final
@@ -438,7 +480,17 @@ func (c *compiler) finishReplay() (*lowered, error) {
 	for v := range mis {
 		mis[v] = -1
 	}
-	for _, id := range p.trafficIDs {
+	// The matrix's ids: every id under the full matrix, else the
+	// declared ones.
+	numIDs := len(p.trafficIDs)
+	if p.fullTraffic {
+		numIDs = p.numBlocks
+	}
+	for k := 0; k < numIDs; k++ {
+		id := int32(k)
+		if !p.fullTraffic {
+			id = p.trafficIDs[k]
+		}
 		h := rr.hs[id]
 		v := int(h >> 32)
 		held[v]++
@@ -457,6 +509,13 @@ func (c *compiler) finishReplay() (*lowered, error) {
 		}
 	}
 
+	return c.layOut(), nil
+}
+
+// layOut lays out every node's insert/extract events as per-node runs
+// and returns the planner's view of the lowered tables.
+func (c *compiler) layOut() *lowered {
+	n, rr := c.n, c.rr
 	transfers := c.ls.transfers
 	opOff := make([]int32, n+1)
 	arrOff := make([]int32, n+1)
@@ -492,11 +551,22 @@ func (c *compiler) finishReplay() (*lowered, error) {
 		opBacking[cur[pt.dst]] = gr | opInsert
 		cur[pt.dst]++
 	}
-	return &lowered{
+	low := &lowered{
 		transfers: transfers, stepT: c.stepT, pay: &c.ls.pay,
 		ops: opBacking, opOff: opOff, arrOff: arrOff,
 		init: rr.init, arrivals: rr.arrivals,
-	}, nil
+	}
+	if cl := c.cls; cl != nil {
+		low.cls, low.nodes = cl, cl.reps
+		low.canon, low.rcanon = rr.canon, rr.rcanon
+		low.stampAt, low.stampBuf = rr.stampAt, rr.stamps
+	} else {
+		low.nodes = make([]int32, n)
+		for v := range low.nodes {
+			low.nodes[v] = int32(v)
+		}
+	}
+	return low
 }
 
 // lowered is what the descriptor planner reads of the lowered schedule
@@ -513,4 +583,43 @@ type lowered struct {
 	arrOff    []int32 // node v receives arrOff[v+1]-arrOff[v] transfers
 	init      []int32 // node v's initial blocks hold stamps [0, init[v])
 	arrivals  []int32 // node v's stamps are [0, arrivals[v])
+
+	// nodes are the nodes the planner plans: every node, or with
+	// classes cls the representatives. Class tables (see refReplay):
+	// canon and rcanon per transfer, and the canon transfers' sender
+	// stamps in stampBuf at stampAt.
+	nodes             []int32
+	cls               *classes
+	canon, rcanon     []int32
+	stampAt, stampBuf []int32
+}
+
+// stamps returns transfer g's payload as its blocks' stamps at its
+// sender, ascending: in the lowered ids, which the reference replay
+// rewrote, or with classes, those of its sender representative's
+// transfer.
+func (low *lowered) stamps(g int32) []int32 {
+	pt := &low.transfers[g]
+	if low.cls == nil {
+		return low.pay.at(int(pt.payOff), int(pt.payLen))
+	}
+	at := low.stampAt[g]
+	return low.stampBuf[at : at+pt.payLen]
+}
+
+// sc returns the transfer of g's sender representative in g's step.
+func (low *lowered) sc(g int32) int32 {
+	if low.canon == nil {
+		return g
+	}
+	return low.canon[g]
+}
+
+// rc returns the transfer into g's receiver's representative in g's
+// step.
+func (low *lowered) rc(g int32) int32 {
+	if low.rcanon == nil {
+		return g
+	}
+	return low.rcanon[g]
 }

@@ -13,7 +13,8 @@ import (
 // Zero-copy strided-datatype replay: the descriptor plan.
 //
 // Every node's holdings live in a block log: a per-node region whose
-// first slots hold the node's initial blocks in matrix order, followed
+// first slots hold the node's initial blocks in matrix or relative order
+// (classes.go), followed
 // by one insert window per log move into the node. Every position is
 // fixed at compile time from the reference replay's arrival stamps
 // (compile_sim.go), so a replay needs no reset: each run writes every
@@ -222,9 +223,10 @@ type descScratch struct {
 // which the compaction and the other workers' later passes read, and
 // scratch it refills for each node.
 type planWork struct {
-	descs descStore // log moves' and deliveries' descriptors
-	takes takeStore // its nodes' takes, in walk order
-	byWin []int32   // its nodes' takes by window, in death order
+	descs   descStore // log moves' and deliveries' descriptors
+	members descStore // class members' delivery descriptors (translateDeliveries)
+	takes   takeStore // its nodes' takes, in walk order
+	byWin   []int32   // its nodes' takes by window, in death order
 
 	count  []int32  // arrival -> its window's takes (bucketTakes)
 	region region   // a node's region (place)
@@ -467,8 +469,9 @@ func (pw *planWork) bucketTakes(a0, a1 int32) {
 // planDescriptors lowers the replay to the descriptor plan and writes
 // the program's core from low, the lowered tables and the reference
 // replay's artifacts. Must run after delivery was verified. Passes
-// parallel over nodes build the plan, and a compaction writes it into
-// the core:
+// parallel over nodes — with node classes, over the representatives
+// (low.nodes), whose plans every class member shares — build the plan,
+// and a compaction writes it into the core:
 //
 //  1. Per node, in event order, each arrival is recorded as a stamp
 //     segment flagged last-hop, and each extraction's stamps clear the
@@ -482,8 +485,8 @@ func (pw *planWork) bucketTakes(a0, a1 int32) {
 //  3. Per node, each log move into it and then the node's deliveries
 //     (planNodes).
 func (p *Program) planDescriptors(low *lowered) error {
-	n := p.n
-	pay, numT := low.pay, len(low.transfers)
+	n, nodes := p.n, low.nodes
+	numT := len(low.transfers)
 	ds := descScratchPool.Get().(*descScratch)
 	defer descScratchPool.Put(ds)
 
@@ -500,7 +503,11 @@ func (p *Program) planDescriptors(low *lowered) error {
 	ds.dDescOff = dDescOff
 	dDescCnt := growI32(ds.dDescCnt, numT)
 	ds.dDescCnt = dDescCnt
-	finals := growI32(ds.finals, len(p.trafficIDs))
+	// Final delivery layout: node v's blocks occupy
+	// [finalBase[v], finalBase[v+1]) of the flat delivery buffer.
+	p.deriveDelivery()
+	finalBase := p.finalBase
+	finals := growI32(ds.finals, int(finalBase[n]))
 	ds.finals = finals
 	// Every node pass splits the nodes into the same chunks; worker w
 	// plans its nodes into work[w], and nodeW records each node's
@@ -512,22 +519,17 @@ func (p *Program) planDescriptors(low *lowered) error {
 	work := ds.work
 	nodeW := make([]int32, n)
 
-	// Final delivery layout: node v's blocks occupy
-	// [finalBase[v], finalBase[v+1]) of the flat delivery buffer.
-	p.deriveDelivery()
-	finalBase := p.finalBase
-
 	// First pass. A node's worker writes only its own arrivals' entries
 	// and the flags and takes of the transfers into and out of it.
-	par.ForEachWorker(workers, n, func(w, lo, hi int) {
+	par.ForEachWorker(workers, len(nodes), func(w, lo, hi int) {
 		pw := &work[w]
 		pw.takes.n = 0
 		maxS := int32(0)
-		for v := lo; v < hi; v++ {
+		for _, v := range nodes[lo:hi] {
 			maxS = max(maxS, low.arrivals[v])
 		}
 		taken := make([]uint64, (maxS+63)/64)
-		for v := lo; v < hi; v++ {
+		for _, v := range nodes[lo:hi] {
 			nodeW[v] = int32(w)
 			init, next, total := low.init[v], low.init[v], low.arrivals[v]
 			base, k := low.arrOff[v], low.arrOff[v]
@@ -537,7 +539,7 @@ func (p *Program) planDescriptors(low *lowered) error {
 				g := int32(gr >> opFlagBits)
 				pt := &low.transfers[g]
 				if gr&opExtract != 0 {
-					src := pay.at(int(pt.payOff), int(pt.payLen))
+					src := low.stamps(g)
 					first := pw.takes.n
 					a, end := base, init
 					for i, s := range src {
@@ -585,8 +587,15 @@ func (p *Program) planDescriptors(low *lowered) error {
 				}
 			}
 		}
-		pw.bucketTakes(low.arrOff[lo], low.arrOff[hi])
+		pw.bucketTakes(low.arrOff[nodes[lo]], low.arrOff[nodes[hi-1]+1])
 	})
+	// A class member's transfer is last-hop when its receiver
+	// representative's is.
+	if low.rcanon != nil {
+		for g := range isLast {
+			isLast[g] = isLast[low.rcanon[g]]
+		}
+	}
 
 	// Second pass, the layout. The append-only log holds every node's
 	// initial blocks and every log move's window.
@@ -614,6 +623,11 @@ func (p *Program) planDescriptors(low *lowered) error {
 	deliverAt := make([]int32, n)
 	deliverCnt := make([]int32, n)
 	p.planNodes(low, ds, workers, recycled, nodeW, descBase, deliverAt, deliverCnt)
+	// A class member's deliveries are its representative's, translated,
+	// in its worker's members store.
+	if low.cls != nil {
+		p.translateDeliveries(low, ds, workers, nodeW, descBase, deliverAt, deliverCnt)
+	}
 
 	// Compaction straight into the program's exact-size core: the log
 	// moves in step order with descriptors rebased to absolute log
@@ -630,7 +644,7 @@ func (p *Program) planDescriptors(low *lowered) error {
 		for g := low.stepT[si]; g < low.stepT[si+1]; g++ {
 			if isLast[g] == 0 {
 				mi++
-				total += dDescCnt[g]
+				total += dDescCnt[low.rc(g)]
 			}
 		}
 	}
@@ -656,9 +670,9 @@ func (p *Program) planDescriptors(low *lowered) error {
 				if isLast[g] != 0 {
 					continue
 				}
-				off := di
-				descs := &work[nodeW[pt.dst]].descs
-				for i := dDescOff[g]; i < dDescOff[g]+dDescCnt[g]; i++ {
+				off, r := di, low.rc(g)
+				descs := &work[nodeW[low.transfers[r].dst]].descs
+				for i := dDescOff[r]; i < dDescOff[r]+dDescCnt[r]; i++ {
 					d := descs.at(i)
 					d.start += descBase[pt.src]
 					putRecord(core, lay.descs+16*int(di), d)
@@ -666,8 +680,8 @@ func (p *Program) planDescriptors(low *lowered) error {
 				}
 				putRecord(core, lay.moves+20*int(mi), logMove{
 					src: pt.src, payLen: pt.payLen,
-					descOff: off, descLen: dDescCnt[g],
-					insPos: descBase[pt.dst] + dIns[g],
+					descOff: off, descLen: dDescCnt[r],
+					insPos: descBase[pt.dst] + dIns[r],
 				})
 				mi++
 			}
@@ -678,6 +692,9 @@ func (p *Program) planDescriptors(low *lowered) error {
 		for v := lo; v < hi; v++ {
 			putI32(core, lay.deliverOff+4*v, nodeDesc[v])
 			descs := &work[nodeW[v]].descs
+			if low.cls != nil && low.cls.rep[v] != int32(v) {
+				descs = &work[nodeW[v]].members
+			}
 			di := int(nodeDesc[v])
 			for i := deliverAt[v]; i < deliverAt[v]+deliverCnt[v]; i++ {
 				putRecord(core, lay.descs+16*di, descs.at(i))
@@ -708,11 +725,12 @@ func (p *Program) layWindows(low *lowered, ds *descScratch, workers int, recycle
 			}
 		}
 	}
-	par.ForEachWorker(workers, p.n, func(w, lo, hi int) {
+	nodes := low.nodes
+	par.ForEachWorker(workers, len(nodes), func(w, lo, hi int) {
 		pw := &ds.work[w]
 		r := &pw.region
 		bw := pw.byWin
-		for v := lo; v < hi; v++ {
+		for _, v := range nodes[lo:hi] {
 			r.free, r.dying, r.end = r.free[:0], r.dying[:0], low.init[v]
 			for a := low.arrOff[v]; a < low.arrOff[v+1]; a++ {
 				g := segG[a]
@@ -747,6 +765,11 @@ func (p *Program) layWindows(low *lowered, ds *descScratch, workers int, recycle
 			nodeLog[v] = r.end
 		}
 	})
+	if cl := low.cls; cl != nil {
+		for v := range nodeLog {
+			nodeLog[v] = nodeLog[cl.rep[v]]
+		}
+	}
 	var size int64
 	for _, l := range nodeLog {
 		size += int64(l)
@@ -770,7 +793,7 @@ func (p *Program) layWindows(low *lowered, ds *descScratch, workers int, recycle
 //     slots, and each last-hop arrival's whole payload at its sender's
 //     slots.
 func (p *Program) planNodes(low *lowered, ds *descScratch, workers int, recycled bool, nodeW, descBase, deliverAt, deliverCnt []int32) {
-	n, pay, dIns := p.n, low.pay, ds.dIns
+	nodes, dIns := low.nodes, ds.dIns
 	segStamp, segG, isLast := ds.segStamp, ds.segG, ds.isLast
 	dDescOff, dDescCnt := ds.dDescOff, ds.dDescCnt
 	finals, finalBase := ds.finals, p.finalBase
@@ -779,6 +802,7 @@ func (p *Program) planNodes(low *lowered, ds *descScratch, workers int, recycled
 	// pieces, in position order, in pw's scratch (recycled).
 	senderPieces := func(pw *planWork, g int32) []piece {
 		pieces := pw.pieces[:0]
+		g = low.sc(g)
 		takes := &work[nodeW[low.transfers[g].src]].takes
 		for k := ds.takeAt[g]; k < takes.n && takes.at(k).g == g; k++ {
 			t := takes.at(k)
@@ -792,6 +816,7 @@ func (p *Program) planNodes(low *lowered, ds *descScratch, workers int, recycled
 	// each block at its stamp there, plus, in a take, its window's
 	// insert position less the window's first stamp.
 	stampSlots := func(rs []run, base, g int32, src []int32) []run {
+		g = low.sc(g)
 		takes := &work[nodeW[low.transfers[g].src]].takes
 		j := int32(0)
 		for k := ds.takeAt[g]; k < takes.n && takes.at(k).g == g; k++ {
@@ -809,12 +834,12 @@ func (p *Program) planNodes(low *lowered, ds *descScratch, workers int, recycled
 		}
 		return rs
 	}
-	par.ForEachWorker(workers, n, func(w, lo, hi int) {
+	par.ForEachWorker(workers, len(nodes), func(w, lo, hi int) {
 		pw := &work[w]
 		st := &pw.descs
 		st.n = 0
 		bw := pw.byWin
-		for v := lo; v < hi; v++ {
+		for _, v := range nodes[lo:hi] {
 			a0, a1 := low.arrOff[v], low.arrOff[v+1]
 			held := finals[finalBase[v]:finalBase[v+1]]
 			var firstHeld []int32
@@ -829,7 +854,7 @@ func (p *Program) planNodes(low *lowered, ds *descScratch, workers int, recycled
 					continue
 				}
 				pt := &low.transfers[g]
-				src := pay.at(int(pt.payOff), int(pt.payLen))
+				src := low.stamps(g)
 				rs := st.runs[:0]
 				if !recycled {
 					st.runs = stampSlots(rs, 0, g, src)
@@ -865,8 +890,7 @@ func (p *Program) planNodes(low *lowered, ds *descScratch, workers int, recycled
 					if t.a != a {
 						break
 					}
-					tt := &low.transfers[t.g]
-					rs = positions(rs, pay.at(int(tt.payOff), int(tt.payLen))[t.i:t.i+t.n])
+					rs = positions(rs, low.stamps(t.g)[t.i:t.i+t.n])
 					next = dIns[g] + t.off + t.n
 				}
 				firstHeld[a-a0] = next
@@ -894,7 +918,7 @@ func (p *Program) planNodes(low *lowered, ds *descScratch, workers int, recycled
 				g := segG[a]
 				pt := &low.transfers[g]
 				if isLast[g] != 0 {
-					src := pay.at(int(pt.payOff), int(pt.payLen))
+					src := low.stamps(g)
 					switch t := src[0]; {
 					case len(src) == 1 && t < low.init[pt.src]:
 						rs = appendRun(rs, descBase[pt.src]+t, 1) // direct's every delivery
@@ -925,6 +949,73 @@ func (p *Program) planNodes(low *lowered, ds *descScratch, workers int, recycled
 			deliverAt[v], deliverCnt[v] = st.appendRuns(rs)
 		}
 	})
+}
+
+// translateDeliveries plans every class member's deliveries from its
+// representative's, which planNodes planned: each run the
+// representative's descriptors read, cut at node regions, moves to the
+// same node-local slots of the region of the node translated by the
+// member's vector. Runs are then joined and coalesced as planNodes
+// joins and coalesces them, so a member's descriptors are those a plan
+// of the member itself would give.
+func (p *Program) translateDeliveries(low *lowered, ds *descScratch, workers int, nodeW, descBase, deliverAt, deliverCnt []int32) {
+	cl, work := low.cls, ds.work
+	par.ForEachWorker(workers, p.n, func(w, lo, hi int) {
+		st := &work[w].members
+		st.n = 0
+		for u := lo; u < hi; u++ {
+			v := cl.rep[u]
+			if v == int32(u) {
+				continue
+			}
+			nodeW[u] = int32(w)
+			row, descs := cl.row(cl.off[u]), &work[nodeW[v]].descs
+			rs, x := st.runs[:0], int32(0) // x: the region of the last run read
+			for i := deliverAt[v]; i < deliverAt[v]+deliverCnt[v]; i++ {
+				d := descs.at(i)
+				lo, hi := d.span()
+				if int32(lo) < descBase[x] || int32(lo) >= descBase[x+1] {
+					x = regionOf(descBase, int32(lo))
+				}
+				if hi <= int64(descBase[x+1]) {
+					// The descriptor reads one region: every run moves by
+					// the same shift.
+					s := d.start + descBase[row[x]] - descBase[x]
+					for k := int32(0); k < d.count; k++ {
+						rs = appendRun(rs, s+k*d.stride, d.blocklen)
+					}
+					continue
+				}
+				for k := int32(0); k < d.count; k++ {
+					for s, m := d.start+k*d.stride, d.blocklen; m > 0; {
+						if s < descBase[x] || s >= descBase[x+1] {
+							x = regionOf(descBase, s)
+						}
+						c := min(m, descBase[x+1]-s)
+						rs = appendRun(rs, descBase[row[x]]+s-descBase[x], c)
+						s, m = s+c, m-c
+					}
+				}
+			}
+			st.runs = rs
+			deliverAt[u], deliverCnt[u] = st.appendRuns(rs)
+		}
+	})
+}
+
+// regionOf returns the node whose log region holds slot s, every region
+// being non-empty.
+func regionOf(descBase []int32, s int32) int32 {
+	lo, hi := 0, len(descBase)-1
+	for hi-lo > 1 {
+		m := (lo + hi) / 2
+		if descBase[m] <= s {
+			lo = m
+		} else {
+			hi = m
+		}
+	}
+	return int32(lo)
 }
 
 // senderSlots appends to rs, offset by base, the slots at which a

@@ -209,15 +209,17 @@ func DeliverPass(p *Program, a *Arena, dst []int32, untiled bool) error {
 // Census counts a program's descriptors by shape: its log moves'
 // descriptors, how many of them read one window (count 1) and how many
 // read single blocks (blocklen 1), and its delivery descriptors, with
-// how many of them read single blocks.
+// how many of them read single blocks. Classes is the node classes the
+// program was compiled with (Stats().Classes).
 type Census struct {
 	Moves, MovesCount1, MovesBlocklen1 int
 	Deliveries, DeliveriesBlocklen1    int
+	Classes                            int
 }
 
 // DescriptorCensus takes p's census.
 func DescriptorCensus(p *Program) Census {
-	var c Census
+	c := Census{Classes: p.classes}
 	for _, m := range p.moves {
 		for _, d := range p.descBacking[m.descOff : m.descOff+m.descLen] {
 			c.Moves++
@@ -236,4 +238,13 @@ func DescriptorCensus(p *Program) Census {
 		}
 	}
 	return c
+}
+
+// ForceSingletonClasses makes every compile plan with singleton
+// classes, keeping a declared lattice's relative order, and returns a
+// function that restores class planning. A class compile must write
+// the bytes of the compile it forces.
+func ForceSingletonClasses() (restore func()) {
+	prev := forceSingleton.Swap(true)
+	return func() { forceSingleton.Store(prev) }
 }

@@ -78,6 +78,15 @@ type Program struct {
 	// program nor its file keeps an id table then, and arenas write the
 	// initial ids arithmetically.
 	fullTraffic bool
+	// period, when positive, records that every node's initial blocks
+	// lie in relative order under the lattice of that period
+	// (flagRelative, classes.go): node o's block of rank k is
+	// B[o, t_o+k], t_o its lattice vector. Only full-traffic torus
+	// programs carry one.
+	period int
+	// classes is the number of node classes Compile planned with; 0 on
+	// a decoded program, whose file does not record it.
+	classes int
 
 	// Descriptor replay plan (see descriptor.go); all nil on
 	// measure-only programs. moves are the log moves in step order,
@@ -211,6 +220,11 @@ type ReplayStats struct {
 	// replay is the delivery pass and ReplayInto writes no arena
 	// scratch.
 	LastHopOnly bool
+	// Classes is the number of node classes Compile planned the
+	// program with: one reference replay and one plan per class (see
+	// classes.go), the node count when the schedule declared no lattice
+	// or failed its check. 0 on a decoded program.
+	Classes int
 }
 
 // Stats reports the shape of the program's replay plan.
@@ -220,6 +234,7 @@ func (p *Program) Stats() ReplayStats {
 		DescCount:   len(p.descBacking),
 		LogSlots:    p.logSlots(),
 		LastHopOnly: p.replay && len(p.moves) == 0,
+		Classes:     p.classes,
 	}
 }
 
@@ -393,10 +408,19 @@ func (p *Program) NewArena() *Arena {
 	a.log = make([]int32, p.logSlots())
 	adviseHugePages(a.log)
 	if p.fullTraffic {
-		// Node o starts with ids o*n .. o*n+n-1, in matrix order.
+		// Node o starts with ids o*n .. o*n+n-1, in matrix order, or
+		// under relative order with B[o, t_o+k] at rank k.
+		var sh torusShape
+		if p.period > 0 {
+			sh = shapeOf(p.fab.(*topology.Torus))
+		}
 		for o := 0; o < p.n; o++ {
 			id := int32(o * p.n)
 			row := a.log[p.descBase[o] : int(p.descBase[o])+p.n]
+			if p.period > 0 {
+				sh.addRow(sh.latVec(o, p.period), id, row)
+				continue
+			}
 			for k := range row {
 				row[k] = id + int32(k)
 			}

@@ -107,17 +107,22 @@ func (c *compiler) receive(st *stream, wait bool) bool {
 	if !ok {
 		return false
 	}
-	if it.phase {
+	switch {
+	case it.lattice > 0:
+		c.declare(it.lattice)
+	case it.phase:
 		c.phase(it.name, it.rearrange)
-	} else {
+	default:
 		c.step(it.s)
 	}
 	return true
 }
 
-// streamItem is a phase header or a step, as a builder emitted it.
+// streamItem is a lattice declaration, a phase header or a step, as a
+// builder emitted it.
 type streamItem struct {
 	s         schedule.Step
+	lattice   int
 	phase     bool
 	name      string
 	rearrange int
@@ -173,6 +178,10 @@ func (st *stream) run(emit func(schedule.Sink) error) {
 func (st *stream) stop() {
 	st.stopOnce.Do(func() { close(st.done) })
 	<-st.exit
+}
+
+func (st *stream) Lattice(period int) {
+	st.send(streamItem{lattice: period})
 }
 
 func (st *stream) Phase(name string, rearrange int) {

@@ -189,6 +189,13 @@ type Phase struct {
 type Schedule struct {
 	Fabric topology.Fabric
 	Phases []Phase
+	// Lattice, when positive, declares the schedule invariant under the
+	// torus translations by Lattice nodes along any dimension:
+	// translating every transfer of a step so, endpoints and payload ids
+	// alike, gives the step's transfers again. exec.Compile checks the
+	// claim and plans one node per translation class; the JSON export
+	// and the digest do not carry it. See Sink.Lattice.
+	Lattice int
 }
 
 // NumSteps counts every step of every phase, matching the paper's

@@ -13,6 +13,9 @@ import (
 // and one that consumes each step while the next is still being built
 // (exec.CompileStream).
 type Sink interface {
+	// Lattice declares the schedule's translation lattice by its period
+	// (see Schedule.Lattice), once, before the first phase.
+	Lattice(period int)
 	// Phase opens a phase of the given name and rearrangement count
 	// (see Phase.Rearrange).
 	Phase(name string, rearrange int)
@@ -32,6 +35,8 @@ var ErrNoPhase = errors.New("schedule: step emitted before any phase")
 
 // collector is the Sink that assembles a Schedule.
 type collector struct{ sc *Schedule }
+
+func (c *collector) Lattice(period int) { c.sc.Lattice = period }
 
 func (c *collector) Phase(name string, rearrange int) {
 	c.sc.Phases = append(c.sc.Phases, Phase{Name: name, Rearrange: rearrange})
@@ -61,6 +66,9 @@ func Collect(f topology.Fabric, emit func(Sink) error) (*Schedule, error) {
 // rewrite its payload ids in place (see Sink.Step), so emit only a
 // schedule nobody reads afterwards.
 func (sc *Schedule) Emit(sink Sink) error {
+	if sc.Lattice > 0 {
+		sink.Lattice(sc.Lattice)
+	}
 	for pi := range sc.Phases {
 		ph := &sc.Phases[pi]
 		sink.Phase(ph.Name, ph.Rearrange)
