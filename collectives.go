@@ -1,8 +1,9 @@
 package torusx
 
 import (
+	"fmt"
+
 	"torusx/internal/block"
-	"torusx/internal/collective"
 	"torusx/internal/topology"
 )
 
@@ -87,10 +88,18 @@ func AllGather(t *Torus) (*CollectiveReport, error) {
 // result vector (identical at every node) with the cost report: the
 // ring reduce-scatter followed by an allgather of the reduced slots,
 // whose costs are the cached "reducescatter" and "allgather" programs'.
+// It checks contrib before it looks a program up. Each slot's value is
+// its column sum: uint64 addition wraps mod 2^64, so the sum has the
+// same bits whatever order the reduction adds in.
 func AllReduce(t *Torus, contrib [][]uint64) ([]uint64, *CollectiveReport, error) {
-	rs, err := collective.ReduceScatter(t, contrib)
-	if err != nil {
-		return nil, nil, err
+	n := t.Nodes()
+	if len(contrib) != n {
+		return nil, nil, fmt.Errorf("collective: %d contribution vectors for %d nodes", len(contrib), n)
+	}
+	for i, v := range contrib {
+		if len(v) != n {
+			return nil, nil, fmt.Errorf("collective: node %d contributes %d slots, want %d", i, len(v), n)
+		}
 	}
 	scatter, err := replayProgram("reducescatter", t)
 	if err != nil {
@@ -100,10 +109,11 @@ func AllReduce(t *Torus, contrib [][]uint64) ([]uint64, *CollectiveReport, error
 	if err != nil {
 		return nil, nil, err
 	}
-	// The allgather leaves slot j, as reduced at its owner j, everywhere.
-	vals := make([]uint64, t.Nodes())
-	for j := range vals {
-		vals[j] = rs.Values[j][0]
+	vals := make([]uint64, n)
+	for _, v := range contrib {
+		for j, x := range v {
+			vals[j] += x
+		}
 	}
 	m := scatter.Measure()
 	rep.Measure.Steps += m.Steps

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"torusx/internal/algorithm"
 	"torusx/internal/block"
 	"torusx/internal/exec"
 	"torusx/internal/topology"
@@ -215,16 +216,39 @@ func TestAllReduce(t *testing.T) {
 	}
 }
 
+// TestAllReducePropagatesValidation pins the error each malformed
+// input gets, and that AllReduce rejects it before it looks a program
+// up: on a shape no other test compiles, a rejected call compiles
+// nothing.
 func TestAllReducePropagatesValidation(t *testing.T) {
-	tor := topology.MustNew(4, 4)
-	if _, _, err := AllReduce(tor, nil); err == nil {
-		t.Fatal("missing vectors should fail")
+	tor := topology.MustNew(7, 3)
+	n := tor.Nodes()
+	vectors := func(count, slots int) [][]uint64 {
+		out := make([][]uint64, count)
+		for i := range out {
+			out[i] = make([]uint64, slots)
+		}
+		return out
 	}
-	short := make([][]uint64, tor.Nodes())
-	for i := range short {
-		short[i] = make([]uint64, tor.Nodes()-1)
-	}
-	if _, _, err := AllReduce(tor, short); err == nil {
-		t.Fatal("short vectors should fail")
+	nilRow := vectors(n, n)
+	nilRow[3] = nil
+	for _, tc := range []struct {
+		name    string
+		contrib [][]uint64
+		want    string
+	}{
+		{"missing vectors", nil, "collective: 0 contribution vectors for 21 nodes"},
+		{"short vectors", vectors(n, n-1), "collective: node 0 contributes 20 slots, want 21"},
+		{"nil row", nilRow, "collective: node 3 contributes 0 slots, want 21"},
+		{"n+1 vectors", vectors(n+1, n), "collective: 22 contribution vectors for 21 nodes"},
+	} {
+		before := algorithm.CacheStats().Compiles
+		_, _, err := AllReduce(tor, tc.contrib)
+		if err == nil || err.Error() != tc.want {
+			t.Fatalf("%s: error %v, want %q", tc.name, err, tc.want)
+		}
+		if after := algorithm.CacheStats().Compiles; after != before {
+			t.Fatalf("%s: a rejected call compiled %d programs", tc.name, after-before)
+		}
 	}
 }

@@ -202,10 +202,10 @@ func init() {
 	registerTorus("allgather", whole(collective.AllGatherSchedule))
 	// The ring reduce-scatter, a−1 distance-1 steps per dimension:
 	// torusx.AllReduce's cost is this program's plus allgather's.
-	registerTorus("reducescatter", whole(collective.ReduceScatterSchedule))
+	registerTorus("reducescatter", collective.EmitReduceScatter)
 	// The Swing allreduce: swung-distance recursive halving per
 	// dimension, power-of-two tori only.
-	registerTorus("swing", whole(collective.SwingSchedule))
+	registerTorus("swing", collective.EmitSwing)
 	// The dragonfly port-ordered exchange — the dimension-ordered
 	// counterpart of the proposed torus algorithm on the second fabric.
 	registerDragonfly("dimexchange", whole(dfly.DimExchangeSchedule))

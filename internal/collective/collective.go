@@ -9,13 +9,15 @@
 //     size, one-port compliant, contention-free).
 //   - AllGather (all-to-all broadcast): every node's block replicated
 //     to all nodes, by the classic ring algorithm per dimension.
-//   - ReduceScatter, and the Swing allreduce, which combine values in
-//     flight (reduce.go, swing.go).
+//   - the ring reduce-scatter and the Swing allreduce, which combine
+//     values in flight (reduce.go, swing.go).
 //
 // The replication builders check that every node ends with every
-// block it should hold, and the reductions that every node ends with
-// exactly its reduced slots. All of them emit structural schedules and
-// none checks or measures a step: the algorithm registry
+// block it should hold. The reductions' emitters count each step's
+// blocks from the chain and peer rules and hold no values; their tests
+// hold them step by step to value reductions that sum real
+// contributions. All of them emit structural schedules and none checks
+// or measures a step: the algorithm registry
 // (internal/algorithm) compiles each one, as the "broadcast",
 // "allgather", "reducescatter" and "swing" cells, and exec.Compile
 // checks every step and derives the cost. The personalized siblings,
@@ -157,15 +159,15 @@ func allGatherSchedule(t *topology.Torus) (*schedule.Schedule, [][]topology.Node
 	for i := range origins {
 		origins[i] = topology.NodeID(i)
 	}
-	if err := VerifyReplication(t, have, origins); err != nil {
+	if err := verifyReplication(t, have, origins); err != nil {
 		return nil, nil, err
 	}
 	return sc, have, nil
 }
 
-// VerifyReplication checks that every node ends with exactly one block
+// verifyReplication checks that every node ends with exactly one block
 // from every origin in origins.
-func VerifyReplication(t *topology.Torus, have [][]topology.NodeID, origins []topology.NodeID) error {
+func verifyReplication(t *topology.Torus, have [][]topology.NodeID, origins []topology.NodeID) error {
 	n := t.Nodes()
 	want := make([]bool, n)
 	for _, o := range origins {

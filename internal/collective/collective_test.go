@@ -46,7 +46,7 @@ func TestBroadcastReachesAll(t *testing.T) {
 					held[i] = []topology.NodeID{root}
 				}
 			}
-			if err := VerifyReplication(tor, held, []topology.NodeID{root}); err != nil {
+			if err := verifyReplication(tor, held, []topology.NodeID{root}); err != nil {
 				t.Fatalf("%v root %d: %v", dims, root, err)
 			}
 			if err := oracle.Check(sc); err != nil {
@@ -124,7 +124,7 @@ func TestAllGatherReplicatesEverything(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", dims, err)
 		}
-		if err := VerifyReplication(tor, have, allOrigins(tor)); err != nil {
+		if err := verifyReplication(tor, have, allOrigins(tor)); err != nil {
 			t.Fatalf("%v: %v", dims, err)
 		}
 		if err := oracle.Check(sc); err != nil {
@@ -155,7 +155,7 @@ func TestAllGatherSize1Dimension(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyReplication(tor, have, allOrigins(tor)); err != nil {
+	if err := verifyReplication(tor, have, allOrigins(tor)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -165,19 +165,19 @@ func TestVerifyReplicationRejects(t *testing.T) {
 	for i := range have {
 		have[i] = []topology.NodeID{0}
 	}
-	if err := VerifyReplication(tor, have, []topology.NodeID{0}); err != nil {
+	if err := verifyReplication(tor, have, []topology.NodeID{0}); err != nil {
 		t.Fatalf("clean state rejected: %v", err)
 	}
 	have[3] = []topology.NodeID{0, 0}
-	if err := VerifyReplication(tor, have, []topology.NodeID{0}); err == nil {
+	if err := verifyReplication(tor, have, []topology.NodeID{0}); err == nil {
 		t.Fatal("duplicate should fail")
 	}
 	have[3] = []topology.NodeID{1}
-	if err := VerifyReplication(tor, have, []topology.NodeID{0}); err == nil {
+	if err := verifyReplication(tor, have, []topology.NodeID{0}); err == nil {
 		t.Fatal("unexpected origin should fail")
 	}
 	have[3] = nil
-	if err := VerifyReplication(tor, have, []topology.NodeID{0}); err == nil {
+	if err := verifyReplication(tor, have, []topology.NodeID{0}); err == nil {
 		t.Fatal("missing origin should fail")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"torusx/internal/collective"
 	"torusx/internal/exec"
 	"torusx/internal/oracle"
+	"torusx/internal/schedule"
 	"torusx/internal/topology"
 )
 
@@ -80,11 +81,19 @@ func TestSwingMatchesRingAllReduce(t *testing.T) {
 	}
 }
 
+// TestSwingRejectsNonPowerOfTwo: the reference and the registry
+// emitter reject the same shapes with the same error.
 func TestSwingRejectsNonPowerOfTwo(t *testing.T) {
 	for _, dims := range [][]int{{6}, {4, 6}, {3, 3}, {12, 8}} {
 		tor := topology.MustNew(dims...)
-		if _, err := collective.SwingAllReduce(tor, swingContrib(tor.Nodes(), rand.New(rand.NewSource(2)))); err == nil {
+		_, err := collective.SwingAllReduce(tor, swingContrib(tor.Nodes(), rand.New(rand.NewSource(2))))
+		if err == nil {
 			t.Errorf("%v accepted", dims)
+			continue
+		}
+		_, emitErr := schedule.Collect(tor, func(s schedule.Sink) error { return collective.EmitSwing(tor, s) })
+		if emitErr == nil || emitErr.Error() != err.Error() {
+			t.Errorf("%v: emitter error %v, want %q", dims, emitErr, err)
 		}
 	}
 	tor := topology.MustNew(4, 4)
@@ -93,11 +102,11 @@ func TestSwingRejectsNonPowerOfTwo(t *testing.T) {
 	}
 }
 
-// TestSwingScheduleExecutes: the registry adapter's structural
+// TestSwingScheduleExecutes: the registry emitter's structural
 // schedule runs through the shared executor.
 func TestSwingScheduleExecutes(t *testing.T) {
 	tor := topology.MustNew(8, 8)
-	sc, err := collective.SwingSchedule(tor)
+	sc, err := schedule.Collect(tor, func(s schedule.Sink) error { return collective.EmitSwing(tor, s) })
 	if err != nil {
 		t.Fatal(err)
 	}
