@@ -155,14 +155,10 @@ func BenchmarkCompletionSweep(b *testing.B) {
 			reportMeasure(b, m)
 		})
 		b.Run(fmt.Sprintf("ring/%dx%d", c, c), func(b *testing.B) {
-			reportMeasure(b, runBaseline(b, func(t *topology.Torus) (*schedule.Schedule, error) {
-				return baseline.RingSchedule(t), nil
-			}, dims))
+			reportMeasure(b, runBaseline(b, baseline.EmitRing, dims))
 		})
 		b.Run(fmt.Sprintf("direct/%dx%d", c, c), func(b *testing.B) {
-			reportMeasure(b, runBaseline(b, func(t *topology.Torus) (*schedule.Schedule, error) {
-				return baseline.DirectSchedule(t), nil
-			}, dims))
+			reportMeasure(b, runBaseline(b, baseline.EmitDirect, dims))
 		})
 	}
 }
@@ -170,10 +166,10 @@ func BenchmarkCompletionSweep(b *testing.B) {
 // runBaseline builds, compiles and replays a baseline's schedule on
 // dims once per iteration, outside the program cache, and returns the
 // measure.
-func runBaseline(b *testing.B, build func(*topology.Torus) (*schedule.Schedule, error), dims []int) costmodel.Measure {
+func runBaseline(b *testing.B, emit func(*topology.Torus, schedule.Sink) error, dims []int) costmodel.Measure {
 	var m costmodel.Measure
 	for i := 0; i < b.N; i++ {
-		sc, err := build(topology.MustNew(dims...))
+		sc, err := schedule.Collect(topology.MustNew(dims...), emit)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -254,7 +250,7 @@ func BenchmarkWormholeStep(b *testing.B) {
 // schedule.
 func BenchmarkNaiveSchedule(b *testing.B) {
 	tor := topology.MustNew(12, 12)
-	prop, err := exchange.GenerateStructural(tor)
+	prop, err := schedule.Collect(tor, exchange.EmitStructural)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -290,7 +286,7 @@ func BenchmarkNaiveSchedule(b *testing.B) {
 func BenchmarkLogTime(b *testing.B) {
 	for _, dims := range [][]int{{8, 8}, {16, 16}, {32, 32}} {
 		b.Run(topology.MustNew(dims...).String(), func(b *testing.B) {
-			reportMeasure(b, runBaseline(b, baseline.LogTimeSchedule, dims))
+			reportMeasure(b, runBaseline(b, baseline.EmitLogTime, dims))
 		})
 	}
 }

@@ -1,8 +1,9 @@
 // Package algorithm is the registry of schedule builders: every
 // all-to-all algorithm and collective in this repository is exposed as
-// a Builder that lowers to the schedule IR of internal/schedule, which
-// the shared executor in internal/exec then checks, replays and
-// measures. This is the seam that makes the paper's comparisons
+// a Builder over one emitter per fabric kind, which streams the
+// schedule IR of internal/schedule step by step into the shared
+// executor in internal/exec, which checks, replays and measures it.
+// This is the seam that makes the paper's comparisons
 // apples-to-apples — torusx.Compare, cmd/aapetrace -alg and
 // cmd/aapetab -alg all resolve a name here and run the result through
 // the same executor and timing backends.
@@ -26,6 +27,7 @@ import (
 	"torusx/internal/progcache"
 	"torusx/internal/schedule"
 	"torusx/internal/topology"
+	"torusx/internal/traffic"
 )
 
 // Builder lowers an algorithm to a schedule on a concrete fabric. A
@@ -50,7 +52,9 @@ type Builder interface {
 }
 
 // fabricBuilder adapts per-fabric emitters to the Builder interface; a
-// nil function means the fabric kind is unsupported.
+// nil function means the fabric kind is unsupported. The registry
+// registers each package's emitter directly, binding the argument of
+// the two that take one: broadcast's root and dimexchange's traffic.
 type fabricBuilder struct {
 	name      string
 	torus     func(t *topology.Torus, sink schedule.Sink) error
@@ -70,7 +74,7 @@ func (b fabricBuilder) Supports(f topology.Fabric) bool {
 }
 
 func (b fabricBuilder) BuildSchedule(f topology.Fabric) (*schedule.Schedule, error) {
-	return schedule.Collect(f, func(s schedule.Sink) error { return b.EmitSchedule(f, s) })
+	return schedule.Collect(f, b.EmitSchedule)
 }
 
 func (b fabricBuilder) EmitSchedule(f topology.Fabric, sink schedule.Sink) error {
@@ -85,18 +89,6 @@ func (b fabricBuilder) EmitSchedule(f topology.Fabric, sink schedule.Sink) error
 		}
 	}
 	return fmt.Errorf("algorithm: %q does not support fabric %s", b.name, f.Fingerprint())
-}
-
-// whole adapts a builder that returns its schedule at once to an
-// emitter: it builds the schedule, then emits it.
-func whole[F topology.Fabric](build func(F) (*schedule.Schedule, error)) func(F, schedule.Sink) error {
-	return func(f F, sink schedule.Sink) error {
-		sc, err := build(f)
-		if err != nil {
-			return err
-		}
-		return sc.Emit(sink)
-	}
 }
 
 // cache memoizes compiled programs across every BuildProgram caller in
@@ -136,9 +128,7 @@ func init() {
 func BuildProgram(b Builder, f topology.Fabric, opt exec.Options) (*exec.Program, error) {
 	fp := progcache.Fingerprint(opt)
 	key := progcache.Key(b.Name(), f, fp)
-	source := func() (*schedule.Schedule, error) {
-		return schedule.Collect(f, func(s schedule.Sink) error { return b.EmitSchedule(f, s) })
-	}
+	source := func() (*schedule.Schedule, error) { return schedule.Collect(f, b.EmitSchedule) }
 	return cache.GetOrCompileTiered(key, f, fp, opt.Request, source, func() (*exec.Program, error) {
 		csp := opt.Request.Stage(obs.StageCompile)
 		defer csp.End()
@@ -179,11 +169,14 @@ func registerDragonfly(name string, emit func(d *topology.Dragonfly, sink schedu
 	registry[name] = fabricBuilder{name: name, dragonfly: emit}
 }
 
+// Every registry cell is an emitter: BuildProgram streams its steps
+// into exec.CompileStream as they are built, and BuildSchedule collects
+// them.
 func init() {
 	// The proposed Suh–Shin n+2-phase exchange, generated structurally
 	// (no payloads: O(steps·nodes), scales to tori far beyond what the
 	// block-level simulator can hold).
-	registerTorus("proposed", whole(exchange.GenerateStructural))
+	registerTorus("proposed", exchange.EmitStructural)
 	// The proposed exchange with every transfer's payload, so the
 	// shared executor can replay and delivery-verify it end to end. The
 	// dense builder emits the schedule the block-level simulator
@@ -196,10 +189,13 @@ func init() {
 	registerTorus("ring", baseline.EmitRing)
 	registerTorus("factored", baseline.EmitFactored)
 	registerTorus("logtime", baseline.EmitLogTime)
-	registerTorus("broadcast", whole(func(t *topology.Torus) (*schedule.Schedule, error) {
-		return collective.BroadcastSchedule(t, 0)
-	}))
-	registerTorus("allgather", whole(collective.AllGatherSchedule))
+	// The broadcast from root 0: by symmetry its cost is every root's.
+	registerTorus("broadcast", func(t *topology.Torus, sink schedule.Sink) error {
+		return collective.EmitBroadcast(t, 0, sink)
+	})
+	// The ring all-gather, P(<d) blocks per node in every step of
+	// dimension d.
+	registerTorus("allgather", collective.EmitAllGather)
 	// The ring reduce-scatter, a−1 distance-1 steps per dimension:
 	// torusx.AllReduce's cost is this program's plus allgather's.
 	registerTorus("reducescatter", collective.EmitReduceScatter)
@@ -207,8 +203,11 @@ func init() {
 	// dimension, power-of-two tori only.
 	registerTorus("swing", collective.EmitSwing)
 	// The dragonfly port-ordered exchange — the dimension-ordered
-	// counterpart of the proposed torus algorithm on the second fabric.
-	registerDragonfly("dimexchange", whole(dfly.DimExchangeSchedule))
+	// counterpart of the proposed torus algorithm on the second fabric,
+	// over the full matrix in origin-major order.
+	registerDragonfly("dimexchange", func(d *topology.Dragonfly, sink schedule.Sink) error {
+		return dfly.EmitDimExchange(d, traffic.Full(d.Nodes()).Blocks(), sink)
+	})
 }
 
 // For returns the builder registered under name.

@@ -19,20 +19,22 @@ import (
 // This file is the sparse-traffic seam of the registry: every builder
 // whose full schedule delivers the complete all-to-all with payload
 // annotations gets a sparse variant for free through the generic prune
-// pass (traffic.Prune), and the two builders with native many-to-many
-// construction — the proposed exchange's dense builder behind
-// proposed-sim and the dragonfly port-ordered exchange — build from the
-// matrix's blocks instead of the full exchange.
+// pass (traffic.Prune), and the two emitters with native many-to-many
+// construction — exchange.EmitSparsePayload behind proposed-sim and
+// dfly.EmitDimExchange behind dimexchange — take the matrix's blocks
+// in place of the full exchange's, and their schedule is collected
+// whole for the prune pass.
 // On top of the seam sits the planner: PlanSparse scores every sparse
 // candidate on a (matrix, fabric) pair with the executor's own cost
 // measure and returns the compiled winner.
 
-// sparseCapable names the registered builders whose schedules carry
+// sparseCapable names the registered emitters whose schedules carry
 // complete payload annotations for the full all-to-all — the
-// precondition of the prune pass. The structural "proposed" builder
-// (no payloads) and the collectives (broadcast, allgather, swing —
-// they deliver a different communication pattern, not a sub-matrix of
-// the all-to-all) are excluded by design, not omission.
+// precondition of the prune pass. The structural "proposed" emitter
+// (no payloads) and the collectives (broadcast, allgather,
+// reducescatter, swing — they deliver a different communication
+// pattern, not a sub-matrix of the all-to-all, and carry no payloads)
+// are excluded by design, not omission.
 var sparseCapable = map[string]bool{
 	"proposed-sim": true,
 	"direct":       true,
@@ -96,7 +98,9 @@ func sparseSchedule(b Builder, f topology.Fabric, m traffic.Matrix, req *obs.Req
 		if !ok {
 			return nil, fmt.Errorf("algorithm: proposed-sim requires a torus fabric")
 		}
-		sc, err = exchange.SparsePayloadSchedule(t, m.Blocks())
+		sc, err = schedule.Collect(t, func(t *topology.Torus, s schedule.Sink) error {
+			return exchange.EmitSparsePayload(t, m.Blocks(), s)
+		})
 	case b.Name() == "dimexchange":
 		// Native: the port-ordered builder replays block movement while
 		// emitting, for any traffic matrix.
@@ -104,7 +108,9 @@ func sparseSchedule(b Builder, f topology.Fabric, m traffic.Matrix, req *obs.Req
 		if !ok {
 			return nil, fmt.Errorf("algorithm: dimexchange requires a dragonfly fabric")
 		}
-		sc, err = dfly.SparseSchedule(d, m.Blocks())
+		sc, err = schedule.Collect(d, func(d *topology.Dragonfly, s schedule.Sink) error {
+			return dfly.EmitDimExchange(d, m.Blocks(), s)
+		})
 	default:
 		sc, err = b.BuildSchedule(f)
 	}

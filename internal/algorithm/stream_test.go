@@ -30,7 +30,10 @@ func goroutinesSettle(want int) bool {
 // Ring's first phase on t and then calls after.
 func ringThen(name string, steps int, after func(sink schedule.Sink) error) Builder {
 	return fabricBuilder{name: name, torus: func(t *topology.Torus, sink schedule.Sink) error {
-		sc := baseline.RingSchedule(t)
+		sc, err := schedule.Collect(t, baseline.EmitRing)
+		if err != nil {
+			return err
+		}
 		sink.Phase(sc.Phases[0].Name, 0)
 		for _, st := range sc.Phases[0].Steps[:steps] {
 			if err := sink.Step(st); err != nil {
@@ -136,7 +139,51 @@ func TestScheduleReplansFromTheCompiledEmitter(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Schedule(): %v", err)
 	}
-	if want := baseline.RingSchedule(tor).NumSteps(); sc.NumSteps() != want {
+	ring, err := schedule.Collect(tor, baseline.EmitRing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := ring.NumSteps(); sc.NumSteps() != want {
 		t.Fatalf("Schedule() has %d steps, ring has %d", sc.NumSteps(), want)
+	}
+}
+
+// refusingSink takes the first step, refuses the second and every
+// later one with err, and counts its Step calls.
+type refusingSink struct {
+	err   error
+	calls int
+}
+
+func (*refusingSink) Lattice(int)       {}
+func (*refusingSink) Phase(string, int) {}
+
+func (s *refusingSink) Step(schedule.Step) error {
+	if s.calls++; s.calls >= 2 {
+		return s.err
+	}
+	return nil
+}
+
+// TestEmittersHonourRefusingSink: every registry emitter, on 8x8 and
+// on D3(2,3), stops at the first step its sink refuses and returns
+// the sink's own error, unchanged.
+func TestEmittersHonourRefusingSink(t *testing.T) {
+	for _, f := range []topology.Fabric{topology.MustNew(8, 8), topology.MustNewDragonfly(2, 3)} {
+		for _, name := range Supporting(f) {
+			t.Run(name+"/"+f.Fingerprint(), func(t *testing.T) {
+				b, err := For(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sink := &refusingSink{err: errors.New("sink refuses")}
+				if err := b.EmitSchedule(f, sink); err != sink.err {
+					t.Fatalf("EmitSchedule returned %v, want the sink's own error", err)
+				}
+				if sink.calls != 2 {
+					t.Fatalf("%d Step calls, want 2: the emitter went on after the sink refused", sink.calls)
+				}
+			})
+		}
 	}
 }

@@ -8,19 +8,19 @@ import (
 	"torusx/internal/topology"
 )
 
-// builders are the four baseline schedule builders, as the algorithm
-// registry calls them.
+// builders are the four baseline emitters, as the algorithm registry
+// registers them.
 var builders = []struct {
-	name  string
-	build func(*topology.Torus) (*schedule.Schedule, error)
+	name string
+	emit func(*topology.Torus, schedule.Sink) error
 	// maxMiB pins the bytes one build allocates at 16x16: the measured
 	// 9.24, 1.21, 1.21 and 4.48 MiB (linux/amd64) plus 25%.
 	maxMiB float64
 }{
-	{"direct", func(t *topology.Torus) (*schedule.Schedule, error) { return DirectSchedule(t), nil }, 11.6},
-	{"factored", FactoredSchedule, 1.52},
-	{"logtime", LogTimeSchedule, 1.52},
-	{"ring", func(t *topology.Torus) (*schedule.Schedule, error) { return RingSchedule(t), nil }, 5.61},
+	{"direct", EmitDirect, 11.6},
+	{"factored", EmitFactored, 1.52},
+	{"logtime", EmitLogTime, 1.52},
+	{"ring", EmitRing, 5.61},
 }
 
 var schedSink *schedule.Schedule
@@ -34,7 +34,7 @@ func BenchmarkBuildSchedule16(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sc, err := c.build(tor)
+				sc, err := schedule.Collect(tor, c.emit)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -62,7 +62,7 @@ func TestBuildScheduleAllocBudget(t *testing.T) {
 	for _, c := range builders {
 		t.Run(c.name, func(t *testing.T) {
 			var err error
-			got := allocatedMiB(func() { schedSink, err = c.build(tor) })
+			got := allocatedMiB(func() { schedSink, err = schedule.Collect(tor, c.emit) })
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -17,8 +17,8 @@
 //
 // Every baseline is a payload-annotated schedule builder: an Emit*
 // function the algorithm registry (internal/algorithm) streams into
-// the shared executor, and a *Schedule wrapper that collects the same
-// steps. The executor replays the block movement, verifies delivery,
+// the shared executor, and schedule.Collect gathers into a whole
+// schedule. The executor replays the block movement, verifies delivery,
 // and derives measured costs in the same units as the proposed
 // algorithm's counters, including the wormhole link-sharing
 // serialization of Direct's long id-shift worms (see EXPERIMENTS.md).
@@ -55,29 +55,24 @@ func appendDirectRoute(segs []schedule.Seg, t *topology.Torus, a, b topology.Coo
 	return segs
 }
 
-// DirectSchedule emits the non-combining exchange as a schedule: one
-// phase of N−1 steps; in step k = 1..N−1, node i sends block
-// B[i, i+k] straight to node (i+k) mod N along the dimension-ordered
-// minimal route. Every step is a cyclic-shift permutation, so each
-// node sends and receives exactly one message per step (one-port
-// compliant), but the simultaneous worms of one shift overlap on the
-// ring links, so the steps are declared Shared and the executor
-// charges their link-sharing serialization.
-func DirectSchedule(t *topology.Torus) *schedule.Schedule {
-	sc, _ := schedule.Collect(t, func(s schedule.Sink) error { return EmitDirect(t, s) })
-	return sc
-}
-
 // directGroup is the number of Direct steps EmitDirect builds per
 // parallel round: few, so that a compile taking the steps as they are
 // emitted (exec.CompileStream keeps four in flight) never waits long
 // for a round, and enough that the rounds' fan-outs stay cheap. Of 4,
 // 8, 16 and all n−1 steps on a 2-vCPU host, 4 and 8 gave the fastest
-// cold 16×16 compile, and 8 the cheaper DirectSchedule.
+// cold 16×16 compile, and 8 the cheaper collected schedule.
 const directGroup = 8
 
-// EmitDirect emits DirectSchedule's steps into sink. Every step k is a
-// full cyclic-shift permutation (k != 0, so no route is ever empty), so
+// EmitDirect emits the non-combining exchange into sink: one phase of
+// N−1 steps; in step k = 1..N−1, node i sends block B[i, i+k] straight
+// to node (i+k) mod N along the dimension-ordered minimal route. Every
+// step is a cyclic-shift permutation, so each node sends and receives
+// exactly one message per step (one-port compliant), but the
+// simultaneous worms of one shift overlap on the ring links, so the
+// steps are declared Shared and the executor charges their
+// link-sharing serialization.
+//
+// Every step k is a full cyclic-shift permutation (k != 0, so no route is ever empty), so
 // sizes are known up front: each group of directGroup steps takes its
 // transfers, their one-block payloads and their route legs (NDims()
 // slots per transfer, of which multi-leg routes keep theirs as Segs)
@@ -136,19 +131,13 @@ func EmitDirect(t *topology.Torus, sink schedule.Sink) error {
 	return nil
 }
 
-// RingSchedule emits the dimension-ordered ring-scatter exchange as a
-// schedule: for each dimension k in order, dims[k]−1 steps in which
+// EmitRing emits the dimension-ordered ring-scatter exchange into
+// sink: for each dimension k in order, dims[k]−1 steps in which
 // every node forwards to its +1 neighbour along k all blocks whose
 // destination coordinate in k has not been reached yet. After phase k
 // every block sits at the correct coordinate in dimensions 0..k.
 // Every step is link-disjoint (each node uses only its own +1 link),
 // so no step is Shared.
-func RingSchedule(t *topology.Torus) *schedule.Schedule {
-	sc, _ := schedule.Collect(t, func(s schedule.Sink) error { return EmitRing(t, s) })
-	return sc
-}
-
-// EmitRing emits RingSchedule's phases and steps into sink.
 //
 // Every node does what node 0 does, translated, so the schedule
 // declares the lattice of period 1 in every dimension.

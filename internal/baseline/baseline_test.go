@@ -15,7 +15,7 @@ var shapes = [][]int{{4, 4}, {8, 8}, {12, 8}, {6, 5}, {4, 4, 4}, {5, 3, 2}}
 // execute compiles and replays a built schedule once through the shared
 // executor, then checks independently that every node ends with
 // exactly the blocks addressed to it. It takes a builder's results
-// as they come: execute(FactoredSchedule(tor)).
+// as they come: execute(schedule.Collect(tor, EmitFactored)).
 func execute(sc *schedule.Schedule, err error) (*exec.Result, error) {
 	if err != nil {
 		return nil, err
@@ -29,7 +29,7 @@ func execute(sc *schedule.Schedule, err error) (*exec.Result, error) {
 
 func TestDirectDelivers(t *testing.T) {
 	for _, dims := range shapes {
-		if _, err := execute(DirectSchedule(topology.MustNew(dims...)), nil); err != nil {
+		if _, err := execute(schedule.Collect(topology.MustNew(dims...), EmitDirect)); err != nil {
 			t.Fatalf("%v: %v", dims, err)
 		}
 	}
@@ -37,7 +37,7 @@ func TestDirectDelivers(t *testing.T) {
 
 func TestDirectMeasure(t *testing.T) {
 	tor := topology.MustNew(8, 8)
-	res, err := execute(DirectSchedule(tor), nil)
+	res, err := execute(schedule.Collect(tor, EmitDirect))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,10 @@ func TestDirectMeasure(t *testing.T) {
 	// is the closed form for Blocks. (Before the shared executor this
 	// contention was not modelled and Blocks was the step count, 63.)
 	wantBlocks := 0
-	sc := DirectSchedule(tor)
+	sc, err := schedule.Collect(tor, EmitDirect)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sc.EachStep(func(_ *schedule.Phase, _ int, st *schedule.Step) {
 		wantBlocks += st.MaxBlocks() * oracle.SharingFactor(tor, st)
 	})
@@ -79,7 +82,7 @@ func TestDirectMeasure(t *testing.T) {
 
 func TestRingDelivers(t *testing.T) {
 	for _, dims := range shapes {
-		if _, err := execute(RingSchedule(topology.MustNew(dims...)), nil); err != nil {
+		if _, err := execute(schedule.Collect(topology.MustNew(dims...), EmitRing)); err != nil {
 			t.Fatalf("%v: %v", dims, err)
 		}
 	}
@@ -87,7 +90,7 @@ func TestRingDelivers(t *testing.T) {
 
 func TestRingMeasureMatchesClosedForm(t *testing.T) {
 	for _, dims := range shapes {
-		res, err := execute(RingSchedule(topology.MustNew(dims...)), nil)
+		res, err := execute(schedule.Collect(topology.MustNew(dims...), EmitRing))
 		if err != nil {
 			t.Fatalf("%v: %v", dims, err)
 		}

@@ -7,6 +7,7 @@ import (
 	"syscall"
 	"testing"
 
+	"torusx/internal/schedule"
 	"torusx/internal/topology"
 )
 
@@ -22,7 +23,7 @@ func BenchmarkBuildSchedule32(b *testing.B) {
 			b.ReportAllocs()
 			defer meter(b)()
 			for i := 0; i < b.N; i++ {
-				sc, err := c.build(tor)
+				sc, err := schedule.Collect(tor, c.emit)
 				if err != nil {
 					b.Fatal(err)
 				}

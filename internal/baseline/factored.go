@@ -37,17 +37,12 @@ func primeFactors(v int) []int {
 	return out
 }
 
-// FactoredSchedule emits the multiphase exchange on any torus shape as
-// a payload-annotated schedule. Rounds moving distance > 1 are declared
+// EmitFactored emits the multiphase exchange on any torus shape into
+// sink as a payload-annotated schedule, under the lattice of period 1
+// in every dimension (see EmitRing). Rounds moving distance > 1 are declared
 // Shared (their worms overlap on the ring links); distance-1 rounds
 // are link-disjoint. Each dimension phase ends with a full per-node
 // rearrangement, recorded as the phase's Rearrange annotation.
-func FactoredSchedule(t *topology.Torus) (*schedule.Schedule, error) {
-	return schedule.Collect(t, func(s schedule.Sink) error { return EmitFactored(t, s) })
-}
-
-// EmitFactored emits FactoredSchedule's phases and steps into sink,
-// under the lattice of period 1 in every dimension (see EmitRing).
 func EmitFactored(t *topology.Torus, sink schedule.Sink) error {
 	for d := 0; d < t.NDims(); d++ {
 		if t.Dim(d) < 1 {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"torusx/internal/costmodel"
+	"torusx/internal/schedule"
 	"torusx/internal/topology"
 )
 
@@ -32,7 +33,7 @@ func TestPrimeFactors(t *testing.T) {
 
 func TestFactoredDelivers(t *testing.T) {
 	for _, dims := range [][]int{{4, 4}, {12, 8}, {6, 5}, {9, 3}, {12, 12}, {5, 3, 2}} {
-		if _, err := execute(FactoredSchedule(topology.MustNew(dims...))); err != nil {
+		if _, err := execute(schedule.Collect(topology.MustNew(dims...), EmitFactored)); err != nil {
 			t.Fatalf("%v: %v", dims, err)
 		}
 	}
@@ -48,7 +49,7 @@ func TestFactoredStepCount(t *testing.T) {
 		{[]int{6, 5}, 7},   // (1+2) + 4
 		{[]int{9, 3}, 6},   // (2+2) + 2
 	} {
-		res, err := execute(FactoredSchedule(topology.MustNew(tc.dims...)))
+		res, err := execute(schedule.Collect(topology.MustNew(tc.dims...), EmitFactored))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,11 +64,11 @@ func TestFactoredStepCount(t *testing.T) {
 
 func TestFactoredEqualsLogTimeOnPow2(t *testing.T) {
 	tor1 := topology.MustNew(16, 8)
-	f, err := execute(FactoredSchedule(tor1))
+	f, err := execute(schedule.Collect(tor1, EmitFactored))
 	if err != nil {
 		t.Fatal(err)
 	}
-	lt, err := execute(LogTimeSchedule(topology.MustNew(16, 8)))
+	lt, err := execute(schedule.Collect(topology.MustNew(16, 8), EmitLogTime))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestFactoredBeatsRingOnStartups(t *testing.T) {
 	// link contention itself (it is not contention-free, unlike the
 	// proposed schedule) and per-phase rearrangement.
 	dims := []int{12, 12}
-	f, err := execute(FactoredSchedule(topology.MustNew(dims...)))
+	f, err := execute(schedule.Collect(topology.MustNew(dims...), EmitFactored))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestFactoredBeatsRingOnStartups(t *testing.T) {
 }
 
 func TestFactoredSize1Dimension(t *testing.T) {
-	if _, err := execute(FactoredSchedule(topology.MustNew(4, 1))); err != nil {
+	if _, err := execute(schedule.Collect(topology.MustNew(4, 1), EmitFactored)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -32,20 +32,15 @@ import (
 // isPow2 reports whether v is a positive power of two.
 func isPow2(v int) bool { return v > 0 && v&(v-1) == 0 }
 
-// LogTimeSchedule emits the logarithmic-startup exchange as a
-// payload-annotated schedule. Every dimension size must be a power of
+// EmitLogTime emits the logarithmic-startup exchange into sink as a
+// payload-annotated schedule, under the lattice of period 1 in every
+// dimension (see EmitRing). Every dimension size must be a power of
 // two (the same restriction as [9]). Rounds with r >= 2 are declared
 // Shared: distance-r worms of adjacent senders overlap on the ring
 // links, and the executor charges their serialization (factor r for a
 // full round). Each dimension phase ends with one full per-node
 // rearrangement, recorded as the phase's Rearrange annotation, as the
 // combining schemes of [9] require between dimension sweeps.
-func LogTimeSchedule(t *topology.Torus) (*schedule.Schedule, error) {
-	return schedule.Collect(t, func(s schedule.Sink) error { return EmitLogTime(t, s) })
-}
-
-// EmitLogTime emits LogTimeSchedule's phases and steps into sink,
-// under the lattice of period 1 in every dimension (see EmitRing).
 func EmitLogTime(t *topology.Torus, sink schedule.Sink) error {
 	for d := 0; d < t.NDims(); d++ {
 		if !isPow2(t.Dim(d)) {

@@ -10,17 +10,17 @@ import (
 )
 
 func TestLogTimeRequiresPow2(t *testing.T) {
-	if _, err := LogTimeSchedule(topology.MustNew(12, 8)); err == nil {
+	if _, err := schedule.Collect(topology.MustNew(12, 8), EmitLogTime); err == nil {
 		t.Fatal("12x8 should be rejected")
 	}
-	if _, err := LogTimeSchedule(topology.MustNew(8, 6)); err == nil {
+	if _, err := schedule.Collect(topology.MustNew(8, 6), EmitLogTime); err == nil {
 		t.Fatal("8x6 should be rejected")
 	}
 }
 
 func TestLogTimeDelivers(t *testing.T) {
 	for _, dims := range [][]int{{4, 4}, {8, 8}, {16, 8}, {8, 8, 8}, {16, 4}, {4, 4, 4, 4}} {
-		if _, err := execute(LogTimeSchedule(topology.MustNew(dims...))); err != nil {
+		if _, err := execute(schedule.Collect(topology.MustNew(dims...), EmitLogTime)); err != nil {
 			t.Fatalf("%v: %v", dims, err)
 		}
 	}
@@ -32,7 +32,7 @@ func TestLogTimeStartupClass(t *testing.T) {
 	// proposed algorithm's 2^{d-1}+2.
 	for d := 2; d <= 4; d++ {
 		a := 1 << uint(d)
-		res, err := execute(LogTimeSchedule(topology.MustNew(a, a)))
+		res, err := execute(schedule.Collect(topology.MustNew(a, a), EmitLogTime))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func TestLogTimeStartupClass(t *testing.T) {
 func TestLogTimeOnePortCompliant(t *testing.T) {
 	// Every half-step must satisfy the one-port model even though it
 	// is not link-contention-free.
-	res, err := execute(LogTimeSchedule(topology.MustNew(8, 8)))
+	res, err := execute(schedule.Collect(topology.MustNew(8, 8), EmitLogTime))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestLogTimeHasLinkContention(t *testing.T) {
 	// under the one-port model while the strict per-step checker still
 	// rejects them, and the sharing factor reaches the shift distance.
 	tor := topology.MustNew(16, 16)
-	res, err := execute(LogTimeSchedule(tor))
+	res, err := execute(schedule.Collect(tor, EmitLogTime))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestLogTimeCrossover(t *testing.T) {
 	// the proposed algorithm; with small startup the proposed wins —
 	// the trade-off the paper's conclusion describes.
 	tor := topology.MustNew(32, 32)
-	lt, err := execute(LogTimeSchedule(tor))
+	lt, err := execute(schedule.Collect(tor, EmitLogTime))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -149,18 +149,19 @@ func refDirect(t *topology.Torus) *schedule.Schedule {
 func TestRoundEngineMatchesReference(t *testing.T) {
 	shapes := [][]int{{4, 4}, {8, 8}, {16, 16}, {12, 8}, {6, 10}, {4, 4, 4}, {2, 2, 2}, {1, 8}, {8, 1}, {9}, {3, 5, 2}, {2, 1, 6}, {4, 1, 4}, {4, 2, 8}}
 	cells := []struct {
-		name       string
-		build, ref func(*topology.Torus) (*schedule.Schedule, error)
+		name string
+		emit func(*topology.Torus, schedule.Sink) error
+		ref  func(*topology.Torus) (*schedule.Schedule, error)
 	}{
-		{"ring", func(t *topology.Torus) (*schedule.Schedule, error) { return RingSchedule(t), nil }, refRing},
-		{"factored", FactoredSchedule, refFactored},
-		{"logtime", LogTimeSchedule, refLogTime},
+		{"ring", EmitRing, refRing},
+		{"factored", EmitFactored, refFactored},
+		{"logtime", EmitLogTime, refLogTime},
 	}
 	for _, dims := range shapes {
 		tor := topology.MustNew(dims...)
 		for _, c := range cells {
 			t.Run(c.name+"/"+tor.String(), func(t *testing.T) {
-				got, err := c.build(tor)
+				got, err := schedule.Collect(tor, c.emit)
 				want, refErr := c.ref(tor)
 				if (err != nil) != (refErr != nil) {
 					t.Fatalf("builder error %v, reference error %v", err, refErr)
@@ -179,12 +180,16 @@ func TestRoundEngineMatchesReference(t *testing.T) {
 	}
 }
 
-// TestDirectScheduleMatchesReference holds DirectSchedule's one-backing
+// TestDirectScheduleMatchesReference holds EmitDirect's one-backing
 // layout to the append-built reference, multi-leg routes included.
 func TestDirectScheduleMatchesReference(t *testing.T) {
 	for _, dims := range [][]int{{8, 8}, {12, 8}, {4, 4, 4}} {
 		tor := topology.MustNew(dims...)
-		if !reflect.DeepEqual(DirectSchedule(tor), refDirect(tor)) {
+		sc, err := schedule.Collect(tor, EmitDirect)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(sc, refDirect(tor)) {
 			t.Fatalf("%s: schedule differs from the append-built reference", tor)
 		}
 	}

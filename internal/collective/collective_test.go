@@ -19,8 +19,8 @@ func allOrigins(t *topology.Torus) []topology.NodeID {
 }
 
 // measure runs a built schedule once through the shared executor and
-// returns its measure. It takes a builder's results as they come:
-// measure(AllGatherSchedule(tor)).
+// returns its measure. It takes a collected schedule as it comes:
+// measure(schedule.Collect(tor, EmitAllGather)).
 func measure(sc *schedule.Schedule, err error) (costmodel.Measure, error) {
 	if err != nil {
 		return costmodel.Measure{}, err
@@ -36,19 +36,11 @@ func TestBroadcastReachesAll(t *testing.T) {
 	for _, dims := range [][]int{{8, 8}, {12, 8}, {5, 3}, {6, 5, 4}, {7, 7}} {
 		tor := topology.MustNew(dims...)
 		for _, root := range []topology.NodeID{0, topology.NodeID(tor.Nodes() / 2)} {
-			sc, have, err := broadcastSchedule(tor, root)
+			sc, err := broadcast(tor, root)
 			if err != nil {
 				t.Fatalf("%v root %d: %v", dims, root, err)
 			}
-			held := make([][]topology.NodeID, len(have))
-			for i, h := range have {
-				if h {
-					held[i] = []topology.NodeID{root}
-				}
-			}
-			if err := verifyReplication(tor, held, []topology.NodeID{root}); err != nil {
-				t.Fatalf("%v root %d: %v", dims, root, err)
-			}
+			checkBroadcast(t, tor, root, sc)
 			if err := oracle.Check(sc); err != nil {
 				t.Fatalf("%v root %d: %v", dims, root, err)
 			}
@@ -60,7 +52,7 @@ func TestBroadcastStepCount(t *testing.T) {
 	// A ring of size a floods in ceil(a/2) + (a even ? 1 : 0) - ...
 	// measured bound: at most a/2 + 1 steps per dimension.
 	for _, dims := range [][]int{{8, 8}, {12, 12}, {16, 4}} {
-		m, err := measure(BroadcastSchedule(topology.MustNew(dims...), 0))
+		m, err := measure(broadcast(topology.MustNew(dims...), 0))
 		if err != nil {
 			t.Fatalf("%v: %v", dims, err)
 		}
@@ -90,7 +82,7 @@ func TestBroadcastMeasureRootInvariant(t *testing.T) {
 	} {
 		tor := topology.MustNew(dims...)
 		run := func(root topology.NodeID) *exec.Result {
-			sc, err := BroadcastSchedule(tor, root)
+			sc, err := broadcast(tor, root)
 			if err != nil {
 				t.Fatalf("%v root %d: %v", dims, root, err)
 			}
@@ -112,7 +104,7 @@ func TestBroadcastMeasureRootInvariant(t *testing.T) {
 }
 
 func TestBroadcastValidation(t *testing.T) {
-	if _, err := BroadcastSchedule(topology.MustNew(4, 4), 99); err == nil {
+	if _, err := broadcast(topology.MustNew(4, 4), 99); err == nil {
 		t.Fatal("out-of-range root should fail")
 	}
 }
@@ -120,11 +112,12 @@ func TestBroadcastValidation(t *testing.T) {
 func TestAllGatherReplicatesEverything(t *testing.T) {
 	for _, dims := range [][]int{{4, 4}, {8, 8}, {5, 3}, {4, 4, 4}, {6, 5}} {
 		tor := topology.MustNew(dims...)
-		sc, have, err := allGatherSchedule(tor)
-		if err != nil {
+		_, have := allGatherReference(tor)
+		if err := verifyReplication(tor, have, allOrigins(tor)); err != nil {
 			t.Fatalf("%v: %v", dims, err)
 		}
-		if err := verifyReplication(tor, have, allOrigins(tor)); err != nil {
+		sc, err := schedule.Collect(tor, EmitAllGather)
+		if err != nil {
 			t.Fatalf("%v: %v", dims, err)
 		}
 		if err := oracle.Check(sc); err != nil {
@@ -136,7 +129,7 @@ func TestAllGatherReplicatesEverything(t *testing.T) {
 func TestAllGatherCosts(t *testing.T) {
 	// Ring allgather: sum(ai-1) steps; the last dimension's steps move
 	// the largest sets.
-	m, err := measure(AllGatherSchedule(topology.MustNew(8, 8)))
+	m, err := measure(schedule.Collect(topology.MustNew(8, 8), EmitAllGather))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,13 +144,15 @@ func TestAllGatherCosts(t *testing.T) {
 
 func TestAllGatherSize1Dimension(t *testing.T) {
 	tor := topology.MustNew(4, 1)
-	_, have, err := allGatherSchedule(tor)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref, have := allGatherReference(tor)
 	if err := verifyReplication(tor, have, allOrigins(tor)); err != nil {
 		t.Fatal(err)
 	}
+	sc, err := schedule.Collect(tor, EmitAllGather)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameSteps(t, ref, sc)
 }
 func TestVerifyReplicationRejects(t *testing.T) {
 	tor := topology.MustNew(4, 4)

@@ -31,7 +31,6 @@ import (
 // product of the sizes of dimensions 0 through d, and every step of
 // dimension d moves that many blocks per node.
 func EmitReduceScatter(t *topology.Torus, sink schedule.Sink) error {
-	pos := func(int) (topology.Direction, int) { return topology.Pos, 1 }
 	for dim := 0; dim < t.NDims(); dim++ {
 		a := t.Dim(dim)
 		if a == 1 {
@@ -39,7 +38,7 @@ func EmitReduceScatter(t *topology.Torus, sink schedule.Sink) error {
 		}
 		sink.Phase(fmt.Sprintf("reducescatter-dim%d", dim), 0)
 		for s := 1; s < a; s++ {
-			if err := sink.Step(ringStep(t, dim, stride(t, dim), pos)); err != nil {
+			if err := sink.Step(ringStep(t, dim, stride(t, dim), unitLeg)); err != nil {
 				return err
 			}
 		}
@@ -57,6 +56,10 @@ func stride(t *topology.Torus, dim int) int {
 	return s
 }
 
+// unitLeg is the leg of a ring step in which every node sends to its
+// +1 neighbour.
+func unitLeg(int) (topology.Direction, int) { return topology.Pos, 1 }
+
 // ringStep returns the step in which every node, in id order, sends
 // blocks blocks along dim by the leg leg gives for its coordinate
 // there. A step with a leg longer than one hop declares Shared.
@@ -64,11 +67,10 @@ func ringStep(t *topology.Torus, dim, blocks int, leg func(x int) (topology.Dire
 	a, st := t.Dim(dim), stride(t, dim)
 	step := schedule.Step{Transfers: make([]schedule.Transfer, t.Nodes())}
 	for i := range step.Transfers {
-		x := i / st % a
-		dir, hops := leg(x)
-		y := ((x+int(dir)*hops)%a + a) % a
+		src := topology.NodeID(i)
+		dir, hops := leg(i / st % a)
 		step.Transfers[i] = schedule.Transfer{
-			Src: topology.NodeID(i), Dst: topology.NodeID(i + (y-x)*st),
+			Src: src, Dst: t.Advance(src, dim, dir, hops),
 			Dim: dim, Dir: dir, Hops: hops, Blocks: blocks,
 		}
 		step.Shared = step.Shared || hops > 1

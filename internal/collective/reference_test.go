@@ -336,3 +336,78 @@ func SwingAllReduce(t *topology.Torus, contrib [][]uint64) (*ReduceResult, error
 	}
 	return res, nil
 }
+
+// allGatherReference is the ring all-gather by simulation, the
+// reference EmitAllGather is held to step by step: every node keeps the
+// list of origins it holds, and each step forwards to the +1 neighbour
+// what arrived in the previous one, so every transfer's block count is
+// the length of a real list. It returns the schedule and, for
+// verifyReplication, every node's final list.
+func allGatherReference(t *topology.Torus) (*schedule.Schedule, [][]topology.NodeID) {
+	n := t.Nodes()
+	have := make([][]topology.NodeID, n)
+	for i := range have {
+		have[i] = []topology.NodeID{topology.NodeID(i)}
+	}
+	sc := &schedule.Schedule{Fabric: t}
+
+	for dim := 0; dim < t.NDims(); dim++ {
+		size := t.Dim(dim)
+		if size == 1 {
+			continue
+		}
+		ph := schedule.Phase{Name: fmt.Sprintf("allgather-dim%d", dim)}
+		// carry[i] is what node i forwards next (pipelining: pass on
+		// what arrived last step).
+		carry := make([][]topology.NodeID, n)
+		for i := range carry {
+			carry[i] = append([]topology.NodeID(nil), have[i]...)
+		}
+		for s := 1; s <= size-1; s++ {
+			var step schedule.Step
+			incoming := make([][]topology.NodeID, n)
+			for i := 0; i < n; i++ {
+				j := t.MoveID(topology.NodeID(i), dim, 1)
+				incoming[j] = carry[i]
+				step.Transfers = append(step.Transfers, schedule.Transfer{
+					Src: topology.NodeID(i), Dst: j,
+					Dim: dim, Dir: topology.Pos, Hops: 1, Blocks: len(carry[i]),
+				})
+			}
+			for i := 0; i < n; i++ {
+				have[i] = append(have[i], incoming[i]...)
+				carry[i] = incoming[i]
+			}
+			ph.Steps = append(ph.Steps, step)
+		}
+		sc.Phases = append(sc.Phases, ph)
+	}
+	return sc, have
+}
+
+// verifyReplication checks that every node ends with exactly one block
+// from every origin in origins.
+func verifyReplication(t *topology.Torus, have [][]topology.NodeID, origins []topology.NodeID) error {
+	n := t.Nodes()
+	want := make([]bool, n)
+	for _, o := range origins {
+		want[o] = true
+	}
+	seen := make([]int, n) // seen[o] == i+1 once node i holds origin o
+
+	for i, hs := range have {
+		for _, o := range hs {
+			if int(o) < 0 || int(o) >= n || !want[o] {
+				return fmt.Errorf("collective: node %d holds unexpected origin %d", i, o)
+			}
+			if seen[o] == i+1 {
+				return fmt.Errorf("collective: node %d holds origin %d twice", i, o)
+			}
+			seen[o] = i + 1
+		}
+		if len(hs) != len(origins) {
+			return fmt.Errorf("collective: node %d holds %d origins, want %d", i, len(hs), len(origins))
+		}
+	}
+	return nil
+}

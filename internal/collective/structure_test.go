@@ -9,11 +9,11 @@ import (
 	"torusx/internal/topology"
 )
 
-// collect runs emit into a collecting sink on t.
-func collect(emit func(*topology.Torus, schedule.Sink) error) func(*topology.Torus) (*schedule.Schedule, error) {
-	return func(t *topology.Torus) (*schedule.Schedule, error) {
-		return schedule.Collect(t, func(s schedule.Sink) error { return emit(t, s) })
-	}
+// broadcast collects EmitBroadcast's schedule from root on t.
+func broadcast(t *topology.Torus, root topology.NodeID) (*schedule.Schedule, error) {
+	return schedule.Collect(t, func(t *topology.Torus, s schedule.Sink) error {
+		return EmitBroadcast(t, root, s)
+	})
 }
 
 // sameSteps fails t unless got has want's lattice, phase names and
@@ -69,7 +69,7 @@ func TestReductionEmittersMatchReferences(t *testing.T) {
 					t.Fatalf("node %d slot sum = %d, want %d", i, got, want)
 				}
 			}
-			sc, err := collect(EmitReduceScatter)(tor)
+			sc, err := schedule.Collect(tor, EmitReduceScatter)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,7 +102,7 @@ func TestReductionEmittersMatchReferences(t *testing.T) {
 					}
 				}
 			}
-			sc, err := collect(EmitSwing)(tor)
+			sc, err := schedule.Collect(tor, EmitSwing)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -116,6 +116,78 @@ func TestReductionEmittersMatchReferences(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestReplicationEmittersMatchReferences holds EmitAllGather to the
+// origin-list simulation step by step, on TestAllReduce's shapes and
+// two with size-1 dimensions, and checks that every reference run
+// leaves every node exactly one block of every origin. It checks
+// EmitBroadcast's collected schedule directly, from every root of 4x4
+// and from root 0 on the same shapes.
+func TestReplicationEmittersMatchReferences(t *testing.T) {
+	shapes := [][]int{{4}, {6}, {4, 4}, {8, 8}, {6, 5}, {12, 8}, {4, 4, 4}, {5, 3, 2}, {16, 16}, {7, 1, 3}, {1, 4}}
+	for _, dims := range shapes {
+		tor := topology.MustNew(dims...)
+		t.Run(fmt.Sprintf("allgather/%v", tor), func(t *testing.T) {
+			ref, have := allGatherReference(tor)
+			if err := verifyReplication(tor, have, allOrigins(tor)); err != nil {
+				t.Fatal(err)
+			}
+			sc, err := schedule.Collect(tor, EmitAllGather)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameSteps(t, ref, sc)
+		})
+		t.Run(fmt.Sprintf("broadcast/%v", tor), func(t *testing.T) {
+			sc, err := broadcast(tor, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkBroadcast(t, tor, 0, sc)
+		})
+	}
+	t.Run("broadcast/4x4/every-root", func(t *testing.T) {
+		tor := topology.MustNew(4, 4)
+		for root := topology.NodeID(0); int(root) < tor.Nodes(); root++ {
+			sc, err := broadcast(tor, root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkBroadcast(t, tor, root, sc)
+		}
+	})
+}
+
+// checkBroadcast fails t unless sc floods root's block to every node
+// of tor: every transfer carries the one block, every sender held it
+// before the step, every node but root receives it exactly once, and
+// every node ends holding it.
+func checkBroadcast(t *testing.T, tor *topology.Torus, root topology.NodeID, sc *schedule.Schedule) {
+	t.Helper()
+	have := make([]bool, tor.Nodes())
+	have[root] = true
+	for _, ph := range sc.Phases {
+		for s, st := range ph.Steps {
+			for _, tr := range st.Transfers {
+				if tr.Blocks != 1 || !have[tr.Src] {
+					t.Fatalf("root %d, %s step %d: node %d sends %d blocks, holding the block: %v",
+						root, ph.Name, s, tr.Src, tr.Blocks, have[tr.Src])
+				}
+			}
+			for _, tr := range st.Transfers {
+				if have[tr.Dst] {
+					t.Fatalf("root %d, %s step %d: node %d receives the block a second time", root, ph.Name, s, tr.Dst)
+				}
+				have[tr.Dst] = true
+			}
+		}
+	}
+	for i, h := range have {
+		if !h {
+			t.Fatalf("root %d: node %d never receives the block", root, i)
+		}
+	}
 }
 
 // checkChains follows, in each reduce-scatter phase of sc, every

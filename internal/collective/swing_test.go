@@ -91,7 +91,7 @@ func TestSwingRejectsNonPowerOfTwo(t *testing.T) {
 			t.Errorf("%v accepted", dims)
 			continue
 		}
-		_, emitErr := schedule.Collect(tor, func(s schedule.Sink) error { return collective.EmitSwing(tor, s) })
+		_, emitErr := schedule.Collect(tor, collective.EmitSwing)
 		if emitErr == nil || emitErr.Error() != err.Error() {
 			t.Errorf("%v: emitter error %v, want %q", dims, emitErr, err)
 		}
@@ -106,7 +106,7 @@ func TestSwingRejectsNonPowerOfTwo(t *testing.T) {
 // schedule runs through the shared executor.
 func TestSwingScheduleExecutes(t *testing.T) {
 	tor := topology.MustNew(8, 8)
-	sc, err := schedule.Collect(tor, func(s schedule.Sink) error { return collective.EmitSwing(tor, s) })
+	sc, err := schedule.Collect(tor, collective.EmitSwing)
 	if err != nil {
 		t.Fatal(err)
 	}

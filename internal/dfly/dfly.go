@@ -1,19 +1,21 @@
 // Package dfly builds all-to-all exchange schedules on the swapped
 // dragonfly fabric (topology.Dragonfly), the second fabric behind the
-// topology.Fabric seam. Two builders mirror the torus baselines:
+// topology.Fabric seam. Two emitters mirror the torus baselines:
 //
-//   - DirectSchedule is the dragonfly twin of the torus Direct
+//   - EmitDirect is the dragonfly twin of the torus Direct
 //     baseline: N-1 id-shift steps, every node sending straight to its
 //     step-k partner along the minimal local–global–local route, with
 //     link time-sharing declared and priced rather than avoided;
-//   - DimExchangeSchedule is the dimension-ordered (port-ordered)
-//     exchange: a local scatter phase positioning every block on the
-//     entry router wired to its destination group, one global phase,
-//     and a local delivery phase — contention-free and one-port
-//     compliant by construction, 2(M-1)+K² steps in total.
+//   - EmitDimExchange is the dimension-ordered (port-ordered)
+//     exchange of any traffic matrix: a local scatter phase
+//     positioning every block on the entry router wired to its
+//     destination group, one global phase, and a local delivery phase
+//     — contention-free and one-port compliant by construction,
+//     2(M-1)+K² steps in total.
 //
-// Both emit full payload annotations, so the shared executor replays
-// and delivery-verifies them exactly as it does the torus algorithms.
+// Both emit full payload annotations into a schedule.Sink, so the
+// shared executor replays and delivery-verifies them exactly as it
+// does the torus algorithms.
 package dfly
 
 import (
@@ -39,17 +41,11 @@ func routeSegs(tr *schedule.Transfer, route []topology.Hop) {
 	}
 }
 
-// DirectSchedule emits the direct (id-shift) exchange on d: step k of
-// N-1 sends node i's block for node (i+k) mod N along the minimal
+// EmitDirect emits the direct (id-shift) exchange on d into sink: step
+// k of N-1 sends node i's block for node (i+k) mod N along the minimal
 // route. Distinct pairs share local and global channels within a step,
 // so every step declares Shared and the executor charges the
 // serialization factor, exactly like the torus Direct baseline.
-func DirectSchedule(d *topology.Dragonfly) *schedule.Schedule {
-	sc, _ := schedule.Collect(d, func(s schedule.Sink) error { return EmitDirect(d, s) })
-	return sc
-}
-
-// EmitDirect emits DirectSchedule's steps into sink.
 func EmitDirect(d *topology.Dragonfly, sink schedule.Sink) error {
 	n := d.Nodes()
 	sink.Phase("direct", 0)
@@ -83,21 +79,9 @@ func entryRouter(d *topology.Dragonfly, g int, dst topology.NodeID) int {
 	return d.Group(dst) % d.M()
 }
 
-// DimExchangeSchedule emits the port-ordered exchange of the full
-// all-to-all matrix on d.
-func DimExchangeSchedule(d *topology.Dragonfly) (*schedule.Schedule, error) {
-	n := d.Nodes()
-	traffic := make([]block.Block, 0, n*n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			traffic = append(traffic, block.Block{Origin: topology.NodeID(i), Dest: topology.NodeID(j)})
-		}
-	}
-	return SparseSchedule(d, traffic)
-}
-
-// SparseSchedule emits the port-ordered exchange of an arbitrary
-// traffic matrix on d, in three phases:
+// EmitDimExchange emits the port-ordered exchange of an arbitrary
+// traffic matrix on d into sink, each step as soon as it is built, in
+// three phases:
 //
 //  1. "local-scatter" (M-1 steps): step o shifts, within every group,
 //     from router r to router (r+o) mod M — carrying same-group blocks
@@ -116,22 +100,22 @@ func DimExchangeSchedule(d *topology.Dragonfly) (*schedule.Schedule, error) {
 // which exec.Compile checks when the registry compiles the schedule;
 // the builder replays the block movement while emitting, so every
 // transfer carries its exact payload. Traffic must be duplicate-free
-// and in range.
-func SparseSchedule(d *topology.Dragonfly, traffic []block.Block) (*schedule.Schedule, error) {
+// and in range; the registry passes the full matrix in origin-major
+// order.
+func EmitDimExchange(d *topology.Dragonfly, traffic []block.Block, sink schedule.Sink) error {
 	n, m, k := d.Nodes(), d.M(), d.K()
 	bufs := make([][]block.Block, n)
 	seen := make(map[block.Block]bool, len(traffic))
 	for _, b := range traffic {
 		if int(b.Origin) < 0 || int(b.Origin) >= n || int(b.Dest) < 0 || int(b.Dest) >= n {
-			return nil, fmt.Errorf("dfly: traffic block %v out of range for %d nodes", b, n)
+			return fmt.Errorf("dfly: traffic block %v out of range for %d nodes", b, n)
 		}
 		if seen[b] {
-			return nil, fmt.Errorf("dfly: duplicate traffic block %v", b)
+			return fmt.Errorf("dfly: duplicate traffic block %v", b)
 		}
 		seen[b] = true
 		bufs[b.Origin] = append(bufs[b.Origin], b)
 	}
-	sc := &schedule.Schedule{Fabric: d}
 
 	// moveStep builds one step from a per-node selector: node i sends
 	// every held block pick returns true for to dst(i), as one combined
@@ -176,28 +160,33 @@ func SparseSchedule(d *topology.Dragonfly, traffic []block.Block) (*schedule.Sch
 		return step
 	}
 
-	// Phase 1: local scatter to entry (or destination) routers.
-	scatter := schedule.Phase{Name: "local-scatter"}
-	for o := 1; o < m; o++ {
-		scatter.Steps = append(scatter.Steps, moveStep(
-			func(i int) topology.NodeID {
-				g, r := d.Group(topology.NodeID(i)), d.Router(topology.NodeID(i))
-				return d.ID(g, (r+o)%m)
-			},
-			func(i int, b block.Block) bool {
-				g, r := d.Group(topology.NodeID(i)), d.Router(topology.NodeID(i))
-				return entryRouter(d, g, b.Dest) == (r+o)%m
-			}))
+	// shift returns the local-shift step's destination rule for offset o.
+	shift := func(o int) func(i int) topology.NodeID {
+		return func(i int) topology.NodeID {
+			g, r := d.Group(topology.NodeID(i)), d.Router(topology.NodeID(i))
+			return d.ID(g, (r+o)%m)
+		}
 	}
+
+	// Phase 1: local scatter to entry (or destination) routers.
 	if m > 1 {
-		sc.Phases = append(sc.Phases, scatter)
+		sink.Phase("local-scatter", 0)
+	}
+	for o := 1; o < m; o++ {
+		err := sink.Step(moveStep(shift(o), func(i int, b block.Block) bool {
+			g, r := d.Group(topology.NodeID(i)), d.Router(topology.NodeID(i))
+			return entryRouter(d, g, b.Dest) == (r+o)%m
+		}))
+		if err != nil {
+			return err
+		}
 	}
 
 	// Phase 2: global exchange, one (port, group-class) pair per step.
-	global := schedule.Phase{Name: "global"}
+	sink.Phase("global", 0)
 	for kp := 0; kp < k; kp++ {
 		for j := 0; j < k; j++ {
-			global.Steps = append(global.Steps, moveStep(
+			err := sink.Step(moveStep(
 				func(i int) topology.NodeID {
 					g, r := d.Group(topology.NodeID(i)), d.Router(topology.NodeID(i))
 					tg := kp*m + r
@@ -210,25 +199,24 @@ func SparseSchedule(d *topology.Dragonfly, traffic []block.Block) (*schedule.Sch
 					r := d.Router(topology.NodeID(i))
 					return d.Group(b.Dest) == kp*m+r
 				}))
+			if err != nil {
+				return err
+			}
 		}
 	}
-	sc.Phases = append(sc.Phases, global)
 
 	// Phase 3: local delivery within the destination groups.
-	deliver := schedule.Phase{Name: "local-deliver"}
-	for o := 1; o < m; o++ {
-		deliver.Steps = append(deliver.Steps, moveStep(
-			func(i int) topology.NodeID {
-				g, r := d.Group(topology.NodeID(i)), d.Router(topology.NodeID(i))
-				return d.ID(g, (r+o)%m)
-			},
-			func(i int, b block.Block) bool {
-				g, r := d.Group(topology.NodeID(i)), d.Router(topology.NodeID(i))
-				return d.Group(b.Dest) == g && d.Router(b.Dest) == (r+o)%m
-			}))
-	}
 	if m > 1 {
-		sc.Phases = append(sc.Phases, deliver)
+		sink.Phase("local-deliver", 0)
+	}
+	for o := 1; o < m; o++ {
+		err := sink.Step(moveStep(shift(o), func(i int, b block.Block) bool {
+			g, r := d.Group(topology.NodeID(i)), d.Router(topology.NodeID(i))
+			return d.Group(b.Dest) == g && d.Router(b.Dest) == (r+o)%m
+		}))
+		if err != nil {
+			return err
+		}
 	}
 
 	// Every block must now sit at its destination; a miss here is a
@@ -236,9 +224,9 @@ func SparseSchedule(d *topology.Dragonfly, traffic []block.Block) (*schedule.Sch
 	for i := 0; i < n; i++ {
 		for _, b := range bufs[i] {
 			if int(b.Dest) != i {
-				return nil, fmt.Errorf("dfly: block %v stranded at node %d after port-ordered exchange", b, i)
+				return fmt.Errorf("dfly: block %v stranded at node %d after port-ordered exchange", b, i)
 			}
 		}
 	}
-	return sc, nil
+	return nil
 }

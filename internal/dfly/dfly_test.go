@@ -9,11 +9,20 @@ import (
 	"torusx/internal/dfly"
 	"torusx/internal/exec"
 	"torusx/internal/oracle"
+	"torusx/internal/schedule"
 	"torusx/internal/topology"
+	"torusx/internal/traffic"
 )
 
 var shapes = []struct{ k, m int }{
 	{1, 2}, {1, 4}, {2, 2}, {2, 3}, {3, 2}, {2, 4}, {3, 3},
+}
+
+// dimExchange collects EmitDimExchange's schedule of traffic on d.
+func dimExchange(d *topology.Dragonfly, traffic []block.Block) (*schedule.Schedule, error) {
+	return schedule.Collect(d, func(d *topology.Dragonfly, s schedule.Sink) error {
+		return dfly.EmitDimExchange(d, traffic, s)
+	})
 }
 
 // TestDirectSchedule: the direct exchange passes the schedule checks
@@ -22,7 +31,10 @@ var shapes = []struct{ k, m int }{
 func TestDirectSchedule(t *testing.T) {
 	for _, sh := range shapes {
 		d := topology.MustNewDragonfly(sh.k, sh.m)
-		sc := dfly.DirectSchedule(d)
+		sc, err := schedule.Collect(d, dfly.EmitDirect)
+		if err != nil {
+			t.Fatalf("D3(%d,%d): %v", sh.k, sh.m, err)
+		}
 		if err := oracle.Check(sc); err != nil {
 			t.Fatalf("D3(%d,%d): %v", sh.k, sh.m, err)
 		}
@@ -50,7 +62,7 @@ func TestDirectSchedule(t *testing.T) {
 func TestDimExchangeSchedule(t *testing.T) {
 	for _, sh := range shapes {
 		d := topology.MustNewDragonfly(sh.k, sh.m)
-		sc, err := dfly.DimExchangeSchedule(d)
+		sc, err := dimExchange(d, traffic.Full(d.Nodes()).Blocks())
 		if err != nil {
 			t.Fatalf("D3(%d,%d): %v", sh.k, sh.m, err)
 		}
@@ -95,7 +107,7 @@ func TestSparseSchedule(t *testing.T) {
 					}
 				}
 			}
-			sc, err := dfly.SparseSchedule(d, traffic)
+			sc, err := dimExchange(d, traffic)
 			if err != nil {
 				t.Fatalf("D3(%d,%d) trial %d: %v", sh.k, sh.m, trial, err)
 			}
@@ -115,10 +127,10 @@ func TestSparseSchedule(t *testing.T) {
 
 func TestSparseScheduleRejectsBadTraffic(t *testing.T) {
 	d := topology.MustNewDragonfly(2, 2)
-	if _, err := dfly.SparseSchedule(d, []block.Block{{Origin: 0, Dest: 99}}); err == nil {
+	if _, err := dimExchange(d, []block.Block{{Origin: 0, Dest: 99}}); err == nil {
 		t.Fatal("out-of-range destination accepted")
 	}
-	if _, err := dfly.SparseSchedule(d, []block.Block{{Origin: 0, Dest: 1}, {Origin: 0, Dest: 1}}); err == nil {
+	if _, err := dimExchange(d, []block.Block{{Origin: 0, Dest: 1}, {Origin: 0, Dest: 1}}); err == nil {
 		t.Fatal("duplicate block accepted")
 	}
 }
@@ -129,8 +141,11 @@ func TestSparseScheduleRejectsBadTraffic(t *testing.T) {
 // that (direct pays sharing factors, dimexchange never does).
 func TestDimExchangeBeatsDirectSharing(t *testing.T) {
 	d := topology.MustNewDragonfly(2, 4)
-	direct := dfly.DirectSchedule(d)
-	dim, err := dfly.DimExchangeSchedule(d)
+	direct, err := schedule.Collect(d, dfly.EmitDirect)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dim, err := dimExchange(d, traffic.Full(d.Nodes()).Blocks())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +167,7 @@ func BenchmarkDimExchangeBuild(b *testing.B) {
 		d := topology.MustNewDragonfly(sh.k, sh.m)
 		b.Run(fmt.Sprintf("D3(%d,%d)", sh.k, sh.m), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := dfly.DimExchangeSchedule(d); err != nil {
+				if _, err := dimExchange(d, traffic.Full(d.Nodes()).Blocks()); err != nil {
 					b.Fatal(err)
 				}
 			}

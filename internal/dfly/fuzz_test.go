@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"torusx/internal/block"
-	"torusx/internal/dfly"
 	"torusx/internal/exec"
 	"torusx/internal/oracle"
 	"torusx/internal/topology"
@@ -66,7 +65,7 @@ func FuzzDragonflySparse(f *testing.F) {
 			}
 			seen[b] = true
 		}
-		sc, err := dfly.SparseSchedule(d, traffic)
+		sc, err := dimExchange(d, traffic)
 		if valid && err != nil {
 			t.Fatalf("valid traffic %v on %s rejected: %v", traffic, d, err)
 		}

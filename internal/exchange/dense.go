@@ -20,11 +20,11 @@
 //     submesh.
 //
 // Between consecutive phases (n+1 boundaries) every node rearranges
-// its data array once. The package holds the builders only: the dense
-// and sparse payload schedules (PayloadSchedule, EmitPayload,
-// SparsePayloadSchedule), the structural schedule (GenerateStructural)
-// and the virtual-node extension's helpers (VirtualTori, PadDims,
-// HostLoads). The paper-following block simulator their tests hold
+// its data array once. The package holds the builders only, each one
+// an emitter into a schedule.Sink: the dense and sparse payload
+// schedules (EmitPayload, EmitSparsePayload), the structural schedule
+// (EmitStructural) and the virtual-node extension's helpers
+// (VirtualTori, PadDims, HostLoads). The paper-following block simulator their tests hold
 // them to is oracle.Run.
 package exchange
 
@@ -59,16 +59,10 @@ import (
 // The result is the schedule oracle.Run records with RecordPayloads,
 // which TestPayloadScheduleMatchesRun holds it to.
 
-// PayloadSchedule returns the complete exchange's schedule on t with
-// every transfer's payload: the schedule of oracle.Run(t,
-// oracle.Options{RecordPayloads: true}), built without the block-level
-// simulator.
-func PayloadSchedule(t *topology.Torus) (*schedule.Schedule, error) {
-	return schedule.Collect(t, func(s schedule.Sink) error { return EmitPayload(t, s) })
-}
-
-// EmitPayload emits PayloadSchedule's phases and steps into sink, each
-// step as soon as it is built. The paper proves one node group
+// EmitPayload emits the complete exchange's schedule on t into sink,
+// with every transfer's payload, each step as soon as it is built: the
+// schedule of oracle.Run(t, oracle.Options{RecordPayloads: true}),
+// built without the block-level simulator. The paper proves one node group
 // contention-free and carries the proof to every node by (r+c) mod 4:
 // the schedule declares the lattice of period 4 in every dimension.
 func EmitPayload(t *topology.Torus, sink schedule.Sink) error {
@@ -88,19 +82,19 @@ func EmitPayload(t *topology.Torus, sink schedule.Sink) error {
 	return d.run(sink)
 }
 
-// SparsePayloadSchedule is PayloadSchedule carrying only blocks, every
-// node starting with its own blocks in input order: the schedule of
+// EmitSparsePayload is EmitPayload carrying only blocks, every node
+// starting with its own blocks in input order: it emits the schedule of
 // oracle.RunSparse(t, blocks, oracle.Options{RecordPayloads: true}),
-// errors included.
-func SparsePayloadSchedule(t *topology.Torus, blocks []block.Block) (*schedule.Schedule, error) {
+// errors included. It declares no lattice.
+func EmitSparsePayload(t *topology.Torus, blocks []block.Block, sink schedule.Sink) error {
 	n := t.Nodes()
 	for _, b := range blocks {
 		if int(b.Origin) < 0 || int(b.Origin) >= n || int(b.Dest) < 0 || int(b.Dest) >= n {
-			return nil, fmt.Errorf("exchange: block %v out of range", b)
+			return fmt.Errorf("exchange: block %v out of range", b)
 		}
 	}
 	if err := t.ValidateForExchange(); err != nil {
-		return nil, err
+		return err
 	}
 	off := make([]int32, n+1)
 	for _, b := range blocks {
@@ -114,7 +108,7 @@ func SparsePayloadSchedule(t *topology.Torus, blocks []block.Block) (*schedule.S
 		d.ids[off[b.Origin]] = b.ID(n)
 		off[b.Origin]++
 	}
-	return schedule.Collect(t, d.run)
+	return d.run(sink)
 }
 
 // dense is the builder's state: the blocks, each node's buffer as runs

@@ -30,7 +30,7 @@ func TestPayloadScheduleMatchesRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := PayloadSchedule(tor)
+			got, err := schedule.Collect(tor, EmitPayload)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,19 +69,26 @@ func TestPayloadScheduleErrorsMatchRun(t *testing.T) {
 	for _, dims := range [][]int{{10, 10}, {8, 12}, {16}} {
 		tor := topology.MustNew(dims...)
 		_, want := oracle.Run(tor, oracle.Options{RecordPayloads: true})
-		_, got := PayloadSchedule(tor)
+		_, got := schedule.Collect(tor, EmitPayload)
 		if want == nil || got == nil || got.Error() != want.Error() {
 			t.Errorf("%v: got error %v, want %v", dims, got, want)
 		}
 	}
 }
 
-// sparseParity checks SparsePayloadSchedule against oracle.RunSparse on one
+// sparsePayload collects EmitSparsePayload's schedule of blocks on t.
+func sparsePayload(t *topology.Torus, blocks []block.Block) (*schedule.Schedule, error) {
+	return schedule.Collect(t, func(t *topology.Torus, s schedule.Sink) error {
+		return EmitSparsePayload(t, blocks, s)
+	})
+}
+
+// sparseParity checks EmitSparsePayload against oracle.RunSparse on one
 // block list: equal schedules, or equal errors.
 func sparseParity(t *testing.T, tor *topology.Torus, blocks []block.Block) {
 	t.Helper()
 	want, werr := oracle.RunSparse(tor, blocks, oracle.Options{RecordPayloads: true})
-	got, gerr := SparsePayloadSchedule(tor, blocks)
+	got, gerr := sparsePayload(tor, blocks)
 	if werr != nil || gerr != nil {
 		if werr == nil || gerr == nil || gerr.Error() != werr.Error() {
 			t.Fatalf("%s, %d blocks: got error %v, want %v", tor, len(blocks), gerr, werr)
@@ -172,14 +179,14 @@ func TestPayloadScheduleAllocBudget(t *testing.T) {
 	tor := topology.MustNew(16, 16)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	sc, err := PayloadSchedule(tor)
+	sc, err := schedule.Collect(tor, EmitPayload)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
 	}
 	scheduleSink = sc
 	if got := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); got > maxMiB {
-		t.Fatalf("PayloadSchedule@16x16 allocates %.2f MiB, budget %.2f MiB", got, maxMiB)
+		t.Fatalf("EmitPayload@16x16 allocates %.2f MiB, budget %.2f MiB", got, maxMiB)
 	}
 }
 
@@ -194,7 +201,7 @@ func BenchmarkProposedSchedule16(b *testing.B) {
 		name  string
 		build func() (*schedule.Schedule, error)
 	}{
-		{"dense", func() (*schedule.Schedule, error) { return PayloadSchedule(tor) }},
+		{"dense", func() (*schedule.Schedule, error) { return schedule.Collect(tor, EmitPayload) }},
 		{"run", func() (*schedule.Schedule, error) {
 			res, err := oracle.Run(tor, oracle.Options{RecordPayloads: true})
 			if err != nil {
@@ -230,7 +237,7 @@ func TestSparseScatterAllocatesBlocks(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	sc, err := SparsePayloadSchedule(tor, blocks)
+	sc, err := sparsePayload(tor, blocks)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)

@@ -41,7 +41,7 @@ func TestGenerateNaiveSameVolumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prop, err := GenerateStructural(topology.MustNew(12, 12))
+	prop, err := schedule.Collect(topology.MustNew(12, 12), EmitStructural)
 	if err != nil {
 		t.Fatal(err)
 	}

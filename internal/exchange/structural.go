@@ -11,7 +11,7 @@ import (
 // Structural schedule generation. The block counts of every step of
 // the Suh–Shin schedule are fully determined by symmetry: a node whose
 // phase-p ring has L members sends (L−s)·N/L blocks in step s, and
-// every node sends N/2 blocks in each quad/bit step. GenerateStructural
+// every node sends N/2 blocks in each quad/bit step. EmitStructural
 // builds the complete schedule from those closed forms without
 // simulating any buffers, in O(steps · nodes) time and O(1) memory per
 // node — which makes contention checking feasible for tori far beyond
@@ -21,11 +21,12 @@ import (
 // TestStructuralMatchesSimulated asserts transfer-for-transfer
 // equality with the executed schedule on every small shape.
 
-// GenerateStructural returns the schedule of the proposed algorithm on
-// t without executing it.
-func GenerateStructural(t *topology.Torus) (*schedule.Schedule, error) {
+// EmitStructural emits the schedule of the proposed algorithm on t
+// into sink, each step as soon as it is built, without executing it.
+// It declares no lattice.
+func EmitStructural(t *topology.Torus, sink schedule.Sink) error {
 	if err := t.ValidateForExchange(); err != nil {
-		return nil, err
+		return err
 	}
 	n := t.Nodes()
 	nd := t.NDims()
@@ -35,16 +36,16 @@ func GenerateStructural(t *topology.Torus) (*schedule.Schedule, error) {
 		coords[i] = t.CoordOf(topology.NodeID(i))
 		groups[i] = plan.GroupPhases(coords[i])
 	}
-	sc := &schedule.Schedule{Fabric: t}
 
 	globalSteps := t.Dim(0)/topology.GroupStride - 1
 	for p := 0; p < nd; p++ {
-		ph := schedule.Phase{Name: fmt.Sprintf("group-%d", p+1)}
+		// Every inter-phase boundary rearranges all N blocks per node
+		// (same annotation the simulating executor records).
+		rearrange := 0
 		if p > 0 {
-			// Every inter-phase boundary rearranges all N blocks per
-			// node (same annotation the simulating executor records).
-			ph.Rearrange = n
+			rearrange = n
 		}
+		sink.Phase(fmt.Sprintf("group-%d", p+1), rearrange)
 		for s := 1; s <= globalSteps; s++ {
 			var step schedule.Step
 			for i := 0; i < n; i++ {
@@ -60,40 +61,34 @@ func GenerateStructural(t *topology.Torus) (*schedule.Schedule, error) {
 					Dim: m.Dim, Dir: m.Dir, Hops: topology.GroupStride, Blocks: blocks,
 				})
 			}
-			ph.Steps = append(ph.Steps, step)
+			if err := sink.Step(step); err != nil {
+				return err
+			}
 		}
-		sc.Phases = append(sc.Phases, ph)
 	}
 
-	quad := schedule.Phase{Name: "quad", Rearrange: n}
-	for s := 1; s <= nd; s++ {
-		var step schedule.Step
-		for i := 0; i < n; i++ {
-			m := plan.QuadMove(coords[i], s)
-			dst := t.MoveID(topology.NodeID(i), m.Dim, 2*int(m.Dir))
-			step.Transfers = append(step.Transfers, schedule.Transfer{
-				Src: topology.NodeID(i), Dst: dst,
-				Dim: m.Dim, Dir: m.Dir, Hops: 2, Blocks: n / 2,
-			})
+	// pairPhase emits the quad or bit phase: nd steps in which every
+	// node sends N/2 blocks hops away along the move of its step.
+	pairPhase := func(name string, hops int, move func(topology.Coord, int) plan.Move) error {
+		sink.Phase(name, n)
+		for s := 1; s <= nd; s++ {
+			var step schedule.Step
+			for i := 0; i < n; i++ {
+				m := move(coords[i], s)
+				dst := t.MoveID(topology.NodeID(i), m.Dim, hops*int(m.Dir))
+				step.Transfers = append(step.Transfers, schedule.Transfer{
+					Src: topology.NodeID(i), Dst: dst,
+					Dim: m.Dim, Dir: m.Dir, Hops: hops, Blocks: n / 2,
+				})
+			}
+			if err := sink.Step(step); err != nil {
+				return err
+			}
 		}
-		quad.Steps = append(quad.Steps, step)
+		return nil
 	}
-	sc.Phases = append(sc.Phases, quad)
-
-	bit := schedule.Phase{Name: "bit", Rearrange: n}
-	for s := 1; s <= nd; s++ {
-		var step schedule.Step
-		for i := 0; i < n; i++ {
-			m := plan.BitMove(coords[i], s)
-			dst := t.MoveID(topology.NodeID(i), m.Dim, int(m.Dir))
-			step.Transfers = append(step.Transfers, schedule.Transfer{
-				Src: topology.NodeID(i), Dst: dst,
-				Dim: m.Dim, Dir: m.Dir, Hops: 1, Blocks: n / 2,
-			})
-		}
-		bit.Steps = append(bit.Steps, step)
+	if err := pairPhase("quad", 2, plan.QuadMove); err != nil {
+		return err
 	}
-	sc.Phases = append(sc.Phases, bit)
-
-	return sc, nil
+	return pairPhase("bit", 1, plan.BitMove)
 }

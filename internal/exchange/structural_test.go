@@ -10,10 +10,10 @@ import (
 )
 
 func TestStructuralValidation(t *testing.T) {
-	if _, err := GenerateStructural(topology.MustNew(16)); err == nil {
+	if _, err := schedule.Collect(topology.MustNew(16), EmitStructural); err == nil {
 		t.Fatal("1D should be rejected")
 	}
-	if _, err := GenerateStructural(topology.MustNew(10, 8)); err == nil {
+	if _, err := schedule.Collect(topology.MustNew(10, 8), EmitStructural); err == nil {
 		t.Fatal("non-multiple-of-four should be rejected")
 	}
 }
@@ -38,7 +38,7 @@ func stepSet(s *schedule.Step) map[transferKey]int {
 func TestStructuralMatchesSimulated(t *testing.T) {
 	for _, dims := range shapes2to5D {
 		sim := cachedRun(t, dims).Schedule
-		str, err := GenerateStructural(topology.MustNew(dims...))
+		str, err := schedule.Collect(topology.MustNew(dims...), EmitStructural)
 		if err != nil {
 			t.Fatalf("%v: %v", dims, err)
 		}
@@ -71,7 +71,7 @@ func TestStructuralMatchesSimulated(t *testing.T) {
 
 func TestStructuralCostsMatchClosedForm(t *testing.T) {
 	for _, dims := range [][]int{{12, 12}, {16, 8}, {8, 8, 8}, {8, 8, 4, 4}} {
-		sc, err := GenerateStructural(topology.MustNew(dims...))
+		sc, err := schedule.Collect(topology.MustNew(dims...), EmitStructural)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +120,7 @@ func TestStructuralRandomShapesProperty(t *testing.T) {
 		if nodes > 20000 {
 			continue
 		}
-		sc, err := GenerateStructural(topology.MustNew(dims...))
+		sc, err := schedule.Collect(topology.MustNew(dims...), EmitStructural)
 		if err != nil {
 			t.Fatalf("%v: %v", dims, err)
 		}
@@ -149,7 +149,7 @@ func TestStructuralContentionFreeAtScale(t *testing.T) {
 		shapes = shapes[:2]
 	}
 	for _, dims := range append(shapes, bigStructuralShapes...) {
-		sc, err := GenerateStructural(topology.MustNew(dims...))
+		sc, err := schedule.Collect(topology.MustNew(dims...), EmitStructural)
 		if err != nil {
 			t.Fatalf("%v: %v", dims, err)
 		}

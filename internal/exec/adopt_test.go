@@ -144,7 +144,7 @@ func roundTrip(tor *topology.Torus, short bool, layout payLayout) *schedule.Sche
 		Name:  "round-trip",
 		Steps: []schedule.Step{step(there, topology.Pos), step(back, topology.Neg)},
 	}}}
-	sc.Phases = append(sc.Phases, baseline.DirectSchedule(tor).Phases...)
+	sc.Phases = append(sc.Phases, mustCollect(tor, baseline.EmitDirect).Phases...)
 	return sc
 }
 
@@ -198,7 +198,7 @@ func TestAdoptedPayloadDifferential(t *testing.T) {
 				kept := roundTrip(tc.tor, tc.short, tc.layout)
 				orig := cloneSchedule(kept)
 				sameForm(t, label, want, compiledOf(t, func() (*exec.Program, error) {
-					return exec.CompileStream(kept.Fabric, kept.Emit, exec.Options{})
+					return exec.CompileStream(kept.Fabric, emitter(kept), exec.Options{})
 				}))
 				for si, s := range kept.Phases[0].Steps {
 					rewritten := !reflect.DeepEqual(s, orig.Phases[0].Steps[si])

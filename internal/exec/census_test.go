@@ -12,7 +12,7 @@ import (
 // and whether its block log recycles dead windows.
 func ringCensus(t *testing.T, dims ...int) (exec.Census, bool) {
 	t.Helper()
-	pg, err := exec.Compile(baseline.RingSchedule(topology.MustNew(dims...)), exec.Options{})
+	pg, err := exec.Compile(mustCollect(topology.MustNew(dims...), baseline.EmitRing), exec.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

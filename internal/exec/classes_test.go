@@ -37,7 +37,7 @@ func compileBoth(t *testing.T, sc *schedule.Schedule) (whole, streamed []byte, p
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, err = exec.CompileStream(sc.Fabric, cloneSchedule(sc).Emit, exec.Options{})
+	ps, err = exec.CompileStream(sc.Fabric, emitter(cloneSchedule(sc)), exec.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

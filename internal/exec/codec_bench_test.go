@@ -27,7 +27,7 @@ var coldCells = []string{"direct", "factored", "logtime", "proposed-sim", "ring"
 func cold16(b *testing.B) (*exec.Program, []byte) {
 	b.Helper()
 	tor := topology.MustNew(16, 16)
-	pg, err := exec.Compile(baseline.DirectSchedule(tor), exec.Options{})
+	pg, err := exec.Compile(mustCollect(tor, baseline.EmitDirect), exec.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

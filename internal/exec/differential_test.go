@@ -457,7 +457,7 @@ func TestIntraStepForwardingVerdicts(t *testing.T) {
 			}
 			restore := exec.StreamOneStep()
 			defer restore()
-			if _, err := exec.CompileStream(r.sc.Fabric, cloneSchedule(r.sc).Emit, opt); err == nil || err.Error() != want {
+			if _, err := exec.CompileStream(r.sc.Fabric, emitter(cloneSchedule(r.sc)), opt); err == nil || err.Error() != want {
 				t.Fatalf("CompileStream: error %v, want %q", err, want)
 			}
 		})

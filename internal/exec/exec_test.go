@@ -20,9 +20,20 @@ import (
 // A program compiled against the explicit matrix delivers exactly what
 // the default program delivers, at the same cost, and only the default
 // records full traffic instead of listing it.
+// mustCollect collects emit's schedule on tor, panicking on an error:
+// the tests call it only with the direct and ring exchanges, which
+// build on every shape.
+func mustCollect(tor *topology.Torus, emit func(*topology.Torus, schedule.Sink) error) *schedule.Schedule {
+	sc, err := schedule.Collect(tor, emit)
+	if err != nil {
+		panic(err)
+	}
+	return sc
+}
+
 func TestFullTraffic(t *testing.T) {
 	tor := topology.MustNew(4, 4)
-	sc := baseline.RingSchedule(tor)
+	sc := mustCollect(tor, baseline.EmitRing)
 	full := traffic.Full(tor.Nodes()).Blocks()
 	implicit, err := exec.Compile(sc, exec.Options{})
 	if err != nil {
@@ -73,7 +84,7 @@ func TestRunStructuralProposed(t *testing.T) {
 	// The structural proposed schedule carries no payloads: the executor
 	// checks and measures it without replay, and the measure matches the
 	// paper's closed form.
-	sc, err := exchange.GenerateStructural(topology.MustNew(8, 8))
+	sc, err := schedule.Collect(topology.MustNew(8, 8), exchange.EmitStructural)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,11 +109,13 @@ func TestRunStructuralProposed(t *testing.T) {
 // program decoder reconstructs.
 func TestRunMeasureOnlyLargeFabric(t *testing.T) {
 	tor := topology.MustNew(32, 32, 16)
-	bcast, err := collective.BroadcastSchedule(tor, 0)
+	bcast, err := schedule.Collect(tor, func(t *topology.Torus, s schedule.Sink) error {
+		return collective.EmitBroadcast(t, 0, s)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	structural, err := exchange.GenerateStructural(tor)
+	structural, err := schedule.Collect(tor, exchange.EmitStructural)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,8 +142,8 @@ func TestRunReplaysPayloadSchedules(t *testing.T) {
 		sc      *schedule.Schedule
 		sharing bool // whether link sharing is expected
 	}{
-		{"direct", baseline.DirectSchedule(tor), true},
-		{"ring", baseline.RingSchedule(tor), false},
+		{"direct", mustCollect(tor, baseline.EmitDirect), true},
+		{"ring", mustCollect(tor, baseline.EmitRing), false},
 	} {
 		res, err := exec.Run(tc.sc, exec.Options{})
 		if err != nil {

@@ -53,7 +53,7 @@ func TestProposedStepInvariantsParallel(t *testing.T) {
 			if raceEnabled && tor.Nodes() > 2048 {
 				t.Skipf("%d nodes too slow under the race detector", tor.Nodes())
 			}
-			sc, err := exchange.GenerateStructural(tor)
+			sc, err := schedule.Collect(tor, exchange.EmitStructural)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -20,7 +20,7 @@ import (
 func compileDirect8x8(t testing.TB) *exec.Program {
 	t.Helper()
 	tor := topology.MustNew(8, 8)
-	pg, err := exec.Compile(baseline.DirectSchedule(tor), exec.Options{})
+	pg, err := exec.Compile(mustCollect(tor, baseline.EmitDirect), exec.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,7 +86,7 @@ func TestReferenceWalkDifferential(t *testing.T) {
 			restore := exec.StreamOneStep()
 			defer restore()
 			sameForm(t, "one step per batch", whole, compiledOf(t, func() (*exec.Program, error) {
-				return exec.CompileStream(r.sc.Fabric, cloneSchedule(r.sc).Emit, opt)
+				return exec.CompileStream(r.sc.Fabric, emitter(cloneSchedule(r.sc)), opt)
 			}))
 		})
 	}

@@ -72,11 +72,34 @@ func checkStreamRow(t *testing.T, r streamRow) {
 	sameForm(t, "one step per batch", want, compiledOf(t, stream))
 }
 
+// emitter returns the emitter of a schedule that exists whole: it sends
+// sc's phases and steps to a sink in order, stopping at the first error
+// a Step returns. The sink owns every step it takes and may rewrite its
+// payload ids in place (see schedule.Sink), so stream only a schedule
+// nobody reads afterwards.
+func emitter(sc *schedule.Schedule) func(schedule.Sink) error {
+	return func(sink schedule.Sink) error {
+		if sc.Lattice > 0 {
+			sink.Lattice(sc.Lattice)
+		}
+		for pi := range sc.Phases {
+			ph := &sc.Phases[pi]
+			sink.Phase(ph.Name, ph.Rearrange)
+			for _, s := range ph.Steps {
+				if err := sink.Step(s); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+}
+
 // wholeRow streams a schedule that exists whole. Each stream emits a
 // deep copy, since a streamed compile may rewrite the payload ids it
 // takes, and the row's schedule is read again.
 func wholeRow(name string, sc *schedule.Schedule, opt exec.Options) streamRow {
-	return streamRow{name: name, sc: sc, emit: func(s schedule.Sink) error { return cloneSchedule(sc).Emit(s) }, opt: opt}
+	return streamRow{name: name, sc: sc, emit: func(s schedule.Sink) error { return emitter(cloneSchedule(sc))(s) }, opt: opt}
 }
 
 // TestStreamedCompileDifferentialRegistry: every registry cell on the

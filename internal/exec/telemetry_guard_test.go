@@ -19,6 +19,7 @@ import (
 	"torusx/internal/costmodel"
 	"torusx/internal/exchange"
 	"torusx/internal/exec"
+	"torusx/internal/schedule"
 	"torusx/internal/telemetry"
 	"torusx/internal/topology"
 )
@@ -28,7 +29,7 @@ import (
 func benchmarkExec(b *testing.B, dims []int, opt exec.Options) {
 	b.Helper()
 	tor := topology.MustNew(dims...)
-	sc, err := exchange.GenerateStructural(tor)
+	sc, err := schedule.Collect(tor, exchange.EmitStructural)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func BenchmarkExecTelemetryNop(b *testing.B) {
 func BenchmarkExecTelemetryMemory(b *testing.B) {
 	b.ReportAllocs()
 	tor := topology.MustNew(16, 16)
-	sc, err := exchange.GenerateStructural(tor)
+	sc, err := schedule.Collect(tor, exchange.EmitStructural)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func BenchmarkExecTelemetryMemory(b *testing.B) {
 // allocates nothing.
 func TestTelemetryDisabledAllocsUnchanged(t *testing.T) {
 	tor := topology.MustNew(8, 8)
-	sc, err := exchange.GenerateStructural(tor)
+	sc, err := schedule.Collect(tor, exchange.EmitStructural)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestTelemetryDisabledNotSlowerThanNop(t *testing.T) {
 		t.Skip("timing test skipped in -short mode")
 	}
 	tor := topology.MustNew(16, 16)
-	sc, err := exchange.GenerateStructural(tor)
+	sc, err := schedule.Collect(tor, exchange.EmitStructural)
 	if err != nil {
 		t.Fatal(err)
 	}

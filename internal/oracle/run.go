@@ -62,7 +62,7 @@ type Options struct {
 	// extracted blocks to the recorded schedule (Transfer.Payload),
 	// converted as they are recorded, so the shared executor
 	// in internal/exec can replay and delivery-verify the run. The
-	// registry builds the same schedule with exchange.PayloadSchedule;
+	// registry builds the same schedule with exchange.EmitPayload;
 	// this is its test reference.
 	RecordPayloads bool
 }
@@ -164,7 +164,7 @@ func RunWithBuffers(t *topology.Torus, bufs []*Buffer, opt Options) (*Result, er
 // per block, so any traffic matrix rides the same n+2-phase schedule.
 // Each block starts at its Origin and is delivered to its Dest;
 // RunWithBuffers checks the torus. It is the test reference the
-// compiled sparse program (exchange.SparsePayloadSchedule, pruned) is
+// compiled sparse program (exchange.EmitSparsePayload, pruned) is
 // held to; production code replays that program instead.
 func RunSparse(t *topology.Torus, blocks []block.Block, opt Options) (*Result, error) {
 	bufs := make([]*Buffer, t.Nodes())
@@ -173,7 +173,7 @@ func RunSparse(t *topology.Torus, blocks []block.Block, opt Options) (*Result, e
 	}
 	for _, b := range blocks {
 		if int(b.Origin) < 0 || int(b.Origin) >= t.Nodes() || int(b.Dest) < 0 || int(b.Dest) >= t.Nodes() {
-			// exchange.SparsePayloadSchedule's message: their parity
+			// exchange.EmitSparsePayload's message: their parity
 			// test compares errors too.
 			return nil, fmt.Errorf("exchange: block %v out of range", b)
 		}

@@ -282,7 +282,7 @@ func TestEvictionStatsDistinguishDiskBacked(t *testing.T) {
 		if tier2 {
 			_, err = c.GetOrCompileTiered(key, tor, 0, nil, nil, func() (*exec.Program, error) { return pg, nil })
 		} else {
-			_, err = c.GetOrCompile(key, func() (*exec.Program, error) { return pg, nil })
+			_, err = getOrCompile(c, key, nil, func() (*exec.Program, error) { return pg, nil })
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -333,7 +333,7 @@ func TestEvictionStatsDistinguishDiskBacked(t *testing.T) {
 func ringSource(tor *topology.Torus, plans *int) func() (*schedule.Schedule, error) {
 	return func() (*schedule.Schedule, error) {
 		*plans++
-		return baseline.RingSchedule(tor), nil
+		return schedule.Collect(tor, baseline.EmitRing)
 	}
 }
 
@@ -347,7 +347,10 @@ func TestTier2ScheduleOutlivesProgram(t *testing.T) {
 		t.Fatal(err)
 	}
 	tor := topology.MustNew(16, 16)
-	src := baseline.RingSchedule(tor)
+	src, err := schedule.Collect(tor, baseline.EmitRing)
+	if err != nil {
+		t.Fatal(err)
+	}
 	pg, err := exec.Compile(src, exec.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -393,7 +396,7 @@ func TestTier2ScheduleOutlivesProgram(t *testing.T) {
 func TestTier2TruncatedInPlace(t *testing.T) {
 	tor := topology.MustNew(16, 16)
 	key := progcache.Key("ring", tor, 0)
-	compile := func() (*exec.Program, error) { return exec.Compile(baseline.RingSchedule(tor), exec.Options{}) }
+	compile := func() (*exec.Program, error) { return compileRing(tor) }
 	ref, err := compile()
 	if err != nil {
 		t.Fatal(err)
@@ -584,7 +587,7 @@ func TestStoredProgramWeighsDecoded(t *testing.T) {
 		key := progcache.Key(alg, tor, 0)
 		compile := func() (*exec.Program, error) {
 			if alg == "ring" {
-				return exec.Compile(baseline.RingSchedule(tor), exec.Options{})
+				return compileRing(tor)
 			}
 			return compileDirect(tor)
 		}
@@ -630,7 +633,7 @@ func TestDiskStoreWritesHeldBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	tor := topology.MustNew(16, 16)
-	pg, err := exec.Compile(baseline.RingSchedule(tor), exec.Options{})
+	pg, err := compileRing(tor)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,7 @@ func TestGetOrCompileTracedSpans(t *testing.T) {
 	}
 
 	missReq := reg.StartRequest("miss")
-	if _, err := c.GetOrCompileTraced(key, missReq, func() (*exec.Program, error) { return compileDirect(tor) }); err != nil {
+	if _, err := getOrCompile(c, key, missReq, func() (*exec.Program, error) { return compileDirect(tor) }); err != nil {
 		t.Fatal(err)
 	}
 	if got := stageNames(missReq); len(got) != 1 || got[0] != "cache-lookup" {
@@ -55,7 +55,7 @@ func TestGetOrCompileTracedSpans(t *testing.T) {
 	}
 
 	hitReq := reg.StartRequest("hit")
-	if _, err := c.GetOrCompileTraced(key, hitReq, nil); err != nil {
+	if _, err := getOrCompile(c, key, hitReq, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := stageNames(hitReq); len(got) != 1 || got[0] != "cache-lookup" {
@@ -71,7 +71,7 @@ func TestGetOrCompileTracedSpans(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		c2.GetOrCompileTraced(key, nil, func() (*exec.Program, error) {
+		getOrCompile(c2, key, nil, func() (*exec.Program, error) {
 			close(waiting)
 			<-release
 			return compileDirect(tor)
@@ -82,7 +82,7 @@ func TestGetOrCompileTracedSpans(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		c2.GetOrCompileTraced(key, waitReq, nil)
+		getOrCompile(c2, key, waitReq, nil)
 	}()
 	// The coalesced counter bumps after the waiter's lookup and before
 	// it blocks on the flight, so polling it synchronizes without
@@ -115,10 +115,10 @@ func TestRegisterMetrics(t *testing.T) {
 	c.RegisterMetrics(reg, "progcache")
 
 	key := progcache.Key("direct", tor, 0)
-	if _, err := c.GetOrCompile(key, func() (*exec.Program, error) { return compileDirect(tor) }); err != nil {
+	if _, err := getOrCompile(c, key, nil, func() (*exec.Program, error) { return compileDirect(tor) }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.GetOrCompile(key, nil); err != nil {
+	if _, err := getOrCompile(c, key, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	s := reg.Snapshot()

@@ -190,30 +190,6 @@ func blockHash(b block.Block) uint64 {
 	return h
 }
 
-// GetOrCompile returns the cached program for key, or runs compile to
-// produce it. Concurrent callers with the same key share one compile:
-// exactly one runs, the rest wait and receive its result. Errors are
-// returned to every waiter and never cached, so a transient failure
-// does not poison the key; a compile that panics is reported the same
-// way, as an error. Programs larger than a shard's byte budget are
-// returned uncached.
-func (c *Cache) GetOrCompile(key string, compile func() (*exec.Program, error)) (*exec.Program, error) {
-	return c.GetOrCompileTraced(key, nil, compile)
-}
-
-// GetOrCompileTraced is GetOrCompile recording the request's
-// wall-clock walk through the cache: a "cache-lookup" stage span over
-// the shard probe, and — when the request loses the singleflight race
-// and waits on another caller's compile — a "singleflight-wait" span
-// over the wait. The compile callback itself is *not* wrapped: the
-// caller owns its decomposition (internal/algorithm splits it into
-// "plan"/"prune"/"compile" stages). A nil req records nothing and
-// takes the identical code path — warm hits stay within the serving
-// layer's pinned allocation budget.
-func (c *Cache) GetOrCompileTraced(key string, req *obs.Request, compile func() (*exec.Program, error)) (*exec.Program, error) {
-	return c.getOrCompile(key, nil, 0, req, nil, compile)
-}
-
 // SetTier2 attaches a disk store as the cache's second tier. Call once
 // at setup, before the cache serves requests. Requests routed through
 // GetOrCompileTiered then check the store between an LRU miss and a
@@ -224,24 +200,40 @@ func (c *Cache) SetTier2(t2 *DiskStore) { c.tier2 = t2 }
 // Tier2 returns the attached disk store, if any.
 func (c *Cache) Tier2() *DiskStore { return c.tier2 }
 
-// GetOrCompileTiered is GetOrCompileTraced carrying the decode context
-// — the fabric and options fingerprint the key was built from — so an
-// LRU miss can be served from the tier-2 disk store (recorded as a
-// "tier2-load" stage) before falling back to compile, and a fresh
-// compile is written back and served loaded from the file it wrote
-// ("tier2-store"). The singleflight covers both tiers: concurrent
-// requesters of one key share a single disk probe and at most one
-// compile. Without an attached store (or with a nil fabric) it behaves
-// exactly like GetOrCompileTraced. A non-nil source — the
-// schedule-building half of compile, untraced — is recorded as the
-// schedule source (exec.Program.SetSource) of the program served on a
-// miss, compiled or loaded, before any requester sees it.
+// GetOrCompileTiered returns the cached program for key, or runs
+// compile to produce it, and is the cache's one entry point.
+//
+//   - One compile per key: concurrent callers with the same key share
+//     one compile. Exactly one runs, the rest wait and receive its
+//     result.
+//   - Errors are returned to every waiter and never cached, so a
+//     transient failure does not poison the key; a compile that panics
+//     is reported the same way, as an error.
+//   - A program larger than a shard's byte budget is served uncached.
+//
+// f and optFP are the decode context — the fabric and options
+// fingerprint the key was built from — so an LRU miss can be served
+// from the tier-2 disk store (recorded as a "tier2-load" stage) before
+// falling back to compile, and a fresh compile is written back and
+// served loaded from the file it wrote ("tier2-store"). The
+// singleflight covers both tiers: concurrent requesters of one key
+// share a single disk probe and at most one compile. Without an
+// attached store, or with a nil fabric, only the memory tier serves.
+//
+// req records the request's wall-clock walk through the cache: a
+// "cache-lookup" stage span over the shard probe, and — when the
+// request loses the singleflight race and waits on another caller's
+// compile — a "singleflight-wait" span over the wait. The compile
+// callback itself is *not* wrapped: the caller owns its decomposition
+// (internal/algorithm splits it into "plan"/"prune"/"compile" stages).
+// A nil req records nothing and takes the identical code path — warm
+// hits stay within the serving layer's pinned allocation budget.
+//
+// A non-nil source — the schedule-building half of compile, untraced —
+// is recorded as the schedule source (exec.Program.SetSource) of the
+// program served on a miss, compiled or loaded, before any requester
+// sees it.
 func (c *Cache) GetOrCompileTiered(key string, f topology.Fabric, optFP uint64, req *obs.Request,
-	source func() (*schedule.Schedule, error), compile func() (*exec.Program, error)) (*exec.Program, error) {
-	return c.getOrCompile(key, f, optFP, req, source, compile)
-}
-
-func (c *Cache) getOrCompile(key string, f topology.Fabric, optFP uint64, req *obs.Request,
 	source func() (*schedule.Schedule, error), compile func() (*exec.Program, error)) (prog *exec.Program, err error) {
 	sp := req.Stage(obs.StageCacheLookup)
 	s := &c.shards[c.shardOf(key)]

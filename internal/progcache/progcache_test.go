@@ -12,14 +12,36 @@ import (
 	"torusx/internal/baseline"
 	"torusx/internal/block"
 	"torusx/internal/exec"
+	"torusx/internal/obs"
 	"torusx/internal/progcache"
+	"torusx/internal/schedule"
 	"torusx/internal/topology"
 )
 
 // compileDirect compiles the direct-exchange schedule on tor — a real
 // program with a replay plan, so SizeBytes is meaningful.
 func compileDirect(tor *topology.Torus) (*exec.Program, error) {
-	return exec.Compile(baseline.DirectSchedule(tor), exec.Options{})
+	return compileEmitted(tor, baseline.EmitDirect)
+}
+
+// getOrCompile is c.GetOrCompileTiered with no decode context and no
+// schedule source: the memory tier alone.
+func getOrCompile(c *progcache.Cache, key string, req *obs.Request, compile func() (*exec.Program, error)) (*exec.Program, error) {
+	return c.GetOrCompileTiered(key, nil, 0, req, nil, compile)
+}
+
+// compileRing compiles the ring-exchange schedule on tor.
+func compileRing(tor *topology.Torus) (*exec.Program, error) {
+	return compileEmitted(tor, baseline.EmitRing)
+}
+
+// compileEmitted compiles emit's collected schedule on tor.
+func compileEmitted(tor *topology.Torus, emit func(*topology.Torus, schedule.Sink) error) (*exec.Program, error) {
+	sc, err := schedule.Collect(tor, emit)
+	if err != nil {
+		return nil, err
+	}
+	return exec.Compile(sc, exec.Options{})
 }
 
 func TestKeyFormat(t *testing.T) {
@@ -56,11 +78,11 @@ func TestKeySeparatesFabrics(t *testing.T) {
 	}
 
 	c := progcache.New(0)
-	pt, err := c.GetOrCompile(kt, func() (*exec.Program, error) { return compileDirect(tor) })
+	pt, err := getOrCompile(c, kt, nil, func() (*exec.Program, error) { return compileDirect(tor) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	pd, err := c.GetOrCompile(kd, func() (*exec.Program, error) { return compileDirect(topology.MustNew(8)) })
+	pd, err := getOrCompile(c, kd, nil, func() (*exec.Program, error) { return compileDirect(topology.MustNew(8)) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +118,7 @@ func TestEvictionStatsMixedFabrics(t *testing.T) {
 	for i := 0; i < perFabric; i++ {
 		for _, f := range []topology.Fabric{tor, topology.MustNewDragonfly(2, 2)} {
 			key := progcache.Key(fmt.Sprintf("tenant%d", i), f, 0)
-			if _, err := c.GetOrCompile(key, func() (*exec.Program, error) { return compileDirect(tor) }); err != nil {
+			if _, err := getOrCompile(c, key, nil, func() (*exec.Program, error) { return compileDirect(tor) }); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -142,16 +164,16 @@ func TestWarmHitReturnsSameProgram(t *testing.T) {
 	c := progcache.New(0)
 	tor := topology.MustNew(4, 4)
 	key := progcache.Key("direct", tor, 0)
-	p1, err := c.GetOrCompile(key, func() (*exec.Program, error) { return compileDirect(tor) })
+	p1, err := getOrCompile(c, key, nil, func() (*exec.Program, error) { return compileDirect(tor) })
 	if err != nil {
-		t.Fatalf("cold GetOrCompile: %v", err)
+		t.Fatalf("cold GetOrCompileTiered: %v", err)
 	}
-	p2, err := c.GetOrCompile(key, func() (*exec.Program, error) {
-		t.Error("warm GetOrCompile invoked compile")
+	p2, err := getOrCompile(c, key, nil, func() (*exec.Program, error) {
+		t.Error("warm GetOrCompileTiered invoked compile")
 		return compileDirect(tor)
 	})
 	if err != nil {
-		t.Fatalf("warm GetOrCompile: %v", err)
+		t.Fatalf("warm GetOrCompileTiered: %v", err)
 	}
 	if p1 != p2 {
 		t.Error("warm hit returned a different *Program")
@@ -192,7 +214,7 @@ func TestSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			progs[i], errs[i] = c.GetOrCompile(key, compile)
+			progs[i], errs[i] = getOrCompile(c, key, nil, compile)
 		}(i)
 	}
 	// Give every goroutine time to reach the cache, then let the single
@@ -228,14 +250,14 @@ func TestErrorNotCached(t *testing.T) {
 	boom := errors.New("transient failure")
 	key := "direct@4x4"
 	var calls atomic.Int64
-	if _, err := c.GetOrCompile(key, func() (*exec.Program, error) {
+	if _, err := getOrCompile(c, key, nil, func() (*exec.Program, error) {
 		calls.Add(1)
 		return nil, boom
 	}); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
 	tor := topology.MustNew(4, 4)
-	p, err := c.GetOrCompile(key, func() (*exec.Program, error) {
+	p, err := getOrCompile(c, key, nil, func() (*exec.Program, error) {
 		calls.Add(1)
 		return compileDirect(tor)
 	})
@@ -261,7 +283,7 @@ func TestCompilePanicDoesNotWedgeKey(t *testing.T) {
 	entered, release := make(chan struct{}), make(chan struct{})
 	errs := make(chan error, 2)
 	go func() {
-		_, err := c.GetOrCompile(key, func() (*exec.Program, error) {
+		_, err := getOrCompile(c, key, nil, func() (*exec.Program, error) {
 			close(entered)
 			<-release
 			panic("builder bug")
@@ -270,7 +292,7 @@ func TestCompilePanicDoesNotWedgeKey(t *testing.T) {
 	}()
 	<-entered
 	go func() {
-		_, err := c.GetOrCompile(key, func() (*exec.Program, error) {
+		_, err := getOrCompile(c, key, nil, func() (*exec.Program, error) {
 			t.Error("coalesced request ran its own compile")
 			return nil, errors.New("unexpected compile")
 		})
@@ -299,7 +321,7 @@ func TestCompilePanicDoesNotWedgeKey(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.GetOrCompile(key, func() (*exec.Program, error) { return compileDirect(tor) })
+		_, err := getOrCompile(c, key, nil, func() (*exec.Program, error) { return compileDirect(tor) })
 		done <- err
 	}()
 	select {
@@ -329,7 +351,7 @@ func TestEvictionRespectsByteBudget(t *testing.T) {
 	const keys = 48
 	for i := 0; i < keys; i++ {
 		key := fmt.Sprintf("direct@4x4#tenant%d", i)
-		if _, err := c.GetOrCompile(key, func() (*exec.Program, error) { return compileDirect(tor) }); err != nil {
+		if _, err := getOrCompile(c, key, nil, func() (*exec.Program, error) { return compileDirect(tor) }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -354,12 +376,12 @@ func TestOversizeNotCached(t *testing.T) {
 	key := progcache.Key("direct", tor, 0)
 	var calls atomic.Int64
 	for i := 0; i < 2; i++ {
-		p, err := c.GetOrCompile(key, func() (*exec.Program, error) {
+		p, err := getOrCompile(c, key, nil, func() (*exec.Program, error) {
 			calls.Add(1)
 			return compileDirect(tor)
 		})
 		if err != nil || p == nil {
-			t.Fatalf("GetOrCompile %d: %v", i, err)
+			t.Fatalf("GetOrCompileTiered %d: %v", i, err)
 		}
 	}
 	if calls.Load() != 2 {
@@ -388,13 +410,13 @@ func TestConcurrentMixedKeys(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				tor := shapes[(g+i)%len(shapes)]
 				key := progcache.Key("direct", tor, 0)
-				p, err := c.GetOrCompile(key, func() (*exec.Program, error) { return compileDirect(tor) })
+				p, err := getOrCompile(c, key, nil, func() (*exec.Program, error) { return compileDirect(tor) })
 				if err != nil {
-					t.Errorf("GetOrCompile(%s): %v", key, err)
+					t.Errorf("GetOrCompileTiered(%s): %v", key, err)
 					return
 				}
 				if cached, ok := c.Get(key); !ok || cached != p {
-					t.Errorf("Get(%s) disagrees with GetOrCompile", key)
+					t.Errorf("Get(%s) disagrees with GetOrCompileTiered", key)
 					return
 				}
 			}

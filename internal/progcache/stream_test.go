@@ -38,7 +38,10 @@ func TestStreamedBuilderPanicDoesNotWedgeKey(t *testing.T) {
 	before := runtime.NumGoroutine()
 	entered, release := make(chan struct{}), make(chan struct{})
 	panicky := func(s schedule.Sink) error {
-		sc := baseline.RingSchedule(tor)
+		sc, err := schedule.Collect(tor, baseline.EmitRing)
+		if err != nil {
+			return err
+		}
 		s.Phase(sc.Phases[0].Name, 0)
 		for _, st := range sc.Phases[0].Steps[:2] {
 			if err := s.Step(st); err != nil {
@@ -51,14 +54,14 @@ func TestStreamedBuilderPanicDoesNotWedgeKey(t *testing.T) {
 	}
 	errs := make(chan error, 2)
 	go func() {
-		_, err := c.GetOrCompile(key, func() (*exec.Program, error) {
+		_, err := getOrCompile(c, key, nil, func() (*exec.Program, error) {
 			return exec.CompileStream(tor, panicky, exec.Options{})
 		})
 		errs <- err
 	}()
 	<-entered
 	go func() {
-		_, err := c.GetOrCompile(key, func() (*exec.Program, error) {
+		_, err := getOrCompile(c, key, nil, func() (*exec.Program, error) {
 			t.Error("coalesced request ran its own compile")
 			return nil, nil
 		})
@@ -85,7 +88,7 @@ func TestStreamedBuilderPanicDoesNotWedgeKey(t *testing.T) {
 	if !goroutinesSettle(before) {
 		t.Fatalf("%d goroutines after the panicked compile, %d before", runtime.NumGoroutine(), before)
 	}
-	pg, err := c.GetOrCompile(key, func() (*exec.Program, error) {
+	pg, err := getOrCompile(c, key, nil, func() (*exec.Program, error) {
 		return exec.CompileStream(tor, func(s schedule.Sink) error { return baseline.EmitRing(tor, s) }, exec.Options{})
 	})
 	if err != nil || pg == nil {

@@ -49,7 +49,11 @@ func checkGolden(t *testing.T, sc *schedule.Schedule, name string) string {
 // Shared steps, payload annotations and multi-segment routes all
 // present.
 func TestDirectScheduleGoldenJSON(t *testing.T) {
-	out := checkGolden(t, baseline.DirectSchedule(topology.MustNew(4, 4)), "direct_4x4.json")
+	sc, err := schedule.Collect(topology.MustNew(4, 4), baseline.EmitDirect)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := checkGolden(t, sc, "direct_4x4.json")
 	// The current encoding is version-2: explicit schema version plus a
 	// fabric descriptor.
 	if !strings.Contains(out, `"version": 2`) {

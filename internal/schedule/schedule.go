@@ -59,7 +59,7 @@ type Transfer struct {
 	// emitting builder recorded them (len(Payload) == Blocks). A
 	// schedule whose transfers all carry payloads can be replayed and
 	// delivery-verified by internal/exec; structural schedules (the
-	// registry's "proposed", exchange.GenerateStructural) leave it nil
+	// registry's "proposed", exchange.EmitStructural) leave it nil
 	// and are measured without a replay.
 	Payload []int32
 }

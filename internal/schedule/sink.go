@@ -11,7 +11,8 @@ import (
 // Builders emit into a Sink instead of appending to a Schedule, so one
 // builder serves both a caller that wants the whole schedule (Collect)
 // and one that consumes each step while the next is still being built
-// (exec.CompileStream).
+// (exec.CompileStream). A builder's one entry point is its emitter,
+// func(fabric, [args,] Sink) error.
 type Sink interface {
 	// Lattice declares the schedule's translation lattice by its period
 	// (see Schedule.Lattice), once, before the first phase.
@@ -51,32 +52,14 @@ func (c *collector) Step(s Step) error {
 	return nil
 }
 
-// Collect runs emit into a sink that assembles the schedule on f, and
-// returns the schedule, or emit's error.
-func Collect(f topology.Fabric, emit func(Sink) error) (*Schedule, error) {
+// Collect runs emit on f into a sink that assembles the schedule, and
+// returns the schedule, or emit's error. Every builder is an emitter,
+// so this is the one place a whole schedule comes from:
+// Collect(tor, baseline.EmitRing) is the ring exchange on tor.
+func Collect[F topology.Fabric](f F, emit func(F, Sink) error) (*Schedule, error) {
 	c := &collector{sc: &Schedule{Fabric: f}}
-	if err := emit(c); err != nil {
+	if err := emit(f, c); err != nil {
 		return nil, err
 	}
 	return c.sc, nil
-}
-
-// Emit sends sc's phases and steps to sink in order, stopping at the
-// first error a Step returns. The sink owns every step it takes and may
-// rewrite its payload ids in place (see Sink.Step), so emit only a
-// schedule nobody reads afterwards.
-func (sc *Schedule) Emit(sink Sink) error {
-	if sc.Lattice > 0 {
-		sink.Lattice(sc.Lattice)
-	}
-	for pi := range sc.Phases {
-		ph := &sc.Phases[pi]
-		sink.Phase(ph.Name, ph.Rearrange)
-		for _, s := range ph.Steps {
-			if err := sink.Step(s); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

@@ -20,12 +20,12 @@ import (
 // first leg, and the payload must not change the text.
 func TestTransferStringRoundTrip(t *testing.T) {
 	tor := topology.MustNew(8, 8)
-	prop, err := exchange.GenerateStructural(tor)
-	if err != nil {
-		t.Fatal(err)
-	}
 	multi := 0
-	for _, sc := range []*schedule.Schedule{prop, baseline.DirectSchedule(tor), baseline.RingSchedule(tor)} {
+	for _, emit := range []func(*topology.Torus, schedule.Sink) error{exchange.EmitStructural, baseline.EmitDirect, baseline.EmitRing} {
+		sc, err := schedule.Collect(tor, emit)
+		if err != nil {
+			t.Fatal(err)
+		}
 		seen := 0
 		sc.EachStep(func(_ *schedule.Phase, _ int, st *schedule.Step) {
 			for _, tr := range st.Transfers {

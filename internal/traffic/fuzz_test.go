@@ -3,7 +3,6 @@ package traffic
 import (
 	"testing"
 
-	"torusx/internal/baseline"
 	"torusx/internal/block"
 	"torusx/internal/exec"
 	"torusx/internal/oracle"
@@ -77,7 +76,7 @@ func FuzzTorusSparseTraffic(f *testing.F) {
 			}
 			return
 		}
-		pruned, err := Prune(baseline.DirectSchedule(tor), m)
+		pruned, err := Prune(direct(t, tor), m)
 		if err != nil {
 			t.Fatalf("%s on %s: prune rejected: %v", m, tor, err)
 		}

@@ -36,9 +36,19 @@ func pruneAndReplay(t *testing.T, sc *schedule.Schedule, m Matrix) *exec.Program
 	return pg
 }
 
+// direct collects the direct exchange on tor.
+func direct(t *testing.T, tor *topology.Torus) *schedule.Schedule {
+	t.Helper()
+	sc, err := schedule.Collect(tor, baseline.EmitDirect)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sc
+}
+
 func TestPruneDirectToUniform(t *testing.T) {
 	tor := topology.MustNew(4, 4)
-	full := baseline.DirectSchedule(tor)
+	full := direct(t, tor)
 	m := Uniform(tor.Nodes(), 0.3, 11)
 	pruned, err := Prune(full, m)
 	if err != nil {
@@ -73,15 +83,11 @@ func TestPruneDirectToUniform(t *testing.T) {
 
 func TestPruneEveryTorusBaseline(t *testing.T) {
 	tor := topology.MustNew(4, 4)
-	builders := map[string]func() (*schedule.Schedule, error){
-		"direct": func() (*schedule.Schedule, error) { return baseline.DirectSchedule(tor), nil },
-		"ring":   func() (*schedule.Schedule, error) { return baseline.RingSchedule(tor), nil },
-		"factored": func() (*schedule.Schedule, error) {
-			return baseline.FactoredSchedule(tor)
-		},
-		"logtime": func() (*schedule.Schedule, error) {
-			return baseline.LogTimeSchedule(tor)
-		},
+	builders := map[string]func(*topology.Torus, schedule.Sink) error{
+		"direct":   baseline.EmitDirect,
+		"ring":     baseline.EmitRing,
+		"factored": baseline.EmitFactored,
+		"logtime":  baseline.EmitLogTime,
 	}
 	matrices := map[string]Matrix{
 		"uniform": Uniform(tor.Nodes(), 0.2, 3),
@@ -89,8 +95,8 @@ func TestPruneEveryTorusBaseline(t *testing.T) {
 		"hotspot": Hotspot(tor.Nodes(), 2, 5),
 		"perm":    Permutation(tor.Nodes(), 7),
 	}
-	for bname, build := range builders {
-		sc, err := build()
+	for bname, emit := range builders {
+		sc, err := schedule.Collect(tor, emit)
 		if err != nil {
 			t.Fatalf("%s: %v", bname, err)
 		}
@@ -105,7 +111,7 @@ func TestPruneEveryTorusBaseline(t *testing.T) {
 func TestPruneEmptyMatrix(t *testing.T) {
 	tor := topology.MustNew(4, 4)
 	m := mustNew(t, tor.Nodes(), nil)
-	pruned, err := Prune(baseline.DirectSchedule(tor), m)
+	pruned, err := Prune(direct(t, tor), m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +132,7 @@ func TestPruneSelfOnlyMatrix(t *testing.T) {
 	// that is correct, not an error.
 	tor := topology.MustNew(4, 4)
 	m := mustNew(t, tor.Nodes(), []block.Block{b(0, 0), b(5, 5), b(15, 15)})
-	pruned, err := Prune(baseline.DirectSchedule(tor), m)
+	pruned, err := Prune(direct(t, tor), m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +154,7 @@ func TestPruneRejectsStructuralSchedule(t *testing.T) {
 
 func TestPruneRejectsMismatchedNodes(t *testing.T) {
 	tor := topology.MustNew(4, 4)
-	if _, err := Prune(baseline.DirectSchedule(tor), Full(8)); err == nil || !strings.Contains(err.Error(), "nodes") {
+	if _, err := Prune(direct(t, tor), Full(8)); err == nil || !strings.Contains(err.Error(), "nodes") {
 		t.Fatalf("node-count mismatch accepted: %v", err)
 	}
 }
@@ -191,7 +197,7 @@ func TestPruneSharedStepSharingShrinks(t *testing.T) {
 	// Pruning a Shared step can only lower its serialization factor;
 	// the compiled measure must reflect the pruned, not dense, factor.
 	tor := topology.MustNew(4, 4)
-	full := baseline.DirectSchedule(tor)
+	full := direct(t, tor)
 	dense, err := exec.Compile(full, exec.Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 
 	"torusx/internal/exchange"
 	"torusx/internal/oracle"
+	"torusx/internal/schedule"
 	"torusx/internal/topology"
 )
 
@@ -125,7 +126,7 @@ func TestNaiveScheduleEndToEndPenalty(t *testing.T) {
 	// contention does not deadlock, takes several times the cycles of
 	// the proposed schedule despite moving identical volumes.
 	tor := topology.MustNew(12, 12)
-	prop, err := exchange.GenerateStructural(tor)
+	prop, err := schedule.Collect(tor, exchange.EmitStructural)
 	if err != nil {
 		t.Fatal(err)
 	}

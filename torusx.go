@@ -136,7 +136,7 @@ func (r *Report) Summary() string {
 func (r *Report) Completion(p CostParams) float64 { return p.Completion(r.Measure) }
 
 // proposedProgram is the registry name of the payload-carrying build
-// of the proposed exchange (exchange.PayloadSchedule, the dense builder
+// of the proposed exchange (exchange.EmitPayload, the dense builder
 // held to the block-level simulator), the program every exchange entry
 // point replays, dense or sparse.
 const proposedProgram = "proposed-sim"
@@ -245,7 +245,7 @@ func Predict(dims ...int) Measure { return costmodel.ProposedND(dims) }
 // Suitable for tori far larger than the simulating entry points can
 // hold (tested to 65,536 nodes).
 func ScheduleFor(t *Torus) (*Schedule, error) {
-	sc, err := exchange.GenerateStructural(t)
+	sc, err := schedule.Collect(t, exchange.EmitStructural)
 	if err != nil {
 		return nil, err
 	}
